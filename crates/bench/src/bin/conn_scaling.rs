@@ -1,9 +1,8 @@
 //! Connection-scaling gate for the event-driven server core: holds 100,
-//! 1 000 and 10 000 idle connections against the sync
-//! (thread-per-connection) and async (event-loop) cores of a real
-//! `ppfd` process, recording the server's resident thread count and
-//! probe-query p99 latency at each tier, and emits `BENCH_5.json` with
-//! the full table.
+//! 1 000 and 10 000 idle connections against a real `ppfd` process,
+//! recording the server's resident thread count and probe-query latency
+//! at each tier, and emits `BENCH_5.json` with the table (plus the
+//! per-crate Rust line counts that produced it).
 //!
 //! The server runs as a child process (`ppfd` from the same target
 //! directory), for two reasons. First, fd budget: this environment caps
@@ -13,24 +12,11 @@
 //! `/proc/<ppfd>/status` counts only the server's threads — the bench's
 //! own client machinery cannot pollute the number being gated.
 //!
-//! The sync core's tier ladder is capped (default 1 000,
-//! `PPF_SYNC_TIER_CAP` overrides): past a few thousand connections its
-//! per-connection threads — each waking on a 50 ms read tick — starve
-//! the accept loop of CPU and the herd stops growing at all. That
-//! cliff is the scaling wall this bench documents; the async core runs
-//! the full ladder.
-//!
-//! Exit is non-zero when an invariant fails:
-//!   * the async core must hold the largest tier with no more than
-//!     `event_threads + 8` resident threads over its idle baseline —
-//!     connections are rows in the loops' maps, not stacks;
-//!   * the sync core must demonstrate the contrast: at least half the
-//!     largest tier's connections show up as threads (it is, by design,
-//!     thread-per-connection);
-//!   * at the 100-connection tier the async core's probe p99 may not
-//!     regress more than 10% (plus a 500µs absolute slack for scheduler
-//!     jitter) against the sync core's — measured as the best of
-//!     several rounds so one noisy round cannot fail the gate.
+//! Exit is non-zero when the invariant fails: the server must hold the
+//! largest tier with no more than `event_threads + 8` resident threads
+//! over its idle baseline — connections are rows in the loops' maps, not
+//! stacks. Probe latency is recorded, not gated: `serve_bench`'s
+//! `tiny_path` workload is the front-end latency gate.
 //!
 //! `PPF_CONN_TIERS=100,1000` overrides the tier list for quick local
 //! runs; the committed artifact must come from the full list.
@@ -45,25 +31,16 @@ use ppf_server::{Client, ServerConfig, Verb};
 
 const OUTPUT_PATH: &str = "BENCH_5.json";
 const DEFAULT_TIERS: &[usize] = &[100, 1_000, 10_000];
-/// Probe requests per latency round.
+/// Probe requests per tier.
 const PROBE_REQUESTS: usize = 200;
-/// Latency rounds at the gated tier; the best p99 of these is compared.
-const GATE_ROUNDS: usize = 3;
-/// Allowed async/sync p99 ratio at the smallest tier...
-const MAX_P99_RATIO: f64 = 1.10;
-/// ...plus this absolute slack, so microsecond-scale jitter on an idle
-/// server cannot fail the gate on ratio alone.
-const P99_SLACK_US: f64 = 500.0;
-/// Resident-thread allowance for the async core over its baseline:
-/// event loops + the metrics thread + transient query workers.
-const ASYNC_THREAD_SLACK: usize = 8;
+/// Resident-thread allowance over the idle baseline: event loops + the
+/// metrics thread + transient query workers.
+const THREAD_SLACK: usize = 8;
 /// Connections opened per batch before waiting for the server to adopt
 /// them — paces the client against accept/spawn throughput.
 const CONNECT_BATCH: usize = 256;
 /// The probe query: one row against the generated XMark document.
 const PROBE_QUERY: &str = "/site";
-/// Largest tier the sync core is asked to hold (see module docs).
-const SYNC_TIER_CAP: usize = 1_000;
 
 fn tiers() -> Vec<usize> {
     match std::env::var("PPF_CONN_TIERS") {
@@ -142,7 +119,7 @@ impl Drop for Server {
 
 /// Launch `ppfd` (from this binary's own target directory) on an
 /// ephemeral port and wait for its readiness line.
-fn spawn_server(sync: bool) -> Result<Server, String> {
+fn spawn_server() -> Result<Server, String> {
     let ppfd = std::env::current_exe()
         .ok()
         .and_then(|p| p.parent().map(|d| d.join("ppfd")))
@@ -158,9 +135,6 @@ fn spawn_server(sync: bool) -> Result<Server, String> {
         "--idle-ms",
         "3600000",
     ]);
-    if sync {
-        cmd.arg("--sync-conns");
-    }
     cmd.stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
@@ -248,7 +222,7 @@ fn probe_latency(probe: &mut Client) -> Result<(f64, f64), String> {
     Ok((pick(0.50), pick(0.99)))
 }
 
-/// What one core looked like at one tier.
+/// What the server looked like at one tier.
 struct TierRow {
     conns: usize,
     threads: usize,
@@ -256,17 +230,15 @@ struct TierRow {
     p99_us: f64,
 }
 
-struct CoreRun {
-    core: &'static str,
+struct Run {
     baseline_threads: usize,
     rows: Vec<TierRow>,
 }
 
-/// Run one core through every tier. The herd only grows between tiers;
-/// connections are dropped (and the server drained) at the end.
-fn run_core(sync: bool, tiers: &[usize]) -> Result<CoreRun, String> {
-    let core = if sync { "sync" } else { "async" };
-    let server = spawn_server(sync)?;
+/// Run one server through every tier. The herd only grows between
+/// tiers; connections are dropped (and the server drained) at the end.
+fn run_tiers(tiers: &[usize]) -> Result<Run, String> {
+    let server = spawn_server()?;
     let pid = server.child.id();
     let io = Duration::from_secs(30);
     let mut probe =
@@ -287,18 +259,10 @@ fn run_core(sync: bool, tiers: &[usize]) -> Result<CoreRun, String> {
         let t0 = Instant::now();
         grow_herd(&mut herd, &server.addr, tier, &mut probe)?;
         eprintln!(
-            "  {core}: {tier} conns held after {:.1}s",
+            "  {tier} conns held after {:.1}s",
             t0.elapsed().as_secs_f64()
         );
-        // Gate tier gets the best of several rounds; larger tiers one
-        // round each (recorded, not gated).
-        let rounds = if tier == tiers[0] { GATE_ROUNDS } else { 1 };
-        let (mut p50, mut p99) = (f64::MAX, f64::MAX);
-        for _ in 0..rounds {
-            let (a, b) = probe_latency(&mut probe)?;
-            p50 = p50.min(a);
-            p99 = p99.min(b);
-        }
+        let (p50, p99) = probe_latency(&mut probe)?;
         // Query workers are per-request and short-lived; let the last
         // one retire before counting resident threads.
         std::thread::sleep(Duration::from_millis(300));
@@ -323,15 +287,14 @@ fn run_core(sync: bool, tiers: &[usize]) -> Result<CoreRun, String> {
             Err(_) => break,
         }
     }
-    Ok(CoreRun {
-        core,
+    Ok(Run {
         baseline_threads,
         rows,
     })
 }
 
-fn emit_core(s: &mut String, run: &CoreRun, last: bool) {
-    writeln!(s, "  \"{}\": {{", run.core).unwrap();
+fn emit_run(s: &mut String, run: &Run) {
+    writeln!(s, "  \"async\": {{").unwrap();
     writeln!(s, "    \"baseline_threads\": {},", run.baseline_threads).unwrap();
     writeln!(s, "    \"tiers\": [").unwrap();
     for (i, r) in run.rows.iter().enumerate() {
@@ -347,7 +310,7 @@ fn emit_core(s: &mut String, run: &CoreRun, last: bool) {
         .unwrap();
     }
     writeln!(s, "    ]").unwrap();
-    writeln!(s, "  }}{}", if last { "" } else { "," }).unwrap();
+    writeln!(s, "  }}").unwrap();
 }
 
 fn main() {
@@ -371,85 +334,36 @@ fn main() {
         return;
     }
 
-    let sync_cap: usize = std::env::var("PPF_SYNC_TIER_CAP")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(SYNC_TIER_CAP);
-    let sync_tiers: Vec<usize> = tiers.iter().copied().filter(|&t| t <= sync_cap).collect();
-    if sync_tiers.is_empty() {
-        eprintln!("conn_scaling: sync tier cap {sync_cap} leaves no sync tiers");
-        std::process::exit(1);
-    }
-
-    eprintln!("conn_scaling: tiers {tiers:?} (sync capped at {sync_cap}), nofile {nofile}");
-    let sync = match run_core(true, &sync_tiers) {
+    eprintln!("conn_scaling: tiers {tiers:?}, nofile {nofile}");
+    let run = match run_tiers(&tiers) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("conn_scaling FAILED (sync core): {e}");
-            std::process::exit(1);
-        }
-    };
-    let async_ = match run_core(false, &tiers) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("conn_scaling FAILED (async core): {e}");
+            eprintln!("conn_scaling FAILED: {e}");
             std::process::exit(1);
         }
     };
 
+    // The gate: the largest tier is held in O(event_threads) resident
+    // threads.
     let event_threads = ServerConfig::default().event_threads;
-    let mut failures: Vec<String> = Vec::new();
-
-    // Gate 1: the async core holds the largest tier in O(event_threads)
-    // resident threads.
-    let async_last = async_.rows.last().unwrap();
-    let async_delta = async_last.threads.saturating_sub(async_.baseline_threads);
-    if async_delta > event_threads + ASYNC_THREAD_SLACK {
-        failures.push(format!(
-            "async core grew {async_delta} threads holding {} conns \
-             (allowed: event_threads {event_threads} + {ASYNC_THREAD_SLACK})",
-            async_last.conns
-        ));
-    }
-
-    // Gate 2: the sync core really is thread-per-connection — the
-    // contrast the table exists to show.
-    let sync_last = sync.rows.last().unwrap();
-    let sync_delta = sync_last.threads.saturating_sub(sync.baseline_threads);
-    if sync_delta < sync_last.conns / 2 {
-        failures.push(format!(
-            "sync core grew only {sync_delta} threads for {} conns — \
-             not thread-per-connection? (bench assumption broken)",
-            sync_last.conns
-        ));
-    }
-
-    // Gate 3: no p99 regression at the smallest tier.
-    let (sync_p99, async_p99) = (sync.rows[0].p99_us, async_.rows[0].p99_us);
-    let allowed = sync_p99 * MAX_P99_RATIO + P99_SLACK_US;
-    if async_p99 > allowed {
-        failures.push(format!(
-            "async p99 {async_p99:.1}µs at {} conns exceeds sync {sync_p99:.1}µs \
-             by more than {MAX_P99_RATIO}x + {P99_SLACK_US}µs",
-            sync.rows[0].conns
-        ));
-    }
-
-    let gate_outcome = if failures.is_empty() {
-        "pass".to_string()
-    } else {
-        format!("fail: {}", failures.join("; ").replace('"', "'"))
+    let ceiling = event_threads + THREAD_SLACK;
+    let last = run.rows.last().unwrap();
+    let thread_delta = last.threads.saturating_sub(run.baseline_threads);
+    let failure = (thread_delta > ceiling).then(|| {
+        format!(
+            "server grew {thread_delta} threads holding {} conns \
+             (allowed: event_threads {event_threads} + {THREAD_SLACK})",
+            last.conns
+        )
+    });
+    let gate_outcome = match &failure {
+        None => "pass".to_string(),
+        Some(f) => format!("fail: {f}"),
     };
 
     let mut s = String::new();
     writeln!(s, "{{").unwrap();
     writeln!(s, "  \"bench\": \"conn_scaling\",").unwrap();
-    writeln!(
-        s,
-        "  \"sync_tier_cap\": {sync_cap}, \
-         \"sync_tier_cap_reason\": \"per-conn poll-tick threads starve the accept loop\","
-    )
-    .unwrap();
     writeln!(
         s,
         "  \"cores_hw\": {},",
@@ -459,63 +373,39 @@ fn main() {
     writeln!(s, "  \"event_threads\": {event_threads},").unwrap();
     writeln!(s, "  \"gate_outcome\": \"{gate_outcome}\",").unwrap();
     writeln!(s, "  \"gates\": {{").unwrap();
-    writeln!(
-        s,
-        "    \"async_thread_ceiling\": {},",
-        event_threads + ASYNC_THREAD_SLACK
-    )
-    .unwrap();
-    writeln!(s, "    \"async_thread_delta\": {async_delta},").unwrap();
-    writeln!(s, "    \"sync_thread_delta\": {sync_delta},").unwrap();
-    writeln!(s, "    \"p99_ratio_limit\": {MAX_P99_RATIO},").unwrap();
-    writeln!(s, "    \"p99_slack_us\": {P99_SLACK_US},").unwrap();
-    writeln!(
-        s,
-        "    \"p99_at_{}_sync_us\": {sync_p99:.1},",
-        sync.rows[0].conns
-    )
-    .unwrap();
-    writeln!(
-        s,
-        "    \"p99_at_{}_async_us\": {async_p99:.1}",
-        async_.rows[0].conns
-    )
-    .unwrap();
+    writeln!(s, "    \"async_thread_ceiling\": {ceiling},").unwrap();
+    writeln!(s, "    \"async_thread_delta\": {thread_delta}").unwrap();
     writeln!(s, "  }},").unwrap();
-    emit_core(&mut s, &sync, false);
-    emit_core(&mut s, &async_, true);
+    let lines: Vec<String> = ppf_bench::rust_lines()
+        .iter()
+        .map(|(krate, n)| format!("\"{krate}\": {n}"))
+        .collect();
+    writeln!(s, "  \"rust_lines\": {{ {} }},", lines.join(", ")).unwrap();
+    emit_run(&mut s, &run);
     writeln!(s, "}}").unwrap();
     std::fs::write(OUTPUT_PATH, &s).expect("write BENCH_5.json");
 
     println!("conn_scaling:");
     println!(
-        "  {:>7} {:>14} {:>14} {:>12} {:>12}",
-        "conns", "sync threads", "async threads", "sync p99", "async p99"
+        "  {:>7} {:>8} {:>10} {:>10}",
+        "conns", "threads", "p50", "p99"
     );
-    for b in &async_.rows {
-        match sync.rows.iter().find(|a| a.conns == b.conns) {
-            Some(a) => println!(
-                "  {:>7} {:>14} {:>14} {:>9.1}µs {:>9.1}µs",
-                a.conns, a.threads, b.threads, a.p99_us, b.p99_us
-            ),
-            None => println!(
-                "  {:>7} {:>14} {:>14} {:>12} {:>9.1}µs",
-                b.conns, "(capped)", b.threads, "-", b.p99_us
-            ),
-        }
+    for r in &run.rows {
+        println!(
+            "  {:>7} {:>8} {:>8.1}µs {:>8.1}µs",
+            r.conns, r.threads, r.p50_us, r.p99_us
+        );
     }
     println!(
-        "  async thread delta at {} conns: {async_delta} (ceiling {}); sync: {sync_delta}",
-        async_last.conns,
-        event_threads + ASYNC_THREAD_SLACK
+        "  thread delta at {} conns: {thread_delta} (ceiling {ceiling})",
+        last.conns
     );
 
-    if failures.is_empty() {
-        println!("conn_scaling: OK ({OUTPUT_PATH} written)");
-    } else {
-        for f in &failures {
+    match failure {
+        None => println!("conn_scaling: OK ({OUTPUT_PATH} written)"),
+        Some(f) => {
             eprintln!("conn_scaling FAILED: {f}");
+            std::process::exit(1);
         }
-        std::process::exit(1);
     }
 }

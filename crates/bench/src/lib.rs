@@ -13,6 +13,8 @@
 //! The criterion benches and the `paper_tables` binary drive this module;
 //! EXPERIMENTS.md records the outputs next to the paper's Appendix C.
 
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use accel::AccelDb;
@@ -292,4 +294,33 @@ pub fn check_agreement(data: &BenchData, query: &str) -> Result<usize, String> {
         }
     }
     Ok(expected)
+}
+
+/// Lines of Rust per crate — every `.rs` file under `crates/*/src` and
+/// the root package's `src/` (as `ppfx`) — so bench JSONs record how
+/// much code produced their numbers.
+pub fn rust_lines() -> BTreeMap<String, usize> {
+    fn count(dir: &Path) -> usize {
+        let mut n = 0;
+        for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+            let p = entry.path();
+            if p.is_dir() {
+                n += count(&p);
+            } else if p.extension().is_some_and(|ext| ext == "rs") {
+                n += std::fs::read_to_string(&p).map_or(0, |s| s.lines().count());
+            }
+        }
+        n
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut out = BTreeMap::from([("ppfx".to_string(), count(&root.join("src")))]);
+    for krate in std::fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .flatten()
+    {
+        let name = krate.file_name().to_string_lossy().into_owned();
+        out.insert(name, count(&krate.path().join("src")));
+    }
+    out
 }

@@ -9,8 +9,10 @@
 //! request costs one mutex acquisition and one small write, so the
 //! server stays responsive precisely when it is busiest.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+use crate::lock;
 
 /// What to do with a request that arrives while every slot is busy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,7 +96,7 @@ impl std::fmt::Debug for Slot {
 
 impl Drop for Slot {
     fn drop(&mut self) {
-        let mut g = self.admission.lock_gauge();
+        let mut g = lock(&self.admission.gauge);
         g.inflight -= 1;
         drop(g);
         self.admission.freed.notify_one();
@@ -118,20 +120,14 @@ impl Admission {
         })
     }
 
-    /// The gauge is a pair of counts that is valid at every instruction
-    /// boundary, so recovering from a poisoned lock is always safe.
-    fn lock_gauge(&self) -> MutexGuard<'_, Gauge> {
-        self.gauge.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Queries currently holding a slot.
     pub fn inflight(&self) -> usize {
-        self.lock_gauge().inflight
+        lock(&self.gauge).inflight
     }
 
     /// Requests currently parked in the wait queue.
     pub fn waiting(&self) -> usize {
-        self.lock_gauge().waiting
+        lock(&self.gauge).waiting
     }
 
     /// Non-blocking admission for callers that must never sleep (event
@@ -140,7 +136,7 @@ impl Admission {
     /// the queue has room and policy allows waiting — is deferred to a
     /// thread that can afford the blocking [`Admission::admit`].
     pub fn try_admit(self: &Arc<Admission>) -> TryAdmit {
-        let mut g = self.lock_gauge();
+        let mut g = lock(&self.gauge);
         if g.inflight < self.max_inflight {
             g.inflight += 1;
             return TryAdmit::Admitted(Slot {
@@ -160,7 +156,7 @@ impl Admission {
     /// Acquire a slot or learn why not. Never blocks longer than
     /// `queue_wait`.
     pub fn admit(self: &Arc<Admission>) -> Result<Slot, ShedReason> {
-        let mut g = self.lock_gauge();
+        let mut g = lock(&self.gauge);
         if g.inflight < self.max_inflight {
             g.inflight += 1;
             return Ok(Slot {

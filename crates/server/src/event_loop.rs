@@ -11,9 +11,7 @@
 //!
 //! * **Readable** — nonblocking reads feed the [`FrameBuffer`]
 //!   (partial frames survive arbitrarily many readiness events);
-//!   complete frames run through the same `handle_frame` as the sync
-//!   core, so verbs, admission, counters and chaos faults behave
-//!   identically.
+//!   complete frames run through `handle_frame`.
 //! * **Writable** — responses land in a per-connection outbound buffer
 //!   ([`OutBuf`]); short writes leave the tail buffered and arm write
 //!   interest, so no event thread ever blocks in `write`. Query workers
@@ -24,22 +22,22 @@
 //!   checks, not 50 ms sleep ticks: an idle connection costs zero CPU
 //!   between its (rare) wheel slots.
 //!
-//! Admission, deadlines, chaos, slowlog and drain all keep their sync
-//! semantics: the event loop never blocks — the only blocking admission
-//! wait (Queue policy) happens on the query worker thread it would have
-//! to spawn anyway.
+//! The event loop never blocks: the only blocking admission wait (Queue
+//! policy) happens on the query worker thread it would have to spawn
+//! anyway.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering::SeqCst;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::frame::FrameBuffer;
+use crate::lock;
 use crate::poller::{new_poller, Event, Interest, PollBackend, Waker};
 use crate::proto::{self, ErrorKind, Response};
-use crate::server::{close_conn, handle_frame, open_conn, Conn, Inner};
+use crate::server::{close_conn, handle_frame, open_conn, Inner};
 
 /// Token of loop 0's listener registration. Connection tokens start
 /// above it; the poller reserves `u64::MAX` for its wakeup channel.
@@ -63,28 +61,20 @@ const MAX_WAIT: Duration = Duration::from_secs(1);
 /// One event loop's mailbox: freshly accepted sockets to adopt and
 /// tokens whose outbound buffers gained bytes, plus the waker that makes
 /// the loop look.
-pub(crate) struct LoopShared {
+struct LoopShared {
     intake: Mutex<Vec<TcpStream>>,
     notes: Mutex<Vec<u64>>,
     waker: Waker,
 }
 
 impl LoopShared {
-    fn lock_intake(&self) -> MutexGuard<'_, Vec<TcpStream>> {
-        self.intake.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn lock_notes(&self) -> MutexGuard<'_, Vec<u64>> {
-        self.notes.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn push_conn(&self, stream: TcpStream) {
-        self.lock_intake().push(stream);
+        lock(&self.intake).push(stream);
         self.waker.wake();
     }
 
     fn note(&self, token: u64) {
-        let mut notes = self.lock_notes();
+        let mut notes = lock(&self.notes);
         // Cheap dedup: bursts of pipelined responses note the same
         // connection back to back.
         if notes.last() != Some(&token) {
@@ -98,7 +88,7 @@ impl LoopShared {
 /// Handles to every loop; lives in `Inner` so `trigger_drain` and the
 /// accept path can reach them.
 pub(crate) struct EventLoops {
-    pub(crate) shared: Vec<Arc<LoopShared>>,
+    shared: Vec<Arc<LoopShared>>,
 }
 
 impl EventLoops {
@@ -109,18 +99,26 @@ impl EventLoops {
     }
 }
 
-/// The write side of one event-core connection, shared with its query
-/// workers through [`Conn`].
-pub(crate) struct EventSink {
+/// The half of a connection its query workers share with the owning
+/// loop: the outbound buffer, the pipelining gauge, and the address to
+/// ring. The socket itself stays with the loop.
+pub(crate) struct Conn {
     out: Mutex<OutBuf>,
     home: Arc<LoopShared>,
     token: u64,
 }
 
 #[derive(Default)]
-pub(crate) struct OutBuf {
+struct OutBuf {
     bytes: Vec<u8>,
     pos: usize,
+    /// Requests admitted on this connection whose workers still owe a
+    /// completion (the pipelining gauge). It lives under the buffer's
+    /// lock so that a response's bytes and its gauge release become
+    /// visible to the loop together: whoever sees the bytes — and so
+    /// whichever client reads them and pipelines its next request —
+    /// also sees the gauge already dropped.
+    inflight: usize,
     /// After flushing everything buffered, sever instead of disarming
     /// write interest (chaos mid-write drops).
     sever_after: bool,
@@ -141,35 +139,75 @@ impl OutBuf {
     }
 }
 
-impl EventSink {
-    fn lock_out(&self) -> MutexGuard<'_, OutBuf> {
-        self.out.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+/// What a request leaves on the wire.
+pub(crate) enum Delivery<'a> {
+    /// One complete response frame.
+    Frame(&'a Response),
+    /// Half a frame, then sever once it is on the wire (chaos
+    /// `drop=P:mid`).
+    SeveredPrefix(&'a Response),
+    /// Nothing: sever now, discarding anything buffered (chaos
+    /// `drop=P:pre|post`).
+    Sever,
+}
 
-    /// Queue one complete response frame and ring the loop.
-    pub(crate) fn push_frame(&self, payload: &str) {
-        self.push_frame_inner(payload, true);
-    }
-
-    /// Queue a frame WITHOUT ringing the loop. For the query-completion
-    /// path, which must release the connection's pipelining gauge
-    /// between buffering the bytes and waking the loop: the wake can
-    /// preempt the worker (one-core hosts, wake-preemption), let the
-    /// client read the response and pipeline its next request, and have
-    /// that request hit the `conn_cap` check while this worker is still
-    /// parked short of its decrement. Buffer → release → ring closes
-    /// that window; the caller owes the ring (`ring_home`).
-    pub(crate) fn push_frame_quiet(&self, payload: &str) {
-        self.push_frame_inner(payload, false);
-    }
-
-    fn push_frame_inner(&self, payload: &str, ring: bool) {
-        if payload.len() > proto::MAX_FRAME {
-            return; // mirrors write_frame's refusal; server bodies are capped anyway
+impl Conn {
+    fn new(home: Arc<LoopShared>, token: u64) -> Conn {
+        Conn {
+            out: Mutex::new(OutBuf::default()),
+            home,
+            token,
         }
-        let mut out = self.lock_out();
+    }
+
+    /// `(requests in flight, outbound bytes pending)`, read together.
+    pub(crate) fn load(&self) -> (usize, usize) {
+        let out = lock(&self.out);
+        (out.inflight, out.pending())
+    }
+
+    /// Count one admitted request against the pipelining gauge. Only
+    /// the owning loop calls this, so its `load` → `begin_request` pair
+    /// cannot be overtaken by another increment.
+    pub(crate) fn begin_request(&self) {
+        lock(&self.out).inflight += 1;
+    }
+
+    /// Queue a response that no worker owes (verbs answered on the loop,
+    /// rejections before admission) and ring the loop.
+    pub(crate) fn write_response(&self, resp: &Response) {
+        self.queue(Delivery::Frame(resp), false);
+        self.ring();
+    }
+
+    /// A begun request's last act on this connection: queue what it
+    /// delivers and drop the gauge in one critical section — the one
+    /// `flush_conn` takes. Does not ring; the caller rings once its
+    /// other resources are released (see `server::complete`).
+    pub(crate) fn finish_request(&self, delivery: Delivery<'_>) {
+        self.queue(delivery, true);
+    }
+
+    fn queue(&self, delivery: Delivery<'_>, finishes: bool) {
+        // Rendered before the lock, so the critical section is a copy.
+        let rendered = match delivery {
+            Delivery::Frame(resp) => Some((resp.render(), false)),
+            Delivery::SeveredPrefix(resp) => Some((resp.render(), true)),
+            Delivery::Sever => None,
+        };
+        let mut out = lock(&self.out);
+        if finishes {
+            out.inflight -= 1;
+        }
         if out.gone {
             return;
+        }
+        let Some((payload, severed)) = rendered else {
+            out.sever_now = true;
+            return;
+        };
+        if payload.len() > proto::MAX_FRAME {
+            return; // mirrors write_frame's refusal; server bodies are capped anyway
         }
         if out.pending() + payload.len() > MAX_OUTBUF {
             // The peer stopped reading; drop the buffer and sever.
@@ -177,52 +215,22 @@ impl EventSink {
             out.bytes.clear();
             out.pos = 0;
             out.sever_now = true;
-            drop(out);
-            self.home.note(self.token);
             return;
         }
-        out.bytes
-            .extend_from_slice(format!("{}\n", payload.len()).as_bytes());
-        out.bytes.extend_from_slice(payload.as_bytes());
-        drop(out);
-        if ring {
-            self.home.note(self.token);
-        }
-    }
-
-    /// Queue a deliberately truncated frame, then sever once it is on
-    /// the wire (chaos `drop=P:mid`).
-    pub(crate) fn push_severed_prefix(&self, payload: &str) {
-        let cut = payload.len() / 2;
-        let mut out = self.lock_out();
-        if out.gone {
-            return;
-        }
-        out.bytes
-            .extend_from_slice(format!("{}\n", payload.len()).as_bytes());
+        let cut = if severed {
+            payload.len() / 2
+        } else {
+            payload.len()
+        };
+        let _ = writeln!(out.bytes, "{}", payload.len()); // a Vec write cannot fail
         out.bytes.extend_from_slice(&payload.as_bytes()[..cut]);
-        out.sever_after = true;
-        drop(out);
-        self.home.note(self.token);
+        out.sever_after |= severed;
     }
 
-    /// Ask the owning loop to close this connection, discarding any
-    /// buffered output. The loop owns the socket, so this is a flag
-    /// plus a wakeup rather than a direct `shutdown`.
-    pub(crate) fn sever(&self) {
-        let mut out = self.lock_out();
-        if out.gone {
-            return;
-        }
-        out.sever_now = true;
-        drop(out);
-        self.home.note(self.token);
-    }
-
-    /// Ring the owning loop without queueing bytes (used when a query
-    /// finishes on a path that wrote nothing, so a closing connection
-    /// re-checks its in-flight count promptly).
-    pub(crate) fn ring_home(&self) {
+    /// Make the owning loop look at this connection: flush what is
+    /// buffered, act on a sever flag, re-check a closing connection's
+    /// gauge.
+    pub(crate) fn ring(&self) {
         self.home.note(self.token);
     }
 }
@@ -347,23 +355,10 @@ struct ConnState {
     grace_armed: bool,
 }
 
-/// What [`spawn_event_loops`] hands back: the shared loop handles (for
-/// `Inner`), the joinable loop threads, and the backend's name.
-pub(crate) type SpawnedLoops = (
-    Arc<EventLoops>,
-    Vec<std::thread::JoinHandle<()>>,
-    &'static str,
-);
-
-/// Build the pollers and spawn one thread per event loop. Loop 0 owns
-/// the listener. Returns the shared handles (for `Inner`) and the
-/// joinable threads.
-pub(crate) fn spawn_event_loops(
-    inner: &Arc<Inner>,
-    listener: TcpListener,
-) -> io::Result<SpawnedLoops> {
-    let n = inner.cfg.event_threads.max(1);
-    listener.set_nonblocking(true)?;
+/// Build one poller and mailbox per event loop. The handles go into
+/// `Inner` before any loop thread exists, so a drain arriving with the
+/// very first connection can already wake every loop.
+pub(crate) fn build_loops(n: usize) -> io::Result<(EventLoops, Vec<Box<dyn PollBackend>>)> {
     let mut pollers = Vec::with_capacity(n);
     let mut shared = Vec::with_capacity(n);
     for _ in 0..n {
@@ -375,24 +370,29 @@ pub(crate) fn spawn_event_loops(
         }));
         pollers.push(poller);
     }
-    let backend = pollers[0].name();
-    let loops = Arc::new(EventLoops { shared });
-    // Published before any loop runs, so a drain arriving with the very
-    // first connection can already wake every loop.
-    let _ = inner.event.set(loops.clone());
-    let mut threads = Vec::with_capacity(n);
+    Ok((EventLoops { shared }, pollers))
+}
+
+/// Spawn one thread per poller built by [`build_loops`]. Loop 0 owns
+/// the listener.
+pub(crate) fn spawn_event_loops(
+    inner: &Arc<Inner>,
+    pollers: Vec<Box<dyn PollBackend>>,
+    listener: TcpListener,
+) -> io::Result<Vec<std::thread::JoinHandle<()>>> {
+    listener.set_nonblocking(true)?;
+    let mut threads = Vec::with_capacity(pollers.len());
     let mut listener = Some(listener);
     for (idx, poller) in pollers.into_iter().enumerate() {
         let inner = inner.clone();
-        let loops = loops.clone();
         let listener = listener.take();
         threads.push(
             std::thread::Builder::new()
                 .name(format!("ppfd-loop-{idx}"))
-                .spawn(move || run_loop(idx, poller, listener, inner, loops))?,
+                .spawn(move || run_loop(idx, poller, listener, inner))?,
         );
     }
-    Ok((loops, threads, backend))
+    Ok(threads)
 }
 
 fn run_loop(
@@ -400,10 +400,9 @@ fn run_loop(
     mut poller: Box<dyn PollBackend>,
     mut listener: Option<TcpListener>,
     inner: Arc<Inner>,
-    loops: Arc<EventLoops>,
 ) {
     let reg = obs::Registry::global();
-    let home = loops.shared[idx].clone();
+    let home = inner.event.shared[idx].clone();
     let mut conns: HashMap<u64, ConnState> = HashMap::new();
     let mut wheel = TimerWheel::new(Instant::now());
     let mut next_token = FIRST_CONN_TOKEN;
@@ -437,9 +436,7 @@ fn run_loop(
             // deadline.
             let quiescent: Vec<u64> = conns
                 .iter()
-                .filter(|(_, c)| {
-                    c.conn.inflight.load(SeqCst) == 0 && c.conn.event_sink_pending() == 0
-                })
+                .filter(|(_, c)| c.conn.load() == (0, 0))
                 .map(|(&t, _)| t)
                 .collect();
             for token in quiescent {
@@ -470,7 +467,7 @@ fn run_loop(
 
         for &ev in &events {
             if ev.token == LISTENER_TOKEN {
-                accept_burst(&inner, &loops, &mut listener, &mut rr, &home);
+                accept_burst(&inner, &mut listener, &mut rr);
                 continue;
             }
             if ev.hangup {
@@ -486,7 +483,7 @@ fn run_loop(
         }
 
         // Adopt dealt connections.
-        let fresh = std::mem::take(&mut *home.lock_intake());
+        let fresh = std::mem::take(&mut *lock(&home.intake));
         for stream in fresh {
             adopt(
                 &inner,
@@ -501,7 +498,7 @@ fn run_loop(
 
         // Workers finished queries: flush their responses, re-arming
         // write interest for whatever does not fit the socket buffer.
-        let notes = std::mem::take(&mut *home.lock_notes());
+        let notes = std::mem::take(&mut *lock(&home.notes));
         for token in notes {
             if conns.contains_key(&token) {
                 flush_conn(&inner, &mut conns, &mut poller, &mut wheel, token);
@@ -520,7 +517,7 @@ fn run_loop(
                             continue;
                         };
                         let deadline = c.last_activity + inner.cfg.idle_timeout;
-                        let quiescent = c.conn.inflight.load(SeqCst) == 0;
+                        let quiescent = c.conn.load().0 == 0;
                         if quiescent && now >= deadline {
                             None
                         } else if quiescent {
@@ -563,13 +560,7 @@ fn run_loop(
 
 /// Accept until the listener would block, dealing connections across
 /// the loops round-robin. Runs only on loop 0.
-fn accept_burst(
-    inner: &Arc<Inner>,
-    loops: &Arc<EventLoops>,
-    listener: &mut Option<TcpListener>,
-    rr: &mut usize,
-    _home: &Arc<LoopShared>,
-) {
+fn accept_burst(inner: &Arc<Inner>, listener: &mut Option<TcpListener>, rr: &mut usize) {
     let reg = obs::Registry::global();
     let Some(l) = listener.as_ref() else {
         return;
@@ -600,9 +591,9 @@ fn accept_burst(
                     continue;
                 }
                 open_conn(inner);
-                let target = *rr % loops.shared.len();
+                let loops = &inner.event.shared;
+                loops[*rr % loops.len()].push_conn(stream);
                 *rr = rr.wrapping_add(1);
-                loops.shared[target].push_conn(stream);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -636,11 +627,7 @@ fn adopt(
         close_conn(inner);
         return;
     }
-    let conn = Arc::new(Conn::event(EventSink {
-        out: Mutex::new(OutBuf::default()),
-        home: home.clone(),
-        token,
-    }));
+    let conn = Arc::new(Conn::new(home.clone(), token));
     let now = Instant::now();
     wheel.insert(now + inner.cfg.idle_timeout, token, TimerKind::Idle);
     conns.insert(
@@ -738,7 +725,7 @@ fn begin_close(
     let Some(c) = conns.get_mut(&token) else {
         return;
     };
-    if c.conn.inflight.load(SeqCst) == 0 && c.conn.event_sink_pending() == 0 {
+    if c.conn.load() == (0, 0) {
         destroy(conns, poller, inner, token);
     } else if !c.grace_armed {
         c.grace_armed = true;
@@ -765,8 +752,7 @@ fn flush_conn(
         let Some(c) = conns.get_mut(&token) else {
             return;
         };
-        let sink = c.conn.event_sink().expect("event-core conn");
-        let mut out = sink.lock_out();
+        let mut out = lock(&c.conn.out);
         if out.sever_now {
             dead = true;
         }
@@ -796,7 +782,10 @@ fn flush_conn(
                 dead = true;
             }
         }
+        // Read together under the lock: a worker finishing now either
+        // shows both its bytes and its gauge drop, or neither.
         let drained = out.pending() == 0;
+        let quiescent = drained && out.inflight == 0;
         drop(out);
         if dead {
             let _ = c.stream.shutdown(std::net::Shutdown::Both);
@@ -812,7 +801,7 @@ fn flush_conn(
                     c.write_armed = want_write;
                 }
             }
-            if drained && c.closing && c.conn.inflight.load(SeqCst) == 0 {
+            if quiescent && c.closing {
                 close_now = true;
             } else if c.closing && !c.grace_armed {
                 c.grace_armed = true;
@@ -841,21 +830,12 @@ fn destroy(
         return;
     };
     let _ = poller.deregister(fd_of(&c.stream), token);
-    if let Some(sink) = c.conn.event_sink() {
-        let mut out = sink.lock_out();
-        out.gone = true;
-        out.bytes.clear();
-        out.pos = 0;
-    }
+    let mut out = lock(&c.conn.out);
+    out.gone = true;
+    out.bytes.clear();
+    out.pos = 0;
+    drop(out);
     close_conn(inner);
-}
-
-impl Conn {
-    /// Bytes still queued in this connection's outbound buffer (0 for
-    /// the sync core, which writes synchronously).
-    pub(crate) fn event_sink_pending(&self) -> usize {
-        self.event_sink().map_or(0, |s| s.lock_out().pending())
-    }
 }
 
 #[cfg(unix)]
@@ -871,6 +851,43 @@ fn fd_of<T>(_t: &T) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The completion invariant, from the loop's side of the lock: a
+    /// request's bytes are never visible while it still holds the gauge,
+    /// and its gauge never drops before its bytes are there.
+    #[test]
+    fn response_bytes_and_gauge_release_are_one_step() {
+        let (loops, _pollers) = build_loops(1).expect("poller");
+        let conn = Arc::new(Conn::new(loops.shared[0].clone(), FIRST_CONN_TOKEN));
+        let worker = {
+            let conn = conn.clone();
+            std::thread::spawn(move || {
+                for _ in 0..20_000 {
+                    // The loop's part: wait for an empty buffer, admit one.
+                    while conn.load() != (0, 0) {
+                        std::hint::spin_loop();
+                    }
+                    conn.begin_request();
+                    conn.finish_request(Delivery::Frame(&Response::ok("r", "")));
+                }
+            })
+        };
+        let mut flushed = 0;
+        while flushed < 20_000 {
+            let mut out = lock(&conn.out);
+            assert!(
+                out.inflight == 0 || out.pending() == 0,
+                "bytes visible while their request still holds the gauge"
+            );
+            if out.inflight == 0 && out.pending() > 0 {
+                out.bytes.clear();
+                out.pos = 0;
+                flushed += 1;
+            }
+        }
+        worker.join().expect("worker");
+        assert_eq!(conn.load(), (0, 0));
+    }
 
     #[test]
     fn wheel_fires_due_entries_once() {

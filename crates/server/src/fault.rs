@@ -128,7 +128,8 @@ pub use chaos_impl::{ChaosState, FaultPlan};
 #[cfg(feature = "chaos")]
 mod chaos_impl {
     use super::{DropPhase, Fault, ReloadFault};
-    use std::sync::{Mutex, PoisonError};
+    use crate::lock;
+    use std::sync::Mutex;
     use std::time::Duration;
 
     /// Parsed fault probabilities (see the module doc for the grammar).
@@ -277,7 +278,7 @@ mod chaos_impl {
         /// line for the `chaos` response body.
         pub fn install(&self, spec: &str) -> Result<String, String> {
             let plan = FaultPlan::parse(spec)?;
-            let mut slot = self.active.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut slot = lock(&self.active);
             if plan.is_off() {
                 *slot = None;
                 return Ok("chaos off".to_string());
@@ -311,7 +312,7 @@ mod chaos_impl {
         /// drop → panic → poison → slow order wins (at most one fault per
         /// request, for reconcilable counts).
         pub fn next_query_fault(&self) -> Fault {
-            let mut slot = self.active.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut slot = lock(&self.active);
             let Some(active) = slot.as_mut() else {
                 return Fault::None;
             };
@@ -344,7 +345,7 @@ mod chaos_impl {
         /// same RNG stream but gated on reload-only probabilities, so a
         /// reload-only plan never touches the query path.
         pub fn next_reload_fault(&self) -> ReloadFault {
-            let mut slot = self.active.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut slot = lock(&self.active);
             let Some(active) = slot.as_mut() else {
                 return ReloadFault::None;
             };

@@ -1,8 +1,7 @@
-//! Incremental frame decoding shared by both connection cores.
+//! Incremental frame decoding for the event loop.
 //!
-//! [`FrameBuffer`] accumulates raw bytes (from a blocking read loop in
-//! the sync core, or from readiness-driven nonblocking reads in the
-//! event loop) and yields complete protocol frames. It keeps a
+//! [`FrameBuffer`] accumulates raw bytes from readiness-driven
+//! nonblocking reads and yields complete protocol frames. It keeps a
 //! *consumed-offset cursor* instead of draining the front of the buffer
 //! per frame: a deeply pipelined client used to cost O(n²) — one
 //! `Vec::drain` memmove plus one `to_vec` allocation per frame — and now
@@ -40,11 +39,6 @@ impl FrameBuffer {
     /// Append freshly read bytes.
     pub(crate) fn extend(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Whether any unconsumed bytes remain (a mid-frame EOF detector).
-    pub(crate) fn has_partial(&self) -> bool {
-        self.pos < self.buf.len()
     }
 
     /// Extract the next complete frame, if the buffer holds one.
@@ -117,7 +111,7 @@ mod tests {
             fb.extend(&[*b]);
         }
         assert_eq!(fb.next_frame().unwrap().as_deref(), Some("hello world"));
-        assert!(!fb.has_partial());
+        assert_eq!(fb.buf.len(), 0, "nothing left over");
     }
 
     #[test]
@@ -151,7 +145,7 @@ mod tests {
         fb.extend(&tail[..5]);
         assert_eq!(fb.next_frame().unwrap().as_deref(), Some(big.as_str()));
         assert_eq!(fb.pos, 0, "compacted after crossing the threshold");
-        assert!(fb.has_partial());
+        assert!(fb.pos < fb.buf.len(), "the partial tail is still buffered");
         fb.extend(&tail[5..]);
         assert_eq!(fb.next_frame().unwrap().as_deref(), Some("tail-payload"));
     }

@@ -9,8 +9,8 @@
 //!   cap; rejected requests carry a typed `[overload]` error that
 //!   clients back off from.
 //! * **Resource bounds**: per-query deadlines wired into
-//!   [`ppf_core::QueryLimits`], socket read/write timeouts, and
-//!   idle-connection reaping.
+//!   [`ppf_core::QueryLimits`], bounded per-connection outbound
+//!   buffers, and idle-connection reaping.
 //! * **Graceful drain** (`shutdown` verb or SIGTERM in `ppfd`): stop
 //!   accepting, let in-flight queries finish within a grace period,
 //!   cancel stragglers through their [`ppf_core::CancelToken`]s, flush
@@ -38,3 +38,15 @@ pub use client::Client;
 pub use fault::{ChaosState, DropPhase, Fault, ReloadFault};
 pub use proto::{ErrorKind, Request, Response, Verb};
 pub use server::{serve, serve_with_reload, ReloadFn, ServerConfig, ServerHandle};
+
+/// Lock a mutex, recovering the guard if a previous holder panicked.
+///
+/// Recovery is safe for every mutex in this crate because each guards
+/// plain bookkeeping — counts, queues, a byte buffer with its cursor, an
+/// id→token map, an `Option` plan — that is valid after every individual
+/// statement of every critical section: no holder leaves a half-applied
+/// update for a panic to expose. Refusing the lock instead would turn one
+/// contained query panic into a wedged server.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -1,20 +1,25 @@
 //! The serving loop: accept, admit, execute, respond, drain.
 //!
-//! One [`SharedEngine`] serves N connections through one of two
-//! connection cores sharing every layer above the socket:
+//! One [`SharedEngine`] serves N connections through one connection
+//! core, [`crate::event_loop`]: a fixed pool of readiness-driven threads
+//! owns every socket, so 10 000 idle connections cost a handful of
+//! resident threads and zero wakeups. Decoded frames arrive here through
+//! [`handle_frame`]; verbs that cost microseconds are answered on the
+//! event thread, and each admitted query (or `reload`) runs on its own
+//! short-lived worker thread — so a connection can pipeline queries up
+//! to its cap and `cancel` can reach a query mid-flight — bounded by the
+//! admission controller's in-flight cap plus queue depth, never by
+//! connection count.
 //!
-//! * the **event core** (default, [`crate::event_loop`]): a fixed pool
-//!   of readiness-driven threads owns every connection, so 10 000 idle
-//!   connections cost a handful of resident threads and zero wakeups;
-//! * the **sync core** (`sync_conns` / `--sync-conns`): the legacy
-//!   thread-per-connection loop, kept as a portable reference and a
-//!   bisection aid.
-//!
-//! Either way, each admitted query still runs on its own short-lived
-//! worker thread (so a connection can pipeline queries up to its cap and
-//! `cancel` can reach a query mid-flight), bounded by the admission
-//! controller's in-flight cap plus queue depth — never by connection
-//! count.
+//! Every worker ends in the same call, [`complete`], whose order is the
+//! invariant the pipelining and admission gauges rest on: (1) the
+//! response bytes are buffered and the connection's in-flight gauge
+//! drops in one critical section of the outbound buffer — the one the
+//! loop's flush takes — so nobody can read a response whose request
+//! still counts against `per_conn_cap`; (2) the `cancel`-table entry
+//! goes; (3) the admission [`Slot`] is released; (4) only then is the
+//! loop rung, once. A strictly sequential client therefore never meets
+//! its own previous request in either gauge.
 //!
 //! Robustness properties the tests and the chaos harness hold us to:
 //!
@@ -22,30 +27,29 @@
 //!   in its worker and degrades to one `err exec` response — never a
 //!   process death;
 //! * a failed *thread spawn* (fd/PID exhaustion) sheds the one request
-//!   or connection with a typed `[overload]` error — never a process
-//!   death and never a leaked connection count;
+//!   with a typed `[overload]` error — never a process death and never a
+//!   leaked gauge;
 //! * every rejection is typed (`overload`, `shutdown`, `proto`) so
 //!   clients can back off instead of guessing;
-//! * slow or vanished clients cannot pin resources: the sync core uses
-//!   socket timeouts, the event core bounded outbound buffers and
-//!   timer-wheel idle reaping;
+//! * slow or vanished clients cannot pin resources: outbound buffers are
+//!   bounded and idle connections are reaped by the timer wheel;
 //! * `shutdown`/SIGTERM drains gracefully: stop accepting, give
 //!   in-flight queries a grace period, cancel stragglers through their
 //!   [`CancelToken`]s, then exit with counters flushed.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ppf_core::{CancelToken, QueryLimits, ReloadError, SharedEngine, XmlDb};
 
 use crate::admission::{Admission, AdmissionPolicy, ShedReason, Slot, TryAdmit};
-use crate::event_loop::{self, EventLoops, EventSink};
+use crate::event_loop::{self, Conn, Delivery, EventLoops};
 use crate::fault::{ChaosState, DropPhase, Fault, ReloadFault};
-use crate::frame::FrameBuffer;
+use crate::lock;
 use crate::proto::{self, ErrorKind, Request, Response, Verb};
 
 /// Rebuilds the server's data source into a fresh staging [`XmlDb`]
@@ -72,10 +76,6 @@ pub struct ServerConfig {
     pub per_conn_cap: usize,
     /// Deadline applied to queries that do not send `timeout=MS`.
     pub default_deadline: Option<Duration>,
-    /// Socket write timeout: a stuck client forfeits its response (sync
-    /// core; the event core bounds stuck clients by outbound-buffer cap
-    /// and idle reaping instead).
-    pub write_timeout: Duration,
     /// Close connections with no traffic and no queries for this long.
     pub idle_timeout: Duration,
     /// Drain: how long in-flight queries get to finish before their
@@ -92,15 +92,12 @@ pub struct ServerConfig {
     /// When set, a background thread writes a metrics snapshot to stderr
     /// at this interval until the server drains.
     pub metrics_interval: Option<Duration>,
-    /// Event core: readiness threads owning the connections. Each extra
-    /// thread only helps while network processing itself saturates one.
+    /// Readiness threads owning the connections. Each extra thread only
+    /// helps while network processing itself saturates one.
     pub event_threads: usize,
     /// Hard connection cap (0 = unlimited). Arrivals beyond it get a
     /// typed `[overload]` rejection at accept time.
     pub max_conns: usize,
-    /// Use the legacy thread-per-connection core instead of the event
-    /// core (also honoured from `PPF_SYNC_CONNS=1` for CI matrices).
-    pub sync_conns: bool,
 }
 
 impl Default for ServerConfig {
@@ -112,7 +109,6 @@ impl Default for ServerConfig {
             policy: AdmissionPolicy::Queue,
             per_conn_cap: 4,
             default_deadline: Some(Duration::from_secs(10)),
-            write_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(60),
             drain_grace: Duration::from_secs(2),
             max_response_rows: 100_000,
@@ -124,15 +120,13 @@ impl Default for ServerConfig {
                 .unwrap_or(1)
                 .clamp(1, 4),
             max_conns: 0,
-            sync_conns: std::env::var("PPF_SYNC_CONNS").as_deref() == Ok("1"),
         }
     }
 }
 
-/// How often blocked reads wake to check drain/idle state (sync core).
+/// How often the drain helper re-checks whether in-flight queries have
+/// finished inside their grace period.
 const POLL_TICK: Duration = Duration::from_millis(50);
-/// How often the accept loop polls for new connections / drain (sync core).
-const ACCEPT_TICK: Duration = Duration::from_millis(10);
 
 /// Shared server state.
 pub(crate) struct Inner {
@@ -151,25 +145,15 @@ pub(crate) struct Inner {
     slowlog: Mutex<VecDeque<SlowEntry>>,
     /// Server start, the epoch for slowlog entry ages.
     started: Instant,
-    /// Which connection core runs, for `health` and logs.
-    core: OnceLock<String>,
-    /// Event-core loop handles (absent under `sync_conns`), so drains
-    /// can wake every loop immediately.
-    pub(crate) event: OnceLock<Arc<EventLoops>>,
+    /// The connection core's description, for `health` and logs.
+    core: String,
+    /// Handles to every event loop: the accept path deals connections
+    /// through them and a drain wakes them all immediately.
+    pub(crate) event: EventLoops,
     /// Drain announcement for interval sleepers (the metrics loop):
     /// flips exactly once, under the lock, with a broadcast.
     drain_flag: Mutex<bool>,
     drain_cv: Condvar,
-}
-
-impl Inner {
-    fn lock_queries(&self) -> MutexGuard<'_, HashMap<String, CancelToken>> {
-        self.queries.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn lock_slowlog(&self) -> MutexGuard<'_, VecDeque<SlowEntry>> {
-        self.slowlog.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// One slow-query record: what ran, how long, and where the time went.
@@ -228,8 +212,8 @@ pub mod test_hooks {
 
     static FAIL_SPAWNS: AtomicUsize = AtomicUsize::new(0);
 
-    /// Make the next `n` sheddable spawns (connection threads, query
-    /// workers, the drain helper) report failure instead of spawning.
+    /// Make the next `n` sheddable spawns (query and reload workers, the
+    /// drain helper) report failure instead of spawning.
     pub fn fail_next_spawns(n: usize) {
         FAIL_SPAWNS.store(n, SeqCst);
     }
@@ -308,17 +292,13 @@ impl ServerHandle {
         do_reload(&self.inner, &reloader).map(|snap| snap.version())
     }
 
-    /// Which connection core is serving (`sync`, `async(epoll, …)`).
+    /// Which connection core is serving (`async(epoll, 2 loops)`).
     pub fn core(&self) -> &str {
-        self.inner
-            .core
-            .get()
-            .map(String::as_str)
-            .unwrap_or("unknown")
+        &self.inner.core
     }
 
-    /// Wait until the server has fully drained and stopped: the accept
-    /// or event-loop threads and the metrics reporter are all joined.
+    /// Wait until the server has fully drained and stopped: the
+    /// event-loop threads and the metrics reporter are all joined.
     pub fn join(self) {
         for t in self.threads {
             t.join().ok();
@@ -345,6 +325,8 @@ pub fn serve_with_reload(
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
+    let n_loops = cfg.event_threads.max(1);
+    let (event, pollers) = event_loop::build_loops(n_loops)?;
     let inner = Arc::new(Inner {
         admission: Admission::new(
             cfg.max_inflight,
@@ -361,29 +343,12 @@ pub fn serve_with_reload(
         queries: Mutex::new(HashMap::new()),
         slowlog: Mutex::new(VecDeque::new()),
         started: Instant::now(),
-        core: OnceLock::new(),
-        event: OnceLock::new(),
+        core: format!("async({}, {n_loops} loops)", pollers[0].name()),
+        event,
         drain_flag: Mutex::new(false),
         drain_cv: Condvar::new(),
     });
-    let mut threads = Vec::new();
-    if inner.cfg.sync_conns {
-        listener.set_nonblocking(true)?;
-        let _ = inner.core.set("sync".to_string());
-        let accept_inner = inner.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("ppfd-accept".to_string())
-                .spawn(move || accept_loop(listener, accept_inner))?,
-        );
-    } else {
-        let (_loops, loop_threads, backend) = event_loop::spawn_event_loops(&inner, listener)?;
-        let _ = inner.core.set(format!(
-            "async({backend}, {} loops)",
-            inner.cfg.event_threads.max(1)
-        ));
-        threads.extend(loop_threads);
-    }
+    let mut threads = event_loop::spawn_event_loops(&inner, pollers, listener)?;
     if let Some(interval) = inner.cfg.metrics_interval {
         let metrics_inner = inner.clone();
         threads.push(
@@ -399,7 +364,7 @@ pub fn serve_with_reload(
     })
 }
 
-/// Record one accepted connection in the gauges. Shared by both cores.
+/// Record one accepted connection in the gauges.
 pub(crate) fn open_conn(inner: &Inner) -> usize {
     let reg = obs::Registry::global();
     let n = inner.active_conns.fetch_add(1, SeqCst) + 1;
@@ -415,78 +380,6 @@ pub(crate) fn close_conn(inner: &Inner) {
     reg.set_gauge("server.active", n as u64);
 }
 
-// ---------------------------------------------------------------------
-// Sync core (legacy thread-per-connection), kept behind `sync_conns`.
-// ---------------------------------------------------------------------
-
-fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
-    let reg = obs::Registry::global();
-    while !inner.draining.load(SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                reg.incr("server.accepted", 1);
-                let cap = inner.cfg.max_conns;
-                if cap > 0 && inner.active_conns.load(SeqCst) >= cap {
-                    reg.incr("server.shed", 1);
-                    reg.incr("server.shed.max_conns", 1);
-                    stream.set_write_timeout(Some(inner.cfg.write_timeout)).ok();
-                    let _ = proto::write_frame(
-                        &mut stream,
-                        &Response::err(
-                            "-",
-                            ErrorKind::Overload,
-                            format!("shed: max_conns ({cap})"),
-                        )
-                        .render(),
-                    );
-                    continue;
-                }
-                open_conn(&inner);
-                // Held back from the worker closure so a failed spawn can
-                // still deliver its typed rejection.
-                let reject_stream = stream.try_clone().ok();
-                let conn_inner = inner.clone();
-                match spawn_sheddable("ppfd-conn", move || connection_loop(stream, conn_inner)) {
-                    Ok(_) => {}
-                    Err(_) => {
-                        // The old code `.expect`ed here: one EAGAIN from
-                        // `clone(2)` killed the accept loop *and* leaked
-                        // the just-incremented connection count. Shed
-                        // the one connection instead.
-                        reg.incr("server.spawn_failures", 1);
-                        reg.incr("server.shed", 1);
-                        reg.incr("server.shed.spawn", 1);
-                        if let Some(mut s) = reject_stream {
-                            s.set_write_timeout(Some(inner.cfg.write_timeout)).ok();
-                            let _ = proto::write_frame(
-                                &mut s,
-                                &Response::err(
-                                    "-",
-                                    ErrorKind::Overload,
-                                    "shed: cannot spawn connection thread",
-                                )
-                                .render(),
-                            );
-                        }
-                        close_conn(&inner);
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_TICK);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_TICK),
-        }
-    }
-    drop(listener); // stop accepting before waiting out the drain
-    let deadline = Instant::now() + inner.cfg.drain_grace * 2 + Duration::from_secs(1);
-    while (inner.active_conns.load(SeqCst) > 0 || inner.admission.inflight() > 0)
-        && Instant::now() < deadline
-    {
-        std::thread::sleep(ACCEPT_TICK);
-    }
-}
-
 /// Begin the drain exactly once: count and grace in-flight queries, then
 /// cancel the stragglers.
 pub(crate) fn trigger_drain(inner: &Arc<Inner>) {
@@ -495,17 +388,9 @@ pub(crate) fn trigger_drain(inner: &Arc<Inner>) {
     }
     // Wake the interval sleepers and the event loops so the drain is
     // observed now, not at the next tick.
-    {
-        let mut flag = inner
-            .drain_flag
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *flag = true;
-    }
+    *lock(&inner.drain_flag) = true;
     inner.drain_cv.notify_all();
-    if let Some(loops) = inner.event.get() {
-        loops.wake_all();
-    }
+    inner.event.wake_all();
     let reg = obs::Registry::global();
     let in_flight = inner.admission.inflight() as u64;
     reg.incr("server.drained", in_flight);
@@ -526,7 +411,7 @@ fn drain_stragglers(inner: Arc<Inner>, grace: bool) {
             std::thread::sleep(POLL_TICK);
         }
     }
-    let stragglers: Vec<CancelToken> = inner.lock_queries().values().cloned().collect();
+    let stragglers: Vec<CancelToken> = lock(&inner.queries).values().cloned().collect();
     if !stragglers.is_empty() {
         obs::Registry::global().incr("server.drain_cancelled", stragglers.len() as u64);
         for token in stragglers {
@@ -535,202 +420,8 @@ fn drain_stragglers(inner: Arc<Inner>, grace: bool) {
     }
 }
 
-/// Timeout-tolerant frame reader for the sync core: accumulates bytes
-/// across read timeouts in a [`FrameBuffer`], so a poll tick never
-/// corrupts a partially-received frame and a pipelining client costs
-/// amortized O(n), not O(n²).
-struct FrameReader {
-    stream: TcpStream,
-    fb: FrameBuffer,
-}
-
-enum ReadEvent {
-    Frame(String),
-    Eof,
-    /// The poll tick elapsed without completing a frame.
-    Idle,
-}
-
-impl FrameReader {
-    fn poll_frame(&mut self) -> io::Result<ReadEvent> {
-        loop {
-            if let Some(frame) = self.fb.next_frame()? {
-                return Ok(ReadEvent::Frame(frame));
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return if self.fb.has_partial() {
-                        Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "connection closed inside a frame",
-                        ))
-                    } else {
-                        Ok(ReadEvent::Eof)
-                    };
-                }
-                Ok(n) => self.fb.extend(&chunk[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(ReadEvent::Idle);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-/// Per-connection state shared with this connection's query workers.
-/// The sink hides which core owns the socket: the sync core writes
-/// frames directly (socket write timeout bounds a stuck peer), the event
-/// core queues into the connection's outbound buffer and wakes its loop.
-pub(crate) struct Conn {
-    sink: Sink,
-    pub(crate) inflight: AtomicUsize,
-}
-
-enum Sink {
-    Sync(Mutex<TcpStream>),
-    Event(EventSink),
-}
-
-impl Conn {
-    fn sync(writer: TcpStream) -> Conn {
-        Conn {
-            sink: Sink::Sync(Mutex::new(writer)),
-            inflight: AtomicUsize::new(0),
-        }
-    }
-
-    pub(crate) fn event(sink: EventSink) -> Conn {
-        Conn {
-            sink: Sink::Event(sink),
-            inflight: AtomicUsize::new(0),
-        }
-    }
-
-    pub(crate) fn event_sink(&self) -> Option<&EventSink> {
-        match &self.sink {
-            Sink::Event(s) => Some(s),
-            Sink::Sync(_) => None,
-        }
-    }
-
-    pub(crate) fn write_response(&self, resp: &Response) {
-        match &self.sink {
-            Sink::Sync(writer) => {
-                let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-                // A failed write (peer gone, write timeout) is the
-                // client's loss; the server must not wedge on it.
-                let _ = proto::write_frame(&mut *w, &resp.render());
-            }
-            Sink::Event(sink) => sink.push_frame(&resp.render()),
-        }
-    }
-
-    /// Like [`write_response`](Conn::write_response), but on the event
-    /// core the owning loop is NOT woken — the caller must follow up
-    /// with [`release_request`], whose `ring_home` delivers the wake
-    /// after the pipelining gauge has dropped. Waking first lets the
-    /// client's next pipelined request race the gauge release and shed
-    /// spuriously on `conn_cap`.
-    fn write_response_quiet(&self, resp: &Response) {
-        match &self.sink {
-            Sink::Sync(writer) => {
-                let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-                let _ = proto::write_frame(&mut *w, &resp.render());
-            }
-            Sink::Event(sink) => sink.push_frame_quiet(&resp.render()),
-        }
-    }
-
-    /// Write half a frame then cut the socket (chaos `drop=P:mid`).
-    fn write_severed(&self, resp: &Response) {
-        let full = resp.render();
-        match &self.sink {
-            Sink::Sync(writer) => {
-                use std::io::Write;
-                let cut = full.len() / 2;
-                let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-                let _ = w.write_all(format!("{}\n", full.len()).as_bytes());
-                let _ = w.write_all(&full.as_bytes()[..cut]);
-                let _ = w.flush();
-                let _ = w.shutdown(Shutdown::Both);
-            }
-            Sink::Event(sink) => sink.push_severed_prefix(&full),
-        }
-    }
-
-    /// Sever the socket abruptly (chaos `drop` faults, protocol errors).
-    fn sever(&self) {
-        match &self.sink {
-            Sink::Sync(writer) => {
-                let w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-                let _ = w.shutdown(Shutdown::Both);
-            }
-            Sink::Event(sink) => sink.sever(),
-        }
-    }
-}
-
-fn connection_loop(stream: TcpStream, inner: Arc<Inner>) {
-    let reg = obs::Registry::global();
-    stream.set_read_timeout(Some(POLL_TICK)).ok();
-    stream.set_write_timeout(Some(inner.cfg.write_timeout)).ok();
-    stream.set_nodelay(true).ok();
-    let conn = match stream.try_clone() {
-        Ok(w) => Arc::new(Conn::sync(w)),
-        Err(_) => {
-            close_conn(&inner);
-            return;
-        }
-    };
-    let mut reader = FrameReader {
-        stream,
-        fb: FrameBuffer::new(),
-    };
-    let mut last_activity = Instant::now();
-    loop {
-        match reader.poll_frame() {
-            Ok(ReadEvent::Frame(payload)) => {
-                last_activity = Instant::now();
-                if !handle_frame(&inner, &conn, &payload) {
-                    break;
-                }
-            }
-            Ok(ReadEvent::Eof) => break,
-            Ok(ReadEvent::Idle) => {
-                let quiescent = conn.inflight.load(SeqCst) == 0;
-                if inner.draining.load(SeqCst) && quiescent {
-                    break;
-                }
-                if quiescent && last_activity.elapsed() > inner.cfg.idle_timeout {
-                    reg.incr("server.idle_reaped", 1);
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                reg.incr("server.proto_errors", 1);
-                conn.write_response(&Response::err("-", ErrorKind::Proto, e.to_string()));
-                break;
-            }
-            Err(_) => break,
-        }
-    }
-    // Give this connection's in-flight workers a moment to finish their
-    // writes before the last stream handle drops.
-    let wait_until = Instant::now() + inner.cfg.drain_grace;
-    while conn.inflight.load(SeqCst) > 0 && Instant::now() < wait_until {
-        std::thread::sleep(POLL_TICK);
-    }
-    close_conn(&inner);
-}
-
 // ---------------------------------------------------------------------
-// Frame handling, shared by both cores.
+// Frame handling.
 // ---------------------------------------------------------------------
 
 /// Handle one decoded frame. Returns `false` to close the connection.
@@ -771,7 +462,7 @@ pub(crate) fn handle_frame(inner: &Arc<Inner>, conn: &Arc<Conn>, payload: &str) 
             let snap = inner.engine.snapshot();
             let body = format!(
                 "status: {status}\ncore: {}\nactive_conns: {}\ninflight: {}\nwaiting: {}\npool_threads: {}\nsnapshot_version: {}\nloaded_at_unix: {}\ndocuments: {}\ntables: {}\nrows: {}",
-                inner.core.get().map(String::as_str).unwrap_or("unknown"),
+                inner.core,
                 inner.active_conns.load(SeqCst),
                 inner.admission.inflight(),
                 inner.admission.waiting(),
@@ -787,7 +478,7 @@ pub(crate) fn handle_frame(inner: &Arc<Inner>, conn: &Arc<Conn>, payload: &str) 
         Verb::Cancel => {
             reg.incr("server.cancel_requests", 1);
             let target = req.body.trim();
-            let token = inner.lock_queries().get(target).cloned();
+            let token = lock(&inner.queries).get(target).cloned();
             let body = match token {
                 Some(t) => {
                     t.cancel();
@@ -803,7 +494,7 @@ pub(crate) fn handle_frame(inner: &Arc<Inner>, conn: &Arc<Conn>, payload: &str) 
         }
         Verb::Slowlog => {
             let threshold_ms = inner.cfg.slow_query.as_secs_f64() * 1e3;
-            let log = inner.lock_slowlog();
+            let log = lock(&inner.slowlog);
             let body = if log.is_empty() {
                 format!("slowlog empty (threshold {threshold_ms:.0} ms)")
             } else {
@@ -838,8 +529,8 @@ pub(crate) fn handle_frame(inner: &Arc<Inner>, conn: &Arc<Conn>, payload: &str) 
 /// own worker thread so the connection can keep reading (pipelining,
 /// `cancel`).
 ///
-/// This path must never block or panic: it runs on an event thread in
-/// the default core. [`Admission::try_admit`] resolves the common cases
+/// This path must never block or panic: it runs on an event thread.
+/// [`Admission::try_admit`] resolves the common cases
 /// immediately; only the "all slots busy, queue has room" case defers
 /// the blocking wait to the worker thread it needed anyway. A failed
 /// worker spawn sheds the one request with a typed `[overload]` error.
@@ -854,7 +545,7 @@ fn start_query(inner: &Arc<Inner>, conn: &Arc<Conn>, req: Request) {
         ));
         return;
     }
-    if conn.inflight.load(SeqCst) >= inner.cfg.per_conn_cap {
+    if conn.load().0 >= inner.cfg.per_conn_cap {
         reg.incr("server.shed", 1);
         reg.incr("server.shed.conn_cap", 1);
         conn.write_response(&Response::err(
@@ -868,13 +559,13 @@ fn start_query(inner: &Arc<Inner>, conn: &Arc<Conn>, req: Request) {
         TryAdmit::Admitted(slot) => Some(slot),
         TryAdmit::WouldQueue => None,
         TryAdmit::Shed(reason) => {
-            shed_query(&req.id, conn, reason);
+            conn.write_response(&shed_response(&req.id, reason));
             return;
         }
     };
-    conn.inflight.fetch_add(1, SeqCst);
+    conn.begin_request();
     let token = CancelToken::new();
-    inner.lock_queries().insert(req.id.clone(), token.clone());
+    lock(&inner.queries).insert(req.id.clone(), token.clone());
     let id = req.id.clone();
     let worker_inner = inner.clone();
     let worker_conn = conn.clone();
@@ -887,8 +578,9 @@ fn start_query(inner: &Arc<Inner>, conn: &Arc<Conn>, req: Request) {
             None => match worker_inner.admission.admit() {
                 Ok(slot) => slot,
                 Err(reason) => {
-                    shed_query(&req.id, &worker_conn, reason);
-                    release_request(&worker_inner, &worker_conn, &req.id);
+                    let resp = shed_response(&req.id, reason);
+                    let shed = Delivery::Frame(&resp);
+                    complete(&worker_inner, &worker_conn, Some(&req.id), None, shed);
                     return;
                 }
             },
@@ -905,24 +597,21 @@ fn start_query(inner: &Arc<Inner>, conn: &Arc<Conn>, req: Request) {
         reg.incr("server.spawn_failures", 1);
         reg.incr("server.shed", 1);
         reg.incr("server.shed.spawn", 1);
-        release_request(inner, conn, &id);
-        conn.write_response(&Response::err(
-            &id,
-            ErrorKind::Overload,
-            "shed: cannot spawn query worker",
-        ));
+        let resp = Response::err(&id, ErrorKind::Overload, "shed: cannot spawn query worker");
+        complete(inner, conn, Some(&id), None, Delivery::Frame(&resp));
     }
 }
 
-fn shed_query(id: &str, conn: &Conn, reason: ShedReason) {
+/// Count one admission shed and build its typed rejection.
+fn shed_response(id: &str, reason: ShedReason) -> Response {
     let reg = obs::Registry::global();
     reg.incr("server.shed", 1);
     reg.incr(&format!("server.shed.{}", reason.as_str()), 1);
-    conn.write_response(&Response::err(
+    Response::err(
         id,
         ErrorKind::Overload,
         format!("shed: {}", shed_detail(reason)),
-    ));
+    )
 }
 
 fn shed_detail(reason: ShedReason) -> &'static str {
@@ -959,7 +648,7 @@ fn start_reload(inner: &Arc<Inner>, conn: &Arc<Conn>, req: Request) {
         ));
         return;
     };
-    conn.inflight.fetch_add(1, SeqCst);
+    conn.begin_request();
     let id = req.id.clone();
     let worker_inner = inner.clone();
     let worker_conn = conn.clone();
@@ -989,22 +678,20 @@ fn start_reload(inner: &Arc<Inner>, conn: &Arc<Conn>, req: Request) {
                 Response::err(&req.id, kind, e.to_string())
             }
         };
-        worker_conn.write_response_quiet(&resp);
-        worker_conn.inflight.fetch_sub(1, SeqCst);
-        if let Some(sink) = worker_conn.event_sink() {
-            sink.ring_home();
-        }
+        complete(
+            &worker_inner,
+            &worker_conn,
+            None,
+            None,
+            Delivery::Frame(&resp),
+        );
     });
     if spawned.is_err() {
         reg.incr("server.spawn_failures", 1);
         reg.incr("server.shed", 1);
         reg.incr("server.shed.spawn", 1);
-        conn.inflight.fetch_sub(1, SeqCst);
-        conn.write_response(&Response::err(
-            &id,
-            ErrorKind::Overload,
-            "shed: cannot spawn reload worker",
-        ));
+        let resp = Response::err(&id, ErrorKind::Overload, "shed: cannot spawn reload worker");
+        complete(inner, conn, None, None, Delivery::Frame(&resp));
     }
 }
 
@@ -1043,8 +730,7 @@ fn do_reload(
 
 /// Run one admitted query to completion on the worker thread, applying
 /// any chaos fault, and deliver exactly one response unless a `drop`
-/// fault severs the connection first. Cleanup (query-table entry,
-/// per-connection gauge, admission slot) happens on every path.
+/// fault severs the connection first. Every path ends in [`complete`].
 fn run_admitted(
     inner: &Arc<Inner>,
     conn: &Arc<Conn>,
@@ -1059,8 +745,7 @@ fn run_admitted(
     }
     match fault {
         Fault::Drop(DropPhase::PreExec) => {
-            conn.sever();
-            finish_query(inner, conn, &req.id, slot);
+            complete(inner, conn, Some(&req.id), Some(slot), Delivery::Sever);
             return;
         }
         Fault::Slow(pause) => std::thread::sleep(pause),
@@ -1150,45 +835,41 @@ fn run_admitted(
             phases,
             outcome: verdict.to_string(),
         };
-        let mut log = inner.lock_slowlog();
+        let mut log = lock(&inner.slowlog);
         while log.len() >= inner.cfg.slowlog_capacity {
             log.pop_front();
         }
         log.push_back(entry);
     }
-    match fault {
-        Fault::Drop(DropPhase::PreWrite) => conn.sever(),
-        Fault::Drop(DropPhase::MidWrite) => conn.write_severed(&resp),
-        // Quiet: buffer the bytes now, let `finish_query` drop the
-        // pipelining gauge, and only then (via `release_request`'s
-        // `ring_home`) wake the event loop. The wake can preempt this
-        // worker on a busy host; if it lands before the gauge release,
-        // a strictly sequential client's next request can reach
-        // `start_query` while this one still counts against `conn_cap`.
-        _ => conn.write_response_quiet(&resp),
-    }
-    finish_query(inner, conn, &req.id, slot);
+    let delivery = match fault {
+        Fault::Drop(DropPhase::PreWrite) => Delivery::Sever,
+        Fault::Drop(DropPhase::MidWrite) => Delivery::SeveredPrefix(&resp),
+        _ => Delivery::Frame(&resp),
+    };
+    complete(inner, conn, Some(&req.id), Some(slot), delivery);
 }
 
-/// Release the request's bookkeeping: the `cancel` table entry and the
-/// connection's pipelining gauge. The event loop notices the gauge going
-/// to zero through its outbound-buffer notes.
-fn release_request(inner: &Inner, conn: &Conn, id: &str) {
-    inner.lock_queries().remove(id);
-    conn.inflight.fetch_sub(1, SeqCst);
-    // This ring is what flushes a completed query's response: the push
-    // was quiet so that the gauge drop above happens before the loop
-    // (and therefore the client) can see the response. It also lets a
-    // closing connection re-check its in-flight count promptly on paths
-    // that wrote nothing (severed, shed).
-    if let Some(sink) = conn.event_sink() {
-        sink.ring_home();
+/// The one way a begun request ends — query, shed in the worker,
+/// severed by a chaos fault, reload, or a worker that never spawned.
+/// The order is load-bearing (see the module docs): response bytes and
+/// the connection's gauge drop become visible together, then the
+/// `cancel`-table entry (`cancel_id`; reloads have none) and the
+/// admission slot go, and only then is the loop — and through it the
+/// client — told. Ring before the slot drop and a sequential client's
+/// next request finds its own predecessor still holding a slot.
+fn complete(
+    inner: &Inner,
+    conn: &Conn,
+    cancel_id: Option<&str>,
+    slot: Option<Slot>,
+    delivery: Delivery<'_>,
+) {
+    conn.finish_request(delivery);
+    if let Some(id) = cancel_id {
+        lock(&inner.queries).remove(id);
     }
-}
-
-fn finish_query(inner: &Inner, conn: &Conn, id: &str, slot: Slot) {
-    release_request(inner, conn, id);
     drop(slot);
+    conn.ring();
 }
 
 /// What [`execute`] hands back on success: the body of the `ok`
@@ -1264,10 +945,7 @@ fn execute(
 /// [`ServerHandle::join`] like every other core thread.
 fn metrics_loop(inner: Arc<Inner>, interval: Duration) {
     let mut next = Instant::now() + interval;
-    let mut flag = inner
-        .drain_flag
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    let mut flag = lock(&inner.drain_flag);
     while !*flag {
         let now = Instant::now();
         if now >= next {

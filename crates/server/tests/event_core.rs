@@ -1,17 +1,14 @@
 //! Event-core behaviours that only show up at the socket level: partial
 //! frames split across readiness events, short-write resumption through
-//! the outbound buffer, timer-wheel idle reaping, and idle-connection
-//! scalability (connections without threads).
-//!
-//! Everything here drives the default (event) core explicitly via
-//! `sync_conns: false`, so a CI matrix running the suite under
-//! `PPF_SYNC_CONNS=1` still tests what the file name promises.
+//! the outbound buffer, timer-wheel idle reaping, idle-connection
+//! scalability (connections without threads), and the completion order
+//! that keeps a well-behaved client out of its own way.
 
 use std::io::Write;
 use std::time::{Duration, Instant};
 
 use ppf_core::{SharedEngine, XmlDb};
-use ppf_server::{proto, serve, Client, ServerConfig, ServerHandle, Verb};
+use ppf_server::{proto, serve, AdmissionPolicy, Client, ServerConfig, ServerHandle, Verb};
 use xmlschema::parse_schema;
 
 const IO: Duration = Duration::from_secs(10);
@@ -36,10 +33,6 @@ fn engine(books: usize) -> SharedEngine {
 }
 
 fn start(books: usize, cfg: ServerConfig) -> (ServerHandle, String) {
-    let cfg = ServerConfig {
-        sync_conns: false,
-        ..cfg
-    };
     let handle = serve(engine(books), "127.0.0.1:0", cfg).expect("bind");
     let addr = handle.addr().to_string();
     (handle, addr)
@@ -225,6 +218,75 @@ fn idle_connections_do_not_cost_threads() {
         .expect("active_conns line");
     assert!(conns >= 64, "expected >= 64 active conns, saw {conns}");
     drop(idlers);
+    stop(handle);
+}
+
+/// A counter's value in a `stats` body (0 when it was never touched).
+fn counter(stats: &str, name: &str) -> u64 {
+    stats
+        .lines()
+        .find_map(|l| l.trim().strip_prefix(name)?.trim().parse().ok())
+        .unwrap_or(0)
+}
+
+/// One slot, shed policy, one strictly sequential client: each request
+/// is sent only after the previous response was read, so the previous
+/// worker must already have given its admission slot back — a response
+/// that reaches the client before the slot is free sheds the next
+/// request on `busy`.
+#[test]
+fn sequential_client_is_never_shed_by_its_own_previous_request() {
+    let (handle, addr) = start(
+        1,
+        ServerConfig {
+            max_inflight: 1,
+            policy: AdmissionPolicy::Shed,
+            ..ServerConfig::default()
+        },
+    );
+    let mut c = Client::connect(&addr, IO).expect("connect");
+    for n in 0..2_000 {
+        let resp = c
+            .request(&format!("s{n}"), Verb::Query, &[], "/lib")
+            .expect("io");
+        assert!(resp.result.is_ok(), "request {n}: {:?}", resp.result);
+    }
+    let stats = c.request("st", Verb::Stats, &[], "").expect("io").result;
+    assert_eq!(counter(&stats.expect("stats ok"), "server.shed.busy"), 0);
+    stop(handle);
+}
+
+/// A client pipelining at exactly `per_conn_cap` sends a request only
+/// after reading a response, so it never has more than the cap
+/// outstanding — unless the server lets a response out before dropping
+/// that request's pipelining gauge.
+#[test]
+fn pipelining_at_the_connection_cap_is_never_shed() {
+    const DEPTH: usize = 2;
+    const QUERIES: usize = 20_000;
+    let (handle, addr) = start(
+        1,
+        ServerConfig {
+            per_conn_cap: DEPTH,
+            ..ServerConfig::default()
+        },
+    );
+    let mut c = Client::connect(&addr, IO).expect("connect");
+    for n in 0..QUERIES + DEPTH {
+        if n >= DEPTH {
+            let resp = c.recv().expect("recv");
+            assert!(resp.result.is_ok(), "{}: {:?}", resp.id, resp.result);
+        }
+        if n < QUERIES {
+            c.send(&format!("p{n}"), Verb::Query, &[], "/lib")
+                .expect("send");
+        }
+    }
+    let stats = c.request("st", Verb::Stats, &[], "").expect("io").result;
+    assert_eq!(
+        counter(&stats.expect("stats ok"), "server.shed.conn_cap"),
+        0
+    );
     stop(handle);
 }
 

@@ -217,36 +217,6 @@ fn handle_reload_works_like_the_verb() {
     stop(handle);
 }
 
-#[test]
-fn spawn_failure_sheds_reload_with_typed_overload() {
-    let (handle, addr, _) = start_reloadable(2, ServerConfig::default());
-    let mut c = Client::connect(&addr, IO).expect("connect");
-
-    // Round-trip once before arming the hook: on the sync core the
-    // server's connection-thread spawn happens after `connect` returns
-    // (accept races the handshake) and must not eat the armed failure.
-    c.request("h0", Verb::Health, &[], "")
-        .expect("io")
-        .result
-        .expect("ok");
-
-    ppf_server::server::test_hooks::fail_next_spawns(1);
-    let resp = c.request("r1", Verb::Reload, &[], "").expect("io");
-    let (kind, msg) = resp.result.expect_err("must shed");
-    assert_eq!(kind, ErrorKind::Overload);
-    assert!(msg.contains("reload worker"), "msg: {msg}");
-
-    // The shed released the connection's pipelining slot: both queries
-    // and reloads still work.
-    let resp = c.request("q1", Verb::Query, &[], "/lib/book").expect("io");
-    assert_eq!(rows(&resp.result.expect("ok")), 2);
-    let resp = c.request("r2", Verb::Reload, &[], "").expect("io");
-    assert_eq!(resp.version(), Some(2));
-    resp.result.expect("reload ok");
-
-    stop(handle);
-}
-
 #[cfg(feature = "chaos")]
 mod chaos {
     use super::*;

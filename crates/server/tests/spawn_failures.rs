@@ -1,17 +1,19 @@
 //! Thread-spawn exhaustion: the server must shed the one affected
-//! request or connection with a typed `[overload]` error and keep
-//! serving — the legacy behaviour was an `.expect` panic that killed the
-//! accept loop and leaked the connection gauge.
+//! request with a typed `[overload]` error and keep serving.
 //!
-//! The injection hook is a process-global countdown, so these tests
-//! serialize on a mutex and consume every armed failure before exiting.
+//! The injection hook is a process-global countdown, so every test
+//! that arms it lives in this file, serializes on a mutex and consumes
+//! every armed failure before exiting — in any other test binary a
+//! parallel test's spawn would eat the armed failure.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use ppf_core::{SharedEngine, XmlDb};
 use ppf_server::server::test_hooks;
-use ppf_server::{serve, Client, ErrorKind, ServerConfig, ServerHandle, Verb};
+use ppf_server::{
+    serve, serve_with_reload, Client, ErrorKind, ReloadFn, ServerConfig, ServerHandle, Verb,
+};
 use xmlschema::parse_schema;
 
 const IO: Duration = Duration::from_secs(10);
@@ -23,7 +25,7 @@ fn serialize() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|p| p.into_inner())
 }
 
-fn engine() -> SharedEngine {
+fn db() -> XmlDb {
     let schema = parse_schema(
         "root lib\n\
          lib = book*\n\
@@ -35,11 +37,11 @@ fn engine() -> SharedEngine {
     db.load_xml("<lib><book id='b0'><title>T</title></book></lib>")
         .expect("load");
     db.finalize().expect("indexes");
-    SharedEngine::new(db)
+    db
 }
 
 fn start(cfg: ServerConfig) -> (ServerHandle, String) {
-    let handle = serve(engine(), "127.0.0.1:0", cfg).expect("bind");
+    let handle = serve(SharedEngine::new(db()), "127.0.0.1:0", cfg).expect("bind");
     let addr = handle.addr().to_string();
     (handle, addr)
 }
@@ -49,10 +51,8 @@ fn failed_query_worker_spawn_sheds_and_the_server_survives() {
     let _gate = serialize();
     let (handle, addr) = start(ServerConfig::default());
     let mut c = Client::connect(&addr, IO).expect("connect");
-    // Prove the connection is fully adopted before arming: on the sync
-    // core `connect` returns before the accept loop has spawned the
-    // connection thread, and the armed failure must hit the *query*
-    // worker spawn, not that one.
+    // Prove the connection is fully adopted before arming, so the armed
+    // failure hits the worker spawn of the query sent after it.
     assert!(c
         .request("warm", Verb::Query, &[], "/lib/book")
         .expect("io")
@@ -97,40 +97,40 @@ fn failed_query_worker_spawn_sheds_and_the_server_survives() {
 }
 
 #[test]
-fn failed_connection_thread_spawn_sheds_on_the_sync_core() {
+fn failed_reload_worker_spawn_sheds_with_typed_overload() {
     let _gate = serialize();
-    let (handle, addr) = start(ServerConfig {
-        sync_conns: true,
-        ..ServerConfig::default()
-    });
-    // Warm connection proves the server is up before the injection.
-    let mut warm = Client::connect(&addr, IO).expect("warm connect");
-    assert!(warm
-        .request("w", Verb::Query, &[], "/lib/book")
+    let reloader: ReloadFn = Arc::new(|| Ok(db()));
+    let handle = serve_with_reload(
+        SharedEngine::new(db()),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+        Some(reloader),
+    )
+    .expect("bind");
+    let mut c = Client::connect(&handle.addr().to_string(), IO).expect("connect");
+
+    // Round-trip once before arming the hook, so the connection is
+    // adopted and the armed failure meets the reload worker's spawn.
+    c.request("h0", Verb::Health, &[], "")
         .expect("io")
         .result
-        .is_ok());
+        .expect("ok");
 
     test_hooks::fail_next_spawns(1);
-    // This arrival cannot get a connection thread: it must receive a
-    // typed overload frame (or at worst an immediate close) — while the
-    // accept loop itself survives.
-    // A refused connect is acceptable shedding too, hence the `if let`.
-    if let Ok(mut doomed) = Client::connect(&addr, IO) {
-        if let Ok(resp) = doomed.request("d", Verb::Query, &[], "/lib/book") {
-            let (kind, _) = resp.result.expect_err("must be shed");
-            assert_eq!(kind, ErrorKind::Overload);
-        }
-    }
+    let resp = c.request("r1", Verb::Reload, &[], "").expect("io");
+    let (kind, msg) = resp.result.expect_err("must shed");
+    assert_eq!(kind, ErrorKind::Overload);
+    assert!(msg.contains("reload worker"), "msg: {msg}");
+
+    // The shed released the connection's pipelining slot: both queries
+    // and reloads still work.
+    let resp = c.request("q1", Verb::Query, &[], "/lib/book").expect("io");
+    assert!(resp.result.expect("ok").starts_with("rows 1\n"));
+    let resp = c.request("r2", Verb::Reload, &[], "").expect("io");
+    assert_eq!(resp.version(), Some(2));
+    resp.result.expect("reload ok");
 
     test_hooks::fail_next_spawns(0);
-    // The accept loop is alive: fresh connections are served.
-    let mut after = Client::connect(&addr, IO).expect("post-failure connect");
-    let resp = after
-        .request("a", Verb::Query, &[], "/lib/book")
-        .expect("io");
-    assert!(resp.result.expect("ok").starts_with("rows 1\n"));
-
     handle.shutdown();
     handle.join();
 }

@@ -80,7 +80,7 @@ const USAGE: &str =
      [--queue-wait-ms MS] [--policy queue|shed] [--per-conn N]\n\
      [--deadline-ms MS|0] [--idle-ms MS] [--drain-ms MS] [--chaos SPEC]\n\
      [--slow-ms MS] [--slowlog-cap N] [--metrics-every-ms MS]\n\
-     [--event-threads N] [--max-conns N|0] [--sync-conns]";
+     [--event-threads N] [--max-conns N|0]";
 
 /// The startup data-source recipe, kept so SIGHUP / the `reload` verb
 /// can rebuild the exact same source into a fresh staging snapshot.
@@ -197,7 +197,6 @@ fn run() -> Result<(), String> {
             }
             "--event-threads" => cfg.event_threads = parse_num(&value(&arg)?, &arg)?.max(1),
             "--max-conns" => cfg.max_conns = parse_num(&value(&arg)?, &arg)?,
-            "--sync-conns" => cfg.sync_conns = true,
             "--chaos" => chaos = Some(value(&arg)?),
             "--schema" | "--dtd" | "--xsd" => {
                 let path = value(&arg)?;
