@@ -18,13 +18,14 @@
 //!   finishing off-loop push their response and ring the loop's wakeup
 //!   fd to re-arm write interest.
 //! * **Timers** — the idle reap, the close grace for a connection whose
-//!   peer vanished mid-query, and the drain deadline are timer-wheel
-//!   checks, not 50 ms sleep ticks: an idle connection costs zero CPU
-//!   between its (rare) wheel slots.
+//!   peer vanished mid-query, the admission queue's wait bound and the
+//!   drain deadline are timer-wheel checks, not 50 ms sleep ticks: an
+//!   idle connection costs zero CPU between its (rare) wheel slots.
 //!
-//! The event loop never blocks: the only blocking admission wait (Queue
-//! policy) happens on the query worker thread it would have to spawn
-//! anyway.
+//! The event loop never blocks: admission hands a query to a standing
+//! worker or parks it in the wait queue without waiting itself, and the
+//! loop that parked it arms a wheel entry for the moment its wait runs
+//! out.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -247,17 +248,23 @@ pub(crate) enum TimerKind {
     /// Force-close a connection that kept in-flight queries past its
     /// grace (peer EOF mid-query, or a drain hitting its deadline).
     CloseGrace,
+    /// A query this loop left in the admission queue reaches the end of
+    /// its wait: shed whatever is overdue there.
+    QueueWait,
 }
 
 /// A single-level hashed timer wheel: 256 slots × 250 ms ≈ a 64 s
 /// horizon, wide enough for the default idle timeout. Entries past the
-/// horizon simply wrap and are re-inserted when their slot fires early —
-/// a few spurious checks per minute per connection, each O(1).
+/// horizon simply wrap and stay put when their slot comes round early —
+/// a few spurious checks per minute per connection, each O(1). The slot
+/// of the current tick is re-read on every advance, so an entry fires
+/// at its deadline, not at the end of its slot.
 pub(crate) struct TimerWheel {
     slots: Vec<Vec<(u64, TimerKind, Instant)>>,
     granularity: Duration,
     epoch: Instant,
-    /// Last processed absolute tick.
+    /// The absolute tick of the last advance; its slot may still hold
+    /// entries due later in that tick.
     cursor: u64,
     len: usize,
 }
@@ -282,58 +289,60 @@ impl TimerWheel {
             as u64
     }
 
+    /// When absolute tick `tick` begins.
+    fn tick_start(&self, tick: u64) -> Instant {
+        let ticks = u32::try_from(tick).unwrap_or(u32::MAX);
+        self.epoch + self.granularity.saturating_mul(ticks)
+    }
+
     pub(crate) fn insert(&mut self, deadline: Instant, token: u64, kind: TimerKind) {
         // Never behind the cursor, or it would only fire after a full
         // wrap of the wheel.
-        let tick = self.tick_of(deadline).max(self.cursor + 1);
+        let tick = self.tick_of(deadline).max(self.cursor);
         let slot = (tick % self.slots.len() as u64) as usize;
         self.slots[slot].push((token, kind, deadline));
         self.len += 1;
     }
 
     /// Advance to `now`, returning every entry whose deadline passed.
-    /// Entries that merely wrapped (deadline still ahead) re-insert.
+    /// Entries still ahead — later in the current tick, or wrapped —
+    /// stay in their slot.
     pub(crate) fn advance(&mut self, now: Instant) -> Vec<(u64, TimerKind)> {
-        let target = self.tick_of(now);
+        let target = self.tick_of(now).max(self.cursor);
         let mut due = Vec::new();
-        let mut requeue = Vec::new();
-        let span = (target.saturating_sub(self.cursor)).min(self.slots.len() as u64);
-        for i in 1..=span {
-            let slot = ((self.cursor + i) % self.slots.len() as u64) as usize;
-            for (token, kind, deadline) in self.slots[slot].drain(..) {
-                self.len -= 1;
-                if deadline <= now {
+        let n = self.slots.len() as u64;
+        for tick in self.cursor..=target.min(self.cursor + n - 1) {
+            let slot = &mut self.slots[(tick % n) as usize];
+            let before = slot.len();
+            slot.retain(|&(token, kind, deadline)| {
+                let fired = deadline <= now;
+                if fired {
                     due.push((token, kind));
-                } else {
-                    requeue.push((deadline, token, kind));
                 }
-            }
+                !fired
+            });
+            self.len -= before - slot.len();
         }
-        self.cursor = target.max(self.cursor);
-        for (deadline, token, kind) in requeue {
-            self.insert(deadline, token, kind);
-        }
+        self.cursor = target;
         due
     }
 
-    /// Time until the nearest armed slot, if any entries exist.
+    /// Time until the earliest entry of the nearest armed slot is due
+    /// (no later than that slot's end, where wrapped entries get their
+    /// re-check), if any entries exist.
     pub(crate) fn next_timeout(&self, now: Instant) -> Option<Duration> {
         if self.len == 0 {
             return None;
         }
         let n = self.slots.len() as u64;
-        for i in 1..=n {
-            let tick = self.cursor + i;
-            if !self.slots[(tick % n) as usize].is_empty() {
-                let slot_end = self.epoch
-                    + self
-                        .granularity
-                        .checked_mul((tick + 1) as u32)
-                        .unwrap_or(self.granularity * u32::MAX);
-                return Some(slot_end.saturating_duration_since(now));
-            }
-        }
-        Some(self.granularity)
+        (self.cursor..self.cursor + n).find_map(|tick| {
+            let earliest = self.slots[(tick % n) as usize]
+                .iter()
+                .map(|&(_, _, deadline)| deadline)
+                .min()?;
+            let wake = earliest.clamp(self.tick_start(tick), self.tick_start(tick + 1));
+            Some(wake.saturating_duration_since(now))
+        })
     }
 }
 
@@ -546,6 +555,9 @@ fn run_loop(
                         destroy(&mut conns, &mut poller, &inner, token);
                     }
                 }
+                // Whichever loop gets there first sheds every overdue
+                // job, whoever queued it; each answer rings its own loop.
+                TimerKind::QueueWait => inner.admission.expire(now),
             }
         }
     }
@@ -685,9 +697,8 @@ fn handle_readable(
                 match c.fb.next_frame() {
                     Ok(Some(payload)) => {
                         c.last_activity = Instant::now();
-                        if !handle_frame(inner, &c.conn, &payload) {
-                            c.closing = true;
-                            break;
+                        if let Some(deadline) = handle_frame(inner, &c.conn, &payload) {
+                            wheel.insert(deadline, token, TimerKind::QueueWait);
                         }
                     }
                     Ok(None) => break,
@@ -918,15 +929,19 @@ mod tests {
     }
 
     #[test]
-    fn wheel_next_timeout_tracks_the_nearest_entry() {
+    fn wheel_fires_an_entry_at_its_deadline_not_at_its_slots_end() {
         let t0 = Instant::now();
-        let mut w = TimerWheel::with_shape(t0, 32, Duration::from_millis(10));
+        let ms = Duration::from_millis;
+        let mut w = TimerWheel::new(t0);
         assert!(w.next_timeout(t0).is_none());
-        w.insert(t0 + Duration::from_millis(70), 1, TimerKind::Idle);
-        let timeout = w.next_timeout(t0).expect("armed");
-        assert!(
-            timeout <= Duration::from_millis(90),
-            "timeout {timeout:?} overshoots the 70ms entry"
-        );
+        // Both deadlines fall inside the current 250 ms tick.
+        w.insert(t0 + ms(50), 1, TimerKind::QueueWait);
+        w.insert(t0 + ms(120), 2, TimerKind::QueueWait);
+        assert_eq!(w.next_timeout(t0), Some(ms(50)));
+        assert!(w.advance(t0 + ms(49)).is_empty());
+        assert_eq!(w.advance(t0 + ms(50)), vec![(1, TimerKind::QueueWait)]);
+        assert_eq!(w.next_timeout(t0 + ms(50)), Some(ms(70)));
+        assert_eq!(w.advance(t0 + ms(130)), vec![(2, TimerKind::QueueWait)]);
+        assert!(w.next_timeout(t0 + ms(130)).is_none());
     }
 }

@@ -83,14 +83,14 @@ pub enum Fault {
 }
 
 impl Fault {
-    /// Stable counter suffix (`server.faults.<label>`).
-    pub fn label(self) -> &'static str {
+    /// The fault's stable counter (`server.faults.<label>`).
+    pub fn metric_name(self) -> &'static str {
         match self {
-            Fault::None => "none",
-            Fault::Panic => "panic",
-            Fault::Slow(_) => "slow",
-            Fault::Drop(_) => "drop",
-            Fault::Poison => "poison",
+            Fault::None => "server.faults.none",
+            Fault::Panic => "server.faults.panic",
+            Fault::Slow(_) => "server.faults.slow",
+            Fault::Drop(_) => "server.faults.drop",
+            Fault::Poison => "server.faults.poison",
         }
     }
 }
@@ -111,13 +111,13 @@ pub enum ReloadFault {
 }
 
 impl ReloadFault {
-    /// Stable counter suffix (`server.faults.reload_<label>`).
-    pub fn label(self) -> &'static str {
+    /// The fault's stable counter (`server.faults.reload_<label>`).
+    pub fn metric_name(self) -> &'static str {
         match self {
-            ReloadFault::None => "none",
-            ReloadFault::Panic => "reload_panic",
-            ReloadFault::Io => "reload_io",
-            ReloadFault::Slow(_) => "reload_slow",
+            ReloadFault::None => "server.faults.none",
+            ReloadFault::Panic => "server.faults.reload_panic",
+            ReloadFault::Io => "server.faults.reload_io",
+            ReloadFault::Slow(_) => "server.faults.reload_slow",
         }
     }
 }

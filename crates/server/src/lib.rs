@@ -5,9 +5,10 @@
 //! machinery a long-lived daemon needs:
 //!
 //! * **Admission control** ([`admission`]): a bounded in-flight gauge
-//!   with a queue-or-shed policy and a per-connection concurrent-query
-//!   cap; rejected requests carry a typed `[overload]` error that
-//!   clients back off from.
+//!   whose wait queue feeds a fixed set of query workers, with a
+//!   queue-or-shed policy and a per-connection concurrent-query cap;
+//!   rejected requests carry a typed `[overload]` error that clients
+//!   back off from.
 //! * **Resource bounds**: per-query deadlines wired into
 //!   [`ppf_core::QueryLimits`], bounded per-connection outbound
 //!   buffers, and idle-connection reaping.
@@ -33,7 +34,7 @@ pub mod poller;
 pub mod proto;
 pub mod server;
 
-pub use admission::{Admission, AdmissionPolicy, ShedReason, TryAdmit};
+pub use admission::{Admission, AdmissionPolicy, ShedReason};
 pub use client::Client;
 pub use fault::{ChaosState, DropPhase, Fault, ReloadFault};
 pub use proto::{ErrorKind, Request, Response, Verb};

@@ -132,6 +132,23 @@ impl Verb {
         }
     }
 
+    /// The verb's latency histogram (`server.verb_ns.<verb>`), spelled
+    /// out so the request path never formats a name.
+    pub fn metric_name(self) -> &'static str {
+        match self {
+            Verb::Query => "server.verb_ns.query",
+            Verb::Explain => "server.verb_ns.explain",
+            Verb::Analyze => "server.verb_ns.analyze",
+            Verb::Stats => "server.verb_ns.stats",
+            Verb::Health => "server.verb_ns.health",
+            Verb::Slowlog => "server.verb_ns.slowlog",
+            Verb::Cancel => "server.verb_ns.cancel",
+            Verb::Shutdown => "server.verb_ns.shutdown",
+            Verb::Chaos => "server.verb_ns.chaos",
+            Verb::Reload => "server.verb_ns.reload",
+        }
+    }
+
     pub fn parse(s: &str) -> Option<Verb> {
         Some(match s {
             "query" => Verb::Query,

@@ -5,30 +5,33 @@
 //! owns every socket, so 10 000 idle connections cost a handful of
 //! resident threads and zero wakeups. Decoded frames arrive here through
 //! [`handle_frame`]; verbs that cost microseconds are answered on the
-//! event thread, and each admitted query (or `reload`) runs on its own
-//! short-lived worker thread — so a connection can pipeline queries up
-//! to its cap and `cancel` can reach a query mid-flight — bounded by the
-//! admission controller's in-flight cap plus queue depth, never by
-//! connection count.
+//! event thread, and each admitted query runs on one of `max_inflight`
+//! long-lived `ppfd-worker` threads fed by the admission queue — so a
+//! connection can pipeline queries up to its cap and `cancel` can reach
+//! a query mid-flight, while no query pays for creating a thread. Work
+//! in flight is bounded by the admission controller's in-flight cap plus
+//! queue depth, never by connection count. Only the rare `reload` (and
+//! the drain helper) still gets a one-off thread.
 //!
-//! Every worker ends in the same call, [`complete`], whose order is the
+//! Every begun request ends in the same call, [`complete`], whose order is the
 //! invariant the pipelining and admission gauges rest on: (1) the
 //! response bytes are buffered and the connection's in-flight gauge
 //! drops in one critical section of the outbound buffer — the one the
 //! loop's flush takes — so nobody can read a response whose request
 //! still counts against `per_conn_cap`; (2) the `cancel`-table entry
-//! goes; (3) the admission [`Slot`] is released; (4) only then is the
-//! loop rung, once. A strictly sequential client therefore never meets
-//! its own previous request in either gauge.
+//! goes; (3) the admission [`Slot`] is released — back to the gauge, or
+//! straight to the oldest queued query; (4) only then is the loop rung,
+//! once. A strictly sequential client therefore never meets its own
+//! previous request in either gauge.
 //!
 //! Robustness properties the tests and the chaos harness hold us to:
 //!
 //! * a panicking query (injected or real) is contained by `catch_unwind`
 //!   in its worker and degrades to one `err exec` response — never a
-//!   process death;
-//! * a failed *thread spawn* (fd/PID exhaustion) sheds the one request
-//!   with a typed `[overload]` error — never a process death and never a
-//!   leaked gauge;
+//!   process death, and the worker serves the next query;
+//! * a failed *thread spawn* (fd/PID exhaustion) fails [`serve`] cleanly
+//!   at start-up, and afterwards can only shed one `reload` with a typed
+//!   `[overload]` error — never a process death and never a leaked gauge;
 //! * every rejection is typed (`overload`, `shutdown`, `proto`) so
 //!   clients can back off instead of guessing;
 //! * slow or vanished clients cannot pin resources: outbound buffers are
@@ -40,16 +43,17 @@
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ppf_core::{CancelToken, QueryLimits, ReloadError, SharedEngine, XmlDb};
 
-use crate::admission::{Admission, AdmissionPolicy, ShedReason, Slot, TryAdmit};
+use crate::admission::{Admission, AdmissionPolicy, ShedReason, Slot};
 use crate::event_loop::{self, Conn, Delivery, EventLoops};
 use crate::fault::{ChaosState, DropPhase, Fault, ReloadFault};
 use crate::lock;
+use crate::poller::PollBackend;
 use crate::proto::{self, ErrorKind, Request, Response, Verb};
 
 /// Rebuilds the server's data source into a fresh staging [`XmlDb`]
@@ -64,7 +68,8 @@ pub type ReloadFn = Arc<dyn Fn() -> Result<XmlDb, ReloadError> + Send + Sync>;
 /// knob as a flag.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Admission: queries allowed to run at once, process-wide.
+    /// Admission: queries allowed to run at once, process-wide — and so
+    /// the number of query worker threads started with the server.
     pub max_inflight: usize,
     /// Admission: requests allowed to wait for a slot (0 = pure shed).
     pub queue_depth: usize,
@@ -139,8 +144,11 @@ pub(crate) struct Inner {
     pub(crate) chaos: ChaosState,
     pub(crate) draining: AtomicBool,
     pub(crate) active_conns: AtomicUsize,
-    /// In-flight queries by request id, for `cancel` and drain.
-    queries: Mutex<HashMap<String, CancelToken>>,
+    /// Queued and running queries, for `cancel` and drain. Keyed by a
+    /// server-wide sequence — ids are the clients' to choose, and two
+    /// connections may choose the same one.
+    queries: Mutex<HashMap<u64, (String, CancelToken)>>,
+    next_seq: AtomicU64,
     /// Bounded ring of the slowest recent queries, oldest evicted first.
     slowlog: Mutex<VecDeque<SlowEntry>>,
     /// Server start, the epoch for slowlog entry ages.
@@ -206,14 +214,16 @@ impl SlowEntry {
 const SLOWLOG_QUERY_CHARS: usize = 200;
 
 /// Deliberate thread-spawn failure injection, so tests can prove that
-/// resource exhaustion sheds requests instead of killing the server.
+/// resource exhaustion fails start-up or sheds a request instead of
+/// killing the server.
 pub mod test_hooks {
     use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
     static FAIL_SPAWNS: AtomicUsize = AtomicUsize::new(0);
 
-    /// Make the next `n` sheddable spawns (query and reload workers, the
-    /// drain helper) report failure instead of spawning.
+    /// Make the next `n` sheddable spawns (the query workers at
+    /// start-up, reload workers, the drain helper) report failure instead
+    /// of spawning.
     pub fn fail_next_spawns(n: usize) {
         FAIL_SPAWNS.store(n, SeqCst);
     }
@@ -246,6 +256,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     inner: Arc<Inner>,
     threads: Vec<std::thread::JoinHandle<()>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -298,11 +309,42 @@ impl ServerHandle {
     }
 
     /// Wait until the server has fully drained and stopped: the
-    /// event-loop threads and the metrics reporter are all joined.
+    /// event-loop threads and the metrics reporter are joined, then —
+    /// nothing can submit a query any more — the query workers.
     pub fn join(self) {
         for t in self.threads {
             t.join().ok();
         }
+        self.inner.admission.close();
+        for w in self.workers {
+            w.join().ok();
+        }
+    }
+
+    /// Start every core thread: one query worker per admission slot,
+    /// the event loops, the metrics reporter. The first failed spawn
+    /// fails the start-up.
+    fn start(
+        &mut self,
+        pollers: Vec<Box<dyn PollBackend>>,
+        listener: TcpListener,
+    ) -> io::Result<()> {
+        for n in 0..self.inner.admission.workers() {
+            let worker = self.inner.admission.clone();
+            let name = format!("ppfd-worker-{n}");
+            self.workers
+                .push(spawn_sheddable(&name, move || worker.run_worker())?);
+        }
+        self.threads = event_loop::spawn_event_loops(&self.inner, pollers, listener)?;
+        if let Some(interval) = self.inner.cfg.metrics_interval {
+            let inner = self.inner.clone();
+            self.threads.push(
+                std::thread::Builder::new()
+                    .name("ppfd-metrics".to_string())
+                    .spawn(move || metrics_loop(inner, interval))?,
+            );
+        }
+        Ok(())
     }
 }
 
@@ -341,6 +383,7 @@ pub fn serve_with_reload(
         draining: AtomicBool::new(false),
         active_conns: AtomicUsize::new(0),
         queries: Mutex::new(HashMap::new()),
+        next_seq: AtomicU64::new(0),
         slowlog: Mutex::new(VecDeque::new()),
         started: Instant::now(),
         core: format!("async({}, {n_loops} loops)", pollers[0].name()),
@@ -348,20 +391,23 @@ pub fn serve_with_reload(
         drain_flag: Mutex::new(false),
         drain_cv: Condvar::new(),
     });
-    let mut threads = event_loop::spawn_event_loops(&inner, pollers, listener)?;
-    if let Some(interval) = inner.cfg.metrics_interval {
-        let metrics_inner = inner.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("ppfd-metrics".to_string())
-                .spawn(move || metrics_loop(metrics_inner, interval))?,
-        );
-    }
-    Ok(ServerHandle {
+    let mut handle = ServerHandle {
         addr: local,
         inner,
-        threads,
-    })
+        threads: Vec::new(),
+        workers: Vec::new(),
+    };
+    match handle.start(pollers, listener) {
+        Ok(()) => Ok(handle),
+        Err(e) => {
+            // Stop whatever did start: the loops see the drain flag and
+            // exit, `join` closes admission under the workers.
+            handle.inner.draining.store(true, SeqCst);
+            handle.inner.event.wake_all();
+            handle.join();
+            Err(e)
+        }
+    }
 }
 
 /// Record one accepted connection in the gauges.
@@ -411,7 +457,10 @@ fn drain_stragglers(inner: Arc<Inner>, grace: bool) {
             std::thread::sleep(POLL_TICK);
         }
     }
-    let stragglers: Vec<CancelToken> = lock(&inner.queries).values().cloned().collect();
+    let stragglers: Vec<CancelToken> = lock(&inner.queries)
+        .values()
+        .map(|(_, token)| token.clone())
+        .collect();
     if !stragglers.is_empty() {
         obs::Registry::global().incr("server.drain_cancelled", stragglers.len() as u64);
         for token in stragglers {
@@ -424,25 +473,26 @@ fn drain_stragglers(inner: Arc<Inner>, grace: bool) {
 // Frame handling.
 // ---------------------------------------------------------------------
 
-/// Handle one decoded frame. Returns `false` to close the connection.
-pub(crate) fn handle_frame(inner: &Arc<Inner>, conn: &Arc<Conn>, payload: &str) -> bool {
+/// Handle one decoded frame. Returns the deadline of the query it left
+/// in the admission queue, if it did: the calling loop owes an
+/// [`Admission::expire`] at that instant.
+pub(crate) fn handle_frame(inner: &Arc<Inner>, conn: &Arc<Conn>, payload: &str) -> Option<Instant> {
     let reg = obs::Registry::global();
     let req = match proto::parse_request(payload) {
         Ok(req) => req,
         Err(msg) => {
             reg.incr("server.proto_errors", 1);
             conn.write_response(&Response::err("-", ErrorKind::Proto, msg));
-            return true;
+            return None;
         }
     };
     if matches!(req.verb, Verb::Query | Verb::Explain | Verb::Analyze) {
         // Query-class verbs observe their latency in `run_admitted`,
         // where the real work (and the slow-query log) lives.
-        start_query(inner, conn, req);
-        return true;
+        return start_query(inner, conn, req);
     }
     let t0 = Instant::now();
-    let verb = req.verb.as_str();
+    let verb = req.verb;
     match req.verb {
         Verb::Query | Verb::Explain | Verb::Analyze => unreachable!("handled above"),
         Verb::Stats => {
@@ -461,9 +511,10 @@ pub(crate) fn handle_frame(inner: &Arc<Inner>, conn: &Arc<Conn>, payload: &str) 
             // describes the same version, even mid-swap.
             let snap = inner.engine.snapshot();
             let body = format!(
-                "status: {status}\ncore: {}\nactive_conns: {}\ninflight: {}\nwaiting: {}\npool_threads: {}\nsnapshot_version: {}\nloaded_at_unix: {}\ndocuments: {}\ntables: {}\nrows: {}",
+                "status: {status}\ncore: {}\nactive_conns: {}\nworkers: {}\ninflight: {}\nwaiting: {}\npool_threads: {}\nsnapshot_version: {}\nloaded_at_unix: {}\ndocuments: {}\ntables: {}\nrows: {}",
                 inner.core,
                 inner.active_conns.load(SeqCst),
+                inner.admission.workers(),
                 inner.admission.inflight(),
                 inner.admission.waiting(),
                 ppf_pool::current_threads(),
@@ -477,15 +528,16 @@ pub(crate) fn handle_frame(inner: &Arc<Inner>, conn: &Arc<Conn>, payload: &str) 
         }
         Verb::Cancel => {
             reg.incr("server.cancel_requests", 1);
+            // Ids are client-chosen, so one id may name several queries:
+            // cancel them all (at most `max_inflight + queue_depth` rows).
             let target = req.body.trim();
-            let token = lock(&inner.queries).get(target).cloned();
-            let body = match token {
-                Some(t) => {
-                    t.cancel();
-                    "cancelled"
+            let mut body = "not-found";
+            for (id, token) in lock(&inner.queries).values() {
+                if id == target {
+                    token.cancel();
+                    body = "cancelled";
                 }
-                None => "not-found",
-            };
+            }
             conn.write_response(&Response::ok(&req.id, body));
         }
         Verb::Shutdown => {
@@ -518,23 +570,18 @@ pub(crate) fn handle_frame(inner: &Arc<Inner>, conn: &Arc<Conn>, payload: &str) 
         },
         Verb::Reload => start_reload(inner, conn, req),
     }
-    reg.observe(
-        &format!("server.verb_ns.{verb}"),
-        t0.elapsed().as_nanos() as u64,
-    );
-    true
+    reg.observe(verb.metric_name(), t0.elapsed().as_nanos() as u64);
+    None
 }
 
-/// Admission-gate a query-class request and, if admitted, run it on its
-/// own worker thread so the connection can keep reading (pipelining,
-/// `cancel`).
+/// Admission-gate a query-class request: hand it to a standing worker,
+/// leave it in the admission queue (returning the deadline the calling
+/// loop must arm), or shed it — so the connection can keep reading
+/// (pipelining, `cancel`) either way.
 ///
-/// This path must never block or panic: it runs on an event thread.
-/// [`Admission::try_admit`] resolves the common cases
-/// immediately; only the "all slots busy, queue has room" case defers
-/// the blocking wait to the worker thread it needed anyway. A failed
-/// worker spawn sheds the one request with a typed `[overload]` error.
-fn start_query(inner: &Arc<Inner>, conn: &Arc<Conn>, req: Request) {
+/// This path must never block or panic: it runs on an event thread, and
+/// [`Admission::submit`] resolves every case without waiting.
+fn start_query(inner: &Arc<Inner>, conn: &Arc<Conn>, req: Request) -> Option<Instant> {
     let reg = obs::Registry::global();
     if inner.draining.load(SeqCst) {
         reg.incr("server.rejected_shutdown", 1);
@@ -543,7 +590,7 @@ fn start_query(inner: &Arc<Inner>, conn: &Arc<Conn>, req: Request) {
             ErrorKind::Shutdown,
             "server is draining",
         ));
-        return;
+        return None;
     }
     if conn.load().0 >= inner.cfg.per_conn_cap {
         reg.incr("server.shed", 1);
@@ -553,60 +600,41 @@ fn start_query(inner: &Arc<Inner>, conn: &Arc<Conn>, req: Request) {
             ErrorKind::Overload,
             format!("shed: conn_cap ({} in flight)", inner.cfg.per_conn_cap),
         ));
-        return;
+        return None;
     }
-    let slot = match inner.admission.try_admit() {
-        TryAdmit::Admitted(slot) => Some(slot),
-        TryAdmit::WouldQueue => None,
-        TryAdmit::Shed(reason) => {
-            conn.write_response(&shed_response(&req.id, reason));
-            return;
-        }
-    };
+    // Both gauges count the request before a worker can see it, so the
+    // worker's `complete` always finds them held.
     conn.begin_request();
     let token = CancelToken::new();
-    lock(&inner.queries).insert(req.id.clone(), token.clone());
-    let id = req.id.clone();
-    let worker_inner = inner.clone();
-    let worker_conn = conn.clone();
-    let spawned = spawn_sheddable("ppfd-query", move || {
-        let reg = obs::Registry::global();
-        let slot = match slot {
-            Some(slot) => slot,
-            // All slots were busy: park in the blocking queue here, off
-            // the connection's thread.
-            None => match worker_inner.admission.admit() {
-                Ok(slot) => slot,
-                Err(reason) => {
-                    let resp = shed_response(&req.id, reason);
-                    let shed = Delivery::Frame(&resp);
-                    complete(&worker_inner, &worker_conn, Some(&req.id), None, shed);
-                    return;
-                }
-            },
-        };
-        if slot.waited {
-            reg.incr("server.queued", 1);
+    let seq = inner.next_seq.fetch_add(1, SeqCst);
+    lock(&inner.queries).insert(seq, (req.id.clone(), token.clone()));
+    let job_inner = inner.clone();
+    let job_conn = conn.clone();
+    let submitted = Instant::now();
+    inner.admission.submit(Box::new(move |grant| match grant {
+        Ok(slot) => {
+            let reg = obs::Registry::global();
+            // Submit → a worker has it; for a queued job, its wait.
+            reg.observe("server.handoff_ns", submitted.elapsed().as_nanos() as u64);
+            if slot.waited {
+                reg.incr("server.queued", 1);
+            }
+            reg.incr("server.queries", 1);
+            run_admitted(&job_inner, &job_conn, &req, token, seq, slot);
         }
-        reg.incr("server.queries", 1);
-        run_admitted(&worker_inner, &worker_conn, &req, token, slot);
-    });
-    if spawned.is_err() {
-        // Undo the reservation and shed: the admission slot (if held)
-        // frees itself when the unspawned closure drops.
-        reg.incr("server.spawn_failures", 1);
-        reg.incr("server.shed", 1);
-        reg.incr("server.shed.spawn", 1);
-        let resp = Response::err(&id, ErrorKind::Overload, "shed: cannot spawn query worker");
-        complete(inner, conn, Some(&id), None, Delivery::Frame(&resp));
-    }
+        Err(reason) => {
+            let resp = shed_response(&req.id, reason);
+            let shed = Delivery::Frame(&resp);
+            complete(&job_inner, &job_conn, Some(seq), None, shed);
+        }
+    }))
 }
 
 /// Count one admission shed and build its typed rejection.
 fn shed_response(id: &str, reason: ShedReason) -> Response {
     let reg = obs::Registry::global();
     reg.incr("server.shed", 1);
-    reg.incr(&format!("server.shed.{}", reason.as_str()), 1);
+    reg.incr(reason.metric_name(), 1);
     Response::err(
         id,
         ErrorKind::Overload,
@@ -622,13 +650,13 @@ fn shed_detail(reason: ShedReason) -> &'static str {
     }
 }
 
-/// Handle one `reload` request. Like queries, the staging build runs on
-/// its own worker thread — it can take arbitrarily long (parse → shred →
-/// finalize → stats) and must never block an event thread. Unlike
-/// queries it skips admission (it consumes no query slot; the engine's
-/// own staging lock serializes reloads and refuses pile-ups with a typed
-/// `busy`), but it does hold the connection's pipelining gauge so the
-/// connection is not reaped mid-build.
+/// Handle one `reload` request. The staging build gets a thread of its
+/// own — it can take arbitrarily long (parse → shred → finalize → stats)
+/// and must block neither an event thread nor a query worker. It skips
+/// admission (it consumes no query slot; the engine's own staging lock
+/// serializes reloads and refuses pile-ups with a typed `busy`), but it
+/// does hold the connection's pipelining gauge so the connection is not
+/// reaped mid-build.
 fn start_reload(inner: &Arc<Inner>, conn: &Arc<Conn>, req: Request) {
     let reg = obs::Registry::global();
     if inner.draining.load(SeqCst) {
@@ -712,7 +740,7 @@ fn do_reload(
         // consumes no fault and the injected/observed counts reconcile.
         let fault = chaos_inner.chaos.next_reload_fault();
         if fault != ReloadFault::None {
-            obs::Registry::global().incr(&format!("server.faults.{}", fault.label()), 1);
+            obs::Registry::global().incr(fault.metric_name(), 1);
         }
         match fault {
             ReloadFault::Panic => panic!("chaos: injected reload panic"),
@@ -728,7 +756,7 @@ fn do_reload(
     outcome
 }
 
-/// Run one admitted query to completion on the worker thread, applying
+/// Run one admitted query to completion on its worker thread, applying
 /// any chaos fault, and deliver exactly one response unless a `drop`
 /// fault severs the connection first. Every path ends in [`complete`].
 fn run_admitted(
@@ -736,16 +764,17 @@ fn run_admitted(
     conn: &Arc<Conn>,
     req: &Request,
     token: CancelToken,
+    seq: u64,
     slot: Slot,
 ) {
     let reg = obs::Registry::global();
     let fault = inner.chaos.next_query_fault();
     if fault != Fault::None {
-        reg.incr(&format!("server.faults.{}", fault.label()), 1);
+        reg.incr(fault.metric_name(), 1);
     }
     match fault {
         Fault::Drop(DropPhase::PreExec) => {
-            complete(inner, conn, Some(&req.id), Some(slot), Delivery::Sever);
+            complete(inner, conn, Some(seq), Some(slot), Delivery::Sever);
             return;
         }
         Fault::Slow(pause) => std::thread::sleep(pause),
@@ -815,10 +844,7 @@ fn run_admitted(
             )
         }
     };
-    reg.observe(
-        &format!("server.verb_ns.{}", req.verb.as_str()),
-        elapsed.as_nanos() as u64,
-    );
+    reg.observe(req.verb.metric_name(), elapsed.as_nanos() as u64);
     if inner.cfg.slowlog_capacity > 0 && elapsed >= inner.cfg.slow_query {
         let mut query = req.body.trim().to_string();
         if let Some((idx, _)) = query.char_indices().nth(SLOWLOG_QUERY_CHARS) {
@@ -846,27 +872,28 @@ fn run_admitted(
         Fault::Drop(DropPhase::MidWrite) => Delivery::SeveredPrefix(&resp),
         _ => Delivery::Frame(&resp),
     };
-    complete(inner, conn, Some(&req.id), Some(slot), delivery);
+    complete(inner, conn, Some(seq), Some(slot), delivery);
 }
 
-/// The one way a begun request ends — query, shed in the worker,
-/// severed by a chaos fault, reload, or a worker that never spawned.
+/// The one way a begun request ends — query, shed by admission, severed
+/// by a chaos fault, reload, or a reload worker that never spawned.
 /// The order is load-bearing (see the module docs): response bytes and
 /// the connection's gauge drop become visible together, then the
-/// `cancel`-table entry (`cancel_id`; reloads have none) and the
-/// admission slot go, and only then is the loop — and through it the
-/// client — told. Ring before the slot drop and a sequential client's
-/// next request finds its own predecessor still holding a slot.
+/// `cancel`-table entry (`seq`; reloads have none) and the admission
+/// slot go — the slot to the oldest queued query, if one is waiting —
+/// and only then is the loop — and through it the client — told. Ring
+/// before the slot drop and a sequential client's next request finds its
+/// own predecessor still holding a slot.
 fn complete(
     inner: &Inner,
     conn: &Conn,
-    cancel_id: Option<&str>,
+    seq: Option<u64>,
     slot: Option<Slot>,
     delivery: Delivery<'_>,
 ) {
     conn.finish_request(delivery);
-    if let Some(id) = cancel_id {
-        lock(&inner.queries).remove(id);
+    if let Some(seq) = seq {
+        lock(&inner.queries).remove(&seq);
     }
     drop(slot);
     conn.ring();

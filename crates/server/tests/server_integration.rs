@@ -383,9 +383,15 @@ mod chaos {
         stop(handle);
     }
 
+    /// One worker: the query after the panic can only be served by the
+    /// thread that contained it.
     #[test]
     fn panic_fault_is_contained_and_server_survives() {
-        let (handle, addr) = start(10, ServerConfig::default());
+        let cfg = ServerConfig {
+            max_inflight: 1,
+            ..ServerConfig::default()
+        };
+        let (handle, addr) = start(10, cfg);
         handle.install_chaos("panic=1 seed=1").expect("chaos on");
         let mut c = Client::connect(&addr, IO).expect("connect");
         let resp = c
@@ -400,6 +406,112 @@ mod chaos {
             .request("fine", Verb::Query, &[], "/lib/book")
             .expect("io");
         assert!(resp.result.expect("ok").starts_with("rows 10\n"));
+        stop(handle);
+    }
+
+    /// A queued request's wait is bounded by `queue_wait` even while the
+    /// only worker stays busy: the owning loop's timer sheds it, it does
+    /// not wait for the slot to come free and then learn it is late.
+    #[test]
+    fn queued_request_times_out_while_the_only_worker_is_busy() {
+        let cfg = ServerConfig {
+            max_inflight: 1,
+            queue_wait: Duration::from_millis(50),
+            ..ServerConfig::default()
+        };
+        let (handle, addr) = start(10, cfg);
+        handle.install_chaos("slow=1:600 seed=1").expect("chaos on");
+        let mut c = Client::connect(&addr, IO).expect("connect");
+        c.send("hog", Verb::Query, &[], "/lib/book").expect("send");
+        let t0 = std::time::Instant::now();
+        c.send("late", Verb::Query, &[], "/lib/book").expect("send");
+        let resp = c.recv().expect("recv");
+        let waited = t0.elapsed();
+        assert_eq!(resp.id, "late", "the shed must overtake the slow query");
+        let (kind, msg) = resp.result.expect_err("must be shed");
+        assert_eq!(kind, ErrorKind::Overload);
+        assert!(msg.contains("timed out waiting"), "msg: {msg}");
+        assert!(
+            waited < Duration::from_millis(350),
+            "shed after {waited:?}: at the worker's pace, not the timer's"
+        );
+        let resp = c.recv().expect("recv");
+        assert_eq!(resp.id, "hog");
+        assert!(resp.result.is_ok());
+        stop(handle);
+    }
+
+    /// Drain with one query running and one queued behind it: both are
+    /// answered, and `join` returns — every worker exited.
+    #[test]
+    fn drain_answers_the_running_and_the_queued_query() {
+        let cfg = ServerConfig {
+            max_inflight: 1,
+            queue_wait: Duration::from_secs(10),
+            ..ServerConfig::default()
+        };
+        let (handle, addr) = start(10, cfg);
+        handle.install_chaos("slow=1:300 seed=1").expect("chaos on");
+        let mut c = Client::connect(&addr, IO).expect("connect");
+        c.send("running", Verb::Query, &[], "/lib/book")
+            .expect("send");
+        c.send("queued", Verb::Query, &[], "/lib/book")
+            .expect("send");
+        // Both are admitted once `health` (answered in order on the same
+        // connection's loop) reports them.
+        let body = c
+            .request("h", Verb::Health, &[], "")
+            .expect("io")
+            .result
+            .expect("health ok");
+        assert!(body.contains("inflight: 1\nwaiting: 1"), "health: {body}");
+        handle.shutdown();
+        for want in ["running", "queued"] {
+            let resp = c.recv().expect("the drain must not cut an admitted query");
+            assert_eq!(resp.id, want);
+            assert!(resp.result.expect("ok").starts_with("rows 10\n"));
+        }
+        handle.join();
+    }
+
+    /// Ids are the clients' to choose: two connections using the same
+    /// one must not clobber each other's cancel-table entry.
+    #[test]
+    fn cancel_reaches_every_query_sharing_an_id() {
+        let cfg = ServerConfig {
+            max_inflight: 2,
+            ..ServerConfig::default()
+        };
+        let (handle, addr) = start(10, cfg);
+        handle.install_chaos("slow=1:400 seed=1").expect("chaos on");
+        let mut a = Client::connect(&addr, IO).expect("connect a");
+        let mut b = Client::connect(&addr, IO).expect("connect b");
+        let mut killer = Client::connect(&addr, IO).expect("connect killer");
+        a.send("q1", Verb::Query, &[], "/lib/book").expect("send");
+        // `a`'s query is registered once its own loop has answered this.
+        assert!(a.send("ha", Verb::Health, &[], "").is_ok());
+        b.send("q1", Verb::Query, &[], "/lib/book").expect("send");
+        b.request("hb", Verb::Health, &[], "").expect("io");
+        assert_eq!(a.recv().expect("health").id, "ha");
+        let body = killer
+            .request("k", Verb::Cancel, &[], "q1")
+            .expect("io")
+            .result
+            .expect("cancel ok");
+        assert_eq!(body, "cancelled");
+        for victim in [&mut a, &mut b] {
+            let resp = victim.recv().expect("victim response");
+            assert_eq!(resp.id, "q1");
+            let (kind, _) = resp.result.expect_err("both must be cancelled");
+            assert_eq!(kind, ErrorKind::Cancelled);
+        }
+        // Each completion removed its own entry, not its namesake's.
+        let body = killer
+            .request("k2", Verb::Cancel, &[], "q1")
+            .expect("io")
+            .result
+            .expect("cancel ok");
+        assert_eq!(body, "not-found");
         stop(handle);
     }
 

@@ -80,7 +80,9 @@ const USAGE: &str =
      [--queue-wait-ms MS] [--policy queue|shed] [--per-conn N]\n\
      [--deadline-ms MS|0] [--idle-ms MS] [--drain-ms MS] [--chaos SPEC]\n\
      [--slow-ms MS] [--slowlog-cap N] [--metrics-every-ms MS]\n\
-     [--event-threads N] [--max-conns N|0]";
+     [--event-threads N] [--max-conns N|0]\n\
+     --max-inflight N  queries executing at once; also the number of query\n\
+     \x20                 worker threads started with the server (default 2x pool)";
 
 /// The startup data-source recipe, kept so SIGHUP / the `reload` verb
 /// can rebuild the exact same source into a fresh staging snapshot.
