@@ -109,7 +109,7 @@ fn measure(doc: &xmldom::Document) -> Vec<Measurement> {
         let mut base_rows = 0;
         let mut base_steps = 0;
         for db in &base_dbs {
-            sqlexec::clear_filter_caches();
+            sqlexec::clear_filter_caches(db.db());
             let t0 = Instant::now();
             let r = db.query(query).expect(name);
             let ns = t0.elapsed().as_nanos() as u64;
@@ -128,7 +128,7 @@ fn measure(doc: &xmldom::Document) -> Vec<Measurement> {
         let mut cold_ns = u64::MAX;
         let mut cold = None;
         for db in &opt_dbs {
-            sqlexec::clear_filter_caches();
+            sqlexec::clear_filter_caches(db.db());
             let t0 = Instant::now();
             let r = db.query(query).expect(name);
             let ns = t0.elapsed().as_nanos() as u64;

@@ -147,7 +147,7 @@ fn time_side(dbs: &[XmlDb], query: &str, stats_on: bool) -> (u64, u64) {
     let prev = sqlexec::set_stats_enabled(stats_on);
     let mut cold_ns = u64::MAX;
     for db in dbs {
-        sqlexec::clear_filter_caches();
+        sqlexec::clear_filter_caches(db.db());
         let t0 = Instant::now();
         db.query(query).expect("query");
         cold_ns = cold_ns.min(t0.elapsed().as_nanos() as u64);

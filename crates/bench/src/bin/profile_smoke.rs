@@ -33,7 +33,7 @@ fn main() {
     // Force the parallel pipeline so chunk events appear even at smoke
     // scale, where the row-count heuristic would stay serial.
     sqlexec::set_parallel_mode(sqlexec::ParallelMode::ForceOn);
-    sqlexec::clear_filter_caches();
+    sqlexec::clear_filter_caches(db.db());
 
     // Warm every query once, then time the warm workload — the
     // denominator of the overhead contract.

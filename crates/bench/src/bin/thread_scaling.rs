@@ -143,7 +143,7 @@ fn measure_at(
             ..Cell::default()
         };
         for db in &dbs {
-            sqlexec::clear_filter_caches();
+            sqlexec::clear_filter_caches(db.db());
             let t0 = Instant::now();
             let r = db.query(query).expect(name);
             let ns = t0.elapsed().as_nanos() as u64;
@@ -286,7 +286,7 @@ impl ProfileSummary {
 fn profiled_pass(doc: &xmldom::Document) -> ProfileSummary {
     ppf_pool::set_threads(4);
     let db = build_db(doc);
-    sqlexec::clear_filter_caches();
+    sqlexec::clear_filter_caches(db.db());
     assert!(
         obs::profile::attach(),
         "profiler already attached (another profile in this process?)"

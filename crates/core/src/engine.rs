@@ -46,19 +46,23 @@ fn lock_cache<'a, K: std::cmp::Eq + std::hash::Hash, V>(
     })
 }
 
-/// Recompute planner statistics for every table in `db` — called after
-/// any load/finalize mutation, right where the plan cache is also
-/// invalidated, so the stats cache tracks the same `(uid, version)`
-/// lifecycle. Build effort is mirrored into the registry:
-/// `engine.stats_builds` (rebuild passes), `engine.stats_tables`
-/// (tables covered last pass), `engine.stats_build_ns` (per-pass wall
-/// time histogram).
+/// Compute planner statistics for every table in `db` that lacks them
+/// — called after any load/finalize mutation, right where the plan
+/// cache is also invalidated (the mutation already dropped each touched
+/// table's previous statistics; untouched tables keep theirs). Build
+/// effort is mirrored into the registry: `engine.stats_builds` (rebuild
+/// passes), `engine.stats_tables` (tables covered last pass),
+/// `engine.stats_build_ns` (per-pass wall time histogram).
 fn rebuild_stats(db: &Database) {
     let t0 = std::time::Instant::now();
-    let tables = relstore::stats::analyze_db(db);
+    for table in db.tables() {
+        if relstore::stats::lookup(table).is_none() {
+            relstore::stats::analyze(table);
+        }
+    }
     let reg = obs::Registry::global();
     reg.incr("engine.stats_builds", 1);
-    reg.set_max("engine.stats_tables", tables as u64);
+    reg.set_max("engine.stats_tables", db.len() as u64);
     reg.observe("engine.stats_build_ns", t0.elapsed().as_nanos() as u64);
 }
 
@@ -251,9 +255,8 @@ impl QueryResult {
 /// counters, and the plan snapshot captured from the first execution
 /// (top-level branches planned eagerly, subquery blocks as execution
 /// discovers them). Entries are dropped wholesale whenever the backing
-/// store mutates — correctness also relies on the executor's own
-/// `(table uid, version)`-keyed memos, but the statement and plans
-/// themselves can go stale (path marking depends on loaded documents).
+/// store mutates — the tables drop their own filter memos when they
+/// mutate, but the statement and plans themselves can go stale (path marking depends on loaded documents).
 ///
 /// `Arc` + `Mutex` (not `Rc` + `RefCell`) because [`SharedEngine`] runs
 /// queries against one cache from many threads at once.
@@ -285,13 +288,180 @@ fn empty_result(output: OutputKind) -> QueryResult {
     }
 }
 
-/// The schema-aware PPF system (the paper's main configuration).
-pub struct XmlDb {
-    store: SchemaAwareStore,
-    opts: TranslateOptions,
-    cache: QueryCache,
-    docs: u64,
+/// The engine body [`XmlDb`] and [`EdgeDb`] share. The module is private
+/// so neither `Engine` nor `Store` can be named outside this file; the
+/// two public aliases are the whole surface.
+mod body {
+    use super::*;
+
+    /// What a shredding store gives the engine: documents in, relations
+    /// out, and the mapping the translator needs to target them.
+    pub trait Store {
+        fn load(&mut self, doc: &Document) -> Result<shred::LoadedDoc, shred::ShredError>;
+        fn create_indexes(&mut self) -> Result<(), shred::ShredError>;
+        fn db(&self) -> &Database;
+        fn mapping(&self) -> Mapping<'_>;
+    }
+
+    impl Store for SchemaAwareStore {
+        fn load(&mut self, doc: &Document) -> Result<shred::LoadedDoc, shred::ShredError> {
+            SchemaAwareStore::load(self, doc)
+        }
+        fn create_indexes(&mut self) -> Result<(), shred::ShredError> {
+            SchemaAwareStore::create_indexes(self)
+        }
+        fn db(&self) -> &Database {
+            SchemaAwareStore::db(self)
+        }
+        fn mapping(&self) -> Mapping<'_> {
+            Mapping::SchemaAware {
+                schema: self.schema(),
+                marking: self.marking(),
+            }
+        }
+    }
+
+    impl Store for EdgeStore {
+        fn load(&mut self, doc: &Document) -> Result<shred::LoadedDoc, shred::ShredError> {
+            EdgeStore::load(self, doc)
+        }
+        fn create_indexes(&mut self) -> Result<(), shred::ShredError> {
+            EdgeStore::create_indexes(self)
+        }
+        fn db(&self) -> &Database {
+            EdgeStore::db(self)
+        }
+        fn mapping(&self) -> Mapping<'_> {
+            Mapping::EdgeLike
+        }
+    }
+
+    pub struct Engine<S> {
+        pub(super) store: S,
+        pub(super) opts: TranslateOptions,
+        pub(super) cache: QueryCache,
+        pub(super) docs: u64,
+    }
+
+    impl<S: Store> Engine<S> {
+        /// Load a document; returns its tree-node → element-id mapping.
+        /// Invalidates cached query plans (the translation itself can
+        /// change: §4.5 path marking depends on which paths exist) and
+        /// refreshes planner statistics for the mutated tables. The cache
+        /// is cleared only *after* the mutation succeeds — a document
+        /// that fails schema validation (checked before any row is
+        /// written) must not cost the warm plans; each mutated table has
+        /// already dropped its own statistics and filter memo, which
+        /// covers any partially-written rows on the rare mid-shred
+        /// failure.
+        pub fn load(&mut self, doc: &Document) -> Result<shred::LoadedDoc, EngineError> {
+            let loaded = self
+                .store
+                .load(doc)
+                .map_err(|e| QueryError::exec(e.to_string()))?;
+            self.docs += 1;
+            lock_cache(&self.cache).clear();
+            rebuild_stats(self.store.db());
+            Ok(loaded)
+        }
+
+        /// Parse and load an XML string. A parse failure happens before
+        /// any store mutation, so it leaves the query cache warm.
+        pub fn load_xml(&mut self, xml: &str) -> Result<shred::LoadedDoc, EngineError> {
+            let doc = xmldom::parse(xml).map_err(|e| QueryError::parse(e.to_string()))?;
+            self.load(&doc)
+        }
+
+        /// Build the §3.1 indexes; call once after bulk loading. Also the
+        /// canonical statistics collection point: indexing drops every
+        /// table's statistics, so they are recomputed here for the final
+        /// loaded shape. As with [`Engine::load`], warm plans are dropped
+        /// only once the mutation has succeeded.
+        pub fn finalize(&mut self) -> Result<(), EngineError> {
+            self.store
+                .create_indexes()
+                .map_err(|e| QueryError::exec(e.to_string()))?;
+            lock_cache(&self.cache).clear();
+            rebuild_stats(self.store.db());
+            Ok(())
+        }
+
+        pub fn db(&self) -> &Database {
+            self.store.db()
+        }
+
+        /// Documents successfully loaded into this store.
+        pub fn doc_count(&self) -> u64 {
+            self.docs
+        }
+
+        /// Translate an XPath string to its SQL.
+        pub fn translate(&self, xpath: &str) -> Result<Translation, EngineError> {
+            let expr = xpath::parse_xpath(xpath).map_err(|e| QueryError::parse(e.to_string()))?;
+            self.translate_expr(&expr)
+        }
+
+        fn translate_expr(&self, expr: &xpath::Expr) -> Result<Translation, EngineError> {
+            translate(expr, self.store.mapping(), self.opts)
+                .map_err(|e| QueryError::translate(e.to_string()))
+        }
+
+        /// The SQL text for an XPath query (`None` when statically empty).
+        pub fn sql_for(&self, xpath: &str) -> Result<Option<String>, EngineError> {
+            Ok(self
+                .translate(xpath)?
+                .stmt
+                .as_ref()
+                .map(sqlexec::render_stmt))
+        }
+
+        /// Run an XPath query through the PPF translation.
+        pub fn query(&self, xpath: &str) -> Result<QueryResult, EngineError> {
+            Ok(self.query_traced(xpath)?.0)
+        }
+
+        /// Run an XPath query under resource limits: a deadline, a
+        /// scanned-row budget and/or a [`CancelToken`], checked
+        /// cooperatively at the executor's loop boundaries. Violations
+        /// come back as [`QueryError::Limit`] / [`QueryError::Cancelled`];
+        /// other in-flight queries are unaffected.
+        pub fn query_with_limits(
+            &self,
+            xpath: &str,
+            limits: QueryLimits,
+        ) -> Result<QueryResult, EngineError> {
+            Ok(self.query_traced_with_limits(xpath, limits)?.0)
+        }
+
+        /// Run a query and also return its span tree (parse → translate →
+        /// plan → execute → publish, with per-phase counters attached).
+        /// Repeat runs of the same XPath hit the engine's query cache and
+        /// skip the first three phases (their spans appear with zero
+        /// duration; `EngineStats::plan_cache_hits` is set).
+        pub fn query_traced(&self, xpath: &str) -> Result<(QueryResult, QueryTrace), EngineError> {
+            self.query_traced_with_limits(xpath, QueryLimits::none())
+        }
+
+        /// [`Engine::query_traced`] under resource limits (see
+        /// [`Engine::query_with_limits`]).
+        pub fn query_traced_with_limits(
+            &self,
+            xpath: &str,
+            limits: QueryLimits,
+        ) -> Result<(QueryResult, QueryTrace), EngineError> {
+            run_query(
+                self.db(),
+                xpath,
+                &self.cache,
+                &|e| self.translate_expr(e),
+                limits,
+            )
+        }
+    }
 }
+
+/// The schema-aware PPF system (the paper's main configuration).
+pub type XmlDb = body::Engine<SchemaAwareStore>;
 
 impl XmlDb {
     pub fn new(schema: &Schema) -> Result<XmlDb, EngineError> {
@@ -316,143 +486,13 @@ impl XmlDb {
         lock_cache(&self.cache).clear();
     }
 
-    /// Load a document; returns its tree-node → element-id mapping.
-    /// Invalidates cached query plans (the translation itself can change:
-    /// §4.5 path marking depends on which paths exist) and refreshes
-    /// planner statistics for the mutated tables. The cache is cleared
-    /// only *after* the mutation succeeds — a document that fails schema
-    /// validation (checked before any row is written) must not cost the
-    /// warm plans; the executor's own `(uid, version)`-keyed memos cover
-    /// any partially-written rows on the rare mid-shred failure.
-    pub fn load(&mut self, doc: &Document) -> Result<shred::LoadedDoc, EngineError> {
-        let loaded = self
-            .store
-            .load(doc)
-            .map_err(|e| QueryError::exec(e.to_string()))?;
-        self.docs += 1;
-        lock_cache(&self.cache).clear();
-        rebuild_stats(self.store.db());
-        Ok(loaded)
-    }
-
-    /// Parse and load an XML string. A parse failure happens before any
-    /// store mutation, so it leaves the query cache warm.
-    pub fn load_xml(&mut self, xml: &str) -> Result<shred::LoadedDoc, EngineError> {
-        let doc = xmldom::parse(xml).map_err(|e| QueryError::parse(e.to_string()))?;
-        self.load(&doc)
-    }
-
-    /// Build the §3.1 indexes; call once after bulk loading. Also the
-    /// canonical statistics collection point: indexing bumps every
-    /// table's version, so stats are recomputed here for the final
-    /// loaded shape. As with [`XmlDb::load`], warm plans are dropped
-    /// only once the mutation has succeeded.
-    pub fn finalize(&mut self) -> Result<(), EngineError> {
-        self.store
-            .create_indexes()
-            .map_err(|e| QueryError::exec(e.to_string()))?;
-        lock_cache(&self.cache).clear();
-        rebuild_stats(self.store.db());
-        Ok(())
-    }
-
-    pub fn db(&self) -> &Database {
-        self.store.db()
-    }
-
-    /// Documents successfully loaded into this store.
-    pub fn doc_count(&self) -> u64 {
-        self.docs
-    }
-
     pub fn store(&self) -> &SchemaAwareStore {
         &self.store
-    }
-
-    /// Translate an XPath string to its SQL.
-    pub fn translate(&self, xpath: &str) -> Result<Translation, EngineError> {
-        let expr = xpath::parse_xpath(xpath).map_err(|e| QueryError::parse(e.to_string()))?;
-        self.translate_expr(&expr)
-    }
-
-    fn translate_expr(&self, expr: &xpath::Expr) -> Result<Translation, EngineError> {
-        translate(
-            expr,
-            Mapping::SchemaAware {
-                schema: self.store.schema(),
-                marking: self.store.marking(),
-            },
-            self.opts,
-        )
-        .map_err(|e| QueryError::translate(e.to_string()))
-    }
-
-    /// The SQL text for an XPath query (`None` when statically empty).
-    pub fn sql_for(&self, xpath: &str) -> Result<Option<String>, EngineError> {
-        Ok(self
-            .translate(xpath)?
-            .stmt
-            .as_ref()
-            .map(sqlexec::render_stmt))
-    }
-
-    /// Run an XPath query through the PPF translation.
-    pub fn query(&self, xpath: &str) -> Result<QueryResult, EngineError> {
-        Ok(self.query_traced(xpath)?.0)
-    }
-
-    /// Run an XPath query under resource limits: a deadline, a scanned-row
-    /// budget and/or a [`CancelToken`], checked cooperatively at the
-    /// executor's loop boundaries. Violations come back as
-    /// [`QueryError::Limit`] / [`QueryError::Cancelled`]; other in-flight
-    /// queries are unaffected.
-    pub fn query_with_limits(
-        &self,
-        xpath: &str,
-        limits: QueryLimits,
-    ) -> Result<QueryResult, EngineError> {
-        Ok(run_query(
-            self.db(),
-            xpath,
-            &self.cache,
-            &|e| self.translate_expr(e),
-            limits,
-        )?
-        .0)
-    }
-
-    /// Run a query and also return its span tree (parse → translate →
-    /// plan → execute → publish, with per-phase counters attached).
-    /// Repeat runs of the same XPath hit the engine's query cache and
-    /// skip the first three phases (their spans appear with zero
-    /// duration; `EngineStats::plan_cache_hits` is set).
-    pub fn query_traced(&self, xpath: &str) -> Result<(QueryResult, QueryTrace), EngineError> {
-        self.query_traced_with_limits(xpath, QueryLimits::none())
-    }
-
-    /// [`XmlDb::query_traced`] under resource limits (see
-    /// [`XmlDb::query_with_limits`]).
-    pub fn query_traced_with_limits(
-        &self,
-        xpath: &str,
-        limits: QueryLimits,
-    ) -> Result<(QueryResult, QueryTrace), EngineError> {
-        run_query(
-            self.db(),
-            xpath,
-            &self.cache,
-            &|e| self.translate_expr(e),
-            limits,
-        )
     }
 }
 
 /// The schema-oblivious (Edge-like) PPF system of §5.1.
-pub struct EdgeDb {
-    store: EdgeStore,
-    cache: QueryCache,
-    docs: u64,
-}
+pub type EdgeDb = body::Engine<EdgeStore>;
 
 impl Default for EdgeDb {
     fn default() -> Self {
@@ -464,112 +504,13 @@ impl EdgeDb {
     pub fn new() -> EdgeDb {
         EdgeDb {
             store: EdgeStore::new(),
-            cache: QueryCache::default(),
-            docs: 0,
-        }
-    }
-
-    /// See [`XmlDb::load`]: the cache is cleared only after the mutation
-    /// succeeds, so a rejected document keeps the warm plans.
-    pub fn load(&mut self, doc: &Document) -> Result<shred::LoadedDoc, EngineError> {
-        let loaded = self
-            .store
-            .load(doc)
-            .map_err(|e| QueryError::exec(e.to_string()))?;
-        self.docs += 1;
-        lock_cache(&self.cache).clear();
-        rebuild_stats(self.store.db());
-        Ok(loaded)
-    }
-
-    pub fn load_xml(&mut self, xml: &str) -> Result<shred::LoadedDoc, EngineError> {
-        let doc = xmldom::parse(xml).map_err(|e| QueryError::parse(e.to_string()))?;
-        self.load(&doc)
-    }
-
-    pub fn finalize(&mut self) -> Result<(), EngineError> {
-        self.store
-            .create_indexes()
-            .map_err(|e| QueryError::exec(e.to_string()))?;
-        lock_cache(&self.cache).clear();
-        rebuild_stats(self.store.db());
-        Ok(())
-    }
-
-    pub fn db(&self) -> &Database {
-        self.store.db()
-    }
-
-    /// Documents successfully loaded into this store.
-    pub fn doc_count(&self) -> u64 {
-        self.docs
-    }
-
-    pub fn translate(&self, xpath: &str) -> Result<Translation, EngineError> {
-        let expr = xpath::parse_xpath(xpath).map_err(|e| QueryError::parse(e.to_string()))?;
-        self.translate_expr(&expr)
-    }
-
-    fn translate_expr(&self, expr: &xpath::Expr) -> Result<Translation, EngineError> {
-        translate(
-            expr,
-            Mapping::EdgeLike,
-            TranslateOptions {
+            opts: TranslateOptions {
                 use_path_marking: false,
                 ..TranslateOptions::default()
             },
-        )
-        .map_err(|e| QueryError::translate(e.to_string()))
-    }
-
-    pub fn sql_for(&self, xpath: &str) -> Result<Option<String>, EngineError> {
-        Ok(self
-            .translate(xpath)?
-            .stmt
-            .as_ref()
-            .map(sqlexec::render_stmt))
-    }
-
-    pub fn query(&self, xpath: &str) -> Result<QueryResult, EngineError> {
-        Ok(self.query_traced(xpath)?.0)
-    }
-
-    /// Run a query under resource limits (see [`XmlDb::query_with_limits`]).
-    pub fn query_with_limits(
-        &self,
-        xpath: &str,
-        limits: QueryLimits,
-    ) -> Result<QueryResult, EngineError> {
-        Ok(run_query(
-            self.db(),
-            xpath,
-            &self.cache,
-            &|e| self.translate_expr(e),
-            limits,
-        )?
-        .0)
-    }
-
-    /// Run a query and also return its span tree (see
-    /// [`XmlDb::query_traced`]).
-    pub fn query_traced(&self, xpath: &str) -> Result<(QueryResult, QueryTrace), EngineError> {
-        self.query_traced_with_limits(xpath, QueryLimits::none())
-    }
-
-    /// [`EdgeDb::query_traced`] under resource limits (see
-    /// [`XmlDb::query_with_limits`]).
-    pub fn query_traced_with_limits(
-        &self,
-        xpath: &str,
-        limits: QueryLimits,
-    ) -> Result<(QueryResult, QueryTrace), EngineError> {
-        run_query(
-            self.db(),
-            xpath,
-            &self.cache,
-            &|e| self.translate_expr(e),
-            limits,
-        )
+            cache: QueryCache::default(),
+            docs: 0,
+        }
     }
 }
 
@@ -878,22 +819,15 @@ fn run_query_inner(
 // Copy-on-write snapshots & hot reload.
 // ---------------------------------------------------------------------
 
-/// Snapshots ever retired (dropped after their last pinned query
-/// finished) and currently alive, process-wide. The live gauge minus 1
-/// (the serving snapshot) is how many superseded versions are still
-/// pinned by in-flight queries.
-static SNAPSHOTS_LIVE: AtomicU64 = AtomicU64::new(0);
-static SNAPSHOTS_RETIRED: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshots currently alive across every [`SharedEngine`] (serving +
-/// superseded-but-pinned).
-pub fn snapshots_live() -> u64 {
-    SNAPSHOTS_LIVE.load(Relaxed)
-}
-
-/// Snapshots fully drained and dropped since process start.
-pub fn snapshots_retired() -> u64 {
-    SNAPSHOTS_RETIRED.load(Relaxed)
+/// One engine's snapshot ledger: how many of its snapshots are alive
+/// (serving + superseded-but-pinned) and how many have fully drained and
+/// dropped. `live - 1` is the number of superseded versions still pinned
+/// by in-flight queries. Shared by the engine and every snapshot it has
+/// made, so a snapshot can check itself out when its last pin drops.
+#[derive(Default)]
+struct SnapshotCounts {
+    live: AtomicU64,
+    retired: AtomicU64,
 }
 
 /// One immutable serving version of the engine: a finalized [`XmlDb`]
@@ -907,6 +841,7 @@ pub struct EngineSnapshot {
     db: XmlDb,
     version: u64,
     loaded_at: std::time::SystemTime,
+    counts: Arc<SnapshotCounts>,
 }
 
 impl std::fmt::Debug for EngineSnapshot {
@@ -921,13 +856,14 @@ impl std::fmt::Debug for EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    fn new(db: XmlDb, version: u64) -> EngineSnapshot {
-        SNAPSHOTS_LIVE.fetch_add(1, Relaxed);
-        obs::Registry::global().set_gauge("engine.snapshots_live", SNAPSHOTS_LIVE.load(Relaxed));
+    fn new(db: XmlDb, version: u64, counts: Arc<SnapshotCounts>) -> EngineSnapshot {
+        let live = counts.live.fetch_add(1, Relaxed) + 1;
+        obs::Registry::global().set_gauge("engine.snapshots_live", live);
         EngineSnapshot {
             db,
             version,
             loaded_at: std::time::SystemTime::now(),
+            counts,
         }
     }
 
@@ -970,6 +906,23 @@ impl EngineSnapshot {
         self.db.db()
     }
 
+    /// Relations currently carrying planner statistics.
+    pub fn stats_tables(&self) -> usize {
+        self.db()
+            .tables()
+            .filter(|t| relstore::stats::lookup(t).is_some())
+            .count()
+    }
+
+    /// Path-filter scans memoized on this snapshot's relations — freed
+    /// with the snapshot, like the statistics.
+    pub fn filter_memo_entries(&self) -> usize {
+        self.db()
+            .tables()
+            .map(relstore::Table::filter_memo_len)
+            .sum()
+    }
+
     /// Run an XPath query against exactly this version (see
     /// [`XmlDb::query_with_limits`]). The result carries this snapshot's
     /// version stamp.
@@ -991,11 +944,11 @@ impl EngineSnapshot {
 
 impl Drop for EngineSnapshot {
     fn drop(&mut self) {
-        SNAPSHOTS_LIVE.fetch_sub(1, Relaxed);
-        SNAPSHOTS_RETIRED.fetch_add(1, Relaxed);
+        let live = self.counts.live.fetch_sub(1, Relaxed) - 1;
+        self.counts.retired.fetch_add(1, Relaxed);
         let reg = obs::Registry::global();
         reg.incr("engine.snapshots_retired", 1);
-        reg.set_gauge("engine.snapshots_live", SNAPSHOTS_LIVE.load(Relaxed));
+        reg.set_gauge("engine.snapshots_live", live);
     }
 }
 
@@ -1008,6 +961,7 @@ struct EngineShared {
     /// concurrent reload gets a typed [`ReloadError::Busy`] instead of
     /// building a snapshot that would immediately be overwritten.
     reloading: Mutex<()>,
+    snapshots: Arc<SnapshotCounts>,
 }
 
 /// A cloneable, thread-safe handle over a loaded [`XmlDb`] for running
@@ -1036,14 +990,29 @@ impl SharedEngine {
     /// Wrap a fully-loaded database for concurrent use, as snapshot
     /// version 1.
     pub fn new(db: XmlDb) -> SharedEngine {
-        let snap = Arc::new(EngineSnapshot::new(db, 1));
+        let snapshots = Arc::new(SnapshotCounts::default());
+        let snap = Arc::new(EngineSnapshot::new(db, 1, snapshots.clone()));
         obs::Registry::global().set_gauge("engine.snapshot_version", 1);
         SharedEngine {
             shared: Arc::new(EngineShared {
                 current: Mutex::new(snap),
                 reloading: Mutex::new(()),
+                snapshots,
             }),
         }
+    }
+
+    /// This engine's snapshots currently alive (serving +
+    /// superseded-but-pinned); mirrored as `engine.snapshots_live`.
+    pub fn snapshots_live(&self) -> u64 {
+        self.shared.snapshots.live.load(Relaxed)
+    }
+
+    /// This engine's snapshots fully drained and dropped — each took its
+    /// tables, their statistics and their filter memos with it. Mirrored
+    /// as `engine.snapshots_retired`.
+    pub fn snapshots_retired(&self) -> u64 {
+        self.shared.snapshots.retired.load(Relaxed)
     }
 
     /// Pin the serving snapshot. The returned `Arc` keeps that exact
@@ -1105,16 +1074,21 @@ impl SharedEngine {
         // Swap: one pointer store under the lock. The old snapshot's Arc
         // keeps serving every query that pinned it; it retires when the
         // last one finishes. The staging XmlDb arrives with a fresh
-        // (empty) XPath query cache, and its fresh table uids make the
-        // executor's (uid, version)-keyed memos and the statistics cache
-        // miss cleanly — no explicit invalidation to forget.
+        // (empty) XPath query cache and its own tables, which own their
+        // statistics and (still empty) filter memos — nothing is keyed
+        // from outside, so there is no invalidation to forget and
+        // nothing of the old snapshot outlives its last pin.
         let snap = {
             let mut cur = self
                 .shared
                 .current
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let snap = Arc::new(EngineSnapshot::new(db, cur.version + 1));
+            let snap = Arc::new(EngineSnapshot::new(
+                db,
+                cur.version + 1,
+                self.shared.snapshots.clone(),
+            ));
             *cur = snap.clone();
             snap
         };

@@ -17,6 +17,13 @@ use ppf_core::{CancelToken, QueryError, QueryLimits, SharedEngine, XmlDb};
 use sqlexec::ParallelMode;
 use xmlschema::parse_schema;
 
+/// The injected panic is one process-wide one-shot flag that *any*
+/// forked pool task consumes. The test that arms it holds this lock
+/// exclusively from arming to its own query; every other test holds it
+/// shared while it runs queries (which `Auto` mode may fork), so a
+/// sibling can no longer steal the panic and fail in the armer's place.
+static WORKER_PANIC_HOOK: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
 fn engine() -> SharedEngine {
     let schema = parse_schema(
         "root lib\n\
@@ -47,10 +54,14 @@ fn injected_worker_panic_fails_one_query_and_engine_survives() {
     // Force the partitioned branch pipeline so a pool task actually runs,
     // then arm the one-shot injected panic inside the next worker task.
     let prev = sqlexec::set_parallel_mode(ParallelMode::ForceOn);
+    let armed = WORKER_PANIC_HOOK
+        .write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     sqlexec::exec::test_hooks::arm_worker_panic();
     let err = engine
         .query(q)
         .expect_err("the armed query must fail, not bring the process down");
+    drop(armed);
     sqlexec::set_parallel_mode(prev);
 
     match &err {
@@ -88,6 +99,9 @@ fn injected_worker_panic_fails_one_query_and_engine_survives() {
 
 #[test]
 fn row_budget_aborts_with_limit_error_and_others_run_on() {
+    let _unarmed = WORKER_PANIC_HOOK
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     ppf_pool::set_threads(4);
     let engine = engine();
     let q = "/lib/book/title";
@@ -119,6 +133,9 @@ fn row_budget_aborts_with_limit_error_and_others_run_on() {
 
 #[test]
 fn expired_deadline_aborts_with_limit_error() {
+    let _unarmed = WORKER_PANIC_HOOK
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let engine = engine();
     let err = engine
         .query_with_limits(
@@ -139,6 +156,9 @@ fn expired_deadline_aborts_with_limit_error() {
 
 #[test]
 fn fired_cancel_token_aborts_with_cancelled_error() {
+    let _unarmed = WORKER_PANIC_HOOK
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let engine = engine();
     let token = CancelToken::new();
     token.cancel();

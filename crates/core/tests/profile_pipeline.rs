@@ -25,7 +25,7 @@ fn profiled_pipeline_produces_worker_chunk_and_query_events() {
     ppf_pool::set_threads(4);
     let db = xmark_db(0.012);
     let prev = sqlexec::set_parallel_mode(ParallelMode::ForceOn);
-    sqlexec::clear_filter_caches();
+    sqlexec::clear_filter_caches(db.db());
 
     let queries = [
         "//site//item//keyword",

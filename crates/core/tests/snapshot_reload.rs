@@ -1,16 +1,18 @@
 //! Copy-on-write snapshot semantics: atomic swap, crash-safe reload
 //! isolation, version stamping, and deferred snapshot drop.
 //!
-//! The process-wide registry and snapshot gauges are shared by every
-//! test in this binary, so counter-delta assertions serialize on one
-//! mutex and compare before/after deltas rather than absolute values.
+//! The process-wide registry is shared by every test in this binary, so
+//! the tests that assert registry deltas and the tests that move those
+//! counters (every reload does) serialize on one mutex, and compare
+//! before/after deltas rather than absolute values. Snapshot live/retired
+//! counts belong to each test's own `SharedEngine` and need no such care.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use ppf_core::{QueryLimits, ReloadError, SharedEngine, XmlDb};
 use xmlschema::figure1_schema;
 
-/// Serializes the tests that assert global counter/gauge deltas.
+/// Serializes the tests that assert or move registry counters.
 fn counter_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -34,6 +36,7 @@ fn build(n: usize) -> XmlDb {
 
 #[test]
 fn swap_is_atomic_and_stamps_versions() {
+    let _g = counter_lock();
     let engine = SharedEngine::new(build(2));
     assert_eq!(engine.version(), 1);
     let before = engine.query("/A/B/C/D").expect("v1 query");
@@ -136,15 +139,17 @@ fn concurrent_reload_gets_typed_busy() {
 
 #[test]
 fn queries_racing_a_swap_see_exactly_one_version() {
+    let _g = counter_lock();
     let engine = SharedEngine::new(build(2));
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let checked = Arc::new(std::sync::atomic::AtomicU64::new(0));
 
     let mut workers = Vec::new();
     for _ in 0..4 {
         let engine = engine.clone();
         let stop = stop.clone();
+        let checked = checked.clone();
         workers.push(std::thread::spawn(move || {
-            let mut checked = 0u64;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 let r = engine
                     .query_with_limits("/A/B/C/D", QueryLimits::none())
@@ -160,10 +165,14 @@ fn queries_racing_a_swap_see_exactly_one_version() {
                     "rows inconsistent with snapshot version {}",
                     r.snapshot_version
                 );
-                checked += 1;
+                checked.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
-            checked
         }));
+    }
+    // Ten tiny reloads can finish before a freshly spawned worker gets
+    // scheduled: start the storm only once queries are flowing.
+    while checked.load(std::sync::atomic::Ordering::Relaxed) == 0 {
+        std::thread::yield_now();
     }
 
     for gen in 0..10 {
@@ -171,27 +180,28 @@ fn queries_racing_a_swap_see_exactly_one_version() {
         engine.reload_with(|| Ok(build(n))).expect("reload");
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let checked: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-    assert!(checked > 0, "workers must have observed at least one query");
+    for w in workers {
+        w.join().expect("no worker saw an inconsistent result");
+    }
     assert_eq!(engine.version(), 11);
 }
 
 #[test]
 fn snapshot_drop_deferred_until_last_pin_releases() {
+    // Held for the reload below (it moves the registry's reload
+    // counters); the assertions read this engine's own counts.
     let _g = counter_lock();
     let engine = SharedEngine::new(build(2));
     let pinned = engine.snapshot();
     assert_eq!(pinned.version(), 1);
-
-    let retired0 = ppf_core::snapshots_retired();
-    let live0 = ppf_core::snapshots_live();
+    assert_eq!(engine.snapshots_live(), 1);
 
     engine.reload_with(|| Ok(build(4))).expect("reload");
 
     // The superseded snapshot is still pinned: nothing retired, one more
     // snapshot alive, and the pin still answers from version 1.
-    assert_eq!(ppf_core::snapshots_retired(), retired0);
-    assert_eq!(ppf_core::snapshots_live(), live0 + 1);
+    assert_eq!(engine.snapshots_retired(), 0);
+    assert_eq!(engine.snapshots_live(), 2);
     let old = pinned
         .query_with_limits("/A/B/C/D", QueryLimits::none())
         .expect("pinned snapshot still queryable");
@@ -200,16 +210,63 @@ fn snapshot_drop_deferred_until_last_pin_releases() {
 
     drop(pinned);
     assert_eq!(
-        ppf_core::snapshots_retired(),
-        retired0 + 1,
+        engine.snapshots_retired(),
+        1,
         "dropping the last pin must retire the superseded snapshot"
     );
-    assert_eq!(ppf_core::snapshots_live(), live0);
+    assert_eq!(engine.snapshots_live(), 1);
     assert_eq!(engine.query("/A/B/C/D").unwrap().rows.rows.len(), 4);
 }
 
 #[test]
+fn retiring_a_snapshot_frees_its_stats_and_filter_memo() {
+    let _g = counter_lock();
+    // `G` is recursive in the figure-1 schema, so `//G` keeps its path
+    // filter, and with more `G` rows than paths the plan scans `Paths`
+    // first: running it leaves one memoized scan on that table.
+    let with_gs = || {
+        let mut db = XmlDb::new(&figure1_schema()).expect("schema");
+        let gs = "<G/>".repeat(20);
+        db.load_xml(&format!("<A x='1'><B><G>{gs}</G></B></A>"))
+            .expect("load");
+        db.finalize().expect("finalize");
+        db
+    };
+    let engine = SharedEngine::new(with_gs());
+    let pinned = engine.snapshot();
+    assert_eq!(pinned.stats_tables(), pinned.table_count());
+    assert_eq!(pinned.filter_memo_entries(), 0);
+    assert_eq!(engine.query("//G").expect("query").rows.rows.len(), 21);
+    assert_eq!(pinned.filter_memo_entries(), 1);
+
+    let sql = engine.sql_for("//G").expect("sql").expect("not empty");
+    let pattern = sql
+        .split("REGEXP_LIKE(G_Paths.path, '")
+        .nth(1)
+        .and_then(|rest| rest.split('\'').next())
+        .expect("path filter in the SQL");
+    let paths = pinned
+        .db()
+        .table(shred::naming::PATHS_TABLE)
+        .expect("Paths");
+    let path_col = paths.schema.col("path").expect("path column");
+    let stats = Arc::downgrade(&relstore::stats::lookup(paths).expect("analyzed"));
+    let memo = Arc::downgrade(&paths.filter_memo_get(path_col, pattern).expect("memoized"));
+
+    engine.reload_with(|| Ok(with_gs())).expect("reload");
+    assert!(stats.upgrade().is_some() && memo.upgrade().is_some());
+    assert_eq!(engine.snapshots_retired(), 0);
+    assert_eq!(engine.snapshot().filter_memo_entries(), 0);
+
+    drop(pinned);
+    assert_eq!(engine.snapshots_retired(), 1);
+    assert!(stats.upgrade().is_none(), "stats outlived their snapshot");
+    assert!(memo.upgrade().is_none(), "memo outlived its snapshot");
+}
+
+#[test]
 fn reload_slow_builder_does_not_block_queries() {
+    let _g = counter_lock();
     let engine = SharedEngine::new(build(2));
     let engine2 = engine.clone();
     let (enter_tx, enter_rx) = std::sync::mpsc::channel::<()>();

@@ -43,6 +43,11 @@ impl Database {
         self.tables.keys().map(|s| s.as_str())
     }
 
+    /// Every table, in name order.
+    pub fn tables(&self) -> impl Iterator<Item = &Table> {
+        self.tables.values()
+    }
+
     pub fn len(&self) -> usize {
         self.tables.len()
     }

@@ -17,17 +17,16 @@
 //!   descendant window — the cardinality the paper's structural joins
 //!   live or die on.
 //!
-//! Results are cached process-wide, keyed by the table's `(uid,
-//! version)` identity — the same key the executor's path-filter memo
-//! and the engine's plan cache use — so statistics invalidate exactly
-//! like those caches: any insert or index build bumps `version` and
-//! [`lookup`] starts returning `None` until the next [`analyze`]. The
-//! engine re-analyzes on `load`/`finalize`; the planner only ever calls
-//! [`lookup`] (never builds), so planning latency cannot spike on a
-//! stats miss — it falls back to its fixed selectivity constants.
+//! The result lives on the [`Table`] it describes — next to the
+//! executor's filter memo, with the same lifetime and the same
+//! invalidation: any insert or index build drops it and [`lookup`]
+//! returns `None` until the next [`analyze`]; dropping the table frees
+//! it. The engine re-analyzes on `load`/`finalize`; the planner only
+//! ever calls [`lookup`] (never builds), so planning latency cannot
+//! spike on a stats miss — it falls back to its fixed selectivity
+//! constants.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use crate::db::Database;
 use crate::table::Table;
@@ -36,11 +35,6 @@ use crate::value::{ColType, Value};
 /// Target bucket count for equi-depth histograms. Small columns get
 /// fewer buckets (never more than one per distinct run).
 pub const HISTOGRAM_BUCKETS: usize = 64;
-
-/// Entries kept in the process-wide stats cache before it is cleared
-/// wholesale (bounds memory across many short-lived `Database`s, e.g.
-/// under tests and benchmarks).
-const CACHE_CAP: usize = 512;
 
 /// One equi-depth histogram bucket: all values `v` with
 /// `previous_upper < v <= upper` (the first bucket starts at the column
@@ -174,83 +168,47 @@ fn numeric(v: &Value) -> Option<f64> {
     }
 }
 
-/// Statistics for one table snapshot.
+/// Statistics for one table's contents.
 #[derive(Debug, Clone)]
 pub struct TableStats {
-    /// The `(uid, version)` identity the stats were computed against.
-    pub table_uid: u64,
-    pub table_version: u64,
     /// Row count at analyze time.
     pub rows: u64,
     /// Per-column stats, aligned with `schema.columns`.
     pub columns: Vec<ColumnStats>,
 }
 
-fn cache() -> &'static Mutex<HashMap<u64, Arc<TableStats>>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<TableStats>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn lock_cache() -> std::sync::MutexGuard<'static, HashMap<u64, Arc<TableStats>>> {
-    // A panic while holding the lock leaves plain data; recover.
-    cache()
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// Statistics for `table`'s **current** contents, or `None` when none
-/// have been computed for this exact `(uid, version)` snapshot. Never
-/// computes — the read-only planner path must stay cheap.
+/// have been computed since its last mutation. Never computes — the
+/// read-only planner path must stay cheap.
 pub fn lookup(table: &Table) -> Option<Arc<TableStats>> {
-    lock_cache()
-        .get(&table.uid())
-        .filter(|s| s.table_version == table.version())
-        .cloned()
+    table.stats()
 }
 
-/// Compute (or fetch cached) statistics for `table`'s current contents.
+/// Compute statistics for `table`'s current contents and store them on
+/// the table. Always rebuilds: callers analyze right after a mutation,
+/// which has already dropped the previous result.
 pub fn analyze(table: &Table) -> Arc<TableStats> {
-    if let Some(s) = lookup(table) {
-        return s;
-    }
     let stats = Arc::new(build(table));
-    let mut map = lock_cache();
-    if map.len() >= CACHE_CAP {
-        map.clear();
-    }
-    map.insert(table.uid(), stats.clone());
+    table.set_stats(stats.clone());
     stats
 }
 
 /// Analyze every table in `db`; returns the number of tables analyzed.
-/// Tables whose `(uid, version)` is already cached cost one map lookup.
 pub fn analyze_db(db: &Database) -> usize {
-    let mut n = 0;
-    for name in db.table_names() {
-        if let Some(t) = db.table(name) {
-            analyze(t);
-            n += 1;
-        }
-    }
-    n
+    db.tables().map(analyze).count()
 }
 
-/// Drop every cached entry (tests and A/B benchmarks).
-pub fn clear() {
-    lock_cache().clear();
-}
+/// No-op: statistics live on their table, nothing process-wide is left
+/// to clear. Kept only because `serve_bench` calls it before timing a
+/// cold [`analyze_db`] (which now always rebuilds).
+pub fn clear() {}
 
 fn build(table: &Table) -> TableStats {
     let rows = table.len() as u64;
     let columns = (0..table.schema.columns.len())
         .map(|ci| build_column(table, ci))
         .collect();
-    TableStats {
-        table_uid: table.uid(),
-        table_version: table.version(),
-        rows,
-        columns,
-    }
+    TableStats { rows, columns }
 }
 
 fn build_column(table: &Table, ci: usize) -> ColumnStats {
@@ -473,7 +431,7 @@ mod tests {
         analyze(&t);
         assert!(lookup(&t).is_some());
         t.insert(vec![Value::Int(2)]).expect("insert");
-        assert!(lookup(&t).is_none(), "version bump must invalidate");
+        assert!(lookup(&t).is_none(), "insert must invalidate");
         let s = analyze(&t);
         assert_eq!(s.rows, 2);
         t.create_index("ix", &["v"]).expect("index");

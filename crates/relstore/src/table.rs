@@ -1,9 +1,10 @@
 //! Tables: schemas, rows, and secondary B-tree indexes.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, PoisonError, RwLock};
 
+use crate::stats::TableStats;
 use crate::value::{ColType, Value};
 
 /// Position of a row within its table.
@@ -114,37 +115,41 @@ impl Index {
     }
 }
 
-/// Process-wide source of table identities. Caches outside the store
-/// (e.g. the executor's path-filter memo) key on `(uid, version)`:
-/// `uid` distinguishes tables across `Database` instances and clones,
-/// `version` advances on every mutation of one table's contents.
-static NEXT_TABLE_UID: AtomicU64 = AtomicU64::new(1);
+/// Filter-memo entries one table keeps before the memo is cleared
+/// wholesale (coarse but effective bound; entries re-warm on next use).
+const FILTER_MEMO_CAP: usize = 512;
 
-fn fresh_table_uid() -> u64 {
-    NEXT_TABLE_UID.fetch_add(1, Relaxed)
-}
+/// Memoized filter scans, one map per column (allocated on first
+/// insert): predicate text → the rows that survive it, in row order.
+type FilterMemo = Vec<HashMap<String, Arc<Vec<RowId>>>>;
 
-/// A heap table plus its indexes.
+/// A heap table plus its indexes — and everything derived from its
+/// contents: the planner statistics ([`crate::stats`]) and the memo of
+/// filter scans the executor has already run over it. Derived state
+/// shares the table's lifetime (dropping the table frees it), is dropped
+/// by every mutation, and is never copied by `Clone`. Both slots sit
+/// behind read-mostly locks so `&Table` readers can fill them; a
+/// poisoned lock is recovered as-is (the guarded data is plain: a
+/// panicking holder cannot leave it half-written).
 #[derive(Debug)]
 pub struct Table {
     pub schema: TableSchema,
     rows: Vec<Vec<Value>>,
     indexes: Vec<Index>,
-    uid: u64,
-    version: u64,
+    stats: RwLock<Option<Arc<TableStats>>>,
+    filter_memo: RwLock<FilterMemo>,
 }
 
 impl Clone for Table {
     fn clone(&self) -> Self {
-        // A clone is a distinct table as far as external caches are
-        // concerned: give it a fresh identity so memo entries for the
-        // original never alias onto the copy.
+        // The copy can diverge from the original at any time: it starts
+        // with no derived state of its own and shares none.
         Table {
             schema: self.schema.clone(),
             rows: self.rows.clone(),
             indexes: self.indexes.clone(),
-            uid: fresh_table_uid(),
-            version: 0,
+            stats: RwLock::default(),
+            filter_memo: RwLock::default(),
         }
     }
 }
@@ -167,26 +172,13 @@ impl Table {
             schema,
             rows: Vec::new(),
             indexes: Vec::new(),
-            uid: fresh_table_uid(),
-            version: 0,
+            stats: RwLock::default(),
+            filter_memo: RwLock::default(),
         }
     }
 
     pub fn name(&self) -> &str {
         &self.schema.name
-    }
-
-    /// Process-unique identity of this table instance (fresh per `new`
-    /// and per `clone`). Stable across mutations; pair with
-    /// [`Table::version`] to key external caches.
-    pub fn uid(&self) -> u64 {
-        self.uid
-    }
-
-    /// Mutation counter: bumped on every insert and index build, so
-    /// `(uid, version)` identifies one immutable snapshot of contents.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     pub fn len(&self) -> usize {
@@ -233,7 +225,7 @@ impl Table {
             idx.insert_row(rid, &row);
         }
         self.rows.push(row);
-        self.version += 1;
+        self.drop_derived();
         Ok(rid)
     }
 
@@ -256,8 +248,78 @@ impl Table {
             idx.insert_row(rid, row);
         }
         self.indexes.push(idx);
-        self.version += 1;
+        self.drop_derived();
         Ok(())
+    }
+
+    /// Forget everything derived from the contents; every mutation ends
+    /// here. O(1) when there is nothing to forget (bulk loads).
+    fn drop_derived(&mut self) {
+        *self.stats.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
+        self.filter_memo
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+    }
+
+    /// Statistics computed for the current contents, if any (the slot
+    /// behind [`crate::stats::lookup`]).
+    pub(crate) fn stats(&self) -> Option<Arc<TableStats>> {
+        self.stats
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    pub(crate) fn set_stats(&self, stats: Arc<TableStats>) {
+        *self.stats.write().unwrap_or_else(PoisonError::into_inner) = Some(stats);
+    }
+
+    /// The rows a filter scan of `predicate` over column `col` kept, if
+    /// that scan has run against the current contents.
+    pub fn filter_memo_get(&self, col: usize, predicate: &str) -> Option<Arc<Vec<RowId>>> {
+        self.filter_memo
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(col)?
+            .get(predicate)
+            .cloned()
+    }
+
+    /// Remember the survivors of one filter scan. Two readers missing on
+    /// the same key may both scan and insert (last one wins) —
+    /// duplicated work once, never a wrong answer.
+    pub fn filter_memo_insert(&self, col: usize, predicate: &str, rows: Arc<Vec<RowId>>) {
+        let mut memo = self
+            .filter_memo
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        if memo.iter().map(HashMap::len).sum::<usize>() >= FILTER_MEMO_CAP {
+            memo.clear();
+        }
+        if memo.len() <= col {
+            memo.resize_with(col + 1, HashMap::new);
+        }
+        memo[col].insert(predicate.to_string(), rows);
+    }
+
+    /// Filter scans currently memoized for this table.
+    pub fn filter_memo_len(&self) -> usize {
+        self.filter_memo
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .map(HashMap::len)
+            .sum()
+    }
+
+    /// Drop the memoized filter scans (cold-cache benchmarks;
+    /// correctness never requires it).
+    pub fn clear_filter_memo(&self) {
+        self.filter_memo
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 
     pub fn indexes(&self) -> &[Index] {
@@ -382,21 +444,69 @@ mod tests {
         assert!(t.create_index("x", &["nope"]).is_err());
     }
 
+    fn survivors(rows: &[RowId]) -> Arc<Vec<RowId>> {
+        Arc::new(rows.to_vec())
+    }
+
     #[test]
-    fn version_tracks_mutations_and_uid_is_unique() {
+    fn insert_and_create_index_drop_stats_and_memo() {
         let mut t = people();
-        let v0 = t.version();
+        let fill = |t: &Table| {
+            crate::stats::analyze(t);
+            t.filter_memo_insert(1, "^a", survivors(&[0]));
+            assert!(crate::stats::lookup(t).is_some());
+            assert_eq!(t.filter_memo_len(), 1);
+        };
+        fill(&t);
         t.insert(vec![Value::Int(9), Value::from("zed"), Value::Int(50)])
             .expect("insert");
-        assert!(t.version() > v0);
-        let v1 = t.version();
+        assert!(crate::stats::lookup(&t).is_none(), "insert drops stats");
+        assert!(t.filter_memo_get(1, "^a").is_none(), "insert drops memo");
+
+        fill(&t);
         t.create_index("people_age", &["age"]).expect("index");
-        assert!(t.version() > v1);
+        assert!(crate::stats::lookup(&t).is_none(), "index drops stats");
+        assert_eq!(t.filter_memo_len(), 0, "index drops memo");
+    }
+
+    #[test]
+    fn clone_starts_without_derived_state_and_shares_none() {
+        let t = people();
+        crate::stats::analyze(&t);
+        t.filter_memo_insert(1, "^a", survivors(&[0]));
 
         let clone = t.clone();
-        assert_ne!(clone.uid(), t.uid(), "clones must not alias cache keys");
-        let other = Table::new(TableSchema::new("people", &[("id", ColType::Int)]));
-        assert_ne!(other.uid(), t.uid());
+        assert!(crate::stats::lookup(&clone).is_none());
+        assert_eq!(clone.filter_memo_len(), 0);
+
+        clone.filter_memo_insert(1, "^b", survivors(&[1]));
+        clone.filter_memo_insert(1, "^a", survivors(&[]));
+        assert_eq!(t.filter_memo_len(), 1, "original untouched");
+        assert_eq!(t.filter_memo_get(1, "^a").as_deref(), Some(&vec![0]));
+        assert!(t.filter_memo_get(1, "^b").is_none());
+    }
+
+    #[test]
+    fn memo_overflow_clears_and_keeps_serving() {
+        let t = people();
+        for i in 0..FILTER_MEMO_CAP {
+            t.filter_memo_insert(1, &format!("^p{i}$"), survivors(&[i]));
+        }
+        assert_eq!(t.filter_memo_len(), FILTER_MEMO_CAP);
+        assert_eq!(t.filter_memo_get(1, "^p7$").as_deref(), Some(&vec![7]));
+
+        t.filter_memo_insert(1, "^one-more$", survivors(&[2, 3]));
+        assert_eq!(t.filter_memo_len(), 1, "overflow clears wholesale");
+        assert!(t.filter_memo_get(1, "^p7$").is_none());
+        assert_eq!(
+            t.filter_memo_get(1, "^one-more$").as_deref(),
+            Some(&vec![2, 3])
+        );
+        // Same text on another column is a different entry.
+        assert!(t.filter_memo_get(0, "^one-more$").is_none());
+
+        t.clear_filter_memo();
+        assert_eq!(t.filter_memo_len(), 0);
     }
 
     #[test]

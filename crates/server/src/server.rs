@@ -511,7 +511,7 @@ pub(crate) fn handle_frame(inner: &Arc<Inner>, conn: &Arc<Conn>, payload: &str) 
             // describes the same version, even mid-swap.
             let snap = inner.engine.snapshot();
             let body = format!(
-                "status: {status}\ncore: {}\nactive_conns: {}\nworkers: {}\ninflight: {}\nwaiting: {}\npool_threads: {}\nsnapshot_version: {}\nloaded_at_unix: {}\ndocuments: {}\ntables: {}\nrows: {}",
+                "status: {status}\ncore: {}\nactive_conns: {}\nworkers: {}\ninflight: {}\nwaiting: {}\npool_threads: {}\nsnapshot_version: {}\nloaded_at_unix: {}\ndocuments: {}\ntables: {}\nrows: {}\nstats_tables: {}\nfilter_memo_entries: {}",
                 inner.core,
                 inner.active_conns.load(SeqCst),
                 inner.admission.workers(),
@@ -523,6 +523,8 @@ pub(crate) fn handle_frame(inner: &Arc<Inner>, conn: &Arc<Conn>, payload: &str) 
                 snap.doc_count(),
                 snap.table_count(),
                 snap.row_count(),
+                snap.stats_tables(),
+                snap.filter_memo_entries(),
             );
             conn.write_response(&Response::ok(&req.id, body).with_version(snap.version()));
         }

@@ -116,6 +116,10 @@ fn health_reports_the_serving_snapshot() {
     assert!(body.contains("loaded_at_unix: "), "body: {body}");
     assert!(body.contains("tables: "), "body: {body}");
     assert!(body.contains("rows: "), "body: {body}");
+    // Derived state is reported for the pinned snapshot: every table
+    // analyzed at finalize, no filter scan memoized before any query.
+    assert!(!body.contains("stats_tables: 0"), "body: {body}");
+    assert!(body.contains("filter_memo_entries: 0"), "body: {body}");
 
     c.request("r1", Verb::Reload, &[], "")
         .expect("io")
@@ -123,7 +127,8 @@ fn health_reports_the_serving_snapshot() {
         .expect("reload ok");
     let resp = c.request("h2", Verb::Health, &[], "").expect("io");
     assert_eq!(resp.version(), Some(2));
-    assert!(resp.result.expect("ok").contains("snapshot_version: 2"));
+    let body = resp.result.expect("ok");
+    assert!(body.contains("snapshot_version: 2"), "body: {body}");
 
     stop(handle);
 }

@@ -39,8 +39,8 @@ pub struct ExecStats {
     /// Probes answered by the sort-merge cursor instead of a B-tree
     /// descent (subset of `index_probes`).
     pub merge_probes: u64,
-    /// Path-filter scans answered from the memo (pattern × table-version
-    /// → surviving rows) without touching the table.
+    /// Path-filter scans answered from the table's memo (column × pattern
+    /// → surviving rows) without touching its rows.
     pub path_memo_hits: u64,
     /// Path-filter scans that had to run and populated the memo.
     pub path_memo_misses: u64,
@@ -133,14 +133,7 @@ type HashBuild = Arc<std::collections::BTreeMap<Value, Vec<RowId>>>;
 /// single traversal and `len` pointer pairs, no key copies.
 type MergeEntries<'db> = Arc<Vec<(&'db [Value], &'db [RowId])>>;
 
-/// Path-filter memo key: table identity (uid + version — see
-/// `Table::uid`), subject column, and the pattern text. The version
-/// component makes invalidation automatic: any table mutation bumps it
-/// and old entries simply stop being looked up.
-type PathMemoKey = (u64, u64, usize, String);
-
 const REGEX_CACHE_CAP: usize = 1024;
-const PATH_MEMO_CAP: usize = 512;
 const CACHE_SHARDS: usize = 16;
 
 /// A sharded, process-wide cache. Keys hash to one of [`CACHE_SHARDS`]
@@ -229,22 +222,14 @@ fn regex_cache() -> &'static Sharded<String, Arc<Regex>> {
     CACHE.get_or_init(|| Sharded::new(REGEX_CACHE_CAP))
 }
 
-/// Memoized path-filter scans: which rows of a (table snapshot, column)
-/// survive a pattern. Repeated queries skip the scan and the regex work
-/// entirely. Two concurrent queries missing on the same key may both run
-/// the scan (last insert wins) — duplicated work once, never a wrong
-/// answer.
-fn path_memo() -> &'static Sharded<PathMemoKey, Arc<Vec<RowId>>> {
-    static CACHE: OnceLock<Sharded<PathMemoKey, Arc<Vec<RowId>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Sharded::new(PATH_MEMO_CAP))
-}
-
-/// Drop the process-wide compiled-regex cache and path-filter memo.
-/// Benchmarks call this to measure true cold-cache behaviour; correctness
-/// never requires it (memo keys embed the table version).
-pub fn clear_filter_caches() {
+/// Drop the process-wide compiled-regex cache and the path-filter memo
+/// of every table in `db` (which rows of a column survive a pattern —
+/// see [`Table::filter_memo_get`]). Benchmarks call this to measure true
+/// cold-cache behaviour; correctness never requires it (a table drops
+/// its own memo when it mutates).
+pub fn clear_filter_caches(db: &Database) {
     regex_cache().clear();
-    path_memo().clear();
+    db.tables().for_each(Table::clear_filter_memo);
 }
 
 /// Cooperative cancellation handle for one query. Clone it, hand one copy
@@ -2076,8 +2061,7 @@ impl<'db> Executor<'db> {
         let Some((ri, ci, pattern)) = found else {
             return Ok(None);
         };
-        let key: PathMemoKey = (table.uid(), table.version(), ci, pattern.to_string());
-        if let Some(rows) = path_memo().get(&key) {
+        if let Some(rows) = table.filter_memo_get(ci, pattern) {
             self.stats.borrow_mut().path_memo_hits += 1;
             probe_rows.extend_from_slice(&rows);
             return Ok(Some(ri));
@@ -2090,14 +2074,10 @@ impl<'db> Executor<'db> {
         // charge one predicate evaluation per row scanned.
         local.rows_in += (table.len() - survivors.len()) as u64;
         local.predicate_evals += table.len() as u64;
-        // The observed survivor ratio is the ground truth the planner's
-        // regex selectivity guess was standing in for — feed it back.
-        crate::plan::note_regex_selectivity(
-            pattern,
-            survivors.len() as f64 / table.len().max(1) as f64,
-        );
         probe_rows.extend_from_slice(&survivors);
-        path_memo().insert(key, Arc::new(survivors));
+        // The entry doubles as the planner's learned selectivity for
+        // this pattern: survivors ÷ rows, read back from the same slot.
+        table.filter_memo_insert(ci, pattern, Arc::new(survivors));
         Ok(Some(ri))
     }
 

@@ -46,7 +46,7 @@ pub use explain::{explain_analyze, explain_analyze_with_limits, explain_stmt};
 pub use par_cost::{set_cost_override, CostModel, ParDecision};
 pub use parser::parse_sql;
 pub use plan::{
-    learned_regex_selectivity, merge_mode, note_regex_selectivity, qerror, set_merge_mode,
-    set_stats_enabled, stats_enabled, ExecError, MergeMode, SelectPlan,
+    merge_mode, qerror, set_merge_mode, set_stats_enabled, stats_enabled, ExecError, MergeMode,
+    SelectPlan,
 };
 pub use render::render_stmt;

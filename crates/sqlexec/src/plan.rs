@@ -163,7 +163,7 @@ pub struct SelectPlan {
 }
 
 /// Fallback selectivity guesses, used when table statistics are absent
-/// (nothing analyzed for the table's current `(uid, version)`) or when
+/// (nothing analyzed since the table's last mutation) or when
 /// statistics consumption is disabled via [`set_stats_enabled`]. The
 /// absolute values matter less than the ordering: equality < range <
 /// regex < everything.
@@ -202,49 +202,6 @@ pub fn qerror(est: f64, act: f64) -> f64 {
     let e = est.max(0.5);
     let a = act.max(0.5);
     (e / a).max(a / e)
-}
-
-/// Learned regex selectivities: observed survivor ratios of
-/// `REGEXP_LIKE` path-filter scans, EWMA'd per pattern text. Populated
-/// by the executor ([`note_regex_selectivity`]) every time a filter
-/// scan actually runs, consumed by [`estimate_access`] the next time a
-/// plan prices that pattern — the one feedback loop in the planner
-/// (histograms cannot see into a regex).
-fn regex_sel_map() -> &'static std::sync::Mutex<std::collections::HashMap<String, f64>> {
-    static MAP: std::sync::OnceLock<std::sync::Mutex<std::collections::HashMap<String, f64>>> =
-        std::sync::OnceLock::new();
-    MAP.get_or_init(|| std::sync::Mutex::new(std::collections::HashMap::new()))
-}
-
-/// Patterns retained before the learned-selectivity map resets
-/// (bounds memory under adversarial pattern churn).
-const REGEX_SEL_CAP: usize = 4096;
-
-/// EWMA weight of one new survivor-ratio observation.
-const REGEX_SEL_ALPHA: f64 = 0.3;
-
-/// Record that a `REGEXP_LIKE(col, pattern)` scan kept `ratio` of the
-/// rows it examined (`survivors / scanned`, in `[0, 1]`).
-pub fn note_regex_selectivity(pattern: &str, ratio: f64) {
-    let ratio = ratio.clamp(1e-4, 1.0);
-    let mut map = regex_sel_map()
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    if map.len() >= REGEX_SEL_CAP && !map.contains_key(pattern) {
-        map.clear();
-    }
-    map.entry(pattern.to_string())
-        .and_modify(|v| *v += REGEX_SEL_ALPHA * (ratio - *v))
-        .or_insert(ratio);
-}
-
-/// The learned survivor ratio for a pattern, if any scan has reported.
-pub fn learned_regex_selectivity(pattern: &str) -> Option<f64> {
-    regex_sel_map()
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .get(pattern)
-        .copied()
 }
 
 /// How the planner decides between the B-tree range probe and the
@@ -710,7 +667,7 @@ struct RangeEst {
 /// priority: full-prefix index equality, then an indexed range, then a
 /// full scan), `card` the rows surviving all residual filters.
 ///
-/// When statistics exist for the table's current `(uid, version)` (and
+/// When statistics exist for the table's current contents (and
 /// [`stats_enabled`] holds), selectivities come from equi-depth
 /// histograms: literal equality probes read the containing bucket's
 /// rows-per-distinct, correlated probes use the column-wide average
@@ -866,9 +823,16 @@ fn estimate_access(
                 }),
                 None => card *= sel::RANGE_TWO_SIDED,
             }
-        } else if let Expr::RegexpLike { pattern, .. } = c {
+        } else if let Expr::RegexpLike { subject, pattern } = c {
+            // Histograms cannot see into a regex; the survivor set of a
+            // scan the executor already ran over this table can.
+            let learned = || {
+                let ci = table.schema.col(col_of(subject, alias)?)?;
+                let kept = table.filter_memo_get(ci, pattern)?.len();
+                Some((kept as f64 / rows).clamp(1e-4, 1.0))
+            };
             let f = if stats_enabled() {
-                learned_regex_selectivity(pattern).unwrap_or(sel::REGEX)
+                learned().unwrap_or(sel::REGEX)
             } else {
                 sel::REGEX
             };
@@ -907,7 +871,7 @@ fn estimate_access(
                     // the table's own measured Dewey prefix fanout.
                     let driver = r.driver.as_deref().and_then(table_of_alias);
                     match driver {
-                        Some(dt) if dt.uid() != table.uid() => {
+                        Some(dt) if !std::ptr::eq(dt, table) => {
                             (1.0 / dt.len().max(1) as f64).clamp(floor, 1.0)
                         }
                         _ => match cs.prefix_fanout {

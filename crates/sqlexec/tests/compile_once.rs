@@ -37,7 +37,7 @@ fn regexp_pattern_compiles_once_per_query_not_per_row() {
                where REGEXP_LIKE(P.path, '^/site/regions(/[^/]+)*$') \
                order by P.id";
 
-    sqlexec::clear_filter_caches();
+    sqlexec::clear_filter_caches(&db);
     let before = regexlite::stats::snapshot();
 
     let exec = Executor::new(&db);

@@ -60,12 +60,12 @@ const FILTER: &str = "select P.id from Paths P \
 fn partitioned_filter_scan_matches_serial() {
     pool4();
     let db = paths_db(600);
-    sqlexec::clear_filter_caches();
+    sqlexec::clear_filter_caches(&db);
     let (serial, s_stats) = with_mode(ParallelMode::ForceOff, || ids(&db, FILTER));
     assert_eq!(serial.len(), 200);
     assert_eq!(s_stats.par_tasks, 0);
 
-    sqlexec::clear_filter_caches();
+    sqlexec::clear_filter_caches(&db);
     let (par, p_stats) = with_mode(ParallelMode::ForceOn, || ids(&db, FILTER));
     assert_eq!(par, serial, "partitioned scan changed the result");
     assert!(p_stats.par_tasks >= 1, "{p_stats:?}");
@@ -79,7 +79,7 @@ fn partitioned_filter_scan_matches_serial() {
         "{p_stats:?}"
     );
 
-    sqlexec::clear_filter_caches();
+    sqlexec::clear_filter_caches(&db);
     let (auto, _) = with_mode(ParallelMode::Auto, || ids(&db, FILTER));
     assert_eq!(auto, serial);
 }

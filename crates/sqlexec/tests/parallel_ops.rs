@@ -163,18 +163,18 @@ fn parallel_union_arms_match_serial_in_every_mode() {
     pool4();
     let db = paths_db(900);
 
-    sqlexec::clear_filter_caches();
+    sqlexec::clear_filter_caches(&db);
     let (serial, s_stats) = with_mode(ParallelMode::ForceOff, || run(&db, UNION));
     assert!(!serial.is_empty());
     assert_eq!(s_stats.par_tasks, 0);
 
-    sqlexec::clear_filter_caches();
+    sqlexec::clear_filter_caches(&db);
     let (forced, f_stats) = with_mode(ParallelMode::ForceOn, || run(&db, UNION));
     assert_eq!(forced, serial, "parallel UNION changed the result");
     assert!(f_stats.par_tasks >= 1, "{f_stats:?}");
     assert_core_counters_equal(&s_stats, &f_stats);
 
-    sqlexec::clear_filter_caches();
+    sqlexec::clear_filter_caches(&db);
     let (auto, a_stats) = with_mode(ParallelMode::Auto, || {
         with_override(fork_everything(), || run(&db, UNION))
     });

@@ -247,8 +247,9 @@ fn handle(session: &mut Session, line: &str) -> Result<bool, String> {
                 continue;
             };
             println!(
-                "table {name}: {} rows (stats v{})",
-                st.rows, st.table_version
+                "table {name}: {} rows ({} memoized filter scans)",
+                st.rows,
+                table.filter_memo_len()
             );
             for (col, cs) in table.schema.columns.iter().zip(&st.columns) {
                 if cs.non_null == 0 {
