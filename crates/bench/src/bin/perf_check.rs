@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use ppf_bench::{generate_xmark, xmark_queries, xmark_schema, XMarkConfig};
 use ppf_core::XmlDb;
-use sqlexec::MergeMode;
+use sqlexec::{ExecOptions, MergeMode};
 
 const BASELINE_PATH: &str = "crates/bench/baselines/perf_check_baseline.json";
 const OUTPUT_PATH: &str = "BENCH_2.json";
@@ -75,8 +75,9 @@ fn bench_scale() -> f64 {
         .unwrap_or(0.1)
 }
 
-fn build_db(doc: &xmldom::Document) -> XmlDb {
+fn build_db(doc: &xmldom::Document, opts: ExecOptions) -> XmlDb {
     let mut db = XmlDb::new(&xmark_schema()).expect("schema db");
+    db.set_exec_options(opts);
     // The §4.5 marking statically removes most path filters from this
     // workload, leaving nothing for the filter hot path to do. This
     // gate measures that hot path, so — like the path-filter ablation —
@@ -94,17 +95,23 @@ fn build_db(doc: &xmldom::Document) -> XmlDb {
 const COLD_ROUNDS: usize = 3;
 
 fn measure(doc: &xmldom::Document) -> Vec<Measurement> {
-    let base_dbs: Vec<XmlDb> = (0..COLD_ROUNDS).map(|_| build_db(doc)).collect();
-    let opt_dbs: Vec<XmlDb> = (0..COLD_ROUNDS).map(|_| build_db(doc)).collect();
+    // De-optimised: no lazy DFA, no merge joins, no compiled-regex cache
+    // or path-filter memo (compile per evaluation — the original engine
+    // behaviour).
+    let base = ExecOptions {
+        dfa: false,
+        merge: MergeMode::ForceOff,
+        filter_caches: false,
+        ..ExecOptions::default()
+    };
+    let base_dbs: Vec<XmlDb> = (0..COLD_ROUNDS).map(|_| build_db(doc, base)).collect();
+    let opt_dbs: Vec<XmlDb> = (0..COLD_ROUNDS)
+        .map(|_| build_db(doc, ExecOptions::default()))
+        .collect();
     let mut out = Vec::new();
 
     for (group, name, query) in workload() {
-        // De-optimised: no lazy DFA, no merge joins, no compiled-regex
-        // cache or path-filter memo (compile per evaluation — the
-        // original engine behaviour), thread caches cleared.
-        regexlite::set_dfa_enabled(false);
-        sqlexec::set_merge_mode(MergeMode::ForceOff);
-        let prev = sqlexec::set_filter_caches_enabled(false);
+        // De-optimised, caches cleared.
         let mut base_cold_ns = u64::MAX;
         let mut base_rows = 0;
         let mut base_steps = 0;
@@ -119,12 +126,9 @@ fn measure(doc: &xmldom::Document) -> Vec<Measurement> {
             }
             base_rows = r.rows.rows.len();
         }
-        sqlexec::set_filter_caches_enabled(prev);
 
         // Optimised defaults, measured cold (first run of this XPath on
-        // each store, thread caches cleared) and warm (best of 3).
-        regexlite::set_dfa_enabled(true);
-        sqlexec::set_merge_mode(MergeMode::Auto);
+        // each store, caches cleared) and warm (best of 3).
         let mut cold_ns = u64::MAX;
         let mut cold = None;
         for db in &opt_dbs {

@@ -23,7 +23,7 @@ use ppf_bench::{
 };
 use ppf_core::XmlDb;
 use relstore::Database;
-use sqlexec::{Executor, SelectStmt};
+use sqlexec::{ExecOptions, Executor, ParallelMode, QueryLimits, SelectStmt};
 
 const BENCH2_PATH: &str = "BENCH_2.json";
 const OUTPUT_PATH: &str = "BENCH_4.json";
@@ -54,9 +54,18 @@ fn bench_scale() -> f64 {
 /// Mirror `perf_check`'s store build (path marking off keeps every
 /// REGEXP_LIKE in the SQL, which is also what exercises the learned
 /// regex selectivities).
-fn build_db(schema: &xmlschema::Schema, doc: &xmldom::Document) -> XmlDb {
+/// The default options with statistics consumption set to `stats_on`.
+fn stats(stats_on: bool) -> ExecOptions {
+    ExecOptions {
+        stats: stats_on,
+        ..ExecOptions::default()
+    }
+}
+
+fn build_db(schema: &xmlschema::Schema, doc: &xmldom::Document, stats_on: bool) -> XmlDb {
     let mut db = XmlDb::new(schema).expect("schema db");
     db.set_path_marking(false);
+    db.set_exec_options(stats(stats_on));
     db.load(doc).expect("load");
     db.finalize().expect("indexes");
     db
@@ -99,8 +108,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 /// q-error, whole-query estimated rows, actual result rows), with
 /// statistics consumption toggled to `stats_on` for planning.
 fn qerror_probe(db: &Database, stmt: &SelectStmt, stats_on: bool) -> (f64, f64, usize) {
-    let prev = sqlexec::set_stats_enabled(stats_on);
-    let exec = Executor::new(db);
+    let exec = Executor::with_options(db, stats(stats_on));
     let result = exec.run(stmt).expect("statement runs");
     let mut qs = Vec::new();
     for (plan, ops) in exec.profiled_steps() {
@@ -121,19 +129,24 @@ fn qerror_probe(db: &Database, stmt: &SelectStmt, stats_on: bool) -> (f64, f64, 
                 .unwrap_or(0.0)
         })
         .sum();
-    sqlexec::set_stats_enabled(prev);
     (median(qs), est, result.rows.len())
 }
 
-/// The physical plan as a comparable signature: the EXPLAIN rendering
-/// with the (always-different) estimate columns stripped, so two
-/// signatures differ exactly when join order, access paths, or filter
-/// placement differ.
+/// The physical plan as a comparable signature: the EXPLAIN ANALYZE
+/// rendering with the (always-different) estimate and actual columns and
+/// the summary lines stripped, so two signatures differ exactly when
+/// join order, access paths, or filter placement differ. It runs serial:
+/// plans do not depend on the parallel mode, and a serial run leaves the
+/// learned fork model that the timed queries use untouched.
 fn plan_sig(db: &Database, stmt: &SelectStmt, stats_on: bool) -> String {
-    let prev = sqlexec::set_stats_enabled(stats_on);
-    let txt = sqlexec::explain_stmt(db, stmt).expect("explain");
-    sqlexec::set_stats_enabled(prev);
+    let opts = ExecOptions {
+        parallel: ParallelMode::ForceOff,
+        ..stats(stats_on)
+    };
+    let txt =
+        sqlexec::explain_analyze_with_limits(db, stmt, QueryLimits::none(), opts).expect("explain");
     txt.lines()
+        .filter(|l| !l.starts_with("actual: ") && !l.starts_with("par_decision: "))
         .map(|l| l.split(" (est ").next().unwrap_or(l))
         .collect::<Vec<_>>()
         .join("\n")
@@ -141,10 +154,8 @@ fn plan_sig(db: &Database, stmt: &SelectStmt, stats_on: bool) -> String {
 
 /// Cold (min over separately-built stores) and warm (best of
 /// `WARM_ROUNDS` repeats on the first store) wall times via the engine,
-/// with statistics toggled for the whole store lifetime — the engine
-/// freezes each XPath's plan on first execution.
-fn time_side(dbs: &[XmlDb], query: &str, stats_on: bool) -> (u64, u64) {
-    let prev = sqlexec::set_stats_enabled(stats_on);
+/// under the statistics setting each store was built with.
+fn time_side(dbs: &[XmlDb], query: &str) -> (u64, u64) {
     let mut cold_ns = u64::MAX;
     for db in dbs {
         sqlexec::clear_filter_caches(db.db());
@@ -158,7 +169,6 @@ fn time_side(dbs: &[XmlDb], query: &str, stats_on: bool) -> (u64, u64) {
         dbs[0].query(query).expect("query");
         warm_ns = warm_ns.min(t0.elapsed().as_nanos() as u64);
     }
-    sqlexec::set_stats_enabled(prev);
     (cold_ns, warm_ns)
 }
 
@@ -169,8 +179,8 @@ fn measure_suite(
 ) -> Vec<QMeasure> {
     let mut out = Vec::new();
     for &(group, name, query) in queries {
-        let (cold_on_ns, warm_on_ns) = time_side(dbs_on, query, true);
-        let (_, warm_off_ns) = time_side(dbs_off, query, false);
+        let (cold_on_ns, warm_on_ns) = time_side(dbs_on, query);
+        let (_, warm_off_ns) = time_side(dbs_off, query);
 
         let stmt = dbs_on[0].translate(query).expect(name).stmt;
         let (qerr_on, qerr_off, est_on, est_off, rows, plan_changed) = match &stmt {
@@ -288,17 +298,17 @@ fn main() {
 
     let xmark_schema = xmark_schema();
     let xmark_on: Vec<XmlDb> = (0..COLD_ROUNDS)
-        .map(|_| build_db(&xmark_schema, &xmark_doc))
+        .map(|_| build_db(&xmark_schema, &xmark_doc, true))
         .collect();
     let xmark_off: Vec<XmlDb> = (0..COLD_ROUNDS)
-        .map(|_| build_db(&xmark_schema, &xmark_doc))
+        .map(|_| build_db(&xmark_schema, &xmark_doc, false))
         .collect();
     let dblp_schema = dblp_schema();
     let dblp_on: Vec<XmlDb> = (0..COLD_ROUNDS)
-        .map(|_| build_db(&dblp_schema, &dblp_doc))
+        .map(|_| build_db(&dblp_schema, &dblp_doc, true))
         .collect();
     let dblp_off: Vec<XmlDb> = (0..COLD_ROUNDS)
-        .map(|_| build_db(&dblp_schema, &dblp_doc))
+        .map(|_| build_db(&dblp_schema, &dblp_doc, false))
         .collect();
 
     let mut ms = measure_suite(&xmark_on, &xmark_off, &xmark_qs);
@@ -331,7 +341,7 @@ fn main() {
                     if (m.warm_on_ns as f64) <= bound {
                         break;
                     }
-                    let (_, again) = time_side(&xmark_on, m.query, true);
+                    let (_, again) = time_side(&xmark_on, m.query);
                     m.warm_on_ns = m.warm_on_ns.min(again);
                 }
                 if m.warm_on_ns as f64 > bound {

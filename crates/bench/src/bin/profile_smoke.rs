@@ -32,7 +32,10 @@ fn main() {
     db.finalize().expect("indexes");
     // Force the parallel pipeline so chunk events appear even at smoke
     // scale, where the row-count heuristic would stay serial.
-    sqlexec::set_parallel_mode(sqlexec::ParallelMode::ForceOn);
+    db.set_exec_options(sqlexec::ExecOptions {
+        parallel: sqlexec::ParallelMode::ForceOn,
+        ..sqlexec::ExecOptions::default()
+    });
     sqlexec::clear_filter_caches(db.db());
 
     // Warm every query once, then time the warm workload — the

@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use ppf_bench::{generate_xmark, xmark_queries, xmark_schema, XMarkConfig};
-use ppf_core::{SharedEngine, XmlDb};
+use ppf_core::{ExecOptions, QueryLimits, SharedEngine, XmlDb};
 
 const OUTPUT_PATH: &str = "BENCH_3.json";
 const TRACE_PATH: &str = "BENCH_3_trace.json";
@@ -58,6 +58,14 @@ fn bench_scale() -> f64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.1)
+}
+
+/// The default options with every parallel operator forced to fork.
+fn force_on() -> ExecOptions {
+    ExecOptions {
+        parallel: sqlexec::ParallelMode::ForceOn,
+        ..ExecOptions::default()
+    }
 }
 
 fn build_db(doc: &xmldom::Document) -> XmlDb {
@@ -181,9 +189,9 @@ fn measure_at(
             // when the cost model would decline the fork on this host.
             // Its par counters fold into the cell so the JSON shows what
             // the query *can* partition, not just what Auto chose.
-            let prev = sqlexec::set_parallel_mode(sqlexec::ParallelMode::ForceOn);
-            let r = dbs[0].query(query).expect(name);
-            sqlexec::set_parallel_mode(prev);
+            let r = dbs[0]
+                .query_with_options(query, QueryLimits::none(), force_on())
+                .expect(name);
             if r.rows.rows.len() != cell.rows {
                 verify_failures.push(format!(
                     "{name}: ForceOn at {threads} threads returned {} row(s), Auto returned {}",
@@ -285,7 +293,8 @@ impl ProfileSummary {
 /// attached; write the chrome trace and distill the attribution numbers.
 fn profiled_pass(doc: &xmldom::Document) -> ProfileSummary {
     ppf_pool::set_threads(4);
-    let db = build_db(doc);
+    let mut db = build_db(doc);
+    db.set_exec_options(force_on());
     sqlexec::clear_filter_caches(db.db());
     assert!(
         obs::profile::attach(),
@@ -295,11 +304,9 @@ fn profiled_pass(doc: &xmldom::Document) -> ProfileSummary {
     // (worker timelines, steals, chunk balance), and on a small host
     // Auto correctly declines most forks — which would leave nothing
     // on the timeline to attribute.
-    let prev = sqlexec::set_parallel_mode(sqlexec::ParallelMode::ForceOn);
     for (name, query) in xmark_queries() {
         db.query(query).expect(name);
     }
-    sqlexec::set_parallel_mode(prev);
     let profile = obs::profile::detach().expect("profiler was attached");
     std::fs::write(TRACE_PATH, profile.to_chrome_trace()).expect("write chrome trace");
 

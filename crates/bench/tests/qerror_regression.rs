@@ -11,7 +11,7 @@ use ppf_bench::{
 };
 use ppf_core::XmlDb;
 use relstore::Database;
-use sqlexec::{Executor, SelectStmt};
+use sqlexec::{ExecOptions, Executor, SelectStmt};
 
 fn build(schema: &xmlschema::Schema, doc: &xmldom::Document) -> XmlDb {
     let mut db = XmlDb::new(schema).expect("schema db");
@@ -24,8 +24,11 @@ fn build(schema: &xmlschema::Schema, doc: &xmldom::Document) -> XmlDb {
 /// Median per-step q-error of one statement, planned with statistics
 /// consumption set to `stats_on`.
 fn stmt_qerror(db: &Database, stmt: &SelectStmt, stats_on: bool) -> f64 {
-    let prev = sqlexec::set_stats_enabled(stats_on);
-    let exec = Executor::new(db);
+    let opts = ExecOptions {
+        stats: stats_on,
+        ..ExecOptions::default()
+    };
+    let exec = Executor::with_options(db, opts);
     exec.run(stmt).expect("statement runs");
     let mut qs = Vec::new();
     for (plan, ops) in exec.profiled_steps() {
@@ -36,7 +39,6 @@ fn stmt_qerror(db: &Database, stmt: &SelectStmt, stats_on: bool) -> f64 {
             }
         }
     }
-    sqlexec::set_stats_enabled(prev);
     median(qs)
 }
 

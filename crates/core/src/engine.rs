@@ -13,7 +13,7 @@ use obs::QueryTrace;
 use relstore::{Database, Value};
 use shred::{EdgeStore, SchemaAwareStore};
 use sqlexec::plan::SelectPlan;
-pub use sqlexec::{CancelToken, QueryLimits};
+pub use sqlexec::{CancelToken, ExecOptions, QueryLimits};
 use sqlexec::{ExecStats, Executor, Expr as Sql, ResultSet, Select, SelectStmt};
 use xmldom::Document;
 use xmlschema::Schema;
@@ -339,6 +339,7 @@ mod body {
     pub struct Engine<S> {
         pub(super) store: S,
         pub(super) opts: TranslateOptions,
+        pub(super) exec: ExecOptions,
         pub(super) cache: QueryCache,
         pub(super) docs: u64,
     }
@@ -388,6 +389,13 @@ mod body {
 
         pub fn db(&self) -> &Database {
             self.store.db()
+        }
+
+        /// Plan and execute every later query under `opts`. Cached plans
+        /// were built under the previous options, so they are dropped.
+        pub fn set_exec_options(&mut self, opts: ExecOptions) {
+            self.exec = opts;
+            lock_cache(&self.cache).clear();
         }
 
         /// Documents successfully loaded into this store.
@@ -452,10 +460,32 @@ mod body {
             run_query(
                 self.db(),
                 xpath,
-                &self.cache,
+                Some(&self.cache),
                 &|e| self.translate_expr(e),
                 limits,
+                self.exec,
             )
+        }
+
+        /// Run one query under `opts` instead of the engine's own options.
+        /// The query cache is read and written only when `opts` plans as
+        /// the engine's options do (same `merge` and `stats`).
+        pub fn query_with_options(
+            &self,
+            xpath: &str,
+            limits: QueryLimits,
+            opts: ExecOptions,
+        ) -> Result<QueryResult, EngineError> {
+            let same_plans = opts.merge == self.exec.merge && opts.stats == self.exec.stats;
+            let (result, _) = run_query(
+                self.db(),
+                xpath,
+                same_plans.then_some(&self.cache),
+                &|e| self.translate_expr(e),
+                limits,
+                opts,
+            )?;
+            Ok(result)
         }
     }
 }
@@ -468,6 +498,7 @@ impl XmlDb {
         Ok(XmlDb {
             store: SchemaAwareStore::new(schema).map_err(|e| QueryError::exec(e.to_string()))?,
             opts: TranslateOptions::default(),
+            exec: ExecOptions::default(),
             cache: QueryCache::default(),
             docs: 0,
         })
@@ -508,6 +539,7 @@ impl EdgeDb {
                 use_path_marking: false,
                 ..TranslateOptions::default()
             },
+            exec: ExecOptions::default(),
             cache: QueryCache::default(),
             docs: 0,
         }
@@ -547,13 +579,15 @@ fn path_filters_in_stmt(stmt: &SelectStmt) -> u64 {
 /// The instrumented query pipeline shared by [`XmlDb`] and [`EdgeDb`]:
 /// parse → translate → plan → execute → publish, each phase a span in the
 /// returned trace, with work counters attached and mirrored into the
-/// process-wide [`obs`] metrics registry.
+/// process-wide [`obs`] metrics registry. Without a `cache` the query is
+/// translated and planned afresh and nothing is cached.
 fn run_query(
     db: &Database,
     xpath: &str,
-    cache: &QueryCache,
+    cache: Option<&QueryCache>,
     translate_expr: &dyn Fn(&xpath::Expr) -> Result<Translation, EngineError>,
     limits: QueryLimits,
+    opts: ExecOptions,
 ) -> Result<(QueryResult, QueryTrace), EngineError> {
     // End-to-end latency is recorded for *every* query — errors and
     // limit aborts included — so the `engine.query_ns` histogram's
@@ -561,7 +595,7 @@ fn run_query(
     // the successes. Profiler query markers bracket the same window.
     obs::profile::record(obs::profile::EventKind::QueryStart, 0);
     let t0 = std::time::Instant::now();
-    let result = run_query_inner(db, xpath, cache, translate_expr, limits);
+    let result = run_query_inner(db, xpath, cache, translate_expr, limits, opts);
     obs::Registry::global().observe("engine.query_ns", t0.elapsed().as_nanos() as u64);
     obs::profile::record(obs::profile::EventKind::QueryEnd, u64::from(result.is_ok()));
     if let Err(e) = &result {
@@ -573,16 +607,17 @@ fn run_query(
 fn run_query_inner(
     db: &Database,
     xpath: &str,
-    cache: &QueryCache,
+    cache: Option<&QueryCache>,
     translate_expr: &dyn Fn(&xpath::Expr) -> Result<Translation, EngineError>,
     limits: QueryLimits,
+    opts: ExecOptions,
 ) -> Result<(QueryResult, QueryTrace), EngineError> {
     let (_in_flight, in_flight_now) = InFlight::enter();
     let mut trace = QueryTrace::new(xpath);
     let mut engine = EngineStats::default();
     let root = trace.start("query");
 
-    let cached = lock_cache(cache).get(xpath).cloned();
+    let cached = cache.and_then(|c| lock_cache(c).get(xpath).cloned());
     let entry = match cached {
         Some(entry) => {
             // Warm hit: parse, translate and plan were all done the first
@@ -629,11 +664,13 @@ fn run_query_inner(
                 path_filters,
                 plans: Mutex::new(HashMap::new()),
             });
-            let mut map = lock_cache(cache);
-            if map.len() >= QUERY_CACHE_CAP {
-                map.clear();
+            if let Some(cache) = cache {
+                let mut map = lock_cache(cache);
+                if map.len() >= QUERY_CACHE_CAP {
+                    map.clear();
+                }
+                map.insert(xpath.to_string(), entry.clone());
             }
-            map.insert(xpath.to_string(), entry.clone());
             entry
         }
     };
@@ -660,7 +697,8 @@ fn run_query_inner(
                 let mut plans = lock_cache(&entry.plans);
                 for branch in &stmt.branches {
                     let plan = Arc::new(
-                        sqlexec::plan::plan_select(db, branch, &[]).map_err(QueryError::from)?,
+                        sqlexec::plan::plan_select_with(db, branch, &[], &opts)
+                            .map_err(QueryError::from)?,
                     );
                     plan_steps += plan.steps.len() as u64;
                     plans.insert(branch as *const Select as usize, plan);
@@ -676,7 +714,7 @@ fn run_query_inner(
             let steal_attempts_before = pool.steal_attempt_count();
             let lifo_hits_before = pool.lifo_hit_count();
             let vm_before = regexlite::stats::snapshot();
-            let exec = Executor::new(db);
+            let exec = Executor::with_options(db, opts);
             exec.seed_plans(&lock_cache(&entry.plans));
             exec.set_limits(limits.clone());
             let t0 = std::time::Instant::now();
@@ -1115,6 +1153,19 @@ impl SharedEngine {
         limits: QueryLimits,
     ) -> Result<QueryResult, EngineError> {
         self.snapshot().query_with_limits(xpath, limits)
+    }
+
+    /// [`XmlDb::query_with_options`] on the serving snapshot.
+    pub fn query_with_options(
+        &self,
+        xpath: &str,
+        limits: QueryLimits,
+        opts: ExecOptions,
+    ) -> Result<QueryResult, EngineError> {
+        let snap = self.snapshot();
+        let mut r = snap.db.query_with_options(xpath, limits, opts)?;
+        r.snapshot_version = snap.version;
+        Ok(r)
     }
 
     /// Run a query and return its span tree (see [`XmlDb::query_traced`]).

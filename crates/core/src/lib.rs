@@ -26,7 +26,7 @@ pub use engine::{
 };
 pub use error::{QueryError, ReloadError};
 pub use publish::publish_element;
-pub use sqlexec::{CancelToken, QueryLimits};
+pub use sqlexec::{CancelToken, ExecOptions, QueryLimits};
 pub use translate::{
     translate, Mapping, OutputKind, TranslateError, TranslateOptions, Translation,
 };

@@ -7,13 +7,20 @@
 //! unpoisoned — the same engine keeps answering correctly afterwards.
 //!
 //! Lives in its own integration-test binary because it sizes the
-//! process-wide pool and flips the parallel-mode thread-local.
+//! process-wide pool.
 
 use std::time::{Duration, Instant};
 
-use ppf_core::{CancelToken, QueryError, QueryLimits, SharedEngine, XmlDb};
+use ppf_core::{CancelToken, ExecOptions, QueryError, QueryLimits, SharedEngine, XmlDb};
 use sqlexec::ParallelMode;
 use xmlschema::parse_schema;
+
+fn mode(parallel: ParallelMode) -> ExecOptions {
+    ExecOptions {
+        parallel,
+        ..ExecOptions::default()
+    }
+}
 
 /// Large enough that a full scan takes measurable time and partitioned
 /// execution actually splits it into multiple pool chunks.
@@ -44,8 +51,12 @@ fn cancel_mid_flight_under_forced_parallelism() {
     let engine = engine();
     let q = "/lib/book[title]";
 
-    let prev = sqlexec::set_parallel_mode(ParallelMode::ForceOn);
-    let baseline = engine.query(q).expect("baseline").ids().len();
+    let forced = mode(ParallelMode::ForceOn);
+    let baseline = engine
+        .query_with_options(q, QueryLimits::none(), forced)
+        .expect("baseline")
+        .ids()
+        .len();
     assert_eq!(baseline, BOOKS);
     let poison_before = sqlexec::cache_poison_recoveries();
 
@@ -63,7 +74,8 @@ fn cancel_mid_flight_under_forced_parallelism() {
         });
 
         let started = Instant::now();
-        let outcome = engine.query_with_limits(q, QueryLimits::none().with_cancel_token(token));
+        let limits = QueryLimits::none().with_cancel_token(token);
+        let outcome = engine.query_with_options(q, limits, forced);
         let elapsed = started.elapsed();
         firer.join().expect("firer thread");
 
@@ -83,7 +95,6 @@ fn cancel_mid_flight_under_forced_parallelism() {
             Err(other) => panic!("round {round}: unexpected error {other}"),
         }
     }
-    sqlexec::set_parallel_mode(prev);
 
     // The races must have actually produced mid-flight cancellations,
     // not 40 untouched completions.
@@ -100,11 +111,13 @@ fn cancel_mid_flight_under_forced_parallelism() {
         poison_before,
         "cancellation poisoned a shared cache"
     );
-    let prev = sqlexec::set_parallel_mode(ParallelMode::ForceOn);
-    assert_eq!(engine.query(q).expect("parallel after").ids().len(), BOOKS);
-    sqlexec::set_parallel_mode(ParallelMode::ForceOff);
-    assert_eq!(engine.query(q).expect("serial after").ids().len(), BOOKS);
-    sqlexec::set_parallel_mode(prev);
+    for (opts, what) in [
+        (forced, "parallel after"),
+        (mode(ParallelMode::ForceOff), "serial after"),
+    ] {
+        let after = engine.query_with_options(q, QueryLimits::none(), opts);
+        assert_eq!(after.expect(what).ids().len(), BOOKS);
+    }
 }
 
 #[test]
@@ -113,15 +126,14 @@ fn pre_cancelled_token_aborts_immediately() {
     let engine = engine();
     let token = CancelToken::new();
     token.cancel();
-    let prev = sqlexec::set_parallel_mode(ParallelMode::ForceOn);
     let started = Instant::now();
     let err = engine
-        .query_with_limits(
+        .query_with_options(
             "/lib/book[title]",
             QueryLimits::none().with_cancel_token(token),
+            mode(ParallelMode::ForceOn),
         )
         .expect_err("pre-cancelled token must abort the query");
-    sqlexec::set_parallel_mode(prev);
     assert!(matches!(err, QueryError::Cancelled(_)), "got {err}");
     assert!(
         started.elapsed() < Duration::from_secs(2),

@@ -7,22 +7,14 @@
 //! `QueryError::Limit` / `QueryError::Cancelled` while other queries on
 //! the same engine are unaffected.
 //!
-//! Lives in its own integration-test binary: it sizes the process-wide
-//! pool, flips the process-wide parallel-mode thread-local, and arms a
-//! process-wide panic hook.
+//! Lives in its own integration-test binary because it sizes the
+//! process-wide pool.
 
 use std::time::Duration;
 
-use ppf_core::{CancelToken, QueryError, QueryLimits, SharedEngine, XmlDb};
+use ppf_core::{CancelToken, ExecOptions, QueryError, QueryLimits, SharedEngine, XmlDb};
 use sqlexec::ParallelMode;
 use xmlschema::parse_schema;
-
-/// The injected panic is one process-wide one-shot flag that *any*
-/// forked pool task consumes. The test that arms it holds this lock
-/// exclusively from arming to its own query; every other test holds it
-/// shared while it runs queries (which `Auto` mode may fork), so a
-/// sibling can no longer steal the panic and fail in the armer's place.
-static WORKER_PANIC_HOOK: std::sync::RwLock<()> = std::sync::RwLock::new(());
 
 fn engine() -> SharedEngine {
     let schema = parse_schema(
@@ -52,17 +44,16 @@ fn injected_worker_panic_fails_one_query_and_engine_survives() {
     assert_eq!(baseline.len(), 600);
 
     // Force the partitioned branch pipeline so a pool task actually runs,
-    // then arm the one-shot injected panic inside the next worker task.
-    let prev = sqlexec::set_parallel_mode(ParallelMode::ForceOn);
-    let armed = WORKER_PANIC_HOOK
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    sqlexec::exec::test_hooks::arm_worker_panic();
+    // with the injected panic inside its worker tasks — for this query
+    // only.
+    let armed = ExecOptions {
+        parallel: ParallelMode::ForceOn,
+        worker_panic: true,
+        ..ExecOptions::default()
+    };
     let err = engine
-        .query(q)
+        .query_with_options(q, QueryLimits::none(), armed)
         .expect_err("the armed query must fail, not bring the process down");
-    drop(armed);
-    sqlexec::set_parallel_mode(prev);
 
     match &err {
         QueryError::Exec(msg) => assert!(
@@ -99,9 +90,6 @@ fn injected_worker_panic_fails_one_query_and_engine_survives() {
 
 #[test]
 fn row_budget_aborts_with_limit_error_and_others_run_on() {
-    let _unarmed = WORKER_PANIC_HOOK
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     ppf_pool::set_threads(4);
     let engine = engine();
     let q = "/lib/book/title";
@@ -133,9 +121,6 @@ fn row_budget_aborts_with_limit_error_and_others_run_on() {
 
 #[test]
 fn expired_deadline_aborts_with_limit_error() {
-    let _unarmed = WORKER_PANIC_HOOK
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let engine = engine();
     let err = engine
         .query_with_limits(
@@ -156,9 +141,6 @@ fn expired_deadline_aborts_with_limit_error() {
 
 #[test]
 fn fired_cancel_token_aborts_with_cancelled_error() {
-    let _unarmed = WORKER_PANIC_HOOK
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let engine = engine();
     let token = CancelToken::new();
     token.cancel();

@@ -7,7 +7,7 @@
 //! This file owns the process-global profiler for its whole binary (one
 //! `#[test]` attaches), so everything lives in a single test.
 
-use ppf_core::{QueryLimits, XmlDb};
+use ppf_core::{ExecOptions, QueryLimits, XmlDb};
 use sqlexec::ParallelMode;
 
 fn xmark_db(scale: f64) -> XmlDb {
@@ -23,8 +23,11 @@ fn xmark_db(scale: f64) -> XmlDb {
 #[test]
 fn profiled_pipeline_produces_worker_chunk_and_query_events() {
     ppf_pool::set_threads(4);
-    let db = xmark_db(0.012);
-    let prev = sqlexec::set_parallel_mode(ParallelMode::ForceOn);
+    let mut db = xmark_db(0.012);
+    db.set_exec_options(ExecOptions {
+        parallel: ParallelMode::ForceOn,
+        ..ExecOptions::default()
+    });
     sqlexec::clear_filter_caches(db.db());
 
     let queries = [
@@ -47,7 +50,6 @@ fn profiled_pipeline_produces_worker_chunk_and_query_events() {
         .query_with_limits("//item", QueryLimits::default().with_max_rows(1))
         .is_err());
     let profile = obs::profile::detach().expect("attached above");
-    sqlexec::set_parallel_mode(prev);
 
     assert!(profile.total_events() > 0, "empty profile");
     let timelines = profile.timelines();

@@ -10,8 +10,8 @@
 //! NFA — `O(bytes)` per match once the touched states are built — with a
 //! transparent fallback to a Pike VM (worst case `O(pattern × input)`,
 //! no catastrophic backtracking) when a pathological pattern exhausts the
-//! DFA state budget. [`set_dfa_enabled`] disables the DFA globally for
-//! baseline measurement.
+//! DFA state budget. [`Regex::is_match_pike`] skips the DFA, for baseline
+//! measurement.
 //!
 //! # Example
 //! ```
@@ -27,23 +27,7 @@ pub mod nfa;
 pub mod parser;
 pub mod stats;
 
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Process-wide DFA kill switch, for measuring the Pike-VM baseline.
-static DFA_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable lazy-DFA execution process-wide. Disabled, every
-/// match runs on the Pike VM (the pre-DFA behaviour). Intended for
-/// benchmarks and tests; defaults to enabled.
-pub fn set_dfa_enabled(enabled: bool) {
-    DFA_ENABLED.store(enabled, Relaxed);
-}
-
-/// Whether lazy-DFA execution is currently enabled.
-pub fn dfa_enabled() -> bool {
-    DFA_ENABLED.load(Relaxed)
-}
 
 pub use ast::Ast;
 pub use parser::ParseError;
@@ -124,25 +108,33 @@ impl Regex {
     /// Byte-level matching (root-to-node paths are ASCII, but any UTF-8
     /// passes through since class matching is per byte).
     pub fn is_match_bytes(&self, input: &[u8]) -> bool {
-        if dfa_enabled() {
-            // Fast path: walk already-built states under the shared lock.
-            let frozen = self.dfa_read().try_match_frozen(&self.program, input);
-            match frozen {
+        // Fast path: walk already-built states under the shared lock.
+        let frozen = self.dfa_read().try_match_frozen(&self.program, input);
+        match frozen {
+            Some(matched) => {
+                stats::record_dfa_match();
+                return matched;
+            }
+            // The walk needs a state or transition that doesn't exist
+            // yet — take the exclusive lock and build as we go.
+            None => match self.dfa_write().try_match(&self.program, input) {
                 Some(matched) => {
                     stats::record_dfa_match();
                     return matched;
                 }
-                // The walk needs a state or transition that doesn't exist
-                // yet — take the exclusive lock and build as we go.
-                None => match self.dfa_write().try_match(&self.program, input) {
-                    Some(matched) => {
-                        stats::record_dfa_match();
-                        return matched;
-                    }
-                    None => stats::record_dfa_fallback(),
-                },
-            }
+                None => stats::record_dfa_fallback(),
+            },
         }
+        self.pike_match(input)
+    }
+
+    /// [`Regex::is_match`] on the Pike VM alone, never the lazy DFA (the
+    /// pre-DFA behaviour, for baseline measurement).
+    pub fn is_match_pike(&self, input: &str) -> bool {
+        self.pike_match(input.as_bytes())
+    }
+
+    fn pike_match(&self, input: &[u8]) -> bool {
         let mut vm = self.vm_pool().pop().unwrap_or_default();
         let matched = vm.is_match(&self.program, input);
         self.vm_pool().push(vm);

@@ -9,6 +9,7 @@
 use regexlite::dfa::LazyDfa;
 use regexlite::nfa::{compile, Vm};
 use regexlite::parser::parse;
+use regexlite::Regex;
 
 /// Deterministic LCG (Numerical Recipes constants); good enough for
 /// structural fuzzing, and fully reproducible from the printed seed.
@@ -76,14 +77,27 @@ fn random_input(rng: &mut Lcg) -> String {
 
 /// Check DFA-vs-VM agreement for one compiled pattern over several
 /// inputs. `budget` limits the DFA's state count; a `None` answer
-/// (budget exhausted) is acceptable, a wrong answer is not.
+/// (budget exhausted) is acceptable, a wrong answer is not. The public
+/// `Regex` entry points — lazy DFA with fallback, and Pike VM alone —
+/// must give the Pike VM's answer too.
 fn check(pattern: &str, inputs: &[String], budget: usize) {
     let ast = parse(pattern).expect("generated patterns are valid");
     let prog = compile(&ast).expect("generated patterns compile");
     let mut dfa = LazyDfa::with_budget(&prog, budget);
+    let re = Regex::with_dfa_budget(pattern, budget).expect("generated patterns compile");
     let mut vm = Vm::new();
     for input in inputs {
         let expected = vm.is_match(&prog, input.as_bytes());
+        assert_eq!(
+            re.is_match(input),
+            expected,
+            "pattern={pattern:?} input={input:?}"
+        );
+        assert_eq!(
+            re.is_match_pike(input),
+            expected,
+            "pattern={pattern:?} input={input:?}"
+        );
         if let Some(got) = dfa.try_match(&prog, input.as_bytes()) {
             assert_eq!(
                 got, expected,

@@ -77,8 +77,9 @@ pub enum Fault {
     Slow(Duration),
     /// Sever the connection at the given phase.
     Drop(DropPhase),
-    /// Arm `sqlexec`'s one-shot pool-worker panic and force the
-    /// partitioned pipeline, poisoning shared locks for recovery.
+    /// Run this query on the partitioned pipeline with a panic in its
+    /// pool tasks (`ExecOptions::worker_panic`), poisoning shared locks
+    /// for recovery.
     Poison,
 }
 

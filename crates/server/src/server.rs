@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use ppf_core::{CancelToken, QueryLimits, ReloadError, SharedEngine, XmlDb};
+use ppf_core::{CancelToken, ExecOptions, QueryLimits, ReloadError, SharedEngine, XmlDb};
 
 use crate::admission::{Admission, AdmissionPolicy, ShedReason, Slot};
 use crate::event_loop::{self, Conn, Delivery, EventLoops};
@@ -796,24 +796,22 @@ fn run_admitted(
         limits = limits.with_max_rows(n);
     }
 
-    // `Poison` forces the partitioned pipeline on this thread and arms a
-    // one-shot pool-worker panic: the shared caches get poisoned under a
+    // `Poison` runs this one query on the partitioned pipeline with a
+    // panic in its pool tasks: the shared caches get poisoned under a
     // real lock holder and must recover (counted in the registry).
-    let prev_mode = matches!(fault, Fault::Poison).then(|| {
-        sqlexec::exec::test_hooks::arm_worker_panic();
-        sqlexec::set_parallel_mode(sqlexec::ParallelMode::ForceOn)
+    let opts = matches!(fault, Fault::Poison).then(|| ExecOptions {
+        parallel: sqlexec::ParallelMode::ForceOn,
+        worker_panic: true,
+        ..ExecOptions::default()
     });
     let t0 = Instant::now();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if matches!(fault, Fault::Panic) {
             panic!("chaos: injected worker panic");
         }
-        execute(inner, req, &limits)
+        execute(inner, req, &limits, opts)
     }));
     let elapsed = t0.elapsed();
-    if let Some(prev) = prev_mode {
-        sqlexec::set_parallel_mode(prev);
-    }
 
     let (resp, rows, phases, verdict) = match outcome {
         Ok(Ok((body, phases, rows, version))) => (
@@ -908,19 +906,25 @@ fn complete(
 /// `version=` header stamp).
 type Executed = (String, Option<[u64; 5]>, u64, u64);
 
-/// Execute the engine work for one request. Each request pins exactly
+/// Execute the engine work for one request, under `opts` when given
+/// instead of the engine's own options. Each request pins exactly
 /// one snapshot, so a query racing a reload is answered wholly by the
 /// version it stamps.
 fn execute(
     inner: &Inner,
     req: &Request,
     limits: &QueryLimits,
+    opts: Option<ExecOptions>,
 ) -> Result<Executed, ppf_core::QueryError> {
     match req.verb {
         Verb::Query => {
-            let result = inner
-                .engine
-                .query_with_limits(req.body.trim(), limits.clone())?;
+            let xpath = req.body.trim();
+            let result = match opts {
+                Some(opts) => inner
+                    .engine
+                    .query_with_options(xpath, limits.clone(), opts)?,
+                None => inner.engine.query_with_limits(xpath, limits.clone())?,
+            };
             let ids = result.ids();
             let e = &result.engine;
             let phases = Some([
@@ -957,10 +961,13 @@ fn execute(
             let t = snap.translate(req.body.trim())?;
             let body = match t.stmt {
                 None => "(statically empty)".to_string(),
-                Some(stmt) => {
-                    sqlexec::explain_analyze_with_limits(snap.db(), &stmt, limits.clone())
-                        .map_err(ppf_core::QueryError::from)?
-                }
+                Some(stmt) => sqlexec::explain_analyze_with_limits(
+                    snap.db(),
+                    &stmt,
+                    limits.clone(),
+                    opts.unwrap_or_default(),
+                )
+                .map_err(ppf_core::QueryError::from)?,
             };
             Ok((body, None, 0, snap.version()))
         }

@@ -15,8 +15,8 @@ use regexlite::Regex;
 use relstore::{Database, RowId, Table, Value};
 
 use crate::ast::{ArithOp, CmpOp, Expr, Select, SelectStmt};
-use crate::par_cost;
-use crate::plan::{plan_select, Access, ExecError, SelectPlan, Step};
+use crate::par_cost::{self, CostModel};
+use crate::plan::{plan_select_with, Access, ExecError, MergeMode, SelectPlan, Step};
 
 mod tail;
 use tail::{project_row, KeyKind, KeyedRow};
@@ -334,33 +334,12 @@ impl QueryLimits {
 /// only the clock read and the token load are decimated.
 const LIMIT_CHECK_INTERVAL: u64 = 256;
 
-/// Test-only fault injection, compiled in unconditionally so integration
-/// tests (and the CI poison-recovery stress step) can exercise the
-/// panic-containment path through the public API.
-#[doc(hidden)]
-pub mod test_hooks {
-    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-
-    static PANIC_NEXT_WORKER: AtomicBool = AtomicBool::new(false);
-
-    /// Arm a one-shot panic in the next partitioned-branch pool task.
-    pub fn arm_worker_panic() {
-        PANIC_NEXT_WORKER.store(true, SeqCst);
-    }
-
-    pub(crate) fn take_worker_panic() -> bool {
-        PANIC_NEXT_WORKER.swap(false, SeqCst)
-    }
-}
-
-/// Intra-query parallelism strategy for this thread's executors: `Auto`
-/// partitions when the outer run (or filter scan) is large enough to pay
-/// for the fan-out, `ForceOff` pins the original serial pipeline, and
-/// `ForceOn` partitions whenever there are at least two rows to split —
-/// the A/B lever equivalence tests and `perf_check` use. Thread-local so
-/// concurrently running tests cannot perturb each other; partition
-/// workers inherit the coordinator's setting (pinned to `ForceOff`
-/// inside a worker — parallelism never nests).
+/// Intra-query parallelism strategy: `Auto` partitions when the cost
+/// model says the outer run (or filter scan) is large enough to pay for
+/// the fan-out, `ForceOff` pins the serial pipeline, and `ForceOn`
+/// partitions whenever there are at least two rows to split — the A/B
+/// lever equivalence tests and `perf_check` use. Partition workers always
+/// run `ForceOff`: parallelism never nests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelMode {
     #[default]
@@ -369,19 +348,61 @@ pub enum ParallelMode {
     ForceOn,
 }
 
-thread_local! {
-    static PARALLEL_MODE: std::cell::Cell<ParallelMode> =
-        const { std::cell::Cell::new(ParallelMode::Auto) };
+/// Every plan and execution choice a caller may pin, as one value. An
+/// [`Executor`] carries it, its planner reads it, and its partition
+/// workers get a copy (with `parallel: ForceOff`), so nothing about how
+/// a query runs is read from the thread or the process. `Default` is the
+/// serving behaviour; tests and benches build the variants they compare.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExecOptions {
+    /// Intra-query parallelism strategy.
+    pub parallel: ParallelMode,
+    /// Merge cursor vs index nested-loop for two-sided ranges.
+    pub merge: MergeMode,
+    /// Whether the planner reads table statistics. Off, every estimate
+    /// falls back to fixed selectivity constants (the pre-statistics
+    /// planner, kept for A/B measurement by `plan_quality`).
+    pub stats: bool,
+    /// Whether the compiled-regex cache and the path-filter memo are
+    /// used. Off, every `REGEXP_LIKE` evaluation compiles its pattern and
+    /// every path filter scans its table (for `perf_check`'s baseline).
+    pub filter_caches: bool,
+    /// Whether `REGEXP_LIKE` matches on the lazy DFA. Off, every match
+    /// runs on the Pike VM.
+    pub dfa: bool,
+    /// A pinned cost model for `Auto` fork decisions: used verbatim, with
+    /// no calibration, learning or exploration, so decisions are a pure
+    /// function of the model and the inputs. `None` is the live model.
+    pub cost_model: Option<CostModel>,
+    /// Panic inside every partitioned-branch pool task (fault injection
+    /// for the panic-containment tests and the server's `poison` fault).
+    #[doc(hidden)]
+    pub worker_panic: bool,
 }
 
-/// Set this thread's parallel-execution mode, returning the previous one.
-pub fn set_parallel_mode(mode: ParallelMode) -> ParallelMode {
-    PARALLEL_MODE.with(|m| m.replace(mode))
+impl Default for ExecOptions {
+    fn default() -> ExecOptions {
+        ExecOptions {
+            parallel: ParallelMode::Auto,
+            merge: MergeMode::Auto,
+            stats: true,
+            filter_caches: true,
+            dfa: true,
+            cost_model: None,
+            worker_panic: false,
+        }
+    }
 }
 
-/// This thread's current parallel-execution mode.
-pub fn parallel_mode() -> ParallelMode {
-    PARALLEL_MODE.with(|m| m.get())
+impl ExecOptions {
+    /// `REGEXP_LIKE` under these options: the lazy DFA or the Pike VM.
+    fn is_match(&self, re: &Regex, s: &str) -> bool {
+        if self.dfa {
+            re.is_match(s)
+        } else {
+            re.is_match_pike(s)
+        }
+    }
 }
 
 // `Auto` fork decisions are priced by the measured cost model in
@@ -394,25 +415,6 @@ pub fn parallel_mode() -> ParallelMode {
 /// capped at twice the pool width.
 fn force_on_chunks(n: usize, threads: usize) -> usize {
     n.min(threads * 2).max(2)
-}
-
-thread_local! {
-    static FILTER_CACHES: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
-}
-
-/// Enable or disable the compiled-regex cache and the path-filter memo
-/// for this thread, returning the previous setting. Disabling restores
-/// the engine's original behaviour — one regex compilation per
-/// `REGEXP_LIKE` *evaluation* and a fresh filter scan per query — and
-/// exists so A/B benchmarks (`perf_check`) can measure the caches'
-/// contribution honestly.
-pub fn set_filter_caches_enabled(on: bool) -> bool {
-    FILTER_CACHES.with(|c| c.replace(on))
-}
-
-/// Whether this thread's regex cache and path-filter memo are active.
-pub fn filter_caches_enabled() -> bool {
-    FILTER_CACHES.with(|c| c.get())
 }
 
 /// Row-emission callback threaded through the nested-loop machinery;
@@ -521,6 +523,7 @@ type PlanSnapshot = Arc<HashMap<usize, Arc<SelectPlan>>>;
 /// The SQL executor. Borrow a database, run statements.
 pub struct Executor<'db> {
     db: &'db Database,
+    pub(crate) opts: ExecOptions,
     stats: RefCell<ExecStats>,
     /// Per-statement plan cache keyed by `Select` address; cleared at each
     /// top-level `run` so addresses cannot dangle across statements.
@@ -579,9 +582,16 @@ pub struct Executor<'db> {
 }
 
 impl<'db> Executor<'db> {
+    /// An executor under the default (serving) [`ExecOptions`].
     pub fn new(db: &'db Database) -> Executor<'db> {
+        Executor::with_options(db, ExecOptions::default())
+    }
+
+    /// An executor whose planner and pipeline follow `opts`.
+    pub fn with_options(db: &'db Database, opts: ExecOptions) -> Executor<'db> {
         Executor {
             db,
+            opts,
             stats: RefCell::new(ExecStats::default()),
             plans: RefCell::new(HashMap::new()),
             seeded: RefCell::new(HashMap::new()),
@@ -936,7 +946,7 @@ impl<'db> Executor<'db> {
         if arms < 2 {
             return Ok(None);
         }
-        let mode = parallel_mode();
+        let mode = self.opts.parallel;
         let pool = ppf_pool::global();
         let threads = pool.threads();
         if mode == ParallelMode::ForceOff || threads <= 1 {
@@ -964,7 +974,13 @@ impl<'db> Executor<'db> {
                 est_ns: 0.0,
             },
             _ => {
-                let d = par_cost::decide(par_cost::WorkKind::Union, est_work, arms, threads);
+                let d = par_cost::decide(
+                    par_cost::WorkKind::Union,
+                    est_work,
+                    arms,
+                    threads,
+                    self.opts.cost_model,
+                );
                 self.log_par_decision(par_cost::describe(par_cost::WorkKind::Union, &d));
                 d
             }
@@ -977,8 +993,10 @@ impl<'db> Executor<'db> {
             stats.par_tasks += 1;
             stats.par_chunks += arms as u64;
         }
-        let mm = crate::plan::merge_mode();
-        let fc = filter_caches_enabled();
+        let worker_opts = ExecOptions {
+            parallel: ParallelMode::ForceOff,
+            ..self.opts
+        };
         let profiling = self.profiling.get();
         let snapshot = self.snapshot_for_workers();
         let sc = self.share_caches();
@@ -990,11 +1008,8 @@ impl<'db> Executor<'db> {
             .try_map_ranges(&ranges, |i, _| {
                 let t_chunk = Instant::now();
                 obs::profile::record(obs::profile::EventKind::ChunkStart, 1);
-                let prev_mm = crate::plan::set_merge_mode(mm);
-                let prev_fc = set_filter_caches_enabled(fc);
-                let prev_pm = set_parallel_mode(ParallelMode::ForceOff);
                 let sel = &stmt.branches[i];
-                let exec = Executor::new(db);
+                let exec = Executor::with_options(db, worker_opts);
                 exec.seed_plans_shared(snapshot.clone());
                 exec.attach_shared_caches(sc.clone());
                 exec.set_profiling(profiling);
@@ -1015,9 +1030,6 @@ impl<'db> Executor<'db> {
                     step_stats: exec.step_stats.borrow().clone(),
                     plans: exec.plan_snapshot(),
                 };
-                crate::plan::set_merge_mode(prev_mm);
-                set_filter_caches_enabled(prev_fc);
-                set_parallel_mode(prev_pm);
                 obs::profile::record(obs::profile::EventKind::ChunkEnd, result.rows.len() as u64);
                 result
             })
@@ -1035,9 +1047,7 @@ impl<'db> Executor<'db> {
             }
             all.extend(part.rows);
         }
-        if mode == ParallelMode::Auto {
-            par_cost::note_fork(busy, wall, threads);
-        }
+        self.note_fork(busy, wall, threads);
         match first_err {
             Some(e) => Err(e),
             None => Ok(Some(all)),
@@ -1059,7 +1069,7 @@ impl<'db> Executor<'db> {
         sel: &Select,
         keys: &[(KeyKind, bool)],
     ) -> Result<Option<Vec<KeyedRow>>, ExecError> {
-        let mode = parallel_mode();
+        let mode = self.opts.parallel;
         let pool = ppf_pool::global();
         if mode == ParallelMode::ForceOff || pool.threads() <= 1 {
             return Ok(None);
@@ -1130,7 +1140,13 @@ impl<'db> Executor<'db> {
             },
             ParallelMode::ForceOn => par_cost::ParDecision::Serial("tiny"),
             _ => {
-                let d = par_cost::decide(par_cost::WorkKind::Branch, work, n, threads);
+                let d = par_cost::decide(
+                    par_cost::WorkKind::Branch,
+                    work,
+                    n,
+                    threads,
+                    self.opts.cost_model,
+                );
                 self.log_par_decision(par_cost::describe(par_cost::WorkKind::Branch, &d));
                 d
             }
@@ -1184,13 +1200,7 @@ impl<'db> Executor<'db> {
                 )
             };
             self.put_row_buf(probe_rows);
-            if let Some(t) = t_serial {
-                par_cost::note_serial(
-                    par_cost::WorkKind::Branch,
-                    work,
-                    t.elapsed().as_nanos() as u64,
-                );
-            }
+            self.note_serial(par_cost::WorkKind::Branch, work, t_serial);
             if let Some(t0) = t0 {
                 fill_local.elapsed_ns = t0.elapsed().as_nanos() as u64;
             }
@@ -1213,11 +1223,10 @@ impl<'db> Executor<'db> {
             let widest = ranges.iter().map(|r| r.len() as u64).max().unwrap_or(0);
             stats.par_chunk_rows_max = stats.par_chunk_rows_max.max(widest);
         }
-        // Workers run on pool threads *and* on this one (the coordinator
-        // helps drain the queue), so every thread-local the pipeline
-        // consults is captured here and restored on exit from each task.
-        let mm = crate::plan::merge_mode();
-        let fc = filter_caches_enabled();
+        let worker_opts = ExecOptions {
+            parallel: ParallelMode::ForceOff,
+            ..self.opts
+        };
         let profiling = self.profiling.get();
         let snapshot = self.snapshot_for_workers();
         let sc = self.share_caches();
@@ -1227,15 +1236,12 @@ impl<'db> Executor<'db> {
         let limits = self.limits();
         let t_fork = std::time::Instant::now();
         let parts = pool.try_map_ranges(&ranges, |_, range| {
-            if test_hooks::take_worker_panic() {
+            if worker_opts.worker_panic {
                 panic!("injected worker panic (test hook)");
             }
             let t_chunk = std::time::Instant::now();
             obs::profile::record(obs::profile::EventKind::ChunkStart, range.len() as u64);
-            let prev_mm = crate::plan::set_merge_mode(mm);
-            let prev_fc = set_filter_caches_enabled(fc);
-            let prev_pm = set_parallel_mode(ParallelMode::ForceOff);
-            let exec = Executor::new(db);
+            let exec = Executor::with_options(db, worker_opts);
             exec.seed_plans_shared(snapshot.clone());
             exec.attach_shared_caches(sc.clone());
             exec.set_profiling(profiling);
@@ -1287,19 +1293,14 @@ impl<'db> Executor<'db> {
                 step_stats: exec.step_stats.borrow().clone(),
                 plans: exec.plan_snapshot(),
             };
-            crate::plan::set_merge_mode(prev_mm);
-            set_filter_caches_enabled(prev_fc);
-            set_parallel_mode(prev_pm);
             obs::profile::record(obs::profile::EventKind::ChunkEnd, result.rows.len() as u64);
             result
         });
         self.put_row_buf(probe_rows);
         let parts: Vec<WorkerResult> = parts
             .map_err(|p| ExecError::exec(format!("parallel worker panicked: {}", p.message)))?;
-        if mode == ParallelMode::Auto {
-            let busy: u64 = parts.iter().map(|p| p.busy_ns).sum();
-            par_cost::note_fork(busy, t_fork.elapsed().as_nanos() as u64, threads);
-        }
+        let busy: u64 = parts.iter().map(|p| p.busy_ns).sum();
+        self.note_fork(busy, t_fork.elapsed().as_nanos() as u64, threads);
 
         let mut rows = Vec::new();
         let mut total_count: i64 = 0;
@@ -1433,7 +1434,7 @@ impl<'db> Executor<'db> {
             .iter()
             .map(|b| (b.alias.to_string(), b.table.schema.name.clone()))
             .collect();
-        let plan = Arc::new(plan_select(self.db, sel, &outer)?);
+        let plan = Arc::new(plan_select_with(self.db, sel, &outer, &self.opts)?);
         self.plans.borrow_mut().insert(key, plan.clone());
         Ok(plan)
     }
@@ -1813,7 +1814,7 @@ impl<'db> Executor<'db> {
         local: &mut OpStats,
         probe_rows: &mut Vec<RowId>,
     ) -> Result<Option<usize>, ExecError> {
-        if !filter_caches_enabled() {
+        if !self.opts.filter_caches {
             return Ok(None);
         }
         let mut found: Option<(usize, usize, &str)> = None;
@@ -1875,38 +1876,9 @@ impl<'db> Executor<'db> {
     ) -> Result<Vec<RowId>, ExecError> {
         let pool = ppf_pool::global();
         let len = table.len();
-        let mode = parallel_mode();
+        let mode = self.opts.parallel;
         let threads = pool.threads();
-        let mut decision = par_cost::ParDecision::Serial("off");
-        match mode {
-            ParallelMode::ForceOff => {}
-            ParallelMode::ForceOn => {
-                if threads > 1 && len >= 2 {
-                    decision = par_cost::ParDecision::Fork {
-                        chunks: force_on_chunks(len, threads),
-                        est_ns: 0.0,
-                    };
-                }
-            }
-            ParallelMode::Auto => {
-                if threads > 1 {
-                    if pool.is_saturated() {
-                        self.stats.borrow_mut().par_degraded += 1;
-                    } else {
-                        decision = par_cost::decide(
-                            par_cost::WorkKind::FilterScan,
-                            len as f64,
-                            len,
-                            threads,
-                        );
-                        self.log_par_decision(par_cost::describe(
-                            par_cost::WorkKind::FilterScan,
-                            &decision,
-                        ));
-                    }
-                }
-            }
-        }
+        let decision = self.fan_out(&pool, mode, par_cost::WorkKind::FilterScan, len as f64, len);
         let par_cost::ParDecision::Fork { chunks, .. } = decision else {
             let t0 = (mode == ParallelMode::Auto && threads > 1).then(std::time::Instant::now);
             let mut out = Vec::new();
@@ -1914,18 +1886,12 @@ impl<'db> Executor<'db> {
                 self.charge_rows(1)?;
                 // NULLs never match (three-valued logic rejects the row).
                 if let Value::Str(s) = &row[ci] {
-                    if re.is_match(s) {
+                    if self.opts.is_match(re, s) {
                         out.push(rid);
                     }
                 }
             }
-            if let Some(t0) = t0 {
-                par_cost::note_serial(
-                    par_cost::WorkKind::FilterScan,
-                    len as f64,
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
+            self.note_serial(par_cost::WorkKind::FilterScan, len as f64, t0);
             return Ok(out);
         };
         let ranges = ppf_pool::even_ranges(len, chunks);
@@ -1938,6 +1904,7 @@ impl<'db> Executor<'db> {
             stats.par_chunk_rows_max = stats.par_chunk_rows_max.max(widest);
         }
         let limits = self.limits();
+        let opts = self.opts;
         let busy = std::sync::atomic::AtomicU64::new(0);
         let t_fork = std::time::Instant::now();
         let parts = pool
@@ -1950,7 +1917,7 @@ impl<'db> Executor<'db> {
                 let mut out = Vec::new();
                 for rid in range {
                     if let Value::Str(s) = &table.row(rid)[ci] {
-                        if re.is_match(s) {
+                        if opts.is_match(re, s) {
                             out.push(rid);
                         }
                     }
@@ -1965,13 +1932,11 @@ impl<'db> Executor<'db> {
                     p.message
                 ))
             })?;
-        if mode == ParallelMode::Auto {
-            par_cost::note_fork(
-                busy.load(Relaxed),
-                t_fork.elapsed().as_nanos() as u64,
-                threads,
-            );
-        }
+        self.note_fork(
+            busy.load(Relaxed),
+            t_fork.elapsed().as_nanos() as u64,
+            threads,
+        );
         let mut survivors = Vec::new();
         for part in parts {
             survivors.extend(part?);
@@ -1980,9 +1945,58 @@ impl<'db> Executor<'db> {
         Ok(survivors)
     }
 
+    /// The fork-or-serial decision for a scan or sort over `n` rows,
+    /// `work` in cost-model units: `ForceOn` splits anything splittable,
+    /// `Auto` asks the cost model and logs its answer unless every pool
+    /// worker is already busy.
+    fn fan_out(
+        &self,
+        pool: &ppf_pool::Pool,
+        mode: ParallelMode,
+        kind: par_cost::WorkKind,
+        work: f64,
+        n: usize,
+    ) -> par_cost::ParDecision {
+        let threads = pool.threads();
+        match mode {
+            ParallelMode::ForceOn if threads > 1 && n >= 2 => par_cost::ParDecision::Fork {
+                chunks: force_on_chunks(n, threads),
+                est_ns: 0.0,
+            },
+            ParallelMode::Auto if threads > 1 && pool.is_saturated() => {
+                self.stats.borrow_mut().par_degraded += 1;
+                par_cost::ParDecision::Serial("off")
+            }
+            ParallelMode::Auto if threads > 1 => {
+                let d = par_cost::decide(kind, work, n, threads, self.opts.cost_model);
+                self.log_par_decision(par_cost::describe(kind, &d));
+                d
+            }
+            _ => par_cost::ParDecision::Serial("off"),
+        }
+    }
+
+    /// Feed a serial run timed from `start` to the cost model. Callers
+    /// take `start` only when `Auto` runs on a multi-thread pool, the
+    /// runs the model learns per-row costs from.
+    fn note_serial(&self, kind: par_cost::WorkKind, work: f64, start: Option<Instant>) {
+        if let Some(t0) = start {
+            let wall_ns = t0.elapsed().as_nanos() as u64;
+            par_cost::note_serial(kind, work, wall_ns, self.opts.cost_model);
+        }
+    }
+
+    /// Feed a fork's work (`busy_ns`, summed over its chunks) and span
+    /// (`wall_ns`) to the cost model, when `Auto` chose it.
+    fn note_fork(&self, busy_ns: u64, wall_ns: u64, threads: usize) {
+        if self.opts.parallel == ParallelMode::Auto {
+            par_cost::note_fork(busy_ns, wall_ns, threads, self.opts.cost_model);
+        }
+    }
+
     /// Fetch (or compile into) the process-wide program cache.
     fn cached_regex(&self, pattern: &str) -> Result<Arc<Regex>, ExecError> {
-        if filter_caches_enabled() {
+        if self.opts.filter_caches {
             if let Some(r) = regex_cache().get(pattern) {
                 return Ok(r);
             }
@@ -1990,7 +2004,7 @@ impl<'db> Executor<'db> {
         let compiled = Regex::new(pattern)
             .map_err(|e| ExecError::exec(format!("bad regex `{pattern}`: {e}")))?;
         let rc = Arc::new(compiled);
-        if filter_caches_enabled() {
+        if self.opts.filter_caches {
             regex_cache().insert(pattern.to_string(), rc.clone());
         }
         Ok(rc)
@@ -2043,10 +2057,7 @@ impl<'db> Executor<'db> {
                     // would let the coordinator help-drain foreign tasks
                     // that want another statement's cache lock — a cycle.
                     // Sibling chunk workers are pinned serial anyway.
-                    let prev = set_parallel_mode(ParallelMode::ForceOff);
-                    let built = self.build_hash_side(table, column);
-                    set_parallel_mode(prev);
-                    let rc = built?;
+                    let rc = self.build_hash_side(table, column, ParallelMode::ForceOff)?;
                     map.insert(key.clone(), rc.clone());
                     rc
                 }
@@ -2055,51 +2066,26 @@ impl<'db> Executor<'db> {
             self.hash_builds.borrow_mut().insert(key, rc.clone());
             return Ok(rc);
         }
-        let rc = self.build_hash_side(table, column)?;
+        let rc = self.build_hash_side(table, column, self.opts.parallel)?;
         self.hash_builds.borrow_mut().insert(key, rc.clone());
         Ok(rc)
     }
 
     /// Scan `table` into a build-side map, partitioned across the pool
-    /// when the cost model (or ForceOn) says the scan is wide enough.
+    /// when `mode`'s cost model (or ForceOn) says the scan is wide enough.
     /// Row ids are dense indices, so per-range maps merged in range
     /// order reproduce the serial ascending-rid postings exactly;
     /// `rows_scanned` is charged once for the whole table either way.
-    fn build_hash_side(&self, table: &'db Table, column: usize) -> Result<HashBuild, ExecError> {
+    fn build_hash_side(
+        &self,
+        table: &'db Table,
+        column: usize,
+        mode: ParallelMode,
+    ) -> Result<HashBuild, ExecError> {
         let len = table.len();
-        let mode = parallel_mode();
         let pool = ppf_pool::global();
         let threads = pool.threads();
-        let mut decision = par_cost::ParDecision::Serial("off");
-        match mode {
-            ParallelMode::ForceOff => {}
-            ParallelMode::ForceOn => {
-                if threads > 1 && len >= 2 {
-                    decision = par_cost::ParDecision::Fork {
-                        chunks: force_on_chunks(len, threads),
-                        est_ns: 0.0,
-                    };
-                }
-            }
-            ParallelMode::Auto => {
-                if threads > 1 {
-                    if pool.is_saturated() {
-                        self.stats.borrow_mut().par_degraded += 1;
-                    } else {
-                        decision = par_cost::decide(
-                            par_cost::WorkKind::HashBuild,
-                            len as f64,
-                            len,
-                            threads,
-                        );
-                        self.log_par_decision(par_cost::describe(
-                            par_cost::WorkKind::HashBuild,
-                            &decision,
-                        ));
-                    }
-                }
-            }
-        }
+        let decision = self.fan_out(&pool, mode, par_cost::WorkKind::HashBuild, len as f64, len);
         let par_cost::ParDecision::Fork { chunks, .. } = decision else {
             let t0 = (mode == ParallelMode::Auto && threads > 1).then(std::time::Instant::now);
             let mut map: std::collections::BTreeMap<Value, Vec<RowId>> =
@@ -2110,13 +2096,7 @@ impl<'db> Executor<'db> {
                 }
             }
             self.stats.borrow_mut().rows_scanned += len as u64;
-            if let Some(t0) = t0 {
-                par_cost::note_serial(
-                    par_cost::WorkKind::HashBuild,
-                    len as f64,
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
+            self.note_serial(par_cost::WorkKind::HashBuild, len as f64, t0);
             return Ok(Arc::new(map));
         };
         let ranges = ppf_pool::even_ranges(len, chunks);
@@ -2154,13 +2134,11 @@ impl<'db> Executor<'db> {
                     p.message
                 ))
             })?;
-        if mode == ParallelMode::Auto {
-            par_cost::note_fork(
-                busy.load(Relaxed),
-                t_fork.elapsed().as_nanos() as u64,
-                threads,
-            );
-        }
+        self.note_fork(
+            busy.load(Relaxed),
+            t_fork.elapsed().as_nanos() as u64,
+            threads,
+        );
         let mut merged: std::collections::BTreeMap<Value, Vec<RowId>> =
             std::collections::BTreeMap::new();
         for part in parts {
@@ -2269,7 +2247,7 @@ impl<'db> Executor<'db> {
                 Value::Null => Ok(Value::Null),
                 Value::Str(s) => {
                     let re = self.cached_regex(pattern)?;
-                    Ok(Value::Bool(re.is_match(s)))
+                    Ok(Value::Bool(self.opts.is_match(&re, s)))
                 }
                 other => Err(ExecError::exec(format!(
                     "REGEXP_LIKE subject must be text, got {other}"

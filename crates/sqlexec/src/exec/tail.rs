@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use relstore::Value;
 
-use super::{force_on_chunks, parallel_mode, Binding, Executor, ParallelMode};
+use super::{Binding, Executor, ParallelMode};
 use crate::ast::{Expr, Select, SelectStmt};
 use crate::par_cost;
 use crate::plan::ExecError;
@@ -112,46 +112,16 @@ impl<'db> Executor<'db> {
             return Ok(());
         }
         let n = rows.len();
-        let mode = parallel_mode();
+        let mode = self.opts.parallel;
         let pool = ppf_pool::global();
         let threads = pool.threads();
         // Comparison count of a merge sort: n·log₂n.
         let work = (n as f64) * (n as f64).log2().max(1.0);
-        let mut decision = par_cost::ParDecision::Serial("off");
-        match mode {
-            ParallelMode::ForceOff => {}
-            ParallelMode::ForceOn => {
-                if threads > 1 {
-                    decision = par_cost::ParDecision::Fork {
-                        chunks: force_on_chunks(n, threads),
-                        est_ns: 0.0,
-                    };
-                }
-            }
-            ParallelMode::Auto => {
-                if threads > 1 {
-                    if pool.is_saturated() {
-                        self.stats.borrow_mut().par_degraded += 1;
-                    } else {
-                        decision = par_cost::decide(par_cost::WorkKind::Sort, work, n, threads);
-                        self.log_par_decision(par_cost::describe(
-                            par_cost::WorkKind::Sort,
-                            &decision,
-                        ));
-                    }
-                }
-            }
-        }
+        let decision = self.fan_out(&pool, mode, par_cost::WorkKind::Sort, work, n);
         let par_cost::ParDecision::Fork { chunks, .. } = decision else {
             let t0 = (mode == ParallelMode::Auto && threads > 1).then(Instant::now);
             rows.sort_by(|a, b| cmp_keyed(keys, a, b));
-            if let Some(t0) = t0 {
-                par_cost::note_serial(
-                    par_cost::WorkKind::Sort,
-                    work,
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
+            self.note_serial(par_cost::WorkKind::Sort, work, t0);
             return Ok(());
         };
         self.check_limits_now()?;
@@ -225,16 +195,14 @@ impl<'db> Executor<'db> {
             pos[b] += 1;
         }
         *rows = out;
-        if mode == ParallelMode::Auto {
-            // The serial merge is work the parallel path does too: count
-            // it on both sides of the work/span ratio.
-            let merge_ns = t_merge.elapsed().as_nanos() as u64;
-            par_cost::note_fork(
-                busy.load(Relaxed) + merge_ns,
-                t0.elapsed().as_nanos() as u64,
-                threads,
-            );
-        }
+        // The serial merge is work the parallel path does too: count it
+        // on both sides of the work/span ratio.
+        let merge_ns = t_merge.elapsed().as_nanos() as u64;
+        self.note_fork(
+            busy.load(Relaxed) + merge_ns,
+            t0.elapsed().as_nanos() as u64,
+            threads,
+        );
         Ok(())
     }
 }

@@ -4,8 +4,8 @@
 //! actual rows, probes, and wall time measured by the executor.
 
 use crate::ast::{Expr, Select, SelectStmt};
-use crate::exec::Executor;
-use crate::plan::{plan_select, Access, ExecError};
+use crate::exec::{ExecOptions, Executor, QueryLimits};
+use crate::plan::{plan_select_with, Access, ExecError};
 use crate::render::render_expr;
 use relstore::Database;
 
@@ -22,20 +22,22 @@ pub fn explain_stmt(db: &Database, stmt: &SelectStmt) -> Result<String, ExecErro
 /// Subquery blocks that never executed (short-circuited away) render with
 /// `actual: never executed`.
 pub fn explain_analyze(db: &Database, stmt: &SelectStmt) -> Result<String, ExecError> {
-    explain_analyze_with_limits(db, stmt, crate::exec::QueryLimits::none())
+    explain_analyze_with_limits(db, stmt, QueryLimits::none(), ExecOptions::default())
 }
 
-/// [`explain_analyze`] under resource limits: the profiled execution
-/// respects the same deadline / scanned-row budget / cancel token a
-/// plain query would, so an `ANALYZE` of a pathological statement cannot
-/// run away (the shell's `.timeout`/`.maxrows` knobs and the server's
-/// per-query deadline both route through here).
+/// [`explain_analyze`] under resource limits and options: the profiled
+/// execution respects the same deadline / scanned-row budget / cancel
+/// token a plain query would, so an `ANALYZE` of a pathological
+/// statement cannot run away (the shell's `.timeout`/`.maxrows` knobs
+/// and the server's per-query deadline both route through here), and
+/// plans and runs under `opts`.
 pub fn explain_analyze_with_limits(
     db: &Database,
     stmt: &SelectStmt,
-    limits: crate::exec::QueryLimits,
+    limits: QueryLimits,
+    opts: ExecOptions,
 ) -> Result<String, ExecError> {
-    let exec = Executor::new(db);
+    let exec = Executor::with_options(db, opts);
     exec.set_profiling(true);
     exec.set_limits(limits);
     let t0 = std::time::Instant::now();
@@ -113,10 +115,14 @@ fn explain_select(
 ) -> Result<(), ExecError> {
     // Prefer the plan the executor actually ran: its residual expressions
     // are the clones whose subquery `Select` addresses key the recorded
-    // step stats. Fall back to fresh planning for blocks that never ran.
+    // step stats. Fall back to fresh planning, under the executor's
+    // options, for blocks that never ran.
     let plan = match exec.and_then(|e| e.cached_plan(sel)) {
         Some(p) => p,
-        None => std::sync::Arc::new(plan_select(db, sel, outer)?),
+        None => {
+            let opts = exec.map_or_else(ExecOptions::default, |e| e.opts);
+            std::sync::Arc::new(plan_select_with(db, sel, outer, &opts)?)
+        }
     };
     let actuals = exec.map(|e| e.step_stats(sel));
     for (i, step) in plan.steps.iter().enumerate() {

@@ -38,15 +38,11 @@ pub mod render;
 
 pub use ast::{ArithOp, CmpOp, Expr, OrderKey, Projection, Select, SelectStmt, TableRef};
 pub use exec::{
-    cache_poison_recoveries, clear_filter_caches, compare, filter_caches_enabled, naive_select,
-    parallel_mode, set_filter_caches_enabled, set_parallel_mode, CancelToken, ExecStats, Executor,
-    OpStats, ParallelMode, QueryLimits, ResultSet,
+    cache_poison_recoveries, clear_filter_caches, compare, naive_select, CancelToken, ExecOptions,
+    ExecStats, Executor, OpStats, ParallelMode, QueryLimits, ResultSet,
 };
 pub use explain::{explain_analyze, explain_analyze_with_limits, explain_stmt};
-pub use par_cost::{set_cost_override, CostModel, ParDecision};
+pub use par_cost::{CostModel, ParDecision};
 pub use parser::parse_sql;
-pub use plan::{
-    merge_mode, qerror, set_merge_mode, set_stats_enabled, stats_enabled, ExecError, MergeMode,
-    SelectPlan,
-};
+pub use plan::{qerror, ExecError, MergeMode, SelectPlan};
 pub use render::render_stmt;

@@ -49,9 +49,10 @@
 //! forks would otherwise compare fork walls against its own stale
 //! estimate forever and never notice the estimate had drifted.
 //!
-//! Tests pin the model with [`set_cost_override`] (thread-local), which
-//! also disables exploration so decisions are a pure function of the
-//! override and the inputs.
+//! Tests pin the model through `ExecOptions::cost_model`, which every
+//! entry point here takes as its `pinned` argument: a pinned model also
+//! disables learning and exploration, so decisions are a pure function
+//! of the model and the inputs.
 //!
 //! The `work` fed into `decide()` is the executor's fork-work product
 //! of per-step `est_fetched` estimates — so table statistics
@@ -231,22 +232,6 @@ pub fn explore_forks() -> u64 {
     EXPLORE_FORKS.load(Relaxed)
 }
 
-thread_local! {
-    static OVERRIDE: std::cell::Cell<Option<CostModel>> = const { std::cell::Cell::new(None) };
-}
-
-/// Pin this thread's cost model for tests, returning the previous
-/// override. A pinned model is used verbatim (no calibration, no
-/// learning, no exploration), so decisions become a pure function of
-/// the inputs. `None` restores the live model.
-pub fn set_cost_override(model: Option<CostModel>) -> Option<CostModel> {
-    OVERRIDE.with(|o| o.replace(model))
-}
-
-fn cost_override() -> Option<CostModel> {
-    OVERRIDE.with(|o| o.get())
-}
-
 // ----- calibration -----
 
 /// Measured `(fork_ns, chunk_ns, efficiency_prior)` per pool thread
@@ -384,12 +369,9 @@ fn calibrated(threads: usize) -> (f64, f64, f64) {
     (fork, chunk, efficiency)
 }
 
-/// The model as currently learned/calibrated (or the thread's override).
-/// `fork_ns`/`chunk_ns` are for the given pool size.
+/// The model as currently learned/calibrated. `fork_ns`/`chunk_ns` are
+/// for the given pool size.
 pub fn snapshot(threads: usize) -> CostModel {
-    if let Some(m) = cost_override() {
-        return m;
-    }
     let d = CostModel::default();
     let (fork_ns, chunk_ns, eff_prior) = calibrated(threads);
     CostModel {
@@ -440,17 +422,23 @@ fn price(m: &CostModel, kind: WorkKind, work: f64) -> f64 {
 
 /// Decide whether to fork `kind` over `rows` partitionable rows, where
 /// `work` is the estimated serial work in model units (rows × fan-out
-/// for branches, n·log₂n for sorts, plain row counts for scans). Applies
-/// the thread-local override when set; otherwise uses the learned model
+/// for branches, n·log₂n for sorts, plain row counts for scans). Prices
+/// with the `pinned` model when given; otherwise uses the learned model
 /// and may return an exploration fork for a decision it would have
 /// suppressed.
-pub fn decide(kind: WorkKind, work: f64, rows: usize, threads: usize) -> ParDecision {
+pub fn decide(
+    kind: WorkKind,
+    work: f64,
+    rows: usize,
+    threads: usize,
+    pinned: Option<CostModel>,
+) -> ParDecision {
     if rows < 2 || threads < 2 {
         // Same answer `decide_from` would give, reached without touching
         // the model — this is the common case on every serial operator.
         return ParDecision::Serial("tiny");
     }
-    if let Some(m) = cost_override() {
+    if let Some(m) = pinned {
         return decide_from(&m, price(&m, kind, work), rows, threads);
     }
     let m = snapshot(threads);
@@ -489,9 +477,10 @@ pub fn decide(kind: WorkKind, work: f64, rows: usize, threads: usize) -> ParDeci
 const MIN_LEARN_ROWS: f64 = 64.0;
 
 /// Feed one *serial* execution's measured cost back into the per-row
-/// EWMA for `kind`. `work` is in the same units as [`decide`]'s.
-pub fn note_serial(kind: WorkKind, work: f64, wall_ns: u64) {
-    if cost_override().is_some() || work < MIN_LEARN_ROWS || wall_ns == 0 {
+/// EWMA for `kind`. `work` is in the same units as [`decide`]'s. A
+/// `pinned` model learns nothing.
+pub fn note_serial(kind: WorkKind, work: f64, wall_ns: u64, pinned: Option<CostModel>) {
+    if pinned.is_some() || work < MIN_LEARN_ROWS || wall_ns == 0 {
         return;
     }
     let per_unit = (wall_ns as f64 / work).clamp(1.0, 1_000_000.0);
@@ -511,9 +500,10 @@ pub fn note_serial(kind: WorkKind, work: f64, wall_ns: u64) {
 /// estimate*, which is circular — an inflated per-row cost reads as a
 /// phantom speedup and keeps the model forking on hosts where forking
 /// loses. Work/span involves no estimate: on one core busy ≈ wall and
-/// efficiency converges to 0; on N cores busy approaches N × wall.
-pub fn note_fork(busy_ns: u64, wall_ns: u64, threads: usize) {
-    if cost_override().is_some() || threads < 2 || wall_ns == 0 || busy_ns == 0 {
+/// efficiency converges to 0; on N cores busy approaches N × wall. A
+/// `pinned` model learns nothing.
+pub fn note_fork(busy_ns: u64, wall_ns: u64, threads: usize, pinned: Option<CostModel>) {
+    if pinned.is_some() || threads < 2 || wall_ns == 0 || busy_ns == 0 {
         return;
     }
     let speedup_obs = (busy_ns as f64 / wall_ns as f64).clamp(0.05, threads as f64);
@@ -602,17 +592,16 @@ mod tests {
     }
 
     #[test]
-    fn override_pins_decisions_and_disables_learning() {
-        let prev = set_cost_override(Some(flat(1.0)));
-        // With the override pinned, decide() is deterministic and
+    fn pinned_model_fixes_decisions_and_disables_learning() {
+        let pinned = Some(flat(1.0));
+        // With the model pinned, decide() is deterministic and
         // observations are discarded.
-        let d1 = decide(WorkKind::Branch, 1_000_000.0, 1_000_000, 4);
-        note_serial(WorkKind::Branch, 1_000_000.0, 1);
-        note_fork(1_000_000_000, 1, 4);
-        let d2 = decide(WorkKind::Branch, 1_000_000.0, 1_000_000, 4);
+        let d1 = decide(WorkKind::Branch, 1_000_000.0, 1_000_000, 4, pinned);
+        note_serial(WorkKind::Branch, 1_000_000.0, 1, pinned);
+        note_fork(1_000_000_000, 1, 4, pinned);
+        let d2 = decide(WorkKind::Branch, 1_000_000.0, 1_000_000, 4, pinned);
         assert_eq!(d1, d2);
         assert!(d1.is_fork());
-        set_cost_override(prev);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use std::collections::BTreeSet;
 
 use crate::ast::{CmpOp, Expr, Select};
+use crate::exec::ExecOptions;
 use relstore::{Database, Table, Value};
 
 /// Planner/executor error, classified by lifecycle phase so callers (the
@@ -164,7 +165,7 @@ pub struct SelectPlan {
 
 /// Fallback selectivity guesses, used when table statistics are absent
 /// (nothing analyzed since the table's last mutation) or when
-/// statistics consumption is disabled via [`set_stats_enabled`]. The
+/// statistics consumption is disabled (`ExecOptions::stats`). The
 /// absolute values matter less than the ordering: equality < range <
 /// regex < everything.
 mod sel {
@@ -175,24 +176,6 @@ mod sel {
     pub const RANGE_ONE_SIDED: f64 = 0.5;
     pub const REGEX: f64 = 0.05;
     pub const OTHER: f64 = 0.5;
-}
-
-thread_local! {
-    static STATS_ENABLED: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
-}
-
-/// Enable or disable consumption of `relstore::stats` table statistics
-/// by this thread's planner, returning the previous setting. Disabled,
-/// every estimate falls back to the fixed `sel::*` constants and the
-/// legacy merge thresholds — the pre-statistics planner, kept for A/B
-/// benchmarking (`plan_quality`) and regression triage.
-pub fn set_stats_enabled(on: bool) -> bool {
-    STATS_ENABLED.with(|c| c.replace(on))
-}
-
-/// Whether this thread's planner consumes table statistics.
-pub fn stats_enabled() -> bool {
-    STATS_ENABLED.with(|c| c.get())
 }
 
 /// The q-error of one estimate: `max(est, act) / min(est, act)`, both
@@ -207,28 +190,13 @@ pub fn qerror(est: f64, act: f64) -> f64 {
 /// How the planner decides between the B-tree range probe and the
 /// sort-merge cursor for two-sided ranges. `Auto` applies the cardinality
 /// thresholds; the forced modes exist for equivalence tests and A/B
-/// benchmarks.
+/// benchmarks (`ExecOptions::merge`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MergeMode {
     #[default]
     Auto,
     ForceOff,
     ForceOn,
-}
-
-thread_local! {
-    static MERGE_MODE: std::cell::Cell<MergeMode> = const { std::cell::Cell::new(MergeMode::Auto) };
-}
-
-/// Set the structural-join strategy override for plans built on this
-/// thread (executors are single-threaded). Returns the previous mode.
-pub fn set_merge_mode(mode: MergeMode) -> MergeMode {
-    MERGE_MODE.with(|m| m.replace(mode))
-}
-
-/// The current structural-join strategy override.
-pub fn merge_mode() -> MergeMode {
-    MERGE_MODE.with(|m| m.get())
 }
 
 /// Legacy `Auto` thresholds (used when no statistics exist for the
@@ -247,15 +215,15 @@ const MERGE_MIN_TABLE: usize = 256;
 /// one amortized cursor advance per outer row. The legacy constants are
 /// the n = 256 corner of the same inequality (crossover at
 /// `est_outer = 32`), so un-analyzed tables behave exactly as before.
-fn want_merge(table: &Table, two_sided: bool, est_outer: f64) -> bool {
-    match merge_mode() {
+fn want_merge(table: &Table, two_sided: bool, est_outer: f64, opts: &ExecOptions) -> bool {
+    match opts.merge {
         MergeMode::ForceOff => false,
         MergeMode::ForceOn => two_sided,
         MergeMode::Auto => {
             if !two_sided {
                 return false;
             }
-            let st = if stats_enabled() {
+            let st = if opts.stats {
                 relstore::stats::lookup(table)
             } else {
                 None
@@ -271,13 +239,24 @@ fn want_merge(table: &Table, two_sided: bool, est_outer: f64) -> bool {
     }
 }
 
-/// Plan a select given the aliases already bound by outer queries
-/// (`outer` pairs each alias with its table so probe expressions can be
-/// type-checked). Inner FROM aliases shadow same-named outer aliases.
+/// [`plan_select_with`] under the default options.
 pub fn plan_select(
     db: &Database,
     select: &Select,
     outer: &[(String, String)],
+) -> Result<SelectPlan, ExecError> {
+    plan_select_with(db, select, outer, &ExecOptions::default())
+}
+
+/// Plan a select given the aliases already bound by outer queries
+/// (`outer` pairs each alias with its table so probe expressions can be
+/// type-checked). Inner FROM aliases shadow same-named outer aliases.
+/// Of `opts`, the planner reads `merge` and `stats`.
+pub fn plan_select_with(
+    db: &Database,
+    select: &Select,
+    outer: &[(String, String)],
+    opts: &ExecOptions,
 ) -> Result<SelectPlan, ExecError> {
     for tref in &select.from {
         db.require(&tref.table)
@@ -310,7 +289,7 @@ pub fn plan_select(
     // Pick the join order: exhaustive left-deep enumeration for small
     // FROM lists (cost = sum of intermediate-result cardinality products),
     // greedy beyond that.
-    let order = choose_order(db, select, &conjuncts, outer);
+    let order = choose_order(db, select, &conjuncts, outer, opts.stats);
 
     let mut bound: Vec<String> = outer.iter().map(|(a, _)| a.clone()).collect();
     let mut steps: Vec<Step> = Vec::new();
@@ -330,6 +309,7 @@ pub fn plan_select(
             &conjuncts,
             &used,
             &bound,
+            opts.stats,
         );
         let mut step = build_step(
             db,
@@ -342,6 +322,7 @@ pub fn plan_select(
             &mut used,
             &bound,
             est_outer,
+            opts,
         );
         step.est_fetched = est_fetched;
         step.est_rows = est_rows;
@@ -536,6 +517,7 @@ fn choose_order(
     select: &Select,
     conjuncts: &[Expr],
     outer: &[(String, String)],
+    stats: bool,
 ) -> Vec<usize> {
     const EXHAUSTIVE_LIMIT: usize = 6;
     let n = select.from.len();
@@ -552,6 +534,7 @@ fn choose_order(
             conjuncts,
             &used,
             bound,
+            stats,
         );
         // Regular-expression filters are much costlier per row than
         // comparisons; charge them into the fetch cost so orders that
@@ -667,8 +650,8 @@ struct RangeEst {
 /// priority: full-prefix index equality, then an indexed range, then a
 /// full scan), `card` the rows surviving all residual filters.
 ///
-/// When statistics exist for the table's current contents (and
-/// [`stats_enabled`] holds), selectivities come from equi-depth
+/// When statistics exist for the table's current contents (and `stats`
+/// holds), selectivities come from equi-depth
 /// histograms: literal equality probes read the containing bucket's
 /// rows-per-distinct, correlated probes use the column-wide average
 /// depth, literal range/BETWEEN bounds interpolate cumulative bucket
@@ -686,9 +669,10 @@ fn estimate_access(
     conjuncts: &[Expr],
     used: &[bool],
     bound: &[String],
+    use_stats: bool,
 ) -> (f64, f64, usize) {
     let rows = table.len().max(1) as f64;
-    let stats = if stats_enabled() {
+    let stats = if use_stats {
         relstore::stats::lookup(table)
     } else {
         None
@@ -831,7 +815,7 @@ fn estimate_access(
                 let kept = table.filter_memo_get(ci, pattern)?.len();
                 Some((kept as f64 / rows).clamp(1e-4, 1.0))
             };
-            let f = if stats_enabled() {
+            let f = if use_stats {
                 learned().unwrap_or(sel::REGEX)
             } else {
                 sel::REGEX
@@ -939,6 +923,7 @@ fn build_step(
     used: &mut [bool],
     bound: &[String],
     est_outer: f64,
+    opts: &ExecOptions,
 ) -> Step {
     // Candidate equality probes: col -> (conjunct idx, probe expr).
     let mut eq_probes: Vec<(usize, usize, Expr)> = Vec::new(); // (col_idx, conj_idx, expr)
@@ -1030,7 +1015,7 @@ fn build_step(
         for (ix_pos, ix) in table.indexes().iter().enumerate() {
             let lead = ix.key_cols[0];
             if let Some((_, ci, lo, hi)) = between_probes.iter().find(|(c, ..)| *c == lead) {
-                let mk = if want_merge(table, true, est_outer) {
+                let mk = if want_merge(table, true, est_outer, opts) {
                     Access::MergeRange {
                         index: ix_pos,
                         lo: Some((lo.clone(), true)),
@@ -1071,7 +1056,7 @@ fn build_step(
                     consumed.push(i);
                     (e, inc)
                 });
-                let mk = if want_merge(table, two_sided, est_outer) {
+                let mk = if want_merge(table, two_sided, est_outer, opts) {
                     Access::MergeRange {
                         index: ix_pos,
                         lo,
@@ -1272,7 +1257,7 @@ mod tests {
 
     /// Estimate the first FROM table of `sql` against `db`, returning
     /// (fetched, card).
-    fn estimate(db: &Database, sql: &str) -> (f64, f64) {
+    fn estimate(db: &Database, sql: &str, stats: bool) -> (f64, f64) {
         let stmt = parse_sql(sql).expect("parse");
         let sel = &stmt.branches[0];
         let mut conjuncts = Vec::new();
@@ -1282,7 +1267,7 @@ mod tests {
         let used = vec![false; conjuncts.len()];
         let table = db.table(&sel.from[0].table).expect("table");
         let alias = sel.from[0].alias.clone();
-        let (f, c, _) = estimate_access(db, sel, &[], table, &alias, &conjuncts, &used, &[]);
+        let (f, c, _) = estimate_access(db, sel, &[], table, &alias, &conjuncts, &used, &[], stats);
         (f, c)
     }
 
@@ -1300,7 +1285,7 @@ mod tests {
             "select E.id from E where E.x = 7",
             "select E.id from E where E.x between 1 and 5",
         ] {
-            let (fetched, card) = estimate(&dbx, sql);
+            let (fetched, card) = estimate(&dbx, sql, true);
             assert!(fetched.is_finite() && fetched >= 0.5, "{sql}: {fetched}");
             assert!(card.is_finite() && card > 0.0, "{sql}: {card}");
             assert!(card <= fetched, "{sql}: card {card} > fetched {fetched}");
@@ -1320,11 +1305,11 @@ mod tests {
             .insert(vec![Value::Int(1), Value::Int(42)])
             .expect("row");
         relstore::stats::analyze_db(&dbx);
-        let (_, hit) = estimate(&dbx, "select O.id from O where O.x = 42");
+        let (_, hit) = estimate(&dbx, "select O.id from O where O.x = 42", true);
         assert!(hit > 0.0 && hit <= 1.0, "hit: {hit}");
         // A literal outside the histogram domain reads as near-empty,
         // not as a constant fraction of the table.
-        let (_, miss) = estimate(&dbx, "select O.id from O where O.x = 999");
+        let (_, miss) = estimate(&dbx, "select O.id from O where O.x = 999", true);
         assert!(miss <= hit, "miss {miss} > hit {hit}");
     }
 
@@ -1334,14 +1319,12 @@ mod tests {
         // `id >= 900` at ~10% where the constant fallback says 50%.
         let dbx = db();
         relstore::stats::analyze_db(&dbx);
-        let (_, with_stats) = estimate(&dbx, "select B.id from B where B.id >= 900");
+        let (_, with_stats) = estimate(&dbx, "select B.id from B where B.id >= 900", true);
         assert!(
             (50.0..200.0).contains(&with_stats),
             "expected ~100 rows, got {with_stats}"
         );
-        let prev = set_stats_enabled(false);
-        let (_, without) = estimate(&dbx, "select B.id from B where B.id >= 900");
-        set_stats_enabled(prev);
+        let (_, without) = estimate(&dbx, "select B.id from B where B.id >= 900", false);
         assert!(
             (without - sel::RANGE_ONE_SIDED * 1000.0).abs() < 1e-9,
             "constant fallback: {without}"
@@ -1357,7 +1340,7 @@ mod tests {
         relstore::stats::analyze_db(&dbx);
         for v in [0, 50, 99] {
             let sql = format!("select B.id from B where B.par_id = {v}");
-            let (_, card) = estimate(&dbx, &sql);
+            let (_, card) = estimate(&dbx, &sql, true);
             assert!((2.0..50.0).contains(&card), "par_id = {v}: {card}");
         }
     }
@@ -1366,10 +1349,8 @@ mod tests {
     fn stats_disabled_reproduces_constant_estimates() {
         let dbx = db();
         relstore::stats::analyze_db(&dbx);
-        let prev = set_stats_enabled(false);
         // B.v is unindexed: equality falls back to EQ_UNINDEXED exactly.
-        let (_, card) = estimate(&dbx, "select B.id from B where B.v = 'v1'");
-        set_stats_enabled(prev);
+        let (_, card) = estimate(&dbx, "select B.id from B where B.v = 'v1'", false);
         assert!(
             (card - sel::EQ_UNINDEXED * 1000.0).abs() < 1e-9,
             "card: {card}"

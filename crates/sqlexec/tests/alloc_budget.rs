@@ -9,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use relstore::{ColType, Database, TableSchema, Value};
-use sqlexec::{parse_sql, set_parallel_mode, Executor, ParallelMode, ResultSet};
+use sqlexec::{parse_sql, ExecOptions, Executor, ParallelMode, ResultSet};
 
 struct Counting;
 
@@ -53,14 +53,16 @@ static GLOBAL: Counting = Counting;
 /// the second run's result, its `rows_scanned` and the allocations it
 /// made (parsing excluded).
 fn counted(db: &Database, sql: &str) -> (ResultSet, u64, u64) {
-    let prev = set_parallel_mode(ParallelMode::ForceOff);
+    let serial = ExecOptions {
+        parallel: ParallelMode::ForceOff,
+        ..ExecOptions::default()
+    };
     let stmt = parse_sql(sql).unwrap();
-    Executor::new(db).run(&stmt).unwrap();
-    let exec = Executor::new(db);
+    Executor::with_options(db, serial).run(&stmt).unwrap();
+    let exec = Executor::with_options(db, serial);
     let before = ALLOCS.with(Cell::get);
     let rs = exec.run(&stmt).unwrap();
     let allocs = ALLOCS.with(Cell::get) - before;
-    set_parallel_mode(prev);
     (rs, exec.stats().rows_scanned, allocs)
 }
 

@@ -1,13 +1,13 @@
-//! Hot-path cache behaviour: the path-filter memo must invalidate when
-//! the backing table changes (version bump) and must never alias across
-//! cloned databases (fresh table uid); the sort-merge structural join
-//! must return exactly what the index nested-loop join returns.
+//! Hot-path cache behaviour: the path-filter memo, which its table owns,
+//! must be dropped when the table mutates and must not carry over to a
+//! cloned database; the sort-merge structural join must return exactly
+//! what the index nested-loop join returns.
 //!
-//! These tests assert only per-executor `ExecStats` and thread-local
-//! state, so they are safe to run in parallel with each other.
+//! Every test builds its own database and passes its options to its own
+//! executor, so they are safe to run in parallel with each other.
 
 use relstore::{ColType, Database, TableSchema, Value};
-use sqlexec::{explain_stmt, parse_sql, Executor, MergeMode};
+use sqlexec::{parse_sql, ExecOptions, Executor, MergeMode};
 
 fn paths_db() -> Database {
     let mut db = Database::new();
@@ -34,7 +34,11 @@ const FILTER: &str = "select P.id from Paths P \
                       order by P.id";
 
 fn ids(db: &Database, sql: &str) -> (Vec<i64>, sqlexec::ExecStats) {
-    let exec = Executor::new(db);
+    ids_with(db, sql, ExecOptions::default())
+}
+
+fn ids_with(db: &Database, sql: &str, opts: ExecOptions) -> (Vec<i64>, sqlexec::ExecStats) {
+    let exec = Executor::with_options(db, opts);
     let rs = exec.query(sql).unwrap();
     let ids = rs.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
     (ids, exec.stats())
@@ -54,8 +58,8 @@ fn path_memo_hits_then_invalidates_on_table_mutation() {
     assert_eq!(warm.path_memo_hits, 1);
     assert_eq!(warm.path_memo_misses, 0);
 
-    // Any insert bumps the table version: the memo entry keyed by the
-    // old (uid, version) no longer matches, and the new row appears.
+    // Any insert drops the table's memo: the next scan misses, and the
+    // new row appears.
     db.table_mut("Paths")
         .unwrap()
         .insert(vec![Value::Int(6), Value::from("/a/y/c")])
@@ -72,7 +76,7 @@ fn path_memo_does_not_alias_across_cloned_databases() {
     let (_, s) = ids(&db, FILTER);
     assert_eq!(s.path_memo_misses, 1);
 
-    // A clone gets fresh table uids, so the memo populated for the
+    // A clone starts with an empty memo, so the entry populated for the
     // original must not answer for it — even though the contents are
     // identical right now (they can diverge at any time).
     let mut clone = db.clone();
@@ -134,15 +138,19 @@ const DEWEY_JOIN: &str = "select F.id from A, F \
      where F.dewey_pos between A.dewey_pos and A.dewey_pos || x'FF' \
      order by F.dewey_pos, F.id";
 
+fn merge(merge: MergeMode) -> ExecOptions {
+    ExecOptions {
+        merge,
+        ..ExecOptions::default()
+    }
+}
+
 #[test]
 fn merge_join_matches_index_nested_loop_results() {
     let db = dewey_db();
 
-    let prev = sqlexec::set_merge_mode(MergeMode::ForceOff);
-    let (nl_ids, nl_stats) = ids(&db, DEWEY_JOIN);
-    sqlexec::set_merge_mode(MergeMode::ForceOn);
-    let (merge_ids, merge_stats) = ids(&db, DEWEY_JOIN);
-    sqlexec::set_merge_mode(prev);
+    let (nl_ids, nl_stats) = ids_with(&db, DEWEY_JOIN, merge(MergeMode::ForceOff));
+    let (merge_ids, merge_stats) = ids_with(&db, DEWEY_JOIN, merge(MergeMode::ForceOn));
 
     assert_eq!(nl_ids.len(), 40 * 8);
     assert_eq!(merge_ids, nl_ids, "merge join must be result-identical");
@@ -158,17 +166,14 @@ fn planner_renders_merge_access_path_when_forced() {
     let db = dewey_db();
     let stmt = parse_sql(DEWEY_JOIN).unwrap();
 
-    let prev = sqlexec::set_merge_mode(MergeMode::ForceOn);
-    let plan = explain_stmt(&db, &stmt);
-    sqlexec::set_merge_mode(prev);
-    let plan = plan.unwrap();
-    assert!(plan.contains("merge["), "{plan}");
-
-    let prev = sqlexec::set_merge_mode(MergeMode::ForceOff);
-    let plan = explain_stmt(&db, &stmt);
-    sqlexec::set_merge_mode(prev);
-    let plan = plan.unwrap();
-    assert!(!plan.contains("merge["), "{plan}");
+    let plan = |mode| {
+        let limits = sqlexec::QueryLimits::none();
+        sqlexec::explain_analyze_with_limits(&db, &stmt, limits, merge(mode)).unwrap()
+    };
+    let forced = plan(MergeMode::ForceOn);
+    assert!(forced.contains("merge["), "{forced}");
+    let off = plan(MergeMode::ForceOff);
+    assert!(!off.contains("merge["), "{off}");
 }
 
 #[test]

@@ -6,26 +6,26 @@
 //!
 //! The process pool is sized once for the whole test binary (the host
 //! running CI may have a single core; partitioning is a property of the
-//! pool's thread count, not the machine's). `ParallelMode` itself is
-//! thread-local, so `#[test]` threads cannot perturb each other.
+//! pool's thread count, not the machine's). The mode is a field of each
+//! executor's options, so `#[test]` threads cannot perturb each other.
 
 use relstore::{ColType, Database, TableSchema, Value};
-use sqlexec::{ExecStats, Executor, ParallelMode};
+use sqlexec::{ExecOptions, ExecStats, Executor, ParallelMode};
 
 fn pool4() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| ppf_pool::set_threads(4));
 }
 
-fn with_mode<R>(mode: ParallelMode, f: impl FnOnce() -> R) -> R {
-    let prev = sqlexec::set_parallel_mode(mode);
-    let r = f();
-    sqlexec::set_parallel_mode(prev);
-    r
+fn mode(parallel: ParallelMode) -> ExecOptions {
+    ExecOptions {
+        parallel,
+        ..ExecOptions::default()
+    }
 }
 
-fn ids(db: &Database, sql: &str) -> (Vec<i64>, ExecStats) {
-    let exec = Executor::new(db);
+fn ids(db: &Database, sql: &str, opts: ExecOptions) -> (Vec<i64>, ExecStats) {
+    let exec = Executor::with_options(db, opts);
     let rs = exec.query(sql).unwrap();
     let ids = rs.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
     (ids, exec.stats())
@@ -61,12 +61,12 @@ fn partitioned_filter_scan_matches_serial() {
     pool4();
     let db = paths_db(600);
     sqlexec::clear_filter_caches(&db);
-    let (serial, s_stats) = with_mode(ParallelMode::ForceOff, || ids(&db, FILTER));
+    let (serial, s_stats) = ids(&db, FILTER, mode(ParallelMode::ForceOff));
     assert_eq!(serial.len(), 200);
     assert_eq!(s_stats.par_tasks, 0);
 
     sqlexec::clear_filter_caches(&db);
-    let (par, p_stats) = with_mode(ParallelMode::ForceOn, || ids(&db, FILTER));
+    let (par, p_stats) = ids(&db, FILTER, mode(ParallelMode::ForceOn));
     assert_eq!(par, serial, "partitioned scan changed the result");
     assert!(p_stats.par_tasks >= 1, "{p_stats:?}");
     assert!(p_stats.par_chunks >= 2, "{p_stats:?}");
@@ -80,7 +80,7 @@ fn partitioned_filter_scan_matches_serial() {
     );
 
     sqlexec::clear_filter_caches(&db);
-    let (auto, _) = with_mode(ParallelMode::Auto, || ids(&db, FILTER));
+    let (auto, _) = ids(&db, FILTER, mode(ParallelMode::Auto));
     assert_eq!(auto, serial);
 }
 
@@ -130,11 +130,11 @@ fn partitioned_structural_join_matches_serial_in_every_mode() {
     pool4();
     let db = dewey_db(80, 6);
 
-    let (serial, s_stats) = with_mode(ParallelMode::ForceOff, || ids(&db, DEWEY_JOIN));
+    let (serial, s_stats) = ids(&db, DEWEY_JOIN, mode(ParallelMode::ForceOff));
     assert_eq!(serial.len(), 80 * 6);
     assert_eq!(s_stats.par_tasks, 0);
 
-    let (forced, f_stats) = with_mode(ParallelMode::ForceOn, || ids(&db, DEWEY_JOIN));
+    let (forced, f_stats) = ids(&db, DEWEY_JOIN, mode(ParallelMode::ForceOn));
     assert_eq!(forced, serial, "forced partitioning changed the result");
     assert!(f_stats.par_tasks >= 1, "{f_stats:?}");
     assert!(f_stats.par_chunks >= 2, "{f_stats:?}");
@@ -142,17 +142,19 @@ fn partitioned_structural_join_matches_serial_in_every_mode() {
     // Pin the cost model to one that always prefers forking: the Auto
     // path must then fan out deterministically, regardless of what the
     // process-wide model has learned from earlier tests.
-    let prev = sqlexec::set_cost_override(Some(sqlexec::CostModel {
-        row_ns: 1e6,
-        scan_ns: 1e6,
-        hash_ns: 1e6,
-        sort_cmp_ns: 1e6,
-        fork_ns: 0.0,
-        chunk_ns: 1.0,
-        efficiency: 1.0,
-    }));
-    let (auto, a_stats) = with_mode(ParallelMode::Auto, || ids(&db, DEWEY_JOIN));
-    sqlexec::set_cost_override(prev);
+    let pinned = ExecOptions {
+        cost_model: Some(sqlexec::CostModel {
+            row_ns: 1e6,
+            scan_ns: 1e6,
+            hash_ns: 1e6,
+            sort_cmp_ns: 1e6,
+            fork_ns: 0.0,
+            chunk_ns: 1.0,
+            efficiency: 1.0,
+        }),
+        ..mode(ParallelMode::Auto)
+    };
+    let (auto, a_stats) = ids(&db, DEWEY_JOIN, pinned);
     assert_eq!(auto, serial, "auto partitioning changed the result");
     assert!(a_stats.par_tasks >= 1, "{a_stats:?}");
 }
@@ -162,8 +164,8 @@ fn partitioned_join_preserves_work_counters() {
     pool4();
     let db = dewey_db(64, 8);
 
-    let (serial, s) = with_mode(ParallelMode::ForceOff, || ids(&db, DEWEY_JOIN));
-    let (par, p) = with_mode(ParallelMode::ForceOn, || ids(&db, DEWEY_JOIN));
+    let (serial, s) = ids(&db, DEWEY_JOIN, mode(ParallelMode::ForceOff));
+    let (par, p) = ids(&db, DEWEY_JOIN, mode(ParallelMode::ForceOn));
     assert_eq!(par, serial);
     // Partitioning redistributes the work; it must not change its size.
     assert_eq!(p.rows_scanned, s.rows_scanned, "serial {s:?} vs par {p:?}");
@@ -227,20 +229,12 @@ fn dewey_chunk_boundaries_do_not_corrupt_subtree_runs() {
         f.create_index("f_dewey", &["dewey_pos"]).unwrap();
     }
 
-    let (serial, _) = with_mode(ParallelMode::ForceOff, || ids(&db, DEWEY_JOIN));
+    let (serial, _) = ids(&db, DEWEY_JOIN, mode(ParallelMode::ForceOff));
     // Every leaf matches its parent chain: 50 leaves × (root + child).
     assert_eq!(serial.len(), 100);
-    let (par, p) = with_mode(ParallelMode::ForceOn, || ids(&db, DEWEY_JOIN));
+    let (par, p) = ids(&db, DEWEY_JOIN, mode(ParallelMode::ForceOn));
     assert_eq!(par, serial, "chunk-edge handling changed the result");
     assert!(p.par_chunks >= 2, "{p:?}");
-}
-
-#[test]
-fn mode_toggle_returns_previous() {
-    let prev = sqlexec::set_parallel_mode(ParallelMode::ForceOn);
-    assert_eq!(sqlexec::parallel_mode(), ParallelMode::ForceOn);
-    let back = sqlexec::set_parallel_mode(prev);
-    assert_eq!(back, ParallelMode::ForceOn);
 }
 
 #[test]
@@ -248,10 +242,80 @@ fn explain_analyze_reports_parallel_counters() {
     pool4();
     let db = dewey_db(48, 4);
     let stmt = sqlexec::parse_sql(DEWEY_JOIN).unwrap();
-    let out = with_mode(ParallelMode::ForceOn, || {
-        sqlexec::explain_analyze(&db, &stmt).unwrap()
-    });
+    let out = sqlexec::explain_analyze_with_limits(
+        &db,
+        &stmt,
+        sqlexec::QueryLimits::none(),
+        mode(ParallelMode::ForceOn),
+    )
+    .unwrap();
     assert!(out.contains("pool_threads="), "{out}");
     assert!(out.contains("par_tasks="), "{out}");
     assert!(out.contains("par_chunks="), "{out}");
+}
+
+/// A correlated `EXISTS` first evaluated inside partition workers is
+/// planned there under the coordinator's options: with statistics off,
+/// its plan is the serial statistics-off plan, not one priced from the
+/// table statistics the workers' threads would otherwise see.
+#[test]
+fn subquery_planned_in_a_worker_follows_the_coordinators_options() {
+    pool4();
+    let db = dewey_db(64, 8);
+    relstore::stats::analyze_db(&db);
+    // The EXISTS correlates with F, the join's second step, so it first
+    // runs below depth 0: inside the workers of the partitioned branch.
+    let stmt = sqlexec::parse_sql(
+        "select F.id from A, F \
+         where F.dewey_pos between A.dewey_pos and A.dewey_pos || x'FF' \
+         and exists (select null from F G where G.id = F.id and G.dewey_pos >= x'000000') \
+         order by F.id",
+    )
+    .unwrap();
+    // The EXISTS block's plan, keyed by the `Select` inside the branch
+    // plan's residual (the clone the executor actually ran).
+    let exists_plan = |exec: &Executor| -> Vec<String> {
+        let outer = exec.cached_plan(&stmt.branches[0]).expect("branch planned");
+        let sub = outer
+            .steps
+            .iter()
+            .flat_map(|s| &s.residuals)
+            .find_map(|r| match r {
+                sqlexec::Expr::Exists(sub) => Some(sub),
+                _ => None,
+            })
+            .expect("EXISTS residual");
+        let plan = exec.cached_plan(sub).expect("EXISTS block planned");
+        plan.steps
+            .iter()
+            .map(|s| format!("{} {:?} est_rows={}", s.alias, s.access, s.est_rows))
+            .collect()
+    };
+    let no_stats = ExecOptions {
+        stats: false,
+        ..ExecOptions::default()
+    };
+    let serial = Executor::with_options(
+        &db,
+        ExecOptions {
+            parallel: ParallelMode::ForceOff,
+            ..no_stats
+        },
+    );
+    let want = serial.run(&stmt).unwrap();
+    let want_plan = exists_plan(&serial);
+    // Chunks run on whichever thread takes them; several rounds make
+    // sure pool workers, not only the coordinator, plan the block.
+    for round in 0..8 {
+        let par = Executor::with_options(
+            &db,
+            ExecOptions {
+                parallel: ParallelMode::ForceOn,
+                ..no_stats
+            },
+        );
+        assert_eq!(par.run(&stmt).unwrap(), want, "round {round}");
+        assert!(par.stats().par_tasks >= 1, "round {round}");
+        assert_eq!(exists_plan(&par), want_plan, "round {round}");
+    }
 }

@@ -4,17 +4,15 @@
 //! aggregation. Every operator must return the same rows in the same
 //! order with the same core work counters (`rows_scanned`,
 //! `index_probes`, `predicate_evals`) under ForceOff, ForceOn, and Auto
-//! — Auto pinned to a deterministic cost model via `set_cost_override`,
-//! so these tests cannot flap as the process-wide model learns.
-//!
-//! The pool is process-global, so tests that resize it (or that assert
-//! on fork counters) serialize on one mutex.
+//! — Auto pinned to a deterministic cost model via
+//! `ExecOptions::cost_model`, so these tests cannot flap as the
+//! process-wide model learns.
 
 use relstore::{ColType, Database, TableSchema, Value};
-use sqlexec::{CostModel, ExecStats, Executor, ParallelMode};
+use sqlexec::{CostModel, ExecOptions, ExecStats, Executor, ParallelMode};
 
-/// Every test takes this guard: the pool size and the cost-model
-/// override's visibility to forked decisions are process-global.
+/// Every test takes this guard, because one test resizes the
+/// process-global pool that the others fork onto.
 fn seq() -> std::sync::MutexGuard<'static, ()> {
     static SEQ: std::sync::Mutex<()> = std::sync::Mutex::new(());
     match SEQ.lock() {
@@ -27,11 +25,19 @@ fn pool4() {
     ppf_pool::set_threads(4);
 }
 
-fn with_mode<R>(mode: ParallelMode, f: impl FnOnce() -> R) -> R {
-    let prev = sqlexec::set_parallel_mode(mode);
-    let r = f();
-    sqlexec::set_parallel_mode(prev);
-    r
+fn mode(parallel: ParallelMode) -> ExecOptions {
+    ExecOptions {
+        parallel,
+        ..ExecOptions::default()
+    }
+}
+
+/// `Auto` priced by a pinned cost model.
+fn auto(model: CostModel) -> ExecOptions {
+    ExecOptions {
+        cost_model: Some(model),
+        ..mode(ParallelMode::Auto)
+    }
 }
 
 /// A cost model that prices every operator as enormous and the fork as
@@ -57,15 +63,8 @@ fn fork_nothing() -> CostModel {
     }
 }
 
-fn with_override<R>(m: CostModel, f: impl FnOnce() -> R) -> R {
-    let prev = sqlexec::set_cost_override(Some(m));
-    let r = f();
-    sqlexec::set_cost_override(prev);
-    r
-}
-
-fn run(db: &Database, sql: &str) -> (Vec<Vec<Value>>, ExecStats) {
-    let exec = Executor::new(db);
+fn run(db: &Database, sql: &str, opts: ExecOptions) -> (Vec<Vec<Value>>, ExecStats) {
+    let exec = Executor::with_options(db, opts);
     let rs = exec.query(sql).unwrap();
     (rs.rows, exec.stats())
 }
@@ -107,18 +106,16 @@ fn parallel_order_by_matches_serial_in_every_mode() {
     pool4();
     let db = paths_db(1500);
 
-    let (serial, s_stats) = with_mode(ParallelMode::ForceOff, || run(&db, ORDER_BY));
+    let (serial, s_stats) = run(&db, ORDER_BY, mode(ParallelMode::ForceOff));
     assert_eq!(serial.len(), 1500);
     assert_eq!(s_stats.par_tasks, 0);
 
-    let (forced, f_stats) = with_mode(ParallelMode::ForceOn, || run(&db, ORDER_BY));
+    let (forced, f_stats) = run(&db, ORDER_BY, mode(ParallelMode::ForceOn));
     assert_eq!(forced, serial, "parallel sort changed rows or order");
     assert!(f_stats.par_tasks >= 1, "{f_stats:?}");
     assert_core_counters_equal(&s_stats, &f_stats);
 
-    let (auto, a_stats) = with_mode(ParallelMode::Auto, || {
-        with_override(fork_everything(), || run(&db, ORDER_BY))
-    });
+    let (auto, a_stats) = run(&db, ORDER_BY, auto(fork_everything()));
     assert_eq!(auto, serial, "auto parallel sort changed rows or order");
     assert!(a_stats.par_tasks >= 1, "{a_stats:?}");
     assert_core_counters_equal(&s_stats, &a_stats);
@@ -141,8 +138,8 @@ fn parallel_sort_is_stable_on_ties() {
         t.insert(vec![Value::Int(i), Value::Int(i % 3)]).unwrap();
     }
     let sql = "select T.id from T where T.id >= 0 order by T.k";
-    let (serial, _) = with_mode(ParallelMode::ForceOff, || run(&db, sql));
-    let (forced, f) = with_mode(ParallelMode::ForceOn, || run(&db, sql));
+    let (serial, _) = run(&db, sql, mode(ParallelMode::ForceOff));
+    let (forced, f) = run(&db, sql, mode(ParallelMode::ForceOn));
     assert_eq!(
         forced, serial,
         "tie-break order changed under parallel sort"
@@ -164,20 +161,18 @@ fn parallel_union_arms_match_serial_in_every_mode() {
     let db = paths_db(900);
 
     sqlexec::clear_filter_caches(&db);
-    let (serial, s_stats) = with_mode(ParallelMode::ForceOff, || run(&db, UNION));
+    let (serial, s_stats) = run(&db, UNION, mode(ParallelMode::ForceOff));
     assert!(!serial.is_empty());
     assert_eq!(s_stats.par_tasks, 0);
 
     sqlexec::clear_filter_caches(&db);
-    let (forced, f_stats) = with_mode(ParallelMode::ForceOn, || run(&db, UNION));
+    let (forced, f_stats) = run(&db, UNION, mode(ParallelMode::ForceOn));
     assert_eq!(forced, serial, "parallel UNION changed the result");
     assert!(f_stats.par_tasks >= 1, "{f_stats:?}");
     assert_core_counters_equal(&s_stats, &f_stats);
 
     sqlexec::clear_filter_caches(&db);
-    let (auto, a_stats) = with_mode(ParallelMode::Auto, || {
-        with_override(fork_everything(), || run(&db, UNION))
-    });
+    let (auto, a_stats) = run(&db, UNION, auto(fork_everything()));
     assert_eq!(auto, serial, "auto parallel UNION changed the result");
     assert!(a_stats.par_tasks >= 1, "{a_stats:?}");
     assert_core_counters_equal(&s_stats, &a_stats);
@@ -193,9 +188,9 @@ fn parallel_union_distinct_dedups_across_arms() {
     let sql = "select P.id from Paths P where P.id < 300 \
                union select P.id from Paths P where P.id >= 200 \
                order by id";
-    let (serial, _) = with_mode(ParallelMode::ForceOff, || run(&db, sql));
+    let (serial, _) = run(&db, sql, mode(ParallelMode::ForceOff));
     assert_eq!(serial.len(), 400, "distinct collapsed the overlap");
-    let (forced, _) = with_mode(ParallelMode::ForceOn, || run(&db, sql));
+    let (forced, _) = run(&db, sql, mode(ParallelMode::ForceOn));
     assert_eq!(forced, serial);
 }
 
@@ -242,17 +237,15 @@ fn parallel_hash_build_matches_serial_in_every_mode() {
     pool4();
     let db = hash_join_db(2000, 60);
 
-    let (serial, s_stats) = with_mode(ParallelMode::ForceOff, || run(&db, HASH_JOIN));
+    let (serial, s_stats) = run(&db, HASH_JOIN, mode(ParallelMode::ForceOff));
     assert!(!serial.is_empty());
 
-    let (forced, f_stats) = with_mode(ParallelMode::ForceOn, || run(&db, HASH_JOIN));
+    let (forced, f_stats) = run(&db, HASH_JOIN, mode(ParallelMode::ForceOn));
     assert_eq!(forced, serial, "partitioned hash build changed the result");
     assert!(f_stats.par_tasks >= 1, "{f_stats:?}");
     assert_core_counters_equal(&s_stats, &f_stats);
 
-    let (auto, a_stats) = with_mode(ParallelMode::Auto, || {
-        with_override(fork_everything(), || run(&db, HASH_JOIN))
-    });
+    let (auto, a_stats) = run(&db, HASH_JOIN, auto(fork_everything()));
     assert_eq!(auto, serial, "auto hash build changed the result");
     assert_core_counters_equal(&s_stats, &a_stats);
 }
@@ -303,18 +296,16 @@ fn parallel_count_star_matches_serial_in_every_mode() {
     pool4();
     let db = dewey_db(80, 6);
 
-    let (serial, s_stats) = with_mode(ParallelMode::ForceOff, || run(&db, COUNT_JOIN));
+    let (serial, s_stats) = run(&db, COUNT_JOIN, mode(ParallelMode::ForceOff));
     assert_eq!(serial, vec![vec![Value::Int(480)]]);
     assert_eq!(s_stats.par_tasks, 0);
 
-    let (forced, f_stats) = with_mode(ParallelMode::ForceOn, || run(&db, COUNT_JOIN));
+    let (forced, f_stats) = run(&db, COUNT_JOIN, mode(ParallelMode::ForceOn));
     assert_eq!(forced, serial, "partial-aggregate COUNT(*) diverged");
     assert!(f_stats.par_tasks >= 1, "{f_stats:?}");
     assert_core_counters_equal(&s_stats, &f_stats);
 
-    let (auto, a_stats) = with_mode(ParallelMode::Auto, || {
-        with_override(fork_everything(), || run(&db, COUNT_JOIN))
-    });
+    let (auto, a_stats) = run(&db, COUNT_JOIN, auto(fork_everything()));
     assert_eq!(auto, serial, "auto COUNT(*) diverged");
     assert!(a_stats.par_tasks >= 1, "{a_stats:?}");
     assert_core_counters_equal(&s_stats, &a_stats);
@@ -332,10 +323,8 @@ fn auto_with_pinned_serial_model_never_forks() {
     let sql = "select F.id from A, F \
                where F.dewey_pos between A.dewey_pos and A.dewey_pos || x'FF' \
                order by F.dewey_pos, F.id";
-    let (serial, _) = with_mode(ParallelMode::ForceOff, || run(&db, sql));
-    let (auto, a_stats) = with_mode(ParallelMode::Auto, || {
-        with_override(fork_nothing(), || run(&db, sql))
-    });
+    let (serial, _) = run(&db, sql, mode(ParallelMode::ForceOff));
+    let (auto, a_stats) = run(&db, sql, auto(fork_nothing()));
     assert_eq!(auto, serial);
     assert_eq!(a_stats.par_tasks, 0, "{a_stats:?}");
 }
@@ -347,8 +336,8 @@ fn single_thread_pool_stays_serial_even_forced() {
     let _g = seq();
     ppf_pool::set_threads(1);
     let db = paths_db(600);
-    let (serial, _) = with_mode(ParallelMode::ForceOff, || run(&db, ORDER_BY));
-    let (forced, f_stats) = with_mode(ParallelMode::ForceOn, || run(&db, ORDER_BY));
+    let (serial, _) = run(&db, ORDER_BY, mode(ParallelMode::ForceOff));
+    let (forced, f_stats) = run(&db, ORDER_BY, mode(ParallelMode::ForceOn));
     assert_eq!(forced, serial);
     assert_eq!(f_stats.par_tasks, 0, "{f_stats:?}");
     pool4();
@@ -361,11 +350,13 @@ fn explain_analyze_reports_par_decisions() {
     pool4();
     let db = paths_db(800);
     let stmt = sqlexec::parse_sql(ORDER_BY).unwrap();
-    let out = with_mode(ParallelMode::Auto, || {
-        with_override(fork_everything(), || {
-            sqlexec::explain_analyze(&db, &stmt).unwrap()
-        })
-    });
+    let out = sqlexec::explain_analyze_with_limits(
+        &db,
+        &stmt,
+        sqlexec::QueryLimits::none(),
+        auto(fork_everything()),
+    )
+    .unwrap();
     assert!(out.contains("par_decision: "), "{out}");
     assert!(out.contains(":fork(") || out.contains(":serial("), "{out}");
 }

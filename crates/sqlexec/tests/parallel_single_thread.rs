@@ -5,7 +5,7 @@
 //! tests of their partitioning.
 
 use relstore::{ColType, Database, TableSchema, Value};
-use sqlexec::{Executor, ParallelMode};
+use sqlexec::{ExecOptions, Executor, ParallelMode};
 
 #[test]
 fn single_thread_pool_never_partitions_even_when_forced() {
@@ -42,8 +42,13 @@ fn single_thread_pool_never_partitions_even_when_forced() {
         f.create_index("f_dewey", &["dewey_pos"]).unwrap();
     }
 
-    let prev = sqlexec::set_parallel_mode(ParallelMode::ForceOn);
-    let exec = Executor::new(&db);
+    let exec = Executor::with_options(
+        &db,
+        ExecOptions {
+            parallel: ParallelMode::ForceOn,
+            ..ExecOptions::default()
+        },
+    );
     let rs = exec
         .query(
             "select F.id from A, F \
@@ -51,7 +56,6 @@ fn single_thread_pool_never_partitions_even_when_forced() {
              order by F.dewey_pos, F.id",
         )
         .unwrap();
-    sqlexec::set_parallel_mode(prev);
 
     assert_eq!(rs.rows.len(), 160);
     let stats = exec.stats();

@@ -357,8 +357,13 @@ fn handle(session: &mut Session, line: &str) -> Result<bool, String> {
             None => println!("(statically empty)"),
             Some(stmt) => print!(
                 "{}",
-                sqlexec::explain_analyze_with_limits(db, &stmt, session.limits())
-                    .map_err(|e| format!("[{}] {e}", e.kind()))?
+                sqlexec::explain_analyze_with_limits(
+                    db,
+                    &stmt,
+                    session.limits(),
+                    sqlexec::ExecOptions::default()
+                )
+                .map_err(|e| format!("[{}] {e}", e.kind()))?
             ),
         }
         return Ok(false);

@@ -38,37 +38,35 @@ fn dblp_pipeline_all_systems_agree() {
     }
 }
 
-/// Run every workload query on two identically-seeded builds, one with
-/// the sort-merge structural join forced off and one with it forced on,
-/// and require identical element ids (document order included). The
-/// builds are separate because each `XmlDb` caches plans per XPath: the
-/// access paths are frozen the first time a query runs.
-fn assert_merge_equivalence(build: impl Fn() -> ppf_bench::BenchData, queries: &[(&str, &str)]) {
-    let prev = sqlexec::set_merge_mode(sqlexec::MergeMode::ForceOff);
-    let nl_data = build();
+/// Run every workload query with the sort-merge structural join forced
+/// off, then forced on, on one build, and require identical element ids
+/// (document order included). Switching options drops the cached plans,
+/// so the second pass plans afresh, which the merge-probe count checks.
+fn assert_merge_equivalence(mut data: ppf_bench::BenchData, queries: &[(&str, &str)]) {
+    let merge = |merge| ppf_core::ExecOptions {
+        merge,
+        ..ppf_core::ExecOptions::default()
+    };
+    data.ppf
+        .set_exec_options(merge(sqlexec::MergeMode::ForceOff));
     let nl: Vec<Vec<i64>> = queries
         .iter()
         .map(|(name, q)| {
-            nl_data
-                .ppf
+            data.ppf
                 .query(q)
                 .unwrap_or_else(|e| panic!("{name}: {e}"))
                 .ids()
         })
         .collect();
 
-    sqlexec::set_merge_mode(sqlexec::MergeMode::ForceOn);
-    let merge_data = build();
+    data.ppf
+        .set_exec_options(merge(sqlexec::MergeMode::ForceOn));
     let mut merge_probes = 0u64;
     for ((name, q), expected) in queries.iter().zip(&nl) {
-        let r = merge_data
-            .ppf
-            .query(q)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let r = data.ppf.query(q).unwrap_or_else(|e| panic!("{name}: {e}"));
         merge_probes += r.engine.merge_probes;
         assert_eq!(&r.ids(), expected, "{name}: merge join changed the result");
     }
-    sqlexec::set_merge_mode(prev);
     assert!(
         merge_probes > 0,
         "forcing merge must exercise the merge cursor at least once"
@@ -77,12 +75,12 @@ fn assert_merge_equivalence(build: impl Fn() -> ppf_bench::BenchData, queries: &
 
 #[test]
 fn xmark_merge_join_matches_index_nested_loop() {
-    assert_merge_equivalence(|| build_xmark(0.03, 7), &xmark_queries());
+    assert_merge_equivalence(build_xmark(0.03, 7), &xmark_queries());
 }
 
 #[test]
 fn dblp_merge_join_matches_index_nested_loop() {
-    assert_merge_equivalence(|| build_dblp(0.05, 7), &dblp_queries());
+    assert_merge_equivalence(build_dblp(0.05, 7), &dblp_queries());
 }
 
 #[test]
