@@ -961,6 +961,15 @@ impl EngineSnapshot {
             .sum()
     }
 
+    /// Hash-join build sides built on this snapshot's relations — freed
+    /// with the snapshot, like the filter memo.
+    pub fn hash_sides(&self) -> usize {
+        self.db()
+            .tables()
+            .map(relstore::Table::hash_sides_len)
+            .sum()
+    }
+
     /// Run an XPath query against exactly this version (see
     /// [`XmlDb::query_with_limits`]). The result carries this snapshot's
     /// version stamp.

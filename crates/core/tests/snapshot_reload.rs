@@ -219,7 +219,7 @@ fn snapshot_drop_deferred_until_last_pin_releases() {
 }
 
 #[test]
-fn retiring_a_snapshot_frees_its_stats_and_filter_memo() {
+fn retiring_a_snapshot_frees_its_stats_filter_memo_and_hash_sides() {
     let _g = counter_lock();
     // `G` is recursive in the figure-1 schema, so `//G` keeps its path
     // filter, and with more `G` rows than paths the plan scans `Paths`
@@ -238,6 +238,11 @@ fn retiring_a_snapshot_frees_its_stats_and_filter_memo() {
     assert_eq!(pinned.filter_memo_entries(), 0);
     assert_eq!(engine.query("//G").expect("query").rows.rows.len(), 21);
     assert_eq!(pinned.filter_memo_entries(), 1);
+    // `@x` is unindexed, so the literal equality probes a hash side,
+    // built on `A` by this first query.
+    assert_eq!(pinned.hash_sides(), 0);
+    assert_eq!(engine.query("/A[@x=1]").expect("query").rows.rows.len(), 1);
+    assert_eq!(pinned.hash_sides(), 1);
 
     let sql = engine.sql_for("//G").expect("sql").expect("not empty");
     let pattern = sql
@@ -252,16 +257,22 @@ fn retiring_a_snapshot_frees_its_stats_and_filter_memo() {
     let path_col = paths.schema.col("path").expect("path column");
     let stats = Arc::downgrade(&relstore::stats::lookup(paths).expect("analyzed"));
     let memo = Arc::downgrade(&paths.filter_memo_get(path_col, pattern).expect("memoized"));
+    let a = pinned.db().table("A").expect("A");
+    let x_col = a.schema.col(&shred::naming::attr_col("x")).expect("@x");
+    let side = Arc::downgrade(&a.hash_side(x_col));
+    assert_eq!(pinned.hash_sides(), 1, "the query built the side taken");
 
     engine.reload_with(|| Ok(with_gs())).expect("reload");
-    assert!(stats.upgrade().is_some() && memo.upgrade().is_some());
+    assert!(stats.upgrade().is_some() && memo.upgrade().is_some() && side.upgrade().is_some());
     assert_eq!(engine.snapshots_retired(), 0);
     assert_eq!(engine.snapshot().filter_memo_entries(), 0);
+    assert_eq!(engine.snapshot().hash_sides(), 0);
 
     drop(pinned);
     assert_eq!(engine.snapshots_retired(), 1);
     assert!(stats.upgrade().is_none(), "stats outlived their snapshot");
     assert!(memo.upgrade().is_none(), "memo outlived its snapshot");
+    assert!(side.upgrade().is_none(), "hash side outlived its snapshot");
 }
 
 #[test]

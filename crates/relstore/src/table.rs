@@ -123,14 +123,19 @@ const FILTER_MEMO_CAP: usize = 512;
 /// insert): predicate text → the rows that survive it, in row order.
 type FilterMemo = Vec<HashMap<String, Arc<Vec<RowId>>>>;
 
+/// A hash-join build side over one column: every non-NULL value → the
+/// rows holding it, row ids ascending.
+pub type HashSide = BTreeMap<Value, Vec<RowId>>;
+
 /// A heap table plus its indexes — and everything derived from its
-/// contents: the planner statistics ([`crate::stats`]) and the memo of
-/// filter scans the executor has already run over it. Derived state
-/// shares the table's lifetime (dropping the table frees it), is dropped
-/// by every mutation, and is never copied by `Clone`. Both slots sit
-/// behind read-mostly locks so `&Table` readers can fill them; a
-/// poisoned lock is recovered as-is (the guarded data is plain: a
-/// panicking holder cannot leave it half-written).
+/// contents: the planner statistics ([`crate::stats`]), the memo of
+/// filter scans the executor has already run over it, and the hash-join
+/// build sides it has been probed through. Derived state shares the
+/// table's lifetime (dropping the table frees it), is dropped by every
+/// mutation, and is never copied by `Clone`. Every slot sits behind a
+/// read-mostly lock so `&Table` readers can fill it; a poisoned lock is
+/// recovered as-is (the guarded data is plain: a panicking holder cannot
+/// leave it half-written).
 #[derive(Debug)]
 pub struct Table {
     pub schema: TableSchema,
@@ -138,6 +143,8 @@ pub struct Table {
     indexes: Vec<Index>,
     stats: RwLock<Option<Arc<TableStats>>>,
     filter_memo: RwLock<FilterMemo>,
+    /// One slot per column, allocated on the first build.
+    hash_sides: RwLock<Vec<Option<Arc<HashSide>>>>,
 }
 
 impl Clone for Table {
@@ -150,6 +157,7 @@ impl Clone for Table {
             indexes: self.indexes.clone(),
             stats: RwLock::default(),
             filter_memo: RwLock::default(),
+            hash_sides: RwLock::default(),
         }
     }
 }
@@ -174,6 +182,7 @@ impl Table {
             indexes: Vec::new(),
             stats: RwLock::default(),
             filter_memo: RwLock::default(),
+            hash_sides: RwLock::default(),
         }
     }
 
@@ -260,6 +269,10 @@ impl Table {
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
             .clear();
+        self.hash_sides
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 
     /// Statistics computed for the current contents, if any (the slot
@@ -317,6 +330,69 @@ impl Table {
     /// correctness never requires it).
     pub fn clear_filter_memo(&self) {
         self.filter_memo
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+    }
+
+    /// The hash-join build side of column `col` for the current
+    /// contents, built on the first call. A hit is one shared read and
+    /// one `Arc` clone. A miss builds serially under the write lock,
+    /// after checking the slot again, so concurrent callers build each
+    /// side exactly once and wait for it rather than racing.
+    pub fn hash_side(&self, col: usize) -> Arc<HashSide> {
+        let built = self
+            .hash_sides
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(col)
+            .cloned()
+            .flatten();
+        if let Some(side) = built {
+            return side;
+        }
+        let mut sides = self
+            .hash_sides
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        if sides.len() <= col {
+            sides.resize(col + 1, None);
+        }
+        sides[col]
+            .get_or_insert_with(|| {
+                let mut side = HashSide::new();
+                for (rid, row) in self.rows() {
+                    let v = &row[col];
+                    if v.is_null() {
+                        continue;
+                    }
+                    // One clone per distinct value, not one per row.
+                    match side.get_mut(v) {
+                        Some(rids) => rids.push(rid),
+                        None => {
+                            side.insert(v.clone(), vec![rid]);
+                        }
+                    }
+                }
+                Arc::new(side)
+            })
+            .clone()
+    }
+
+    /// Hash-join build sides currently built for this table.
+    pub fn hash_sides_len(&self) -> usize {
+        self.hash_sides
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .flatten()
+            .count()
+    }
+
+    /// Drop the built hash-join sides (cold-cache benchmarks;
+    /// correctness never requires it).
+    pub fn clear_hash_sides(&self) {
+        self.hash_sides
             .write()
             .unwrap_or_else(PoisonError::into_inner)
             .clear();
@@ -449,24 +525,33 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_create_index_drop_stats_and_memo() {
+    fn insert_and_create_index_drop_stats_memo_and_hash_sides() {
         let mut t = people();
         let fill = |t: &Table| {
             crate::stats::analyze(t);
             t.filter_memo_insert(1, "^a", survivors(&[0]));
+            t.hash_side(2);
             assert!(crate::stats::lookup(t).is_some());
             assert_eq!(t.filter_memo_len(), 1);
+            assert_eq!(t.hash_sides_len(), 1);
         };
         fill(&t);
-        t.insert(vec![Value::Int(9), Value::from("zed"), Value::Int(50)])
+        t.insert(vec![Value::Int(9), Value::from("zed"), Value::Int(30)])
             .expect("insert");
         assert!(crate::stats::lookup(&t).is_none(), "insert drops stats");
         assert!(t.filter_memo_get(1, "^a").is_none(), "insert drops memo");
+        assert_eq!(t.hash_sides_len(), 0, "insert drops hash sides");
+        assert_eq!(
+            t.hash_side(2).get(&Value::Int(30)),
+            Some(&vec![0, 2, 4]),
+            "a rebuilt side sees the new row"
+        );
 
         fill(&t);
         t.create_index("people_age", &["age"]).expect("index");
         assert!(crate::stats::lookup(&t).is_none(), "index drops stats");
         assert_eq!(t.filter_memo_len(), 0, "index drops memo");
+        assert_eq!(t.hash_sides_len(), 0, "index drops hash sides");
     }
 
     #[test]
@@ -474,16 +559,61 @@ mod tests {
         let t = people();
         crate::stats::analyze(&t);
         t.filter_memo_insert(1, "^a", survivors(&[0]));
+        let side = t.hash_side(1);
 
         let clone = t.clone();
         assert!(crate::stats::lookup(&clone).is_none());
         assert_eq!(clone.filter_memo_len(), 0);
+        assert_eq!(clone.hash_sides_len(), 0);
 
         clone.filter_memo_insert(1, "^b", survivors(&[1]));
         clone.filter_memo_insert(1, "^a", survivors(&[]));
         assert_eq!(t.filter_memo_len(), 1, "original untouched");
         assert_eq!(t.filter_memo_get(1, "^a").as_deref(), Some(&vec![0]));
         assert!(t.filter_memo_get(1, "^b").is_none());
+        assert!(
+            !Arc::ptr_eq(&clone.hash_side(1), &side),
+            "clone builds its own"
+        );
+        assert!(Arc::ptr_eq(&t.hash_side(1), &side));
+    }
+
+    #[test]
+    fn hash_side_skips_nulls_and_lists_rows_ascending() {
+        let mut t = people();
+        t.insert(vec![Value::Int(5), Value::Null, Value::Int(30)])
+            .expect("insert");
+        let ages = t.hash_side(2);
+        assert_eq!(ages.get(&Value::Int(30)), Some(&vec![0, 2, 4]));
+        assert_eq!(ages.get(&Value::Int(41)), Some(&vec![3]));
+        assert_eq!(ages.values().map(Vec::len).sum::<usize>(), t.len());
+        let names = t.hash_side(1);
+        assert_eq!(names.len(), 4, "the NULL name is not a key");
+        assert_eq!(t.hash_sides_len(), 2);
+        t.clear_hash_sides();
+        assert_eq!(t.hash_sides_len(), 0);
+    }
+
+    #[test]
+    fn concurrent_callers_share_one_build() {
+        let t = people();
+        let start = std::sync::Barrier::new(4);
+        let sides: Vec<Arc<HashSide>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        t.hash_side(2)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("hash_side caller"))
+                .collect()
+        });
+        assert!(sides.iter().all(|s| Arc::ptr_eq(s, &sides[0])));
+        assert_eq!(t.hash_sides_len(), 1);
     }
 
     #[test]

@@ -120,15 +120,30 @@ fn health_reports_the_serving_snapshot() {
     // analyzed at finalize, no filter scan memoized before any query.
     assert!(!body.contains("stats_tables: 0"), "body: {body}");
     assert!(body.contains("filter_memo_entries: 0"), "body: {body}");
+    assert!(body.contains("hash_sides: 0"), "body: {body}");
+
+    // `@id` is unindexed: the lookup builds a hash side on `book`.
+    let resp = c
+        .request("q1", Verb::Query, &[], "/lib/book[@id='b3']")
+        .expect("io");
+    assert_eq!(rows(&resp.result.expect("ok")), 1);
+    let body = c
+        .request("h2", Verb::Health, &[], "")
+        .expect("io")
+        .result
+        .expect("ok");
+    assert!(body.contains("hash_sides: 1"), "body: {body}");
 
     c.request("r1", Verb::Reload, &[], "")
         .expect("io")
         .result
         .expect("reload ok");
-    let resp = c.request("h2", Verb::Health, &[], "").expect("io");
+    let resp = c.request("h3", Verb::Health, &[], "").expect("io");
     assert_eq!(resp.version(), Some(2));
     let body = resp.result.expect("ok");
     assert!(body.contains("snapshot_version: 2"), "body: {body}");
+    // The new snapshot starts with no derived state beyond statistics.
+    assert!(body.contains("hash_sides: 0"), "body: {body}");
 
     stop(handle);
 }

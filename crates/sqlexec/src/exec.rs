@@ -129,13 +129,15 @@ impl OpStats {
     }
 }
 
-/// A cached hash-join build side: probe key -> matching row ids.
-type HashBuild = Arc<std::collections::BTreeMap<Value, Vec<RowId>>>;
-
 /// A flattened index: every (key, rows) pair in key order, for the
 /// sort-merge cursor. Borrows the B-tree's own keys — building one costs a
 /// single traversal and `len` pointer pairs, no key copies.
 type MergeEntries<'db> = Arc<Vec<(&'db [Value], &'db [RowId])>>;
+
+/// Flattened indexes keyed by (table address, index position): the
+/// database borrow is immutable for `'db`, so an address names one
+/// table, and a probe builds its key without allocating.
+type MergeArrays<'db> = HashMap<(usize, usize), MergeEntries<'db>>;
 
 const REGEX_CACHE_CAP: usize = 1024;
 const CACHE_SHARDS: usize = 16;
@@ -226,14 +228,18 @@ fn regex_cache() -> &'static Sharded<String, Arc<Regex>> {
     CACHE.get_or_init(|| Sharded::new(REGEX_CACHE_CAP))
 }
 
-/// Drop the process-wide compiled-regex cache and the path-filter memo
-/// of every table in `db` (which rows of a column survive a pattern —
-/// see [`Table::filter_memo_get`]). Benchmarks call this to measure true
-/// cold-cache behaviour; correctness never requires it (a table drops
-/// its own memo when it mutates).
+/// Drop the process-wide compiled-regex cache, and the path-filter memo
+/// (which rows of a column survive a pattern — see
+/// [`Table::filter_memo_get`]) and the hash-join build sides (see
+/// [`Table::hash_side`]) of every table in `db`. Benchmarks call this to
+/// measure true cold-cache behaviour; correctness never requires it (a
+/// table drops its own derived state when it mutates).
 pub fn clear_filter_caches(db: &Database) {
     regex_cache().clear();
-    db.tables().for_each(Table::clear_filter_memo);
+    for t in db.tables() {
+        t.clear_filter_memo();
+        t.clear_hash_sides();
+    }
 }
 
 /// Cooperative cancellation handle for one query. Clone it, hand one copy
@@ -495,15 +501,12 @@ struct WorkerResult {
 
 /// Caches shared by every worker executor of one fan-out (and seeded
 /// from the coordinator's own). Before this existed, each partition
-/// worker's fresh `Executor` re-flattened merge index arrays and rebuilt
-/// hash-join build sides per chunk — O(index) work per chunk that
-/// dwarfed the chunk itself on small queries (BENCH_3's Q1 regression).
-/// The map locks are held across a build, so a side is built exactly
-/// once per fan-out and its `rows_scanned` are charged exactly once,
-/// keeping parallel stats byte-identical to serial.
+/// worker's fresh `Executor` re-flattened merge index arrays per chunk —
+/// O(index) work per chunk that dwarfed the chunk itself on small
+/// queries (BENCH_3's Q1 regression). The map lock is held across a
+/// flattening, so an array is built exactly once per fan-out.
 struct SharedExecCaches<'db> {
-    merge: Mutex<HashMap<(String, usize), MergeEntries<'db>>>,
-    hash: Mutex<HashMap<(String, usize), HashBuild>>,
+    merge: Mutex<MergeArrays<'db>>,
 }
 
 /// Lock a shared-cache map, recovering from poisoning (entries are pure
@@ -548,13 +551,9 @@ pub struct Executor<'db> {
     /// Slot holding the current `COUNT(*)` aggregate while its projection
     /// is evaluated.
     count_result: std::cell::Cell<Option<i64>>,
-    /// Hash-join build sides, keyed by (table, column) and cached for the
-    /// whole statement (cleared per `run`, like the plan cache).
-    hash_builds: RefCell<HashMap<(String, usize), HashBuild>>,
-    /// Flattened indexes for the sort-merge cursor, keyed by (table,
-    /// index position). Valid for this executor's lifetime — the database
-    /// borrow is immutable.
-    merge_arrays: RefCell<HashMap<(String, usize), MergeEntries<'db>>>,
+    /// Flattened indexes for the sort-merge cursor. Valid for this
+    /// executor's lifetime — the database borrow is immutable.
+    merge_arrays: RefCell<MergeArrays<'db>>,
     /// Sort-merge cursor positions keyed by (Select address, step depth);
     /// cleared per `run` alongside the plan cache.
     merge_cursors: RefCell<HashMap<(usize, usize), usize>>,
@@ -599,7 +598,6 @@ impl<'db> Executor<'db> {
             shared_caches: RefCell::new(None),
             par_log: RefCell::new(Vec::new()),
             count_result: std::cell::Cell::new(None),
-            hash_builds: RefCell::new(HashMap::new()),
             merge_arrays: RefCell::new(HashMap::new()),
             merge_cursors: RefCell::new(HashMap::new()),
             row_buf_pool: RefCell::new(Vec::new()),
@@ -744,7 +742,6 @@ impl<'db> Executor<'db> {
         }
         let sc = Arc::new(SharedExecCaches {
             merge: Mutex::new(self.merge_arrays.borrow().clone()),
-            hash: Mutex::new(self.hash_builds.borrow().clone()),
         });
         *self.shared_caches.borrow_mut() = Some(sc.clone());
         sc
@@ -840,7 +837,6 @@ impl<'db> Executor<'db> {
 
     fn run_inner(&self, stmt: &SelectStmt) -> Result<ResultSet, ExecError> {
         self.plans.borrow_mut().clear();
-        self.hash_builds.borrow_mut().clear();
         self.merge_cursors.borrow_mut().clear();
         self.step_stats.borrow_mut().clear();
         self.par_log.borrow_mut().clear();
@@ -1638,15 +1634,14 @@ impl<'db> Executor<'db> {
                 probe_rows.extend(table.rows().map(|(rid, _)| rid));
             }
             Access::HashEq { column, key } => {
-                let build = self.hash_build(&step.table, table, *column)?;
-                // A cold build just scanned the whole table; poll before
-                // the probe rather than mid-scan.
-                self.check_limits_now()?;
-                let k = self.eval(key, env)?;
+                // The side is the table's derived state: built on the
+                // first probe of this column and charged to no query.
+                let side = table.hash_side(*column);
+                let k = self.operand(key, env)?;
                 // A NULL key matches nothing; no probe is performed.
                 if !k.is_null() {
                     local.index_probes += 1;
-                    if let Some(rids) = build.get(&k) {
+                    if let Some(rids) = side.get(&*k) {
                         probe_rows.extend_from_slice(rids);
                     }
                 }
@@ -1698,7 +1693,7 @@ impl<'db> Executor<'db> {
                 {
                     local.index_probes += 1;
                     self.stats.borrow_mut().merge_probes += 1;
-                    let entries = self.merge_entries(&step.table, table, *index);
+                    let entries = self.merge_entries(table, *index);
                     let ckey = (sel as *const Select as usize, depth);
                     let hint = self.merge_cursors.borrow().get(&ckey).copied().unwrap_or(0);
                     let start = seek_first(&entries, hint, &lo_v);
@@ -1768,13 +1763,8 @@ impl<'db> Executor<'db> {
     /// Under a shared fan-out cache the flattening happens once per
     /// statement across all sibling executors instead of once per chunk
     /// — the dominant per-chunk setup cost the profiler flagged.
-    fn merge_entries(
-        &self,
-        table_name: &str,
-        table: &'db Table,
-        index: usize,
-    ) -> MergeEntries<'db> {
-        let key = (table_name.to_string(), index);
+    fn merge_entries(&self, table: &'db Table, index: usize) -> MergeEntries<'db> {
+        let key = (table as *const Table as usize, index);
         if let Some(e) = self.merge_arrays.borrow().get(&key) {
             return e.clone();
         }
@@ -1786,7 +1776,7 @@ impl<'db> Executor<'db> {
                 None => {
                     let rc: MergeEntries<'db> =
                         Arc::new(table.indexes()[index].entries().collect::<Vec<_>>());
-                    map.insert(key.clone(), rc.clone());
+                    map.insert(key, rc.clone());
                     rc
                 }
             };
@@ -2028,126 +2018,6 @@ impl<'db> Executor<'db> {
         if pool.len() < 64 {
             pool.push(buf);
         }
-    }
-
-    /// Build (or fetch the cached) hash-join build side for a column.
-    ///
-    /// With a shared cache attached (partitioned fan-out), the shared
-    /// map's lock is held *across* the build so exactly one sibling
-    /// builds — and charges `rows_scanned` for — each side; everyone
-    /// else gets the cached `Arc`. That keeps the core counters
-    /// byte-identical to the serial single-executor run.
-    fn hash_build(
-        &self,
-        table_name: &str,
-        table: &'db Table,
-        column: usize,
-    ) -> Result<HashBuild, ExecError> {
-        let key = (table_name.to_string(), column);
-        if let Some(b) = self.hash_builds.borrow().get(&key) {
-            return Ok(b.clone());
-        }
-        let shared = self.shared_caches.borrow().clone();
-        if let Some(sc) = shared {
-            let mut map = lock_cache(&sc.hash);
-            let rc = match map.get(&key) {
-                Some(b) => b.clone(),
-                None => {
-                    // Build serially while holding the lock: forking here
-                    // would let the coordinator help-drain foreign tasks
-                    // that want another statement's cache lock — a cycle.
-                    // Sibling chunk workers are pinned serial anyway.
-                    let rc = self.build_hash_side(table, column, ParallelMode::ForceOff)?;
-                    map.insert(key.clone(), rc.clone());
-                    rc
-                }
-            };
-            drop(map);
-            self.hash_builds.borrow_mut().insert(key, rc.clone());
-            return Ok(rc);
-        }
-        let rc = self.build_hash_side(table, column, self.opts.parallel)?;
-        self.hash_builds.borrow_mut().insert(key, rc.clone());
-        Ok(rc)
-    }
-
-    /// Scan `table` into a build-side map, partitioned across the pool
-    /// when `mode`'s cost model (or ForceOn) says the scan is wide enough.
-    /// Row ids are dense indices, so per-range maps merged in range
-    /// order reproduce the serial ascending-rid postings exactly;
-    /// `rows_scanned` is charged once for the whole table either way.
-    fn build_hash_side(
-        &self,
-        table: &'db Table,
-        column: usize,
-        mode: ParallelMode,
-    ) -> Result<HashBuild, ExecError> {
-        let len = table.len();
-        let pool = ppf_pool::global();
-        let threads = pool.threads();
-        let decision = self.fan_out(&pool, mode, par_cost::WorkKind::HashBuild, len as f64, len);
-        let par_cost::ParDecision::Fork { chunks, .. } = decision else {
-            let t0 = (mode == ParallelMode::Auto && threads > 1).then(std::time::Instant::now);
-            let mut map: std::collections::BTreeMap<Value, Vec<RowId>> =
-                std::collections::BTreeMap::new();
-            for (rid, row) in table.rows() {
-                if !row[column].is_null() {
-                    map.entry(row[column].clone()).or_default().push(rid);
-                }
-            }
-            self.stats.borrow_mut().rows_scanned += len as u64;
-            self.note_serial(par_cost::WorkKind::HashBuild, len as f64, t0);
-            return Ok(Arc::new(map));
-        };
-        let ranges = ppf_pool::even_ranges(len, chunks);
-        {
-            let mut stats = self.stats.borrow_mut();
-            stats.par_tasks += 1;
-            stats.par_chunks += ranges.len() as u64;
-            stats.par_rows += len as u64;
-            let widest = ranges.iter().map(|r| r.len() as u64).max().unwrap_or(0);
-            stats.par_chunk_rows_max = stats.par_chunk_rows_max.max(widest);
-        }
-        let limits = self.limits();
-        let busy = std::sync::atomic::AtomicU64::new(0);
-        let t_fork = std::time::Instant::now();
-        let parts = pool
-            .try_map_ranges(&ranges, |_, range| {
-                limits.check_interrupt()?;
-                let t_chunk = std::time::Instant::now();
-                obs::profile::record(obs::profile::EventKind::ChunkStart, range.len() as u64);
-                let mut map: std::collections::BTreeMap<Value, Vec<RowId>> =
-                    std::collections::BTreeMap::new();
-                for rid in range {
-                    let row = table.row(rid);
-                    if !row[column].is_null() {
-                        map.entry(row[column].clone()).or_default().push(rid);
-                    }
-                }
-                obs::profile::record(obs::profile::EventKind::ChunkEnd, map.len() as u64);
-                busy.fetch_add(t_chunk.elapsed().as_nanos() as u64, Relaxed);
-                Ok::<_, ExecError>(map)
-            })
-            .map_err(|p| {
-                ExecError::exec(format!(
-                    "parallel hash-build worker panicked: {}",
-                    p.message
-                ))
-            })?;
-        self.note_fork(
-            busy.load(Relaxed),
-            t_fork.elapsed().as_nanos() as u64,
-            threads,
-        );
-        let mut merged: std::collections::BTreeMap<Value, Vec<RowId>> =
-            std::collections::BTreeMap::new();
-        for part in parts {
-            for (k, mut v) in part? {
-                merged.entry(k).or_default().append(&mut v);
-            }
-        }
-        self.stats.borrow_mut().rows_scanned += len as u64;
-        Ok(Arc::new(merged))
     }
 
     // ----- expression evaluation -----

@@ -26,9 +26,8 @@
 //!   declines forks from the very first decision instead of learning
 //!   the hard way on real queries.
 //! * **Serial observation**: every serial branch completion / filter
-//!   scan / hash build that the executor runs while a multi-thread pool
-//!   exists feeds its measured per-row cost into an EWMA
-//!   ([`note_serial`]).
+//!   scan / sort that the executor runs while a multi-thread pool exists
+//!   feeds its measured per-row cost into an EWMA ([`note_serial`]).
 //! * **Parallel observation**: every fork reports its work/span ratio —
 //!   summed chunk wall times over end-to-end fan-out time — into the
 //!   `efficiency` EWMA ([`note_fork`]). The ratio is measured on the
@@ -101,8 +100,6 @@ pub struct CostModel {
     pub row_ns: f64,
     /// Per row of a path-filter (regex) scan.
     pub scan_ns: f64,
-    /// Per row of a hash-join build-side scan.
-    pub hash_ns: f64,
     /// Per comparison of the final ORDER BY / merge sort.
     pub sort_cmp_ns: f64,
     /// Fixed cost of one fork-join fan-out on the pool.
@@ -121,7 +118,6 @@ impl Default for CostModel {
         CostModel {
             row_ns: 150.0,
             scan_ns: 80.0,
-            hash_ns: 250.0,
             sort_cmp_ns: 25.0,
             fork_ns: 20_000.0,
             chunk_ns: 3_000.0,
@@ -138,8 +134,6 @@ pub enum WorkKind {
     Branch,
     /// Path-filter regex scan over a table.
     FilterScan,
-    /// Hash-join build-side scan.
-    HashBuild,
     /// Final ORDER BY merge sort (work = n·log₂n comparisons).
     Sort,
     /// UNION arms executed concurrently (work = summed arm estimates,
@@ -152,7 +146,6 @@ impl WorkKind {
         match self {
             WorkKind::Branch => "branch",
             WorkKind::FilterScan => "filter",
-            WorkKind::HashBuild => "hash-build",
             WorkKind::Sort => "sort",
             WorkKind::Union => "union",
         }
@@ -218,7 +211,6 @@ impl Ewma {
 
 static ROW_NS: Ewma = Ewma::new();
 static SCAN_NS: Ewma = Ewma::new();
-static HASH_NS: Ewma = Ewma::new();
 static SORT_NS: Ewma = Ewma::new();
 static EFFICIENCY: Ewma = Ewma::new();
 static EXPLORE_TICK: AtomicU64 = AtomicU64::new(0);
@@ -377,7 +369,6 @@ pub fn snapshot(threads: usize) -> CostModel {
     CostModel {
         row_ns: ROW_NS.get(d.row_ns),
         scan_ns: SCAN_NS.get(d.scan_ns),
-        hash_ns: HASH_NS.get(d.hash_ns),
         sort_cmp_ns: SORT_NS.get(d.sort_cmp_ns),
         fork_ns,
         chunk_ns,
@@ -414,7 +405,6 @@ fn price(m: &CostModel, kind: WorkKind, work: f64) -> f64 {
     let per_unit = match kind {
         WorkKind::Branch | WorkKind::Union => m.row_ns,
         WorkKind::FilterScan => m.scan_ns,
-        WorkKind::HashBuild => m.hash_ns,
         WorkKind::Sort => m.sort_cmp_ns,
     };
     work * per_unit
@@ -487,7 +477,6 @@ pub fn note_serial(kind: WorkKind, work: f64, wall_ns: u64, pinned: Option<CostM
     match kind {
         WorkKind::Branch | WorkKind::Union => ROW_NS.update(per_unit),
         WorkKind::FilterScan => SCAN_NS.update(per_unit),
-        WorkKind::HashBuild => HASH_NS.update(per_unit),
         WorkKind::Sort => SORT_NS.update(per_unit),
     }
 }
@@ -531,7 +520,6 @@ mod tests {
         CostModel {
             row_ns: 100.0,
             scan_ns: 100.0,
-            hash_ns: 100.0,
             sort_cmp_ns: 100.0,
             fork_ns: 10_000.0,
             chunk_ns: 1_000.0,

@@ -115,9 +115,11 @@ pub enum Access {
         lo: Option<(Expr, bool)>,
         hi: Option<(Expr, bool)>,
     },
-    /// Build-once hash table on an unindexed column, probed with the key
-    /// expression per outer row (classic hash join, build side = this
-    /// table).
+    /// Hash join on an unindexed column (build side = this table),
+    /// probed with the key expression per outer row. The build side is
+    /// the table's own derived state (`Table::hash_side`): built on the
+    /// first probe of that column and shared by every later query until
+    /// the table mutates.
     HashEq { column: usize, key: Expr },
     /// Sort-merge range probe over a flattened B-tree index: the executor
     /// materializes the index once as a sorted array and advances a
@@ -990,8 +992,8 @@ fn build_step(
     }
 
     // 2. Equality on an unindexed column → hash join (build side = this
-    //    table, built once and cached for the whole statement). Only sound
-    //    when both sides provably share a type class: SQL's implicit
+    //    table, built once per table contents and kept on the table). Only
+    //    sound when both sides provably share a type class: SQL's implicit
     //    text↔number conversion cannot be hashed.
     if access.is_none() {
         for (ci, conj, probe) in &eq_probes {

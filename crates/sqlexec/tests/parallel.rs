@@ -146,7 +146,6 @@ fn partitioned_structural_join_matches_serial_in_every_mode() {
         cost_model: Some(sqlexec::CostModel {
             row_ns: 1e6,
             scan_ns: 1e6,
-            hash_ns: 1e6,
             sort_cmp_ns: 1e6,
             fork_ns: 0.0,
             chunk_ns: 1.0,

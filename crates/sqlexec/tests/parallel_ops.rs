@@ -1,8 +1,8 @@
 //! Serial-vs-parallel equivalence for the operators parallelized on top
 //! of the partitioned branch pipeline: the final ORDER BY merge sort,
-//! UNION arm fan-out, the hash-join build side, and COUNT(*) partial
-//! aggregation. Every operator must return the same rows in the same
-//! order with the same core work counters (`rows_scanned`,
+//! UNION arm fan-out, hash-join probes inside branch workers, and
+//! COUNT(*) partial aggregation. Every operator must return the same
+//! rows in the same order with the same core work counters (`rows_scanned`,
 //! `index_probes`, `predicate_evals`) under ForceOff, ForceOn, and Auto
 //! — Auto pinned to a deterministic cost model via
 //! `ExecOptions::cost_model`, so these tests cannot flap as the
@@ -46,7 +46,6 @@ fn fork_everything() -> CostModel {
     CostModel {
         row_ns: 1e6,
         scan_ns: 1e6,
-        hash_ns: 1e6,
         sort_cmp_ns: 1e6,
         fork_ns: 0.0,
         chunk_ns: 1.0,
@@ -194,7 +193,7 @@ fn parallel_union_distinct_dedups_across_arms() {
     assert_eq!(forced, serial);
 }
 
-// ----- Hash join: partitioned build side -----
+// ----- Hash join: probed from branch workers -----
 
 fn hash_join_db(build_rows: i64, probe_rows: i64) -> Database {
     let mut db = Database::new();
@@ -231,22 +230,31 @@ fn hash_join_db(build_rows: i64, probe_rows: i64) -> Database {
 
 const HASH_JOIN: &str = "select S.id from R, S where S.k = R.k and R.id < 8 order by S.id, R.id";
 
+/// `R` drives the branch pipeline and `S` is probed through its hash
+/// side. Under `ForceOn` the first probes come from the branch workers
+/// of a fresh table, so they race to build the side: the table builds it
+/// once, and rows and counters match a serial run on another fresh copy.
 #[test]
-fn parallel_hash_build_matches_serial_in_every_mode() {
+fn hash_join_in_branch_workers_matches_serial() {
     let _g = seq();
     pool4();
-    let db = hash_join_db(2000, 60);
-
-    let (serial, s_stats) = run(&db, HASH_JOIN, mode(ParallelMode::ForceOff));
+    let serial_db = hash_join_db(2000, 60);
+    let (serial, s_stats) = run(&serial_db, HASH_JOIN, mode(ParallelMode::ForceOff));
     assert!(!serial.is_empty());
 
+    let db = hash_join_db(2000, 60);
     let (forced, f_stats) = run(&db, HASH_JOIN, mode(ParallelMode::ForceOn));
-    assert_eq!(forced, serial, "partitioned hash build changed the result");
+    assert_eq!(
+        forced, serial,
+        "hash probes from branch workers changed the result"
+    );
     assert!(f_stats.par_tasks >= 1, "{f_stats:?}");
     assert_core_counters_equal(&s_stats, &f_stats);
+    assert_eq!(db.table("S").unwrap().hash_sides_len(), 1);
 
     let (auto, a_stats) = run(&db, HASH_JOIN, auto(fork_everything()));
-    assert_eq!(auto, serial, "auto hash build changed the result");
+    assert_eq!(auto, serial, "auto hash join changed the result");
+    assert!(a_stats.par_tasks >= 1, "{a_stats:?}");
     assert_core_counters_equal(&s_stats, &a_stats);
 }
 

@@ -152,45 +152,47 @@ fn step_stats_absent_for_never_executed_subquery() {
 #[test]
 fn global_stats_equal_sum_of_step_stats() {
     let db = two_table_db(30);
-    let stmt = parse_sql(
-        "select a.id from t a, t b where b.id = a.k and exists \
-         (select null from t c where c.id = b.k)",
-    )
-    .unwrap();
-    let exec = Executor::new(&db);
-    exec.run(&stmt).unwrap();
+    for (sql, hash_steps) in [
+        (
+            "select a.id from t a, t b where b.id = a.k and exists \
+             (select null from t c where c.id = b.k)",
+            0,
+        ),
+        // `a.k = 2` and `c.k = b.k` probe hash-join build sides, whose
+        // build is charged to no query and so to no step either.
+        (
+            "select a.id from t a, t b where a.k = 2 and b.id = a.id and exists \
+             (select null from t c where c.k = b.k)",
+            2,
+        ),
+    ] {
+        let stmt = parse_sql(sql).unwrap();
+        let exec = Executor::new(&db);
+        exec.run(&stmt).unwrap();
 
-    // Collect every select block (outer + the EXISTS subquery). The
-    // subquery the executor profiled is the clone inside its cached
-    // plan's residuals, not the one in the statement AST.
-    let sel = &stmt.branches[0];
-    let plan = exec.cached_plan(sel).expect("branch was planned");
-    fn find_exists(e: &sqlexec::Expr) -> Option<&sqlexec::Select> {
-        match e {
-            sqlexec::Expr::Exists(s) => Some(s),
-            sqlexec::Expr::And(xs) => xs.iter().find_map(find_exists),
-            _ => None,
+        // Every executed select block (outer + the EXISTS subquery).
+        let profiled = exec.profiled_steps();
+        assert_eq!(profiled.len(), 2, "{sql}");
+        let mut total = ExecStats::default();
+        let mut hashed = 0;
+        for (plan, ops) in &profiled {
+            hashed += plan
+                .steps
+                .iter()
+                .filter(|s| matches!(s.access, sqlexec::plan::Access::HashEq { .. }))
+                .count();
+            for op in ops {
+                total.rows_scanned += op.rows_in;
+                total.index_probes += op.index_probes;
+                total.predicate_evals += op.predicate_evals;
+            }
         }
+        assert_eq!(hashed, hash_steps, "{sql}");
+        let global = exec.stats();
+        assert_eq!(global.rows_scanned, total.rows_scanned, "{sql}");
+        assert_eq!(global.index_probes, total.index_probes, "{sql}");
+        assert_eq!(global.predicate_evals, total.predicate_evals, "{sql}");
     }
-    let sub = plan
-        .steps
-        .iter()
-        .flat_map(|s| s.residuals.iter())
-        .chain(plan.late_filters.iter())
-        .find_map(find_exists)
-        .expect("query has an EXISTS");
-    let mut total = ExecStats::default();
-    for block in [sel, sub] {
-        for op in exec.step_stats(block).expect("block executed") {
-            total.rows_scanned += op.rows_in;
-            total.index_probes += op.index_probes;
-            total.predicate_evals += op.predicate_evals;
-        }
-    }
-    let global = exec.stats();
-    assert_eq!(global.rows_scanned, total.rows_scanned);
-    assert_eq!(global.index_probes, total.index_probes);
-    assert_eq!(global.predicate_evals, total.predicate_evals);
 }
 
 #[test]

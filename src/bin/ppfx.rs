@@ -247,9 +247,10 @@ fn handle(session: &mut Session, line: &str) -> Result<bool, String> {
                 continue;
             };
             println!(
-                "table {name}: {} rows ({} memoized filter scans)",
+                "table {name}: {} rows ({} memoized filter scans, {} hash sides)",
                 st.rows,
-                table.filter_memo_len()
+                table.filter_memo_len(),
+                table.hash_sides_len()
             );
             for (col, cs) in table.schema.columns.iter().zip(&st.columns) {
                 if cs.non_null == 0 {
