@@ -27,11 +27,11 @@ fn main() {
         seed: 42,
     });
     let mut db = XmlDb::new(&xmark_schema()).expect("schema db");
-    db.set_path_marking(false); // keep the partitioned filter scans live
+    db.set_path_marking(false);
     db.load(&doc).expect("load");
     db.finalize().expect("indexes");
     // Force the parallel pipeline so chunk events appear even at smoke
-    // scale, where the row-count heuristic would stay serial.
+    // scale, where Auto's fork rule stays serial.
     db.set_exec_options(sqlexec::ExecOptions {
         parallel: sqlexec::ParallelMode::ForceOn,
         ..sqlexec::ExecOptions::default()

@@ -157,7 +157,7 @@ pub struct QueryCounters {
     /// Pike-VM matches run by the path filters.
     pub vm_match_calls: u64,
     pub vm_steps: u64,
-    /// Parallel fan-outs (partitioned scans and branch pipelines).
+    /// Parallel fan-outs (partitioned branch pipelines).
     pub par_tasks: u64,
     /// Chunks executed across those fan-outs.
     pub par_chunks: u64,

@@ -168,8 +168,7 @@ pub struct EngineStats {
     /// Heap allocations on the index-probe hot path (key buffers and
     /// probe row buffers acquired past their pools).
     pub probe_allocs: u64,
-    /// Parallel fan-outs during execution (partitioned path-filter scans
-    /// and partitioned branch pipelines).
+    /// Parallel fan-outs during execution (partitioned branch pipelines).
     pub par_tasks: u64,
     /// Chunks executed across those fan-outs (`par_chunks / par_tasks` is
     /// the average degree of partitioning achieved).

@@ -13,7 +13,7 @@ use sqlexec::ParallelMode;
 fn xmark_db(scale: f64) -> XmlDb {
     let doc = xmark::generate_xmark(xmark::XMarkConfig { scale, seed: 42 });
     let mut db = XmlDb::new(&xmark::xmark_schema()).unwrap();
-    // Keep the path filters live so partitioned scans have regex work.
+    // Keep the path filters live, so the queries carry regex work.
     db.set_path_marking(false);
     db.load(&doc).unwrap();
     db.finalize().unwrap();

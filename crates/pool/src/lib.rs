@@ -1,9 +1,9 @@
 //! `ppf-pool` — a small scoped work-stealing thread pool (std only).
 //!
-//! The PPF execution stack parallelizes three shapes of work: partitioned
-//! path-filter scans, partitioned structural joins (the outer run split
-//! at Dewey ancestor boundaries), and whole concurrent queries through
-//! `ppf_core::SharedEngine`. All three need the same primitive: run a
+//! The PPF execution stack parallelizes two shapes of work: partitioned
+//! structural joins (the outer run split at Dewey ancestor boundaries)
+//! and whole concurrent queries through `ppf_core::SharedEngine`. Both
+//! need the same primitive: run a
 //! batch of borrowing closures on a fixed set of worker threads and wait
 //! for all of them — rayon's `scope`, without the dependency (the build
 //! environment has no crates.io access).

@@ -15,11 +15,10 @@ use regexlite::Regex;
 use relstore::{Database, RowId, Table, Value};
 
 use crate::ast::{ArithOp, CmpOp, Expr, Select, SelectStmt};
-use crate::par_cost::{self, CostModel};
 use crate::plan::{plan_select_with, Access, ExecError, MergeMode, SelectPlan, Step};
 
 mod tail;
-use tail::{project_row, KeyKind, KeyedRow};
+use tail::{finish_rows, project_row, KeyKind, KeyedRow};
 
 /// A query result: named columns and rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,8 +51,7 @@ pub struct ExecStats {
     /// executor's pools (a steady-state hot loop should stop adding these
     /// after warm-up).
     pub probe_allocs: u64,
-    /// Parallel operations launched: partitioned path-filter scans and
-    /// partitioned branch executions (one per fan-out, regardless of how
+    /// Partitioned branch executions (one per fan-out, regardless of how
     /// many chunks it split into).
     pub par_tasks: u64,
     /// Chunks executed across all parallel operations — `par_chunks /
@@ -63,8 +61,9 @@ pub struct ExecStats {
     pub limit_aborts: u64,
     /// Statements aborted by their [`CancelToken`].
     pub query_cancelled: u64,
-    /// Parallel fan-outs skipped because the pool was already saturated
-    /// with other queries' scopes (the branch ran serially instead).
+    /// Forks the `Auto` rule approved but gave up because the pool was
+    /// already saturated with other queries' scopes (the branch ran
+    /// serially instead).
     pub par_degraded: u64,
     /// Input rows distributed across parallel chunks (all fan-outs).
     pub par_rows: u64,
@@ -340,12 +339,12 @@ impl QueryLimits {
 /// only the clock read and the token load are decimated.
 const LIMIT_CHECK_INTERVAL: u64 = 256;
 
-/// Intra-query parallelism strategy: `Auto` partitions when the cost
-/// model says the outer run (or filter scan) is large enough to pay for
-/// the fan-out, `ForceOff` pins the serial pipeline, and `ForceOn`
-/// partitions whenever there are at least two rows to split — the A/B
-/// lever equivalence tests and `perf_check` use. Partition workers always
-/// run `ForceOff`: parallelism never nests.
+/// Intra-query parallelism strategy for the one parallel operator, the
+/// branch pipeline over a structural join's outer run: `Auto` partitions
+/// when the branch's planned work reaches [`FORK_MIN_WORK`], `ForceOff`
+/// pins the serial pipeline, and `ForceOn` partitions whenever there are
+/// at least two rows to split — the A/B lever equivalence tests use.
+/// Partition workers always run `ForceOff`: parallelism never nests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelMode {
     #[default]
@@ -376,10 +375,6 @@ pub struct ExecOptions {
     /// Whether `REGEXP_LIKE` matches on the lazy DFA. Off, every match
     /// runs on the Pike VM.
     pub dfa: bool,
-    /// A pinned cost model for `Auto` fork decisions: used verbatim, with
-    /// no calibration, learning or exploration, so decisions are a pure
-    /// function of the model and the inputs. `None` is the live model.
-    pub cost_model: Option<CostModel>,
     /// Panic inside every partitioned-branch pool task (fault injection
     /// for the panic-containment tests and the server's `poison` fault).
     #[doc(hidden)]
@@ -394,7 +389,6 @@ impl Default for ExecOptions {
             stats: true,
             filter_caches: true,
             dfa: true,
-            cost_model: None,
             worker_panic: false,
         }
     }
@@ -411,16 +405,24 @@ impl ExecOptions {
     }
 }
 
-// `Auto` fork decisions are priced by the measured cost model in
-// [`crate::par_cost`] — there are no fixed row thresholds anymore. The
-// only remaining constant is the `ForceOn` chunking rule (at least two
-// chunks, at most 2 × threads), computed inline at each fan-out site.
+/// `Auto` forks a branch only when its planned work reaches this: the
+/// depth-0 row count times the planner's `est_fetched` of every later
+/// step. Below it a fork costs more than it saves. At serve scale
+/// (XMark 1.0) only Q11 clears it.
+const FORK_MIN_WORK: f64 = 100_000.0;
 
-/// `ForceOn` chunk count for `n` partitionable rows: always ≥ 2 chunks
-/// (ForceOn means "partition whenever there is anything to split"),
-/// capped at twice the pool width.
-fn force_on_chunks(n: usize, threads: usize) -> usize {
-    n.min(threads * 2).max(2)
+/// `Auto`'s fork rule for a branch of `n` depth-0 rows and planned
+/// `work` on a pool of `threads ≥ 2` lanes: the chunk count, or `None`
+/// to run serially. A pure function of the plan, so a query makes the
+/// same decision on every run.
+fn auto_fork_chunks(n: usize, work: f64, threads: usize) -> Option<usize> {
+    (n >= 2 && work >= FORK_MIN_WORK).then(|| fork_chunks(n, threads))
+}
+
+/// Chunks a forked branch of `n ≥ 2` rows splits into, under `Auto` and
+/// `ForceOn` alike: two per pool lane, and no chunk without a row.
+fn fork_chunks(n: usize, threads: usize) -> usize {
+    n.min(2 * threads)
 }
 
 /// Row-emission callback threaded through the nested-loop machinery;
@@ -485,12 +487,6 @@ fn align_ranges_to_dewey(table: &Table, rows: &[RowId], ranges: &mut Vec<std::op
 struct WorkerResult {
     outcome: Result<(), ExecError>,
     rows: Vec<KeyedRow>,
-    /// COUNT(*) partial aggregate (partitioned aggregation only).
-    count: i64,
-    /// Wall time this worker spent on its chunk; the coordinator sums
-    /// these into the fork's "work" side of the work/span efficiency
-    /// observation ([`par_cost::note_fork`]).
-    busy_ns: u64,
     /// Depth-0 row-loop counters (the worker's share of the outer run).
     depth0: OpStats,
     /// The worker executor's global counters (depths ≥ 1, subqueries).
@@ -545,8 +541,8 @@ pub struct Executor<'db> {
     /// executors; see [`SharedExecCaches`]. Reset per statement.
     shared_caches: RefCell<Option<Arc<SharedExecCaches<'db>>>>,
     /// `par_decision` log for EXPLAIN ANALYZE: one compact entry per
-    /// fork-or-serial decision the cost model (or ForceOn) made while
-    /// executing the current statement. Cleared per statement.
+    /// branch the `Auto` fork rule decided while executing the current
+    /// statement. Cleared per statement.
     par_log: RefCell<Vec<String>>,
     /// Slot holding the current `COUNT(*)` aggregate while its projection
     /// is evaluated.
@@ -771,8 +767,8 @@ impl<'db> Executor<'db> {
     }
 
     /// The `par_decision` entries the current statement recorded, in
-    /// decision order (empty when no fan-out site was reached — e.g.
-    /// `ForceOff` or a single-thread pool).
+    /// decision order (empty unless `Auto` ran a branch on a multi-thread
+    /// pool).
     pub fn par_decisions(&self) -> Vec<String> {
         self.par_log.borrow().clone()
     }
@@ -884,26 +880,20 @@ impl<'db> Executor<'db> {
             keys.push((kind, k.desc));
         }
 
-        let mut all_rows: Vec<KeyedRow> = match self.union_rows_parallel(stmt, &keys)? {
-            Some(rows) => rows,
-            None => {
-                let mut all = Vec::new();
-                for sel in &stmt.branches {
-                    match self.branch_rows_parallel(sel, &keys)? {
-                        Some(rows) => all.extend(rows),
-                        None => {
-                            let mut env: Vec<Binding> = Vec::new();
-                            self.select_rows(sel, &mut env, &mut |exec, env| {
-                                all.push(project_row(exec, sel, &keys, env)?);
-                                Ok(true)
-                            })?;
-                        }
-                    }
+        let mut all_rows: Vec<KeyedRow> = Vec::new();
+        for sel in &stmt.branches {
+            match self.branch_rows_parallel(sel, &keys)? {
+                Some(rows) => all_rows.extend(rows),
+                None => {
+                    let mut env: Vec<Binding> = Vec::new();
+                    self.select_rows(sel, &mut env, &mut |exec, env| {
+                        all_rows.push(project_row(exec, sel, &keys, env)?);
+                        Ok(true)
+                    })?;
                 }
-                all
             }
-        };
-        self.finish_rows(stmt, &mut all_rows, &keys)?;
+        }
+        finish_rows(stmt, &mut all_rows, &keys);
 
         let columns = first
             .projections
@@ -923,133 +913,6 @@ impl<'db> Executor<'db> {
         })
     }
 
-    /// Run the arms of a UNION concurrently, one pool task per arm, each
-    /// on its own worker executor (pinned serial — parallelism never
-    /// nests) sharing the coordinator's plan snapshot and caches. Arm
-    /// outputs concatenate in arm order and worker stats are absorbed
-    /// slot-wise, so rows, order, and core counters are byte-identical
-    /// to the serial arm loop.
-    ///
-    /// Returns `None` when the statement has one branch, the mode or
-    /// pool rules out fan-out, or the cost model prices the arms below
-    /// the fork overhead — the caller then runs the serial loop.
-    fn union_rows_parallel(
-        &self,
-        stmt: &SelectStmt,
-        keys: &[(KeyKind, bool)],
-    ) -> Result<Option<Vec<KeyedRow>>, ExecError> {
-        let arms = stmt.branches.len();
-        if arms < 2 {
-            return Ok(None);
-        }
-        let mode = self.opts.parallel;
-        let pool = ppf_pool::global();
-        let threads = pool.threads();
-        if mode == ParallelMode::ForceOff || threads <= 1 {
-            return Ok(None);
-        }
-        if mode == ParallelMode::Auto && pool.is_saturated() {
-            self.stats.borrow_mut().par_degraded += 1;
-            return Ok(None);
-        }
-        self.check_limits_now()?;
-        // Plan every arm up front: the planner's estimates drive the
-        // decision, and the plans ride to the workers in the snapshot.
-        let mut est_work = 0.0f64;
-        for sel in &stmt.branches {
-            let plan = self.plan_for(sel, &[])?;
-            est_work += plan
-                .steps
-                .iter()
-                .map(|s| s.est_fetched.max(1.0))
-                .product::<f64>();
-        }
-        let decision = match mode {
-            ParallelMode::ForceOn => par_cost::ParDecision::Fork {
-                chunks: arms,
-                est_ns: 0.0,
-            },
-            _ => {
-                let d = par_cost::decide(
-                    par_cost::WorkKind::Union,
-                    est_work,
-                    arms,
-                    threads,
-                    self.opts.cost_model,
-                );
-                self.log_par_decision(par_cost::describe(par_cost::WorkKind::Union, &d));
-                d
-            }
-        };
-        if !decision.is_fork() {
-            return Ok(None);
-        }
-        {
-            let mut stats = self.stats.borrow_mut();
-            stats.par_tasks += 1;
-            stats.par_chunks += arms as u64;
-        }
-        let worker_opts = ExecOptions {
-            parallel: ParallelMode::ForceOff,
-            ..self.opts
-        };
-        let profiling = self.profiling.get();
-        let snapshot = self.snapshot_for_workers();
-        let sc = self.share_caches();
-        let db = self.db;
-        let limits = self.limits();
-        let ranges: Vec<std::ops::Range<usize>> = (0..arms).map(|i| i..i + 1).collect();
-        let t0 = Instant::now();
-        let parts = pool
-            .try_map_ranges(&ranges, |i, _| {
-                let t_chunk = Instant::now();
-                obs::profile::record(obs::profile::EventKind::ChunkStart, 1);
-                let sel = &stmt.branches[i];
-                let exec = Executor::with_options(db, worker_opts);
-                exec.seed_plans_shared(snapshot.clone());
-                exec.attach_shared_caches(sc.clone());
-                exec.set_profiling(profiling);
-                exec.set_limits(limits.clone());
-                let mut env: Vec<Binding> = Vec::new();
-                let mut rows = Vec::new();
-                let outcome = exec.select_rows(sel, &mut env, &mut |e, env| {
-                    rows.push(project_row(e, sel, keys, env)?);
-                    Ok(true)
-                });
-                let result = WorkerResult {
-                    outcome,
-                    rows,
-                    count: 0,
-                    busy_ns: t_chunk.elapsed().as_nanos() as u64,
-                    depth0: OpStats::default(),
-                    stats: exec.stats(),
-                    step_stats: exec.step_stats.borrow().clone(),
-                    plans: exec.plan_snapshot(),
-                };
-                obs::profile::record(obs::profile::EventKind::ChunkEnd, result.rows.len() as u64);
-                result
-            })
-            .map_err(|p| ExecError::exec(format!("parallel UNION arm panicked: {}", p.message)))?;
-        let wall = t0.elapsed().as_nanos() as u64;
-        let busy: u64 = parts.iter().map(|p| p.busy_ns).sum();
-        let mut all = Vec::new();
-        let mut first_err: Option<ExecError> = None;
-        for part in parts {
-            self.stats.borrow_mut().absorb(&part.stats);
-            self.absorb_step_stats(&part.step_stats);
-            self.absorb_plans(&part.plans);
-            if let Err(e) = part.outcome {
-                first_err.get_or_insert(e);
-            }
-            all.extend(part.rows);
-        }
-        self.note_fork(busy, wall, threads);
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(Some(all)),
-        }
-    }
-
     /// Partitioned execution of one top-level branch: fill the first
     /// step's candidate rows once, split the run at Dewey-aligned
     /// boundaries, and drive the remaining pipeline over each slice on a
@@ -1057,8 +920,8 @@ impl<'db> Executor<'db> {
     /// range order, so the result is the serial emission order exactly.
     ///
     /// Returns `None` when this branch should take the serial path — the
-    /// mode is `ForceOff`, the pool has one thread, the projection is an
-    /// aggregate, or the plan has no steps. `PPF_THREADS=1` therefore
+    /// mode is `ForceOff`, the pool has one thread, the projection is
+    /// `COUNT(*)`, or the plan has no steps. `PPF_THREADS=1` therefore
     /// reproduces the pre-parallel engine byte for byte.
     fn branch_rows_parallel(
         &self,
@@ -1067,26 +930,17 @@ impl<'db> Executor<'db> {
     ) -> Result<Option<Vec<KeyedRow>>, ExecError> {
         let mode = self.opts.parallel;
         let pool = ppf_pool::global();
-        if mode == ParallelMode::ForceOff || pool.threads() <= 1 {
-            return Ok(None);
-        }
-        if mode == ParallelMode::Auto && pool.is_saturated() {
-            // Every worker is already inside a scope for some other query;
-            // fanning out now would only queue behind them. Degrade this
-            // query to the serial path and record that we did.
-            self.stats.borrow_mut().par_degraded += 1;
+        let threads = pool.threads();
+        if mode == ParallelMode::ForceOff
+            || threads <= 1
+            || sel
+                .projections
+                .iter()
+                .any(|p| matches!(p.expr, Expr::CountStar))
+        {
             return Ok(None);
         }
         self.check_limits_now()?;
-        let is_count = sel
-            .projections
-            .iter()
-            .any(|p| matches!(p.expr, Expr::CountStar));
-        if is_count && sel.projections.len() != 1 {
-            // Mixed COUNT(*)/column projections are a statement error; the
-            // serial path owns raising it.
-            return Ok(None);
-        }
         let plan = self.plan_for(sel, &[])?;
         if plan.steps.is_empty() {
             return Ok(None);
@@ -1121,36 +975,36 @@ impl<'db> Executor<'db> {
         };
 
         let n = probe_rows.len();
-        let threads = pool.threads();
-        // Downstream traffic estimate: each outer row drives the planner's
-        // expected fetch fan-out through the remaining steps.
-        let fanout: f64 = plan.steps[1..]
-            .iter()
-            .map(|s| s.est_fetched.max(1.0))
-            .product();
-        let work = (n as f64) * fanout;
-        let decision = match mode {
-            ParallelMode::ForceOn if n >= 2 => par_cost::ParDecision::Fork {
-                chunks: force_on_chunks(n, threads),
-                est_ns: 0.0,
-            },
-            ParallelMode::ForceOn => par_cost::ParDecision::Serial("tiny"),
+        let chunks = match mode {
+            ParallelMode::ForceOn => (n >= 2).then(|| fork_chunks(n, threads)),
             _ => {
-                let d = par_cost::decide(
-                    par_cost::WorkKind::Branch,
-                    work,
-                    n,
-                    threads,
-                    self.opts.cost_model,
-                );
-                self.log_par_decision(par_cost::describe(par_cost::WorkKind::Branch, &d));
-                d
+                // Each outer row drives the planner's expected fetches
+                // through every later step.
+                let work = n as f64
+                    * plan.steps[1..]
+                        .iter()
+                        .map(|s| s.est_fetched.max(1.0))
+                        .product::<f64>();
+                match auto_fork_chunks(n, work, threads) {
+                    // Saturation matters only to a fork the rule approved:
+                    // a busy pool gains nothing from queueing more chunks.
+                    Some(_) if pool.is_saturated() => {
+                        self.stats.borrow_mut().par_degraded += 1;
+                        self.log_par_decision(format!("degraded(rows={n},work={work:.0})"));
+                        None
+                    }
+                    Some(c) => {
+                        self.log_par_decision(format!("fork(rows={n},work={work:.0},chunks={c})"));
+                        Some(c)
+                    }
+                    None => {
+                        self.log_par_decision(format!("serial(rows={n},work={work:.0})"));
+                        None
+                    }
+                }
             }
         };
-        let mut ranges = match decision {
-            par_cost::ParDecision::Fork { chunks, .. } => ppf_pool::even_ranges(n, chunks),
-            par_cost::ParDecision::Serial(_) => Vec::new(),
-        };
+        let mut ranges = chunks.map_or_else(Vec::new, |c| ppf_pool::even_ranges(n, c));
         if ranges.len() > 1 {
             align_ranges_to_dewey(table, &probe_rows, &mut ranges);
         }
@@ -1158,57 +1012,27 @@ impl<'db> Executor<'db> {
         if ranges.len() <= 1 {
             // Not worth (or not able to) split: finish serially over the
             // rows already fetched, accumulating into the same step slot.
-            // The wall time feeds the cost model so future Auto decisions
-            // price this operator from observed per-row cost.
-            let t_serial =
-                (mode == ParallelMode::Auto && threads > 1).then(std::time::Instant::now);
             let mut rows = Vec::new();
-            let mut count: i64 = 0;
-            let outcome = if is_count {
-                self.run_probe_rows(
-                    &plan,
-                    0,
-                    sel,
-                    &mut env,
-                    table,
-                    &probe_rows,
-                    memo_skip,
-                    &mut |_, _| {
-                        count += 1;
-                        Ok(true)
-                    },
-                    &mut fill_local,
-                )
-            } else {
-                self.run_probe_rows(
-                    &plan,
-                    0,
-                    sel,
-                    &mut env,
-                    table,
-                    &probe_rows,
-                    memo_skip,
-                    &mut |exec, env| {
-                        rows.push(project_row(exec, sel, keys, env)?);
-                        Ok(true)
-                    },
-                    &mut fill_local,
-                )
-            };
+            let outcome = self.run_probe_rows(
+                &plan,
+                0,
+                sel,
+                &mut env,
+                table,
+                &probe_rows,
+                memo_skip,
+                &mut |exec, env| {
+                    rows.push(project_row(exec, sel, keys, env)?);
+                    Ok(true)
+                },
+                &mut fill_local,
+            );
             self.put_row_buf(probe_rows);
-            self.note_serial(par_cost::WorkKind::Branch, work, t_serial);
             if let Some(t0) = t0 {
                 fill_local.elapsed_ns = t0.elapsed().as_nanos() as u64;
             }
             self.flush_depth0(sel, &plan, &fill_local);
             outcome?;
-            if is_count {
-                self.count_result.set(Some(count));
-                let mut env2: Vec<Binding> = Vec::new();
-                let row = project_row(self, sel, keys, &mut env2);
-                self.count_result.set(None);
-                return Ok(Some(vec![row?]));
-            }
             return Ok(Some(rows));
         }
         {
@@ -1230,12 +1054,10 @@ impl<'db> Executor<'db> {
         let plan_ref = &plan;
         let rows_ref = &probe_rows[..];
         let limits = self.limits();
-        let t_fork = std::time::Instant::now();
         let parts = pool.try_map_ranges(&ranges, |_, range| {
             if worker_opts.worker_panic {
                 panic!("injected worker panic (test hook)");
             }
-            let t_chunk = std::time::Instant::now();
             obs::profile::record(obs::profile::EventKind::ChunkStart, range.len() as u64);
             let exec = Executor::with_options(db, worker_opts);
             exec.seed_plans_shared(snapshot.clone());
@@ -1244,26 +1066,9 @@ impl<'db> Executor<'db> {
             exec.set_limits(limits.clone());
             let mut env: Vec<Binding> = Vec::new();
             let mut rows = Vec::new();
-            let mut count: i64 = 0;
             let mut depth0 = OpStats::default(); // invocations stay the coordinator's
-            let outcome = if is_count {
-                exec.run_probe_rows(
-                    plan_ref,
-                    0,
-                    sel,
-                    &mut env,
-                    table,
-                    &rows_ref[range],
-                    memo_skip,
-                    &mut |_, _| {
-                        count += 1;
-                        Ok(true)
-                    },
-                    &mut depth0,
-                )
-                .map(|_| ())
-            } else {
-                exec.run_probe_rows(
+            let outcome = exec
+                .run_probe_rows(
                     plan_ref,
                     0,
                     sel,
@@ -1277,13 +1082,10 @@ impl<'db> Executor<'db> {
                     },
                     &mut depth0,
                 )
-                .map(|_| ())
-            };
+                .map(|_| ());
             let result = WorkerResult {
                 outcome,
                 rows,
-                count,
-                busy_ns: t_chunk.elapsed().as_nanos() as u64,
                 depth0,
                 stats: exec.stats(),
                 step_stats: exec.step_stats.borrow().clone(),
@@ -1295,11 +1097,8 @@ impl<'db> Executor<'db> {
         self.put_row_buf(probe_rows);
         let parts: Vec<WorkerResult> = parts
             .map_err(|p| ExecError::exec(format!("parallel worker panicked: {}", p.message)))?;
-        let busy: u64 = parts.iter().map(|p| p.busy_ns).sum();
-        self.note_fork(busy, t_fork.elapsed().as_nanos() as u64, threads);
 
         let mut rows = Vec::new();
-        let mut total_count: i64 = 0;
         let mut first_err: Option<ExecError> = None;
         for part in parts {
             fill_local.absorb(&part.depth0);
@@ -1309,26 +1108,16 @@ impl<'db> Executor<'db> {
             if let Err(e) = part.outcome {
                 first_err.get_or_insert(e);
             }
-            total_count += part.count;
             rows.extend(part.rows);
         }
         if let Some(t0) = t0 {
             fill_local.elapsed_ns = t0.elapsed().as_nanos() as u64;
         }
         self.flush_depth0(sel, &plan, &fill_local);
-        if let Some(e) = first_err {
-            return Err(e);
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(Some(rows)),
         }
-        if is_count {
-            // Combine the per-chunk partial counts and evaluate the single
-            // COUNT(*) projection once, exactly like the serial funnel.
-            self.count_result.set(Some(total_count));
-            let mut env2: Vec<Binding> = Vec::new();
-            let row = project_row(self, sel, keys, &mut env2);
-            self.count_result.set(None);
-            return Ok(Some(vec![row?]));
-        }
-        Ok(Some(rows))
     }
 
     /// Credit the coordinator-side depth-0 counters (candidate fill plus
@@ -1853,135 +1642,26 @@ impl<'db> Executor<'db> {
         Ok(Some(ri))
     }
 
-    /// Run one path-filter scan — every row of `table` against `re` —
-    /// partitioned across the pool when the table is large enough (all
-    /// workers share the one compiled program and its lazy DFA), serially
-    /// otherwise. Chunk results concatenate in chunk order, so the
-    /// surviving row ids come back in document order either way.
+    /// Run one path-filter scan: every row of `table` against `re`, in
+    /// document order. A path filter scans `Paths`, which holds one row
+    /// per distinct path (345 at XMark 1.0), so it always runs serially.
     fn filter_scan(
         &self,
         table: &'db Table,
         ci: usize,
         re: &Arc<Regex>,
     ) -> Result<Vec<RowId>, ExecError> {
-        let pool = ppf_pool::global();
-        let len = table.len();
-        let mode = self.opts.parallel;
-        let threads = pool.threads();
-        let decision = self.fan_out(&pool, mode, par_cost::WorkKind::FilterScan, len as f64, len);
-        let par_cost::ParDecision::Fork { chunks, .. } = decision else {
-            let t0 = (mode == ParallelMode::Auto && threads > 1).then(std::time::Instant::now);
-            let mut out = Vec::new();
-            for (rid, row) in table.rows() {
-                self.charge_rows(1)?;
-                // NULLs never match (three-valued logic rejects the row).
-                if let Value::Str(s) = &row[ci] {
-                    if self.opts.is_match(re, s) {
-                        out.push(rid);
-                    }
+        let mut out = Vec::new();
+        for (rid, row) in table.rows() {
+            self.charge_rows(1)?;
+            // NULLs never match (three-valued logic rejects the row).
+            if let Value::Str(s) = &row[ci] {
+                if self.opts.is_match(re, s) {
+                    out.push(rid);
                 }
             }
-            self.note_serial(par_cost::WorkKind::FilterScan, len as f64, t0);
-            return Ok(out);
-        };
-        let ranges = ppf_pool::even_ranges(len, chunks);
-        {
-            let mut stats = self.stats.borrow_mut();
-            stats.par_tasks += 1;
-            stats.par_chunks += ranges.len() as u64;
-            stats.par_rows += ranges.iter().map(|r| r.len() as u64).sum::<u64>();
-            let widest = ranges.iter().map(|r| r.len() as u64).max().unwrap_or(0);
-            stats.par_chunk_rows_max = stats.par_chunk_rows_max.max(widest);
         }
-        let limits = self.limits();
-        let opts = self.opts;
-        let busy = std::sync::atomic::AtomicU64::new(0);
-        let t_fork = std::time::Instant::now();
-        let parts = pool
-            .try_map_ranges(&ranges, |_, range| {
-                // Chunk-boundary poll; the row budget stays coordinator-side
-                // (charged on the concatenated total below).
-                limits.check_interrupt()?;
-                let t_chunk = std::time::Instant::now();
-                obs::profile::record(obs::profile::EventKind::ChunkStart, range.len() as u64);
-                let mut out = Vec::new();
-                for rid in range {
-                    if let Value::Str(s) = &table.row(rid)[ci] {
-                        if opts.is_match(re, s) {
-                            out.push(rid);
-                        }
-                    }
-                }
-                obs::profile::record(obs::profile::EventKind::ChunkEnd, out.len() as u64);
-                busy.fetch_add(t_chunk.elapsed().as_nanos() as u64, Relaxed);
-                Ok::<_, ExecError>(out)
-            })
-            .map_err(|p| {
-                ExecError::exec(format!(
-                    "parallel filter-scan worker panicked: {}",
-                    p.message
-                ))
-            })?;
-        self.note_fork(
-            busy.load(Relaxed),
-            t_fork.elapsed().as_nanos() as u64,
-            threads,
-        );
-        let mut survivors = Vec::new();
-        for part in parts {
-            survivors.extend(part?);
-        }
-        self.charge_rows(len as u64)?;
-        Ok(survivors)
-    }
-
-    /// The fork-or-serial decision for a scan or sort over `n` rows,
-    /// `work` in cost-model units: `ForceOn` splits anything splittable,
-    /// `Auto` asks the cost model and logs its answer unless every pool
-    /// worker is already busy.
-    fn fan_out(
-        &self,
-        pool: &ppf_pool::Pool,
-        mode: ParallelMode,
-        kind: par_cost::WorkKind,
-        work: f64,
-        n: usize,
-    ) -> par_cost::ParDecision {
-        let threads = pool.threads();
-        match mode {
-            ParallelMode::ForceOn if threads > 1 && n >= 2 => par_cost::ParDecision::Fork {
-                chunks: force_on_chunks(n, threads),
-                est_ns: 0.0,
-            },
-            ParallelMode::Auto if threads > 1 && pool.is_saturated() => {
-                self.stats.borrow_mut().par_degraded += 1;
-                par_cost::ParDecision::Serial("off")
-            }
-            ParallelMode::Auto if threads > 1 => {
-                let d = par_cost::decide(kind, work, n, threads, self.opts.cost_model);
-                self.log_par_decision(par_cost::describe(kind, &d));
-                d
-            }
-            _ => par_cost::ParDecision::Serial("off"),
-        }
-    }
-
-    /// Feed a serial run timed from `start` to the cost model. Callers
-    /// take `start` only when `Auto` runs on a multi-thread pool, the
-    /// runs the model learns per-row costs from.
-    fn note_serial(&self, kind: par_cost::WorkKind, work: f64, start: Option<Instant>) {
-        if let Some(t0) = start {
-            let wall_ns = t0.elapsed().as_nanos() as u64;
-            par_cost::note_serial(kind, work, wall_ns, self.opts.cost_model);
-        }
-    }
-
-    /// Feed a fork's work (`busy_ns`, summed over its chunks) and span
-    /// (`wall_ns`) to the cost model, when `Auto` chose it.
-    fn note_fork(&self, busy_ns: u64, wall_ns: u64, threads: usize) {
-        if self.opts.parallel == ParallelMode::Auto {
-            par_cost::note_fork(busy_ns, wall_ns, threads, self.opts.cost_model);
-        }
+        Ok(out)
     }
 
     /// Fetch (or compile into) the process-wide program cache.
@@ -2544,9 +2224,28 @@ pub fn naive_select(db: &Database, sel: &Select) -> Result<Vec<Vec<Value>>, Exec
 
 #[cfg(test)]
 mod tests {
-    use super::{compare, compare_concat, concat};
+    use super::{auto_fork_chunks, compare, compare_concat, concat, FORK_MIN_WORK};
     use crate::ast::CmpOp;
     use relstore::Value;
+
+    /// The fork rule at its boundary: one unit of work short stays
+    /// serial, the threshold itself forks into two chunks per lane, never
+    /// more chunks than rows, and a single row never forks.
+    #[test]
+    fn auto_fork_rule_boundary() {
+        for threads in [2usize, 4] {
+            for n in [2usize, 3, 7, 8, 9, 1_000] {
+                assert_eq!(auto_fork_chunks(n, FORK_MIN_WORK - 1.0, threads), None);
+                assert_eq!(
+                    auto_fork_chunks(n, FORK_MIN_WORK, threads),
+                    Some(n.min(2 * threads)),
+                    "n={n} threads={threads}"
+                );
+            }
+            assert_eq!(auto_fork_chunks(1, FORK_MIN_WORK * 10.0, threads), None);
+            assert_eq!(auto_fork_chunks(0, FORK_MIN_WORK, threads), None);
+        }
+    }
 
     /// Comparing against `y || z` in parts agrees with comparing against
     /// the built concatenation, for every operator.

@@ -2,14 +2,10 @@
 //! into rows, `DISTINCT`/`UNION` duplicate elimination, and the final
 //! `ORDER BY`.
 
-use std::sync::atomic::Ordering::Relaxed;
-use std::time::Instant;
-
 use relstore::Value;
 
-use super::{Binding, Executor, ParallelMode};
+use super::{Binding, Executor};
 use crate::ast::{Expr, Select, SelectStmt};
-use crate::par_cost;
 use crate::plan::ExecError;
 
 /// A resolved ORDER BY key: a projected output column by position, or an
@@ -59,8 +55,8 @@ pub(super) type KeyedRow = (Vec<Value>, Vec<Value>);
 
 /// Compare two keyed rows under the statement's ORDER BY keys. Output
 /// keys index the projected row in place; computed keys consume the
-/// precomputed key vector positionally. Matches the serial executor's
-/// ordering exactly (total order via `cmp_total`, DESC by reversal).
+/// precomputed key vector positionally. Total order via `cmp_total`,
+/// DESC by reversal.
 fn cmp_keyed(keys: &[(KeyKind, bool)], a: &KeyedRow, b: &KeyedRow) -> std::cmp::Ordering {
     let mut ci = 0;
     for (kind, desc) in keys {
@@ -80,130 +76,17 @@ fn cmp_keyed(keys: &[(KeyKind, bool)], a: &KeyedRow, b: &KeyedRow) -> std::cmp::
     std::cmp::Ordering::Equal
 }
 
-impl<'db> Executor<'db> {
-    /// The statement tail over every branch's rows, concatenated in branch
-    /// order: duplicate elimination, then ORDER BY. A UNION has set
-    /// semantics, so it takes one pass over the concatenation — that pass
-    /// keeps the same first occurrences that per-branch DISTINCT passes
-    /// before it would have kept.
-    pub(super) fn finish_rows(
-        &self,
-        stmt: &SelectStmt,
-        rows: &mut Vec<KeyedRow>,
-        keys: &[(KeyKind, bool)],
-    ) -> Result<(), ExecError> {
-        if stmt.branches.len() > 1 || stmt.branches.iter().any(|b| b.distinct) {
-            dedup_rows(rows);
-        }
-        self.sort_keyed_rows(rows, keys)
+/// The statement tail over every branch's rows, concatenated in branch
+/// order: duplicate elimination, then a stable ORDER BY (a no-op for
+/// keyless statements). A UNION has set semantics, so it takes one pass
+/// over the concatenation — that pass keeps the same first occurrences
+/// that per-branch DISTINCT passes before it would have kept.
+pub(super) fn finish_rows(stmt: &SelectStmt, rows: &mut Vec<KeyedRow>, keys: &[(KeyKind, bool)]) {
+    if stmt.branches.len() > 1 || stmt.branches.iter().any(|b| b.distinct) {
+        dedup_rows(rows);
     }
-
-    /// Final ORDER BY: a stable parallel merge sort over the collected
-    /// rows. Chunks are stable-sorted in place on the pool, then merged
-    /// left-first, which reproduces the serial stable `sort_by` order
-    /// byte for byte. Serial (and a no-op for keyless statements) when
-    /// the mode, pool, or cost model says the fan-out won't pay.
-    fn sort_keyed_rows(
-        &self,
-        rows: &mut Vec<KeyedRow>,
-        keys: &[(KeyKind, bool)],
-    ) -> Result<(), ExecError> {
-        if keys.is_empty() || rows.len() < 2 {
-            return Ok(());
-        }
-        let n = rows.len();
-        let mode = self.opts.parallel;
-        let pool = ppf_pool::global();
-        let threads = pool.threads();
-        // Comparison count of a merge sort: n·log₂n.
-        let work = (n as f64) * (n as f64).log2().max(1.0);
-        let decision = self.fan_out(&pool, mode, par_cost::WorkKind::Sort, work, n);
-        let par_cost::ParDecision::Fork { chunks, .. } = decision else {
-            let t0 = (mode == ParallelMode::Auto && threads > 1).then(Instant::now);
-            rows.sort_by(|a, b| cmp_keyed(keys, a, b));
-            self.note_serial(par_cost::WorkKind::Sort, work, t0);
-            return Ok(());
-        };
-        self.check_limits_now()?;
-        let ranges = ppf_pool::even_ranges(n, chunks);
-        {
-            let mut stats = self.stats.borrow_mut();
-            stats.par_tasks += 1;
-            stats.par_chunks += ranges.len() as u64;
-        }
-        let t0 = Instant::now();
-        let busy = std::sync::atomic::AtomicU64::new(0);
-        {
-            // Carve the buffer into disjoint &mut chunks and stable-sort
-            // each on the pool.
-            let mut rest: &mut [KeyedRow] = &mut rows[..];
-            let mut slices: Vec<&mut [KeyedRow]> = Vec::with_capacity(ranges.len());
-            for r in &ranges {
-                let (head, tail) = rest.split_at_mut(r.len());
-                slices.push(head);
-                rest = tail;
-            }
-            let busy = &busy;
-            pool.try_scope(|s| {
-                let tasks: Vec<_> = slices
-                    .into_iter()
-                    .map(|slice| {
-                        move || {
-                            let t_chunk = Instant::now();
-                            obs::profile::record(
-                                obs::profile::EventKind::ChunkStart,
-                                slice.len() as u64,
-                            );
-                            slice.sort_by(|a, b| cmp_keyed(keys, a, b));
-                            obs::profile::record(
-                                obs::profile::EventKind::ChunkEnd,
-                                slice.len() as u64,
-                            );
-                            busy.fetch_add(t_chunk.elapsed().as_nanos() as u64, Relaxed);
-                        }
-                    })
-                    .collect();
-                s.spawn_batch(tasks);
-            })
-            .map_err(|p| {
-                ExecError::exec(format!("parallel sort worker panicked: {}", p.message))
-            })?;
-        }
-        let t_merge = Instant::now();
-        // Stable left-first k-way merge: on ties the leftmost chunk wins,
-        // which is exactly the serial stable sort's tie-break.
-        let mut out = Vec::with_capacity(n);
-        let mut pos: Vec<usize> = ranges.iter().map(|r| r.start).collect();
-        loop {
-            let mut best: Option<usize> = None;
-            for (k, r) in ranges.iter().enumerate() {
-                if pos[k] < r.end {
-                    best = match best {
-                        None => Some(k),
-                        Some(b)
-                            if cmp_keyed(keys, &rows[pos[k]], &rows[pos[b]])
-                                == std::cmp::Ordering::Less =>
-                        {
-                            Some(k)
-                        }
-                        other => other,
-                    };
-                }
-            }
-            let Some(b) = best else { break };
-            out.push(std::mem::take(&mut rows[pos[b]]));
-            pos[b] += 1;
-        }
-        *rows = out;
-        // The serial merge is work the parallel path does too: count it
-        // on both sides of the work/span ratio.
-        let merge_ns = t_merge.elapsed().as_nanos() as u64;
-        self.note_fork(
-            busy.load(Relaxed) + merge_ns,
-            t0.elapsed().as_nanos() as u64,
-            threads,
-        );
-        Ok(())
+    if !keys.is_empty() {
+        rows.sort_by(|a, b| cmp_keyed(keys, a, b));
     }
 }
 
@@ -236,11 +119,10 @@ fn dedup_rows(rows: &mut Vec<(Vec<Value>, Vec<Value>)>) {
 mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use relstore::{Database, Value};
+    use relstore::Value;
 
-    use super::{cmp_keyed, KeyKind, KeyedRow};
+    use super::{cmp_keyed, finish_rows, KeyKind, KeyedRow};
     use crate::ast::{Expr, Select, SelectStmt};
-    use crate::exec::Executor;
 
     /// The tail as it was before rows were deduplicated by permutation:
     /// per-branch DISTINCT, then UNION, each cloning rows into a set, then
@@ -290,8 +172,6 @@ mod tests {
     /// cannot tell those copies apart.
     #[test]
     fn dedup_by_permutation_matches_set_reference() {
-        let db = Database::new();
-        let exec = Executor::new(&db);
         let mut rng = StdRng::seed_from_u64(0x5EED);
         for case in 0..500 {
             let arity = rng.gen_range(1..=3usize);
@@ -332,7 +212,7 @@ mod tests {
                 order_by: Vec::new(),
             };
             let mut got: Vec<KeyedRow> = branches.iter().flat_map(|(_, r)| r.clone()).collect();
-            exec.finish_rows(&stmt, &mut got, &keys).unwrap();
+            finish_rows(&stmt, &mut got, &keys);
             let want = reference_tail(&branches, &keys);
             assert_eq!(
                 format!("{got:?}"),

@@ -31,7 +31,6 @@ pub mod ast;
 pub mod exec;
 pub mod explain;
 pub mod lexer;
-pub mod par_cost;
 pub mod parser;
 pub mod plan;
 pub mod render;
@@ -42,7 +41,6 @@ pub use exec::{
     ExecStats, Executor, OpStats, ParallelMode, QueryLimits, ResultSet,
 };
 pub use explain::{explain_analyze, explain_analyze_with_limits, explain_stmt};
-pub use par_cost::{CostModel, ParDecision};
 pub use parser::parse_sql;
 pub use plan::{qerror, ExecError, MergeMode, SelectPlan};
 pub use render::render_stmt;

@@ -1,20 +1,28 @@
-//! Parallel-execution equivalence: partitioned path-filter scans and
-//! partitioned structural-join pipelines must return exactly what the
-//! serial engine returns — same rows, same document order — under every
-//! [`ParallelMode`], and the partition boundary handling must be correct
-//! even when an even split would land inside a Dewey subtree.
+//! Parallel-execution equivalence: partitioned structural-join pipelines
+//! must return exactly what the serial engine returns — same rows, same
+//! document order — under every [`ParallelMode`], the partition boundary
+//! handling must be correct even when an even split would land inside a
+//! Dewey subtree, and `Auto` must decide from the plan alone.
 //!
 //! The process pool is sized once for the whole test binary (the host
 //! running CI may have a single core; partitioning is a property of the
 //! pool's thread count, not the machine's). The mode is a field of each
-//! executor's options, so `#[test]` threads cannot perturb each other.
+//! executor's options, so `#[test]` threads share the pool freely; only
+//! the saturated-pool test takes it exclusively.
+
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use relstore::{ColType, Database, TableSchema, Value};
 use sqlexec::{ExecOptions, ExecStats, Executor, ParallelMode};
 
-fn pool4() {
+/// Held shared by every test and exclusively by the one that saturates
+/// the pool, so no other test finds the pool's lanes busy.
+static POOL: RwLock<()> = RwLock::new(());
+
+fn pool4() -> RwLockReadGuard<'static, ()> {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| ppf_pool::set_threads(4));
+    POOL.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn mode(parallel: ParallelMode) -> ExecOptions {
@@ -29,59 +37,6 @@ fn ids(db: &Database, sql: &str, opts: ExecOptions) -> (Vec<i64>, ExecStats) {
     let rs = exec.query(sql).unwrap();
     let ids = rs.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
     (ids, exec.stats())
-}
-
-/// A `Paths`-style table large enough that even `Auto` mode would want
-/// to fan out if the pool allowed it; `ForceOn` always does.
-fn paths_db(rows: i64) -> Database {
-    let mut db = Database::new();
-    db.create_table(TableSchema::new(
-        "Paths",
-        &[("id", ColType::Int), ("path", ColType::Str)],
-    ))
-    .unwrap();
-    let t = db.table_mut("Paths").unwrap();
-    for i in 0..rows {
-        let path = if i % 3 == 0 {
-            format!("/site/regions/item{i}/keyword")
-        } else {
-            format!("/site/people/person{i}/name")
-        };
-        t.insert(vec![Value::Int(i), Value::Str(path)]).unwrap();
-    }
-    db
-}
-
-const FILTER: &str = "select P.id from Paths P \
-                      where REGEXP_LIKE(P.path, '^/site/regions(/[^/]+)*/keyword$') \
-                      order by P.id";
-
-#[test]
-fn partitioned_filter_scan_matches_serial() {
-    pool4();
-    let db = paths_db(600);
-    sqlexec::clear_filter_caches(&db);
-    let (serial, s_stats) = ids(&db, FILTER, mode(ParallelMode::ForceOff));
-    assert_eq!(serial.len(), 200);
-    assert_eq!(s_stats.par_tasks, 0);
-
-    sqlexec::clear_filter_caches(&db);
-    let (par, p_stats) = ids(&db, FILTER, mode(ParallelMode::ForceOn));
-    assert_eq!(par, serial, "partitioned scan changed the result");
-    assert!(p_stats.par_tasks >= 1, "{p_stats:?}");
-    assert!(p_stats.par_chunks >= 2, "{p_stats:?}");
-    // Skew accounting: every input row of every fan-out (the 600-row
-    // filter scan, plus any downstream branch fan-out) is attributed to
-    // a chunk, and the widest chunk is at least one even share.
-    assert!(p_stats.par_rows >= 600, "{p_stats:?}");
-    assert!(
-        p_stats.par_chunk_rows_max >= p_stats.par_rows / p_stats.par_chunks.max(1),
-        "{p_stats:?}"
-    );
-
-    sqlexec::clear_filter_caches(&db);
-    let (auto, _) = ids(&db, FILTER, mode(ParallelMode::Auto));
-    assert_eq!(auto, serial);
 }
 
 /// Shredded-style structural join: outer context nodes against their
@@ -127,7 +82,7 @@ const DEWEY_JOIN: &str = "select F.id from A, F \
 
 #[test]
 fn partitioned_structural_join_matches_serial_in_every_mode() {
-    pool4();
+    let _pool = pool4();
     let db = dewey_db(80, 6);
 
     let (serial, s_stats) = ids(&db, DEWEY_JOIN, mode(ParallelMode::ForceOff));
@@ -136,31 +91,26 @@ fn partitioned_structural_join_matches_serial_in_every_mode() {
 
     let (forced, f_stats) = ids(&db, DEWEY_JOIN, mode(ParallelMode::ForceOn));
     assert_eq!(forced, serial, "forced partitioning changed the result");
-    assert!(f_stats.par_tasks >= 1, "{f_stats:?}");
+    assert_eq!(f_stats.par_tasks, 1, "{f_stats:?}");
     assert!(f_stats.par_chunks >= 2, "{f_stats:?}");
+    // Skew accounting: every outer row is attributed to a chunk, and the
+    // widest chunk is at least one even share.
+    assert_eq!(f_stats.par_rows, 80, "{f_stats:?}");
+    assert!(
+        f_stats.par_chunk_rows_max >= f_stats.par_rows / f_stats.par_chunks,
+        "{f_stats:?}"
+    );
 
-    // Pin the cost model to one that always prefers forking: the Auto
-    // path must then fan out deterministically, regardless of what the
-    // process-wide model has learned from earlier tests.
-    let pinned = ExecOptions {
-        cost_model: Some(sqlexec::CostModel {
-            row_ns: 1e6,
-            scan_ns: 1e6,
-            sort_cmp_ns: 1e6,
-            fork_ns: 0.0,
-            chunk_ns: 1.0,
-            efficiency: 1.0,
-        }),
-        ..mode(ParallelMode::Auto)
-    };
-    let (auto, a_stats) = ids(&db, DEWEY_JOIN, pinned);
-    assert_eq!(auto, serial, "auto partitioning changed the result");
-    assert!(a_stats.par_tasks >= 1, "{a_stats:?}");
+    // 80 outer rows at 2.4 planned fetches each is far below the fork
+    // threshold: Auto runs the serial pipeline.
+    let (auto, a_stats) = ids(&db, DEWEY_JOIN, mode(ParallelMode::Auto));
+    assert_eq!(auto, serial, "auto changed the result");
+    assert_eq!(a_stats.par_tasks, 0, "{a_stats:?}");
 }
 
 #[test]
 fn partitioned_join_preserves_work_counters() {
-    pool4();
+    let _pool = pool4();
     let db = dewey_db(64, 8);
 
     let (serial, s) = ids(&db, DEWEY_JOIN, mode(ParallelMode::ForceOff));
@@ -181,7 +131,7 @@ fn partitioned_join_preserves_work_counters() {
 /// whatever the boundaries — results must be byte-identical to serial.
 #[test]
 fn dewey_chunk_boundaries_do_not_corrupt_subtree_runs() {
-    pool4();
+    let _pool = pool4();
     let mut db = Database::new();
     db.create_table(TableSchema::new(
         "A",
@@ -238,7 +188,7 @@ fn dewey_chunk_boundaries_do_not_corrupt_subtree_runs() {
 
 #[test]
 fn explain_analyze_reports_parallel_counters() {
-    pool4();
+    let _pool = pool4();
     let db = dewey_db(48, 4);
     let stmt = sqlexec::parse_sql(DEWEY_JOIN).unwrap();
     let out = sqlexec::explain_analyze_with_limits(
@@ -259,7 +209,7 @@ fn explain_analyze_reports_parallel_counters() {
 /// table statistics the workers' threads would otherwise see.
 #[test]
 fn subquery_planned_in_a_worker_follows_the_coordinators_options() {
-    pool4();
+    let _pool = pool4();
     let db = dewey_db(64, 8);
     relstore::stats::analyze_db(&db);
     // The EXISTS correlates with F, the join's second step, so it first
@@ -317,4 +267,150 @@ fn subquery_planned_in_a_worker_follows_the_coordinators_options() {
         assert!(par.stats().par_tasks >= 1, "round {round}");
         assert_eq!(exists_plan(&par), want_plan, "round {round}");
     }
+}
+
+/// A Dewey join whose planned work clears `Auto`'s fork threshold of
+/// 100 000: 1 000 contexts with one child each, beside 23 000 `F` rows
+/// under no context. Unanalyzed, the planner prices each window probe at
+/// 0.5 % of `F` (120 rows), so the work is 1 000 × 120 = 120 000, while
+/// the join itself returns 1 000 rows.
+fn wide_join_db() -> Database {
+    let mut db = Database::new();
+    for name in ["A", "F"] {
+        db.create_table(TableSchema::new(
+            name,
+            &[("id", ColType::Int), ("dewey_pos", ColType::Bytes)],
+        ))
+        .unwrap();
+    }
+    {
+        let a = db.table_mut("A").unwrap();
+        for i in 0..1_000u16 {
+            let [hi, lo] = i.to_be_bytes();
+            a.insert(vec![Value::Int(i.into()), Value::Bytes(vec![0, hi, lo])])
+                .unwrap();
+        }
+        a.create_index("a_dewey", &["dewey_pos"]).unwrap();
+    }
+    {
+        let f = db.table_mut("F").unwrap();
+        for i in 0..1_000u16 {
+            let [hi, lo] = i.to_be_bytes();
+            f.insert(vec![
+                Value::Int(i.into()),
+                Value::Bytes(vec![0, hi, lo, 0, 0, 0]),
+            ])
+            .unwrap();
+        }
+        for i in 0..23_000u32 {
+            let [_, b2, b1, b0] = i.to_be_bytes();
+            f.insert(vec![
+                Value::Int(10_000 + i64::from(i)),
+                Value::Bytes(vec![1, b2, b1, b0]),
+            ])
+            .unwrap();
+        }
+        f.create_index("f_dewey", &["dewey_pos"]).unwrap();
+    }
+    db
+}
+
+/// `Auto` decides from the plan alone: one join above the fork threshold
+/// and one below it, 60 runs each on a 4-thread pool, make the same
+/// decision, the same fan-outs and the same chunk count every time —
+/// nothing learned from earlier runs or from the clock feeds in.
+#[test]
+fn auto_fork_decisions_repeat_exactly() {
+    let _pool = pool4();
+    let wide = wide_join_db();
+    let narrow = dewey_db(80, 6);
+    for (db, forks) in [(&wide, true), (&narrow, false)] {
+        let run = || {
+            let exec = Executor::with_options(db, mode(ParallelMode::Auto));
+            let rows = exec.query(DEWEY_JOIN).unwrap().rows.len();
+            let s = exec.stats();
+            (rows, s.par_tasks, s.par_chunks, exec.par_decisions())
+        };
+        let first = run();
+        let (_, tasks, chunks, decisions) = &first;
+        if forks {
+            assert_eq!((*tasks, *chunks), (1, 8), "{first:?}");
+            assert!(decisions[0].starts_with("fork("), "{first:?}");
+        } else {
+            assert_eq!((*tasks, *chunks), (0, 0), "{first:?}");
+            assert!(decisions[0].starts_with("serial("), "{first:?}");
+        }
+        for i in 1..60 {
+            assert_eq!(run(), first, "run {i}");
+        }
+    }
+}
+
+const WIDE_JOIN: &str = "select F.id from A, F \
+     where F.dewey_pos between A.dewey_pos and A.dewey_pos || x'FF'";
+
+/// Run `f` while every lane of the global pool sits inside an idle scope
+/// held by another thread, so `f` sees a saturated pool.
+fn with_saturated_pool<R>(f: impl FnOnce() -> R) -> R {
+    let pool = ppf_pool::global();
+    let lanes = pool.threads();
+    let entered = std::sync::Barrier::new(lanes + 1);
+    let release = std::sync::Barrier::new(lanes + 1);
+    std::thread::scope(|s| {
+        for _ in 0..lanes {
+            s.spawn(|| {
+                pool.scope(|_| {
+                    entered.wait();
+                    release.wait();
+                })
+            });
+        }
+        entered.wait();
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            assert!(pool.is_saturated());
+            f()
+        }));
+        release.wait();
+        out.unwrap_or_else(|p| std::panic::resume_unwind(p))
+    })
+}
+
+/// `par_degraded` counts forks the rule approved and a saturated pool
+/// turned down — not branches that would never have forked, and once per
+/// branch of a UNION.
+#[test]
+fn saturated_pool_degrades_only_forks_the_rule_approved() {
+    drop(pool4());
+    let _exclusive = POOL.write().unwrap_or_else(PoisonError::into_inner);
+    let db = wide_join_db();
+    let small = "select A.id from A where A.id < 5";
+    let union = format!("{WIDE_JOIN} union {small}");
+    let (serial, _) = ids(&db, &union, mode(ParallelMode::ForceOff));
+
+    let auto = |sql: &str| {
+        let exec = Executor::with_options(&db, mode(ParallelMode::Auto));
+        let rs = exec.query(sql).unwrap();
+        let rows: Vec<i64> = rs.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
+        (rows, exec.stats(), exec.par_decisions())
+    };
+    let (wide, small_run, union_run) =
+        with_saturated_pool(|| (auto(WIDE_JOIN), auto(small), auto(&union)));
+
+    let (_, stats, decisions) = wide;
+    assert_eq!((stats.par_degraded, stats.par_tasks), (1, 0), "{stats:?}");
+    assert!(decisions[0].starts_with("degraded("), "{decisions:?}");
+
+    let (_, stats, decisions) = small_run;
+    assert_eq!(stats.par_degraded, 0, "{stats:?}");
+    assert!(decisions[0].starts_with("serial("), "{decisions:?}");
+
+    let (rows, stats, decisions) = union_run;
+    assert_eq!(rows, serial);
+    assert_eq!((stats.par_degraded, stats.par_tasks), (1, 0), "{stats:?}");
+    assert_eq!(decisions.len(), 2, "{decisions:?}");
+
+    // Released, the same wide join forks.
+    let (rows, stats, _) = auto(&union);
+    assert_eq!(rows, serial);
+    assert_eq!((stats.par_degraded, stats.par_tasks), (0, 1), "{stats:?}");
 }

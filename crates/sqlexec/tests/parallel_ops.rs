@@ -1,15 +1,12 @@
-//! Serial-vs-parallel equivalence for the operators parallelized on top
-//! of the partitioned branch pipeline: the final ORDER BY merge sort,
-//! UNION arm fan-out, hash-join probes inside branch workers, and
-//! COUNT(*) partial aggregation. Every operator must return the same
-//! rows in the same order with the same core work counters (`rows_scanned`,
-//! `index_probes`, `predicate_evals`) under ForceOff, ForceOn, and Auto
-//! — Auto pinned to a deterministic cost model via
-//! `ExecOptions::cost_model`, so these tests cannot flap as the
-//! process-wide model learns.
+//! What runs on top of the partitioned branch pipeline, the one
+//! parallel operator: ORDER BY over rows the branch workers emitted,
+//! hash-join probes inside branch workers, the single-thread pool, and
+//! how `Auto` reports its fork decisions. Rows, order and
+//! the core work counters (`rows_scanned`, `index_probes`,
+//! `predicate_evals`) must match the serial engine under every mode.
 
 use relstore::{ColType, Database, TableSchema, Value};
-use sqlexec::{CostModel, ExecOptions, ExecStats, Executor, ParallelMode};
+use sqlexec::{ExecOptions, ExecStats, Executor, ParallelMode};
 
 /// Every test takes this guard, because one test resizes the
 /// process-global pool that the others fork onto.
@@ -29,36 +26,6 @@ fn mode(parallel: ParallelMode) -> ExecOptions {
     ExecOptions {
         parallel,
         ..ExecOptions::default()
-    }
-}
-
-/// `Auto` priced by a pinned cost model.
-fn auto(model: CostModel) -> ExecOptions {
-    ExecOptions {
-        cost_model: Some(model),
-        ..mode(ParallelMode::Auto)
-    }
-}
-
-/// A cost model that prices every operator as enormous and the fork as
-/// free: Auto forks everything fork-able, deterministically.
-fn fork_everything() -> CostModel {
-    CostModel {
-        row_ns: 1e6,
-        scan_ns: 1e6,
-        sort_cmp_ns: 1e6,
-        fork_ns: 0.0,
-        chunk_ns: 1.0,
-        efficiency: 1.0,
-    }
-}
-
-/// A cost model with zero parallel efficiency: Auto never forks.
-fn fork_nothing() -> CostModel {
-    CostModel {
-        efficiency: 0.0,
-        fork_ns: 1e18,
-        ..CostModel::default()
     }
 }
 
@@ -93,37 +60,17 @@ fn paths_db(rows: i64) -> Database {
     db
 }
 
-// ----- ORDER BY: parallel merge sort -----
+// ----- ORDER BY over partitioned branch output -----
 
 /// Sorts on a non-projected (computed) key plus a projected tiebreak,
 /// descending — the shape that exercises both arms of `cmp_keyed`.
 const ORDER_BY: &str = "select P.id from Paths P where P.id >= 0 order by P.path desc, P.id";
 
+/// Equal sort keys everywhere: chunk outputs concatenate in serial
+/// emission order, so the stable sort keeps the serial tie order, byte
+/// for byte.
 #[test]
-fn parallel_order_by_matches_serial_in_every_mode() {
-    let _g = seq();
-    pool4();
-    let db = paths_db(1500);
-
-    let (serial, s_stats) = run(&db, ORDER_BY, mode(ParallelMode::ForceOff));
-    assert_eq!(serial.len(), 1500);
-    assert_eq!(s_stats.par_tasks, 0);
-
-    let (forced, f_stats) = run(&db, ORDER_BY, mode(ParallelMode::ForceOn));
-    assert_eq!(forced, serial, "parallel sort changed rows or order");
-    assert!(f_stats.par_tasks >= 1, "{f_stats:?}");
-    assert_core_counters_equal(&s_stats, &f_stats);
-
-    let (auto, a_stats) = run(&db, ORDER_BY, auto(fork_everything()));
-    assert_eq!(auto, serial, "auto parallel sort changed rows or order");
-    assert!(a_stats.par_tasks >= 1, "{a_stats:?}");
-    assert_core_counters_equal(&s_stats, &a_stats);
-}
-
-/// Equal sort keys everywhere: the k-way merge must reproduce the serial
-/// stable sort's tie-break (leftmost chunk first), byte for byte.
-#[test]
-fn parallel_sort_is_stable_on_ties() {
+fn order_by_ties_keep_serial_order_under_force_on() {
     let _g = seq();
     pool4();
     let mut db = Database::new();
@@ -141,56 +88,9 @@ fn parallel_sort_is_stable_on_ties() {
     let (forced, f) = run(&db, sql, mode(ParallelMode::ForceOn));
     assert_eq!(
         forced, serial,
-        "tie-break order changed under parallel sort"
+        "tie order changed under partitioned emission"
     );
     assert!(f.par_tasks >= 1, "{f:?}");
-}
-
-// ----- UNION: concurrent arm execution -----
-
-const UNION: &str = "select P.id from Paths P where REGEXP_LIKE(P.path, 'item1[0-9]$') \
-     union select P.id from Paths P where REGEXP_LIKE(P.path, 'item[0-9]$') \
-     union select P.id from Paths P where P.id < 25 \
-     order by id";
-
-#[test]
-fn parallel_union_arms_match_serial_in_every_mode() {
-    let _g = seq();
-    pool4();
-    let db = paths_db(900);
-
-    sqlexec::clear_filter_caches(&db);
-    let (serial, s_stats) = run(&db, UNION, mode(ParallelMode::ForceOff));
-    assert!(!serial.is_empty());
-    assert_eq!(s_stats.par_tasks, 0);
-
-    sqlexec::clear_filter_caches(&db);
-    let (forced, f_stats) = run(&db, UNION, mode(ParallelMode::ForceOn));
-    assert_eq!(forced, serial, "parallel UNION changed the result");
-    assert!(f_stats.par_tasks >= 1, "{f_stats:?}");
-    assert_core_counters_equal(&s_stats, &f_stats);
-
-    sqlexec::clear_filter_caches(&db);
-    let (auto, a_stats) = run(&db, UNION, auto(fork_everything()));
-    assert_eq!(auto, serial, "auto parallel UNION changed the result");
-    assert!(a_stats.par_tasks >= 1, "{a_stats:?}");
-    assert_core_counters_equal(&s_stats, &a_stats);
-}
-
-/// Overlapping arms: UNION (distinct) must still deduplicate across
-/// arms after the concurrent fan-out, in the serial emission order.
-#[test]
-fn parallel_union_distinct_dedups_across_arms() {
-    let _g = seq();
-    pool4();
-    let db = paths_db(400);
-    let sql = "select P.id from Paths P where P.id < 300 \
-               union select P.id from Paths P where P.id >= 200 \
-               order by id";
-    let (serial, _) = run(&db, sql, mode(ParallelMode::ForceOff));
-    assert_eq!(serial.len(), 400, "distinct collapsed the overlap");
-    let (forced, _) = run(&db, sql, mode(ParallelMode::ForceOn));
-    assert_eq!(forced, serial);
 }
 
 // ----- Hash join: probed from branch workers -----
@@ -252,90 +152,12 @@ fn hash_join_in_branch_workers_matches_serial() {
     assert_core_counters_equal(&s_stats, &f_stats);
     assert_eq!(db.table("S").unwrap().hash_sides_len(), 1);
 
-    let (auto, a_stats) = run(&db, HASH_JOIN, auto(fork_everything()));
+    let (auto, a_stats) = run(&db, HASH_JOIN, mode(ParallelMode::Auto));
     assert_eq!(auto, serial, "auto hash join changed the result");
-    assert!(a_stats.par_tasks >= 1, "{a_stats:?}");
     assert_core_counters_equal(&s_stats, &a_stats);
 }
 
-// ----- COUNT(*): per-chunk partial aggregation -----
-
-fn dewey_db(contexts: u8, children: u8) -> Database {
-    let mut db = Database::new();
-    db.create_table(TableSchema::new(
-        "A",
-        &[("id", ColType::Int), ("dewey_pos", ColType::Bytes)],
-    ))
-    .unwrap();
-    db.create_table(TableSchema::new(
-        "F",
-        &[("id", ColType::Int), ("dewey_pos", ColType::Bytes)],
-    ))
-    .unwrap();
-    {
-        let a = db.table_mut("A").unwrap();
-        for i in 0..contexts {
-            a.insert(vec![Value::Int(i as i64), Value::Bytes(vec![0, 0, i])])
-                .unwrap();
-        }
-        a.create_index("a_dewey", &["dewey_pos"]).unwrap();
-    }
-    {
-        let f = db.table_mut("F").unwrap();
-        let mut id = 1000i64;
-        for i in 0..contexts {
-            for j in 0..children {
-                f.insert(vec![Value::Int(id), Value::Bytes(vec![0, 0, i, 0, 0, j])])
-                    .unwrap();
-                id += 1;
-            }
-        }
-        f.create_index("f_dewey", &["dewey_pos"]).unwrap();
-    }
-    db
-}
-
-const COUNT_JOIN: &str = "select count(*) from A, F \
-     where F.dewey_pos between A.dewey_pos and A.dewey_pos || x'FF'";
-
-#[test]
-fn parallel_count_star_matches_serial_in_every_mode() {
-    let _g = seq();
-    pool4();
-    let db = dewey_db(80, 6);
-
-    let (serial, s_stats) = run(&db, COUNT_JOIN, mode(ParallelMode::ForceOff));
-    assert_eq!(serial, vec![vec![Value::Int(480)]]);
-    assert_eq!(s_stats.par_tasks, 0);
-
-    let (forced, f_stats) = run(&db, COUNT_JOIN, mode(ParallelMode::ForceOn));
-    assert_eq!(forced, serial, "partial-aggregate COUNT(*) diverged");
-    assert!(f_stats.par_tasks >= 1, "{f_stats:?}");
-    assert_core_counters_equal(&s_stats, &f_stats);
-
-    let (auto, a_stats) = run(&db, COUNT_JOIN, auto(fork_everything()));
-    assert_eq!(auto, serial, "auto COUNT(*) diverged");
-    assert!(a_stats.par_tasks >= 1, "{a_stats:?}");
-    assert_core_counters_equal(&s_stats, &a_stats);
-}
-
-// ----- Cost-model gating and the single-thread pool -----
-
-/// A pinned zero-efficiency model keeps Auto serial even on work that
-/// ForceOn happily partitions — and the result is identical either way.
-#[test]
-fn auto_with_pinned_serial_model_never_forks() {
-    let _g = seq();
-    pool4();
-    let db = dewey_db(80, 6);
-    let sql = "select F.id from A, F \
-               where F.dewey_pos between A.dewey_pos and A.dewey_pos || x'FF' \
-               order by F.dewey_pos, F.id";
-    let (serial, _) = run(&db, sql, mode(ParallelMode::ForceOff));
-    let (auto, a_stats) = run(&db, sql, auto(fork_nothing()));
-    assert_eq!(auto, serial);
-    assert_eq!(a_stats.par_tasks, 0, "{a_stats:?}");
-}
+// ----- The single-thread pool and `Auto`'s decisions -----
 
 /// With one pool thread there is nothing to fork onto: every mode runs
 /// the serial engine and records zero fan-outs.
@@ -351,7 +173,8 @@ fn single_thread_pool_stays_serial_even_forced() {
     pool4();
 }
 
-/// EXPLAIN ANALYZE surfaces the cost model's fork/serial decisions.
+/// EXPLAIN ANALYZE surfaces `Auto`'s decision with the numbers it was
+/// made from: a one-step branch's work is its row count.
 #[test]
 fn explain_analyze_reports_par_decisions() {
     let _g = seq();
@@ -362,9 +185,11 @@ fn explain_analyze_reports_par_decisions() {
         &db,
         &stmt,
         sqlexec::QueryLimits::none(),
-        auto(fork_everything()),
+        mode(ParallelMode::Auto),
     )
     .unwrap();
-    assert!(out.contains("par_decision: "), "{out}");
-    assert!(out.contains(":fork(") || out.contains(":serial("), "{out}");
+    assert!(
+        out.contains("par_decision: serial(rows=800,work=800)"),
+        "{out}"
+    );
 }
