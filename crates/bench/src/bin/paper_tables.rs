@@ -1,4 +1,5 @@
-//! Regenerate the paper's result tables (Appendix C + Figures 3/4).
+//! Regenerate the paper's result tables (Appendix C + Figures 3/4) and
+//! its two ablations.
 //!
 //! ```text
 //! cargo run --release -p ppf-bench --bin paper_tables [small_scale] [reps]
@@ -8,12 +9,27 @@
 //! the paper's 12 MB vs 113 MB ratio), and DBLP, with the per-query
 //! cardinality and the median wall-clock per system. `N/A` marks queries
 //! a system does not support (the commercial-proxy baseline supports only
-//! Q23/Q24/QA, like the paper's commercial RDBMS).
+//! Q23/Q24/QA, like the paper's commercial RDBMS). Two more tables time
+//! the ablations on XMark small: the §4.5 path marking on vs off, and
+//! §4.2's foreign-key joins vs Dewey joins for single child/parent steps;
+//! each asserts that both sides return the same nodes.
 
 use ppf_bench::{
-    build_dblp, build_xmark, dblp_queries, run_query, run_query_counted, time_query, xmark_queries,
-    BenchData, System,
+    build_dblp, build_xmark, dblp_queries, run_query, run_query_counted, time_median, time_query,
+    xmark_queries, BenchData, System, ABLATION_CHAINS,
 };
+use ppf_core::XmlDb;
+
+/// §4.2 ablation queries: child chains broken by predicates, forcing a
+/// join per PPF, and a parent step.
+const CHILD_STEP_QUERIES: [(&str, &str); 3] = [
+    (
+        "bidder_ref",
+        "/site/open_auctions/open_auction[@id='open_auction0']/bidder/personref",
+    ),
+    ("parent_step", "//personref/parent::bidder"),
+    ("pred_child", "/site/people/person[profile]/watches/watch"),
+];
 
 fn fmt_duration(d: std::time::Duration) -> String {
     let us = d.as_micros();
@@ -91,6 +107,44 @@ fn counter_table(data: &BenchData, queries: &[(&str, &str)]) {
     }
 }
 
+/// A schema-aware store over `data`'s document with one translation
+/// option changed by `configure` before loading.
+fn xmark_db(data: &BenchData, configure: impl FnOnce(&mut XmlDb)) -> XmlDb {
+    let mut db = XmlDb::new(&data.schema).expect("schema db");
+    configure(&mut db);
+    db.load(&data.doc).expect("load");
+    db.finalize().expect("indexes");
+    db
+}
+
+/// An ablation: each query's median time on the two stores, after
+/// asserting that both return the same nodes.
+fn ablation_table(
+    title: &str,
+    labels: [&str; 2],
+    stores: [&XmlDb; 2],
+    queries: &[(&str, &str)],
+    reps: usize,
+) {
+    println!("\n## {title}\n");
+    println!("| query | # nodes | {} | {} |", labels[0], labels[1]);
+    println!("|---|---|---|---|");
+    for (name, q) in queries {
+        let ids = stores.map(|db| db.query(q).expect(name).ids());
+        assert_eq!(ids[0], ids[1], "{title}: {name} returns different nodes");
+        let times = stores.map(|db| {
+            let (_, d) = time_median(reps, || db.query(q).map_err(|e| e.to_string())).expect(name);
+            fmt_duration(d)
+        });
+        println!(
+            "| {name} | {} | {} | {} |",
+            ids[0].len(),
+            times[0],
+            times[1]
+        );
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let small_scale: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0.25);
@@ -103,6 +157,23 @@ fn main() {
         &format!("XMark small (scale {small_scale})"),
         &small,
         &xmark_queries(),
+        reps,
+    );
+    ablation_table(
+        "E8: §4.5 path marking (XMark small)",
+        ["marking on", "marking off"],
+        [
+            &small.ppf,
+            &xmark_db(&small, |db| db.set_path_marking(false)),
+        ],
+        &ABLATION_CHAINS,
+        reps,
+    );
+    ablation_table(
+        "E9: §4.2 FK vs Dewey joins (XMark small)",
+        ["FK joins", "Dewey joins"],
+        [&small.ppf, &xmark_db(&small, |db| db.set_fk_joins(false))],
+        &CHILD_STEP_QUERIES,
         reps,
     );
     drop(small);

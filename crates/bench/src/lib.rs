@@ -10,8 +10,9 @@
 //! | `Accel`      | XPath Accelerator                  | `accel::AccelDb` |
 //! | `Naive`      | commercial RDBMS built-in XPath    | `accel::translate_naive` |
 //!
-//! The criterion benches and the `paper_tables` binary drive this module;
-//! EXPERIMENTS.md records the outputs next to the paper's Appendix C.
+//! The `paper_tables` binary and the `cost_ledger` test drive this
+//! module; EXPERIMENTS.md records the tables next to the paper's
+//! Appendix C.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -27,6 +28,24 @@ pub use xmark::{
     dblp_queries, dblp_schema, generate_dblp, generate_xmark, xmark_queries, xmark_schema,
     DblpConfig, XMarkConfig,
 };
+
+/// The §4.5 ablation's queries: chains the path marking strips of every
+/// `Paths` filter (plain, predicated, and under a wildcard) and a
+/// recursive query that keeps its filters either way. `pred_chain` and
+/// `wildcard` are XMark Q23 and Q1.
+pub const ABLATION_CHAINS: [(&str, &str); 5] = [
+    (
+        "deep_chain",
+        "/site/open_auctions/open_auction/interval/start",
+    ),
+    ("person_chain", "/site/people/person/address/city"),
+    (
+        "pred_chain",
+        "/site/people/person[address and (phone or homepage)]",
+    ),
+    ("recursive", "//parlist/listitem//keyword"),
+    ("wildcard", "/site/regions/*/item"),
+];
 
 /// All five systems loaded with the same document.
 pub struct BenchData {
@@ -231,29 +250,6 @@ pub fn run_query_counted(
     }
 }
 
-/// [`time_query`] with the counters of the measured runs attached (the
-/// counters are identical across repetitions — execution is
-/// deterministic — so the last run's are returned).
-pub fn time_query_counted(
-    data: &BenchData,
-    system: System,
-    query: &str,
-    reps: usize,
-) -> Result<(QueryCounters, Duration), String> {
-    let mut times = Vec::with_capacity(reps);
-    let mut counters = QueryCounters::default();
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        counters = run_query_counted(data, system, query)?;
-        times.push(t0.elapsed());
-        if times.last().expect("just pushed") > &Duration::from_secs(3) {
-            break;
-        }
-    }
-    times.sort();
-    Ok((counters, times[times.len() / 2]))
-}
-
 /// One timed measurement: median wall-clock of `reps` runs plus the
 /// cardinality (the paper reports the average of 5 cold runs; medians are
 /// steadier for in-memory reruns).
@@ -263,11 +259,19 @@ pub fn time_query(
     query: &str,
     reps: usize,
 ) -> Result<(usize, Duration), String> {
+    time_median(reps, || run_query(data, system, query))
+}
+
+/// Median wall-clock of `reps` runs of `run`, with the last run's output.
+pub fn time_median<T>(
+    reps: usize,
+    mut run: impl FnMut() -> Result<T, String>,
+) -> Result<(T, Duration), String> {
     let mut times = Vec::with_capacity(reps);
-    let mut count = 0;
+    let mut out = None;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        count = run_query(data, system, query)?;
+        out = Some(run()?);
         times.push(t0.elapsed());
         // Adaptive repetition: once a single run exceeds a few seconds,
         // more repetitions add nothing but wall-clock (the paper likewise
@@ -277,7 +281,7 @@ pub fn time_query(
         }
     }
     times.sort();
-    Ok((count, times[times.len() / 2]))
+    Ok((out.expect("at least one run"), times[times.len() / 2]))
 }
 
 /// Per-query sanity check used by the harness and integration tests: the

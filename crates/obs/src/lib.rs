@@ -1,6 +1,6 @@
 //! Zero-dependency observability for the PPF pipeline.
 //!
-//! Three layers, usable independently:
+//! Its parts, usable independently:
 //!
 //! * [`trace`] — a per-query span tree ([`QueryTrace`]): nested timed
 //!   spans for the pipeline phases (parse → translate → plan → execute →
@@ -16,11 +16,14 @@
 //!   event buffers (task/steal/park/chunk/lock-wait) aggregated into
 //!   per-worker timelines, exportable as Chrome `trace_event` JSON.
 //!   Detached hooks cost one relaxed atomic load and a branch.
+//! * [`alloc`] — a counting global allocator that test binaries install
+//!   to pin allocation budgets per thread.
 //!
 //! The crate deliberately has **no dependencies** (the build environment
 //! is offline) — including for JSON: [`json`] holds the small writer and
 //! parser used by the sinks and their round-trip tests.
 
+pub mod alloc;
 pub mod json;
 pub mod metrics;
 pub mod profile;

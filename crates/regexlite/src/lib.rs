@@ -10,8 +10,8 @@
 //! NFA — `O(bytes)` per match once the touched states are built — with a
 //! transparent fallback to a Pike VM (worst case `O(pattern × input)`,
 //! no catastrophic backtracking) when a pathological pattern exhausts the
-//! DFA state budget. [`Regex::is_match_pike`] skips the DFA, for baseline
-//! measurement.
+//! DFA state budget. [`Regex::is_match_pike`] skips the DFA; it is the
+//! reference the DFA is tested against.
 //!
 //! # Example
 //! ```
@@ -129,7 +129,7 @@ impl Regex {
     }
 
     /// [`Regex::is_match`] on the Pike VM alone, never the lazy DFA (the
-    /// pre-DFA behaviour, for baseline measurement).
+    /// pre-DFA behaviour, the reference `dfa_equiv.rs` compares against).
     pub fn is_match_pike(&self, input: &str) -> bool {
         self.pike_match(input.as_bytes())
     }

@@ -230,8 +230,8 @@ fn regex_cache() -> &'static Sharded<String, Arc<Regex>> {
 /// Drop the process-wide compiled-regex cache, and the path-filter memo
 /// (which rows of a column survive a pattern — see
 /// [`Table::filter_memo_get`]) and the hash-join build sides (see
-/// [`Table::hash_side`]) of every table in `db`. Benchmarks call this to
-/// measure true cold-cache behaviour; correctness never requires it (a
+/// [`Table::hash_side`]) of every table in `db`. Tests call this to
+/// observe true cold-cache behaviour; correctness never requires it (a
 /// table drops its own derived state when it mutates).
 pub fn clear_filter_caches(db: &Database) {
     regex_cache().clear();
@@ -366,15 +366,8 @@ pub struct ExecOptions {
     pub merge: MergeMode,
     /// Whether the planner reads table statistics. Off, every estimate
     /// falls back to fixed selectivity constants (the pre-statistics
-    /// planner, kept for A/B measurement by `plan_quality`).
+    /// planner, kept so the cost ledger can show what statistics buy).
     pub stats: bool,
-    /// Whether the compiled-regex cache and the path-filter memo are
-    /// used. Off, every `REGEXP_LIKE` evaluation compiles its pattern and
-    /// every path filter scans its table (for `perf_check`'s baseline).
-    pub filter_caches: bool,
-    /// Whether `REGEXP_LIKE` matches on the lazy DFA. Off, every match
-    /// runs on the Pike VM.
-    pub dfa: bool,
     /// Panic inside every partitioned-branch pool task (fault injection
     /// for the panic-containment tests and the server's `poison` fault).
     #[doc(hidden)]
@@ -387,20 +380,7 @@ impl Default for ExecOptions {
             parallel: ParallelMode::Auto,
             merge: MergeMode::Auto,
             stats: true,
-            filter_caches: true,
-            dfa: true,
             worker_panic: false,
-        }
-    }
-}
-
-impl ExecOptions {
-    /// `REGEXP_LIKE` under these options: the lazy DFA or the Pike VM.
-    fn is_match(&self, re: &Regex, s: &str) -> bool {
-        if self.dfa {
-            re.is_match(s)
-        } else {
-            re.is_match_pike(s)
         }
     }
 }
@@ -423,6 +403,30 @@ fn auto_fork_chunks(n: usize, work: f64, threads: usize) -> Option<usize> {
 /// `ForceOn` alike: two per pool lane, and no chunk without a row.
 fn fork_chunks(n: usize, threads: usize) -> usize {
     n.min(2 * threads)
+}
+
+/// One `Auto` decision for a branch of `rows` depth-0 rows and planned
+/// `work`. Plain values, so recording it on the served path allocates
+/// nothing; [`Executor::par_decisions`] renders it for EXPLAIN ANALYZE.
+#[derive(Debug, Clone, Copy)]
+struct ParDecision {
+    /// `serial`, `fork`, or `degraded` (the rule approved a fork but the
+    /// pool was saturated).
+    kind: &'static str,
+    rows: usize,
+    work: f64,
+    /// The chunk count of a fork.
+    chunks: Option<usize>,
+}
+
+impl std::fmt::Display for ParDecision {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}(rows={},work={:.0}", self.kind, self.rows, self.work)?;
+        if let Some(chunks) = self.chunks {
+            write!(f, ",chunks={chunks}")?;
+        }
+        f.write_str(")")
+    }
 }
 
 /// Row-emission callback threaded through the nested-loop machinery;
@@ -496,11 +500,10 @@ struct WorkerResult {
 }
 
 /// Caches shared by every worker executor of one fan-out (and seeded
-/// from the coordinator's own). Before this existed, each partition
-/// worker's fresh `Executor` re-flattened merge index arrays per chunk —
-/// O(index) work per chunk that dwarfed the chunk itself on small
-/// queries (BENCH_3's Q1 regression). The map lock is held across a
-/// flattening, so an array is built exactly once per fan-out.
+/// from the coordinator's own), so a partition worker's fresh `Executor`
+/// does not re-flatten merge index arrays per chunk — O(index) work that
+/// would dwarf a small chunk. The map lock is held across a flattening,
+/// so an array is built exactly once per fan-out.
 struct SharedExecCaches<'db> {
     merge: Mutex<MergeArrays<'db>>,
 }
@@ -540,10 +543,10 @@ pub struct Executor<'db> {
     /// Caches shared with (or inherited from) a fan-out's sibling
     /// executors; see [`SharedExecCaches`]. Reset per statement.
     shared_caches: RefCell<Option<Arc<SharedExecCaches<'db>>>>,
-    /// `par_decision` log for EXPLAIN ANALYZE: one compact entry per
-    /// branch the `Auto` fork rule decided while executing the current
-    /// statement. Cleared per statement.
-    par_log: RefCell<Vec<String>>,
+    /// `par_decision` log for EXPLAIN ANALYZE: one entry per branch the
+    /// `Auto` fork rule decided while executing the current statement.
+    /// Cleared per statement.
+    par_log: RefCell<Vec<ParDecision>>,
     /// Slot holding the current `COUNT(*)` aggregate while its projection
     /// is evaluated.
     count_result: std::cell::Cell<Option<i64>>,
@@ -761,16 +764,26 @@ impl<'db> Executor<'db> {
         Arc::new(s)
     }
 
-    /// Record one fork-or-serial decision for EXPLAIN ANALYZE.
-    fn log_par_decision(&self, entry: String) {
-        self.par_log.borrow_mut().push(entry);
+    /// Record one fork-or-serial decision of a statement with `branches`
+    /// top-level branches. The log reserves a slot per branch at its
+    /// first decision, so it allocates once however many arms there are.
+    fn log_par_decision(&self, decision: ParDecision, branches: usize) {
+        let mut log = self.par_log.borrow_mut();
+        if log.capacity() == 0 {
+            log.reserve_exact(branches);
+        }
+        log.push(decision);
     }
 
     /// The `par_decision` entries the current statement recorded, in
     /// decision order (empty unless `Auto` ran a branch on a multi-thread
     /// pool).
     pub fn par_decisions(&self) -> Vec<String> {
-        self.par_log.borrow().clone()
+        self.par_log
+            .borrow()
+            .iter()
+            .map(|d| d.to_string())
+            .collect()
     }
 
     /// Counters accumulated since construction (or the last reset).
@@ -882,7 +895,7 @@ impl<'db> Executor<'db> {
 
         let mut all_rows: Vec<KeyedRow> = Vec::new();
         for sel in &stmt.branches {
-            match self.branch_rows_parallel(sel, &keys)? {
+            match self.branch_rows_parallel(sel, &keys, stmt.branches.len())? {
                 Some(rows) => all_rows.extend(rows),
                 None => {
                     let mut env: Vec<Binding> = Vec::new();
@@ -922,11 +935,13 @@ impl<'db> Executor<'db> {
     /// Returns `None` when this branch should take the serial path — the
     /// mode is `ForceOff`, the pool has one thread, the projection is
     /// `COUNT(*)`, or the plan has no steps. `PPF_THREADS=1` therefore
-    /// reproduces the pre-parallel engine byte for byte.
+    /// reproduces the pre-parallel engine byte for byte. `branches` is the
+    /// statement's branch count, which sizes the decision log.
     fn branch_rows_parallel(
         &self,
         sel: &Select,
         keys: &[(KeyKind, bool)],
+        branches: usize,
     ) -> Result<Option<Vec<KeyedRow>>, ExecError> {
         let mode = self.opts.parallel;
         let pool = ppf_pool::global();
@@ -985,23 +1000,24 @@ impl<'db> Executor<'db> {
                         .iter()
                         .map(|s| s.est_fetched.max(1.0))
                         .product::<f64>();
-                match auto_fork_chunks(n, work, threads) {
+                let (kind, chunks) = match auto_fork_chunks(n, work, threads) {
                     // Saturation matters only to a fork the rule approved:
                     // a busy pool gains nothing from queueing more chunks.
                     Some(_) if pool.is_saturated() => {
                         self.stats.borrow_mut().par_degraded += 1;
-                        self.log_par_decision(format!("degraded(rows={n},work={work:.0})"));
-                        None
+                        ("degraded", None)
                     }
-                    Some(c) => {
-                        self.log_par_decision(format!("fork(rows={n},work={work:.0},chunks={c})"));
-                        Some(c)
-                    }
-                    None => {
-                        self.log_par_decision(format!("serial(rows={n},work={work:.0})"));
-                        None
-                    }
-                }
+                    Some(c) => ("fork", Some(c)),
+                    None => ("serial", None),
+                };
+                let decision = ParDecision {
+                    kind,
+                    rows: n,
+                    work,
+                    chunks,
+                };
+                self.log_par_decision(decision, branches);
+                chunks
             }
         };
         let mut ranges = chunks.map_or_else(Vec::new, |c| ppf_pool::even_ranges(n, c));
@@ -1593,9 +1609,6 @@ impl<'db> Executor<'db> {
         local: &mut OpStats,
         probe_rows: &mut Vec<RowId>,
     ) -> Result<Option<usize>, ExecError> {
-        if !self.opts.filter_caches {
-            return Ok(None);
-        }
         let mut found: Option<(usize, usize, &str)> = None;
         for (ri, r) in step.residuals.iter().enumerate() {
             if let Expr::RegexpLike { subject, pattern } = r {
@@ -1656,7 +1669,7 @@ impl<'db> Executor<'db> {
             self.charge_rows(1)?;
             // NULLs never match (three-valued logic rejects the row).
             if let Value::Str(s) = &row[ci] {
-                if self.opts.is_match(re, s) {
+                if re.is_match(s) {
                     out.push(rid);
                 }
             }
@@ -1666,17 +1679,13 @@ impl<'db> Executor<'db> {
 
     /// Fetch (or compile into) the process-wide program cache.
     fn cached_regex(&self, pattern: &str) -> Result<Arc<Regex>, ExecError> {
-        if self.opts.filter_caches {
-            if let Some(r) = regex_cache().get(pattern) {
-                return Ok(r);
-            }
+        if let Some(r) = regex_cache().get(pattern) {
+            return Ok(r);
         }
         let compiled = Regex::new(pattern)
             .map_err(|e| ExecError::exec(format!("bad regex `{pattern}`: {e}")))?;
         let rc = Arc::new(compiled);
-        if self.opts.filter_caches {
-            regex_cache().insert(pattern.to_string(), rc.clone());
-        }
+        regex_cache().insert(pattern.to_string(), rc.clone());
         Ok(rc)
     }
 
@@ -1797,7 +1806,7 @@ impl<'db> Executor<'db> {
                 Value::Null => Ok(Value::Null),
                 Value::Str(s) => {
                     let re = self.cached_regex(pattern)?;
-                    Ok(Value::Bool(self.opts.is_match(&re, s)))
+                    Ok(Value::Bool(re.is_match(s)))
                 }
                 other => Err(ExecError::exec(format!(
                     "REGEXP_LIKE subject must be text, got {other}"

@@ -62,7 +62,7 @@ pub fn explain_analyze_with_limits(
         stats.limit_aborts,
         stats.query_cancelled,
     ));
-    // One compact entry per fork-or-serial decision the cost model made
+    // One compact entry per fork-or-serial decision the `Auto` rule made
     // while running this statement, in execution order.
     let decisions = exec.par_decisions();
     if !decisions.is_empty() {

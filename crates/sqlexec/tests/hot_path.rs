@@ -1,7 +1,8 @@
 //! Hot-path cache behaviour: the path-filter memo, which its table owns,
 //! must be dropped when the table mutates and must not carry over to a
 //! cloned database; the sort-merge structural join must return exactly
-//! what the index nested-loop join returns.
+//! what the index nested-loop join returns; warm index probes must not
+//! fall back to the heap.
 //!
 //! Every test builds its own database and passes its options to its own
 //! executor, so they are safe to run in parallel with each other.
@@ -213,4 +214,38 @@ fn auto_mode_uses_merge_only_past_the_cardinality_thresholds() {
     let (small_ids, small_stats) = ids(&small, DEWEY_JOIN);
     assert_eq!(small_ids, vec![2]);
     assert_eq!(small_stats.merge_probes, 0, "{small_stats:?}");
+}
+
+/// Index probes reuse the executor's key scratch and row-buffer pool:
+/// once an executor is warm, `probe_allocs` (every acquisition that fell
+/// back to the heap) stays flat across equality and range probes.
+#[test]
+fn warm_index_probes_do_not_fall_back_to_the_heap() {
+    let mut db = Database::new();
+    db.create_table(TableSchema::new(
+        "t",
+        &[("id", ColType::Int), ("v", ColType::Int)],
+    ))
+    .unwrap();
+    let t = db.table_mut("t").unwrap();
+    for i in 0..10_000i64 {
+        t.insert(vec![Value::Int(i), Value::Int(i * 7)]).unwrap();
+    }
+    t.create_index("t_id", &["id"]).unwrap();
+
+    let exec = Executor::new(&db);
+    let eq = parse_sql("select t.v from t where t.id = 4321").unwrap();
+    let range = parse_sql("select t.v from t where t.id between 4000 and 4100").unwrap();
+    exec.run(&eq).unwrap();
+    exec.run(&range).unwrap();
+    let warm = exec.stats().probe_allocs;
+    for _ in 0..1024 {
+        assert_eq!(exec.run(&eq).unwrap().rows.len(), 1);
+        assert_eq!(exec.run(&range).unwrap().rows.len(), 101);
+    }
+    assert_eq!(
+        exec.stats().probe_allocs,
+        warm,
+        "warm index probes allocated"
+    );
 }
