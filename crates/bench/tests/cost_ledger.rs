@@ -8,14 +8,13 @@
 //! A change that moves any of them fails here, and accepting it shows up
 //! in review as a one-line diff per field of `COSTS.json`.
 //!
-//! Each suite gets a fresh database and an empty compiled-regex cache,
-//! and runs its queries in a fixed order under `ParallelMode::ForceOff`,
-//! so every count is the same at any `PPF_THREADS` and depends only on
-//! that suite. Every query must return the same rows with statistics on
-//! and off. On a mismatch the test writes the whole actual ledger
-//! to `COSTS.actual.json` in Cargo's test tmp dir, prints every differing
-//! `suite/query/field old → new`, and fails. Copying that file over
-//! `COSTS.json` accepts the new costs.
+//! Each suite gets a fresh database and runs its queries in a fixed
+//! order under `ParallelMode::ForceOff`, so every count is the same at
+//! any `PPF_THREADS` and depends only on that suite. Every query must
+//! return the same rows with statistics on and off. On a mismatch the
+//! test writes the whole actual ledger to `COSTS.actual.json` in Cargo's
+//! test tmp dir, prints every differing `suite/query/field old → new`,
+//! and fails. Copying that file over `COSTS.json` accepts the new costs.
 //!
 //! It is the only test in its binary: the regex counters are
 //! process-wide, and it installs the counting global allocator.
@@ -67,9 +66,6 @@ fn run_suite(
     db.set_exec_options(serial(true));
     db.load(doc).expect("load");
     db.finalize().expect("indexes");
-    // The compiled-regex cache is process-wide; empty it so this suite's
-    // cold counts do not depend on what earlier suites matched.
-    sqlexec::clear_filter_caches(db.db());
 
     let mut entries: BTreeMap<String, BTreeMap<String, Value>> = BTreeMap::new();
     let mut checks = Checks::default();
@@ -90,6 +86,7 @@ fn run_suite(
             ("path_candidates", cold.engine.path_candidates),
             ("path_survivors", cold.engine.path_survivors),
             ("predicate_evals", cold.stats.predicate_evals),
+            ("regex_compiles", cold.engine.regex_compiles),
             ("rows", cold.rows.rows.len() as u64),
             ("rows_scanned", cold.stats.rows_scanned),
             ("vm_steps", cold.engine.vm_steps),

@@ -92,9 +92,9 @@ fn record_query_error(err: &QueryError) {
     mirror_poison_counters(reg);
 }
 
-/// Mirror the monotone poison-recovery counters kept in crates that
-/// cannot depend on `obs` (pool, regexlite, sqlexec) into the registry,
-/// so one `.metrics` snapshot shows every layer's recoveries.
+/// Mirror the monotone poison-recovery counters that pool, regexlite and
+/// sqlexec keep in their own statics into the registry, so one
+/// `.metrics` snapshot shows every layer's recoveries.
 fn mirror_poison_counters(reg: &obs::Registry) {
     reg.set_max("pool.poison_recoveries", ppf_pool::poison_recoveries());
     reg.set_max("pool.env_parse_errors", ppf_pool::env_parse_errors());
@@ -151,8 +151,10 @@ pub struct EngineStats {
     /// 1 when this query hit the engine's XPath-keyed cache and skipped
     /// parse, translate and plan entirely (their `*_ns` fields are 0).
     pub plan_cache_hits: u64,
-    /// Regex programs compiled during execution (a hot query re-run
-    /// should compile zero: patterns come from the executor's cache).
+    /// Regex programs compiled by this query: one per distinct
+    /// `REGEXP_LIKE` pattern text its translation builds, none during
+    /// execution (the statement owns its compiled patterns), and 0 on a
+    /// query-cache hit.
     pub regex_compiles: u64,
     /// `is_match` calls answered by the lazy DFA (O(bytes) path).
     pub dfa_matches: u64,
@@ -616,6 +618,9 @@ fn run_query_inner(
     let mut engine = EngineStats::default();
     let root = trace.start("query");
 
+    // Set on a cache miss, just before translate: its compiles and any
+    // execution's are this query's, a hit's are none.
+    let mut compiles_before = None;
     let cached = cache.and_then(|c| lock_cache(c).get(xpath).cloned());
     let entry = match cached {
         Some(entry) => {
@@ -641,6 +646,7 @@ fn run_query_inner(
             trace.end(span);
 
             let span = trace.start("translate");
+            compiles_before = Some(regexlite::stats::snapshot());
             let t0 = std::time::Instant::now();
             let t = translate_expr(&expr)?;
             engine.translate_ns = t0.elapsed().as_nanos() as u64;
@@ -741,7 +747,6 @@ fn run_query_inner(
             let vm = regexlite::stats::snapshot().since(&vm_before);
             engine.vm_match_calls = vm.match_calls;
             engine.vm_steps = vm.vm_steps;
-            engine.regex_compiles = vm.compiles;
             engine.dfa_matches = vm.dfa_matches;
             engine.dfa_fallbacks = vm.dfa_fallbacks;
             for (plan, ops) in exec.profiled_steps() {
@@ -812,6 +817,9 @@ fn run_query_inner(
         }
     };
     trace.end(root);
+    if let Some(before) = compiles_before {
+        engine.regex_compiles = regexlite::stats::snapshot().since(&before).compiles;
+    }
     engine.pool_threads = engine.pool_threads.max(ppf_pool::current_threads() as u64);
     engine.concurrent_queries_peak = QUERIES_PEAK.load(Relaxed);
     result.engine = engine;

@@ -24,10 +24,13 @@
 //! The same translator drives both the schema-aware and the Edge-like
 //! mapping ([`Mapping`]).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use shred::naming::*;
-use sqlexec::{CmpOp, Expr as Sql, OrderKey, Projection, Select, SelectStmt, TableRef};
+use sqlexec::{
+    CmpOp, Expr as Sql, OrderKey, Projection, RegexPattern, Select, SelectStmt, TableRef,
+};
 use xmlschema::{Marking, PathMark, Schema, ValueType};
 use xpath::{Axis, CompOp, Expr as XExpr, LocationPath, NodeTest, Step};
 
@@ -126,6 +129,7 @@ pub fn translate(
         opts,
         alias_seq: HashMap::new(),
         ppf_count: 0,
+        patterns: HashMap::new(),
     };
     let mut selects: Vec<Select> = Vec::new();
     let mut output: Option<OutputKind> = None;
@@ -226,6 +230,9 @@ struct Ctx<'a> {
     opts: TranslateOptions,
     alias_seq: HashMap<String, usize>,
     ppf_count: usize,
+    /// Every `REGEXP_LIKE` pattern compiled so far, by text: the §4.5
+    /// marking checks and the emitted SQL share one program per text.
+    patterns: HashMap<String, RegexPattern>,
 }
 
 const TRUE: Sql = Sql::Literal(relstore::Value::Bool(true));
@@ -297,10 +304,9 @@ enum ValueCond {
         rhs: relstore::Value,
         wrap: Option<Box<dyn Fn(Sql) -> Sql>>,
     },
-    /// `contains(value, needle)` — unanchored regex containment.
-    ContainsStr(String),
-    /// `starts-with(value, prefix)` — anchored regex.
-    StartsWithStr(String),
+    /// `contains(value, needle)` (an unanchored pattern) or
+    /// `starts-with(value, prefix)` (an anchored one).
+    Matches(RegexPattern),
 }
 
 impl<'a> Ctx<'a> {
@@ -311,6 +317,19 @@ impl<'a> Ctx<'a> {
             base.to_string()
         } else {
             format!("{base}_{n}")
+        }
+    }
+
+    /// The compiled program for `text`, compiled at most once per
+    /// translation.
+    fn compile_pattern(&mut self, text: String) -> Result<RegexPattern, TranslateError> {
+        match self.patterns.entry(text) {
+            Entry::Occupied(e) => Ok(e.get().clone()),
+            Entry::Vacant(e) => {
+                let pattern = RegexPattern::new(e.key())
+                    .map_err(|err| TranslateError(format!("internal regex error: {err}")))?;
+                Ok(e.insert(pattern).clone())
+            }
         }
     }
 
@@ -848,15 +867,11 @@ impl<'a> Ctx<'a> {
         {
             match marking.mark(&node.relation) {
                 Some(PathMark::Unique(p)) => {
-                    return regex_matches(&regex, p);
+                    return Ok(self.compile_pattern(regex)?.is_match(p));
                 }
                 Some(PathMark::Finite(ps)) => {
-                    let mut matched = 0;
-                    for p in ps {
-                        if regex_matches(&regex, p)? {
-                            matched += 1;
-                        }
-                    }
+                    let pattern = self.compile_pattern(regex)?;
+                    let matched = ps.iter().filter(|p| pattern.is_match(p)).count();
                     if matched == ps.len() {
                         return Ok(true); // filter redundant
                     }
@@ -868,12 +883,16 @@ impl<'a> Ctx<'a> {
                 _ => {}
             }
         }
-        self.add_path_filter(b, node);
+        self.add_path_filter(b, node)?;
         Ok(true)
     }
 
     /// Unconditionally join `node` with `Paths` and filter by its pattern.
-    fn add_path_filter(&mut self, b: &mut Branch, node: &mut NodeRef) {
+    fn add_path_filter(
+        &mut self,
+        b: &mut Branch,
+        node: &mut NodeRef,
+    ) -> Result<(), TranslateError> {
         let pa = match &node.paths_alias {
             Some(pa) => pa.clone(),
             None => {
@@ -884,8 +903,26 @@ impl<'a> Ctx<'a> {
                 pa
             }
         };
-        let cond = path_condition(&pa, &node.pattern);
+        let cond = self.path_condition(&pa, &node.pattern)?;
         node.filter_idx = b.push(cond);
+        Ok(())
+    }
+
+    /// Path filter condition: exact string equality when the pattern is a
+    /// single fixed path (Table 3-2), else `REGEXP_LIKE` (Table 3-1).
+    fn path_condition(
+        &mut self,
+        paths_alias: &str,
+        pattern: &PatternSet,
+    ) -> Result<Sql, TranslateError> {
+        if let Some(exact) = pattern.exact_path() {
+            return Ok(Sql::eq(col(paths_alias, PATHS_PATH), Sql::str(&exact)));
+        }
+        let regex = pattern.to_regex().expect("feasible pattern");
+        Ok(Sql::RegexpLike {
+            subject: Box::new(col(paths_alias, PATHS_PATH)),
+            pattern: self.compile_pattern(regex)?,
+        })
     }
 
     /// Re-apply the path filter after the pattern was refined by a
@@ -901,7 +938,7 @@ impl<'a> Ctx<'a> {
         }
         let keep = match (node.filter_idx, &node.paths_alias) {
             (Some(idx), Some(pa)) => {
-                b.conjuncts[idx] = path_condition(pa, &node.pattern);
+                b.conjuncts[idx] = self.path_condition(pa, &node.pattern)?;
                 true
             }
             _ => self.apply_path_filter(b, node)?,
@@ -1017,7 +1054,8 @@ impl<'a> Ctx<'a> {
                         "contains() requires (path, string-literal)".to_string(),
                     ));
                 };
-                self.path_condition_for(b, node, p, ValueCond::ContainsStr(needle))
+                let pattern = self.compile_pattern(regexlite::escape(&needle))?;
+                self.path_condition_for(b, node, p, ValueCond::Matches(pattern))
             }
             XExpr::StartsWith(a, bx) => {
                 let (XExpr::Path(p), Some(relstore::Value::Str(prefix))) =
@@ -1027,7 +1065,8 @@ impl<'a> Ctx<'a> {
                         "starts-with() requires (path, string-literal)".to_string(),
                     ));
                 };
-                self.path_condition_for(b, node, p, ValueCond::StartsWithStr(prefix))
+                let pattern = self.compile_pattern(format!("^{}", regexlite::escape(&prefix)))?;
+                self.path_condition_for(b, node, p, ValueCond::Matches(pattern))
             }
             other => Err(TranslateError(format!(
                 "predicate `{other}` is outside the SQL-translatable subset \
@@ -1471,12 +1510,13 @@ impl<'a> Ctx<'a> {
         let Some(regex) = refined.to_regex() else {
             return Ok(FALSE);
         };
+        let pattern = self.compile_pattern(regex)?;
         // If a Paths join already exists for the node, the condition is a
         // plain extra REGEXP_LIKE on it.
         if let Some(pa) = &node.paths_alias {
             return Ok(Sql::RegexpLike {
                 subject: Box::new(col(pa, PATHS_PATH)),
-                pattern: regex,
+                pattern,
             });
         }
         // Otherwise resolve statically via the marking, or join Paths.
@@ -1485,19 +1525,14 @@ impl<'a> Ctx<'a> {
         {
             match marking.mark(&node.relation) {
                 Some(PathMark::Unique(p)) => {
-                    return Ok(Sql::Literal(relstore::Value::Bool(regex_matches(
-                        &regex, p,
-                    )?)));
+                    return Ok(Sql::Literal(relstore::Value::Bool(pattern.is_match(p))));
                 }
                 Some(PathMark::Finite(ps)) => {
-                    let matched = ps
-                        .iter()
-                        .map(|p| regex_matches(&regex, p))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    if matched.iter().all(|&m| m) {
+                    let matched = ps.iter().filter(|p| pattern.is_match(p)).count();
+                    if matched == ps.len() {
                         return Ok(TRUE);
                     }
-                    if !matched.iter().any(|&m| m) {
+                    if matched == 0 {
                         return Ok(FALSE);
                     }
                     // fall through: join Paths
@@ -1514,7 +1549,7 @@ impl<'a> Ctx<'a> {
         // slightly redundant.
         Ok(Sql::RegexpLike {
             subject: Box::new(col(&pa, PATHS_PATH)),
-            pattern: regex,
+            pattern,
         })
     }
 
@@ -1723,13 +1758,9 @@ fn apply_value_cond(value: Sql, vc: &ValueCond) -> Sql {
                 rhs: Box::new(Sql::Literal(rhs.clone())),
             }
         }
-        ValueCond::ContainsStr(needle) => Sql::RegexpLike {
+        ValueCond::Matches(pattern) => Sql::RegexpLike {
             subject: Box::new(value),
-            pattern: regexlite::escape(needle),
-        },
-        ValueCond::StartsWithStr(prefix) => Sql::RegexpLike {
-            subject: Box::new(value),
-            pattern: format!("^{}", regexlite::escape(prefix)),
+            pattern: pattern.clone(),
         },
     }
 }
@@ -1776,24 +1807,6 @@ fn extract_arith_path(e: &XExpr) -> Option<(LocationPath, ArithRebuild)> {
         }
         _ => None,
     }
-}
-
-/// Path filter condition: exact string equality when the pattern is a
-/// single fixed path (Table 3-2), else `REGEXP_LIKE` (Table 3-1).
-fn path_condition(paths_alias: &str, pattern: &PatternSet) -> Sql {
-    if let Some(exact) = pattern.exact_path() {
-        return Sql::eq(col(paths_alias, PATHS_PATH), Sql::str(&exact));
-    }
-    Sql::RegexpLike {
-        subject: Box::new(col(paths_alias, PATHS_PATH)),
-        pattern: pattern.to_regex().expect("feasible pattern"),
-    }
-}
-
-fn regex_matches(regex: &str, path: &str) -> Result<bool, TranslateError> {
-    let re = regexlite::Regex::new(regex)
-        .map_err(|e| TranslateError(format!("internal regex error: {e}")))?;
-    Ok(re.is_match(path))
 }
 
 /// Minimum number of levels a forward PPF descends.

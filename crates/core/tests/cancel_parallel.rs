@@ -3,7 +3,7 @@
 //! The contract: firing a query's [`CancelToken`] while partitioned
 //! chunks are outstanding on the pool stops the query promptly (bounded
 //! wall-clock, not "after the whole scan finishes"), surfaces as the
-//! typed `cancelled` error, and leaves the engine's sharded caches
+//! typed `cancelled` error, and leaves the fan-out's shared merge map
 //! unpoisoned — the same engine keeps answering correctly afterwards.
 //!
 //! Lives in its own integration-test binary because it sizes the
@@ -103,7 +103,7 @@ fn cancel_mid_flight_under_forced_parallelism() {
         "no round observed a cancellation; the race never fired in time"
     );
 
-    // No cancel path may have poisoned the sharded caches: recovery
+    // No cancel path may have poisoned the shared merge map: recovery
     // counter untouched, and the engine still answers correctly both
     // parallel and serial.
     assert_eq!(

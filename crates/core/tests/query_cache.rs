@@ -34,12 +34,16 @@ fn warm_query_skips_parse_translate_and_plan() {
     assert!(cold.engine.parse_ns > 0, "{:?}", cold.engine);
     assert!(cold.engine.translate_ns > 0, "{:?}", cold.engine);
     assert!(cold.engine.plan_ns > 0, "{:?}", cold.engine);
+    // The §4.5 marking check compiles the path filter's pattern at
+    // translate time; that compile is the query's.
+    assert!(cold.engine.regex_compiles >= 1, "{:?}", cold.engine);
 
     let (warm, trace) = db.query_traced(q).unwrap();
     assert_eq!(warm.engine.plan_cache_hits, 1);
     assert_eq!(warm.engine.parse_ns, 0, "{:?}", warm.engine);
     assert_eq!(warm.engine.translate_ns, 0, "{:?}", warm.engine);
     assert_eq!(warm.engine.plan_ns, 0, "{:?}", warm.engine);
+    assert_eq!(warm.engine.regex_compiles, 0, "{:?}", warm.engine);
     assert!(warm.engine.execute_ns > 0, "execution still runs");
 
     // Same answer, same SQL, same translate-time counters.

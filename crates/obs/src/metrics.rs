@@ -170,8 +170,8 @@ impl Registry {
 
     /// Raise a named counter to `value` if it is currently below it.
     /// Mirrors a monotone process-wide counter (e.g. lock poison
-    /// recoveries kept in crates that cannot depend on `obs`) into the
-    /// registry without double counting across reporters.
+    /// recoveries a crate keeps in its own static) into the registry
+    /// without double counting across reporters.
     pub fn set_max(&self, name: &str, value: u64) {
         let mut inner = self.lock_inner();
         let slot = inner.counters.entry(name.to_string()).or_insert(0);

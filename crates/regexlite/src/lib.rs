@@ -58,11 +58,12 @@ impl std::error::Error for Error {}
 /// Reusable across many inputs; the per-match scratch space is pooled
 /// internally so repeated [`Regex::is_match`] calls do not allocate.
 ///
-/// `Regex` is `Send + Sync`: the SQL executor shares one compiled filter
-/// (behind an `Arc`) across every worker of a partitioned scan. The hot
-/// path takes the DFA's read lock and walks already-built states; only a
-/// walk that reaches an unbuilt transition upgrades to the write lock to
-/// extend the machine, so a warm DFA serves all threads concurrently.
+/// `Regex` is `Send + Sync`: a translated SQL statement holds each
+/// compiled filter behind an `Arc`, and every query that runs the cached
+/// statement, on any thread, matches through it. The hot path takes the
+/// DFA's read lock and walks already-built states; only a walk that
+/// reaches an unbuilt transition upgrades to the write lock to extend the
+/// machine, so a warm DFA serves all threads concurrently.
 #[derive(Debug)]
 pub struct Regex {
     pattern: String,

@@ -7,7 +7,54 @@
 //! arithmetic. The AST renders to SQL text ([`crate::render`]) and is what
 //! the executor consumes directly.
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
+use regexlite::Regex;
 use relstore::Value;
+
+/// The pattern of a `REGEXP_LIKE`, compiled when its expression is built.
+///
+/// It can only be built by compiling, so a statement never holds a
+/// pattern that does not compile, and the executor matches through the
+/// program its statement owns. Clones share that one program and the
+/// lazy-DFA states its earlier matches built. It derefs to, compares by
+/// and prints as its source text.
+#[derive(Clone)]
+pub struct RegexPattern(Arc<Regex>);
+
+impl RegexPattern {
+    /// Compile `text` as a POSIX ERE.
+    pub fn new(text: &str) -> Result<RegexPattern, regexlite::Error> {
+        Regex::new(text).map(|re| RegexPattern(Arc::new(re)))
+    }
+
+    /// Whether the pattern matches anywhere in `input`.
+    pub fn is_match(&self, input: &str) -> bool {
+        self.0.is_match(input)
+    }
+}
+
+impl Deref for RegexPattern {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.0.as_str()
+    }
+}
+
+impl PartialEq for RegexPattern {
+    fn eq(&self, other: &RegexPattern) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for RegexPattern {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// A full statement: one select or a `UNION` chain, with a statement-level
 /// `ORDER BY` (as in the paper's translations, which order the final result
@@ -164,7 +211,7 @@ pub enum Expr {
     /// `REGEXP_LIKE(subject, 'pattern')` — POSIX ERE, per Oracle 10g.
     RegexpLike {
         subject: Box<Expr>,
-        pattern: String,
+        pattern: RegexPattern,
     },
     /// Binary string / text concatenation `a || b`.
     Concat(Box<Expr>, Box<Expr>),

@@ -5,16 +5,14 @@
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use regexlite::Regex;
 use relstore::{Database, RowId, Table, Value};
 
-use crate::ast::{ArithOp, CmpOp, Expr, Select, SelectStmt};
+use crate::ast::{ArithOp, CmpOp, Expr, RegexPattern, Select, SelectStmt};
 use crate::plan::{plan_select_with, Access, ExecError, MergeMode, SelectPlan, Step};
 
 mod tail;
@@ -138,103 +136,22 @@ type MergeEntries<'db> = Arc<Vec<(&'db [Value], &'db [RowId])>>;
 /// table, and a probe builds its key without allocating.
 type MergeArrays<'db> = HashMap<(usize, usize), MergeEntries<'db>>;
 
-const REGEX_CACHE_CAP: usize = 1024;
-const CACHE_SHARDS: usize = 16;
-
-/// A sharded, process-wide cache. Keys hash to one of [`CACHE_SHARDS`]
-/// independently locked maps, so pool workers and concurrent engine
-/// queries touching different keys rarely contend on the same lock.
-/// Replaces the earlier thread-local caches, which silently recompiled
-/// every pattern once per pool worker and kept per-thread hit counters
-/// that never added up.
-struct Sharded<K, V> {
-    shards: Vec<Mutex<HashMap<K, V>>>,
-    per_shard_cap: usize,
-}
-
-/// Cross-query cache locks recovered from poisoning. These caches are
-/// process-global, so before PR 4 a single panic while a shard lock was
-/// held bricked every subsequent query that hashed to that shard.
+/// Fan-out merge-map locks recovered from poisoning (see
+/// [`SharedExecCaches`]): a worker that panics while flattening an index
+/// poisons the map its siblings share.
 static CACHE_POISON_RECOVERIES: AtomicU64 = AtomicU64::new(0);
 
-/// Sharded-cache locks recovered from poisoning since process start.
+/// Fan-out merge-map locks recovered from poisoning since process start.
 pub fn cache_poison_recoveries() -> u64 {
     CACHE_POISON_RECOVERIES.load(Relaxed)
 }
 
-/// Lock one cache shard, recovering from poisoning. The poisoned shard is
-/// *cleared*: a panic mid-`insert` could in principle have left a
-/// half-updated map, and every entry is a pure cache that re-warms on the
-/// next miss — dropping them is always correct, keeping them is not
-/// provably so.
-fn lock_shard<K, V>(shard: &Mutex<HashMap<K, V>>) -> std::sync::MutexGuard<'_, HashMap<K, V>> {
-    shard.lock().unwrap_or_else(|poisoned| {
-        shard.clear_poison();
-        CACHE_POISON_RECOVERIES.fetch_add(1, Relaxed);
-        let mut guard = poisoned.into_inner();
-        guard.clear();
-        guard
-    })
-}
-
-impl<K: Hash + Eq, V: Clone> Sharded<K, V> {
-    fn new(cap: usize) -> Sharded<K, V> {
-        Sharded {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            per_shard_cap: (cap / CACHE_SHARDS).max(1),
-        }
-    }
-
-    fn shard_of<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<HashMap<K, V>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % CACHE_SHARDS]
-    }
-
-    fn get<Q>(&self, key: &Q) -> Option<V>
-    where
-        K: std::borrow::Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        lock_shard(self.shard_of(key)).get(key).cloned()
-    }
-
-    /// Insert, clearing the target shard first when it is at capacity
-    /// (coarse but effective bound; entries re-warm on next use).
-    fn insert(&self, key: K, value: V) {
-        let mut map = lock_shard(self.shard_of(&key));
-        if map.len() >= self.per_shard_cap {
-            map.clear();
-        }
-        map.insert(key, value);
-    }
-
-    fn clear(&self) {
-        for s in &self.shards {
-            lock_shard(s).clear();
-        }
-    }
-}
-
-/// Compiled-program cache for `REGEXP_LIKE`, keyed by pattern text.
-/// Process-wide so every executor — including short-lived per-query ones
-/// and pool partition workers — shares one compiled program per pattern,
-/// and with it the pattern's already-built lazy-DFA states.
-fn regex_cache() -> &'static Sharded<String, Arc<Regex>> {
-    static CACHE: OnceLock<Sharded<String, Arc<Regex>>> = OnceLock::new();
-    CACHE.get_or_init(|| Sharded::new(REGEX_CACHE_CAP))
-}
-
-/// Drop the process-wide compiled-regex cache, and the path-filter memo
-/// (which rows of a column survive a pattern — see
-/// [`Table::filter_memo_get`]) and the hash-join build sides (see
+/// Drop the path-filter memo (which rows of a column survive a pattern —
+/// see [`Table::filter_memo_get`]) and the hash-join build sides (see
 /// [`Table::hash_side`]) of every table in `db`. Tests call this to
 /// observe true cold-cache behaviour; correctness never requires it (a
 /// table drops its own derived state when it mutates).
 pub fn clear_filter_caches(db: &Database) {
-    regex_cache().clear();
     for t in db.tables() {
         t.clear_filter_memo();
         t.clear_hash_sides();
@@ -1609,7 +1526,7 @@ impl<'db> Executor<'db> {
         local: &mut OpStats,
         probe_rows: &mut Vec<RowId>,
     ) -> Result<Option<usize>, ExecError> {
-        let mut found: Option<(usize, usize, &str)> = None;
+        let mut found: Option<(usize, usize, &RegexPattern)> = None;
         for (ri, r) in step.residuals.iter().enumerate() {
             if let Expr::RegexpLike { subject, pattern } = r {
                 if let Expr::Column { qualifier, name } = &**subject {
@@ -1641,8 +1558,7 @@ impl<'db> Executor<'db> {
             return Ok(Some(ri));
         }
         self.stats.borrow_mut().path_memo_misses += 1;
-        let re = self.cached_regex(pattern)?;
-        let survivors = self.filter_scan(table, ci, &re)?;
+        let survivors = self.filter_scan(table, ci, pattern)?;
         // Rejected rows were examined here and never reach the row loop;
         // count them now so rows_in still totals the full scan, and
         // charge one predicate evaluation per row scanned.
@@ -1655,38 +1571,27 @@ impl<'db> Executor<'db> {
         Ok(Some(ri))
     }
 
-    /// Run one path-filter scan: every row of `table` against `re`, in
-    /// document order. A path filter scans `Paths`, which holds one row
-    /// per distinct path (345 at XMark 1.0), so it always runs serially.
+    /// Run one path-filter scan: every row of `table` against `pattern`,
+    /// in document order. A path filter scans `Paths`, which holds one
+    /// row per distinct path (345 at XMark 1.0), so it always runs
+    /// serially.
     fn filter_scan(
         &self,
         table: &'db Table,
         ci: usize,
-        re: &Arc<Regex>,
+        pattern: &RegexPattern,
     ) -> Result<Vec<RowId>, ExecError> {
         let mut out = Vec::new();
         for (rid, row) in table.rows() {
             self.charge_rows(1)?;
             // NULLs never match (three-valued logic rejects the row).
             if let Value::Str(s) = &row[ci] {
-                if re.is_match(s) {
+                if pattern.is_match(s) {
                     out.push(rid);
                 }
             }
         }
         Ok(out)
-    }
-
-    /// Fetch (or compile into) the process-wide program cache.
-    fn cached_regex(&self, pattern: &str) -> Result<Arc<Regex>, ExecError> {
-        if let Some(r) = regex_cache().get(pattern) {
-            return Ok(r);
-        }
-        let compiled = Regex::new(pattern)
-            .map_err(|e| ExecError::exec(format!("bad regex `{pattern}`: {e}")))?;
-        let rc = Arc::new(compiled);
-        regex_cache().insert(pattern.to_string(), rc.clone());
-        Ok(rc)
     }
 
     fn take_row_buf(&self) -> Vec<RowId> {
@@ -1804,10 +1709,7 @@ impl<'db> Executor<'db> {
             }
             Expr::RegexpLike { subject, pattern } => match &*self.operand(subject, env)? {
                 Value::Null => Ok(Value::Null),
-                Value::Str(s) => {
-                    let re = self.cached_regex(pattern)?;
-                    Ok(Value::Bool(re.is_match(s)))
-                }
+                Value::Str(s) => Ok(Value::Bool(pattern.is_match(s))),
                 other => Err(ExecError::exec(format!(
                     "REGEXP_LIKE subject must be text, got {other}"
                 ))),

@@ -35,7 +35,9 @@ pub mod parser;
 pub mod plan;
 pub mod render;
 
-pub use ast::{ArithOp, CmpOp, Expr, OrderKey, Projection, Select, SelectStmt, TableRef};
+pub use ast::{
+    ArithOp, CmpOp, Expr, OrderKey, Projection, RegexPattern, Select, SelectStmt, TableRef,
+};
 pub use exec::{
     cache_poison_recoveries, clear_filter_caches, compare, naive_select, CancelToken, ExecOptions,
     ExecStats, Executor, OpStats, ParallelMode, QueryLimits, ResultSet,

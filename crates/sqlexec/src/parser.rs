@@ -12,7 +12,9 @@
 //!            REGEXP_LIKE(expr, 'pat'), BETWEEN, IS [NOT] NULL, NOT, parens
 //! ```
 
-use crate::ast::{ArithOp, CmpOp, Expr, OrderKey, Projection, Select, SelectStmt, TableRef};
+use crate::ast::{
+    ArithOp, CmpOp, Expr, OrderKey, Projection, RegexPattern, Select, SelectStmt, TableRef,
+};
 use crate::lexer::{lex, Token};
 use relstore::Value;
 
@@ -435,7 +437,8 @@ impl Parser {
                     let subject = self.expr()?;
                     self.expect(Token::Comma)?;
                     let pattern = match self.bump() {
-                        Some(Token::Str(s)) => s,
+                        Some(Token::Str(s)) => RegexPattern::new(&s)
+                            .map_err(|e| self.err(format!("bad regex `{s}`: {e}")))?,
                         other => {
                             return Err(self.err(format!(
                                 "REGEXP_LIKE pattern must be a string literal, found {other:?}"

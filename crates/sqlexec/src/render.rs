@@ -265,7 +265,7 @@ mod tests {
     fn renders_regexp_like_with_quotes() {
         let e = Expr::RegexpLike {
             subject: Box::new(Expr::column("P", "path")),
-            pattern: "^/A(/[^/]+)*/F$".to_string(),
+            pattern: crate::ast::RegexPattern::new("^/A(/[^/]+)*/F$").unwrap(),
         };
         let mut s = String::new();
         render_expr(&e, &mut s);

@@ -1,6 +1,6 @@
-//! Regression test for the per-row `REGEXP_LIKE` compile bug: the
-//! executor used to compile the pattern once per *evaluation*; it must
-//! compile once per (executor thread, pattern) and reuse the program.
+//! A `REGEXP_LIKE` pattern compiles once, when its statement is parsed,
+//! and never while the statement runs: the executor matches through the
+//! program the statement owns, on every executor that runs it.
 //!
 //! This file intentionally holds a single `#[test]` so the process-wide
 //! `regexlite::stats` counters it asserts on are not perturbed by other
@@ -8,7 +8,7 @@
 //! test files are separate processes).
 
 use relstore::{ColType, Database, TableSchema, Value};
-use sqlexec::Executor;
+use sqlexec::{parse_sql, Executor};
 
 fn paths_db(rows: i64) -> Database {
     let mut db = Database::new();
@@ -37,32 +37,31 @@ fn regexp_pattern_compiles_once_per_query_not_per_row() {
                where REGEXP_LIKE(P.path, '^/site/regions(/[^/]+)*$') \
                order by P.id";
 
-    sqlexec::clear_filter_caches(&db);
     let before = regexlite::stats::snapshot();
+    let stmt = parse_sql(sql).unwrap();
+    let parsed = regexlite::stats::snapshot().since(&before);
+    assert_eq!(
+        parsed.compiles, 1,
+        "parsing compiles the pattern: {parsed:?}"
+    );
 
     let exec = Executor::new(&db);
-    let rs = exec.query(sql).unwrap();
+    let rs = exec.run(&stmt).unwrap();
     assert_eq!(rs.rows.len(), 100);
-
     let cold = regexlite::stats::snapshot().since(&before);
-    assert_eq!(
-        cold.compiles, 1,
-        "one compile per (query, pattern), not per row: {cold:?}"
-    );
+    assert_eq!(cold.compiles, 1, "the cold run compiles nothing: {cold:?}");
     assert!(
         cold.match_calls >= ROWS as u64,
         "every row must be matched on the cold run: {cold:?}"
     );
 
-    // A second executor on the same thread reuses both the compiled
-    // program (regex cache) and the surviving-row memo: zero compiles,
-    // zero additional matches.
+    // A second executor runs the same statement: still no compile, and
+    // the table's path-filter memo answers without a single match.
     let exec2 = Executor::new(&db);
-    let rs2 = exec2.query(sql).unwrap();
+    let rs2 = exec2.run(&stmt).unwrap();
     assert_eq!(rs2.rows, rs.rows);
-
     let warm = regexlite::stats::snapshot().since(&before);
-    assert_eq!(warm.compiles, 1, "warm run must not recompile: {warm:?}");
+    assert_eq!(warm.compiles, 1, "the warm run compiles nothing: {warm:?}");
     assert_eq!(
         warm.match_calls, cold.match_calls,
         "warm run answers from the path-filter memo: {warm:?}"

@@ -69,7 +69,7 @@ fn arb_pred() -> impl Strategy<Value = Expr> {
     });
     let regexp = arb_col().prop_map(|c| Expr::RegexpLike {
         subject: Box::new(c),
-        pattern: "^/a(/[^/]+)*/b$".to_string(),
+        pattern: sqlexec::RegexPattern::new("^/a(/[^/]+)*/b$").unwrap(),
     });
     let leaf = prop_oneof![cmp, between, isnull, regexp];
     leaf.prop_recursive(3, 24, 3, |inner| {
