@@ -82,14 +82,14 @@ fn counter_table(data: &BenchData, queries: &[(&str, &str)]) {
     println!("\n### PPF operator counters (schema-aware vs Edge-like)\n");
     println!(
         "| query | system | rows scanned | index probes | path filters | \
-         candidates → survivors | VM steps | par tasks/chunks (threads) |"
+         candidates → survivors | VM steps |"
     );
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|");
     for (name, q) in queries {
         for s in [System::Ppf, System::EdgePpf] {
             match run_query_counted(data, s, q) {
                 Ok(c) => println!(
-                    "| {name} | {} | {} | {} | {} | {} → {} | {} | {}/{} ({}) |",
+                    "| {name} | {} | {} | {} | {} | {} → {} | {} |",
                     s.label(),
                     c.rows_scanned,
                     c.index_probes,
@@ -97,11 +97,8 @@ fn counter_table(data: &BenchData, queries: &[(&str, &str)]) {
                     c.path_candidates,
                     c.path_survivors,
                     c.vm_steps,
-                    c.par_tasks,
-                    c.par_chunks,
-                    c.pool_threads,
                 ),
-                Err(_) => println!("| {name} | {} | N/A | | | | | |", s.label()),
+                Err(_) => println!("| {name} | {} | N/A | | | | |", s.label()),
             }
         }
     }

@@ -176,12 +176,6 @@ pub struct QueryCounters {
     /// Pike-VM matches run by the path filters.
     pub vm_match_calls: u64,
     pub vm_steps: u64,
-    /// Parallel fan-outs (partitioned branch pipelines).
-    pub par_tasks: u64,
-    /// Chunks executed across those fan-outs.
-    pub par_chunks: u64,
-    /// Work-stealing pool size when the query ran.
-    pub pool_threads: u64,
 }
 
 impl QueryCounters {
@@ -196,9 +190,6 @@ impl QueryCounters {
             path_survivors: r.engine.path_survivors,
             vm_match_calls: r.engine.vm_match_calls,
             vm_steps: r.engine.vm_steps,
-            par_tasks: r.stats.par_tasks,
-            par_chunks: r.stats.par_chunks,
-            pool_threads: r.engine.pool_threads,
         }
     }
 

@@ -9,8 +9,7 @@
 //! in review as a one-line diff per field of `COSTS.json`.
 //!
 //! Each suite gets a fresh database and runs its queries in a fixed
-//! order under `ParallelMode::ForceOff`, so every count is the same at
-//! any `PPF_THREADS` and depends only on that suite. Every query must
+//! order, so every count depends only on that suite. Every query must
 //! return the same rows with statistics on and off. On a mismatch the
 //! test writes the whole actual ledger to `COSTS.actual.json` in Cargo's
 //! test tmp dir, prints every differing `suite/query/field old → new`,
@@ -29,17 +28,16 @@ use ppf_bench::{
 };
 use ppf_core::XmlDb;
 use relstore::Database;
-use sqlexec::{ExecOptions, Executor, ParallelMode, QueryLimits, ResultSet, SelectStmt};
+use sqlexec::{ExecOptions, Executor, QueryLimits, ResultSet, SelectStmt};
 
 #[global_allocator]
 static GLOBAL: obs::alloc::Counting = obs::alloc::Counting;
 
 const COSTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../COSTS.json");
 
-/// The default options with statistics set to `stats`, never forking.
-fn serial(stats: bool) -> ExecOptions {
+/// The default options with statistics set to `stats`.
+fn with_stats(stats: bool) -> ExecOptions {
     ExecOptions {
-        parallel: ParallelMode::ForceOff,
         stats,
         ..ExecOptions::default()
     }
@@ -63,7 +61,7 @@ fn run_suite(
 ) -> (Value, Checks) {
     let mut db = XmlDb::new(schema).expect("schema db");
     db.set_path_marking(marking);
-    db.set_exec_options(serial(true));
+    db.set_exec_options(with_stats(true));
     db.load(doc).expect("load");
     db.finalize().expect("indexes");
 
@@ -128,7 +126,7 @@ fn run_suite(
 /// The result of one run of `stmt` planned with statistics set to
 /// `stats`, and the run's median per-step q-error (1.0 when no step ran).
 fn run_planned(db: &Database, stmt: &SelectStmt, stats: bool) -> (ResultSet, f64) {
-    let exec = Executor::with_options(db, serial(stats));
+    let exec = Executor::with_options(db, with_stats(stats));
     let result = exec.run(stmt).expect("statement runs");
     let mut qs = Vec::new();
     for (plan, ops) in exec.profiled_steps() {
@@ -165,8 +163,9 @@ fn rounded(x: f64) -> Value {
 /// actuals stripped, so two signatures differ exactly when join order,
 /// access paths or filter placement differ.
 fn plan_signature(db: &Database, stmt: &SelectStmt, stats: bool) -> String {
-    let text = sqlexec::explain_analyze_with_limits(db, stmt, QueryLimits::none(), serial(stats))
-        .expect("explain analyze");
+    let text =
+        sqlexec::explain_analyze_with_limits(db, stmt, QueryLimits::none(), with_stats(stats))
+            .expect("explain analyze");
     text.lines()
         .filter(|l| !l.starts_with("actual: "))
         .map(|l| l.split(" (est ").next().unwrap_or(l))
@@ -244,9 +243,6 @@ fn members<'a>(
 
 #[test]
 fn costs_match_the_committed_ledger() {
-    // Start the pool before counting: its size follows PPF_THREADS, and
-    // spawning its workers allocates on this thread.
-    ppf_pool::global();
     let xmark_doc = generate_xmark(XMarkConfig {
         scale: 0.05,
         seed: 42,

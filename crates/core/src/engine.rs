@@ -92,19 +92,13 @@ fn record_query_error(err: &QueryError) {
     mirror_poison_counters(reg);
 }
 
-/// Mirror the monotone poison-recovery counters that pool, regexlite and
-/// sqlexec keep in their own statics into the registry, so one
-/// `.metrics` snapshot shows every layer's recoveries.
+/// Mirror the monotone poison-recovery counters that regexlite and this
+/// module keep in their own statics into the registry, so one `.metrics`
+/// snapshot shows every layer's recoveries.
 fn mirror_poison_counters(reg: &obs::Registry) {
-    reg.set_max("pool.poison_recoveries", ppf_pool::poison_recoveries());
-    reg.set_max("pool.env_parse_errors", ppf_pool::env_parse_errors());
     reg.set_max(
         "regex.poison_recoveries",
         regexlite::stats::poison_recoveries(),
-    );
-    reg.set_max(
-        "sqlexec.cache_poison_recoveries",
-        sqlexec::cache_poison_recoveries(),
     );
     reg.set_max("engine.cache_poison_recoveries", cache_poison_recoveries());
 }
@@ -170,30 +164,6 @@ pub struct EngineStats {
     /// Heap allocations on the index-probe hot path (key buffers and
     /// probe row buffers acquired past their pools).
     pub probe_allocs: u64,
-    /// Parallel fan-outs during execution (partitioned branch pipelines).
-    pub par_tasks: u64,
-    /// Chunks executed across those fan-outs (`par_chunks / par_tasks` is
-    /// the average degree of partitioning achieved).
-    pub par_chunks: u64,
-    /// Input rows distributed across parallel chunks.
-    pub par_rows: u64,
-    /// Largest single parallel chunk in input rows; against the even
-    /// share `par_rows / par_chunks` it measures partition skew.
-    pub par_chunk_rows_max: u64,
-    /// Threads in the process-wide work-stealing pool when this query ran
-    /// (1 ⇒ the serial pipeline, no fan-out possible).
-    pub pool_threads: u64,
-    /// Pool-wide steal-count delta observed across this query's
-    /// execution (approximate under concurrent queries — steals are a
-    /// process-global counter).
-    pub pool_steals: u64,
-    /// Pool-wide steal-attempt delta across this query's execution (same
-    /// caveat); `pool_steals / pool_steal_attempts` is the steal success
-    /// rate the steal-half mechanic is meant to raise.
-    pub pool_steal_attempts: u64,
-    /// Pool-wide LIFO-slot hit delta across this query's execution —
-    /// tasks a worker picked back up while still cache-warm.
-    pub pool_lifo_hits: u64,
     /// High-water mark of engine queries in flight at once, as of this
     /// query's completion (process-wide, monotone).
     pub concurrent_queries_peak: u64,
@@ -461,32 +431,11 @@ mod body {
             run_query(
                 self.db(),
                 xpath,
-                Some(&self.cache),
+                &self.cache,
                 &|e| self.translate_expr(e),
                 limits,
                 self.exec,
             )
-        }
-
-        /// Run one query under `opts` instead of the engine's own options.
-        /// The query cache is read and written only when `opts` plans as
-        /// the engine's options do (same `merge` and `stats`).
-        pub fn query_with_options(
-            &self,
-            xpath: &str,
-            limits: QueryLimits,
-            opts: ExecOptions,
-        ) -> Result<QueryResult, EngineError> {
-            let same_plans = opts.merge == self.exec.merge && opts.stats == self.exec.stats;
-            let (result, _) = run_query(
-                self.db(),
-                xpath,
-                same_plans.then_some(&self.cache),
-                &|e| self.translate_expr(e),
-                limits,
-                opts,
-            )?;
-            Ok(result)
         }
     }
 }
@@ -580,12 +529,11 @@ fn path_filters_in_stmt(stmt: &SelectStmt) -> u64 {
 /// The instrumented query pipeline shared by [`XmlDb`] and [`EdgeDb`]:
 /// parse → translate → plan → execute → publish, each phase a span in the
 /// returned trace, with work counters attached and mirrored into the
-/// process-wide [`obs`] metrics registry. Without a `cache` the query is
-/// translated and planned afresh and nothing is cached.
+/// process-wide [`obs`] metrics registry.
 fn run_query(
     db: &Database,
     xpath: &str,
-    cache: Option<&QueryCache>,
+    cache: &QueryCache,
     translate_expr: &dyn Fn(&xpath::Expr) -> Result<Translation, EngineError>,
     limits: QueryLimits,
     opts: ExecOptions,
@@ -593,12 +541,10 @@ fn run_query(
     // End-to-end latency is recorded for *every* query — errors and
     // limit aborts included — so the `engine.query_ns` histogram's
     // p50/p95/p99 describe what callers actually experienced, not just
-    // the successes. Profiler query markers bracket the same window.
-    obs::profile::record(obs::profile::EventKind::QueryStart, 0);
+    // the successes.
     let t0 = std::time::Instant::now();
     let result = run_query_inner(db, xpath, cache, translate_expr, limits, opts);
     obs::Registry::global().observe("engine.query_ns", t0.elapsed().as_nanos() as u64);
-    obs::profile::record(obs::profile::EventKind::QueryEnd, u64::from(result.is_ok()));
     if let Err(e) = &result {
         record_query_error(e);
     }
@@ -608,7 +554,7 @@ fn run_query(
 fn run_query_inner(
     db: &Database,
     xpath: &str,
-    cache: Option<&QueryCache>,
+    cache: &QueryCache,
     translate_expr: &dyn Fn(&xpath::Expr) -> Result<Translation, EngineError>,
     limits: QueryLimits,
     opts: ExecOptions,
@@ -621,7 +567,7 @@ fn run_query_inner(
     // Set on a cache miss, just before translate: its compiles and any
     // execution's are this query's, a hit's are none.
     let mut compiles_before = None;
-    let cached = cache.and_then(|c| lock_cache(c).get(xpath).cloned());
+    let cached = lock_cache(cache).get(xpath).cloned();
     let entry = match cached {
         Some(entry) => {
             // Warm hit: parse, translate and plan were all done the first
@@ -669,13 +615,11 @@ fn run_query_inner(
                 path_filters,
                 plans: Mutex::new(HashMap::new()),
             });
-            if let Some(cache) = cache {
-                let mut map = lock_cache(cache);
-                if map.len() >= QUERY_CACHE_CAP {
-                    map.clear();
-                }
-                map.insert(xpath.to_string(), entry.clone());
+            let mut map = lock_cache(cache);
+            if map.len() >= QUERY_CACHE_CAP {
+                map.clear();
             }
+            map.insert(xpath.to_string(), entry.clone());
             entry
         }
     };
@@ -714,20 +658,14 @@ fn run_query_inner(
             trace.end(span);
 
             let span = trace.start("execute");
-            let pool = ppf_pool::global();
-            let steals_before = pool.steal_count();
-            let steal_attempts_before = pool.steal_attempt_count();
-            let lifo_hits_before = pool.lifo_hit_count();
             let vm_before = regexlite::stats::snapshot();
             let exec = Executor::with_options(db, opts);
             exec.seed_plans(&lock_cache(&entry.plans));
             exec.set_limits(limits.clone());
             let t0 = std::time::Instant::now();
-            // Contain any panic that escapes the executor (its own pool
-            // workers are already caught per task): one bad query must
-            // degrade to an error, not take down every query in the
-            // process. The executor's shared caches recover from the
-            // resulting lock poisoning on their next use.
+            // Contain any panic that escapes the executor: one bad query
+            // must degrade to an error, not take down every query in the
+            // process.
             let run_outcome =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exec.run(stmt)));
             let rows = match run_outcome {
@@ -766,16 +704,6 @@ fn run_query_inner(
             engine.path_memo_misses = stats.path_memo_misses;
             engine.merge_probes = stats.merge_probes;
             engine.probe_allocs = stats.probe_allocs;
-            engine.par_tasks = stats.par_tasks;
-            engine.par_chunks = stats.par_chunks;
-            engine.par_rows = stats.par_rows;
-            engine.par_chunk_rows_max = stats.par_chunk_rows_max;
-            engine.pool_threads = pool.threads() as u64;
-            engine.pool_steals = pool.steal_count().saturating_sub(steals_before);
-            engine.pool_steal_attempts = pool
-                .steal_attempt_count()
-                .saturating_sub(steal_attempts_before);
-            engine.pool_lifo_hits = pool.lifo_hit_count().saturating_sub(lifo_hits_before);
             trace.counter(span, "rows_scanned", stats.rows_scanned);
             trace.counter(span, "index_probes", stats.index_probes);
             trace.counter(span, "predicate_evals", stats.predicate_evals);
@@ -789,14 +717,6 @@ fn run_query_inner(
             trace.counter(span, "dfa_matches", engine.dfa_matches);
             trace.counter(span, "path_memo_hits", engine.path_memo_hits);
             trace.counter(span, "merge_probes", engine.merge_probes);
-            trace.counter(span, "par_tasks", engine.par_tasks);
-            trace.counter(span, "par_chunks", engine.par_chunks);
-            trace.counter(span, "par_rows", engine.par_rows);
-            trace.counter(span, "par_chunk_rows_max", engine.par_chunk_rows_max);
-            trace.counter(span, "pool_threads", engine.pool_threads);
-            trace.counter(span, "pool_steals", engine.pool_steals);
-            trace.counter(span, "pool_steal_attempts", engine.pool_steal_attempts);
-            trace.counter(span, "pool_lifo_hits", engine.pool_lifo_hits);
             trace.end(span);
 
             let span = trace.start("publish");
@@ -820,7 +740,6 @@ fn run_query_inner(
     if let Some(before) = compiles_before {
         engine.regex_compiles = regexlite::stats::snapshot().since(&before).compiles;
     }
-    engine.pool_threads = engine.pool_threads.max(ppf_pool::current_threads() as u64);
     engine.concurrent_queries_peak = QUERIES_PEAK.load(Relaxed);
     result.engine = engine;
 
@@ -844,17 +763,8 @@ fn run_query_inner(
     reg.incr("engine.dfa_fallbacks", engine.dfa_fallbacks);
     reg.incr("engine.path_memo_hits", engine.path_memo_hits);
     reg.incr("engine.merge_probes", engine.merge_probes);
-    reg.incr("engine.par_tasks", engine.par_tasks);
-    reg.incr("engine.par_chunks", engine.par_chunks);
-    reg.incr("engine.par_rows", engine.par_rows);
-    reg.set_max("engine.par_chunk_rows_max", engine.par_chunk_rows_max);
-    reg.incr("engine.pool_steals", engine.pool_steals);
-    reg.incr("engine.pool_steal_attempts", engine.pool_steal_attempts);
-    reg.incr("engine.pool_lifo_hits", engine.pool_lifo_hits);
-    reg.incr("engine.par_degraded", result.stats.par_degraded);
     // Histogram max = the observed high-water mark of concurrency.
     reg.observe("engine.concurrent_queries", in_flight_now);
-    reg.observe("engine.pool_threads", engine.pool_threads);
     mirror_poison_counters(reg);
 
     Ok((result, trace))
@@ -1169,19 +1079,6 @@ impl SharedEngine {
         limits: QueryLimits,
     ) -> Result<QueryResult, EngineError> {
         self.snapshot().query_with_limits(xpath, limits)
-    }
-
-    /// [`XmlDb::query_with_options`] on the serving snapshot.
-    pub fn query_with_options(
-        &self,
-        xpath: &str,
-        limits: QueryLimits,
-        opts: ExecOptions,
-    ) -> Result<QueryResult, EngineError> {
-        let snap = self.snapshot();
-        let mut r = snap.db.query_with_options(xpath, limits, opts)?;
-        r.snapshot_version = snap.version;
-        Ok(r)
     }
 
     /// Run a query and return its span tree (see [`XmlDb::query_traced`]).

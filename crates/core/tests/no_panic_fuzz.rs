@@ -1,7 +1,6 @@
 //! No-panic fuzz: arbitrary XPath, SQL and regex inputs pushed through
 //! the public APIs must produce `Ok` or a typed error — never a panic,
-//! abort or stack overflow. Runs with a 4-thread pool so the parallel
-//! pipeline (partitioned scans, branch fan-out) is exercised too.
+//! abort or stack overflow.
 //!
 //! Inputs mix raw character soup (parser surface) with structured
 //! almost-valid fragments (translator/planner/executor surface): pure
@@ -18,7 +17,6 @@ fn engine() -> &'static SharedEngine {
     use std::sync::OnceLock;
     static ENGINE: OnceLock<SharedEngine> = OnceLock::new();
     ENGINE.get_or_init(|| {
-        ppf_pool::set_threads(4);
         let mut db = XmlDb::new(&figure1_schema()).expect("db");
         db.load_xml(
             "<A x='1'><B><C><D x='7'>1</D><D x='8'>2</D><E><F>10</F></E></C>\

@@ -191,18 +191,14 @@ fn explain_analyze_is_structurally_stable_on_figure1_queries() {
             out.contains(" act=") && out.contains(" q="),
             "`{q}`:\n{out}"
         );
-        // The summary line totals the whole statement. With more than
-        // one pool thread a `par_decision:` footer follows it — then
-        // that footer, and nothing else, is the last line.
+        // The summary line totals the whole statement, and it is the
+        // last line: nothing follows it.
         let mut tail = out.lines().skip_while(|l| !l.starts_with("actual: "));
         let summary = tail
             .next()
             .unwrap_or_else(|| panic!("`{q}` has no summary line:\n{out}"));
         let footer: Vec<&str> = tail.collect();
-        assert!(
-            footer.is_empty() || (footer.len() == 1 && footer[0].starts_with("par_decision: ")),
-            "`{q}`:\n{out}"
-        );
+        assert!(footer.is_empty(), "`{q}`:\n{out}");
         assert!(summary.contains("rows_scanned="), "`{q}`:\n{out}");
         assert!(summary.contains("index_probes="), "`{q}`:\n{out}");
         assert!(summary.contains("subqueries="), "`{q}`:\n{out}");

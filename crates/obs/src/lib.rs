@@ -12,10 +12,6 @@
 //!   analysis. When no sink is attached nothing is allocated or
 //!   serialized, so the instrumentation cost is a few `Instant::now()`
 //!   calls per query.
-//! * [`profile`] — a process-wide event profiler: per-thread lock-free
-//!   event buffers (task/steal/park/chunk/lock-wait) aggregated into
-//!   per-worker timelines, exportable as Chrome `trace_event` JSON.
-//!   Detached hooks cost one relaxed atomic load and a branch.
 //! * [`alloc`] — a counting global allocator that test binaries install
 //!   to pin allocation budgets per thread.
 //!
@@ -26,11 +22,9 @@
 pub mod alloc;
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod sink;
 pub mod trace;
 
 pub use metrics::{HistogramSummary, MetricsSnapshot, Registry};
-pub use profile::{Profile, WorkerTimeline};
 pub use sink::{JsonLinesSink, RingBufferSink, TraceSink};
 pub use trace::{QueryTrace, Span, SpanId};

@@ -5,8 +5,8 @@
 //! verb) — makes the server misbehave on purpose, with the configured
 //! probabilities, so `ppf-stress` can prove the robustness machinery
 //! holds: injected panics stay contained, slow queries trip admission
-//! control and deadlines, dropped connections never wedge the daemon,
-//! and forced lock poisoning is recovered and counted.
+//! control and deadlines, and dropped connections never wedge the
+//! daemon.
 //!
 //! Without the feature (the default, and every release build) the whole
 //! module collapses: [`ChaosState`] is a zero-sized type and
@@ -19,9 +19,6 @@
 //!
 //! ```text
 //! panic=P            with probability P, panic inside the query worker
-//! poison=P           with probability P, arm a pool-worker panic while
-//!                    the partitioned pipeline holds shared-cache locks
-//!                    (forces lock poisoning + recovery)
 //! slow=P:MS          with probability P, sleep MS ms holding the
 //!                    admission slot before executing
 //! drop=P[:PHASE]     with probability P, sever the connection; PHASE is
@@ -77,10 +74,6 @@ pub enum Fault {
     Slow(Duration),
     /// Sever the connection at the given phase.
     Drop(DropPhase),
-    /// Run this query on the partitioned pipeline with a panic in its
-    /// pool tasks (`ExecOptions::worker_panic`), poisoning shared locks
-    /// for recovery.
-    Poison,
 }
 
 impl Fault {
@@ -91,7 +84,6 @@ impl Fault {
             Fault::Panic => "server.faults.panic",
             Fault::Slow(_) => "server.faults.slow",
             Fault::Drop(_) => "server.faults.drop",
-            Fault::Poison => "server.faults.poison",
         }
     }
 }
@@ -137,7 +129,6 @@ mod chaos_impl {
     #[derive(Debug, Clone, Default, PartialEq)]
     pub struct FaultPlan {
         pub panic_p: f64,
-        pub poison_p: f64,
         pub slow_p: f64,
         pub slow_ms: u64,
         pub drop_p: f64,
@@ -166,7 +157,6 @@ mod chaos_impl {
                     .ok_or_else(|| format!("malformed chaos token {token:?}"))?;
                 match key {
                     "panic" => plan.panic_p = parse_prob(val)?,
-                    "poison" => plan.poison_p = parse_prob(val)?,
                     "slow" => {
                         let (p, ms) = val
                             .split_once(':')
@@ -217,7 +207,6 @@ mod chaos_impl {
 
         fn is_off(&self) -> bool {
             self.panic_p == 0.0
-                && self.poison_p == 0.0
                 && self.slow_p == 0.0
                 && self.drop_p == 0.0
                 && self.reload_panic_p == 0.0
@@ -228,11 +217,7 @@ mod chaos_impl {
         /// Whether this plan injects only load-path faults (the
         /// reload-storm contract: queries must see zero chaos).
         pub fn is_reload_only(&self) -> bool {
-            !self.is_off()
-                && self.panic_p == 0.0
-                && self.poison_p == 0.0
-                && self.slow_p == 0.0
-                && self.drop_p == 0.0
+            !self.is_off() && self.panic_p == 0.0 && self.slow_p == 0.0 && self.drop_p == 0.0
         }
     }
 
@@ -285,9 +270,8 @@ mod chaos_impl {
                 return Ok("chaos off".to_string());
             }
             let summary = format!(
-                "chaos on: panic={} poison={} slow={}:{}ms drop={}{} reload_panic={} reload_io={} reload_slow={}:{}ms seed={}",
+                "chaos on: panic={} slow={}:{}ms drop={}{} reload_panic={} reload_io={} reload_slow={}:{}ms seed={}",
                 plan.panic_p,
-                plan.poison_p,
                 plan.slow_p,
                 plan.slow_ms,
                 plan.drop_p,
@@ -310,7 +294,7 @@ mod chaos_impl {
         }
 
         /// Decide the fault for one query-class request. First match in
-        /// drop → panic → poison → slow order wins (at most one fault per
+        /// drop → panic → slow order wins (at most one fault per
         /// request, for reconcilable counts).
         pub fn next_query_fault(&self) -> Fault {
             let mut slot = lock(&self.active);
@@ -331,10 +315,7 @@ mod chaos_impl {
             if roll < p.drop_p + p.panic_p {
                 return Fault::Panic;
             }
-            if roll < p.drop_p + p.panic_p + p.poison_p {
-                return Fault::Poison;
-            }
-            if roll < p.drop_p + p.panic_p + p.poison_p + p.slow_p {
+            if roll < p.drop_p + p.panic_p + p.slow_p {
                 return Fault::Slow(Duration::from_millis(p.slow_ms));
             }
             Fault::None
@@ -371,10 +352,8 @@ mod chaos_impl {
 
         #[test]
         fn parses_full_spec() {
-            let p =
-                FaultPlan::parse("panic=0.1 poison=0.05 slow=0.25:40 drop=0.2:mid seed=7").unwrap();
+            let p = FaultPlan::parse("panic=0.1 slow=0.25:40 drop=0.2:mid seed=7").unwrap();
             assert_eq!(p.panic_p, 0.1);
-            assert_eq!(p.poison_p, 0.05);
             assert_eq!(p.slow_p, 0.25);
             assert_eq!(p.slow_ms, 40);
             assert_eq!(p.drop_p, 0.2);
@@ -388,6 +367,7 @@ mod chaos_impl {
             assert!(FaultPlan::parse("slow=0.5").is_err());
             assert!(FaultPlan::parse("drop=0.5:sideways").is_err());
             assert!(FaultPlan::parse("frob=1").is_err());
+            assert!(FaultPlan::parse("poison=0.1").is_err());
         }
 
         #[test]
@@ -403,7 +383,6 @@ mod chaos_impl {
                     Fault::Panic => counts[1] += 1,
                     Fault::Slow(_) => counts[2] += 1,
                     Fault::Drop(_) => counts[3] += 1,
-                    Fault::Poison => unreachable!("poison_p is 0"),
                 }
             }
             assert!((1500..2500).contains(&counts[1]), "panic ~20%: {counts:?}");

@@ -17,9 +17,9 @@
 //!   cancel stragglers through their [`ppf_core::CancelToken`]s, flush
 //!   counters.
 //! * **Fault injection** ([`fault`], compile-time gated behind the
-//!   `chaos` feature): injected panics, forced lock poisoning,
-//!   artificial slow queries, and connection drops at chosen protocol
-//!   phases, driven by the bundled `ppf-stress` client.
+//!   `chaos` feature): injected panics, artificial slow queries,
+//!   connection drops at chosen protocol phases, and reload faults,
+//!   driven by the bundled `ppf-stress` client.
 //!
 //! Server-side counters land in the process-wide [`obs::Registry`]
 //! (`server.accepted`, `server.shed`, `server.drained`, …) next to the

@@ -108,7 +108,10 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            max_inflight: ppf_pool::current_threads().max(2) * 2,
+            max_inflight: std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .max(2)
+                * 2,
             queue_depth: 16,
             queue_wait: Duration::from_millis(200),
             policy: AdmissionPolicy::Queue,
@@ -215,7 +218,8 @@ const SLOWLOG_QUERY_CHARS: usize = 200;
 
 /// Deliberate thread-spawn failure injection, so tests can prove that
 /// resource exhaustion fails start-up or sheds a request instead of
-/// killing the server.
+/// killing the server. Only `chaos` builds carry it.
+#[cfg(feature = "chaos")]
 pub mod test_hooks {
     use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
@@ -241,6 +245,7 @@ fn spawn_sheddable(
     name: &str,
     f: impl FnOnce() + Send + 'static,
 ) -> io::Result<std::thread::JoinHandle<()>> {
+    #[cfg(feature = "chaos")]
     if test_hooks::spawn_should_fail() {
         return Err(io::Error::new(
             io::ErrorKind::WouldBlock,
@@ -511,13 +516,12 @@ pub(crate) fn handle_frame(inner: &Arc<Inner>, conn: &Arc<Conn>, payload: &str) 
             // describes the same version, even mid-swap.
             let snap = inner.engine.snapshot();
             let body = format!(
-                "status: {status}\ncore: {}\nactive_conns: {}\nworkers: {}\ninflight: {}\nwaiting: {}\npool_threads: {}\nsnapshot_version: {}\nloaded_at_unix: {}\ndocuments: {}\ntables: {}\nrows: {}\nstats_tables: {}\nfilter_memo_entries: {}\nhash_sides: {}",
+                "status: {status}\ncore: {}\nactive_conns: {}\nworkers: {}\ninflight: {}\nwaiting: {}\nsnapshot_version: {}\nloaded_at_unix: {}\ndocuments: {}\ntables: {}\nrows: {}\nstats_tables: {}\nfilter_memo_entries: {}\nhash_sides: {}",
                 inner.core,
                 inner.active_conns.load(SeqCst),
                 inner.admission.workers(),
                 inner.admission.inflight(),
                 inner.admission.waiting(),
-                ppf_pool::current_threads(),
                 snap.version(),
                 snap.loaded_at_unix(),
                 snap.doc_count(),
@@ -797,20 +801,12 @@ fn run_admitted(
         limits = limits.with_max_rows(n);
     }
 
-    // `Poison` runs this one query on the partitioned pipeline with a
-    // panic in its pool tasks: the shared caches get poisoned under a
-    // real lock holder and must recover (counted in the registry).
-    let opts = matches!(fault, Fault::Poison).then(|| ExecOptions {
-        parallel: sqlexec::ParallelMode::ForceOn,
-        worker_panic: true,
-        ..ExecOptions::default()
-    });
     let t0 = Instant::now();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if matches!(fault, Fault::Panic) {
             panic!("chaos: injected worker panic");
         }
-        execute(inner, req, &limits, opts)
+        execute(inner, req, &limits)
     }));
     let elapsed = t0.elapsed();
 
@@ -907,25 +903,18 @@ fn complete(
 /// `version=` header stamp).
 type Executed = (String, Option<[u64; 5]>, u64, u64);
 
-/// Execute the engine work for one request, under `opts` when given
-/// instead of the engine's own options. Each request pins exactly
+/// Execute the engine work for one request. Each request pins exactly
 /// one snapshot, so a query racing a reload is answered wholly by the
 /// version it stamps.
 fn execute(
     inner: &Inner,
     req: &Request,
     limits: &QueryLimits,
-    opts: Option<ExecOptions>,
 ) -> Result<Executed, ppf_core::QueryError> {
     match req.verb {
         Verb::Query => {
             let xpath = req.body.trim();
-            let result = match opts {
-                Some(opts) => inner
-                    .engine
-                    .query_with_options(xpath, limits.clone(), opts)?,
-                None => inner.engine.query_with_limits(xpath, limits.clone())?,
-            };
+            let result = inner.engine.query_with_limits(xpath, limits.clone())?;
             let ids = result.ids();
             let e = &result.engine;
             let phases = Some([
@@ -966,7 +955,7 @@ fn execute(
                     snap.db(),
                     &stmt,
                     limits.clone(),
-                    opts.unwrap_or_default(),
+                    ExecOptions::default(),
                 )
                 .map_err(ppf_core::QueryError::from)?,
             };

@@ -6,8 +6,8 @@ use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use relstore::{Database, RowId, Table, Value};
@@ -49,49 +49,10 @@ pub struct ExecStats {
     /// executor's pools (a steady-state hot loop should stop adding these
     /// after warm-up).
     pub probe_allocs: u64,
-    /// Partitioned branch executions (one per fan-out, regardless of how
-    /// many chunks it split into).
-    pub par_tasks: u64,
-    /// Chunks executed across all parallel operations — `par_chunks /
-    /// par_tasks` is the average degree of partitioning actually achieved.
-    pub par_chunks: u64,
     /// Statements aborted by a resource limit (deadline or row budget).
     pub limit_aborts: u64,
     /// Statements aborted by their [`CancelToken`].
     pub query_cancelled: u64,
-    /// Forks the `Auto` rule approved but gave up because the pool was
-    /// already saturated with other queries' scopes (the branch ran
-    /// serially instead).
-    pub par_degraded: u64,
-    /// Input rows distributed across parallel chunks (all fan-outs).
-    pub par_rows: u64,
-    /// Largest single chunk, in input rows — `par_chunk_rows_max /
-    /// (par_rows / par_chunks)` is the partition skew: 1.0 means the
-    /// split was perfectly balanced, higher means one worker got a
-    /// disproportionate share (Dewey boundary alignment can force this).
-    pub par_chunk_rows_max: u64,
-}
-
-impl ExecStats {
-    /// Field-wise accumulate — merges a partition worker's counters into
-    /// the coordinator's.
-    pub fn absorb(&mut self, other: &ExecStats) {
-        self.rows_scanned += other.rows_scanned;
-        self.index_probes += other.index_probes;
-        self.subqueries += other.subqueries;
-        self.predicate_evals += other.predicate_evals;
-        self.merge_probes += other.merge_probes;
-        self.path_memo_hits += other.path_memo_hits;
-        self.path_memo_misses += other.path_memo_misses;
-        self.probe_allocs += other.probe_allocs;
-        self.par_tasks += other.par_tasks;
-        self.par_chunks += other.par_chunks;
-        self.limit_aborts += other.limit_aborts;
-        self.query_cancelled += other.query_cancelled;
-        self.par_degraded += other.par_degraded;
-        self.par_rows += other.par_rows;
-        self.par_chunk_rows_max = self.par_chunk_rows_max.max(other.par_chunk_rows_max);
-    }
 }
 
 /// Per-plan-step execution counters. One `OpStats` accumulates across every
@@ -135,16 +96,6 @@ type MergeEntries<'db> = Arc<Vec<(&'db [Value], &'db [RowId])>>;
 /// database borrow is immutable for `'db`, so an address names one
 /// table, and a probe builds its key without allocating.
 type MergeArrays<'db> = HashMap<(usize, usize), MergeEntries<'db>>;
-
-/// Fan-out merge-map locks recovered from poisoning (see
-/// [`SharedExecCaches`]): a worker that panics while flattening an index
-/// poisons the map its siblings share.
-static CACHE_POISON_RECOVERIES: AtomicU64 = AtomicU64::new(0);
-
-/// Fan-out merge-map locks recovered from poisoning since process start.
-pub fn cache_poison_recoveries() -> u64 {
-    CACHE_POISON_RECOVERIES.load(Relaxed)
-}
 
 /// Drop the path-filter memo (which rows of a column survive a pattern —
 /// see [`Table::filter_memo_get`]) and the hash-join build sides (see
@@ -191,9 +142,7 @@ pub struct QueryLimits {
     /// Abort with [`ExecError::Limit`] once the statement has scanned
     /// this many rows. Rows scanned bound the executor's materialized
     /// state (candidate buffers, result rows), so this doubles as the
-    /// memory budget. Under partitioned execution each worker inherits
-    /// the full budget, so enforcement is approximate by up to the
-    /// fan-out factor.
+    /// memory budget.
     pub max_rows_scanned: Option<u64>,
     /// Abort with [`ExecError::Cancelled`] once this token fires.
     pub cancel: Option<CancelToken>,
@@ -235,9 +184,8 @@ impl QueryLimits {
     }
 
     /// Poll the cancel token and the deadline (not the row budget, which
-    /// only the owning executor tracks). Usable from pool workers, which
-    /// hold a clone of the coordinator's limits.
-    pub(crate) fn check_interrupt(&self) -> Result<(), ExecError> {
+    /// the executor tracks).
+    fn check_interrupt(&self) -> Result<(), ExecError> {
         if let Some(token) = &self.cancel {
             if token.is_cancelled() {
                 return Err(ExecError::cancelled("cancel token fired".to_string()));
@@ -256,93 +204,26 @@ impl QueryLimits {
 /// only the clock read and the token load are decimated.
 const LIMIT_CHECK_INTERVAL: u64 = 256;
 
-/// Intra-query parallelism strategy for the one parallel operator, the
-/// branch pipeline over a structural join's outer run: `Auto` partitions
-/// when the branch's planned work reaches [`FORK_MIN_WORK`], `ForceOff`
-/// pins the serial pipeline, and `ForceOn` partitions whenever there are
-/// at least two rows to split — the A/B lever equivalence tests use.
-/// Partition workers always run `ForceOff`: parallelism never nests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelMode {
-    #[default]
-    Auto,
-    ForceOff,
-    ForceOn,
-}
-
-/// Every plan and execution choice a caller may pin, as one value. An
-/// [`Executor`] carries it, its planner reads it, and its partition
-/// workers get a copy (with `parallel: ForceOff`), so nothing about how
-/// a query runs is read from the thread or the process. `Default` is the
-/// serving behaviour; tests and benches build the variants they compare.
+/// Every plan choice a caller may pin, as one value. An [`Executor`]
+/// carries it and its planner reads it, so nothing about how a query
+/// runs is read from the thread or the process. `Default` is the serving
+/// behaviour; tests and benches build the variants they compare.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecOptions {
-    /// Intra-query parallelism strategy.
-    pub parallel: ParallelMode,
     /// Merge cursor vs index nested-loop for two-sided ranges.
     pub merge: MergeMode,
     /// Whether the planner reads table statistics. Off, every estimate
     /// falls back to fixed selectivity constants (the pre-statistics
     /// planner, kept so the cost ledger can show what statistics buy).
     pub stats: bool,
-    /// Panic inside every partitioned-branch pool task (fault injection
-    /// for the panic-containment tests and the server's `poison` fault).
-    #[doc(hidden)]
-    pub worker_panic: bool,
 }
 
 impl Default for ExecOptions {
     fn default() -> ExecOptions {
         ExecOptions {
-            parallel: ParallelMode::Auto,
             merge: MergeMode::Auto,
             stats: true,
-            worker_panic: false,
         }
-    }
-}
-
-/// `Auto` forks a branch only when its planned work reaches this: the
-/// depth-0 row count times the planner's `est_fetched` of every later
-/// step. Below it a fork costs more than it saves. At serve scale
-/// (XMark 1.0) only Q11 clears it.
-const FORK_MIN_WORK: f64 = 100_000.0;
-
-/// `Auto`'s fork rule for a branch of `n` depth-0 rows and planned
-/// `work` on a pool of `threads ≥ 2` lanes: the chunk count, or `None`
-/// to run serially. A pure function of the plan, so a query makes the
-/// same decision on every run.
-fn auto_fork_chunks(n: usize, work: f64, threads: usize) -> Option<usize> {
-    (n >= 2 && work >= FORK_MIN_WORK).then(|| fork_chunks(n, threads))
-}
-
-/// Chunks a forked branch of `n ≥ 2` rows splits into, under `Auto` and
-/// `ForceOn` alike: two per pool lane, and no chunk without a row.
-fn fork_chunks(n: usize, threads: usize) -> usize {
-    n.min(2 * threads)
-}
-
-/// One `Auto` decision for a branch of `rows` depth-0 rows and planned
-/// `work`. Plain values, so recording it on the served path allocates
-/// nothing; [`Executor::par_decisions`] renders it for EXPLAIN ANALYZE.
-#[derive(Debug, Clone, Copy)]
-struct ParDecision {
-    /// `serial`, `fork`, or `degraded` (the rule approved a fork but the
-    /// pool was saturated).
-    kind: &'static str,
-    rows: usize,
-    work: f64,
-    /// The chunk count of a fork.
-    chunks: Option<usize>,
-}
-
-impl std::fmt::Display for ParDecision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}(rows={},work={:.0}", self.kind, self.rows, self.work)?;
-        if let Some(chunks) = self.chunks {
-            write!(f, ",chunks={chunks}")?;
-        }
-        f.write_str(")")
     }
 }
 
@@ -359,86 +240,6 @@ struct Binding<'db> {
     rid: RowId,
 }
 
-/// The Dewey-position column structural joins window on (`shred`'s naming;
-/// duplicated here because `sqlexec` sits below `shred` in the crate DAG).
-const DEWEY_COL: &str = "dewey_pos";
-
-/// Nudge partition boundaries so no cut lands between a row and its Dewey
-/// descendant: while the row left of a boundary is a byte-prefix (i.e. an
-/// ancestor — the binary Dewey encoding is 3 bytes per component) of the
-/// row right of it, the boundary slides right, keeping each subtree run
-/// with its root. Correctness never depends on this — every outer row's
-/// whole join window is processed by the worker that owns the row — but
-/// aligned chunks keep each worker's merge cursor walking one contiguous,
-/// monotone Dewey range. Tables without a Dewey column are left as split.
-fn align_ranges_to_dewey(table: &Table, rows: &[RowId], ranges: &mut Vec<std::ops::Range<usize>>) {
-    let Some(ci) = table.schema.col(DEWEY_COL) else {
-        return;
-    };
-    if table.schema.columns[ci].ty != relstore::ColType::Bytes {
-        return;
-    }
-    let dewey = |i: usize| -> Option<&[u8]> {
-        match &table.row(rows[i])[ci] {
-            Value::Bytes(b) => Some(b),
-            _ => None,
-        }
-    };
-    let mut bounds: Vec<usize> = ranges.iter().map(|r| r.start).collect();
-    for b in bounds.iter_mut().skip(1) {
-        while *b < rows.len() {
-            match (dewey(*b - 1), dewey(*b)) {
-                (Some(anc), Some(desc)) if desc.len() > anc.len() && desc.starts_with(anc) => {
-                    *b += 1;
-                }
-                _ => break,
-            }
-        }
-    }
-    bounds.push(rows.len());
-    bounds.dedup();
-    *ranges = bounds
-        .windows(2)
-        .map(|w| w[0]..w[1])
-        .filter(|r| !r.is_empty())
-        .collect();
-}
-
-/// Everything one partition worker hands back to the coordinator.
-struct WorkerResult {
-    outcome: Result<(), ExecError>,
-    rows: Vec<KeyedRow>,
-    /// Depth-0 row-loop counters (the worker's share of the outer run).
-    depth0: OpStats,
-    /// The worker executor's global counters (depths ≥ 1, subqueries).
-    stats: ExecStats,
-    step_stats: HashMap<usize, Vec<OpStats>>,
-    plans: HashMap<usize, Arc<SelectPlan>>,
-}
-
-/// Caches shared by every worker executor of one fan-out (and seeded
-/// from the coordinator's own), so a partition worker's fresh `Executor`
-/// does not re-flatten merge index arrays per chunk — O(index) work that
-/// would dwarf a small chunk. The map lock is held across a flattening,
-/// so an array is built exactly once per fan-out.
-struct SharedExecCaches<'db> {
-    merge: Mutex<MergeArrays<'db>>,
-}
-
-/// Lock a shared-cache map, recovering from poisoning (entries are pure
-/// caches; a panicking builder leaves no partial entry because inserts
-/// happen after construction completes).
-fn lock_cache<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|poisoned| {
-        CACHE_POISON_RECOVERIES.fetch_add(1, Relaxed);
-        poisoned.into_inner()
-    })
-}
-
-/// A coordinator's whole plan snapshot behind one `Arc`, keyed by
-/// `Select` address.
-type PlanSnapshot = Arc<HashMap<usize, Arc<SelectPlan>>>;
-
 /// The SQL executor. Borrow a database, run statements.
 pub struct Executor<'db> {
     db: &'db Database,
@@ -452,18 +253,6 @@ pub struct Executor<'db> {
     /// addresses stable). Consulted by `plan_for` after `plans`; never
     /// cleared by `run`.
     seeded: RefCell<HashMap<usize, Arc<SelectPlan>>>,
-    /// Zero-copy variant of `seeded` for partition workers: the whole
-    /// coordinator snapshot behind one `Arc`, consulted read-only by
-    /// `plan_for` instead of being cloned entry-by-entry into each
-    /// worker executor.
-    seeded_shared: RefCell<Option<PlanSnapshot>>,
-    /// Caches shared with (or inherited from) a fan-out's sibling
-    /// executors; see [`SharedExecCaches`]. Reset per statement.
-    shared_caches: RefCell<Option<Arc<SharedExecCaches<'db>>>>,
-    /// `par_decision` log for EXPLAIN ANALYZE: one entry per branch the
-    /// `Auto` fork rule decided while executing the current statement.
-    /// Cleared per statement.
-    par_log: RefCell<Vec<ParDecision>>,
     /// Slot holding the current `COUNT(*)` aggregate while its projection
     /// is evaluated.
     count_result: std::cell::Cell<Option<i64>>,
@@ -510,9 +299,6 @@ impl<'db> Executor<'db> {
             stats: RefCell::new(ExecStats::default()),
             plans: RefCell::new(HashMap::new()),
             seeded: RefCell::new(HashMap::new()),
-            seeded_shared: RefCell::new(None),
-            shared_caches: RefCell::new(None),
-            par_log: RefCell::new(Vec::new()),
             count_result: std::cell::Cell::new(None),
             merge_arrays: RefCell::new(HashMap::new()),
             merge_cursors: RefCell::new(HashMap::new()),
@@ -542,12 +328,6 @@ impl<'db> Executor<'db> {
         self.limit_tick.set(0);
     }
 
-    /// The limits currently installed (cloned; used to propagate the
-    /// coordinator's limits into partition workers).
-    pub fn limits(&self) -> QueryLimits {
-        self.limits.borrow().clone()
-    }
-
     /// Charge `n` scanned rows against the limits. Row-budget violations
     /// surface immediately; the deadline and cancel token are polled every
     /// [`LIMIT_CHECK_INTERVAL`] charged rows. Callers guard with
@@ -570,24 +350,19 @@ impl<'db> Executor<'db> {
         let tick = self.limit_tick.get() + n;
         if tick >= LIMIT_CHECK_INTERVAL {
             self.limit_tick.set(0);
-            self.check_deadline(&limits)?;
+            limits.check_interrupt()?;
         } else {
             self.limit_tick.set(tick);
         }
         Ok(())
     }
 
-    fn check_deadline(&self, limits: &QueryLimits) -> Result<(), ExecError> {
-        limits.check_interrupt()
-    }
-
-    /// Force a deadline/cancel poll now (loop boundaries that process an
-    /// unbounded amount of work per row, e.g. the branch fan-out).
+    /// Force a deadline/cancel poll now.
     fn check_limits_now(&self) -> Result<(), ExecError> {
         if !self.limits_active.get() {
             return Ok(());
         }
-        self.check_deadline(&self.limits.borrow())
+        self.limits.borrow().check_interrupt()
     }
 
     /// Per-step counters for a `Select` executed by the current statement
@@ -641,66 +416,6 @@ impl<'db> Executor<'db> {
         self.seeded
             .borrow_mut()
             .extend(snapshot.iter().map(|(k, v)| (*k, v.clone())));
-    }
-
-    /// Zero-copy [`Executor::seed_plans`]: share the whole snapshot map
-    /// behind one `Arc` instead of rebuilding it per worker executor.
-    fn seed_plans_shared(&self, snapshot: Arc<HashMap<usize, Arc<SelectPlan>>>) {
-        *self.seeded_shared.borrow_mut() = Some(snapshot);
-    }
-
-    /// The shared-cache handle for a fan-out launched by this executor,
-    /// created on first use and pre-seeded with everything this executor
-    /// already built. Repeated fan-outs within one statement reuse it.
-    fn share_caches(&self) -> Arc<SharedExecCaches<'db>> {
-        if let Some(sc) = self.shared_caches.borrow().as_ref() {
-            return sc.clone();
-        }
-        let sc = Arc::new(SharedExecCaches {
-            merge: Mutex::new(self.merge_arrays.borrow().clone()),
-        });
-        *self.shared_caches.borrow_mut() = Some(sc.clone());
-        sc
-    }
-
-    /// Attach a sibling fan-out's shared caches (worker side).
-    fn attach_shared_caches(&self, sc: Arc<SharedExecCaches<'db>>) {
-        *self.shared_caches.borrow_mut() = Some(sc);
-    }
-
-    /// The coordinator plan snapshot handed to one fan-out's workers:
-    /// current plans plus anything seeded, shared behind one `Arc`.
-    fn snapshot_for_workers(&self) -> Arc<HashMap<usize, Arc<SelectPlan>>> {
-        let mut s = self.plan_snapshot();
-        s.extend(self.seeded.borrow().iter().map(|(k, v)| (*k, v.clone())));
-        if let Some(shared) = self.seeded_shared.borrow().as_ref() {
-            for (k, v) in shared.iter() {
-                s.entry(*k).or_insert_with(|| v.clone());
-            }
-        }
-        Arc::new(s)
-    }
-
-    /// Record one fork-or-serial decision of a statement with `branches`
-    /// top-level branches. The log reserves a slot per branch at its
-    /// first decision, so it allocates once however many arms there are.
-    fn log_par_decision(&self, decision: ParDecision, branches: usize) {
-        let mut log = self.par_log.borrow_mut();
-        if log.capacity() == 0 {
-            log.reserve_exact(branches);
-        }
-        log.push(decision);
-    }
-
-    /// The `par_decision` entries the current statement recorded, in
-    /// decision order (empty unless `Auto` ran a branch on a multi-thread
-    /// pool).
-    pub fn par_decisions(&self) -> Vec<String> {
-        self.par_log
-            .borrow()
-            .iter()
-            .map(|d| d.to_string())
-            .collect()
     }
 
     /// Counters accumulated since construction (or the last reset).
@@ -765,8 +480,6 @@ impl<'db> Executor<'db> {
         self.plans.borrow_mut().clear();
         self.merge_cursors.borrow_mut().clear();
         self.step_stats.borrow_mut().clear();
-        self.par_log.borrow_mut().clear();
-        *self.shared_caches.borrow_mut() = None;
         if stmt.branches.is_empty() {
             return Err(ExecError::exec("statement has no SELECT branch"));
         }
@@ -812,16 +525,11 @@ impl<'db> Executor<'db> {
 
         let mut all_rows: Vec<KeyedRow> = Vec::new();
         for sel in &stmt.branches {
-            match self.branch_rows_parallel(sel, &keys, stmt.branches.len())? {
-                Some(rows) => all_rows.extend(rows),
-                None => {
-                    let mut env: Vec<Binding> = Vec::new();
-                    self.select_rows(sel, &mut env, &mut |exec, env| {
-                        all_rows.push(project_row(exec, sel, &keys, env)?);
-                        Ok(true)
-                    })?;
-                }
-            }
+            let mut env: Vec<Binding> = Vec::new();
+            self.select_rows(sel, &mut env, &mut |exec, env| {
+                all_rows.push(project_row(exec, sel, &keys, env)?);
+                Ok(true)
+            })?;
         }
         finish_rows(stmt, &mut all_rows, &keys);
 
@@ -841,258 +549,6 @@ impl<'db> Executor<'db> {
             columns,
             rows: all_rows.into_iter().map(|(_, r)| r).collect(),
         })
-    }
-
-    /// Partitioned execution of one top-level branch: fill the first
-    /// step's candidate rows once, split the run at Dewey-aligned
-    /// boundaries, and drive the remaining pipeline over each slice on a
-    /// pool worker with its own `Executor`. Chunk outputs concatenate in
-    /// range order, so the result is the serial emission order exactly.
-    ///
-    /// Returns `None` when this branch should take the serial path — the
-    /// mode is `ForceOff`, the pool has one thread, the projection is
-    /// `COUNT(*)`, or the plan has no steps. `PPF_THREADS=1` therefore
-    /// reproduces the pre-parallel engine byte for byte. `branches` is the
-    /// statement's branch count, which sizes the decision log.
-    fn branch_rows_parallel(
-        &self,
-        sel: &Select,
-        keys: &[(KeyKind, bool)],
-        branches: usize,
-    ) -> Result<Option<Vec<KeyedRow>>, ExecError> {
-        let mode = self.opts.parallel;
-        let pool = ppf_pool::global();
-        let threads = pool.threads();
-        if mode == ParallelMode::ForceOff
-            || threads <= 1
-            || sel
-                .projections
-                .iter()
-                .any(|p| matches!(p.expr, Expr::CountStar))
-        {
-            return Ok(None);
-        }
-        self.check_limits_now()?;
-        let plan = self.plan_for(sel, &[])?;
-        if plan.steps.is_empty() {
-            return Ok(None);
-        }
-        let step0 = &plan.steps[0];
-        let table = self
-            .db
-            .table(&step0.table)
-            .ok_or_else(|| ExecError::exec(format!("no such table `{}`", step0.table)))?;
-
-        let t0 = self.profiling.get().then(std::time::Instant::now);
-        let mut fill_local = OpStats {
-            invocations: 1,
-            ..OpStats::default()
-        };
-        let mut env: Vec<Binding<'db>> = Vec::new();
-        let mut probe_rows = self.take_row_buf();
-        let memo_skip = match self.fill_probe_rows(
-            step0,
-            table,
-            sel,
-            0,
-            &mut env,
-            &mut fill_local,
-            &mut probe_rows,
-        ) {
-            Ok(skip) => skip,
-            Err(e) => {
-                self.put_row_buf(probe_rows);
-                return Err(e);
-            }
-        };
-
-        let n = probe_rows.len();
-        let chunks = match mode {
-            ParallelMode::ForceOn => (n >= 2).then(|| fork_chunks(n, threads)),
-            _ => {
-                // Each outer row drives the planner's expected fetches
-                // through every later step.
-                let work = n as f64
-                    * plan.steps[1..]
-                        .iter()
-                        .map(|s| s.est_fetched.max(1.0))
-                        .product::<f64>();
-                let (kind, chunks) = match auto_fork_chunks(n, work, threads) {
-                    // Saturation matters only to a fork the rule approved:
-                    // a busy pool gains nothing from queueing more chunks.
-                    Some(_) if pool.is_saturated() => {
-                        self.stats.borrow_mut().par_degraded += 1;
-                        ("degraded", None)
-                    }
-                    Some(c) => ("fork", Some(c)),
-                    None => ("serial", None),
-                };
-                let decision = ParDecision {
-                    kind,
-                    rows: n,
-                    work,
-                    chunks,
-                };
-                self.log_par_decision(decision, branches);
-                chunks
-            }
-        };
-        let mut ranges = chunks.map_or_else(Vec::new, |c| ppf_pool::even_ranges(n, c));
-        if ranges.len() > 1 {
-            align_ranges_to_dewey(table, &probe_rows, &mut ranges);
-        }
-
-        if ranges.len() <= 1 {
-            // Not worth (or not able to) split: finish serially over the
-            // rows already fetched, accumulating into the same step slot.
-            let mut rows = Vec::new();
-            let outcome = self.run_probe_rows(
-                &plan,
-                0,
-                sel,
-                &mut env,
-                table,
-                &probe_rows,
-                memo_skip,
-                &mut |exec, env| {
-                    rows.push(project_row(exec, sel, keys, env)?);
-                    Ok(true)
-                },
-                &mut fill_local,
-            );
-            self.put_row_buf(probe_rows);
-            if let Some(t0) = t0 {
-                fill_local.elapsed_ns = t0.elapsed().as_nanos() as u64;
-            }
-            self.flush_depth0(sel, &plan, &fill_local);
-            outcome?;
-            return Ok(Some(rows));
-        }
-        {
-            let mut stats = self.stats.borrow_mut();
-            stats.par_tasks += 1;
-            stats.par_chunks += ranges.len() as u64;
-            stats.par_rows += ranges.iter().map(|r| r.len() as u64).sum::<u64>();
-            let widest = ranges.iter().map(|r| r.len() as u64).max().unwrap_or(0);
-            stats.par_chunk_rows_max = stats.par_chunk_rows_max.max(widest);
-        }
-        let worker_opts = ExecOptions {
-            parallel: ParallelMode::ForceOff,
-            ..self.opts
-        };
-        let profiling = self.profiling.get();
-        let snapshot = self.snapshot_for_workers();
-        let sc = self.share_caches();
-        let db = self.db;
-        let plan_ref = &plan;
-        let rows_ref = &probe_rows[..];
-        let limits = self.limits();
-        let parts = pool.try_map_ranges(&ranges, |_, range| {
-            if worker_opts.worker_panic {
-                panic!("injected worker panic (test hook)");
-            }
-            obs::profile::record(obs::profile::EventKind::ChunkStart, range.len() as u64);
-            let exec = Executor::with_options(db, worker_opts);
-            exec.seed_plans_shared(snapshot.clone());
-            exec.attach_shared_caches(sc.clone());
-            exec.set_profiling(profiling);
-            exec.set_limits(limits.clone());
-            let mut env: Vec<Binding> = Vec::new();
-            let mut rows = Vec::new();
-            let mut depth0 = OpStats::default(); // invocations stay the coordinator's
-            let outcome = exec
-                .run_probe_rows(
-                    plan_ref,
-                    0,
-                    sel,
-                    &mut env,
-                    table,
-                    &rows_ref[range],
-                    memo_skip,
-                    &mut |e, env| {
-                        rows.push(project_row(e, sel, keys, env)?);
-                        Ok(true)
-                    },
-                    &mut depth0,
-                )
-                .map(|_| ());
-            let result = WorkerResult {
-                outcome,
-                rows,
-                depth0,
-                stats: exec.stats(),
-                step_stats: exec.step_stats.borrow().clone(),
-                plans: exec.plan_snapshot(),
-            };
-            obs::profile::record(obs::profile::EventKind::ChunkEnd, result.rows.len() as u64);
-            result
-        });
-        self.put_row_buf(probe_rows);
-        let parts: Vec<WorkerResult> = parts
-            .map_err(|p| ExecError::exec(format!("parallel worker panicked: {}", p.message)))?;
-
-        let mut rows = Vec::new();
-        let mut first_err: Option<ExecError> = None;
-        for part in parts {
-            fill_local.absorb(&part.depth0);
-            self.stats.borrow_mut().absorb(&part.stats);
-            self.absorb_step_stats(&part.step_stats);
-            self.absorb_plans(&part.plans);
-            if let Err(e) = part.outcome {
-                first_err.get_or_insert(e);
-            }
-            rows.extend(part.rows);
-        }
-        if let Some(t0) = t0 {
-            fill_local.elapsed_ns = t0.elapsed().as_nanos() as u64;
-        }
-        self.flush_depth0(sel, &plan, &fill_local);
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(Some(rows)),
-        }
-    }
-
-    /// Credit the coordinator-side depth-0 counters (candidate fill plus
-    /// any serial completion) to the step-stats slot and the global
-    /// counters, exactly as [`Self::exec_steps`] does on the serial path.
-    fn flush_depth0(&self, sel: &Select, plan: &SelectPlan, local: &OpStats) {
-        {
-            let mut map = self.step_stats.borrow_mut();
-            let slots = map
-                .entry(sel as *const Select as usize)
-                .or_insert_with(|| vec![OpStats::default(); plan.steps.len()]);
-            slots[0].absorb(local);
-        }
-        let mut stats = self.stats.borrow_mut();
-        stats.rows_scanned += local.rows_in;
-        stats.index_probes += local.index_probes;
-        stats.predicate_evals += local.predicate_evals;
-    }
-
-    /// Merge a partition worker's per-step counters into this executor's
-    /// (slot-wise; the worker profiled the same shared plans, so `Select`
-    /// addresses line up).
-    fn absorb_step_stats(&self, other: &HashMap<usize, Vec<OpStats>>) {
-        let mut map = self.step_stats.borrow_mut();
-        for (key, ops) in other {
-            let slots = map
-                .entry(*key)
-                .or_insert_with(|| vec![OpStats::default(); ops.len()]);
-            for (slot, op) in slots.iter_mut().zip(ops) {
-                slot.absorb(op);
-            }
-        }
-    }
-
-    /// Adopt plans a worker cached (subquery blocks the coordinator never
-    /// planned itself), so `EXPLAIN ANALYZE` can render every profiled
-    /// block.
-    fn absorb_plans(&self, other: &HashMap<usize, Arc<SelectPlan>>) {
-        let mut map = self.plans.borrow_mut();
-        for (key, plan) in other {
-            map.entry(*key).or_insert_with(|| plan.clone());
-        }
     }
 
     /// Run one select block, calling `emit` per surviving binding (or once
@@ -1141,12 +597,6 @@ impl<'db> Executor<'db> {
         if let Some(p) = self.seeded.borrow().get(&key) {
             self.plans.borrow_mut().insert(key, p.clone());
             return Ok(p.clone());
-        }
-        if let Some(shared) = self.seeded_shared.borrow().as_ref() {
-            if let Some(p) = shared.get(&key) {
-                self.plans.borrow_mut().insert(key, p.clone());
-                return Ok(p.clone());
-            }
         }
         let outer: Vec<(String, String)> = env
             .iter()
@@ -1248,41 +698,9 @@ impl<'db> Executor<'db> {
                 }
             };
 
-        let outcome = self.run_probe_rows(
-            plan,
-            depth,
-            sel,
-            env,
-            table,
-            &probe_rows,
-            memo_skip,
-            emit,
-            local,
-        );
-        self.put_row_buf(probe_rows);
-        outcome
-    }
-
-    /// The nested-loop row loop for one step invocation, over an
-    /// already-materialized candidate list. Shared by the serial pipeline
-    /// ([`Self::exec_steps_inner`]) and by partition workers, which run it
-    /// over disjoint slices of the coordinator's outer run.
-    #[allow(clippy::too_many_arguments)]
-    fn run_probe_rows<'e>(
-        &'e self,
-        plan: &SelectPlan,
-        depth: usize,
-        sel: &'e Select,
-        env: &mut Vec<Binding<'db>>,
-        table: &'db Table,
-        probe_rows: &[RowId],
-        memo_skip: Option<usize>,
-        emit: &mut EmitFn<'_, 'db>,
-        local: &mut OpStats,
-    ) -> Result<bool, ExecError> {
-        let step = &plan.steps[depth];
+        // The nested-loop row loop over the candidates.
         let mut outcome = Ok(true);
-        'rows: for &rid in probe_rows {
+        'rows: for &rid in &probe_rows {
             local.rows_in += 1;
             if let Err(e) = self.charge_rows(1) {
                 outcome = Err(e);
@@ -1331,6 +749,7 @@ impl<'db> Executor<'db> {
                 break 'rows;
             }
         }
+        self.put_row_buf(probe_rows);
         outcome
     }
 
@@ -1482,29 +901,10 @@ impl<'db> Executor<'db> {
     }
 
     /// Flatten (and cache) an index as a sorted array for merge probing.
-    /// Under a shared fan-out cache the flattening happens once per
-    /// statement across all sibling executors instead of once per chunk
-    /// — the dominant per-chunk setup cost the profiler flagged.
     fn merge_entries(&self, table: &'db Table, index: usize) -> MergeEntries<'db> {
         let key = (table as *const Table as usize, index);
         if let Some(e) = self.merge_arrays.borrow().get(&key) {
             return e.clone();
-        }
-        let shared = self.shared_caches.borrow().clone();
-        if let Some(sc) = shared {
-            let mut map = lock_cache(&sc.merge);
-            let rc = match map.get(&key) {
-                Some(e) => e.clone(),
-                None => {
-                    let rc: MergeEntries<'db> =
-                        Arc::new(table.indexes()[index].entries().collect::<Vec<_>>());
-                    map.insert(key, rc.clone());
-                    rc
-                }
-            };
-            drop(map);
-            self.merge_arrays.borrow_mut().insert(key, rc.clone());
-            return rc;
         }
         let entries: Vec<_> = table.indexes()[index].entries().collect();
         let rc = Arc::new(entries);
@@ -2135,28 +1535,9 @@ pub fn naive_select(db: &Database, sel: &Select) -> Result<Vec<Vec<Value>>, Exec
 
 #[cfg(test)]
 mod tests {
-    use super::{auto_fork_chunks, compare, compare_concat, concat, FORK_MIN_WORK};
+    use super::{compare, compare_concat, concat};
     use crate::ast::CmpOp;
     use relstore::Value;
-
-    /// The fork rule at its boundary: one unit of work short stays
-    /// serial, the threshold itself forks into two chunks per lane, never
-    /// more chunks than rows, and a single row never forks.
-    #[test]
-    fn auto_fork_rule_boundary() {
-        for threads in [2usize, 4] {
-            for n in [2usize, 3, 7, 8, 9, 1_000] {
-                assert_eq!(auto_fork_chunks(n, FORK_MIN_WORK - 1.0, threads), None);
-                assert_eq!(
-                    auto_fork_chunks(n, FORK_MIN_WORK, threads),
-                    Some(n.min(2 * threads)),
-                    "n={n} threads={threads}"
-                );
-            }
-            assert_eq!(auto_fork_chunks(1, FORK_MIN_WORK * 10.0, threads), None);
-            assert_eq!(auto_fork_chunks(0, FORK_MIN_WORK, threads), None);
-        }
-    }
 
     /// Comparing against `y || z` in parts agrees with comparing against
     /// the built concatenation, for every operator.

@@ -16,8 +16,7 @@ pub(super) enum KeyKind {
 }
 
 /// Evaluate one surviving binding into its `(sort_key, row)` pair — the
-/// per-row tail of statement execution, shared by the serial emit closure
-/// and partition workers.
+/// per-row tail of statement execution.
 pub(super) fn project_row<'db>(
     exec: &Executor<'db>,
     sel: &Select,

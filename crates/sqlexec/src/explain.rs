@@ -46,28 +46,16 @@ pub fn explain_analyze_with_limits(
     let mut out = render_stmt_plan(db, stmt, Some(&exec))?;
     let stats = exec.stats();
     out.push_str(&format!(
-        "actual: {} row(s) in {:.3} ms; rows_scanned={} index_probes={} predicate_evals={} subqueries={} pool_threads={} par_tasks={} par_chunks={} par_rows={} par_chunk_max={} par_degraded={} limit_aborts={} cancelled={}\n",
+        "actual: {} row(s) in {:.3} ms; rows_scanned={} index_probes={} predicate_evals={} subqueries={} limit_aborts={} cancelled={}\n",
         result.rows.len(),
         elapsed.as_secs_f64() * 1e3,
         stats.rows_scanned,
         stats.index_probes,
         stats.predicate_evals,
         stats.subqueries,
-        ppf_pool::current_threads(),
-        stats.par_tasks,
-        stats.par_chunks,
-        stats.par_rows,
-        stats.par_chunk_rows_max,
-        stats.par_degraded,
         stats.limit_aborts,
         stats.query_cancelled,
     ));
-    // One compact entry per fork-or-serial decision the `Auto` rule made
-    // while running this statement, in execution order.
-    let decisions = exec.par_decisions();
-    if !decisions.is_empty() {
-        out.push_str(&format!("par_decision: {}\n", decisions.join(" ")));
-    }
     Ok(out)
 }
 

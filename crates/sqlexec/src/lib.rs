@@ -39,8 +39,8 @@ pub use ast::{
     ArithOp, CmpOp, Expr, OrderKey, Projection, RegexPattern, Select, SelectStmt, TableRef,
 };
 pub use exec::{
-    cache_poison_recoveries, clear_filter_caches, compare, naive_select, CancelToken, ExecOptions,
-    ExecStats, Executor, OpStats, ParallelMode, QueryLimits, ResultSet,
+    clear_filter_caches, compare, naive_select, CancelToken, ExecOptions, ExecStats, Executor,
+    OpStats, QueryLimits, ResultSet,
 };
 pub use explain::{explain_analyze, explain_analyze_with_limits, explain_stmt};
 pub use parser::parse_sql;

@@ -140,8 +140,8 @@ pub enum Access {
 /// keep rows passing all `residuals`.
 ///
 /// `Arc` rather than `Rc` so a whole [`SelectPlan`] is `Send + Sync`:
-/// partition workers execute the coordinator's plan directly instead of
-/// re-planning per thread.
+/// the engine's query cache hands one plan to every thread that runs
+/// the same query.
 #[derive(Debug, Clone)]
 pub struct Step {
     pub alias: std::sync::Arc<str>,

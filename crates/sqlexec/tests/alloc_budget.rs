@@ -1,37 +1,23 @@
 //! Allocation budgets for the executor's per-row work, counted by a
 //! global allocator (which is why this is a test binary of its own).
 //!
-//! The counter is thread-local and every query runs without forking
-//! (`ParallelMode::ForceOff`, or `Auto` on branches too small to fork),
-//! so all of a query's work happens on the test's own thread and sibling
-//! tests cannot disturb the count.
+//! The counter is thread-local and a query runs on the thread that calls
+//! it, so sibling tests cannot disturb the count.
 
 use obs::alloc::thread_allocs;
 use relstore::{ColType, Database, TableSchema, Value};
-use sqlexec::{parse_sql, ExecOptions, ExecStats, Executor, ParallelMode, ResultSet};
+use sqlexec::{parse_sql, ExecStats, Executor, ResultSet};
 
 #[global_allocator]
 static GLOBAL: obs::alloc::Counting = obs::alloc::Counting;
-
-fn serial() -> ExecOptions {
-    ExecOptions {
-        parallel: ParallelMode::ForceOff,
-        ..ExecOptions::default()
-    }
-}
 
 /// Run `sql` once to warm up, then again on a fresh executor, returning
 /// the second run's result, its counters and the allocations it made
 /// (parsing excluded).
 fn counted(db: &Database, sql: &str) -> (ResultSet, ExecStats, u64) {
-    counted_with(db, sql, serial())
-}
-
-/// [`counted`] under `opts`.
-fn counted_with(db: &Database, sql: &str, opts: ExecOptions) -> (ResultSet, ExecStats, u64) {
     let stmt = parse_sql(sql).unwrap();
-    Executor::with_options(db, opts).run(&stmt).unwrap();
-    let exec = Executor::with_options(db, opts);
+    Executor::new(db).run(&stmt).unwrap();
+    let exec = Executor::new(db);
     let before = thread_allocs();
     let rs = exec.run(&stmt).unwrap();
     let allocs = thread_allocs() - before;
@@ -201,42 +187,5 @@ fn merge_probe_key_allocates_nothing() {
         allocs <= 4 * stats.merge_probes + 200,
         "{allocs} allocations for {} merge probes",
         stats.merge_probes
-    );
-}
-
-/// Under `Auto` on a multi-thread pool every top-level branch records a
-/// fork-or-serial decision for EXPLAIN ANALYZE. Recording one must not
-/// allocate: what `Auto` allocates beyond `ForceOff` may not grow with
-/// the number of UNION arms. The arms find no row, so the decision log is
-/// the only per-branch difference between the two modes.
-#[test]
-fn par_decisions_allocate_nothing_per_branch() {
-    ppf_pool::set_threads(4);
-    let mut db = Database::new();
-    db.create_table(TableSchema::new("T", &[("id", ColType::Int)]))
-        .unwrap();
-    let t = db.table_mut("T").unwrap();
-    for i in 0..100 {
-        t.insert(vec![Value::Int(i)]).unwrap();
-    }
-    t.create_index("t_id", &["id"]).unwrap();
-
-    let union = |arms: i64| {
-        (0..arms)
-            .map(|i| format!("select T.id from T where T.id = {}", 1000 + i))
-            .collect::<Vec<_>>()
-            .join(" union ")
-    };
-    let auto_extra = |arms: i64| {
-        let sql = union(arms);
-        let (rs, _, auto) = counted_with(&db, &sql, ExecOptions::default());
-        assert!(rs.rows.is_empty());
-        let (_, _, off) = counted(&db, &sql);
-        auto as i64 - off as i64
-    };
-    let (one, sixteen) = (auto_extra(1), auto_extra(16));
-    assert!(
-        sixteen <= one,
-        "Auto allocates {one} more than ForceOff for 1 arm, {sixteen} more for 16"
     );
 }

@@ -512,10 +512,6 @@ fn run() -> Result<(), String> {
         "server.panics     {}",
         counter(&stats, "server.panics_contained")
     );
-    println!(
-        "pool.poison_recov {}",
-        counter(&stats, "pool.poison_recoveries")
-    );
 
     if cfg.shutdown {
         let resp = ctl

@@ -76,13 +76,14 @@ fn main() {
 
 const USAGE: &str =
     "usage: ppfd [--schema FILE | --dtd FILE | --xsd FILE doc.xml... | --xmark SCALE [--seed N]]\n\
-     [--listen ADDR] [--threads N] [--max-inflight N] [--queue-depth N]\n\
+     [--listen ADDR] [--max-inflight N] [--queue-depth N]\n\
      [--queue-wait-ms MS] [--policy queue|shed] [--per-conn N]\n\
      [--deadline-ms MS|0] [--idle-ms MS] [--drain-ms MS] [--chaos SPEC]\n\
      [--slow-ms MS] [--slowlog-cap N] [--metrics-every-ms MS]\n\
      [--event-threads N] [--max-conns N|0]\n\
      --max-inflight N  queries executing at once; also the number of query\n\
-     \x20                 worker threads started with the server (default 2x pool)";
+     \x20                 worker threads started with the server\n\
+     \x20                 (default: 2x available cores, at least 4)";
 
 /// The startup data-source recipe, kept so SIGHUP / the `reload` verb
 /// can rebuild the exact same source into a fresh staging snapshot.
@@ -136,7 +137,6 @@ fn run() -> Result<(), String> {
     let mut docs: Vec<String> = Vec::new();
     let mut xmark_scale: Option<f64> = None;
     let mut seed: u64 = 42;
-    let mut threads: Option<usize> = None;
     let mut chaos: Option<String> = None;
     let mut cfg = ServerConfig::default();
 
@@ -158,13 +158,6 @@ fn run() -> Result<(), String> {
                 seed = value(&arg)?
                     .parse()
                     .map_err(|_| "--seed wants an integer".to_string())?
-            }
-            "--threads" => {
-                threads = Some(
-                    value(&arg)?
-                        .parse()
-                        .map_err(|_| "--threads wants an integer".to_string())?,
-                )
             }
             "--max-inflight" => cfg.max_inflight = parse_num(&value(&arg)?, &arg)?,
             "--queue-depth" => cfg.queue_depth = parse_num(&value(&arg)?, &arg)?,
@@ -221,10 +214,6 @@ fn run() -> Result<(), String> {
         }
     }
 
-    if let Some(n) = threads {
-        ppf_pool::set_threads(n);
-    }
-
     let source = match (xmark_scale, schema) {
         (Some(scale), None) => {
             eprintln!("generating XMark document at scale {scale} (seed {seed})");
@@ -244,10 +233,9 @@ fn run() -> Result<(), String> {
     };
     let db = build_db(&source).map_err(|e| e.to_string())?;
     eprintln!(
-        "{} relations, {} rows total; pool threads: {}",
+        "{} relations, {} rows total",
         db.db().len(),
-        db.db().total_rows(),
-        ppf_pool::current_threads()
+        db.db().total_rows()
     );
 
     install_signal_handlers();

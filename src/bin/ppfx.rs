@@ -16,9 +16,6 @@
 //! > .analyze //book        execute and show the plan with actual rows/probes/time
 //! > .stats                 show the metrics registry + per-table planner statistics
 //! > .trace on|off          print each query's phase trace
-//! > .profile on            start the low-overhead event profiler
-//! > .profile off           stop it and print the per-worker utilization table
-//! > .profile save t.json   stop it and also write a Perfetto-loadable chrome trace
 //! > .timeout 250           abort queries after 250 ms (.timeout off to clear)
 //! > .maxrows 100000        abort queries past a scanned-row budget
 //! > .publish 42            reconstruct element 42 as XML
@@ -202,7 +199,6 @@ fn handle(session: &mut Session, line: &str) -> Result<bool, String> {
              .analyze XPATH  execute; show the plan with actual rows/probes/time\n\
              .stats          show the metrics registry + per-table planner statistics\n\
              .trace on|off   print each query's phase trace (currently {})\n\
-             .profile on|off|save PATH  event profiler: worker timelines + chrome trace (currently {})\n\
              .timeout MS|off abort queries past a deadline (currently {})\n\
              .maxrows N|off  abort queries past a scanned-row budget (currently {})\n\
              .publish ID     reconstruct element ID as XML (schema-aware only)\n\
@@ -210,11 +206,6 @@ fn handle(session: &mut Session, line: &str) -> Result<bool, String> {
              .marking        show the §4.5 marks (schema-aware only)\n\
              .quit           exit",
             if session.show_trace { "on" } else { "off" },
-            if obs::profile::is_attached() {
-                "on"
-            } else {
-                "off"
-            },
             session
                 .timeout
                 .map(|t| format!("{}ms", t.as_millis()))
@@ -282,35 +273,6 @@ fn handle(session: &mut Session, line: &str) -> Result<bool, String> {
                 println!("trace off");
             }
             _ => return Err("usage: .trace on|off".to_string()),
-        }
-        return Ok(false);
-    }
-    if let Some(arg) = line.strip_prefix(".profile") {
-        let arg = arg.trim();
-        match arg {
-            "on" => {
-                if obs::profile::attach() {
-                    println!("profile on — run queries, then .profile off|save PATH");
-                } else {
-                    return Err("profiler already attached (use .profile off first)".to_string());
-                }
-            }
-            "off" => match obs::profile::detach() {
-                Some(profile) => print!("{}", profile.utilization_table()),
-                None => return Err("profiler is not attached (use .profile on)".to_string()),
-            },
-            _ => match arg.strip_prefix("save ") {
-                Some(path) => {
-                    let path = path.trim();
-                    let profile = obs::profile::detach()
-                        .ok_or_else(|| "profiler is not attached (use .profile on)".to_string())?;
-                    std::fs::write(path, profile.to_chrome_trace())
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    print!("{}", profile.utilization_table());
-                    println!("chrome trace written to {path} (load in Perfetto: ui.perfetto.dev)");
-                }
-                None => return Err("usage: .profile on|off|save PATH".to_string()),
-            },
         }
         return Ok(false);
     }

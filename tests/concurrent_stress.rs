@@ -4,8 +4,8 @@
 //! equal the serial baseline, counters must only grow, and the in-flight
 //! gauge must actually observe overlapping queries.
 //!
-//! Lives in its own integration-test binary: it sizes the process-wide
-//! pool and reads process-wide registry counters.
+//! Lives in its own integration-test binary: it reads process-wide
+//! registry counters.
 
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Barrier};
@@ -18,7 +18,6 @@ const ROUNDS: usize = 3;
 
 #[test]
 fn concurrent_queries_agree_with_serial_and_stats_stay_sane() {
-    ppf_pool::set_threads(4);
     let data = build_xmark(0.03, 42);
     let ppf_bench::BenchData { ppf, .. } = data;
     let engine = SharedEngine::new(ppf);
