@@ -173,8 +173,8 @@ pub struct QueryCounters {
     pub path_candidates: u64,
     /// `Paths` rows surviving their step's filters.
     pub path_survivors: u64,
-    /// Pike-VM matches run by the path filters.
-    pub vm_match_calls: u64,
+    /// Pike-VM thread dispatches run by the path filters (zero when the
+    /// lazy DFA answered every match).
     pub vm_steps: u64,
 }
 
@@ -188,8 +188,7 @@ impl QueryCounters {
             path_filters: r.engine.path_filters,
             path_candidates: r.engine.path_candidates,
             path_survivors: r.engine.path_survivors,
-            vm_match_calls: r.engine.vm_match_calls,
-            vm_steps: r.engine.vm_steps,
+            vm_steps: r.stats.regex.vm_steps,
         }
     }
 

@@ -15,8 +15,9 @@
 //! test tmp dir, prints every differing `suite/query/field old → new`,
 //! and fails. Copying that file over `COSTS.json` accepts the new costs.
 //!
-//! It is the only test in its binary: the regex counters are
-//! process-wide, and it installs the counting global allocator.
+//! It is the only test in its binary, because it installs the counting
+//! global allocator. Regex work is read from each query's own
+//! `ExecStats::regex`, which no other thread can touch.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -77,8 +78,8 @@ fn run_suite(
         let counts = [
             ("allocs", allocs),
             ("allocs_warm", allocs_warm),
-            ("dfa_fallbacks", cold.engine.dfa_fallbacks),
-            ("dfa_matches", cold.engine.dfa_matches),
+            ("dfa_fallbacks", cold.stats.regex.dfa_fallbacks),
+            ("dfa_matches", cold.stats.regex.dfa_matches),
             ("index_probes", cold.stats.index_probes),
             ("merge_probes", cold.stats.merge_probes),
             ("path_candidates", cold.engine.path_candidates),
@@ -87,7 +88,7 @@ fn run_suite(
             ("regex_compiles", cold.engine.regex_compiles),
             ("rows", cold.rows.rows.len() as u64),
             ("rows_scanned", cold.stats.rows_scanned),
-            ("vm_steps", cold.engine.vm_steps),
+            ("vm_steps", cold.stats.regex.vm_steps),
         ];
         let fields = counts
             .into_iter()

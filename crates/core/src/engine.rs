@@ -96,17 +96,15 @@ fn record_query_error(err: &QueryError) {
 /// module keep in their own statics into the registry, so one `.metrics`
 /// snapshot shows every layer's recoveries.
 fn mirror_poison_counters(reg: &obs::Registry) {
-    reg.set_max(
-        "regex.poison_recoveries",
-        regexlite::stats::poison_recoveries(),
-    );
+    reg.set_max("regex.poison_recoveries", regexlite::poison_recoveries());
     reg.set_max("engine.cache_poison_recoveries", cache_poison_recoveries());
 }
 
 /// Pipeline-level counters, collected on every query (the hooks are
 /// always compiled in; only per-step wall-time measurement is gated, by
 /// `EXPLAIN ANALYZE`). Timings are wall-clock per phase; the remaining
-/// fields measure how much work the PPF machinery did.
+/// fields measure how much work the PPF machinery did. What the executor
+/// counts itself (probes, regex matches) is in [`QueryResult::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// XPath parsing.
@@ -136,12 +134,6 @@ pub struct EngineStats {
     pub join_rows_in: u64,
     /// Rows surviving those join steps' residual conditions.
     pub join_rows_out: u64,
-    /// Pike-VM `is_match` calls during execution (path-filter work).
-    pub vm_match_calls: u64,
-    /// Pike-VM thread dispatches during execution. Counts only the
-    /// backtracking-free NFA simulation — matches answered by the lazy
-    /// DFA do no Pike-VM work and show up in `dfa_matches` instead.
-    pub vm_steps: u64,
     /// 1 when this query hit the engine's XPath-keyed cache and skipped
     /// parse, translate and plan entirely (their `*_ns` fields are 0).
     pub plan_cache_hits: u64,
@@ -150,23 +142,13 @@ pub struct EngineStats {
     /// execution (the statement owns its compiled patterns), and 0 on a
     /// query-cache hit.
     pub regex_compiles: u64,
-    /// `is_match` calls answered by the lazy DFA (O(bytes) path).
-    pub dfa_matches: u64,
-    /// `is_match` calls where the DFA hit its state budget and fell back
-    /// to the Pike VM.
-    pub dfa_fallbacks: u64,
     /// Path-filter probes answered from the memoised surviving-row set.
+    /// A copy of [`ExecStats::path_memo_hits`], kept because the served-path
+    /// benchmark reads it here.
     pub path_memo_hits: u64,
-    /// Path-filter probes that had to scan `Paths` and run the regex.
+    /// Path-filter probes that had to scan `Paths` and run the regex (a
+    /// copy of [`ExecStats::path_memo_misses`], for the same reader).
     pub path_memo_misses: u64,
-    /// Sort-merge structural-join probes (vs B-tree range probes).
-    pub merge_probes: u64,
-    /// Heap allocations on the index-probe hot path (key buffers and
-    /// probe row buffers acquired past their pools).
-    pub probe_allocs: u64,
-    /// High-water mark of engine queries in flight at once, as of this
-    /// query's completion (process-wide, monotone).
-    pub concurrent_queries_peak: u64,
 }
 
 /// Engine queries currently in flight, and the high-water mark.
@@ -564,9 +546,6 @@ fn run_query_inner(
     let mut engine = EngineStats::default();
     let root = trace.start("query");
 
-    // Set on a cache miss, just before translate: its compiles and any
-    // execution's are this query's, a hit's are none.
-    let mut compiles_before = None;
     let cached = lock_cache(cache).get(xpath).cloned();
     let entry = match cached {
         Some(entry) => {
@@ -592,10 +571,10 @@ fn run_query_inner(
             trace.end(span);
 
             let span = trace.start("translate");
-            compiles_before = Some(regexlite::stats::snapshot());
             let t0 = std::time::Instant::now();
             let t = translate_expr(&expr)?;
             engine.translate_ns = t0.elapsed().as_nanos() as u64;
+            engine.regex_compiles = t.regex_compiles as u64;
             let mut union_branches = 0;
             let mut path_filters = 0;
             if let Some(stmt) = &t.stmt {
@@ -658,7 +637,6 @@ fn run_query_inner(
             trace.end(span);
 
             let span = trace.start("execute");
-            let vm_before = regexlite::stats::snapshot();
             let exec = Executor::with_options(db, opts);
             exec.seed_plans(&lock_cache(&entry.plans));
             exec.set_limits(limits.clone());
@@ -682,11 +660,6 @@ fn run_query_inner(
             // Keep every plan this run produced (subquery blocks are
             // planned lazily during execution) for future warm runs.
             lock_cache(&entry.plans).extend(exec.plan_snapshot());
-            let vm = regexlite::stats::snapshot().since(&vm_before);
-            engine.vm_match_calls = vm.match_calls;
-            engine.vm_steps = vm.vm_steps;
-            engine.dfa_matches = vm.dfa_matches;
-            engine.dfa_fallbacks = vm.dfa_fallbacks;
             for (plan, ops) in exec.profiled_steps() {
                 for (i, (step, op)) in plan.steps.iter().zip(&ops).enumerate() {
                     if step.table == shred::naming::PATHS_TABLE {
@@ -702,8 +675,6 @@ fn run_query_inner(
             let stats = exec.stats();
             engine.path_memo_hits = stats.path_memo_hits;
             engine.path_memo_misses = stats.path_memo_misses;
-            engine.merge_probes = stats.merge_probes;
-            engine.probe_allocs = stats.probe_allocs;
             trace.counter(span, "rows_scanned", stats.rows_scanned);
             trace.counter(span, "index_probes", stats.index_probes);
             trace.counter(span, "predicate_evals", stats.predicate_evals);
@@ -712,11 +683,11 @@ fn run_query_inner(
             trace.counter(span, "path_survivors", engine.path_survivors);
             trace.counter(span, "join_rows_in", engine.join_rows_in);
             trace.counter(span, "join_rows_out", engine.join_rows_out);
-            trace.counter(span, "vm_match_calls", engine.vm_match_calls);
-            trace.counter(span, "vm_steps", engine.vm_steps);
-            trace.counter(span, "dfa_matches", engine.dfa_matches);
-            trace.counter(span, "path_memo_hits", engine.path_memo_hits);
-            trace.counter(span, "merge_probes", engine.merge_probes);
+            trace.counter(span, "vm_match_calls", stats.regex.match_calls);
+            trace.counter(span, "vm_steps", stats.regex.vm_steps);
+            trace.counter(span, "dfa_matches", stats.regex.dfa_matches);
+            trace.counter(span, "path_memo_hits", stats.path_memo_hits);
+            trace.counter(span, "merge_probes", stats.merge_probes);
             trace.end(span);
 
             let span = trace.start("publish");
@@ -737,10 +708,6 @@ fn run_query_inner(
         }
     };
     trace.end(root);
-    if let Some(before) = compiles_before {
-        engine.regex_compiles = regexlite::stats::snapshot().since(&before).compiles;
-    }
-    engine.concurrent_queries_peak = QUERIES_PEAK.load(Relaxed);
     result.engine = engine;
 
     let reg = obs::Registry::global();
@@ -757,12 +724,12 @@ fn run_query_inner(
     reg.incr("engine.path_survivors", engine.path_survivors);
     reg.incr("engine.rows_scanned", result.stats.rows_scanned);
     reg.incr("engine.index_probes", result.stats.index_probes);
-    reg.incr("engine.vm_steps", engine.vm_steps);
+    reg.incr("engine.vm_steps", result.stats.regex.vm_steps);
     reg.incr("engine.plan_cache_hits", engine.plan_cache_hits);
-    reg.incr("engine.dfa_matches", engine.dfa_matches);
-    reg.incr("engine.dfa_fallbacks", engine.dfa_fallbacks);
-    reg.incr("engine.path_memo_hits", engine.path_memo_hits);
-    reg.incr("engine.merge_probes", engine.merge_probes);
+    reg.incr("engine.dfa_matches", result.stats.regex.dfa_matches);
+    reg.incr("engine.dfa_fallbacks", result.stats.regex.dfa_fallbacks);
+    reg.incr("engine.path_memo_hits", result.stats.path_memo_hits);
+    reg.incr("engine.merge_probes", result.stats.merge_probes);
     // Histogram max = the observed high-water mark of concurrency.
     reg.observe("engine.concurrent_queries", in_flight_now);
     mirror_poison_counters(reg);

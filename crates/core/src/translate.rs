@@ -91,6 +91,9 @@ pub struct Translation {
     /// predicate path (an observability counter: "how much holistic path
     /// evaluation did this query get").
     pub ppf_count: usize,
+    /// Distinct `REGEXP_LIKE` patterns compiled: one per pattern text the
+    /// §4.5 marking checks and the emitted SQL use.
+    pub regex_compiles: usize,
 }
 
 /// Translation failure (query outside the supported subset, or schema
@@ -157,6 +160,7 @@ pub fn translate(
             stmt: None,
             output,
             ppf_count: ctx.ppf_count,
+            regex_compiles: ctx.patterns.len(),
         });
     }
     Ok(Translation {
@@ -172,6 +176,7 @@ pub fn translate(
         }),
         output,
         ppf_count: ctx.ppf_count,
+        regex_compiles: ctx.patterns.len(),
     })
 }
 

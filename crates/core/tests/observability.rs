@@ -60,6 +60,7 @@ fn traced_query_records_engine_work_counters() {
     assert_eq!(result.ids().len(), 2);
 
     let e = &result.engine;
+    let regex = result.stats.regex;
     // `//C//F` is one holistic PPF (a single path-index filter covers it).
     assert!(e.ppf_count >= 1, "{e:?}");
     assert_eq!(e.union_branches, 1, "{e:?}");
@@ -70,13 +71,16 @@ fn traced_query_records_engine_work_counters() {
         "survivors cannot exceed candidates: {e:?}"
     );
     assert!(
-        e.vm_match_calls > 0,
-        "path filter must run the regex VM: {e:?}"
+        regex.match_calls > 0,
+        "path filter must run the regex: {regex:?}"
     );
-    // Matches are answered either by the lazy DFA (O(bytes), no Pike-VM
-    // thread dispatches) or by the Pike VM fallback; either way the
-    // regex engine must have done real work.
-    assert!(e.vm_steps + e.dfa_matches > 0, "{e:?}");
+    // Every match is answered by the lazy DFA (O(bytes), no Pike-VM
+    // thread dispatches) or by the Pike VM after a DFA fallback.
+    assert_eq!(
+        regex.match_calls,
+        regex.dfa_matches + regex.dfa_fallbacks,
+        "{regex:?}"
+    );
     assert!(e.join_rows_in >= e.join_rows_out, "{e:?}");
 
     // The execute span carries the same counters.
@@ -91,7 +95,8 @@ fn traced_query_records_engine_work_counters() {
     };
     assert_eq!(counter("path_candidates"), e.path_candidates);
     assert_eq!(counter("path_survivors"), e.path_survivors);
-    assert_eq!(counter("vm_match_calls"), e.vm_match_calls);
+    assert_eq!(counter("vm_match_calls"), regex.match_calls);
+    assert_eq!(counter("dfa_matches"), regex.dfa_matches);
     assert_eq!(counter("rows_scanned"), result.stats.rows_scanned);
 }
 
@@ -129,7 +134,7 @@ fn edge_mapping_queries_are_traced_too() {
     }
     // The Edge mapping never marks, so path filters always survive.
     assert!(result.engine.path_filters >= 1);
-    assert!(result.engine.vm_match_calls > 0);
+    assert!(result.stats.regex.match_calls > 0);
 }
 
 #[test]

@@ -30,8 +30,8 @@
 //! * **Bounded state budget.** Determinization is worst-case exponential,
 //!   so state construction stops at [`LazyDfa::budget`] states; a match
 //!   that would need more falls back — transparently, mid-match work is
-//!   discarded — to the Pike VM. Counters for cache hits, misses, and
-//!   fallbacks flow through [`crate::stats`].
+//!   discarded — to the Pike VM, which [`crate::Regex`] counts as a
+//!   fallback in the caller's [`crate::MatchCounts`].
 
 use std::collections::HashMap;
 
@@ -115,56 +115,6 @@ impl LazyDfa {
     /// [`crate::nfa::Vm::is_match`]). Returns `None` when the state
     /// budget was exhausted — the caller should fall back to the Pike VM.
     pub fn try_match(&mut self, prog: &Program, input: &[u8]) -> Option<bool> {
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let result = self.run(prog, input, &mut hits, &mut misses);
-        crate::stats::record_dfa_transitions(hits, misses);
-        result
-    }
-
-    /// Read-only matching over the already-built states: never constructs
-    /// a state or fills a transition, so many threads can run it under a
-    /// shared (read) lock. Returns `None` when the walk reaches a
-    /// transition that has not been computed yet — the caller escalates to
-    /// an exclusive lock and re-runs with [`LazyDfa::try_match`].
-    pub fn try_match_frozen(&self, prog: &Program, input: &[u8]) -> Option<bool> {
-        let mut hits = 0u64;
-        let result = self.run_frozen(prog, input, &mut hits);
-        crate::stats::record_dfa_transitions(hits, 0);
-        result
-    }
-
-    fn run_frozen(&self, prog: &Program, input: &[u8], hits: &mut u64) -> Option<bool> {
-        let mut cur = self.start?;
-        if self.states[cur as usize].accept {
-            return Some(true);
-        }
-        for (at, &b) in input.iter().enumerate() {
-            let class = self.classes[b as usize] as usize;
-            let next = self.states[cur as usize].trans[class];
-            if next == UNSET {
-                return None;
-            }
-            *hits += 1;
-            cur = next;
-            let s = &self.states[cur as usize];
-            if s.accept {
-                return Some(true);
-            }
-            if s.set.is_empty() && prog.anchored_start && at + 1 < input.len() {
-                return Some(false);
-            }
-        }
-        Some(self.states[cur as usize].accept_at_end)
-    }
-
-    fn run(
-        &mut self,
-        prog: &Program,
-        input: &[u8],
-        hits: &mut u64,
-        misses: &mut u64,
-    ) -> Option<bool> {
         let mut cur = match self.start {
             Some(s) => s,
             None => {
@@ -180,15 +130,11 @@ impl LazyDfa {
             let class = self.classes[b as usize] as usize;
             let next = match self.states[cur as usize].trans[class] {
                 UNSET => {
-                    *misses += 1;
                     let n = self.compute_transition(prog, cur, class)?;
                     self.states[cur as usize].trans[class] = n;
                     n
                 }
-                t => {
-                    *hits += 1;
-                    t
-                }
+                t => t,
             };
             cur = next;
             let s = &self.states[cur as usize];
@@ -198,6 +144,34 @@ impl LazyDfa {
             // Anchored dead state: no live threads and no way to re-seed,
             // so unless this was the final byte (where `accept_at_end`
             // may still fire below) the match has failed.
+            if s.set.is_empty() && prog.anchored_start && at + 1 < input.len() {
+                return Some(false);
+            }
+        }
+        Some(self.states[cur as usize].accept_at_end)
+    }
+
+    /// Read-only matching over the already-built states: never constructs
+    /// a state or fills a transition, so many threads can run it under a
+    /// shared (read) lock. Returns `None` when the walk reaches a
+    /// transition that has not been computed yet — the caller escalates to
+    /// an exclusive lock and re-runs with [`LazyDfa::try_match`].
+    pub fn try_match_frozen(&self, prog: &Program, input: &[u8]) -> Option<bool> {
+        let mut cur = self.start?;
+        if self.states[cur as usize].accept {
+            return Some(true);
+        }
+        for (at, &b) in input.iter().enumerate() {
+            let class = self.classes[b as usize] as usize;
+            let next = self.states[cur as usize].trans[class];
+            if next == UNSET {
+                return None;
+            }
+            cur = next;
+            let s = &self.states[cur as usize];
+            if s.accept {
+                return Some(true);
+            }
             if s.set.is_empty() && prog.anchored_start && at + 1 < input.len() {
                 return Some(false);
             }
@@ -245,7 +219,6 @@ impl LazyDfa {
             trans: vec![UNSET; self.representatives.len()],
         });
         self.cache.insert(key, id);
-        crate::stats::record_dfa_state();
         Some(id)
     }
 }
@@ -338,10 +311,11 @@ mod tests {
     use super::*;
     use crate::nfa::{compile, Vm};
     use crate::parser::parse;
+    use crate::MatchCounts;
 
     fn both(pat: &str, input: &str) -> (bool, Option<bool>) {
         let prog = compile(&parse(pat).expect("parse")).expect("compile");
-        let pike = Vm::new().is_match(&prog, input.as_bytes());
+        let pike = Vm::new().is_match(&prog, input.as_bytes(), &mut MatchCounts::default());
         let dfa = LazyDfa::new(&prog).try_match(&prog, input.as_bytes());
         (pike, dfa)
     }
@@ -392,7 +366,10 @@ mod tests {
         let mut dfa = LazyDfa::with_budget(&prog, 1);
         assert_eq!(dfa.try_match(&prog, b"/a/x/b"), None);
         // The Pike VM still answers correctly.
-        assert!(Vm::new().is_match(&prog, b"/a/x/b"));
+        let mut counts = MatchCounts::default();
+        assert!(Vm::new().is_match(&prog, b"/a/x/b", &mut counts));
+        assert_eq!(counts.match_calls, 1);
+        assert!(counts.vm_steps > 0, "{counts:?}");
     }
 
     #[test]

@@ -13,25 +13,71 @@
 //! DFA state budget. [`Regex::is_match_pike`] skips the DFA; it is the
 //! reference the DFA is tested against.
 //!
+//! The crate keeps no counters of its own work. A caller that wants to
+//! know how much matching it did passes its own [`MatchCounts`] to
+//! [`Regex::is_match_counted`]; the SQL executor does so once per query,
+//! so concurrent queries never see each other's matches. The one
+//! process-wide counter left is [`poison_recoveries`]: a poisoned lock
+//! belongs to a `Regex` that many queries share, not to any one of them.
+//!
 //! # Example
 //! ```
-//! use regexlite::Regex;
+//! use regexlite::{MatchCounts, Regex};
 //! let re = Regex::new("^/site(/[^/]+)*/keyword$").unwrap();
 //! assert!(re.is_match("/site/regions/africa/item/description/keyword"));
-//! assert!(!re.is_match("/site/keywordx"));
+//! let mut counts = MatchCounts::default();
+//! assert!(!re.is_match_counted("/site/keywordx", &mut counts));
+//! assert_eq!(counts.match_calls, 1);
 //! ```
 
 pub mod ast;
 pub mod dfa;
 pub mod nfa;
 pub mod parser;
-pub mod stats;
 
+use std::ops::AddAssign;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 pub use ast::Ast;
 pub use parser::ParseError;
-pub use stats::VmStats;
+
+/// Shared matcher locks (VM pool, lazy DFA) recovered after a panic
+/// poisoned them; the DFA is rebuilt on recovery.
+static POISON_RECOVERIES: AtomicU64 = AtomicU64::new(0);
+
+/// Matcher locks recovered from poisoning since process start.
+pub fn poison_recoveries() -> u64 {
+    POISON_RECOVERIES.load(Relaxed)
+}
+
+/// The regex work of the matches one caller counted with
+/// [`Regex::is_match_counted`].
+///
+/// `match_calls` counts every match whichever engine answered it, so
+/// `vm_steps / match_calls` near zero means the lazy DFA carried the load.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MatchCounts {
+    /// Completed matches, answered by the DFA or the Pike VM.
+    pub match_calls: u64,
+    /// Matches answered by the lazy DFA (one table lookup per byte).
+    pub dfa_matches: u64,
+    /// Matches that exhausted the DFA state budget and re-ran on the
+    /// Pike VM.
+    pub dfa_fallbacks: u64,
+    /// Pike-VM thread dispatches: one per live NFA thread per consumed
+    /// input byte. Zero when the DFA answered every match.
+    pub vm_steps: u64,
+}
+
+impl AddAssign for MatchCounts {
+    fn add_assign(&mut self, other: MatchCounts) {
+        self.match_calls += other.match_calls;
+        self.dfa_matches += other.dfa_matches;
+        self.dfa_fallbacks += other.dfa_fallbacks;
+        self.vm_steps += other.vm_steps;
+    }
+}
 
 /// Errors from [`Regex::new`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,7 +132,6 @@ impl Regex {
     pub fn with_dfa_budget(pattern: &str, budget: usize) -> Result<Regex, Error> {
         let ast = parser::parse(pattern).map_err(Error::Parse)?;
         let program = nfa::compile(&ast).map_err(Error::Compile)?;
-        stats::record_compile();
         let dfa = dfa::LazyDfa::with_budget(&program, budget);
         Ok(Regex {
             pattern: pattern.to_string(),
@@ -103,41 +148,40 @@ impl Regex {
 
     /// Whether the pattern matches anywhere in `input` (unanchored search).
     pub fn is_match(&self, input: &str) -> bool {
-        self.is_match_bytes(input.as_bytes())
+        self.is_match_counted(input, &mut MatchCounts::default())
     }
 
-    /// Byte-level matching (root-to-node paths are ASCII, but any UTF-8
-    /// passes through since class matching is per byte).
-    pub fn is_match_bytes(&self, input: &[u8]) -> bool {
+    /// [`Regex::is_match`], adding this match's work to `counts`. Matching
+    /// is per byte, so any UTF-8 passes through.
+    pub fn is_match_counted(&self, input: &str, counts: &mut MatchCounts) -> bool {
+        let input = input.as_bytes();
         // Fast path: walk already-built states under the shared lock.
+        // Otherwise the walk needs a state or transition that doesn't
+        // exist yet: take the exclusive lock and build as we go. (Two
+        // statements, so the read guard is dropped before the write lock.)
         let frozen = self.dfa_read().try_match_frozen(&self.program, input);
-        match frozen {
+        match frozen.or_else(|| self.dfa_write().try_match(&self.program, input)) {
             Some(matched) => {
-                stats::record_dfa_match();
-                return matched;
+                counts.match_calls += 1;
+                counts.dfa_matches += 1;
+                matched
             }
-            // The walk needs a state or transition that doesn't exist
-            // yet — take the exclusive lock and build as we go.
-            None => match self.dfa_write().try_match(&self.program, input) {
-                Some(matched) => {
-                    stats::record_dfa_match();
-                    return matched;
-                }
-                None => stats::record_dfa_fallback(),
-            },
+            None => {
+                counts.dfa_fallbacks += 1;
+                self.pike_match(input, counts)
+            }
         }
-        self.pike_match(input)
     }
 
     /// [`Regex::is_match`] on the Pike VM alone, never the lazy DFA (the
     /// pre-DFA behaviour, the reference `dfa_equiv.rs` compares against).
     pub fn is_match_pike(&self, input: &str) -> bool {
-        self.pike_match(input.as_bytes())
+        self.pike_match(input.as_bytes(), &mut MatchCounts::default())
     }
 
-    fn pike_match(&self, input: &[u8]) -> bool {
+    fn pike_match(&self, input: &[u8], counts: &mut MatchCounts) -> bool {
         let mut vm = self.vm_pool().pop().unwrap_or_default();
-        let matched = vm.is_match(&self.program, input);
+        let matched = vm.is_match(&self.program, input, counts);
         self.vm_pool().push(vm);
         matched
     }
@@ -149,7 +193,7 @@ impl Regex {
     fn vm_pool(&self) -> MutexGuard<'_, Vec<nfa::Vm>> {
         self.vm.lock().unwrap_or_else(|poisoned| {
             self.vm.clear_poison();
-            stats::record_poison_recovery();
+            POISON_RECOVERIES.fetch_add(1, Relaxed);
             poisoned.into_inner()
         })
     }
@@ -182,7 +226,7 @@ impl Regex {
         if self.dfa.is_poisoned() {
             *guard = dfa::LazyDfa::with_budget(&self.program, guard.budget());
             self.dfa.clear_poison();
-            stats::record_poison_recovery();
+            POISON_RECOVERIES.fetch_add(1, Relaxed);
         }
     }
 }
@@ -251,33 +295,37 @@ mod tests {
     }
 
     #[test]
-    fn vm_counters_accumulate() {
-        // Counters are process-wide and other tests run concurrently, so
-        // only assert on the delta's lower bounds.
-        let before = stats::snapshot();
+    fn counted_matches_land_on_the_dfa() {
         let re = Regex::new("^/a(/[^/]+)*/b$").unwrap();
-        assert!(re.is_match("/a/x/y/b"));
-        assert!(!re.is_match("/a/x"));
-        let d = stats::snapshot().since(&before);
-        assert!(d.match_calls >= 2, "{d:?}");
-        assert!(d.compiles >= 1, "{d:?}");
-        // Work lands on whichever engine answered: DFA transitions when
-        // the lazy DFA is on, Pike-VM steps otherwise.
-        assert!(
-            d.vm_steps + d.dfa_trans_hits + d.dfa_trans_misses > 0,
-            "{d:?}"
-        );
+        let mut counts = MatchCounts::default();
+        assert!(re.is_match_counted("/a/x/y/b", &mut counts));
+        assert!(!re.is_match_counted("/a/x", &mut counts));
+        let expected = MatchCounts {
+            match_calls: 2,
+            dfa_matches: 2,
+            ..MatchCounts::default()
+        };
+        assert_eq!(counts, expected);
+        // The DFA is warm now; the counts of a match do not depend on it.
+        let mut warm = MatchCounts::default();
+        assert!(re.is_match_counted("/a/x/y/b", &mut warm));
+        assert!(!re.is_match_counted("/a/x", &mut warm));
+        assert_eq!(warm, expected);
+        // `is_match` discards its counts and leaves the caller's alone.
+        assert!(re.is_match("/a/b"));
+        assert_eq!(warm, expected);
     }
 
     #[test]
     fn dfa_fallback_still_answers_correctly() {
         let re = Regex::with_dfa_budget("^/a(/[^/]+)*/b$", 1).unwrap();
-        let before = stats::snapshot();
-        assert!(re.is_match("/a/x/b"));
-        assert!(!re.is_match("/a/x"));
-        let d = stats::snapshot().since(&before);
-        assert!(d.dfa_fallbacks >= 2, "{d:?}");
-        assert!(d.vm_steps > 0, "{d:?}");
+        let mut counts = MatchCounts::default();
+        assert!(re.is_match_counted("/a/x/b", &mut counts));
+        assert!(!re.is_match_counted("/a/x", &mut counts));
+        assert_eq!(counts.match_calls, 2, "{counts:?}");
+        assert_eq!(counts.dfa_fallbacks, 2, "{counts:?}");
+        assert_eq!(counts.dfa_matches, 0, "{counts:?}");
+        assert!(counts.vm_steps > 0, "{counts:?}");
     }
 
     #[test]
@@ -334,12 +382,12 @@ mod tests {
             .join();
         }
         assert!(re.dfa.is_poisoned());
-        let before = stats::poison_recoveries();
+        let before = poison_recoveries();
         // Matching recovers: the DFA is rebuilt and answers stay correct.
         assert!(re.is_match("/a/x/y/b"));
         assert!(!re.is_match("/a/x"));
         assert!(!re.dfa.is_poisoned());
-        assert!(stats::poison_recoveries() > before);
+        assert!(poison_recoveries() > before);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! documents.
 
 use crate::ast::{Ast, CharClass};
+use crate::MatchCounts;
 
 /// One NFA instruction.
 #[derive(Debug, Clone)]
@@ -352,22 +353,14 @@ impl Vm {
     }
 
     /// Whether the pattern matches anywhere in `input` (unanchored search;
-    /// `^`/`$` in the pattern constrain it as usual).
-    pub fn is_match(&mut self, prog: &Program, input: &[u8]) -> bool {
-        let mut steps = 0u64;
-        let mut max_threads = 0u64;
-        let matched = self.run(prog, input, &mut steps, &mut max_threads);
-        crate::stats::record(steps, max_threads);
-        matched
+    /// `^`/`$` in the pattern constrain it as usual). Adds one match call
+    /// and its thread dispatches to `counts`.
+    pub fn is_match(&mut self, prog: &Program, input: &[u8], counts: &mut MatchCounts) -> bool {
+        counts.match_calls += 1;
+        self.run(prog, input, &mut counts.vm_steps)
     }
 
-    fn run(
-        &mut self,
-        prog: &Program,
-        input: &[u8],
-        steps: &mut u64,
-        max_threads: &mut u64,
-    ) -> bool {
+    fn run(&mut self, prog: &Program, input: &[u8], steps: &mut u64) -> bool {
         let n = prog.insts.len();
         self.current.clear();
         self.next.clear();
@@ -410,7 +403,6 @@ impl Vm {
             }
             let byte = input[at];
             *steps += self.current.len() as u64;
-            *max_threads = (*max_threads).max(self.current.len() as u64);
             for i in 0..self.current.len() {
                 let ip = self.current[i];
                 match &prog.insts[ip] {
@@ -507,7 +499,7 @@ mod tests {
 
     fn matches(pat: &str, input: &str) -> bool {
         let prog = compile(&parse(pat).expect("parse")).expect("compile");
-        Vm::new().is_match(&prog, input.as_bytes())
+        Vm::new().is_match(&prog, input.as_bytes(), &mut MatchCounts::default())
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use regexlite::dfa::LazyDfa;
 use regexlite::nfa::{compile, Vm};
 use regexlite::parser::parse;
-use regexlite::Regex;
+use regexlite::{MatchCounts, Regex};
 
 /// Deterministic LCG (Numerical Recipes constants); good enough for
 /// structural fuzzing, and fully reproducible from the printed seed.
@@ -87,7 +87,7 @@ fn check(pattern: &str, inputs: &[String], budget: usize) {
     let re = Regex::with_dfa_budget(pattern, budget).expect("generated patterns compile");
     let mut vm = Vm::new();
     for input in inputs {
-        let expected = vm.is_match(&prog, input.as_bytes());
+        let expected = vm.is_match(&prog, input.as_bytes(), &mut MatchCounts::default());
         assert_eq!(
             re.is_match(input),
             expected,
@@ -176,7 +176,10 @@ fn budget_exhaustion_reports_fallback_not_wrong_answer() {
     for input in ["aaaa", "abab", "abc", "aaaaa"] {
         match dfa.try_match(&prog, input.as_bytes()) {
             None => fallbacks += 1,
-            Some(got) => assert_eq!(got, vm.is_match(&prog, input.as_bytes()), "{input}"),
+            Some(got) => {
+                let expected = vm.is_match(&prog, input.as_bytes(), &mut MatchCounts::default());
+                assert_eq!(got, expected, "{input}");
+            }
         }
     }
     assert!(fallbacks > 0, "budget 1 must force at least one fallback");

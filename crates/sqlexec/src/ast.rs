@@ -11,7 +11,7 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use regexlite::Regex;
+use regexlite::{MatchCounts, Regex};
 use relstore::Value;
 
 /// The pattern of a `REGEXP_LIKE`, compiled when its expression is built.
@@ -33,6 +33,11 @@ impl RegexPattern {
     /// Whether the pattern matches anywhere in `input`.
     pub fn is_match(&self, input: &str) -> bool {
         self.0.is_match(input)
+    }
+
+    /// [`RegexPattern::is_match`], adding the match's work to `counts`.
+    pub fn is_match_counted(&self, input: &str, counts: &mut MatchCounts) -> bool {
+        self.0.is_match_counted(input, counts)
     }
 }
 

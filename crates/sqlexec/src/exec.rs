@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use regexlite::MatchCounts;
 use relstore::{Database, RowId, Table, Value};
 
 use crate::ast::{ArithOp, CmpOp, Expr, RegexPattern, Select, SelectStmt};
@@ -53,6 +54,8 @@ pub struct ExecStats {
     pub limit_aborts: u64,
     /// Statements aborted by their [`CancelToken`].
     pub query_cancelled: u64,
+    /// `REGEXP_LIKE` matches this executor ran, and what they cost.
+    pub regex: MatchCounts,
 }
 
 /// Per-plan-step execution counters. One `OpStats` accumulates across every
@@ -982,15 +985,17 @@ impl<'db> Executor<'db> {
         pattern: &RegexPattern,
     ) -> Result<Vec<RowId>, ExecError> {
         let mut out = Vec::new();
+        let mut counts = MatchCounts::default();
         for (rid, row) in table.rows() {
             self.charge_rows(1)?;
             // NULLs never match (three-valued logic rejects the row).
             if let Value::Str(s) = &row[ci] {
-                if pattern.is_match(s) {
+                if pattern.is_match_counted(s, &mut counts) {
                     out.push(rid);
                 }
             }
         }
+        self.stats.borrow_mut().regex += counts;
         Ok(out)
     }
 
@@ -1109,7 +1114,9 @@ impl<'db> Executor<'db> {
             }
             Expr::RegexpLike { subject, pattern } => match &*self.operand(subject, env)? {
                 Value::Null => Ok(Value::Null),
-                Value::Str(s) => Ok(Value::Bool(pattern.is_match(s))),
+                Value::Str(s) => Ok(Value::Bool(
+                    pattern.is_match_counted(s, &mut self.stats.borrow_mut().regex),
+                )),
                 other => Err(ExecError::exec(format!(
                     "REGEXP_LIKE subject must be text, got {other}"
                 ))),

@@ -432,7 +432,7 @@ fn handle(session: &mut Session, line: &str) -> Result<bool, String> {
         result.stats.rows_scanned,
         result.stats.index_probes,
         result.engine.path_filters,
-        result.engine.vm_match_calls,
+        result.stats.regex.match_calls,
     );
     if session.show_trace {
         print!("{}", trace.render());

@@ -64,7 +64,7 @@ fn assert_merge_equivalence(mut data: ppf_bench::BenchData, queries: &[(&str, &s
     let mut merge_probes = 0u64;
     for ((name, q), expected) in queries.iter().zip(&nl) {
         let r = data.ppf.query(q).unwrap_or_else(|e| panic!("{name}: {e}"));
-        merge_probes += r.engine.merge_probes;
+        merge_probes += r.stats.merge_probes;
         assert_eq!(&r.ids(), expected, "{name}: merge join changed the result");
     }
     assert!(
