@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
-use obs::QueryTrace;
+use obs::{QueryTrace, Span};
 use relstore::{Database, Value};
 use shred::{EdgeStore, SchemaAwareStore};
 use sqlexec::plan::SelectPlan;
@@ -107,6 +107,10 @@ fn mirror_poison_counters(reg: &obs::Registry) {
 /// counts itself (probes, regex matches) is in [`QueryResult::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
+    /// The whole query, as the `engine.query_ns` histogram records it:
+    /// at least the sum of the four phases, and the gap is time no phase
+    /// accounts for (cache lookups, result assembly, registry updates).
+    pub query_ns: u64,
     /// XPath parsing.
     pub parse_ns: u64,
     /// XPath → SQL translation (PPF splitting, pattern building).
@@ -116,12 +120,13 @@ pub struct EngineStats {
     pub plan_ns: u64,
     /// SQL execution.
     pub execute_ns: u64,
-    /// Result assembly and SQL text rendering.
-    pub publish_ns: u64,
     /// Primitive path fragments identified by the translator.
     pub ppf_count: u64,
     /// UNION branches after §4.4 SQL splitting.
     pub union_branches: u64,
+    /// Plan steps across the UNION branches planned up front (0 on a
+    /// query-cache hit, which plans nothing).
+    pub plan_steps: u64,
     /// `REGEXP_LIKE` path filters in the generated statement (after the
     /// §4.5 marking removed the redundant ones).
     pub path_filters: u64,
@@ -151,33 +156,15 @@ pub struct EngineStats {
     pub path_memo_misses: u64,
 }
 
-/// Engine queries currently in flight, and the high-water mark.
-static QUERIES_IN_FLIGHT: AtomicU64 = AtomicU64::new(0);
-static QUERIES_PEAK: AtomicU64 = AtomicU64::new(0);
-
-/// RAII in-flight counter; decrements on every exit path of `run_query`
-/// (errors included) so the gauge cannot drift.
-struct InFlight;
-
-impl InFlight {
-    fn enter() -> (InFlight, u64) {
-        let cur = QUERIES_IN_FLIGHT.fetch_add(1, Relaxed) + 1;
-        QUERIES_PEAK.fetch_max(cur, Relaxed);
-        (InFlight, cur)
-    }
-}
-
-impl Drop for InFlight {
-    fn drop(&mut self) {
-        QUERIES_IN_FLIGHT.fetch_sub(1, Relaxed);
-    }
-}
-
-/// A query answer: the SQL text that ran (if any), the rows, and
-/// execution counters.
+/// A query answer and the one record of how it was computed: the
+/// statement that ran (if any), the rows, and the counters and phase
+/// timings. The SQL text and the span tree are built from it only on
+/// request ([`QueryResult::sql`], [`QueryResult::trace`]).
 #[derive(Debug, Clone)]
 pub struct QueryResult {
-    pub sql: Option<String>,
+    /// The cached statement that ran (`None` when the translation proved
+    /// the query empty).
+    pub stmt: Option<Arc<SelectStmt>>,
     pub output: OutputKind,
     pub rows: ResultSet,
     pub stats: ExecStats,
@@ -199,6 +186,72 @@ impl QueryResult {
             .iter()
             .filter_map(|r| r.first().and_then(Value::as_int))
             .collect()
+    }
+
+    /// The SQL text of the statement that ran (`None` when statically
+    /// empty), rendered on each call.
+    pub fn sql(&self) -> Option<String> {
+        self.stmt.as_deref().map(sqlexec::render_stmt)
+    }
+
+    /// The query's span tree, built from this result: a `query` root
+    /// spanning [`EngineStats::query_ns`], with `parse → translate →
+    /// plan → execute` laid end to end under it. Each phase carries the
+    /// work counters of that phase; a query-cache hit shows the first
+    /// three with zero duration.
+    pub fn trace(&self, label: &str) -> QueryTrace {
+        let e = &self.engine;
+        let s = &self.stats;
+        let mut trace = QueryTrace::new(label);
+        let root = trace.push(Span {
+            name: "query".into(),
+            parent: None,
+            start_ns: 0,
+            dur_ns: e.query_ns,
+            counters: vec![("rows".into(), self.rows.rows.len() as u64)],
+        });
+        let mut start_ns = 0;
+        let mut phase = |name: &str, dur_ns: u64, counters: &[(&str, u64)]| {
+            trace.push(Span {
+                name: name.into(),
+                parent: Some(root),
+                start_ns,
+                dur_ns,
+                counters: counters.iter().map(|&(n, v)| (n.into(), v)).collect(),
+            });
+            start_ns += dur_ns;
+        };
+        phase("parse", e.parse_ns, &[]);
+        phase(
+            "translate",
+            e.translate_ns,
+            &[
+                ("ppfs", e.ppf_count),
+                ("union_branches", e.union_branches),
+                ("path_filters", e.path_filters),
+            ],
+        );
+        phase("plan", e.plan_ns, &[("steps", e.plan_steps)]);
+        phase(
+            "execute",
+            e.execute_ns,
+            &[
+                ("rows_scanned", s.rows_scanned),
+                ("index_probes", s.index_probes),
+                ("predicate_evals", s.predicate_evals),
+                ("subqueries", s.subqueries),
+                ("path_candidates", e.path_candidates),
+                ("path_survivors", e.path_survivors),
+                ("join_rows_in", e.join_rows_in),
+                ("join_rows_out", e.join_rows_out),
+                ("vm_match_calls", s.regex.match_calls),
+                ("vm_steps", s.regex.vm_steps),
+                ("dfa_matches", s.regex.dfa_matches),
+                ("path_memo_hits", s.path_memo_hits),
+                ("merge_probes", s.merge_probes),
+            ],
+        );
+        trace
     }
 }
 
@@ -229,7 +282,7 @@ const QUERY_CACHE_CAP: usize = 256;
 
 fn empty_result(output: OutputKind) -> QueryResult {
     QueryResult {
-        sql: None,
+        stmt: None,
         output,
         rows: ResultSet {
             columns: vec!["id".into(), "dewey_pos".into()],
@@ -378,7 +431,7 @@ mod body {
 
         /// Run an XPath query through the PPF translation.
         pub fn query(&self, xpath: &str) -> Result<QueryResult, EngineError> {
-            Ok(self.query_traced(xpath)?.0)
+            self.query_with_limits(xpath, QueryLimits::none())
         }
 
         /// Run an XPath query under resource limits: a deadline, a
@@ -391,25 +444,6 @@ mod body {
             xpath: &str,
             limits: QueryLimits,
         ) -> Result<QueryResult, EngineError> {
-            Ok(self.query_traced_with_limits(xpath, limits)?.0)
-        }
-
-        /// Run a query and also return its span tree (parse → translate →
-        /// plan → execute → publish, with per-phase counters attached).
-        /// Repeat runs of the same XPath hit the engine's query cache and
-        /// skip the first three phases (their spans appear with zero
-        /// duration; `EngineStats::plan_cache_hits` is set).
-        pub fn query_traced(&self, xpath: &str) -> Result<(QueryResult, QueryTrace), EngineError> {
-            self.query_traced_with_limits(xpath, QueryLimits::none())
-        }
-
-        /// [`Engine::query_traced`] under resource limits (see
-        /// [`Engine::query_with_limits`]).
-        pub fn query_traced_with_limits(
-            &self,
-            xpath: &str,
-            limits: QueryLimits,
-        ) -> Result<(QueryResult, QueryTrace), EngineError> {
             run_query(
                 self.db(),
                 xpath,
@@ -509,8 +543,8 @@ fn path_filters_in_stmt(stmt: &SelectStmt) -> u64 {
 }
 
 /// The instrumented query pipeline shared by [`XmlDb`] and [`EdgeDb`]:
-/// parse → translate → plan → execute → publish, each phase a span in the
-/// returned trace, with work counters attached and mirrored into the
+/// parse → translate → plan → execute, each phase timed into the
+/// result's [`EngineStats`], with work counters mirrored into the
 /// process-wide [`obs`] metrics registry.
 fn run_query(
     db: &Database,
@@ -519,16 +553,18 @@ fn run_query(
     translate_expr: &dyn Fn(&xpath::Expr) -> Result<Translation, EngineError>,
     limits: QueryLimits,
     opts: ExecOptions,
-) -> Result<(QueryResult, QueryTrace), EngineError> {
+) -> Result<QueryResult, EngineError> {
     // End-to-end latency is recorded for *every* query — errors and
     // limit aborts included — so the `engine.query_ns` histogram's
     // p50/p95/p99 describe what callers actually experienced, not just
     // the successes.
     let t0 = std::time::Instant::now();
-    let result = run_query_inner(db, xpath, cache, translate_expr, limits, opts);
-    obs::Registry::global().observe("engine.query_ns", t0.elapsed().as_nanos() as u64);
-    if let Err(e) = &result {
-        record_query_error(e);
+    let mut result = run_query_inner(db, xpath, cache, translate_expr, limits, opts);
+    let query_ns = t0.elapsed().as_nanos() as u64;
+    obs::Registry::global().observe("engine.query_ns", query_ns);
+    match &mut result {
+        Ok(r) => r.engine.query_ns = query_ns,
+        Err(e) => record_query_error(e),
     }
     result
 }
@@ -540,37 +576,22 @@ fn run_query_inner(
     translate_expr: &dyn Fn(&xpath::Expr) -> Result<Translation, EngineError>,
     limits: QueryLimits,
     opts: ExecOptions,
-) -> Result<(QueryResult, QueryTrace), EngineError> {
-    let (_in_flight, in_flight_now) = InFlight::enter();
-    let mut trace = QueryTrace::new(xpath);
+) -> Result<QueryResult, EngineError> {
     let mut engine = EngineStats::default();
-    let root = trace.start("query");
 
     let cached = lock_cache(cache).get(xpath).cloned();
     let entry = match cached {
         Some(entry) => {
             // Warm hit: parse, translate and plan were all done the first
-            // time this XPath ran. The phases still appear in the trace —
-            // as zero-duration spans — so every record keeps the same
-            // five-phase shape; their `*_ns` stats stay 0.
+            // time this XPath ran; their `*_ns` stats stay 0.
             engine.plan_cache_hits = 1;
-            let s = trace.start("parse");
-            trace.end(s);
-            let span = trace.start("translate");
-            trace.counter(span, "ppfs", entry.ppf_count);
-            trace.counter(span, "union_branches", entry.union_branches);
-            trace.counter(span, "path_filters", entry.path_filters);
-            trace.end(span);
             entry
         }
         None => {
-            let span = trace.start("parse");
             let t0 = std::time::Instant::now();
             let expr = xpath::parse_xpath(xpath).map_err(|e| QueryError::parse(e.to_string()))?;
             engine.parse_ns = t0.elapsed().as_nanos() as u64;
-            trace.end(span);
 
-            let span = trace.start("translate");
             let t0 = std::time::Instant::now();
             let t = translate_expr(&expr)?;
             engine.translate_ns = t0.elapsed().as_nanos() as u64;
@@ -581,10 +602,6 @@ fn run_query_inner(
                 union_branches = stmt.branches.len() as u64;
                 path_filters = path_filters_in_stmt(stmt);
             }
-            trace.counter(span, "ppfs", t.ppf_count as u64);
-            trace.counter(span, "union_branches", union_branches);
-            trace.counter(span, "path_filters", path_filters);
-            trace.end(span);
 
             let entry = Arc::new(CachedQuery {
                 stmt: t.stmt.map(Arc::new),
@@ -606,37 +623,23 @@ fn run_query_inner(
     engine.union_branches = entry.union_branches;
     engine.path_filters = entry.path_filters;
 
-    let mut result = match entry.stmt.as_deref() {
-        None => {
-            // Statically empty: plan/execute/publish phases are trivial
-            // but still appear in the trace, so every record has the same
-            // five-phase shape.
-            for name in ["plan", "execute", "publish"] {
-                let s = trace.start(name);
-                trace.end(s);
-            }
-            empty_result(entry.output)
-        }
+    let mut result = match &entry.stmt {
+        None => empty_result(entry.output),
         Some(stmt) => {
-            let span = trace.start("plan");
             if engine.plan_cache_hits == 0 {
                 let t0 = std::time::Instant::now();
-                let mut plan_steps = 0u64;
                 let mut plans = lock_cache(&entry.plans);
                 for branch in &stmt.branches {
                     let plan = Arc::new(
                         sqlexec::plan::plan_select_with(db, branch, &[], &opts)
                             .map_err(QueryError::from)?,
                     );
-                    plan_steps += plan.steps.len() as u64;
+                    engine.plan_steps += plan.steps.len() as u64;
                     plans.insert(branch as *const Select as usize, plan);
                 }
                 engine.plan_ns = t0.elapsed().as_nanos() as u64;
-                trace.counter(span, "steps", plan_steps);
             }
-            trace.end(span);
 
-            let span = trace.start("execute");
             let exec = Executor::with_options(db, opts);
             exec.seed_plans(&lock_cache(&entry.plans));
             exec.set_limits(limits.clone());
@@ -675,39 +678,16 @@ fn run_query_inner(
             let stats = exec.stats();
             engine.path_memo_hits = stats.path_memo_hits;
             engine.path_memo_misses = stats.path_memo_misses;
-            trace.counter(span, "rows_scanned", stats.rows_scanned);
-            trace.counter(span, "index_probes", stats.index_probes);
-            trace.counter(span, "predicate_evals", stats.predicate_evals);
-            trace.counter(span, "subqueries", stats.subqueries);
-            trace.counter(span, "path_candidates", engine.path_candidates);
-            trace.counter(span, "path_survivors", engine.path_survivors);
-            trace.counter(span, "join_rows_in", engine.join_rows_in);
-            trace.counter(span, "join_rows_out", engine.join_rows_out);
-            trace.counter(span, "vm_match_calls", stats.regex.match_calls);
-            trace.counter(span, "vm_steps", stats.regex.vm_steps);
-            trace.counter(span, "dfa_matches", stats.regex.dfa_matches);
-            trace.counter(span, "path_memo_hits", stats.path_memo_hits);
-            trace.counter(span, "merge_probes", stats.merge_probes);
-            trace.end(span);
-
-            let span = trace.start("publish");
-            let t0 = std::time::Instant::now();
-            let row_count = rows.rows.len() as u64;
-            let result = QueryResult {
-                sql: Some(sqlexec::render_stmt(stmt)),
+            QueryResult {
+                stmt: Some(stmt.clone()),
                 output: entry.output,
                 rows,
                 stats,
                 engine: EngineStats::default(),
                 snapshot_version: 0,
-            };
-            engine.publish_ns = t0.elapsed().as_nanos() as u64;
-            trace.counter(span, "rows", row_count);
-            trace.end(span);
-            result
+            }
         }
     };
-    trace.end(root);
     result.engine = engine;
 
     let reg = obs::Registry::global();
@@ -716,7 +696,6 @@ fn run_query_inner(
     reg.observe("engine.translate_ns", engine.translate_ns);
     reg.observe("engine.plan_ns", engine.plan_ns);
     reg.observe("engine.execute_ns", engine.execute_ns);
-    reg.observe("engine.publish_ns", engine.publish_ns);
     reg.observe("engine.result_rows", result.rows.rows.len() as u64);
     reg.incr("engine.ppfs", engine.ppf_count);
     reg.incr("engine.path_filters", engine.path_filters);
@@ -730,11 +709,9 @@ fn run_query_inner(
     reg.incr("engine.dfa_fallbacks", result.stats.regex.dfa_fallbacks);
     reg.incr("engine.path_memo_hits", result.stats.path_memo_hits);
     reg.incr("engine.merge_probes", result.stats.merge_probes);
-    // Histogram max = the observed high-water mark of concurrency.
-    reg.observe("engine.concurrent_queries", in_flight_now);
     mirror_poison_counters(reg);
 
-    Ok((result, trace))
+    Ok(result)
 }
 
 // ---------------------------------------------------------------------
@@ -1048,24 +1025,6 @@ impl SharedEngine {
         self.snapshot().query_with_limits(xpath, limits)
     }
 
-    /// Run a query and return its span tree (see [`XmlDb::query_traced`]).
-    pub fn query_traced(&self, xpath: &str) -> Result<(QueryResult, QueryTrace), EngineError> {
-        self.query_traced_with_limits(xpath, QueryLimits::none())
-    }
-
-    /// [`SharedEngine::query_traced`] under resource limits (see
-    /// [`XmlDb::query_with_limits`]).
-    pub fn query_traced_with_limits(
-        &self,
-        xpath: &str,
-        limits: QueryLimits,
-    ) -> Result<(QueryResult, QueryTrace), EngineError> {
-        let snap = self.snapshot();
-        let (mut r, trace) = snap.db.query_traced_with_limits(xpath, limits)?;
-        r.snapshot_version = snap.version;
-        Ok((r, trace))
-    }
-
     /// Translate an XPath to its SQL statement without executing it (the
     /// server's `explain`/`analyze` verbs plan from this). For plan
     /// rendering against the same version, pin [`SharedEngine::snapshot`]
@@ -1078,15 +1037,4 @@ impl SharedEngine {
     pub fn sql_for(&self, xpath: &str) -> Result<Option<String>, EngineError> {
         self.snapshot().db.sql_for(xpath)
     }
-}
-
-/// Process-wide peak of simultaneously running engine queries.
-pub fn concurrent_queries_peak() -> u64 {
-    QUERIES_PEAK.load(Relaxed)
-}
-
-/// Engine queries in flight right now (the live gauge behind
-/// [`concurrent_queries_peak`]; the server's `health` verb reports it).
-pub fn concurrent_queries_in_flight() -> u64 {
-    QUERIES_IN_FLIGHT.load(Relaxed)
 }

@@ -21,8 +21,8 @@ pub mod publish;
 pub mod translate;
 
 pub use engine::{
-    cache_poison_recoveries, concurrent_queries_in_flight, concurrent_queries_peak, EdgeDb,
-    EngineError, EngineSnapshot, EngineStats, QueryResult, SharedEngine, XmlDb,
+    cache_poison_recoveries, EdgeDb, EngineError, EngineSnapshot, EngineStats, QueryResult,
+    SharedEngine, XmlDb,
 };
 pub use error::{QueryError, ReloadError};
 pub use publish::publish_element;

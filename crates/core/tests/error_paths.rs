@@ -30,7 +30,7 @@ fn statically_empty_queries() {
         assert!(t.stmt.is_none(), "{q} should be statically empty");
         let r = db.query(q).expect("empty result");
         assert!(r.rows.rows.is_empty());
-        assert!(r.sql.is_none());
+        assert!(r.sql().is_none());
     }
 }
 

@@ -123,7 +123,7 @@ fn schema_aware_matches_native() {
         let result = db.query(q).unwrap_or_else(|e| panic!("query {q}: {e}"));
         let mut got = result.ids();
         got.sort();
-        assert_eq!(got, expected, "query {q}\nsql: {:?}", result.sql);
+        assert_eq!(got, expected, "query {q}\nsql: {:?}", result.sql());
     }
 }
 
@@ -138,7 +138,7 @@ fn edge_like_matches_native() {
         let result = db.query(q).unwrap_or_else(|e| panic!("query {q}: {e}"));
         let mut got = result.ids();
         got.sort();
-        assert_eq!(got, expected, "query {q}\nsql: {:?}", result.sql);
+        assert_eq!(got, expected, "query {q}\nsql: {:?}", result.sql());
     }
 }
 

@@ -1,8 +1,9 @@
-//! Tests for the instrumented query pipeline: the five-phase span tree
-//! returned by `query_traced`, the `EngineStats` work counters, and the
-//! `EXPLAIN ANALYZE` golden rendering over the Figure-1 corpus.
+//! Tests for the instrumented query pipeline: the four-phase span tree
+//! `QueryResult::trace` builds from a result, the `EngineStats` work
+//! counters, and the `EXPLAIN ANALYZE` golden rendering over the
+//! Figure-1 corpus.
 
-use ppf_core::{EdgeDb, XmlDb};
+use ppf_core::{EdgeDb, QueryResult, XmlDb};
 use sqlexec::explain_analyze;
 
 fn figure1_xml() -> &'static str {
@@ -20,13 +21,15 @@ fn figure1_db() -> XmlDb {
     db
 }
 
-const PHASES: [&str; 5] = ["parse", "translate", "plan", "execute", "publish"];
+const PHASES: [&str; 4] = ["parse", "translate", "plan", "execute"];
 
 #[test]
-fn traced_query_covers_all_five_phases() {
+fn traced_query_covers_all_four_phases() {
     let db = figure1_db();
-    let (result, trace) = db.query_traced("/A/B/C/D").unwrap();
+    let result = db.query("/A/B/C/D").unwrap();
     assert_eq!(result.ids().len(), 1);
+    let trace = result.trace("/A/B/C/D");
+    assert_eq!(trace.label, "/A/B/C/D");
 
     let root = trace.span_named("query").expect("root span");
     assert_eq!(root.parent, None);
@@ -51,12 +54,60 @@ fn traced_query_covers_all_five_phases() {
 }
 
 #[test]
+fn root_span_is_the_whole_query_and_phases_fit_inside_it() {
+    let db = figure1_db();
+    for q in ["//C//F", "//C//F", "/A/Z"] {
+        let result = db.query(q).unwrap();
+        let e = &result.engine;
+        let trace = result.trace(q);
+        let root = &trace.spans()[0];
+        assert_eq!(root.dur_ns, e.query_ns, "{q}");
+        let phases = e.parse_ns + e.translate_ns + e.plan_ns + e.execute_ns;
+        assert!(e.query_ns >= phases, "{q}: {e:?}");
+        assert_eq!(trace.total_ns(), e.query_ns, "{q}");
+        // Laid end to end from the root's start, in pipeline order.
+        let mut next = 0;
+        for span in &trace.spans()[1..] {
+            assert_eq!(span.start_ns, next, "{q}: {}", span.name);
+            next += span.dur_ns;
+        }
+        assert_eq!(next, phases, "{q}");
+    }
+}
+
+/// Every counter of every span, paired with the `EngineStats`/`ExecStats`
+/// field (or row count) it must equal.
+fn expected_counters(r: &QueryResult) -> Vec<(&'static str, &'static str, u64)> {
+    let (e, s) = (&r.engine, &r.stats);
+    vec![
+        ("query", "rows", r.rows.rows.len() as u64),
+        ("translate", "ppfs", e.ppf_count),
+        ("translate", "union_branches", e.union_branches),
+        ("translate", "path_filters", e.path_filters),
+        ("plan", "steps", e.plan_steps),
+        ("execute", "rows_scanned", s.rows_scanned),
+        ("execute", "index_probes", s.index_probes),
+        ("execute", "predicate_evals", s.predicate_evals),
+        ("execute", "subqueries", s.subqueries),
+        ("execute", "path_candidates", e.path_candidates),
+        ("execute", "path_survivors", e.path_survivors),
+        ("execute", "join_rows_in", e.join_rows_in),
+        ("execute", "join_rows_out", e.join_rows_out),
+        ("execute", "vm_match_calls", s.regex.match_calls),
+        ("execute", "vm_steps", s.regex.vm_steps),
+        ("execute", "dfa_matches", s.regex.dfa_matches),
+        ("execute", "path_memo_hits", s.path_memo_hits),
+        ("execute", "merge_probes", s.merge_probes),
+    ]
+}
+
+#[test]
 fn traced_query_records_engine_work_counters() {
     let mut db = figure1_db();
     // Disable the §4.5 marking so the path filter is kept and the regex
     // VM provably runs.
     db.set_path_marking(false);
-    let (result, trace) = db.query_traced("//C//F").unwrap();
+    let result = db.query("//C//F").unwrap();
     assert_eq!(result.ids().len(), 2);
 
     let e = &result.engine;
@@ -64,6 +115,7 @@ fn traced_query_records_engine_work_counters() {
     // `//C//F` is one holistic PPF (a single path-index filter covers it).
     assert!(e.ppf_count >= 1, "{e:?}");
     assert_eq!(e.union_branches, 1, "{e:?}");
+    assert!(e.plan_steps >= 1, "{e:?}");
     assert!(e.path_filters >= 1, "{e:?}");
     assert!(e.path_candidates > 0, "{e:?}");
     assert!(
@@ -83,30 +135,28 @@ fn traced_query_records_engine_work_counters() {
     );
     assert!(e.join_rows_in >= e.join_rows_out, "{e:?}");
 
-    // The execute span carries the same counters.
-    let exec_span = trace.span_named("execute").expect("execute span");
-    let counter = |name: &str| {
-        exec_span
-            .counters
+    // Every span carries exactly its phase's counters, each equal to the
+    // field it is read from.
+    let trace = result.trace("//C//F");
+    let expected = expected_counters(&result);
+    for span in trace.spans() {
+        let want: Vec<(String, u64)> = expected
             .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("execute span has no `{name}` counter"))
-    };
-    assert_eq!(counter("path_candidates"), e.path_candidates);
-    assert_eq!(counter("path_survivors"), e.path_survivors);
-    assert_eq!(counter("vm_match_calls"), regex.match_calls);
-    assert_eq!(counter("dfa_matches"), regex.dfa_matches);
-    assert_eq!(counter("rows_scanned"), result.stats.rows_scanned);
+            .filter(|(phase, _, _)| *phase == span.name)
+            .map(|(_, name, v)| (name.to_string(), *v))
+            .collect();
+        assert_eq!(span.counters, want, "span `{}`", span.name);
+    }
 }
 
 #[test]
 fn statically_empty_query_still_traces_all_phases() {
     let db = figure1_db();
     // `Z` is not in the Figure-1 schema: translation proves it empty.
-    let (result, trace) = db.query_traced("/A/Z").unwrap();
+    let result = db.query("/A/Z").unwrap();
     assert!(result.rows.rows.is_empty());
-    assert!(result.sql.is_none());
+    assert!(result.sql().is_none());
+    let trace = result.trace("/A/Z");
     for phase in PHASES {
         assert!(trace.span_named(phase).is_some(), "missing `{phase}`");
     }
@@ -115,7 +165,7 @@ fn statically_empty_query_still_traces_all_phases() {
 #[test]
 fn traced_query_trace_is_valid_json() {
     let db = figure1_db();
-    let (_, trace) = db.query_traced("//E[F=1]").unwrap();
+    let trace = db.query("//E[F=1]").unwrap().trace("//E[F=1]");
     let v = obs::json::parse(&trace.to_json()).expect("valid JSON");
     assert_eq!(v.get("label").and_then(|l| l.as_str()), Some("//E[F=1]"));
     let spans = v.get("spans").and_then(|s| s.as_array()).expect("spans");
@@ -127,8 +177,9 @@ fn edge_mapping_queries_are_traced_too() {
     let mut db = EdgeDb::new();
     db.load_xml(figure1_xml()).unwrap();
     db.finalize().unwrap();
-    let (result, trace) = db.query_traced("//C//F").unwrap();
+    let result = db.query("//C//F").unwrap();
     assert_eq!(result.ids().len(), 2);
+    let trace = result.trace("//C//F");
     for phase in PHASES {
         assert!(trace.span_named(phase).is_some(), "missing `{phase}`");
     }

@@ -22,7 +22,7 @@ fn figure1_db() -> XmlDb {
     db
 }
 
-const PHASES: [&str; 5] = ["parse", "translate", "plan", "execute", "publish"];
+const PHASES: [&str; 4] = ["parse", "translate", "plan", "execute"];
 
 #[test]
 fn warm_query_skips_parse_translate_and_plan() {
@@ -38,22 +38,24 @@ fn warm_query_skips_parse_translate_and_plan() {
     // translate time; that compile is the query's.
     assert!(cold.engine.regex_compiles >= 1, "{:?}", cold.engine);
 
-    let (warm, trace) = db.query_traced(q).unwrap();
+    let warm = db.query(q).unwrap();
     assert_eq!(warm.engine.plan_cache_hits, 1);
     assert_eq!(warm.engine.parse_ns, 0, "{:?}", warm.engine);
     assert_eq!(warm.engine.translate_ns, 0, "{:?}", warm.engine);
     assert_eq!(warm.engine.plan_ns, 0, "{:?}", warm.engine);
+    assert_eq!(warm.engine.plan_steps, 0, "{:?}", warm.engine);
     assert_eq!(warm.engine.regex_compiles, 0, "{:?}", warm.engine);
     assert!(warm.engine.execute_ns > 0, "execution still runs");
 
     // Same answer, same SQL, same translate-time counters.
     assert_eq!(warm.ids(), cold.ids());
-    assert_eq!(warm.sql, cold.sql);
+    assert_eq!(warm.sql(), cold.sql());
     assert_eq!(warm.engine.ppf_count, cold.engine.ppf_count);
     assert_eq!(warm.engine.union_branches, cold.engine.union_branches);
     assert_eq!(warm.engine.path_filters, cold.engine.path_filters);
 
-    // The trace keeps its five-phase shape even on the warm path.
+    // The trace keeps its four-phase shape even on the warm path.
+    let trace = warm.trace(q);
     for phase in PHASES {
         assert!(trace.span_named(phase).is_some(), "missing `{phase}`");
     }
@@ -63,9 +65,9 @@ fn warm_query_skips_parse_translate_and_plan() {
 fn statically_empty_queries_are_cached_too() {
     let db = figure1_db();
     let cold = db.query("/A/Z").unwrap();
-    assert!(cold.sql.is_none());
+    assert!(cold.sql().is_none());
     let warm = db.query("/A/Z").unwrap();
-    assert!(warm.sql.is_none());
+    assert!(warm.sql().is_none());
     assert_eq!(warm.engine.plan_cache_hits, 1);
     assert!(warm.rows.rows.is_empty());
 }

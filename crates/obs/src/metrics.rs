@@ -133,6 +133,16 @@ struct RegistryInner {
     histograms: BTreeMap<String, Histogram>,
 }
 
+/// Apply `f` to the entry for `name`, created at its default value if
+/// missing. The name is copied only on that first insert, so recording
+/// a metric that already exists does not allocate.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_string()).or_default()),
+    }
+}
+
 /// A named-metric registry. Use [`Registry::global`] for the process-wide
 /// instance or [`Registry::new`] for an isolated one (tests, bench runs).
 #[derive(Default)]
@@ -164,8 +174,7 @@ impl Registry {
 
     /// Add `delta` to a named counter (creating it at zero).
     pub fn incr(&self, name: &str, delta: u64) {
-        let mut inner = self.lock_inner();
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        update(&mut self.lock_inner().counters, name, |v| *v += delta);
     }
 
     /// Raise a named counter to `value` if it is currently below it.
@@ -173,9 +182,9 @@ impl Registry {
     /// recoveries a crate keeps in its own static) into the registry
     /// without double counting across reporters.
     pub fn set_max(&self, name: &str, value: u64) {
-        let mut inner = self.lock_inner();
-        let slot = inner.counters.entry(name.to_string()).or_insert(0);
-        *slot = (*slot).max(value);
+        update(&mut self.lock_inner().counters, name, |v| {
+            *v = (*v).max(value)
+        });
     }
 
     /// Overwrite a named gauge with its current level. Unlike counters
@@ -183,8 +192,7 @@ impl Registry {
     /// is the value *right now*" — use it for live connection counts and
     /// other levels that fall as well as rise.
     pub fn set_gauge(&self, name: &str, value: u64) {
-        let mut inner = self.lock_inner();
-        inner.gauges.insert(name.to_string(), value);
+        update(&mut self.lock_inner().gauges, name, |v| *v = value);
     }
 
     /// Current value of a gauge (0 if never set).
@@ -194,12 +202,7 @@ impl Registry {
 
     /// Record one sample into a named histogram.
     pub fn observe(&self, name: &str, value: u64) {
-        let mut inner = self.lock_inner();
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        update(&mut self.lock_inner().histograms, name, |h| h.record(value));
     }
 
     /// Current value of a counter (0 if never incremented).

@@ -1,11 +1,10 @@
 //! Per-query span trees.
 //!
-//! A [`QueryTrace`] is an arena of [`Span`]s plus a stack of currently
-//! open spans. Spans nest: `start` while another span is open records the
-//! open span as the parent. Timing is relative to the trace's creation
-//! instant so a serialized trace is self-contained.
-
-use std::time::{Duration, Instant};
+//! A [`QueryTrace`] is finished data: an arena of closed [`Span`]s, each
+//! with its offset and duration already known. Whoever holds the timings
+//! builds one on request and appends its spans parents-first; offsets
+//! are relative to the start of the query, so a serialized trace is
+//! self-contained.
 
 /// Index of a span inside its trace's arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,23 +23,11 @@ pub struct Span {
     pub name: String,
     /// Arena index of the enclosing span, if any.
     pub parent: Option<SpanId>,
-    /// Offset from the trace epoch.
+    /// Offset from the start of the query.
     pub start_ns: u64,
-    /// Zero while the span is still open.
     pub dur_ns: u64,
     /// Named counters, in insertion order.
     pub counters: Vec<(String, u64)>,
-}
-
-impl Span {
-    /// Add `delta` to the named counter (creating it at zero).
-    fn bump(&mut self, name: &str, delta: u64) {
-        if let Some((_, v)) = self.counters.iter_mut().find(|(n, _)| n == name) {
-            *v += delta;
-        } else {
-            self.counters.push((name.to_string(), delta));
-        }
-    }
 }
 
 /// A tree of timed spans for one query.
@@ -48,78 +35,30 @@ impl Span {
 pub struct QueryTrace {
     /// Usually the query text.
     pub label: String,
-    epoch: Instant,
     spans: Vec<Span>,
-    open: Vec<SpanId>,
 }
 
 impl QueryTrace {
     pub fn new(label: impl Into<String>) -> QueryTrace {
         QueryTrace {
             label: label.into(),
-            epoch: Instant::now(),
             spans: Vec::new(),
-            open: Vec::new(),
         }
     }
 
-    /// Open a span. Its parent is the innermost span still open.
-    pub fn start(&mut self, name: impl Into<String>) -> SpanId {
-        let id = SpanId(self.spans.len());
-        self.spans.push(Span {
-            name: name.into(),
-            parent: self.open.last().copied(),
-            start_ns: self.epoch.elapsed().as_nanos() as u64,
-            dur_ns: 0,
-            counters: Vec::new(),
-        });
-        self.open.push(id);
-        id
+    /// Append a finished span. Its parent, if any, must already be in
+    /// the trace, so parents always precede their children.
+    pub fn push(&mut self, span: Span) -> SpanId {
+        assert!(
+            span.parent.is_none_or(|p| p.0 < self.spans.len()),
+            "span `{}` names a parent that is not in the trace",
+            span.name
+        );
+        self.spans.push(span);
+        SpanId(self.spans.len() - 1)
     }
 
-    /// Close a span. Spans must close innermost-first; closing an outer
-    /// span force-closes anything still open inside it.
-    pub fn end(&mut self, id: SpanId) {
-        let now = self.epoch.elapsed().as_nanos() as u64;
-        while let Some(top) = self.open.pop() {
-            let span = &mut self.spans[top.0];
-            span.dur_ns = now.saturating_sub(span.start_ns);
-            if top == id {
-                return;
-            }
-        }
-    }
-
-    /// Record an externally-timed phase as an already-closed child of the
-    /// innermost open span.
-    pub fn record_span(&mut self, name: impl Into<String>, dur: Duration) -> SpanId {
-        let id = SpanId(self.spans.len());
-        let now = self.epoch.elapsed().as_nanos() as u64;
-        let dur_ns = dur.as_nanos() as u64;
-        self.spans.push(Span {
-            name: name.into(),
-            parent: self.open.last().copied(),
-            start_ns: now.saturating_sub(dur_ns),
-            dur_ns,
-            counters: Vec::new(),
-        });
-        id
-    }
-
-    /// Add `delta` to a named counter on the given span.
-    pub fn counter(&mut self, id: SpanId, name: &str, delta: u64) {
-        self.spans[id.0].bump(name, delta);
-    }
-
-    /// Add `delta` to a named counter on the innermost open span (no-op
-    /// when nothing is open).
-    pub fn counter_current(&mut self, name: &str, delta: u64) {
-        if let Some(&top) = self.open.last() {
-            self.counter(top, name, delta);
-        }
-    }
-
-    /// All spans in creation order (parents precede children).
+    /// All spans in the order they were pushed (parents precede children).
     pub fn spans(&self) -> &[Span] {
         &self.spans
     }
@@ -190,7 +129,7 @@ impl QueryTrace {
             self.label,
             self.total_ns() as f64 / 1e6
         ));
-        for (i, span) in self.spans.iter().enumerate() {
+        for span in &self.spans {
             let mut depth = 0;
             let mut p = span.parent;
             while let Some(id) = p {
@@ -208,7 +147,6 @@ impl QueryTrace {
                 out.push_str(&format!(" [{}]", counters.join(", ")));
             }
             out.push('\n');
-            let _ = i;
         }
         out
     }

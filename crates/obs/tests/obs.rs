@@ -1,10 +1,13 @@
-//! Tests for the observability crate: histogram percentile math, span
-//! tree nesting/ordering, and the JSON-lines sink round-trip.
+//! Tests for the observability crate: histogram percentile math, the
+//! registry's allocation-free updates, span-tree parent links and the
+//! JSON round-trip.
 
-use std::time::Duration;
-
+use obs::alloc::thread_allocs;
 use obs::metrics::Histogram;
-use obs::{JsonLinesSink, QueryTrace, Registry, RingBufferSink, TraceSink};
+use obs::{QueryTrace, Registry, Span, SpanId};
+
+#[global_allocator]
+static GLOBAL: obs::alloc::Counting = obs::alloc::Counting;
 
 // ---------------------------------------------------------------- metrics
 
@@ -111,134 +114,63 @@ fn registry_counters_and_histograms() {
     assert!(reg.snapshot().counters.is_empty());
 }
 
+#[test]
+fn updating_an_existing_metric_does_not_allocate() {
+    let reg = Registry::new();
+    reg.incr("engine.queries", 1);
+    reg.set_max("engine.stats_tables", 3);
+    reg.set_gauge("engine.snapshots_live", 1);
+    reg.observe("engine.query_ns", 1_000);
+
+    let before = thread_allocs();
+    reg.incr("engine.queries", 1);
+    reg.set_max("engine.stats_tables", 4);
+    reg.set_gauge("engine.snapshots_live", 2);
+    reg.observe("engine.query_ns", 2_000);
+    assert_eq!(thread_allocs() - before, 0, "a known name was copied again");
+
+    assert_eq!(reg.counter("engine.queries"), 2);
+    assert_eq!(reg.counter("engine.stats_tables"), 4);
+    assert_eq!(reg.gauge("engine.snapshots_live"), 2);
+    assert_eq!(reg.histogram("engine.query_ns").map(|h| h.count), Some(2));
+}
+
 // ------------------------------------------------------------------ trace
 
-#[test]
-fn spans_nest_under_the_innermost_open_span() {
-    let mut t = QueryTrace::new("//a/b");
-    let root = t.start("query");
-    let parse = t.start("parse");
-    t.end(parse);
-    let exec = t.start("execute");
-    let probe = t.start("probe");
-    t.end(probe);
-    t.end(exec);
-    t.end(root);
-
-    let spans = t.spans();
-    assert_eq!(spans.len(), 4);
-    assert_eq!(spans[0].name, "query");
-    assert_eq!(spans[0].parent, None);
-    assert_eq!(spans[1].name, "parse");
-    assert_eq!(spans[1].parent, Some(root));
-    assert_eq!(spans[2].name, "execute");
-    assert_eq!(spans[2].parent, Some(root));
-    assert_eq!(spans[3].name, "probe");
-    assert_eq!(spans[3].parent, Some(exec));
-}
-
-#[test]
-fn spans_are_ordered_and_contained_in_their_parents() {
-    let mut t = QueryTrace::new("q");
-    let outer = t.start("outer");
-    std::thread::sleep(Duration::from_millis(2));
-    let inner = t.start("inner");
-    std::thread::sleep(Duration::from_millis(2));
-    t.end(inner);
-    t.end(outer);
-
-    let outer = &t.spans()[0];
-    let inner = &t.spans()[1];
-    assert!(inner.start_ns >= outer.start_ns);
-    assert!(inner.dur_ns > 0);
-    assert!(outer.dur_ns >= inner.dur_ns);
-    assert!(
-        inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns,
-        "child must end before its parent"
-    );
-    assert_eq!(t.total_ns(), outer.start_ns + outer.dur_ns);
-}
-
-#[test]
-fn ending_an_outer_span_closes_dangling_children() {
-    let mut t = QueryTrace::new("q");
-    let outer = t.start("outer");
-    let _forgotten = t.start("forgotten");
-    t.end(outer);
-    assert!(t
-        .spans()
-        .iter()
-        .all(|s| s.dur_ns > 0 || s.start_ns > 0 || s.dur_ns == 0));
-    // Both spans are closed: a new span now opens at the top level.
-    let top = t.start("next");
-    assert_eq!(t.spans()[top.index()].parent, None);
-}
-
-#[test]
-fn counters_accumulate_per_span() {
-    let mut t = QueryTrace::new("q");
-    let s = t.start("execute");
-    t.counter(s, "rows", 10);
-    t.counter(s, "rows", 5);
-    t.counter_current("probes", 3);
-    t.end(s);
-    // counter_current after close is a no-op.
-    t.counter_current("probes", 99);
-
-    let span = t.span_named("execute").expect("span");
-    assert_eq!(
-        span.counters,
-        vec![("rows".to_string(), 15), ("probes".to_string(), 3)]
-    );
-}
-
-#[test]
-fn record_span_attaches_closed_child() {
-    let mut t = QueryTrace::new("q");
-    let root = t.start("query");
-    let ext = t.record_span("translate", Duration::from_micros(250));
-    t.end(root);
-    let span = &t.spans()[ext.index()];
-    assert_eq!(span.name, "translate");
-    assert_eq!(span.parent, Some(root));
-    assert_eq!(span.dur_ns, 250_000);
-}
-
-// ------------------------------------------------------------------ sinks
-
-#[test]
-fn ring_buffer_evicts_oldest() {
-    let mut sink = RingBufferSink::new(2);
-    for label in ["a", "b", "c"] {
-        let mut t = QueryTrace::new(label);
-        let s = t.start("query");
-        t.end(s);
-        sink.emit(&t);
+/// A finished span with no counters.
+fn span(name: &str, parent: Option<SpanId>, start_ns: u64, dur_ns: u64) -> Span {
+    Span {
+        name: name.to_string(),
+        parent,
+        start_ns,
+        dur_ns,
+        counters: Vec::new(),
     }
-    assert_eq!(sink.len(), 2);
-    let labels: Vec<&str> = sink.traces().map(|t| t.label.as_str()).collect();
-    assert_eq!(labels, ["b", "c"]);
-    assert_eq!(sink.last().map(|t| t.label.as_str()), Some("c"));
+}
+
+#[test]
+#[should_panic(expected = "names a parent that is not in the trace")]
+fn a_span_cannot_precede_its_parent() {
+    let mut t = QueryTrace::new("q");
+    let root = t.push(span("query", None, 0, 10));
+    let parse = t.push(span("parse", Some(root), 0, 5));
+    // `parse` is span 1 of `t`; a trace holding one span has no span 1.
+    let mut other = QueryTrace::new("other");
+    other.push(span("query", None, 0, 10));
+    other.push(span("orphan", Some(parse), 0, 5));
 }
 
 #[test]
 fn json_lines_round_trip() {
     let mut trace = QueryTrace::new("//book[author=\"Codd\"]");
-    let root = trace.start("query");
-    let parse = trace.start("parse");
-    trace.end(parse);
-    let exec = trace.start("execute");
-    trace.counter(exec, "rows_scanned", 128);
-    trace.counter(exec, "index_probes", 7);
-    trace.end(exec);
-    trace.end(root);
+    let root = trace.push(span("query", None, 0, 300));
+    trace.push(span("parse", Some(root), 0, 100));
+    trace.push(Span {
+        counters: vec![("rows_scanned".into(), 128), ("index_probes".into(), 7)],
+        ..span("execute", Some(root), 100, 150)
+    });
 
-    let mut sink = JsonLinesSink::new(Vec::new());
-    sink.emit(&trace);
-    sink.emit(&trace);
-    sink.flush();
-    let bytes = sink.into_inner();
-    let text = String::from_utf8(bytes).expect("utf8");
+    let text = format!("{}\n{}\n", trace.to_json(), trace.to_json());
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 2, "one JSON object per line");
 
@@ -265,8 +197,9 @@ fn json_lines_round_trip() {
             counters.get("index_probes").and_then(|c| c.as_u64()),
             Some(7)
         );
-        // Durations are non-negative integers.
-        assert!(v.get("total_ns").and_then(|t| t.as_u64()).is_some());
+        assert_eq!(exec.get("start_ns").and_then(|t| t.as_u64()), Some(100));
+        assert_eq!(exec.get("dur_ns").and_then(|t| t.as_u64()), Some(150));
+        assert_eq!(v.get("total_ns").and_then(|t| t.as_u64()), Some(300));
     }
 }
 
@@ -274,8 +207,7 @@ fn json_lines_round_trip() {
 fn json_escaping_survives_round_trip() {
     let nasty = "quote\" backslash\\ newline\n tab\t unicode\u{1F600} ctrl\u{1}";
     let mut trace = QueryTrace::new(nasty);
-    let s = trace.start("phase \"one\"");
-    trace.end(s);
+    trace.push(span("phase \"one\"", None, 0, 1));
     let v = obs::json::parse(&trace.to_json()).expect("valid JSON");
     assert_eq!(v.get("label").and_then(|l| l.as_str()), Some(nasty));
     let spans = v.get("spans").and_then(|s| s.as_array()).unwrap();

@@ -47,7 +47,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use ppf_core::{CancelToken, ExecOptions, QueryLimits, ReloadError, SharedEngine, XmlDb};
+use ppf_core::{
+    CancelToken, EngineStats, ExecOptions, QueryLimits, ReloadError, SharedEngine, XmlDb,
+};
 
 use crate::admission::{Admission, AdmissionPolicy, ShedReason, Slot};
 use crate::event_loop::{self, Conn, Delivery, EventLoops};
@@ -177,10 +179,9 @@ struct SlowEntry {
     query: String,
     total: Duration,
     rows: u64,
-    /// `parse/translate/plan/execute/publish` nanoseconds, when the verb
-    /// surfaced engine stats (plain queries; explain/analyze and errors
-    /// carry `None`).
-    phases: Option<[u64; 5]>,
+    /// The query's engine record, when the verb surfaced one (plain
+    /// queries; explain/analyze and errors carry `None`).
+    engine: Option<EngineStats>,
     /// `ok`, or the response's error kind.
     outcome: String,
 }
@@ -196,15 +197,14 @@ impl SlowEntry {
             self.rows,
             self.outcome,
         );
-        if let Some([parse, translate, plan, execute, publish]) = self.phases {
+        if let Some(e) = &self.engine {
             let ms = |ns: u64| ns as f64 / 1e6;
             line.push_str(&format!(
-                " parse={:.2} translate={:.2} plan={:.2} exec={:.2} publish={:.2}",
-                ms(parse),
-                ms(translate),
-                ms(plan),
-                ms(execute),
-                ms(publish),
+                " parse={:.2} translate={:.2} plan={:.2} exec={:.2}",
+                ms(e.parse_ns),
+                ms(e.translate_ns),
+                ms(e.plan_ns),
+                ms(e.execute_ns),
             ));
         }
         line.push_str(" :: ");
@@ -810,11 +810,11 @@ fn run_admitted(
     }));
     let elapsed = t0.elapsed();
 
-    let (resp, rows, phases, verdict) = match outcome {
-        Ok(Ok((body, phases, rows, version))) => (
+    let (resp, rows, engine, verdict) = match outcome {
+        Ok(Ok((body, engine, rows, version))) => (
             Response::ok(&req.id, body).with_version(version),
             rows,
-            phases,
+            engine,
             "ok",
         ),
         Ok(Err(e)) => {
@@ -855,7 +855,7 @@ fn run_admitted(
             query,
             total: elapsed,
             rows,
-            phases,
+            engine,
             outcome: verdict.to_string(),
         };
         let mut log = lock(&inner.slowlog);
@@ -897,11 +897,11 @@ fn complete(
 }
 
 /// What [`execute`] hands back on success: the body of the `ok`
-/// response, the engine's phase breakdown when the verb surfaces one
-/// (plain queries), the result row count — both feed the slow-query
+/// response, the engine's record of the query when the verb surfaces
+/// one (plain queries), the result row count — both feed the slow-query
 /// log — and the snapshot version that answered (the response's
 /// `version=` header stamp).
-type Executed = (String, Option<[u64; 5]>, u64, u64);
+type Executed = (String, Option<EngineStats>, u64, u64);
 
 /// Execute the engine work for one request. Each request pins exactly
 /// one snapshot, so a query racing a reload is answered wholly by the
@@ -916,14 +916,6 @@ fn execute(
             let xpath = req.body.trim();
             let result = inner.engine.query_with_limits(xpath, limits.clone())?;
             let ids = result.ids();
-            let e = &result.engine;
-            let phases = Some([
-                e.parse_ns,
-                e.translate_ns,
-                e.plan_ns,
-                e.execute_ns,
-                e.publish_ns,
-            ]);
             let cap = inner.cfg.max_response_rows;
             let mut body = format!("rows {}\n", ids.len());
             for id in ids.iter().take(cap) {
@@ -933,7 +925,12 @@ fn execute(
             if ids.len() > cap {
                 body.push_str(&format!("truncated {}\n", ids.len() - cap));
             }
-            Ok((body, phases, ids.len() as u64, result.snapshot_version))
+            Ok((
+                body,
+                Some(result.engine),
+                ids.len() as u64,
+                result.snapshot_version,
+            ))
         }
         Verb::Explain => {
             let snap = inner.engine.snapshot();

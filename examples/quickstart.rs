@@ -50,7 +50,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("XPath : {query}");
         println!(
             "SQL   : {}",
-            result.sql.as_deref().unwrap_or("(statically empty)")
+            result
+                .sql()
+                .unwrap_or_else(|| "(statically empty)".to_string())
         );
         println!(
             "rows  : {} (scanned {} rows, {} index probes)\n",

@@ -28,7 +28,6 @@
 
 use std::io::{BufRead, Write};
 
-use obs::TraceSink;
 use ppf_core::{publish_element, EdgeDb, QueryLimits, XmlDb};
 
 enum Backend {
@@ -46,7 +45,7 @@ struct Session {
     /// `.maxrows N` — per-query scanned-row budget.
     max_rows: Option<u64>,
     /// `--trace-json FILE` — one JSON record per query.
-    trace_sink: Option<obs::JsonLinesSink<std::fs::File>>,
+    trace_json: Option<std::fs::File>,
 }
 
 impl Session {
@@ -139,13 +138,13 @@ fn run() -> Result<(), String> {
         db_ref.total_rows()
     );
 
-    let trace_sink = match trace_json {
+    let trace_json = match trace_json {
         None => None,
         Some(path) => {
             let file =
                 std::fs::File::create(&path).map_err(|e| format!("cannot create {path}: {e}"))?;
             eprintln!("writing query traces to {path}");
-            Some(obs::JsonLinesSink::new(file))
+            Some(file)
         }
     };
     let mut session = Session {
@@ -153,7 +152,7 @@ fn run() -> Result<(), String> {
         show_trace: false,
         timeout: None,
         max_rows: None,
-        trace_sink,
+        trace_json,
     };
 
     let stdin = std::io::stdin();
@@ -179,9 +178,6 @@ fn run() -> Result<(), String> {
             Ok(false) => {}
             Err(e) => eprintln!("error: {e}"),
         }
-    }
-    if let Some(sink) = &mut session.trace_sink {
-        sink.flush();
     }
     Ok(())
 }
@@ -405,18 +401,15 @@ fn handle(session: &mut Session, line: &str) -> Result<bool, String> {
     // `[limit] engine error: resource limit exceeded: row budget exceeded`.
     let limits = session.limits();
     let t0 = std::time::Instant::now();
-    let (result, trace) = match backend {
-        Backend::Schema(db) => db
-            .query_traced_with_limits(line, limits)
-            .map_err(|e| format!("[{}] {e}", e.kind()))?,
-        Backend::Edge(db) => db
-            .query_traced_with_limits(line, limits)
-            .map_err(|e| format!("[{}] {e}", e.kind()))?,
-    };
+    let result = match backend {
+        Backend::Schema(db) => db.query_with_limits(line, limits),
+        Backend::Edge(db) => db.query_with_limits(line, limits),
+    }
+    .map_err(|e| format!("[{}] {e}", e.kind()))?;
     let elapsed = t0.elapsed();
-    if let Some(sink) = &mut session.trace_sink {
-        sink.emit(&trace);
-        sink.flush();
+    if let Some(file) = &mut session.trace_json {
+        // A failed trace write must not fail the query; drop the record.
+        let _ = file.write_all(format!("{}\n", result.trace(line).to_json()).as_bytes());
     }
     for row in result.rows.rows.iter().take(20) {
         let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
@@ -435,7 +428,7 @@ fn handle(session: &mut Session, line: &str) -> Result<bool, String> {
         result.stats.regex.match_calls,
     );
     if session.show_trace {
-        print!("{}", trace.render());
+        print!("{}", result.trace(line).render());
     }
     Ok(false)
 }
