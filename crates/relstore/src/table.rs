@@ -1,5 +1,6 @@
 //! Tables: schemas, rows, and secondary B-tree indexes.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::{Arc, PoisonError, RwLock};
@@ -51,30 +52,51 @@ impl TableSchema {
 pub struct Index {
     pub name: String,
     pub key_cols: Vec<usize>,
-    map: BTreeMap<Vec<Value>, Vec<RowId>>,
+    map: BTreeMap<Box<[Value]>, Postings>,
+}
+
+/// The rows holding one key, ascending. Most keys of a shredded document
+/// (Dewey positions, node ids) name exactly one row, so that row is kept
+/// inline in the B-tree node rather than in a heap block of its own.
+#[derive(Debug, Clone)]
+enum Postings {
+    One(RowId),
+    Many(Vec<RowId>),
+}
+
+impl Postings {
+    fn as_slice(&self) -> &[RowId] {
+        match self {
+            Postings::One(rid) => std::slice::from_ref(rid),
+            Postings::Many(rids) => rids,
+        }
+    }
+
+    fn push(&mut self, rid: RowId) {
+        match self {
+            Postings::One(first) => *self = Postings::Many(vec![*first, rid]),
+            Postings::Many(rids) => rids.push(rid),
+        }
+    }
 }
 
 impl Index {
-    fn key_of(&self, row: &[Value]) -> Option<Vec<Value>> {
-        let mut key = Vec::with_capacity(self.key_cols.len());
-        for &c in &self.key_cols {
-            if row[c].is_null() {
-                return None;
-            }
-            key.push(row[c].clone());
-        }
-        Some(key)
-    }
-
     fn insert_row(&mut self, rid: RowId, row: &[Value]) {
-        if let Some(key) = self.key_of(row) {
-            self.map.entry(key).or_default().push(rid);
+        if self.key_cols.iter().any(|&c| row[c].is_null()) {
+            return;
+        }
+        let key: Box<[Value]> = self.key_cols.iter().map(|&c| row[c].clone()).collect();
+        match self.map.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(Postings::One(rid));
+            }
+            Entry::Occupied(mut e) => e.get_mut().push(rid),
         }
     }
 
     /// Rows whose full key equals `key`.
     pub fn get(&self, key: &[Value]) -> &[RowId] {
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
+        self.map.get(key).map(Postings::as_slice).unwrap_or(&[])
     }
 
     /// Rows whose key is within the given bounds (composite keys compare
@@ -87,7 +109,7 @@ impl Index {
     ) -> impl Iterator<Item = RowId> + '_ {
         self.map
             .range::<[Value], _>((lo, hi))
-            .flat_map(|(_, rids)| rids.iter().copied())
+            .flat_map(|(_, rids)| rids.as_slice().iter().copied())
     }
 
     /// Rows whose key starts with `prefix` (for composite indexes probed on
@@ -97,7 +119,7 @@ impl Index {
         self.map
             .range::<[Value], _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(move |(k, _)| k.starts_with(prefix))
-            .flat_map(|(_, rids)| rids.iter().copied())
+            .flat_map(|(_, rids)| rids.as_slice().iter().copied())
     }
 
     /// Number of distinct keys.
@@ -109,9 +131,7 @@ impl Index {
     /// join materializes this once into a flat array and then advances a
     /// monotonic cursor over it instead of re-probing the B-tree.
     pub fn entries(&self) -> impl Iterator<Item = (&[Value], &[RowId])> {
-        self.map
-            .iter()
-            .map(|(k, rids)| (k.as_slice(), rids.as_slice()))
+        self.map.iter().map(|(k, rids)| (&**k, rids.as_slice()))
     }
 }
 
@@ -139,7 +159,13 @@ pub type HashSide = BTreeMap<Value, Vec<RowId>>;
 #[derive(Debug)]
 pub struct Table {
     pub schema: TableSchema,
-    rows: Vec<Vec<Value>>,
+    /// Every row's cells in one row-major vector: row `r` is
+    /// `cells[r * arity..(r + 1) * arity]`. A scan walks contiguous
+    /// memory instead of chasing one heap block per row.
+    cells: Vec<Value>,
+    /// Row count, kept apart from `cells` so a zero-column table still
+    /// counts its rows.
+    n_rows: usize,
     indexes: Vec<Index>,
     stats: RwLock<Option<Arc<TableStats>>>,
     filter_memo: RwLock<FilterMemo>,
@@ -153,7 +179,8 @@ impl Clone for Table {
         // with no derived state of its own and shares none.
         Table {
             schema: self.schema.clone(),
-            rows: self.rows.clone(),
+            cells: self.cells.clone(),
+            n_rows: self.n_rows,
             indexes: self.indexes.clone(),
             stats: RwLock::default(),
             filter_memo: RwLock::default(),
@@ -178,7 +205,8 @@ impl Table {
     pub fn new(schema: TableSchema) -> Table {
         Table {
             schema,
-            rows: Vec::new(),
+            cells: Vec::new(),
+            n_rows: 0,
             indexes: Vec::new(),
             stats: RwLock::default(),
             filter_memo: RwLock::default(),
@@ -191,19 +219,27 @@ impl Table {
     }
 
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.n_rows
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.n_rows == 0
     }
 
+    /// The cells of row `rid`. Panics if there is no such row.
     pub fn row(&self, rid: RowId) -> &[Value] {
-        &self.rows[rid]
+        assert!(
+            rid < self.n_rows,
+            "table `{}` has no row {rid}",
+            self.schema.name
+        );
+        let arity = self.schema.columns.len();
+        &self.cells[rid * arity..(rid + 1) * arity]
     }
 
     pub fn rows(&self) -> impl Iterator<Item = (RowId, &[Value])> {
-        self.rows.iter().enumerate().map(|(i, r)| (i, r.as_slice()))
+        let arity = self.schema.columns.len();
+        (0..self.n_rows).map(move |rid| (rid, &self.cells[rid * arity..(rid + 1) * arity]))
     }
 
     /// Append a row, maintaining all indexes. The row must match the schema
@@ -229,11 +265,12 @@ impl Table {
                 }
             }
         }
-        let rid = self.rows.len();
+        let rid = self.n_rows;
         for idx in &mut self.indexes {
             idx.insert_row(rid, &row);
         }
-        self.rows.push(row);
+        self.cells.extend(row);
+        self.n_rows += 1;
         self.drop_derived();
         Ok(rid)
     }
@@ -253,7 +290,7 @@ impl Table {
             key_cols,
             map: BTreeMap::new(),
         };
-        for (rid, row) in self.rows.iter().enumerate() {
+        for (rid, row) in self.rows() {
             idx.insert_row(rid, row);
         }
         self.indexes.push(idx);
@@ -637,6 +674,111 @@ mod tests {
 
         t.clear_filter_memo();
         assert_eq!(t.filter_memo_len(), 0);
+    }
+
+    /// The same rows indexed the obvious way: one key copy and one
+    /// row-id vector per distinct key.
+    fn reference_index(t: &Table, cols: &[usize]) -> BTreeMap<Vec<Value>, Vec<RowId>> {
+        let mut map: BTreeMap<Vec<Value>, Vec<RowId>> = BTreeMap::new();
+        for (rid, row) in t.rows() {
+            let key: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
+            if !key.iter().any(Value::is_null) {
+                map.entry(key).or_default().push(rid);
+            }
+        }
+        map
+    }
+
+    #[test]
+    fn postings_grow_from_one_row_to_many_after_create_index() {
+        let mut t = people();
+        t.create_index("people_age_name", &["age", "name"])
+            .expect("index");
+        t.create_index("people_name", &["name"]).expect("index");
+        // Every name is unique so far: each key holds one row inline.
+        assert!(t.indexes()[1].entries().all(|(_, rids)| rids.len() == 1));
+        for (id, name, age) in [(5, "ann", 30), (6, "bob", 25), (7, "ann", 30)] {
+            t.insert(vec![Value::Int(id), Value::from(name), Value::Int(age)])
+                .expect("insert");
+        }
+        t.insert(vec![Value::Int(8), Value::Null, Value::Int(30)])
+            .expect("insert");
+        assert_eq!(t.indexes()[1].get(&[Value::from("ann")]), &[0, 4, 6]);
+        assert_eq!(t.indexes()[1].get(&[Value::from("cho")]), &[2]);
+
+        for (ix, cols) in t.indexes().iter().zip([&[2, 1][..], &[1][..]]) {
+            let want = reference_index(&t, cols);
+            let got: Vec<(Vec<Value>, Vec<RowId>)> = ix
+                .entries()
+                .map(|(k, rids)| (k.to_vec(), rids.to_vec()))
+                .collect();
+            assert_eq!(got, want.clone().into_iter().collect::<Vec<_>>());
+            assert_eq!(ix.distinct_keys(), want.len());
+            for (key, rids) in &want {
+                assert_eq!(ix.get(key), rids.as_slice());
+                let ranged: Vec<RowId> = ix
+                    .range(Bound::Included(key), Bound::Included(key))
+                    .collect();
+                assert_eq!(&ranged, rids);
+                let lead = &key[..1];
+                let prefixed: Vec<RowId> = ix.prefix(lead).collect();
+                let want_prefixed: Vec<RowId> = want
+                    .iter()
+                    .filter(|(k, _)| k.starts_with(lead))
+                    .flat_map(|(_, r)| r.iter().copied())
+                    .collect();
+                assert_eq!(prefixed, want_prefixed);
+            }
+            let all: Vec<RowId> = ix.range(Bound::Unbounded, Bound::Unbounded).collect();
+            let want_all: Vec<RowId> = want.values().flatten().copied().collect();
+            assert_eq!(all, want_all);
+        }
+    }
+
+    #[test]
+    fn zero_column_table_still_counts_its_rows() {
+        let mut t = Table::new(TableSchema::new("unit", &[]));
+        assert!(t.is_empty());
+        for _ in 0..3 {
+            t.insert(Vec::new()).expect("insert");
+        }
+        assert_eq!(t.len(), 3);
+        assert!(!t.is_empty());
+        assert_eq!(t.row(2), &[] as &[Value]);
+        let rids: Vec<RowId> = t.rows().map(|(rid, _)| rid).collect();
+        assert_eq!(rids, vec![0, 1, 2]);
+        assert_eq!(t.clone().len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "has no row 3")]
+    fn zero_column_table_rejects_a_row_past_the_end() {
+        let mut t = Table::new(TableSchema::new("unit", &[]));
+        for _ in 0..3 {
+            t.insert(Vec::new()).expect("insert");
+        }
+        t.row(3);
+    }
+
+    #[test]
+    fn clone_shares_no_cells() {
+        let t = people();
+        let mut clone = t.clone();
+        for (rid, row) in t.rows() {
+            let copy = clone.row(rid);
+            assert_eq!(row, copy, "row {rid} copied as-is");
+            assert_ne!(row.as_ptr(), copy.as_ptr(), "row {rid} shares its cells");
+            assert_ne!(
+                row[1].as_str().expect("name").as_ptr(),
+                copy[1].as_str().expect("name").as_ptr(),
+                "row {rid} shares its text"
+            );
+        }
+        clone
+            .insert(vec![Value::Int(5), Value::from("eve"), Value::Int(19)])
+            .expect("insert");
+        assert_eq!(clone.len(), 5);
+        assert_eq!(t.len(), 4, "original untouched");
     }
 
     #[test]

@@ -791,8 +791,19 @@ impl<'db> Executor<'db> {
                 }
             }
             Access::IndexEq { index, keys } => {
-                // Probe through the reusable scratch key buffer instead
-                // of a fresh Vec<Value> per probe.
+                let ix = &table.indexes()[*index];
+                if let [key] = keys.as_slice() {
+                    // A one-column key is probed where it lives: in the
+                    // outer row's cells or in the plan.
+                    let k = self.operand(key, env)?;
+                    if !k.is_null() {
+                        local.index_probes += 1;
+                        probe_rows.extend_from_slice(ix.get(std::slice::from_ref(&*k)));
+                    }
+                    return Ok(None);
+                }
+                // A composite key is probed through the reusable scratch
+                // key buffer instead of a fresh Vec<Value> per probe.
                 let mut key_vals = self.key_scratch.take();
                 key_vals.clear();
                 if key_vals.capacity() < keys.len() {
@@ -816,7 +827,7 @@ impl<'db> Executor<'db> {
                 }
                 if !any_null {
                     local.index_probes += 1;
-                    probe_rows.extend_from_slice(table.indexes()[*index].get(&key_vals));
+                    probe_rows.extend_from_slice(ix.get(&key_vals));
                 }
                 key_vals.clear();
                 self.key_scratch.replace(key_vals);
@@ -855,23 +866,27 @@ impl<'db> Executor<'db> {
     }
 
     /// Evaluate range endpoint expressions against the current bindings.
-    /// Returns `None` when the probe selects nothing (a NULL bound, or an
+    /// A column or literal endpoint is borrowed, not copied. Returns
+    /// `None` when the probe selects nothing (a NULL bound, or an
     /// inverted interval — which `BTreeMap::range` would panic on). For
     /// composite indexes an inclusive upper bound on the leading column
     /// is widened to cover key suffixes: scan up to (but excluding) the
     /// successor of the bound value; if no successor exists, fall back to
     /// unbounded — the driving conjuncts are re-checked as residuals, so
     /// a superset is always safe.
-    fn prepare_bounds(
+    fn prepare_bounds<'e>(
         &self,
-        lo: &Option<(Expr, bool)>,
-        hi: &Option<(Expr, bool)>,
+        lo: &'e Option<(Expr, bool)>,
+        hi: &'e Option<(Expr, bool)>,
         composite: bool,
         env: &mut Vec<Binding<'db>>,
-    ) -> Result<Option<(RangeEnd, RangeEnd)>, ExecError> {
+    ) -> Result<Option<(RangeEnd<'e>, RangeEnd<'e>)>, ExecError>
+    where
+        'db: 'e,
+    {
         let lo_v: RangeEnd = match lo {
             Some((e, inc)) => {
-                let v = self.eval(e, env)?;
+                let v = self.operand(e, env)?;
                 if v.is_null() {
                     return Ok(None); // comparison with NULL selects nothing
                 }
@@ -881,7 +896,7 @@ impl<'db> Executor<'db> {
         };
         let hi_v: RangeEnd = match hi {
             Some((e, inc)) => {
-                let v = self.eval(e, env)?;
+                let v = self.operand(e, env)?;
                 if v.is_null() {
                     return Ok(None);
                 }
@@ -897,7 +912,7 @@ impl<'db> Executor<'db> {
             }
         }
         let hi_v = match hi_v {
-            Some((v, true)) if composite => value_successor(&v).map(|s| (s, false)),
+            Some((v, true)) if composite => value_successor(&v).map(|s| (Cow::Owned(s), false)),
             other => other,
         };
         Ok(Some((lo_v, hi_v)))
@@ -1122,9 +1137,9 @@ impl<'db> Executor<'db> {
                 ))),
             },
             Expr::Concat(a, b) => {
-                let av = self.eval(a, env)?;
-                let bv = self.eval(b, env)?;
-                Ok(concat(av, bv))
+                let av = self.operand(a, env)?;
+                let bv = self.operand(b, env)?;
+                Ok(concat(&av, &bv))
             }
             Expr::Arith { op, lhs, rhs } => {
                 let a = self.eval(lhs, env)?;
@@ -1132,8 +1147,7 @@ impl<'db> Executor<'db> {
                 arith(*op, &a, &b)
             }
             Expr::IsNull { expr, negated } => {
-                let v = self.eval(expr, env)?;
-                let isnull = v.is_null();
+                let isnull = self.operand(expr, env)?.is_null();
                 Ok(Value::Bool(if *negated { !isnull } else { isnull }))
             }
             Expr::CountStar => match self.count_result.get() {
@@ -1214,16 +1228,17 @@ impl<'db> Executor<'db> {
 
 // ----- helpers -----
 
-/// An evaluated range endpoint: the key value plus inclusivity; `None`
+/// An evaluated range endpoint: the key value (borrowed from its row or
+/// the plan when it is a column or literal) plus inclusivity; `None`
 /// means unbounded on that side.
-type RangeEnd = Option<(Value, bool)>;
+type RangeEnd<'a> = Option<(Cow<'a, Value>, bool)>;
 
 /// Borrow a range endpoint as a one-column `BTreeMap` bound — no key copy.
-fn bound_of(end: &RangeEnd) -> Bound<&[Value]> {
+fn bound_of<'a>(end: &'a RangeEnd<'_>) -> Bound<&'a [Value]> {
     match end {
         None => Bound::Unbounded,
-        Some((v, true)) => Bound::Included(std::slice::from_ref(v)),
-        Some((v, false)) => Bound::Excluded(std::slice::from_ref(v)),
+        Some((v, true)) => Bound::Included(std::slice::from_ref(&**v)),
+        Some((v, false)) => Bound::Excluded(std::slice::from_ref(&**v)),
     }
 }
 
@@ -1241,7 +1256,7 @@ fn cmp_key_bound(key: &[Value], bound: &[Value]) -> std::cmp::Ordering {
 }
 
 /// Does `key` satisfy the lower endpoint?
-fn above_lo(key: &[Value], lo: &RangeEnd) -> bool {
+fn above_lo(key: &[Value], lo: &RangeEnd<'_>) -> bool {
     match lo {
         None => true,
         Some((v, inc)) => {
@@ -1252,7 +1267,7 @@ fn above_lo(key: &[Value], lo: &RangeEnd) -> bool {
 }
 
 /// Does `key` satisfy the upper endpoint?
-fn within_hi(key: &[Value], hi: &RangeEnd) -> bool {
+fn within_hi(key: &[Value], hi: &RangeEnd<'_>) -> bool {
     match hi {
         None => true,
         Some((v, inc)) => {
@@ -1267,7 +1282,7 @@ fn within_hi(key: &[Value], hi: &RangeEnd) -> bool {
 /// order (the staircase case of Dewey structural joins) the hint is exact
 /// and the seek is O(1); otherwise it gallops from the hint and finishes
 /// with a binary search, so an out-of-order probe costs O(log n).
-fn seek_first(entries: &[(&[Value], &[RowId])], hint: usize, lo: &RangeEnd) -> usize {
+fn seek_first(entries: &[(&[Value], &[RowId])], hint: usize, lo: &RangeEnd<'_>) -> usize {
     let len = entries.len();
     let pos = hint.min(len);
     let (lo_i, hi_i) = if pos < len && !above_lo(entries[pos].0, lo) {
@@ -1387,16 +1402,18 @@ fn holds(op: CmpOp, ord: std::cmp::Ordering) -> bool {
 }
 
 /// `a || b`: NULL if either side is, bytes when both are, text otherwise.
-fn concat(a: Value, b: Value) -> Value {
+fn concat(a: &Value, b: &Value) -> Value {
     match (a, b) {
         (Value::Null, _) | (_, Value::Null) => Value::Null,
-        (Value::Bytes(mut x), Value::Bytes(y)) => {
-            x.extend_from_slice(&y);
-            Value::Bytes(x)
+        (Value::Bytes(x), Value::Bytes(y)) => {
+            let mut xy = Vec::with_capacity(x.len() + y.len());
+            xy.extend_from_slice(x);
+            xy.extend_from_slice(y);
+            Value::Bytes(xy)
         }
         (a, b) => {
-            let mut s = display_raw(&a);
-            s.push_str(&display_raw(&b));
+            let mut s = display_raw(a);
+            s.push_str(&display_raw(b));
             Value::Str(s)
         }
     }
@@ -1421,7 +1438,7 @@ fn compare_concat(op: CmpOp, x: &Value, y: &Value, z: &Value) -> Value {
             });
             Value::Bool(holds(op, ord))
         }
-        _ => compare(op, x, &concat(y.clone(), z.clone())),
+        _ => compare(op, x, &concat(y, z)),
     }
 }
 
@@ -1588,7 +1605,7 @@ mod tests {
         ];
         for (x, y, z) in &cases {
             for op in ops {
-                let want = compare(op, x, &concat(y.clone(), z.clone()));
+                let want = compare(op, x, &concat(y, z));
                 let got = compare_concat(op, x, y, z);
                 assert_eq!(
                     format!("{got:?}"),
