@@ -31,17 +31,15 @@ pub fn cache_poison_recoveries() -> u64 {
     CACHE_POISON_RECOVERIES.load(Relaxed)
 }
 
-/// Lock a cache map, recovering from poisoning by clearing it. Losing
-/// warm plans costs a re-translate on the next query; keeping state a
+/// Lock a cache, recovering from poisoning by emptying it. Losing warm
+/// plans costs a re-translate on the next query; keeping state a
 /// panicking thread may have half-written could serve wrong answers.
-fn lock_cache<'a, K: std::cmp::Eq + std::hash::Hash, V>(
-    m: &'a Mutex<HashMap<K, V>>,
-) -> std::sync::MutexGuard<'a, HashMap<K, V>> {
+fn lock_cache<T: Default>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| {
         m.clear_poison();
         CACHE_POISON_RECOVERIES.fetch_add(1, Relaxed);
         let mut guard = poisoned.into_inner();
-        guard.clear();
+        *guard = T::default();
         guard
     })
 }
@@ -109,9 +107,11 @@ fn mirror_poison_counters(reg: &obs::Registry) {
 pub struct EngineStats {
     /// The whole query, as the `engine.query_ns` histogram records it:
     /// at least the sum of the four phases, and the gap is time no phase
-    /// accounts for (cache lookups, result assembly, registry updates).
+    /// accounts for (cache lookups, binding literals into a cached
+    /// shape's statement, result assembly, registry updates).
     pub query_ns: u64,
-    /// XPath parsing.
+    /// XPath parsing, and lifting the compared string literals out of
+    /// the parsed query to key its shape.
     pub parse_ns: u64,
     /// XPath → SQL translation (PPF splitting, pattern building).
     pub translate_ns: u64,
@@ -142,10 +142,15 @@ pub struct EngineStats {
     /// 1 when this query hit the engine's XPath-keyed cache and skipped
     /// parse, translate and plan entirely (their `*_ns` fields are 0).
     pub plan_cache_hits: u64,
+    /// 1 when the text missed but its shape hit: a query differing only
+    /// in the string literals it compares paths with was translated
+    /// before. Parse and plan ran; translate did not (`translate_ns` and
+    /// `regex_compiles` are 0).
+    pub shape_hits: u64,
     /// Regex programs compiled by this query: one per distinct
     /// `REGEXP_LIKE` pattern text its translation builds, none during
     /// execution (the statement owns its compiled patterns), and 0 on a
-    /// query-cache hit.
+    /// query-cache or shape hit.
     pub regex_compiles: u64,
     /// Path-filter probes answered from the memoised surviving-row set.
     /// A copy of [`ExecStats::path_memo_hits`], kept because the served-path
@@ -255,30 +260,234 @@ impl QueryResult {
     }
 }
 
-/// A fully-prepared query, cached under its XPath text: the translated
-/// statement (behind `Arc`, so the `Select` addresses that key cached
-/// plans stay stable for the lifetime of the entry), the translate-time
-/// counters, and the plan snapshot captured from the first execution
-/// (top-level branches planned eagerly, subquery blocks as execution
-/// discovers them). Entries are dropped wholesale whenever the backing
-/// store mutates — the tables drop their own filter memos when they
-/// mutate, but the statement and plans themselves can go stale (path marking depends on loaded documents).
-///
-/// `Arc` + `Mutex` (not `Rc` + `RefCell`) because [`SharedEngine`] runs
-/// queries against one cache from many threads at once.
-struct CachedQuery {
+/// A translation as the query cache keeps it: the statement (behind
+/// `Arc`, so the `Select` addresses that key cached plans stay stable
+/// for the lifetime of the entry) and the translate-time counters.
+#[derive(Clone)]
+struct Prepared {
     stmt: Option<Arc<SelectStmt>>,
     output: OutputKind,
     ppf_count: u64,
     union_branches: u64,
     path_filters: u64,
+}
+
+impl Prepared {
+    fn new(t: Translation) -> Prepared {
+        let mut union_branches = 0;
+        let mut path_filters = 0;
+        if let Some(stmt) = &t.stmt {
+            union_branches = stmt.branches.len() as u64;
+            path_filters = path_filters_in_stmt(stmt);
+        }
+        Prepared {
+            stmt: t.stmt.map(Arc::new),
+            output: t.output,
+            ppf_count: t.ppf_count as u64,
+            union_branches,
+            path_filters,
+        }
+    }
+
+    /// This shape's translation with slot `i` bound to `literals[i]`.
+    /// Without slots the statement is shared, not cloned.
+    fn bind(&self, literals: &[String]) -> Prepared {
+        let mut bound = self.clone();
+        if !literals.is_empty() {
+            if let Some(stmt) = &mut bound.stmt {
+                // `self` holds the statement too, so this clones it.
+                shape::bind(Arc::make_mut(stmt), literals);
+            }
+        }
+        bound
+    }
+}
+
+/// A fully-prepared query, cached under its XPath text: its translation
+/// (bound to the text's own literals) and the plan snapshot captured
+/// from the first execution (top-level branches planned eagerly,
+/// subquery blocks as execution discovers them).
+///
+/// `Arc` + `Mutex` (not `Rc` + `RefCell`) because [`SharedEngine`] runs
+/// queries against one cache from many threads at once.
+struct CachedQuery {
+    prepared: Prepared,
     plans: Mutex<HashMap<usize, Arc<SelectPlan>>>,
 }
 
-type QueryCache = Mutex<HashMap<String, Arc<CachedQuery>>>;
+/// The engine's query cache, two indexes behind one lock. `texts` holds
+/// every XPath text run since the last clear, ready to execute.
+/// `shapes` holds translations keyed by the query with its compared
+/// string literals lifted out ([`shape`]), so a text that misses skips
+/// translation when another text of its shape ran before.
+///
+/// Both are dropped wholesale whenever the backing store mutates or an
+/// option changes. The tables drop their own filter memos when they
+/// mutate, but statements and plans can go stale (path marking depends
+/// on loaded documents).
+#[derive(Default)]
+struct QueryCache {
+    texts: HashMap<String, Arc<CachedQuery>>,
+    shapes: HashMap<String, Arc<Prepared>>,
+}
 
-/// Cached distinct XPath strings before the cache is cleared wholesale.
+impl QueryCache {
+    fn clear(&mut self) {
+        self.texts.clear();
+        self.shapes.clear();
+    }
+}
+
+/// Entries each index holds before it is cleared wholesale.
 const QUERY_CACHE_CAP: usize = 256;
+
+/// Inserts `value` under `key`, first clearing a full `map`.
+fn insert_capped<V>(map: &mut HashMap<String, V>, key: String, value: V) {
+    if map.len() >= QUERY_CACHE_CAP {
+        map.clear();
+    }
+    map.insert(key, value);
+}
+
+/// Query shapes: an XPath query with every string literal it compares a
+/// path with replaced by a numbered slot.
+///
+/// Translation copies such a literal into `Cmp { rhs: Literal }` and
+/// reads it nowhere else, so one translation of the shape serves every
+/// text of it: bind the text's literals into a clone of the statement.
+/// Everything else stays in the shape. Numbers decide positional and
+/// `count()` predicates, `contains()`/`starts-with()` arguments are
+/// compiled into regexes, and a literal compared with a literal is not
+/// a path condition.
+///
+/// A slot travels through the translator as a string literal no XPath
+/// 1.0 literal can equal: it holds both `'` and `"`, and a literal has no
+/// escapes, so it can hold only one of them. Equal literals share one
+/// slot, so a shape also fixes which of its literals are equal.
+mod shape {
+    use relstore::Value;
+    use sqlexec::{Expr as Sql, Select, SelectStmt};
+    use xpath::Expr;
+
+    /// What every slot token starts with; no XPath literal contains it.
+    const SLOT: &str = "'\"slot";
+
+    /// Replaces each compared literal in `expr` by its slot's token and
+    /// returns the literals, indexed by slot.
+    pub(super) fn lift(expr: &mut Expr) -> Vec<String> {
+        let mut literals: Vec<String> = Vec::new();
+        compared_literals(expr, &mut |lit| {
+            let slot = match literals.iter().position(|l| l == lit) {
+                Some(slot) => slot,
+                None => {
+                    literals.push(std::mem::take(lit));
+                    literals.len() - 1
+                }
+            };
+            *lit = format!("{SLOT}{slot}");
+        });
+        literals
+    }
+
+    /// The cache key of a lifted query: its derived `Debug` rendering,
+    /// which spells out every variant and field and escapes strings, so
+    /// distinct trees never share a key (unlike `Display`). Sized from
+    /// the text so the rendering seldom reallocates.
+    pub(super) fn key(lifted: &Expr, text: &str) -> String {
+        use std::fmt::Write;
+        let mut key = String::with_capacity(16 * text.len());
+        write!(key, "{lifted:?}").expect("formatting into a String");
+        key
+    }
+
+    /// Calls `f` on every string literal compared with a path, in a fixed
+    /// order.
+    fn compared_literals(e: &mut Expr, f: &mut impl FnMut(&mut String)) {
+        match e {
+            Expr::Path(p) => path(p, f),
+            Expr::Union(ps) => ps.iter_mut().for_each(|p| path(p, f)),
+            Expr::Compare { lhs, rhs, .. } => match (&mut **lhs, &mut **rhs) {
+                (Expr::Path(p), Expr::Literal(lit)) | (Expr::Literal(lit), Expr::Path(p)) => {
+                    path(p, f);
+                    f(lit);
+                }
+                (lhs, rhs) => {
+                    compared_literals(lhs, f);
+                    compared_literals(rhs, f);
+                }
+            },
+            Expr::Arith { lhs, rhs, .. } => {
+                compared_literals(lhs, f);
+                compared_literals(rhs, f);
+            }
+            Expr::Contains(a, b) | Expr::StartsWith(a, b) => {
+                compared_literals(a, f);
+                compared_literals(b, f);
+            }
+            Expr::And(xs) | Expr::Or(xs) => xs.iter_mut().for_each(|x| compared_literals(x, f)),
+            Expr::Not(x) | Expr::Count(x) | Expr::StringLength(x) | Expr::NormalizeSpace(x) => {
+                compared_literals(x, f)
+            }
+            Expr::Number(_) | Expr::Literal(_) | Expr::Position | Expr::Last => {}
+        }
+    }
+
+    fn path(p: &mut xpath::LocationPath, f: &mut impl FnMut(&mut String)) {
+        for step in &mut p.steps {
+            for pred in &mut step.predicates {
+                compared_literals(pred, f);
+            }
+        }
+    }
+
+    /// Replaces every slot token in `stmt` by its literal.
+    pub(super) fn bind(stmt: &mut SelectStmt, literals: &[String]) {
+        for branch in &mut stmt.branches {
+            bind_select(branch, literals);
+        }
+        for key in &mut stmt.order_by {
+            bind_expr(&mut key.expr, literals);
+        }
+        debug_assert!(
+            !format!("{stmt:?}").contains(SLOT),
+            "a slot token was not a whole literal of the statement: {stmt:?}"
+        );
+    }
+
+    fn bind_select(s: &mut Select, literals: &[String]) {
+        for p in &mut s.projections {
+            bind_expr(&mut p.expr, literals);
+        }
+        if let Some(w) = &mut s.where_clause {
+            bind_expr(w, literals);
+        }
+    }
+
+    fn bind_expr(e: &mut Sql, literals: &[String]) {
+        match e {
+            Sql::Literal(Value::Str(s)) => {
+                if let Some(slot) = s.strip_prefix(SLOT).and_then(|n| n.parse::<usize>().ok()) {
+                    s.clone_from(&literals[slot]);
+                }
+            }
+            Sql::Literal(_) | Sql::Column { .. } | Sql::CountStar => {}
+            Sql::And(xs) | Sql::Or(xs) => xs.iter_mut().for_each(|x| bind_expr(x, literals)),
+            Sql::Not(x) | Sql::IsNull { expr: x, .. } | Sql::RegexpLike { subject: x, .. } => {
+                bind_expr(x, literals)
+            }
+            Sql::Cmp { lhs, rhs, .. } | Sql::Arith { lhs, rhs, .. } | Sql::Concat(lhs, rhs) => {
+                bind_expr(lhs, literals);
+                bind_expr(rhs, literals);
+            }
+            Sql::Between { expr, lo, hi, .. } => {
+                bind_expr(expr, literals);
+                bind_expr(lo, literals);
+                bind_expr(hi, literals);
+            }
+            Sql::Exists(s) | Sql::ScalarSubquery(s) => bind_select(s, literals),
+        }
+    }
+}
 
 fn empty_result(output: OutputKind) -> QueryResult {
     QueryResult {
@@ -346,7 +555,7 @@ mod body {
         pub(super) store: S,
         pub(super) opts: TranslateOptions,
         pub(super) exec: ExecOptions,
-        pub(super) cache: QueryCache,
+        pub(super) cache: Mutex<QueryCache>,
         pub(super) docs: u64,
     }
 
@@ -465,7 +674,7 @@ impl XmlDb {
             store: SchemaAwareStore::new(schema).map_err(|e| QueryError::exec(e.to_string()))?,
             opts: TranslateOptions::default(),
             exec: ExecOptions::default(),
-            cache: QueryCache::default(),
+            cache: Mutex::default(),
             docs: 0,
         })
     }
@@ -506,7 +715,7 @@ impl EdgeDb {
                 ..TranslateOptions::default()
             },
             exec: ExecOptions::default(),
-            cache: QueryCache::default(),
+            cache: Mutex::default(),
             docs: 0,
         }
     }
@@ -549,7 +758,7 @@ fn path_filters_in_stmt(stmt: &SelectStmt) -> u64 {
 fn run_query(
     db: &Database,
     xpath: &str,
-    cache: &QueryCache,
+    cache: &Mutex<QueryCache>,
     translate_expr: &dyn Fn(&xpath::Expr) -> Result<Translation, EngineError>,
     limits: QueryLimits,
     opts: ExecOptions,
@@ -572,14 +781,14 @@ fn run_query(
 fn run_query_inner(
     db: &Database,
     xpath: &str,
-    cache: &QueryCache,
+    cache: &Mutex<QueryCache>,
     translate_expr: &dyn Fn(&xpath::Expr) -> Result<Translation, EngineError>,
     limits: QueryLimits,
     opts: ExecOptions,
 ) -> Result<QueryResult, EngineError> {
     let mut engine = EngineStats::default();
 
-    let cached = lock_cache(cache).get(xpath).cloned();
+    let cached = lock_cache(cache).texts.get(xpath).cloned();
     let entry = match cached {
         Some(entry) => {
             // Warm hit: parse, translate and plan were all done the first
@@ -588,43 +797,62 @@ fn run_query_inner(
             entry
         }
         None => {
+            let parse =
+                |text: &str| xpath::parse_xpath(text).map_err(|e| QueryError::parse(e.to_string()));
             let t0 = std::time::Instant::now();
-            let expr = xpath::parse_xpath(xpath).map_err(|e| QueryError::parse(e.to_string()))?;
+            let mut lifted = parse(xpath)?;
+            let literals = shape::lift(&mut lifted);
+            let key = shape::key(&lifted, xpath);
             engine.parse_ns = t0.elapsed().as_nanos() as u64;
 
-            let t0 = std::time::Instant::now();
-            let t = translate_expr(&expr)?;
-            engine.translate_ns = t0.elapsed().as_nanos() as u64;
-            engine.regex_compiles = t.regex_compiles as u64;
-            let mut union_branches = 0;
-            let mut path_filters = 0;
-            if let Some(stmt) = &t.stmt {
-                union_branches = stmt.branches.len() as u64;
-                path_filters = path_filters_in_stmt(stmt);
-            }
+            let cached_shape = lock_cache(cache).shapes.get(&key).cloned();
+            let prepared = match cached_shape {
+                Some(shape) => {
+                    engine.shape_hits = 1;
+                    shape.bind(&literals)
+                }
+                None => {
+                    let t0 = std::time::Instant::now();
+                    let (t, is_template) = match translate_expr(&lifted) {
+                        Ok(t) => (t, true),
+                        Err(e) if literals.is_empty() => return Err(e),
+                        // A translate error may quote the query: translate
+                        // the text as written, so a failure reports the
+                        // user's literals and never a slot token.
+                        Err(_) => (translate_expr(&parse(xpath)?)?, false),
+                    };
+                    engine.translate_ns = t0.elapsed().as_nanos() as u64;
+                    engine.regex_compiles = t.regex_compiles as u64;
+                    let prepared = Prepared::new(t);
+                    if is_template {
+                        let bound = prepared.bind(&literals);
+                        insert_capped(&mut lock_cache(cache).shapes, key, Arc::new(prepared));
+                        bound
+                    } else {
+                        prepared
+                    }
+                }
+            };
 
             let entry = Arc::new(CachedQuery {
-                stmt: t.stmt.map(Arc::new),
-                output: t.output,
-                ppf_count: t.ppf_count as u64,
-                union_branches,
-                path_filters,
+                prepared,
                 plans: Mutex::new(HashMap::new()),
             });
-            let mut map = lock_cache(cache);
-            if map.len() >= QUERY_CACHE_CAP {
-                map.clear();
-            }
-            map.insert(xpath.to_string(), entry.clone());
+            insert_capped(
+                &mut lock_cache(cache).texts,
+                xpath.to_string(),
+                entry.clone(),
+            );
             entry
         }
     };
-    engine.ppf_count = entry.ppf_count;
-    engine.union_branches = entry.union_branches;
-    engine.path_filters = entry.path_filters;
+    let prepared = &entry.prepared;
+    engine.ppf_count = prepared.ppf_count;
+    engine.union_branches = prepared.union_branches;
+    engine.path_filters = prepared.path_filters;
 
-    let mut result = match &entry.stmt {
-        None => empty_result(entry.output),
+    let mut result = match &prepared.stmt {
+        None => empty_result(prepared.output),
         Some(stmt) => {
             if engine.plan_cache_hits == 0 {
                 let t0 = std::time::Instant::now();
@@ -680,7 +908,7 @@ fn run_query_inner(
             engine.path_memo_misses = stats.path_memo_misses;
             QueryResult {
                 stmt: Some(stmt.clone()),
-                output: entry.output,
+                output: prepared.output,
                 rows,
                 stats,
                 engine: EngineStats::default(),
@@ -705,6 +933,7 @@ fn run_query_inner(
     reg.incr("engine.index_probes", result.stats.index_probes);
     reg.incr("engine.vm_steps", result.stats.regex.vm_steps);
     reg.incr("engine.plan_cache_hits", engine.plan_cache_hits);
+    reg.incr("engine.shape_hits", engine.shape_hits);
     reg.incr("engine.dfa_matches", result.stats.regex.dfa_matches);
     reg.incr("engine.dfa_fallbacks", result.stats.regex.dfa_fallbacks);
     reg.incr("engine.path_memo_hits", result.stats.path_memo_hits);

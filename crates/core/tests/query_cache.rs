@@ -3,7 +3,10 @@
 //! set), give identical results, and invalidate whenever the database
 //! mutates — most importantly after a new document load, which can
 //! change the translation itself (§4.5 path marking depends on which
-//! paths exist).
+//! paths exist). A text that misses but has the shape of a cached one
+//! (the same query up to the string literals it compares paths with)
+//! skips translation only; whatever translation reads stays in the
+//! shape.
 
 use ppf_core::{EdgeDb, XmlDb};
 
@@ -136,4 +139,187 @@ fn edge_db_cache_behaves_the_same() {
     let after = db.query(q).unwrap();
     assert_eq!(after.engine.plan_cache_hits, 0);
     assert_eq!(after.ids().len(), cold.ids().len() + 1);
+}
+
+/// A library with text values, for the shape-cache tests: the texts of
+/// one shape differ in the string literals they compare paths with.
+fn library_xml() -> &'static str {
+    "<lib>\
+       <book id='b1' n='1'><title>XPath</title><author>Ann</author></book>\
+       <book id='b2' n='2'><title>SQL</title><author>Bob</author><author>Cy</author></book>\
+       <book id=\"it's\" n='3'><title>Trees</title></book>\
+     </lib>"
+}
+
+fn library_db() -> XmlDb {
+    let schema = xmlschema::parse_schema(
+        "root lib\n\
+         lib = book*\n\
+         book @id @n:int = title author*\n\
+         title : text\n\
+         author : text\n",
+    )
+    .unwrap();
+    let mut db = XmlDb::new(&schema).unwrap();
+    db.load_xml(library_xml()).unwrap();
+    db.finalize().unwrap();
+    db
+}
+
+fn library_edge_db() -> EdgeDb {
+    let mut db = EdgeDb::new();
+    db.load_xml(library_xml()).unwrap();
+    db.finalize().unwrap();
+    db
+}
+
+/// Runs `$body` once with `$db` bound to a loaded library `XmlDb` and
+/// `$fresh` to the function building it, then once with the `EdgeDb`.
+macro_rules! on_both_mappings {
+    (|$db:ident, $fresh:ident| $body:block) => {{
+        {
+            let $fresh = library_db;
+            let $db = $fresh();
+            $body
+        }
+        {
+            let $fresh = library_edge_db;
+            let $db = $fresh();
+            $body
+        }
+    }};
+}
+
+#[test]
+fn second_literal_of_a_shape_skips_translation() {
+    on_both_mappings!(|db, fresh| {
+        for [first, second] in [
+            ["//book[@id = 'b1']/title", "//book[@id = 'b2']/title"],
+            ["/lib/book[title = 'SQL']", "/lib/book[title = 'XPath']"],
+            ["//book['Ann' = author]/@id", "//book['Cy' = author]/@id"],
+            [
+                "//book[author = 'Ann' or author = 'Cy']/title",
+                "//book[author = 'Bob' or author = 'Ann']/title",
+            ],
+            // The quote a literal is written with is not part of its shape.
+            ["//book[@id = 'b2']", "//book[@id = \"it's\"]"],
+        ] {
+            let cold = db.query(first).unwrap();
+            assert_eq!(cold.engine.shape_hits, 0, "{first}");
+            assert!(cold.engine.translate_ns > 0, "{first}: {:?}", cold.engine);
+
+            let r = db.query(second).unwrap();
+            assert_eq!(r.engine.plan_cache_hits, 0, "{second}");
+            assert_eq!(r.engine.shape_hits, 1, "{second}");
+            assert_eq!(r.engine.translate_ns, 0, "{second}: {:?}", r.engine);
+            assert_eq!(r.engine.regex_compiles, 0, "{second}: {:?}", r.engine);
+            assert!(r.engine.parse_ns > 0, "{second}: {:?}", r.engine);
+            assert!(r.engine.plan_ns > 0, "{second}: {:?}", r.engine);
+            let expected = fresh().query(second).unwrap().ids();
+            assert!(!expected.is_empty(), "{second} selects something");
+            assert_eq!(r.ids(), expected, "{second}");
+            assert_eq!(r.sql(), db.sql_for(second).unwrap(), "{second}");
+
+            // The text itself is now cached under its own key.
+            let warm = db.query(second).unwrap();
+            assert_eq!(warm.engine.plan_cache_hits, 1, "{second}");
+            assert_eq!(warm.engine.shape_hits, 0, "{second}");
+            assert_eq!(warm.ids(), r.ids(), "{second}");
+        }
+    });
+}
+
+#[test]
+fn what_translation_reads_stays_in_the_shape() {
+    on_both_mappings!(|db, fresh| {
+        for [first, second] in [
+            [
+                "//book[contains(title, 'S')]",
+                "//book[contains(title, 'X')]",
+            ],
+            [
+                "//book[starts-with(title, 'T')]",
+                "//book[starts-with(title, 'S')]",
+            ],
+            ["//book[@n = 1]", "//book[@n = 2]"],
+            ["/lib/book[1]", "/lib/book[2]"],
+            ["//book[count(author) = 1]", "//book[count(author) = 2]"],
+        ] {
+            db.query(first).unwrap();
+            let r = db.query(second).unwrap();
+            assert_eq!(r.engine.plan_cache_hits, 0, "{second}");
+            assert_eq!(r.engine.shape_hits, 0, "{second}");
+            assert!(r.engine.translate_ns > 0, "{second}: {:?}", r.engine);
+            let expected = fresh().query(second).unwrap().ids();
+            assert!(!expected.is_empty(), "{second} selects something");
+            assert_eq!(r.ids(), expected, "{second}");
+        }
+    });
+}
+
+#[test]
+fn every_invalidation_drops_shapes_too() {
+    let shape_hit = |r: ppf_core::QueryResult| r.engine.shape_hits == 1;
+    let extra = "<lib><book id='b9' n='9'><title>More</title></book></lib>";
+
+    let mut db = library_db();
+    let mut edge = library_edge_db();
+    db.query("//book[@id = 'b1']").unwrap();
+    edge.query("//book[@id = 'b1']").unwrap();
+    db.load_xml(extra).unwrap();
+    edge.load_xml(extra).unwrap();
+    let r = db.query("//book[@id = 'b9']").unwrap();
+    assert!(!shape_hit(r.clone()), "load");
+    assert_eq!(r.ids().len(), 1, "the loaded document's book matches");
+    let r = edge.query("//book[@id = 'b9']").unwrap();
+    assert!(!shape_hit(r.clone()), "load (edge)");
+    assert_eq!(
+        r.ids().len(),
+        1,
+        "the loaded document's book matches (edge)"
+    );
+
+    db.finalize().unwrap();
+    edge.finalize().unwrap();
+    assert!(
+        !shape_hit(db.query("//book[@id = 'b2']").unwrap()),
+        "finalize"
+    );
+    assert!(
+        !shape_hit(edge.query("//book[@id = 'b2']").unwrap()),
+        "finalize (edge)"
+    );
+
+    db.set_exec_options(ppf_core::ExecOptions::default());
+    edge.set_exec_options(ppf_core::ExecOptions::default());
+    assert!(
+        !shape_hit(db.query("//book[@id = 'x3']").unwrap()),
+        "exec options"
+    );
+    assert!(
+        !shape_hit(edge.query("//book[@id = 'x3']").unwrap()),
+        "exec options (edge)"
+    );
+
+    db.set_path_marking(true);
+    assert!(
+        !shape_hit(db.query("//book[@id = 'x4']").unwrap()),
+        "path marking"
+    );
+
+    db.set_fk_joins(true);
+    assert!(
+        !shape_hit(db.query("//book[@id = 'x5']").unwrap()),
+        "fk joins"
+    );
+
+    // Untouched, the shape serves the next literal.
+    assert!(
+        shape_hit(db.query("//book[@id = 'x6']").unwrap()),
+        "still cached"
+    );
+    assert!(
+        shape_hit(edge.query("//book[@id = 'x6']").unwrap()),
+        "still cached (edge)"
+    );
 }

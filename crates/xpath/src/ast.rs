@@ -234,8 +234,48 @@ impl fmt::Display for LocationPath {
     }
 }
 
+impl Expr {
+    /// Binding strength in the grammar, loosest first: `or`, `and`, a
+    /// comparison, `+ - div mod`, then everything that parses as one
+    /// primary (paths, unions, literals, numbers, function calls).
+    fn precedence(&self) -> u8 {
+        match self {
+            Expr::Or(_) => 1,
+            Expr::And(_) => 2,
+            Expr::Compare { .. } => 3,
+            Expr::Arith { .. } => 4,
+            _ => 5,
+        }
+    }
+
+    /// Write `self` as an operand that must bind at least as tightly as
+    /// `min`, parenthesised when it does not.
+    fn fmt_operand(&self, f: &mut fmt::Formatter<'_>, min: u8) -> fmt::Result {
+        if self.precedence() < min {
+            write!(f, "({self})")
+        } else {
+            write!(f, "{self}")
+        }
+    }
+}
+
 impl fmt::Display for Expr {
+    /// Prints an expression that parses back to the same tree: operands
+    /// are parenthesised by precedence (comparisons do not chain, and
+    /// arithmetic associates to the left), and a literal containing `'`
+    /// is quoted with `"`. XPath 1.0 literals have no escapes, so a
+    /// string containing both quotes has no source form; it prints
+    /// between `'`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let list = |f: &mut fmt::Formatter<'_>, xs: &[Expr], sep: &str, min: u8| {
+            for (i, x) in xs.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(sep)?;
+                }
+                x.fmt_operand(f, min)?;
+            }
+            Ok(())
+        };
         match self {
             Expr::Path(p) => write!(f, "{p}"),
             Expr::Union(ps) => {
@@ -247,38 +287,21 @@ impl fmt::Display for Expr {
                 }
                 Ok(())
             }
-            Expr::Number(n) => {
-                if n.fract() == 0.0 && n.is_finite() {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
+            // Shortest round-tripping decimal, never an exponent: `2`,
+            // `0.5`, `100000000000000000000`.
+            Expr::Number(n) => write!(f, "{n}"),
+            Expr::Literal(s) if s.contains('\'') && !s.contains('"') => write!(f, "\"{s}\""),
             Expr::Literal(s) => write!(f, "'{s}'"),
-            Expr::Compare { op, lhs, rhs } => write!(f, "{lhs} {} {rhs}", op.symbol()),
-            Expr::And(xs) => {
-                for (i, x) in xs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " and ")?;
-                    }
-                    let needs_parens = matches!(x, Expr::Or(_));
-                    if needs_parens {
-                        write!(f, "({x})")?;
-                    } else {
-                        write!(f, "{x}")?;
-                    }
-                }
-                Ok(())
+            Expr::Compare { op, lhs, rhs } => {
+                lhs.fmt_operand(f, 4)?;
+                write!(f, " {} ", op.symbol())?;
+                rhs.fmt_operand(f, 4)
             }
-            Expr::Or(xs) => {
-                for (i, x) in xs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " or ")?;
-                    }
-                    write!(f, "{x}")?;
-                }
-                Ok(())
-            }
+            // `and` binds tighter than `or`, and the parser flattens a
+            // chain of either into one list, so a nested list of the same
+            // kind keeps its parentheses.
+            Expr::And(xs) => list(f, xs, " and ", 3),
+            Expr::Or(xs) => list(f, xs, " or ", 2),
             Expr::Not(x) => write!(f, "not({x})"),
             Expr::Count(x) => write!(f, "count({x})"),
             Expr::Position => write!(f, "position()"),
@@ -294,7 +317,9 @@ impl fmt::Display for Expr {
                     NumOp::Div => "div",
                     NumOp::Mod => "mod",
                 };
-                write!(f, "{lhs} {sym} {rhs}")
+                lhs.fmt_operand(f, 4)?;
+                write!(f, " {sym} ")?;
+                rhs.fmt_operand(f, 5)
             }
         }
     }

@@ -312,33 +312,27 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> Result<Expr, XPathError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_name("or") {
-            let rhs = self.and_expr()?;
-            lhs = match lhs {
-                Expr::Or(mut xs) => {
-                    xs.push(rhs);
-                    Expr::Or(xs)
-                }
-                x => Expr::Or(vec![x, rhs]),
-            };
+        let first = self.and_expr()?;
+        if !self.eat_name("or") {
+            return Ok(first);
         }
-        Ok(lhs)
+        let mut xs = vec![first, self.and_expr()?];
+        while self.eat_name("or") {
+            xs.push(self.and_expr()?);
+        }
+        Ok(Expr::Or(xs))
     }
 
     fn and_expr(&mut self) -> Result<Expr, XPathError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.eat_name("and") {
-            let rhs = self.cmp_expr()?;
-            lhs = match lhs {
-                Expr::And(mut xs) => {
-                    xs.push(rhs);
-                    Expr::And(xs)
-                }
-                x => Expr::And(vec![x, rhs]),
-            };
+        let first = self.cmp_expr()?;
+        if !self.eat_name("and") {
+            return Ok(first);
         }
-        Ok(lhs)
+        let mut xs = vec![first, self.cmp_expr()?];
+        while self.eat_name("and") {
+            xs.push(self.cmp_expr()?);
+        }
+        Ok(Expr::And(xs))
     }
 
     fn cmp_expr(&mut self) -> Result<Expr, XPathError> {
