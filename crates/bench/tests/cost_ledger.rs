@@ -130,14 +130,14 @@ fn run_planned(db: &Database, stmt: &SelectStmt, stats: bool) -> (ResultSet, f64
     let exec = Executor::with_options(db, with_stats(stats));
     let result = exec.run(stmt).expect("statement runs");
     let mut qs = Vec::new();
-    for (plan, ops) in exec.profiled_steps() {
-        for (step, op) in plan.steps.iter().zip(&ops) {
+    exec.for_each_step(|plan, ops| {
+        for (step, op) in plan.steps.iter().zip(ops) {
             if op.invocations > 0 {
                 let actual = op.rows_out as f64 / op.invocations as f64;
                 qs.push(sqlexec::qerror(step.est_rows, actual));
             }
         }
-    }
+    });
     (result, median(&mut qs))
 }
 

@@ -14,7 +14,7 @@ use relstore::{Database, Value};
 use shred::{EdgeStore, SchemaAwareStore};
 use sqlexec::plan::SelectPlan;
 pub use sqlexec::{CancelToken, ExecOptions, QueryLimits};
-use sqlexec::{ExecStats, Executor, Expr as Sql, ResultSet, Select, SelectStmt};
+use sqlexec::{ExecStats, Executor, Expr as Sql, ResultSet, Rows, Select, SelectStmt};
 use xmldom::Document;
 use xmlschema::Schema;
 
@@ -495,7 +495,7 @@ fn empty_result(output: OutputKind) -> QueryResult {
         output,
         rows: ResultSet {
             columns: vec!["id".into(), "dewey_pos".into()],
-            rows: Vec::new(),
+            rows: Rows::new(2),
         },
         stats: ExecStats::default(),
         engine: EngineStats::default(),
@@ -891,8 +891,8 @@ fn run_query_inner(
             // Keep every plan this run produced (subquery blocks are
             // planned lazily during execution) for future warm runs.
             lock_cache(&entry.plans).extend(exec.plan_snapshot());
-            for (plan, ops) in exec.profiled_steps() {
-                for (i, (step, op)) in plan.steps.iter().zip(&ops).enumerate() {
+            exec.for_each_step(|plan, ops| {
+                for (i, (step, op)) in plan.steps.iter().zip(ops).enumerate() {
                     if step.table == shred::naming::PATHS_TABLE {
                         engine.path_candidates += op.rows_in;
                         engine.path_survivors += op.rows_out;
@@ -902,7 +902,7 @@ fn run_query_inner(
                         engine.join_rows_out += op.rows_out;
                     }
                 }
-            }
+            });
             let stats = exec.stats();
             engine.path_memo_hits = stats.path_memo_hits;
             engine.path_memo_misses = stats.path_memo_misses;

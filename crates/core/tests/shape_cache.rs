@@ -66,7 +66,7 @@ macro_rules! check_text {
                     .unwrap()
                     .rows
             }
-            None => Vec::new(),
+            None => sqlexec::Rows::new(2),
         };
         assert_eq!(r.rows.rows, expected, "{text}");
         r.engine.shape_hits

@@ -17,13 +17,14 @@ use crate::ast::{ArithOp, CmpOp, Expr, RegexPattern, Select, SelectStmt};
 use crate::plan::{plan_select_with, Access, ExecError, MergeMode, SelectPlan, Step};
 
 mod tail;
-use tail::{finish_rows, project_row, KeyKind, KeyedRow};
+pub use tail::Rows;
+use tail::{Collected, KeyKind, Slots};
 
 /// A query result: named columns and rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultSet {
     pub columns: Vec<String>,
-    pub rows: Vec<Vec<Value>>,
+    pub rows: Rows,
 }
 
 /// Execution counters, for tests and the experiment harness (they make
@@ -390,18 +391,19 @@ impl<'db> Executor<'db> {
             .cloned()
     }
 
-    /// Every (plan, per-step counters) pair the current statement
+    /// Visit every (plan, per-step counters) pair the current statement
     /// recorded, across all executed blocks (branches and subqueries), in
-    /// no particular order. Lets callers roll counters up by table — e.g.
-    /// "rows examined vs surviving on the `Paths` table" — without
-    /// knowing the statement's shape.
-    pub fn profiled_steps(&self) -> Vec<(Arc<SelectPlan>, Vec<OpStats>)> {
+    /// no particular order, borrowed. Lets callers roll counters up by
+    /// table — e.g. "rows examined vs surviving on the `Paths` table" —
+    /// without knowing the statement's shape. `f` must not run statements
+    /// on this executor.
+    pub fn for_each_step(&self, mut f: impl FnMut(&SelectPlan, &[OpStats])) {
         let plans = self.plans.borrow();
-        self.step_stats
-            .borrow()
-            .iter()
-            .filter_map(|(key, ops)| plans.get(key).map(|p| (p.clone(), ops.clone())))
-            .collect()
+        for (key, ops) in self.step_stats.borrow().iter() {
+            if let Some(plan) = plans.get(key) {
+                f(plan, ops);
+            }
+        }
     }
 
     /// Snapshot of every plan the current statement used, keyed by
@@ -467,8 +469,8 @@ impl<'db> Executor<'db> {
     /// planner's `est_rows` for the same step.
     fn record_plan_qerror(&self) {
         let reg = obs::Registry::global();
-        for (plan, ops) in self.profiled_steps() {
-            for (step, op) in plan.steps.iter().zip(&ops) {
+        self.for_each_step(|plan, ops| {
+            for (step, op) in plan.steps.iter().zip(ops) {
                 if op.invocations == 0 {
                     continue;
                 }
@@ -476,7 +478,7 @@ impl<'db> Executor<'db> {
                 let q = crate::plan::qerror(step.est_rows, act);
                 reg.observe("sqlexec.plan_qerror", (q * 100.0) as u64);
             }
-        }
+        });
     }
 
     fn run_inner(&self, stmt: &SelectStmt) -> Result<ResultSet, ExecError> {
@@ -513,10 +515,10 @@ impl<'db> Executor<'db> {
                     });
                     match pos {
                         Some(i) => KeyKind::Output(i),
-                        None => KeyKind::Computed(k.expr.clone()),
+                        None => KeyKind::Computed(&k.expr),
                     }
                 }
-                other => KeyKind::Computed(other.clone()),
+                other => KeyKind::Computed(other),
             };
             if multi && matches!(kind, KeyKind::Computed(_)) {
                 return Err(ExecError::exec(
@@ -526,15 +528,23 @@ impl<'db> Executor<'db> {
             keys.push((kind, k.desc));
         }
 
-        let mut all_rows: Vec<KeyedRow> = Vec::new();
+        // Each surviving binding appends its cells, borrowed from the
+        // tables where it can; the tail copies only the survivors out.
+        let mut collected = Collected::new(arity, &keys);
         for sel in &stmt.branches {
             let mut env: Vec<Binding> = Vec::new();
+            let mut slots: Option<Slots> = None;
             self.select_rows(sel, &mut env, &mut |exec, env| {
-                all_rows.push(project_row(exec, sel, &keys, env)?);
+                if slots.is_none() {
+                    slots = Some(Slots::resolve(sel, &keys, env)?);
+                }
+                let slots = slots.as_ref().expect("resolved above");
+                collected.push(exec, slots.as_slice(), env)?;
                 Ok(true)
             })?;
         }
-        finish_rows(stmt, &mut all_rows, &keys);
+        let dedup = multi || stmt.branches.iter().any(|b| b.distinct);
+        let rows = collected.finish(dedup, &keys);
 
         let columns = first
             .projections
@@ -548,10 +558,7 @@ impl<'db> Executor<'db> {
                 })
             })
             .collect();
-        Ok(ResultSet {
-            columns,
-            rows: all_rows.into_iter().map(|(_, r)| r).collect(),
-        })
+        Ok(ResultSet { columns, rows })
     }
 
     /// Run one select block, calling `emit` per surviving binding (or once
@@ -1203,27 +1210,38 @@ impl<'db> Executor<'db> {
         name: &str,
         env: &[Binding<'db>],
     ) -> Result<&'db Value, ExecError> {
-        // Inner bindings shadow outer ones, so scan from the end.
-        for b in env.iter().rev() {
-            match qualifier {
-                Some(q) if q != &*b.alias => continue,
-                _ => {}
-            }
-            if let Some(ci) = b.table.schema.col(name) {
-                return Ok(&b.table.row(b.rid)[ci]);
-            }
-            if qualifier.is_some() {
-                return Err(ExecError::exec(format!(
-                    "alias `{}` has no column `{name}`",
-                    b.alias
-                )));
-            }
-        }
-        Err(ExecError::exec(match qualifier {
-            Some(q) => format!("unknown column `{q}.{name}`"),
-            None => format!("unknown column `{name}`"),
-        }))
+        let (pos, ci) = resolve_column(qualifier, name, env)?;
+        let b = &env[pos];
+        Ok(&b.table.row(b.rid)[ci])
     }
+}
+
+/// The binding position in `env` and the column index `qualifier.name`
+/// names. Inner bindings shadow outer ones, so the scan runs from the end.
+fn resolve_column(
+    qualifier: Option<&str>,
+    name: &str,
+    env: &[Binding<'_>],
+) -> Result<(usize, usize), ExecError> {
+    for (pos, b) in env.iter().enumerate().rev() {
+        match qualifier {
+            Some(q) if q != &*b.alias => continue,
+            _ => {}
+        }
+        if let Some(ci) = b.table.schema.col(name) {
+            return Ok((pos, ci));
+        }
+        if qualifier.is_some() {
+            return Err(ExecError::exec(format!(
+                "alias `{}` has no column `{name}`",
+                b.alias
+            )));
+        }
+    }
+    Err(ExecError::exec(match qualifier {
+        Some(q) => format!("unknown column `{q}.{name}`"),
+        None => format!("unknown column `{name}`"),
+    }))
 }
 
 // ----- helpers -----

@@ -24,7 +24,8 @@
 //! db.table_mut("t").unwrap().insert(vec![Value::Int(7)]).unwrap();
 //! let exec = Executor::new(&db);
 //! let rs = exec.query("select t.id from t where t.id > 3").unwrap();
-//! assert_eq!(rs.rows, vec![vec![Value::Int(7)]]);
+//! assert_eq!(rs.rows.len(), 1);
+//! assert_eq!(rs.rows[0], [Value::Int(7)]);
 //! ```
 
 pub mod ast;
@@ -40,7 +41,7 @@ pub use ast::{
 };
 pub use exec::{
     clear_filter_caches, compare, naive_select, CancelToken, ExecOptions, ExecStats, Executor,
-    OpStats, QueryLimits, ResultSet,
+    OpStats, QueryLimits, ResultSet, Rows,
 };
 pub use explain::{explain_analyze, explain_analyze_with_limits, explain_stmt};
 pub use parser::parse_sql;

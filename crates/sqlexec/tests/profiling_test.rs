@@ -171,11 +171,11 @@ fn global_stats_equal_sum_of_step_stats() {
         exec.run(&stmt).unwrap();
 
         // Every executed select block (outer + the EXISTS subquery).
-        let profiled = exec.profiled_steps();
-        assert_eq!(profiled.len(), 2, "{sql}");
+        let mut blocks = 0;
         let mut total = ExecStats::default();
         let mut hashed = 0;
-        for (plan, ops) in &profiled {
+        exec.for_each_step(|plan, ops| {
+            blocks += 1;
             hashed += plan
                 .steps
                 .iter()
@@ -186,7 +186,8 @@ fn global_stats_equal_sum_of_step_stats() {
                 total.index_probes += op.index_probes;
                 total.predicate_evals += op.predicate_evals;
             }
-        }
+        });
+        assert_eq!(blocks, 2, "{sql}");
         assert_eq!(hashed, hash_steps, "{sql}");
         let global = exec.stats();
         assert_eq!(global.rows_scanned, total.rows_scanned, "{sql}");
