@@ -54,6 +54,7 @@ pub fn translate_naive(schema: &Schema, expr: &XExpr) -> Result<SelectStmt, Naiv
             ],
             from,
             where_clause: conjuncts.into_iter().reduce(|a, c| a.and(c)),
+            ordinal: 0,
         }],
         order_by: vec![OrderKey {
             expr: Sql::Column {
@@ -273,6 +274,7 @@ impl<'a> Naive<'a> {
             }],
             from,
             where_clause: conjuncts.into_iter().reduce(|a, c| a.and(c)),
+            ordinal: 0,
         })))
     }
 
@@ -308,6 +310,7 @@ impl<'a> Naive<'a> {
             }],
             from,
             where_clause: conjuncts.into_iter().reduce(|a, c| a.and(c)),
+            ordinal: 0,
         })))
     }
 }

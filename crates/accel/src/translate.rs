@@ -63,6 +63,7 @@ pub fn translate_accel(expr: &XExpr) -> Result<SelectStmt, AccelError> {
             ],
             from: chain.from,
             where_clause: chain.conjuncts.into_iter().reduce(|a, c| a.and(c)),
+            ordinal: 0,
         });
     }
     Ok(SelectStmt {
@@ -391,6 +392,7 @@ impl Translator {
             }],
             from,
             where_clause: conjuncts.into_iter().reduce(|a, c| a.and(c)),
+            ordinal: 0,
         })))
     }
 
@@ -433,6 +435,7 @@ impl Translator {
             }],
             from,
             where_clause: conjuncts.into_iter().reduce(|a, c| a.and(c)),
+            ordinal: 0,
         })))
     }
 }

@@ -12,9 +12,8 @@ use std::sync::{Arc, Mutex};
 use obs::{QueryTrace, Span};
 use relstore::{Database, Value};
 use shred::{EdgeStore, SchemaAwareStore};
-use sqlexec::plan::SelectPlan;
 pub use sqlexec::{CancelToken, ExecOptions, QueryLimits};
-use sqlexec::{ExecStats, Executor, Expr as Sql, ResultSet, Rows, Select, SelectStmt};
+use sqlexec::{ExecStats, Executor, Expr as Sql, Prepared, ResultSet, Rows, Select, SelectStmt};
 use xmldom::Document;
 use xmlschema::Schema;
 
@@ -115,8 +114,11 @@ pub struct EngineStats {
     pub parse_ns: u64,
     /// XPath → SQL translation (PPF splitting, pattern building).
     pub translate_ns: u64,
-    /// Up-front planning of every UNION branch (the executor re-plans
-    /// from its own cache during execution; this measures planning cost).
+    /// Up-front planning of every UNION branch on a query-cache miss.
+    /// The plans go into the prepared statement's slots, where this run
+    /// and every later run of the cached query read them (subquery
+    /// blocks are planned into their slots when a run first reaches
+    /// them, inside `execute_ns`).
     pub plan_ns: u64,
     /// SQL execution.
     pub execute_ns: u64,
@@ -167,9 +169,9 @@ pub struct EngineStats {
 /// request ([`QueryResult::sql`], [`QueryResult::trace`]).
 #[derive(Debug, Clone)]
 pub struct QueryResult {
-    /// The cached statement that ran (`None` when the translation proved
-    /// the query empty).
-    pub stmt: Option<Arc<SelectStmt>>,
+    /// The cached prepared statement that ran, with its plans (`None`
+    /// when the translation proved the query empty).
+    pub stmt: Option<Arc<Prepared>>,
     pub output: OutputKind,
     pub rows: ResultSet,
     pub stats: ExecStats,
@@ -196,7 +198,7 @@ impl QueryResult {
     /// The SQL text of the statement that ran (`None` when statically
     /// empty), rendered on each call.
     pub fn sql(&self) -> Option<String> {
-        self.stmt.as_deref().map(sqlexec::render_stmt)
+        self.stmt.as_deref().map(|p| sqlexec::render_stmt(p.stmt()))
     }
 
     /// The query's span tree, built from this result: a `query` root
@@ -260,28 +262,29 @@ impl QueryResult {
     }
 }
 
-/// A translation as the query cache keeps it: the statement (behind
-/// `Arc`, so the `Select` addresses that key cached plans stay stable
-/// for the lifetime of the entry) and the translate-time counters.
+/// A query as the cache keeps it: the prepared statement (numbered,
+/// with one plan slot per `SELECT` block that the first run to reach the
+/// block fills) and the translate-time counters. Every run of the entry,
+/// on any thread, shares the statement and its plans through `Arc`.
 #[derive(Clone)]
-struct Prepared {
-    stmt: Option<Arc<SelectStmt>>,
+struct CachedQuery {
+    prepared: Option<Arc<Prepared>>,
     output: OutputKind,
     ppf_count: u64,
     union_branches: u64,
     path_filters: u64,
 }
 
-impl Prepared {
-    fn new(t: Translation) -> Prepared {
+impl CachedQuery {
+    fn new(t: Translation) -> CachedQuery {
         let mut union_branches = 0;
         let mut path_filters = 0;
         if let Some(stmt) = &t.stmt {
             union_branches = stmt.branches.len() as u64;
             path_filters = path_filters_in_stmt(stmt);
         }
-        Prepared {
-            stmt: t.stmt.map(Arc::new),
+        CachedQuery {
+            prepared: t.stmt.map(|stmt| Arc::new(Prepared::new(stmt))),
             output: t.output,
             ppf_count: t.ppf_count as u64,
             union_branches,
@@ -289,30 +292,20 @@ impl Prepared {
         }
     }
 
-    /// This shape's translation with slot `i` bound to `literals[i]`.
-    /// Without slots the statement is shared, not cloned.
-    fn bind(&self, literals: &[String]) -> Prepared {
+    /// This shape's query with slot `i` bound to `literals[i]`: a clone
+    /// of the statement, prepared with empty plan slots. Without slots
+    /// the prepared statement, plans included, is shared.
+    fn bind(&self, literals: &[String]) -> CachedQuery {
         let mut bound = self.clone();
         if !literals.is_empty() {
-            if let Some(stmt) = &mut bound.stmt {
-                // `self` holds the statement too, so this clones it.
-                shape::bind(Arc::make_mut(stmt), literals);
+            if let Some(prepared) = &mut bound.prepared {
+                let mut stmt = prepared.stmt().clone();
+                shape::bind(&mut stmt, literals);
+                *prepared = Arc::new(Prepared::new(stmt));
             }
         }
         bound
     }
-}
-
-/// A fully-prepared query, cached under its XPath text: its translation
-/// (bound to the text's own literals) and the plan snapshot captured
-/// from the first execution (top-level branches planned eagerly,
-/// subquery blocks as execution discovers them).
-///
-/// `Arc` + `Mutex` (not `Rc` + `RefCell`) because [`SharedEngine`] runs
-/// queries against one cache from many threads at once.
-struct CachedQuery {
-    prepared: Prepared,
-    plans: Mutex<HashMap<usize, Arc<SelectPlan>>>,
 }
 
 /// The engine's query cache, two indexes behind one lock. `texts` holds
@@ -328,7 +321,7 @@ struct CachedQuery {
 #[derive(Default)]
 struct QueryCache {
     texts: HashMap<String, Arc<CachedQuery>>,
-    shapes: HashMap<String, Arc<Prepared>>,
+    shapes: HashMap<String, Arc<CachedQuery>>,
 }
 
 impl QueryCache {
@@ -806,7 +799,7 @@ fn run_query_inner(
             engine.parse_ns = t0.elapsed().as_nanos() as u64;
 
             let cached_shape = lock_cache(cache).shapes.get(&key).cloned();
-            let prepared = match cached_shape {
+            let query = match cached_shape {
                 Some(shape) => {
                     engine.shape_hits = 1;
                     shape.bind(&literals)
@@ -823,21 +816,18 @@ fn run_query_inner(
                     };
                     engine.translate_ns = t0.elapsed().as_nanos() as u64;
                     engine.regex_compiles = t.regex_compiles as u64;
-                    let prepared = Prepared::new(t);
+                    let query = CachedQuery::new(t);
                     if is_template {
-                        let bound = prepared.bind(&literals);
-                        insert_capped(&mut lock_cache(cache).shapes, key, Arc::new(prepared));
+                        let bound = query.bind(&literals);
+                        insert_capped(&mut lock_cache(cache).shapes, key, Arc::new(query));
                         bound
                     } else {
-                        prepared
+                        query
                     }
                 }
             };
 
-            let entry = Arc::new(CachedQuery {
-                prepared,
-                plans: Mutex::new(HashMap::new()),
-            });
+            let entry = Arc::new(query);
             insert_capped(
                 &mut lock_cache(cache).texts,
                 xpath.to_string(),
@@ -846,37 +836,35 @@ fn run_query_inner(
             entry
         }
     };
-    let prepared = &entry.prepared;
-    engine.ppf_count = prepared.ppf_count;
-    engine.union_branches = prepared.union_branches;
-    engine.path_filters = prepared.path_filters;
+    engine.ppf_count = entry.ppf_count;
+    engine.union_branches = entry.union_branches;
+    engine.path_filters = entry.path_filters;
 
-    let mut result = match &prepared.stmt {
-        None => empty_result(prepared.output),
-        Some(stmt) => {
+    let mut result = match &entry.prepared {
+        None => empty_result(entry.output),
+        Some(prepared) => {
             if engine.plan_cache_hits == 0 {
                 let t0 = std::time::Instant::now();
-                let mut plans = lock_cache(&entry.plans);
-                for branch in &stmt.branches {
-                    let plan = Arc::new(
-                        sqlexec::plan::plan_select_with(db, branch, &[], &opts)
-                            .map_err(QueryError::from)?,
-                    );
+                for branch in &prepared.stmt().branches {
+                    let plan = sqlexec::plan::plan_select_with(db, branch, &[], &opts)
+                        .map_err(QueryError::from)?;
                     engine.plan_steps += plan.steps.len() as u64;
-                    plans.insert(branch as *const Select as usize, plan);
+                    prepared
+                        .set_plan(branch.ordinal, Arc::new(plan))
+                        .map_err(QueryError::from)?;
                 }
                 engine.plan_ns = t0.elapsed().as_nanos() as u64;
             }
 
             let exec = Executor::with_options(db, opts);
-            exec.seed_plans(&lock_cache(&entry.plans));
             exec.set_limits(limits.clone());
             let t0 = std::time::Instant::now();
             // Contain any panic that escapes the executor: one bad query
             // must degrade to an error, not take down every query in the
             // process.
-            let run_outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exec.run(stmt)));
+            let run_outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                exec.run_prepared(prepared)
+            }));
             let rows = match run_outcome {
                 Ok(Ok(rows)) => rows,
                 Ok(Err(e)) => return Err(QueryError::from(e)),
@@ -888,9 +876,6 @@ fn run_query_inner(
                 }
             };
             engine.execute_ns = t0.elapsed().as_nanos() as u64;
-            // Keep every plan this run produced (subquery blocks are
-            // planned lazily during execution) for future warm runs.
-            lock_cache(&entry.plans).extend(exec.plan_snapshot());
             exec.for_each_step(|plan, ops| {
                 for (i, (step, op)) in plan.steps.iter().zip(ops).enumerate() {
                     if step.table == shred::naming::PATHS_TABLE {
@@ -907,8 +892,8 @@ fn run_query_inner(
             engine.path_memo_hits = stats.path_memo_hits;
             engine.path_memo_misses = stats.path_memo_misses;
             QueryResult {
-                stmt: Some(stmt.clone()),
-                output: prepared.output,
+                stmt: Some(prepared.clone()),
+                output: entry.output,
                 rows,
                 stats,
                 engine: EngineStats::default(),

@@ -84,7 +84,7 @@ pub enum OutputKind {
 #[derive(Debug, Clone)]
 pub struct Translation {
     /// `None` when the query is statically empty (infeasible against the
-    /// schema).
+    /// schema). Its blocks are numbered ([`SelectStmt::number_blocks`]).
     pub stmt: Option<SelectStmt>,
     pub output: OutputKind,
     /// Total primitive path fragments identified across every branch and
@@ -163,17 +163,21 @@ pub fn translate(
             regex_compiles: ctx.patterns.len(),
         });
     }
+    let mut stmt = SelectStmt {
+        branches: selects,
+        order_by: vec![OrderKey {
+            expr: Sql::Column {
+                qualifier: None,
+                name: "dewey_pos".to_string(),
+            },
+            desc: false,
+        }],
+    };
+    // Numbered as a `Prepared` numbers it, so a plan made from one of
+    // its branches names each subquery's plan slot correctly.
+    stmt.number_blocks();
     Ok(Translation {
-        stmt: Some(SelectStmt {
-            branches: selects,
-            order_by: vec![OrderKey {
-                expr: Sql::Column {
-                    qualifier: None,
-                    name: "dewey_pos".to_string(),
-                },
-                desc: false,
-            }],
-        }),
+        stmt: Some(stmt),
         output,
         ppf_count: ctx.ppf_count,
         regex_compiles: ctx.patterns.len(),
@@ -440,6 +444,7 @@ impl<'a> Ctx<'a> {
                 projections,
                 from: branch.from,
                 where_clause: conjoin(branch.conjuncts),
+                ordinal: 0,
             });
         }
         Ok((selects, output))
@@ -1219,6 +1224,7 @@ impl<'a> Ctx<'a> {
             }],
             from: vec![TableRef::new(&node.relation, &sib)],
             where_clause: conjoin(conj),
+            ordinal: 0,
         };
         Ok(Sql::Cmp {
             op,
@@ -1393,6 +1399,7 @@ impl<'a> Ctx<'a> {
                 }],
                 from: ib.from,
                 where_clause: conjoin(ib.conjuncts),
+                ordinal: 0,
             })));
         }
         Ok(parts.into_iter().reduce(|a, c| a.or(c)).unwrap_or(FALSE))
@@ -1462,6 +1469,7 @@ impl<'a> Ctx<'a> {
                     }],
                     from: vec![TableRef::new(ATTR_TABLE, &alias)],
                     where_clause: conjoin(conj),
+                    ordinal: 0,
                 })))
             }
         }
@@ -1589,6 +1597,7 @@ impl<'a> Ctx<'a> {
             }],
             from: ib.from,
             where_clause: conjoin(ib.conjuncts),
+            ordinal: 0,
         };
         Ok(Sql::Cmp {
             op,
@@ -1671,6 +1680,7 @@ impl<'a> Ctx<'a> {
                     }],
                     from: merged.from,
                     where_clause: conjoin(merged.conjuncts),
+                    ordinal: 0,
                 })));
             }
         }

@@ -78,15 +78,86 @@ impl SelectStmt {
             order_by: Vec::new(),
         }
     }
+
+    /// Number every `SELECT` block in one preorder pass — each UNION
+    /// branch, then the subqueries inside it, then those in the ORDER BY
+    /// keys — and return how many there are. Numbering is a function of
+    /// the statement's shape, so renumbering a numbered statement (or a
+    /// clone of it with other literals) changes nothing.
+    pub fn number_blocks(&mut self) -> usize {
+        let mut next = 0;
+        self.for_each_block_mut(&mut |sel| {
+            sel.ordinal = next;
+            next += 1;
+        });
+        next
+    }
+
+    /// Call `f` on every `SELECT` block, in the preorder
+    /// [`SelectStmt::number_blocks`] numbers them in.
+    pub fn for_each_block_mut(&mut self, f: &mut impl FnMut(&mut Select)) {
+        for branch in &mut self.branches {
+            visit_select(branch, f);
+        }
+        for key in &mut self.order_by {
+            visit_expr(&mut key.expr, f);
+        }
+    }
+}
+
+fn visit_select(sel: &mut Select, f: &mut impl FnMut(&mut Select)) {
+    f(sel);
+    for p in &mut sel.projections {
+        visit_expr(&mut p.expr, f);
+    }
+    if let Some(w) = &mut sel.where_clause {
+        visit_expr(w, f);
+    }
+}
+
+fn visit_expr(e: &mut Expr, f: &mut impl FnMut(&mut Select)) {
+    match e {
+        Expr::Exists(sel) | Expr::ScalarSubquery(sel) => visit_select(sel, f),
+        Expr::Column { .. } | Expr::Literal(_) | Expr::CountStar => {}
+        Expr::Cmp { lhs, rhs, .. } | Expr::Arith { lhs, rhs, .. } | Expr::Concat(lhs, rhs) => {
+            visit_expr(lhs, f);
+            visit_expr(rhs, f);
+        }
+        Expr::Between { expr, lo, hi, .. } => {
+            visit_expr(expr, f);
+            visit_expr(lo, f);
+            visit_expr(hi, f);
+        }
+        Expr::And(xs) | Expr::Or(xs) => xs.iter_mut().for_each(|x| visit_expr(x, f)),
+        Expr::Not(x) | Expr::IsNull { expr: x, .. } | Expr::RegexpLike { subject: x, .. } => {
+            visit_expr(x, f)
+        }
+    }
 }
 
 /// One `SELECT` block.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Select {
     pub distinct: bool,
     pub projections: Vec<Projection>,
     pub from: Vec<TableRef>,
     pub where_clause: Option<Expr>,
+    /// The block's position in its statement's preorder, numbered by
+    /// [`SelectStmt::number_blocks`] (0 until then). A
+    /// [`Prepared`](crate::Prepared) statement keeps each block's plan,
+    /// and an executor its per-run counters, under this number; the
+    /// clones a plan makes of a subquery keep it, so they name the same
+    /// block. It takes no part in equality or rendering.
+    pub ordinal: usize,
+}
+
+impl PartialEq for Select {
+    fn eq(&self, other: &Select) -> bool {
+        self.distinct == other.distinct
+            && self.projections == other.projections
+            && self.from == other.from
+            && self.where_clause == other.where_clause
+    }
 }
 
 /// A projected expression with an optional output alias.
@@ -375,6 +446,7 @@ mod tests {
             }],
             from: vec![TableRef::new("F", "F")],
             where_clause: Some(Expr::eq(Expr::column("F", "x"), Expr::column("B", "y"))),
+            ordinal: 0,
         };
         let e = Expr::Exists(Box::new(sub));
         let mut out = Vec::new();

@@ -15,6 +15,7 @@ use relstore::{Database, RowId, Table, Value};
 
 use crate::ast::{ArithOp, CmpOp, Expr, RegexPattern, Select, SelectStmt};
 use crate::plan::{plan_select_with, Access, ExecError, MergeMode, SelectPlan, Step};
+use crate::prepared::Prepared;
 
 mod tail;
 pub use tail::Rows;
@@ -249,13 +250,12 @@ pub struct Executor<'db> {
     db: &'db Database,
     pub(crate) opts: ExecOptions,
     stats: RefCell<ExecStats>,
-    /// Per-statement plan cache keyed by `Select` address; cleared at each
-    /// top-level `run` so addresses cannot dangle across statements.
-    plans: RefCell<HashMap<usize, Arc<SelectPlan>>>,
-    /// Plans seeded from a previous statement execution (the engine's
-    /// query cache re-uses `Select` ASTs behind shared pointers, keeping
-    /// addresses stable). Consulted by `plan_for` after `plans`; never
-    /// cleared by `run`.
+    /// The statement being run, or last run: its blocks' plans are where
+    /// `plan_for` reads and fills them.
+    prepared: RefCell<Option<Arc<Prepared>>>,
+    /// Top-level plans for the next [`Executor::run`], keyed by the
+    /// address of the branch they were made from (the
+    /// [`Executor::seed_plans`] shim).
     seeded: RefCell<HashMap<usize, Arc<SelectPlan>>>,
     /// Slot holding the current `COUNT(*)` aggregate while its projection
     /// is evaluated.
@@ -263,18 +263,18 @@ pub struct Executor<'db> {
     /// Flattened indexes for the sort-merge cursor. Valid for this
     /// executor's lifetime — the database borrow is immutable.
     merge_arrays: RefCell<MergeArrays<'db>>,
-    /// Sort-merge cursor positions keyed by (Select address, step depth);
-    /// cleared per `run` alongside the plan cache.
-    merge_cursors: RefCell<HashMap<(usize, usize), usize>>,
+    /// Sort-merge cursor positions by block ordinal and step depth;
+    /// cleared per run.
+    merge_cursors: RefCell<Vec<Vec<usize>>>,
     /// Pool of probe-row buffers (one live per nested-loop depth);
     /// acquiring past the pool counts into `ExecStats::probe_allocs`.
     row_buf_pool: RefCell<Vec<Vec<RowId>>>,
     /// Scratch composite-key buffer for `IndexEq` probes, reused across
     /// probes instead of a fresh `Vec<Value>` each.
     key_scratch: RefCell<Vec<Value>>,
-    /// Per-step counters keyed by `Select` address (same key as the plan
-    /// cache), one slot per plan step; cleared at each top-level `run`.
-    step_stats: RefCell<HashMap<usize, Vec<OpStats>>>,
+    /// Per-step counters by block ordinal, one slot per plan step (empty
+    /// for a block that has not run); cleared per run.
+    step_stats: RefCell<Vec<Vec<OpStats>>>,
     /// When true, `OpStats::elapsed_ns` is measured (two `Instant` reads
     /// per step invocation); counters are maintained regardless.
     profiling: std::cell::Cell<bool>,
@@ -301,14 +301,14 @@ impl<'db> Executor<'db> {
             db,
             opts,
             stats: RefCell::new(ExecStats::default()),
-            plans: RefCell::new(HashMap::new()),
+            prepared: RefCell::new(None),
             seeded: RefCell::new(HashMap::new()),
             count_result: std::cell::Cell::new(None),
             merge_arrays: RefCell::new(HashMap::new()),
-            merge_cursors: RefCell::new(HashMap::new()),
+            merge_cursors: RefCell::new(Vec::new()),
             row_buf_pool: RefCell::new(Vec::new()),
             key_scratch: RefCell::new(Vec::new()),
-            step_stats: RefCell::new(HashMap::new()),
+            step_stats: RefCell::new(Vec::new()),
             profiling: std::cell::Cell::new(false),
             limits: RefCell::new(QueryLimits::none()),
             limits_active: Cell::new(false),
@@ -369,54 +369,42 @@ impl<'db> Executor<'db> {
         self.limits.borrow().check_interrupt()
     }
 
-    /// Per-step counters for a `Select` executed by the current statement
+    /// Per-step counters of block `ordinal` of the last statement run
     /// (`None` if the block never ran — e.g. a short-circuited subquery).
     /// Slots align with the plan's steps in execution order.
-    pub fn step_stats(&self, sel: &Select) -> Option<Vec<OpStats>> {
+    pub fn step_stats(&self, ordinal: usize) -> Option<Vec<OpStats>> {
         self.step_stats
             .borrow()
-            .get(&(sel as *const Select as usize))
+            .get(ordinal)
+            .filter(|ops| !ops.is_empty())
             .cloned()
     }
 
-    /// The plan the current statement actually used for `sel`, if that
-    /// block was planned. `EXPLAIN ANALYZE` renders subquery blocks from
-    /// this plan so they are the very `Select` clones the executor
-    /// profiled (re-planning would produce fresh clones whose addresses
-    /// match no recorded counters).
-    pub fn cached_plan(&self, sel: &Select) -> Option<Arc<SelectPlan>> {
-        self.plans
-            .borrow()
-            .get(&(sel as *const Select as usize))
-            .cloned()
-    }
-
-    /// Visit every (plan, per-step counters) pair the current statement
+    /// Visit every (plan, per-step counters) pair the last statement run
     /// recorded, across all executed blocks (branches and subqueries), in
-    /// no particular order, borrowed. Lets callers roll counters up by
-    /// table — e.g. "rows examined vs surviving on the `Paths` table" —
-    /// without knowing the statement's shape. `f` must not run statements
-    /// on this executor.
+    /// block order, borrowed. Lets callers roll counters up by table —
+    /// e.g. "rows examined vs surviving on the `Paths` table" — without
+    /// knowing the statement's shape. `f` must not run statements on this
+    /// executor.
     pub fn for_each_step(&self, mut f: impl FnMut(&SelectPlan, &[OpStats])) {
-        let plans = self.plans.borrow();
-        for (key, ops) in self.step_stats.borrow().iter() {
-            if let Some(plan) = plans.get(key) {
+        let prepared = self.prepared.borrow();
+        let Some(prepared) = prepared.as_deref() else {
+            return;
+        };
+        for (ordinal, ops) in self.step_stats.borrow().iter().enumerate() {
+            if let Some(plan) = prepared.plan(ordinal).filter(|_| !ops.is_empty()) {
                 f(plan, ops);
             }
         }
     }
 
-    /// Snapshot of every plan the current statement used, keyed by
-    /// `Select` address. The engine's query cache captures this after the
-    /// first execution and replays it via [`Executor::seed_plans`] into
-    /// fresh executors — sound because the cached statement's `Select`s
-    /// live behind shared pointers and keep their addresses.
-    pub fn plan_snapshot(&self) -> HashMap<usize, Arc<SelectPlan>> {
-        self.plans.borrow().clone()
-    }
-
-    /// Pre-load plans captured by [`Executor::plan_snapshot`] so the next
-    /// `run` skips planning for those `Select` blocks.
+    /// Plans for the top-level branches of the statement the next
+    /// [`Executor::run`] is given, keyed by the address of the branch
+    /// each was planned from. A shim for callers that plan branches
+    /// themselves before running: it is the only plan map keyed by an
+    /// address, it lasts one `run`, and it is ignored unless that
+    /// statement is numbered ([`SelectStmt::number_blocks`]), since a
+    /// seeded plan's subqueries name their plans by ordinal.
     pub fn seed_plans(&self, snapshot: &HashMap<usize, Arc<SelectPlan>>) {
         self.seeded
             .borrow_mut()
@@ -438,15 +426,37 @@ impl<'db> Executor<'db> {
         self.run(&stmt)
     }
 
-    /// Run a statement AST. Limit and cancellation aborts are counted
-    /// into [`ExecStats`] here, on the way out.
+    /// Prepare a copy of `stmt` and run it ([`Executor::run_prepared`]).
+    /// Plans seeded by [`Executor::seed_plans`] for its branches go into
+    /// the copy's slots first.
     pub fn run(&self, stmt: &SelectStmt) -> Result<ResultSet, ExecError> {
+        let seeded = self.seeded.take();
+        let mut copy = stmt.clone();
+        let seed = !seeded.is_empty() && is_numbered(&mut copy);
+        let prepared = Prepared::new(copy);
+        if seed {
+            for branch in &stmt.branches {
+                if let Some(plan) = seeded.get(&(branch as *const Select as usize)) {
+                    prepared.set_plan(branch.ordinal, plan.clone())?;
+                }
+            }
+        }
+        self.run_prepared(&Arc::new(prepared))
+    }
+
+    /// Run a prepared statement, planning each block it reaches whose
+    /// slot is still empty. Limit and cancellation aborts are counted
+    /// into [`ExecStats`] here, on the way out.
+    pub fn run_prepared(&self, prepared: &Arc<Prepared>) -> Result<ResultSet, ExecError> {
         self.rows_charged.set(0);
         self.limit_tick.set(0);
+        self.begin(prepared);
         // Up-front poll so an already-expired deadline or pre-fired token
         // aborts deterministically, even for queries too small to ever
         // reach an in-loop check.
-        let result = self.check_limits_now().and_then(|()| self.run_inner(stmt));
+        let result = self
+            .check_limits_now()
+            .and_then(|()| self.run_inner(prepared.stmt()));
         match &result {
             Ok(_) => self.record_plan_qerror(),
             Err(e) => {
@@ -459,6 +469,15 @@ impl<'db> Executor<'db> {
             }
         }
         result
+    }
+
+    /// Make `prepared` the running statement, with fresh per-run state.
+    fn begin(&self, prepared: &Arc<Prepared>) {
+        *self.prepared.borrow_mut() = Some(prepared.clone());
+        self.merge_cursors.borrow_mut().clear();
+        let mut step_stats = self.step_stats.borrow_mut();
+        step_stats.clear();
+        step_stats.resize_with(prepared.blocks(), Vec::new);
     }
 
     /// Feed per-step estimation quality into the global registry
@@ -482,9 +501,6 @@ impl<'db> Executor<'db> {
     }
 
     fn run_inner(&self, stmt: &SelectStmt) -> Result<ResultSet, ExecError> {
-        self.plans.borrow_mut().clear();
-        self.merge_cursors.borrow_mut().clear();
-        self.step_stats.borrow_mut().clear();
         if stmt.branches.is_empty() {
             return Err(ExecError::exec("statement has no SELECT branch"));
         }
@@ -599,22 +615,22 @@ impl<'db> Executor<'db> {
         Ok(())
     }
 
+    /// `sel`'s plan from its slot in the running statement, planned into
+    /// the slot on first use.
     fn plan_for(&self, sel: &Select, env: &[Binding<'db>]) -> Result<Arc<SelectPlan>, ExecError> {
-        let key = sel as *const Select as usize;
-        if let Some(p) = self.plans.borrow().get(&key) {
-            return Ok(p.clone());
-        }
-        if let Some(p) = self.seeded.borrow().get(&key) {
-            self.plans.borrow_mut().insert(key, p.clone());
-            return Ok(p.clone());
+        let prepared = self.prepared.borrow();
+        let prepared = prepared
+            .as_deref()
+            .ok_or_else(|| ExecError::exec("no statement is running"))?;
+        if let Some(plan) = prepared.plan(sel.ordinal) {
+            return Ok(plan.clone());
         }
         let outer: Vec<(String, String)> = env
             .iter()
             .map(|b| (b.alias.to_string(), b.table.schema.name.clone()))
             .collect();
-        let plan = Arc::new(plan_select_with(self.db, sel, &outer, &self.opts)?);
-        self.plans.borrow_mut().insert(key, plan.clone());
-        Ok(plan)
+        let plan = plan_select_with(self.db, sel, &outer, &self.opts)?;
+        prepared.set_plan(sel.ordinal, Arc::new(plan)).cloned()
     }
 
     /// Wrapper around [`Self::exec_steps_inner`] that flushes this step's
@@ -666,10 +682,11 @@ impl<'db> Executor<'db> {
             local.elapsed_ns = t0.elapsed().as_nanos() as u64;
         }
         {
-            let mut map = self.step_stats.borrow_mut();
-            let slots = map
-                .entry(sel as *const Select as usize)
-                .or_insert_with(|| vec![OpStats::default(); plan.steps.len()]);
+            let mut step_stats = self.step_stats.borrow_mut();
+            let slots = &mut step_stats[sel.ordinal];
+            if slots.is_empty() {
+                slots.resize(plan.steps.len(), OpStats::default());
+            }
             slots[depth].absorb(&local);
         }
         {
@@ -856,10 +873,18 @@ impl<'db> Executor<'db> {
                     local.index_probes += 1;
                     self.stats.borrow_mut().merge_probes += 1;
                     let entries = self.merge_entries(table, *index);
-                    let ckey = (sel as *const Select as usize, depth);
-                    let hint = self.merge_cursors.borrow().get(&ckey).copied().unwrap_or(0);
-                    let start = seek_first(&entries, hint, &lo_v);
-                    self.merge_cursors.borrow_mut().insert(ckey, start);
+                    let start = {
+                        let mut cursors = self.merge_cursors.borrow_mut();
+                        if cursors.len() <= sel.ordinal {
+                            cursors.resize_with(sel.ordinal + 1, Vec::new);
+                        }
+                        let block = &mut cursors[sel.ordinal];
+                        if block.len() <= depth {
+                            block.resize(depth + 1, 0);
+                        }
+                        block[depth] = seek_first(&entries, block[depth], &lo_v);
+                        block[depth]
+                    };
                     for (k, rids) in &entries[start..] {
                         if !within_hi(k, &hi_v) {
                             break;
@@ -1246,6 +1271,19 @@ fn resolve_column(
 
 // ----- helpers -----
 
+/// Whether every block of `stmt` carries the ordinal
+/// [`SelectStmt::number_blocks`] would give it (the walk is the mutable
+/// one numbering uses; it changes nothing).
+fn is_numbered(stmt: &mut SelectStmt) -> bool {
+    let mut next = 0;
+    let mut numbered = true;
+    stmt.for_each_block_mut(&mut |sel| {
+        numbered &= sel.ordinal == next;
+        next += 1;
+    });
+    numbered
+}
+
 /// An evaluated range endpoint: the key value (borrowed from its row or
 /// the plan when it is a column or literal) plus inclusivity; `None`
 /// means unbounded on that side.
@@ -1524,9 +1562,13 @@ fn value_successor(v: &Value) -> Option<Value> {
 }
 
 /// Reference executor used by property tests: evaluates a single-branch
-/// select by brute-force cross product with no planner, no indexes.
+/// select by brute-force cross product with no planner, no indexes
+/// (subqueries run through the executor's planner).
 pub fn naive_select(db: &Database, sel: &Select) -> Result<Vec<Vec<Value>>, ExecError> {
     let exec = Executor::new(db);
+    let prepared = Arc::new(Prepared::new(SelectStmt::single(sel.clone())));
+    exec.begin(&prepared);
+    let sel = &prepared.stmt().branches[0];
     let mut env: Vec<Binding> = Vec::new();
     let mut out = Vec::new();
     fn recurse<'db>(

@@ -3,11 +3,19 @@
 //! which executes the statement and annotates every plan step with the
 //! actual rows, probes, and wall time measured by the executor.
 
+use std::sync::Arc;
+
 use crate::ast::{Expr, Select, SelectStmt};
 use crate::exec::{ExecOptions, Executor, QueryLimits};
 use crate::plan::{plan_select_with, Access, ExecError};
+use crate::prepared::Prepared;
 use crate::render::render_expr;
 use relstore::Database;
+
+/// A profiled run to annotate the plan with: the executor, which holds
+/// the per-step counters, and the prepared statement, whose slots hold
+/// the plans its blocks ran.
+type Ran<'a, 'db> = (&'a Executor<'db>, &'a Prepared);
 
 /// Render the physical plan for every branch of a statement.
 pub fn explain_stmt(db: &Database, stmt: &SelectStmt) -> Result<String, ExecError> {
@@ -40,10 +48,11 @@ pub fn explain_analyze_with_limits(
     let exec = Executor::with_options(db, opts);
     exec.set_profiling(true);
     exec.set_limits(limits);
+    let prepared = Arc::new(Prepared::new(stmt.clone()));
     let t0 = std::time::Instant::now();
-    let result = exec.run(stmt)?;
+    let result = exec.run_prepared(&prepared)?;
     let elapsed = t0.elapsed();
-    let mut out = render_stmt_plan(db, stmt, Some(&exec))?;
+    let mut out = render_stmt_plan(db, prepared.stmt(), Some((&exec, &prepared)))?;
     let stats = exec.stats();
     out.push_str(&format!(
         "actual: {} row(s) in {:.3} ms; rows_scanned={} index_probes={} predicate_evals={} subqueries={} limit_aborts={} cancelled={}\n",
@@ -62,14 +71,14 @@ pub fn explain_analyze_with_limits(
 fn render_stmt_plan(
     db: &Database,
     stmt: &SelectStmt,
-    exec: Option<&Executor>,
+    ran: Option<Ran>,
 ) -> Result<String, ExecError> {
     let mut out = String::new();
     for (i, branch) in stmt.branches.iter().enumerate() {
         if stmt.branches.len() > 1 {
             out.push_str(&format!("-- branch {} of {}\n", i + 1, stmt.branches.len()));
         }
-        explain_select(db, branch, &[], 0, &mut out, exec)?;
+        explain_select(db, branch, &[], 0, &mut out, ran)?;
     }
     if !stmt.order_by.is_empty() {
         out.push_str("sort: ");
@@ -99,20 +108,21 @@ fn explain_select(
     outer: &[(String, String)],
     depth: usize,
     out: &mut String,
-    exec: Option<&Executor>,
+    ran: Option<Ran>,
 ) -> Result<(), ExecError> {
-    // Prefer the plan the executor actually ran: its residual expressions
-    // are the clones whose subquery `Select` addresses key the recorded
-    // step stats. Fall back to fresh planning, under the executor's
-    // options, for blocks that never ran.
-    let plan = match exec.and_then(|e| e.cached_plan(sel)) {
-        Some(p) => p,
+    // Prefer the plan the executor actually ran, from the block's slot
+    // in the statement. Fall back to fresh planning, under the
+    // executor's options, for blocks that never ran; a subquery inside
+    // either plan keeps its ordinal, so it finds its own slot and
+    // counters the same way.
+    let plan = match ran.and_then(|(_, prepared)| prepared.plan(sel.ordinal)) {
+        Some(p) => p.clone(),
         None => {
-            let opts = exec.map_or_else(ExecOptions::default, |e| e.opts);
-            std::sync::Arc::new(plan_select_with(db, sel, outer, &opts)?)
+            let opts = ran.map_or_else(ExecOptions::default, |(exec, _)| exec.opts);
+            Arc::new(plan_select_with(db, sel, outer, &opts)?)
         }
     };
-    let actuals = exec.map(|e| e.step_stats(sel));
+    let actuals = ran.map(|(exec, _)| exec.step_stats(sel.ordinal));
     for (i, step) in plan.steps.iter().enumerate() {
         indent(out, depth);
         let table = db
@@ -177,7 +187,7 @@ fn explain_select(
             " (est {:.1} fetched, {:.1} out)",
             step.est_fetched, step.est_rows
         ));
-        if exec.is_some() {
+        if ran.is_some() {
             match actuals.as_ref().and_then(|a| a.as_ref()).map(|a| a[i]) {
                 Some(op) => {
                     out.push_str(&format!(
@@ -214,7 +224,7 @@ fn explain_select(
             inner_outer.push((t.alias.clone(), t.table.clone()));
         }
         for r in &step.residuals {
-            explain_subqueries(db, r, &inner_outer, depth + 1, out, exec)?;
+            explain_subqueries(db, r, &inner_outer, depth + 1, out, ran)?;
         }
     }
     let mut inner_outer: Vec<(String, String)> = outer.to_vec();
@@ -224,7 +234,7 @@ fn explain_select(
     for f in &plan.late_filters {
         indent(out, depth);
         out.push_str("late filter\n");
-        explain_subqueries(db, f, &inner_outer, depth + 1, out, exec)?;
+        explain_subqueries(db, f, &inner_outer, depth + 1, out, ran)?;
     }
     Ok(())
 }
@@ -235,29 +245,29 @@ fn explain_subqueries(
     outer: &[(String, String)],
     depth: usize,
     out: &mut String,
-    exec: Option<&Executor>,
+    ran: Option<Ran>,
 ) -> Result<(), ExecError> {
     match e {
         Expr::Exists(sel) => {
             indent(out, depth);
             out.push_str("exists subquery:\n");
-            explain_select(db, sel, outer, depth + 1, out, exec)
+            explain_select(db, sel, outer, depth + 1, out, ran)
         }
         Expr::ScalarSubquery(sel) => {
             indent(out, depth);
             out.push_str("scalar subquery:\n");
-            explain_select(db, sel, outer, depth + 1, out, exec)
+            explain_select(db, sel, outer, depth + 1, out, ran)
         }
         Expr::And(xs) | Expr::Or(xs) => {
             for x in xs {
-                explain_subqueries(db, x, outer, depth, out, exec)?;
+                explain_subqueries(db, x, outer, depth, out, ran)?;
             }
             Ok(())
         }
-        Expr::Not(x) => explain_subqueries(db, x, outer, depth, out, exec),
+        Expr::Not(x) => explain_subqueries(db, x, outer, depth, out, ran),
         Expr::Cmp { lhs, rhs, .. } => {
-            explain_subqueries(db, lhs, outer, depth, out, exec)?;
-            explain_subqueries(db, rhs, outer, depth, out, exec)
+            explain_subqueries(db, lhs, outer, depth, out, ran)?;
+            explain_subqueries(db, rhs, outer, depth, out, ran)
         }
         _ => Ok(()),
     }

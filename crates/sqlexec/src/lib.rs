@@ -13,7 +13,10 @@
 //!   cardinality and turns structural-join predicates into B-tree index
 //!   probes (equality and `BETWEEN` ranges on `dewey_pos`);
 //! * an **executor** ([`exec`]) implementing an index-nested-loop pipeline
-//!   with early-exit `EXISTS`, plus `DISTINCT`/`UNION`/`ORDER BY`.
+//!   with early-exit `EXISTS`, plus `DISTINCT`/`UNION`/`ORDER BY`;
+//! * a **prepared statement** ([`prepared`]): a statement with its
+//!   `SELECT` blocks numbered and one plan slot per block, filled by the
+//!   first run that reaches the block and shared by every later run.
 //!
 //! # Example
 //! ```
@@ -34,6 +37,7 @@ pub mod explain;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
+pub mod prepared;
 pub mod render;
 
 pub use ast::{
@@ -46,4 +50,5 @@ pub use exec::{
 pub use explain::{explain_analyze, explain_analyze_with_limits, explain_stmt};
 pub use parser::parse_sql;
 pub use plan::{qerror, ExecError, MergeMode, SelectPlan};
+pub use prepared::Prepared;
 pub use render::render_stmt;

@@ -206,6 +206,7 @@ impl Parser {
             projections,
             from,
             where_clause,
+            ordinal: 0,
         })
     }
 

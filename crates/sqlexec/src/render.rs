@@ -214,6 +214,7 @@ mod tests {
                     ))
                     .and(Expr::eq(Expr::column("A", "x"), Expr::int(3))),
             ),
+            ordinal: 0,
         };
         let stmt = SelectStmt {
             branches: vec![sel],
@@ -283,6 +284,7 @@ mod tests {
                 Expr::column(t, "id"),
                 Expr::int(5),
             )))),
+            ordinal: 0,
         };
         let stmt = SelectStmt {
             branches: vec![mk("D"), mk("E")],

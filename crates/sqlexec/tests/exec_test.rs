@@ -1,8 +1,10 @@
 //! End-to-end executor tests on a small, hand-checkable database shaped
 //! like the paper's shredded relations.
 
+use std::sync::{Arc, Barrier};
+
 use relstore::{ColType, Database, TableSchema, Value};
-use sqlexec::Executor;
+use sqlexec::{naive_select, parse_sql, Executor, Prepared};
 
 /// Build a miniature shredded database: elements A, B, F with Dewey
 /// positions and a Paths relation, as the schema-aware mapping would.
@@ -257,4 +259,161 @@ fn column_naming_in_result() {
         .query("select F.id as fid, F.text from F where F.id = 10")
         .unwrap();
     assert_eq!(rs.columns, vec!["fid".to_string(), "text".to_string()]);
+}
+
+/// Items 0..40 with tags and notes: item `i` is tagged `red` when even
+/// and `blue` when a multiple of 3, and has a note reading `red` when a
+/// multiple of 4 and `green` when a multiple of 5. Dewey keys run
+/// against the ids, so document order is not id order.
+fn tagged_items_db() -> Database {
+    let mut db = Database::new();
+    db.create_table(TableSchema::new(
+        "item",
+        &[
+            ("id", ColType::Int),
+            ("kind", ColType::Int),
+            ("dewey", ColType::Bytes),
+        ],
+    ))
+    .unwrap();
+    for name in ["tag", "note"] {
+        db.create_table(TableSchema::new(
+            name,
+            &[("item", ColType::Int), ("text", ColType::Str)],
+        ))
+        .unwrap();
+    }
+    for i in 0..40i64 {
+        let dewey = vec![0, 0, 100 - i as u8];
+        db.table_mut("item")
+            .unwrap()
+            .insert(vec![Value::Int(i), Value::Int(i % 3), Value::Bytes(dewey)])
+            .unwrap();
+        let tags = [(i % 2 == 0, "red"), (i % 3 == 0, "blue")];
+        let notes = [(i % 4 == 0, "red"), (i % 5 == 0, "green")];
+        for (table, rows) in [("tag", tags), ("note", notes)] {
+            for (_, text) in rows.iter().filter(|(has, _)| *has) {
+                db.table_mut(table)
+                    .unwrap()
+                    .insert(vec![Value::Int(i), Value::from(*text)])
+                    .unwrap();
+            }
+        }
+    }
+    db.table_mut("item")
+        .unwrap()
+        .create_index("item_id", &["id"])
+        .unwrap();
+    db.table_mut("tag")
+        .unwrap()
+        .create_index("tag_item", &["item"])
+        .unwrap();
+    db
+}
+
+/// Every `SELECT` block of a statement gets its own plan slot. The
+/// statement has two UNION arms; the first arm's WHERE holds two EXISTS
+/// over different tables, the second of them with an EXISTS nested in
+/// it, and the second arm's WHERE one more. Each of the six blocks
+/// selects different rows, so a block run with another block's plan
+/// changes the answer (or, for an arm given a subquery's plan, recurses
+/// without end).
+#[test]
+fn each_select_block_plans_into_its_own_slot() {
+    let db = tagged_items_db();
+    let sql = "select i.id, i.dewey from item i \
+               where exists (select null from tag t where t.item = i.id and t.text = 'red') \
+               and exists (select null from note n where n.item = i.id \
+                   and exists (select null from tag u where u.item = n.item and u.text = n.text)) \
+               union \
+               select i.id, i.dewey from item i \
+               where i.kind = 0 \
+               and exists (select null from tag t where t.item = i.id and t.text = 'blue') \
+               order by dewey";
+    let stmt = parse_sql(sql).unwrap();
+
+    // UNION semantics over the reference executor: each arm, then first
+    // occurrences, then document order (the Dewey keys are unique).
+    let mut expected: Vec<Vec<Value>> = Vec::new();
+    for arm in &stmt.branches {
+        for row in naive_select(&db, arm).unwrap() {
+            if !expected.contains(&row) {
+                expected.push(row);
+            }
+        }
+    }
+    expected.sort_by(|a, b| a[1].cmp_total(&b[1]));
+    let ids: Vec<i64> = expected.iter().map(|r| r[0].as_int().unwrap()).collect();
+    assert_eq!(
+        ids,
+        [39, 36, 33, 32, 30, 28, 27, 24, 21, 20, 18, 16, 15, 12, 9, 8, 6, 4, 3, 0]
+    );
+
+    let prepared = Arc::new(Prepared::new(stmt.clone()));
+    assert_eq!(prepared.blocks(), 6);
+    let cold = Executor::new(&db).run_prepared(&prepared).unwrap();
+    assert_eq!(cold.rows, expected, "cold run");
+    // Every block was planned into its own slot, over its own table.
+    let mut tables = Vec::new();
+    prepared
+        .stmt()
+        .clone()
+        .for_each_block_mut(&mut |sel| tables.push((sel.ordinal, sel.from[0].table.clone())));
+    for (i, (ordinal, table)) in tables.into_iter().enumerate() {
+        assert_eq!(ordinal, i);
+        let plan = prepared.plan(i).expect("every block ran");
+        assert_eq!(plan.steps[0].table, table, "block {i}");
+    }
+    let warm = Executor::new(&db).run_prepared(&prepared).unwrap();
+    assert_eq!(warm.rows, expected, "warm run");
+    let unprepared = Executor::new(&db).run(&stmt).unwrap();
+    assert_eq!(unprepared.rows, expected, "Executor::run");
+
+    // Four cold runs of one statement start together: each plans every
+    // block it reaches, the first plan stored in a slot wins, and every
+    // run answers as the serial one did.
+    let prepared = Arc::new(Prepared::new(stmt));
+    let start = Barrier::new(4);
+    std::thread::scope(|s| {
+        let runs: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    Executor::new(&db).run_prepared(&prepared).unwrap().rows
+                })
+            })
+            .collect();
+        for run in runs {
+            assert_eq!(run.join().unwrap(), expected, "concurrent cold run");
+        }
+    });
+}
+
+/// `Executor::seed_plans` hands the next `run` plans for its top-level
+/// branches, keyed by branch address. They are used only when the
+/// statement is numbered: a plan made from an unnumbered branch holds
+/// subqueries that all claim ordinal 0, the branch's own slot.
+#[test]
+fn seeded_branch_plans_apply_only_to_numbered_statements() {
+    let db = tagged_items_db();
+    let sql = "select i.id, i.dewey from item i where exists \
+               (select null from tag t where t.item = i.id and t.text = 'blue') order by dewey";
+    let unnumbered = parse_sql(sql).unwrap();
+    let expected = Executor::new(&db).run(&unnumbered).unwrap().rows;
+    let mut numbered = unnumbered.clone();
+    numbered.number_blocks();
+    for (stmt, seeds_used) in [(&numbered, true), (&unnumbered, false)] {
+        let branch = &stmt.branches[0];
+        let plan = Arc::new(sqlexec::plan::plan_select(&db, branch, &[]).unwrap());
+        let exec = Executor::new(&db);
+        exec.seed_plans(&[(branch as *const sqlexec::Select as usize, plan.clone())].into());
+        assert_eq!(
+            exec.run(stmt).unwrap().rows,
+            expected,
+            "seeds used: {seeds_used}"
+        );
+        let mut ran_seed = false;
+        exec.for_each_step(|p, _| ran_seed |= std::ptr::eq(p, &*plan));
+        assert_eq!(ran_seed, seeds_used);
+    }
 }

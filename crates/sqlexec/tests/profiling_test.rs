@@ -3,8 +3,10 @@
 //! exits, probes must be counted only when a probe is actually performed,
 //! and nested-loop / subquery rescans must be visible per step.
 
+use std::sync::Arc;
+
 use relstore::{ColType, Database, TableSchema, Value};
-use sqlexec::{explain_analyze, parse_sql, ExecStats, Executor};
+use sqlexec::{explain_analyze, parse_sql, ExecStats, Executor, Prepared};
 
 fn two_table_db(rows: i64) -> Database {
     let mut db = Database::new();
@@ -95,14 +97,15 @@ fn null_key_probe_is_not_counted() {
 fn step_stats_expose_rescans_and_row_flow() {
     let db = two_table_db(10);
     let stmt = parse_sql("select a.id from t a, t b where a.k = 2 and b.id = a.id").unwrap();
+    let prepared = Arc::new(Prepared::new(stmt));
     let exec = Executor::new(&db);
-    exec.run(&stmt).unwrap();
+    exec.run_prepared(&prepared).unwrap();
 
     // The planner turns `a.k = 2` into a hash lookup on k, so the outer
     // step fetches exactly the 2 matching rows (ids 2 and 7).
-    let sel = &stmt.branches[0];
+    let sel = &prepared.stmt().branches[0];
     let steps = exec
-        .step_stats(sel)
+        .step_stats(sel.ordinal)
         .expect("executed select has step stats");
     assert_eq!(steps.len(), 2);
     let (outer, inner) = (&steps[0], &steps[1]);
@@ -125,8 +128,9 @@ fn step_stats_absent_for_never_executed_subquery() {
         "select a.id from t a where 1 = 2 and exists (select null from t b where b.id = a.id)",
     )
     .unwrap();
+    let prepared = Arc::new(Prepared::new(stmt));
     let exec = Executor::new(&db);
-    let rs = exec.run(&stmt).unwrap();
+    let rs = exec.run_prepared(&prepared).unwrap();
     assert!(rs.rows.is_empty());
 
     fn find_exists(e: &sqlexec::Expr) -> Option<&sqlexec::Select> {
@@ -137,13 +141,13 @@ fn step_stats_absent_for_never_executed_subquery() {
             _ => None,
         }
     }
-    let sub = stmt.branches[0]
+    let sub = prepared.stmt().branches[0]
         .where_clause
         .as_ref()
         .and_then(find_exists)
         .expect("query has an EXISTS");
     assert!(
-        exec.step_stats(sub).is_none(),
+        exec.step_stats(sub.ordinal).is_none(),
         "short-circuited subquery must have no step stats"
     );
     assert_eq!(exec.stats().subqueries, 0);
@@ -200,16 +204,18 @@ fn global_stats_equal_sum_of_step_stats() {
 fn elapsed_only_measured_under_profiling() {
     let db = two_table_db(10);
     let stmt = parse_sql("select a.id from t a").unwrap();
+    let prepared = Arc::new(Prepared::new(stmt));
+    let ordinal = prepared.stmt().branches[0].ordinal;
 
     let exec = Executor::new(&db);
-    exec.run(&stmt).unwrap();
-    let steps = exec.step_stats(&stmt.branches[0]).unwrap();
+    exec.run_prepared(&prepared).unwrap();
+    let steps = exec.step_stats(ordinal).unwrap();
     assert_eq!(steps[0].elapsed_ns, 0, "no timing without profiling");
 
     let exec = Executor::new(&db);
     exec.set_profiling(true);
-    exec.run(&stmt).unwrap();
-    let steps = exec.step_stats(&stmt.branches[0]).unwrap();
+    exec.run_prepared(&prepared).unwrap();
+    let steps = exec.step_stats(ordinal).unwrap();
     assert!(steps[0].elapsed_ns > 0, "profiling measures wall time");
 }
 

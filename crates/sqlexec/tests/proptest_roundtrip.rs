@@ -88,6 +88,7 @@ fn arb_pred() -> impl Strategy<Value = Expr> {
                     }],
                     from: vec![TableRef::new("t2", "t2")],
                     where_clause: Some(e),
+                    ordinal: 0,
                 }))
             }),
         ]
@@ -116,6 +117,7 @@ fn arb_stmt() -> impl Strategy<Value = SelectStmt> {
                 ],
                 from: vec![TableRef::new("T", "t1"), TableRef::new("U", "t2")],
                 where_clause: w,
+                ordinal: 0,
             };
             SelectStmt {
                 branches: (0..branches).map(|_| mk(w.clone())).collect(),

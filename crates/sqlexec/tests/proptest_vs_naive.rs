@@ -165,6 +165,7 @@ fn tail_arm(distinct: bool, where_clause: Option<Expr>, wide: bool) -> Select {
             .collect(),
         from: vec![TableRef::new("R", "r"), TableRef::new("S", "s")],
         where_clause,
+        ordinal: 0,
     }
 }
 
@@ -256,6 +257,7 @@ proptest! {
             ],
             from: vec![TableRef::new("R", "r"), TableRef::new("S", "s")],
             where_clause,
+            ordinal: 0,
         };
         let expected = sorted(naive_select(&db, &select).expect("naive"));
         let exec = Executor::new(&db);
@@ -276,12 +278,14 @@ proptest! {
             projections: vec![Projection { expr: Expr::Literal(Value::Null), alias: None }],
             from: vec![TableRef::new("S", "s")],
             where_clause: Some(Expr::eq(Expr::column("s", "rk"), Expr::column("r", "k"))),
+            ordinal: 0,
         };
         let select = Select {
             distinct: false,
             projections: vec![Projection::col("r", "id")],
             from: vec![TableRef::new("R", "r")],
             where_clause: Some(Expr::Exists(Box::new(sub))),
+            ordinal: 0,
         };
         let exec = Executor::new(&db);
         let got = sorted(to_vecs(&exec.run(&SelectStmt::single(select)).expect("run").rows));

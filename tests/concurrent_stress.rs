@@ -2,7 +2,9 @@
 //! with the Figure-4 XMark query mix while a control thread snapshots the
 //! process-wide metrics registry mid-flight. Every concurrent answer must
 //! equal the serial baseline, counters must only grow, and the workers'
-//! queries must actually overlap.
+//! queries must actually overlap. A second test starts the workers on
+//! engines whose query caches are empty, so their first runs race to
+//! plan the same blocks of the same cached statements.
 //!
 //! Lives in its own integration-test binary: it reads process-wide
 //! registry counters.
@@ -10,8 +12,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Barrier};
 
-use ppf_bench::{build_xmark, xmark_queries};
-use ppf_core::SharedEngine;
+use ppf_bench::{build_xmark, generate_xmark, xmark_queries, xmark_schema, XMarkConfig};
+use ppf_core::{SharedEngine, XmlDb};
 
 const WORKERS: usize = 4;
 const ROUNDS: usize = 3;
@@ -114,4 +116,66 @@ fn concurrent_queries_agree_with_serial_and_stats_stay_sane() {
         peak >= 2,
         "four workers × three rounds never overlapped: peak {peak}"
     );
+}
+
+/// A freshly loaded XMark store: its query cache is empty.
+fn fresh_xmark(doc: &xmldom::Document) -> XmlDb {
+    let mut db = XmlDb::new(&xmark_schema()).expect("schema");
+    db.load(doc).expect("load");
+    db.finalize().expect("finalize");
+    db
+}
+
+#[test]
+fn cold_queries_racing_to_plan_agree_with_serial() {
+    let doc = generate_xmark(XMarkConfig {
+        scale: 0.03,
+        seed: 42,
+    });
+    let queries = xmark_queries();
+    // The baseline runs on an engine of its own, so the workers below
+    // find every query cold.
+    let baseline = fresh_xmark(&doc);
+    let expected: Arc<Vec<Vec<i64>>> = Arc::new(
+        queries
+            .iter()
+            .map(|(name, q)| {
+                baseline
+                    .query(q)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"))
+                    .ids()
+            })
+            .collect(),
+    );
+
+    for round in 0..ROUNDS {
+        let engine = SharedEngine::new(fresh_xmark(&doc));
+        let start = Arc::new(Barrier::new(WORKERS));
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                let (engine, expected, start) = (engine.clone(), expected.clone(), start.clone());
+                std::thread::spawn(move || {
+                    let queries = xmark_queries();
+                    // Every worker starts at the same moment and walks
+                    // the mix in the same order, so the first run of each
+                    // query (translation, up-front planning and the
+                    // subquery plans made during execution) overlaps.
+                    start.wait();
+                    for ((name, q), ids) in queries.iter().zip(expected.iter()) {
+                        let r = engine
+                            .query(q)
+                            .unwrap_or_else(|e| panic!("worker {w} round {round} {name}: {e}"));
+                        assert_eq!(
+                            &r.ids(),
+                            ids,
+                            "worker {w} round {round}: cold {name} diverged from serial"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for h in workers {
+            h.join().unwrap();
+        }
+    }
 }
