@@ -1,6 +1,8 @@
 //! The "conventional" schema-aware XPath→SQL translation (paper §4.4's
 //! foil, and the stand-in for the commercial RDBMS's built-in XPath of
 //! §5): **one foreign-key join per child step**, no path index, no Dewey.
+//! Results are ordered by `id`, which the shredder assigns in document
+//! order.
 //!
 //! Like the commercial system in the paper — which "supports only three
 //! of the XPathMark queries" — this translator deliberately covers only
@@ -10,7 +12,7 @@ use sqlexec::{CmpOp, Expr as Sql, OrderKey, Projection, Select, SelectStmt, Tabl
 use xmlschema::Schema;
 use xpath::{Axis, CompOp, Expr as XExpr, LocationPath, NodeTest};
 
-use shred::naming::{attr_col, COL_DEWEY, COL_ID, COL_PAR, COL_TEXT};
+use shred::naming::{attr_col, COL_ID, COL_PAR, COL_TEXT};
 
 /// Naive translation error (most queries are simply unsupported — that is
 /// the point of this baseline).
@@ -42,16 +44,10 @@ pub fn translate_naive(schema: &Schema, expr: &XExpr) -> Result<SelectStmt, Naiv
     Ok(SelectStmt {
         branches: vec![Select {
             distinct: true,
-            projections: vec![
-                Projection {
-                    expr: col(&last, COL_ID),
-                    alias: Some("id".to_string()),
-                },
-                Projection {
-                    expr: col(&last, COL_DEWEY),
-                    alias: Some("dewey_pos".to_string()),
-                },
-            ],
+            projections: vec![Projection {
+                expr: col(&last, COL_ID),
+                alias: Some("id".to_string()),
+            }],
             from,
             where_clause: conjuncts.into_iter().reduce(|a, c| a.and(c)),
             ordinal: 0,
@@ -59,7 +55,7 @@ pub fn translate_naive(schema: &Schema, expr: &XExpr) -> Result<SelectStmt, Naiv
         order_by: vec![OrderKey {
             expr: Sql::Column {
                 qualifier: None,
-                name: "dewey_pos".to_string(),
+                name: "id".to_string(),
             },
             desc: false,
         }],

@@ -482,13 +482,19 @@ mod shape {
     }
 }
 
+/// A statically empty answer, with the columns a non-empty result of the
+/// same kind reports.
 fn empty_result(output: OutputKind) -> QueryResult {
+    let columns: Vec<String> = match output {
+        OutputKind::Elements => vec!["id".into()],
+        OutputKind::AttributeValue | OutputKind::TextValue => vec!["id".into(), "value".into()],
+    };
     QueryResult {
         stmt: None,
         output,
         rows: ResultSet {
-            columns: vec!["id".into(), "dewey_pos".into()],
-            rows: Rows::new(2),
+            rows: Rows::new(columns.len()),
+            columns,
         },
         stats: ExecStats::default(),
         engine: EngineStats::default(),

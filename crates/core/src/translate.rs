@@ -21,6 +21,13 @@
 //! * the §4.5 marking (U-P/F-P/I-P) omits provably redundant path
 //!   filters (toggleable, for the ablation benchmark).
 //!
+//! Every branch projects the selected element's `id` (plus a `value`
+//! column for `@x`/`text()` results), and the statement ends in
+//! `ORDER BY id`: both shredders number elements in preorder from one
+//! counter per store, so ascending `id` is document order (see
+//! EXPERIMENTS.md, "Deviations worth knowing about"). Dewey keys are
+//! used only for structural joins.
+//!
 //! The same translator drives both the schema-aware and the Edge-like
 //! mapping ([`Mapping`]).
 
@@ -72,7 +79,8 @@ impl Default for TranslateOptions {
 /// What the result rows represent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputKind {
-    /// `id`, `dewey_pos` of the selected elements.
+    /// `id` of the selected elements, in document order (ascending
+    /// `id`).
     Elements,
     /// plus a `value` column holding a selected attribute.
     AttributeValue,
@@ -163,12 +171,14 @@ pub fn translate(
             regex_compiles: ctx.patterns.len(),
         });
     }
+    // Ascending `id` is document order: the shredders number elements in
+    // preorder, one counter per store, across documents.
     let mut stmt = SelectStmt {
         branches: selects,
         order_by: vec![OrderKey {
             expr: Sql::Column {
                 qualifier: None,
-                name: "dewey_pos".to_string(),
+                name: "id".to_string(),
             },
             desc: false,
         }],
@@ -391,16 +401,10 @@ impl<'a> Ctx<'a> {
         let mut selects = Vec::new();
         for mut branch in branches {
             let node = branch.prev.clone().expect("non-empty path has a prominent");
-            let mut projections = vec![
-                Projection {
-                    expr: col(&node.alias, COL_ID),
-                    alias: Some("id".to_string()),
-                },
-                Projection {
-                    expr: col(&node.alias, COL_DEWEY),
-                    alias: Some("dewey_pos".to_string()),
-                },
-            ];
+            let mut projections = vec![Projection {
+                expr: col(&node.alias, COL_ID),
+                alias: Some("id".to_string()),
+            }];
             match (&split.trailing_attribute, output) {
                 (Some(attr_step), _) => {
                     let name = test_name(&attr_step.test)?;

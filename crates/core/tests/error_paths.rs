@@ -116,6 +116,23 @@ fn attribute_projection_output() {
 }
 
 #[test]
+fn statically_empty_results_report_their_kinds_columns() {
+    let db = db();
+    for (empty, full) in [
+        ("/B", "/A"),
+        ("/A/@y", "/A/@x"),
+        ("//G/text()", "//D/text()"),
+    ] {
+        let e = db.query(empty).expect(empty);
+        let f = db.query(full).expect(full);
+        assert!(e.stmt.is_none(), "{empty} should be statically empty");
+        assert!(e.rows.rows.is_empty(), "{empty}");
+        assert_eq!(e.output, f.output, "{empty}");
+        assert_eq!(e.rows.columns, f.rows.columns, "{empty} vs {full}");
+    }
+}
+
+#[test]
 fn text_projection_output() {
     let db = db();
     let r = db.query("//D/text()").expect("text query");

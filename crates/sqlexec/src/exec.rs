@@ -1,6 +1,7 @@
 //! SQL execution: expression evaluation (3-valued logic) and the pipeline
 //! interpreter for [`SelectPlan`]s. The `UNION` / `DISTINCT` / `ORDER BY`
-//! statement tail is in the `tail` submodule.
+//! statement tail is in the `tail` submodule, the brute-force reference
+//! executor ([`naive_select`]) in `naive`.
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
@@ -17,7 +18,9 @@ use crate::ast::{ArithOp, CmpOp, Expr, RegexPattern, Select, SelectStmt};
 use crate::plan::{plan_select_with, Access, ExecError, MergeMode, SelectPlan, Step};
 use crate::prepared::Prepared;
 
+mod naive;
 mod tail;
+pub use naive::naive_select;
 pub use tail::Rows;
 use tail::{Collected, KeyKind, Slots};
 
@@ -1559,62 +1562,6 @@ fn value_successor(v: &Value) -> Option<Value> {
         Value::Bool(false) => Some(Value::Bool(true)),
         _ => None,
     }
-}
-
-/// Reference executor used by property tests: evaluates a single-branch
-/// select by brute-force cross product with no planner, no indexes
-/// (subqueries run through the executor's planner).
-pub fn naive_select(db: &Database, sel: &Select) -> Result<Vec<Vec<Value>>, ExecError> {
-    let exec = Executor::new(db);
-    let prepared = Arc::new(Prepared::new(SelectStmt::single(sel.clone())));
-    exec.begin(&prepared);
-    let sel = &prepared.stmt().branches[0];
-    let mut env: Vec<Binding> = Vec::new();
-    let mut out = Vec::new();
-    fn recurse<'db>(
-        exec: &Executor<'db>,
-        db: &'db Database,
-        sel: &Select,
-        depth: usize,
-        env: &mut Vec<Binding<'db>>,
-        out: &mut Vec<Vec<Value>>,
-    ) -> Result<(), ExecError> {
-        if depth == sel.from.len() {
-            if let Some(w) = &sel.where_clause {
-                if exec.eval_truth(w, env)? != Some(true) {
-                    return Ok(());
-                }
-            }
-            let row: Vec<Value> = sel
-                .projections
-                .iter()
-                .map(|p| exec.eval(&p.expr, env))
-                .collect::<Result<_, _>>()?;
-            out.push(row);
-            return Ok(());
-        }
-        let tref = &sel.from[depth];
-        let table = db
-            .table(&tref.table)
-            .ok_or_else(|| ExecError::exec(format!("no such table `{}`", tref.table)))?;
-        let alias: Arc<str> = Arc::from(tref.alias.as_str());
-        for (rid, _) in table.rows() {
-            env.push(Binding {
-                alias: alias.clone(),
-                table,
-                rid,
-            });
-            recurse(exec, db, sel, depth + 1, env, out)?;
-            env.pop();
-        }
-        Ok(())
-    }
-    recurse(&exec, db, sel, 0, &mut env, &mut out)?;
-    if sel.distinct {
-        let mut seen = std::collections::BTreeSet::new();
-        out.retain(|r| seen.insert(r.clone()));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
