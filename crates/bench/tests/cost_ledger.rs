@@ -4,7 +4,8 @@
 //! Counts repeat exactly where wall time does not, so this is the gate on
 //! the work a plan does: rows scanned, index and merge probes, predicate
 //! evaluations, path-filter candidates and survivors, regex work, heap
-//! allocations, the plan's shape and how well the planner estimated it.
+//! allocations, the plan's shape and how well the planner estimated the
+//! rows each step fetches and keeps.
 //! A change that moves any of them fails here, and accepting it shows up
 //! in review as a one-line diff per field of `COSTS.json`.
 //!
@@ -103,7 +104,7 @@ fn run_suite(
         let Some(stmt) = db.translate(q).expect(name).stmt else {
             continue; // statically empty: nothing planned
         };
-        let [(rows_on, on), (rows_off, off)] =
+        let [(rows_on, on, fetched_on), (rows_off, off, _)] =
             [true, false].map(|stats| run_planned(db.db(), &stmt, stats));
         assert_eq!(rows_on, rows_off, "{name}: statistics changed the result");
         let plan = plan_signature(db.db(), &stmt, true);
@@ -113,6 +114,7 @@ fn run_suite(
             checks.plans_changed += 1;
         }
         let fields = entries.get_mut(*name).expect("ran above");
+        fields.insert("fetched_qerror_stats_on".into(), rounded(fetched_on));
         fields.insert("plan".into(), Value::String(plan));
         fields.insert("qerror_stats_on".into(), rounded(on));
         fields.insert("qerror_stats_off".into(), rounded(off));
@@ -125,20 +127,22 @@ fn run_suite(
 }
 
 /// The result of one run of `stmt` planned with statistics set to
-/// `stats`, and the run's median per-step q-error (1.0 when no step ran).
-fn run_planned(db: &Database, stmt: &SelectStmt, stats: bool) -> (ResultSet, f64) {
+/// `stats`, and the run's median per-step q-errors (1.0 when no step
+/// ran) of the rows each step keeps and of the rows its access fetches.
+fn run_planned(db: &Database, stmt: &SelectStmt, stats: bool) -> (ResultSet, f64, f64) {
     let exec = Executor::with_options(db, with_stats(stats));
     let result = exec.run(stmt).expect("statement runs");
-    let mut qs = Vec::new();
+    let (mut kept, mut fetched) = (Vec::new(), Vec::new());
     exec.for_each_step(|plan, ops| {
         for (step, op) in plan.steps.iter().zip(ops) {
             if op.invocations > 0 {
-                let actual = op.rows_out as f64 / op.invocations as f64;
-                qs.push(sqlexec::qerror(step.est_rows, actual));
+                let n = op.invocations as f64;
+                kept.push(sqlexec::qerror(step.est_rows, op.rows_out as f64 / n));
+                fetched.push(sqlexec::qerror(step.est_fetched, op.rows_in as f64 / n));
             }
         }
     });
-    (result, median(&mut qs))
+    (result, median(&mut kept), median(&mut fetched))
 }
 
 fn median(xs: &mut [f64]) -> f64 {

@@ -334,12 +334,14 @@ impl QueryCache {
 /// Entries each index holds before it is cleared wholesale.
 const QUERY_CACHE_CAP: usize = 256;
 
-/// Inserts `value` under `key`, first clearing a full `map`.
-fn insert_capped<V>(map: &mut HashMap<String, V>, key: String, value: V) {
-    if map.len() >= QUERY_CACHE_CAP {
+/// The entry under `key`: the one already there, else `value`, inserted
+/// after clearing a full `map`. Overlapping first runs of one query each
+/// build an entry; keeping the first makes them all run that one.
+fn get_or_insert_capped<V: Clone>(map: &mut HashMap<String, V>, key: String, value: V) -> V {
+    if map.len() >= QUERY_CACHE_CAP && !map.contains_key(&key) {
         map.clear();
     }
-    map.insert(key, value);
+    map.entry(key).or_insert(value).clone()
 }
 
 /// Query shapes: an XPath query with every string literal it compares a
@@ -824,9 +826,9 @@ fn run_query_inner(
                     engine.regex_compiles = t.regex_compiles as u64;
                     let query = CachedQuery::new(t);
                     if is_template {
-                        let bound = query.bind(&literals);
-                        insert_capped(&mut lock_cache(cache).shapes, key, Arc::new(query));
-                        bound
+                        let shape = Arc::new(query);
+                        let shape = get_or_insert_capped(&mut lock_cache(cache).shapes, key, shape);
+                        shape.bind(&literals)
                     } else {
                         query
                     }
@@ -834,12 +836,7 @@ fn run_query_inner(
             };
 
             let entry = Arc::new(query);
-            insert_capped(
-                &mut lock_cache(cache).texts,
-                xpath.to_string(),
-                entry.clone(),
-            );
-            entry
+            get_or_insert_capped(&mut lock_cache(cache).texts, xpath.to_string(), entry)
         }
     };
     engine.ppf_count = entry.ppf_count;

@@ -2,14 +2,15 @@
 //! with recursion, wildcard-inducing fan-out, attributes and text), the
 //! PPF translation over both mappings must return the native XPath
 //! evaluator's node sequence, in document order, for a pool of query
-//! templates.
+//! templates, under every plan choice the execution options offer.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use xmldom::{Document, TreeBuilder};
 use xpath::{evaluate, parse_xpath, Item};
 
-use ppf_core::{EdgeDb, XmlDb};
+use ppf_core::{EdgeDb, ExecOptions, XmlDb};
+use sqlexec::MergeMode;
 
 /// Test schema: lib → shelf* ; shelf → book* | box* ; box → box? book*
 /// (recursive); book has @id, @lang, title, author*, year.
@@ -144,6 +145,17 @@ fn native_ids(doc: &Document, loaded: &shred::LoadedDoc, q: &str) -> Vec<i64> {
         .collect()
 }
 
+/// Every plan choice the options offer: statistics on and off, each with
+/// the cost model choosing between B-tree range and merge cursor, and
+/// with either forced.
+fn option_matrix() -> Vec<ExecOptions> {
+    let merges = [MergeMode::Auto, MergeMode::ForceOff, MergeMode::ForceOn];
+    [true, false]
+        .into_iter()
+        .flat_map(|stats| merges.map(|merge| ExecOptions { stats, merge }))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -173,28 +185,28 @@ proptest! {
         let ed_loaded = ed.load(&doc).expect("load");
         ed.finalize().expect("indexes");
 
-        for q in QUERIES {
-            let expected_sa = native_ids(&doc, &sa_loaded, q);
-            let got_sa = {
-                let r = sa.query(q).map_err(|e| {
-                    TestCaseError::fail(format!("schema-aware {q}: {e}"))
-                })?;
-                r.ids()
-            };
-            prop_assert_eq!(&got_sa, &expected_sa,
-                "schema-aware mismatch for {} (seed {})\nsql: {:?}",
-                q, seed, sa.sql_for(q).ok().flatten());
+        let expected: Vec<_> = QUERIES
+            .iter()
+            .map(|q| (native_ids(&doc, &sa_loaded, q), native_ids(&doc, &ed_loaded, q)))
+            .collect();
+        for opts in option_matrix() {
+            sa.set_exec_options(opts);
+            ed.set_exec_options(opts);
+            for (q, (expected_sa, expected_ed)) in QUERIES.iter().zip(&expected) {
+                let got_sa = sa.query(q).map_err(|e| {
+                    TestCaseError::fail(format!("schema-aware {q} under {opts:?}: {e}"))
+                })?.ids();
+                prop_assert_eq!(&got_sa, expected_sa,
+                    "schema-aware mismatch for {} (seed {}) under {:?}\nsql: {:?}",
+                    q, seed, opts, sa.sql_for(q).ok().flatten());
 
-            let expected_ed = native_ids(&doc, &ed_loaded, q);
-            let got_ed = {
-                let r = ed.query(q).map_err(|e| {
-                    TestCaseError::fail(format!("edge {q}: {e}"))
-                })?;
-                r.ids()
-            };
-            prop_assert_eq!(&got_ed, &expected_ed,
-                "edge mismatch for {} (seed {})\nsql: {:?}",
-                q, seed, ed.sql_for(q).ok().flatten());
+                let got_ed = ed.query(q).map_err(|e| {
+                    TestCaseError::fail(format!("edge {q} under {opts:?}: {e}"))
+                })?.ids();
+                prop_assert_eq!(&got_ed, expected_ed,
+                    "edge mismatch for {} (seed {}) under {:?}\nsql: {:?}",
+                    q, seed, opts, ed.sql_for(q).ok().flatten());
+            }
         }
     }
 }

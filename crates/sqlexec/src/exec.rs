@@ -220,9 +220,9 @@ const LIMIT_CHECK_INTERVAL: u64 = 256;
 pub struct ExecOptions {
     /// Merge cursor vs index nested-loop for two-sided ranges.
     pub merge: MergeMode,
-    /// Whether the planner reads table statistics. Off, every estimate
-    /// falls back to fixed selectivity constants (the pre-statistics
-    /// planner, kept so the cost ledger can show what statistics buy).
+    /// Whether the planner reads table statistics. Off, every fraction
+    /// falls back to fixed selectivity constants in the same cost model
+    /// (kept so the cost ledger can show what statistics buy).
     pub stats: bool,
 }
 

@@ -199,16 +199,19 @@ fn explain_select(
                         op.predicate_evals,
                         op.elapsed_ns as f64 / 1e6,
                     ));
-                    // Estimation-quality columns: actual rows per
-                    // invocation vs. the planner's per-step estimate.
+                    // Estimation-quality columns: rows kept and rows
+                    // fetched per invocation vs. the planner's estimates.
                     if op.invocations > 0 {
-                        let act = op.rows_out as f64 / op.invocations as f64;
-                        out.push_str(&format!(
-                            ", est={:.1} act={:.1} q={:.2}",
-                            step.est_rows,
-                            act,
-                            crate::plan::qerror(step.est_rows, act),
-                        ));
+                        let n = op.invocations as f64;
+                        for (label, est, act) in [
+                            ("est", step.est_rows, op.rows_out as f64 / n),
+                            ("fetched est", step.est_fetched, op.rows_in as f64 / n),
+                        ] {
+                            out.push_str(&format!(
+                                ", {label}={est:.1} act={act:.1} q={:.2}",
+                                crate::plan::qerror(est, act),
+                            ));
+                        }
                     }
                     out.push(']');
                 }

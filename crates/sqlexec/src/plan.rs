@@ -124,10 +124,10 @@ pub enum Access {
     /// Sort-merge range probe over a flattened B-tree index: the executor
     /// materializes the index once as a sorted array and advances a
     /// monotonic cursor across outer invocations instead of descending
-    /// the B-tree per probe. Chosen for two-sided ranges (the Dewey
-    /// descendant/ancestor windows of the paper's structural joins) when
-    /// both the outer cardinality and this table are large — outer rows
-    /// arriving in document order turn the whole join into one
+    /// the B-tree per probe. Offered for two-sided ranges (the Dewey
+    /// descendant/ancestor windows of the paper's structural joins); it
+    /// wins when enough outer rows drive it to pay for the flattening —
+    /// outer rows arriving in document order turn the whole join into one
     /// staircase-style forward pass.
     MergeRange {
         index: usize,
@@ -167,9 +167,9 @@ pub struct SelectPlan {
 
 /// Fallback selectivity guesses, used when table statistics are absent
 /// (nothing analyzed since the table's last mutation) or when
-/// statistics consumption is disabled (`ExecOptions::stats`). The
-/// absolute values matter less than the ordering: equality < range <
-/// regex < everything.
+/// statistics consumption is disabled (`ExecOptions::stats`). They feed
+/// the same cost model as measured fractions, so their ordering is what
+/// decides: equality < range < regex < everything.
 mod sel {
     pub const EQ_UNINDEXED: f64 = 0.1;
     /// A bounded interval (Dewey descendant window): very tight.
@@ -180,6 +180,14 @@ mod sel {
     pub const OTHER: f64 = 0.5;
 }
 
+/// The cost model's per-unit prices. One invocation of a step's access
+/// costs `ROW_COST × rows fetched + PROBE_COST × probe units`. A probe
+/// unit is one B-tree level descended, one index entry flattened for a
+/// merge cursor, one cursor advance, or one row a full scan tests
+/// against the conditions an index would have looked up.
+const ROW_COST: f64 = 1.0;
+const PROBE_COST: f64 = 1.0;
+
 /// The q-error of one estimate: `max(est, act) / min(est, act)`, both
 /// floored at half a row so empty-vs-empty reads as a perfect 1.0
 /// instead of dividing by zero. ≥ 1.0 by construction; 1.0 is exact.
@@ -189,56 +197,16 @@ pub fn qerror(est: f64, act: f64) -> f64 {
     (e / a).max(a / e)
 }
 
-/// How the planner decides between the B-tree range probe and the
-/// sort-merge cursor for two-sided ranges. `Auto` applies the cardinality
-/// thresholds; the forced modes exist for equivalence tests and A/B
-/// benchmarks (`ExecOptions::merge`).
+/// Which of the B-tree range probe and the sort-merge cursor a
+/// two-sided range may use. `Auto` offers both to the cost model; the
+/// forced modes remove the other one from the candidates, for
+/// equivalence tests and A/B benchmarks (`ExecOptions::merge`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MergeMode {
     #[default]
     Auto,
     ForceOff,
     ForceOn,
-}
-
-/// Legacy `Auto` thresholds (used when no statistics exist for the
-/// table): a merge cursor only pays off when the outer side re-probes
-/// often enough to amortize flattening the index (outer cardinality
-/// estimate) and the probed table is big enough that B-tree descents
-/// are the dominant cost.
-const MERGE_MIN_OUTER: f64 = 32.0;
-const MERGE_MIN_TABLE: usize = 256;
-
-/// Decide merge vs. index nested-loop for a two-sided range on `table`,
-/// given the planner's estimate of how many outer rows will drive the
-/// probe. With statistics available, compare the two strategies' actual
-/// cost models: index-NL pays one B-tree descent (`log₂ n + 1`) per
-/// outer row; merge pays one flattening pass over the table (`n`) plus
-/// one amortized cursor advance per outer row. The legacy constants are
-/// the n = 256 corner of the same inequality (crossover at
-/// `est_outer = 32`), so un-analyzed tables behave exactly as before.
-fn want_merge(table: &Table, two_sided: bool, est_outer: f64, opts: &ExecOptions) -> bool {
-    match opts.merge {
-        MergeMode::ForceOff => false,
-        MergeMode::ForceOn => two_sided,
-        MergeMode::Auto => {
-            if !two_sided {
-                return false;
-            }
-            let st = if opts.stats {
-                relstore::stats::lookup(table)
-            } else {
-                None
-            };
-            match st {
-                Some(st) => {
-                    let n = st.rows.max(1) as f64;
-                    est_outer * (n.log2() + 1.0) > n + est_outer
-                }
-                None => est_outer >= MERGE_MIN_OUTER && table.len() >= MERGE_MIN_TABLE,
-            }
-        }
-    }
 }
 
 /// [`plan_select_with`] under the default options.
@@ -280,7 +248,12 @@ pub fn plan_select_with(
         .filter(|(a, _)| !select.from.iter().any(|t| &t.alias == a))
         .cloned()
         .collect();
-    let outer = &outer[..];
+    let ctx = Ctx {
+        db,
+        select,
+        outer: &outer,
+        opts,
+    };
 
     let mut conjuncts: Vec<Expr> = Vec::new();
     if let Some(w) = &select.where_clause {
@@ -288,49 +261,60 @@ pub fn plan_select_with(
     }
     let mut used = vec![false; conjuncts.len()];
 
-    // Pick the join order: exhaustive left-deep enumeration for small
-    // FROM lists (cost = sum of intermediate-result cardinality products),
-    // greedy beyond that.
-    let order = choose_order(db, select, &conjuncts, outer, opts.stats);
+    let order = ctx.choose_order(&conjuncts);
 
     let mut bound: Vec<String> = outer.iter().map(|(a, _)| a.clone()).collect();
     let mut steps: Vec<Step> = Vec::new();
-    // Running estimate of rows flowing into each step (product of the
-    // preceding steps' cardinalities) — drives the merge-join decision.
+    // Running estimate of the rows driving each step: the product of the
+    // preceding steps' cardinalities.
     let mut est_outer = 1.0f64;
     for idx in order {
         let tref = &select.from[idx];
+        let alias = tref.alias.as_str();
         let table = db.table(&tref.table).expect("validated above");
-        // Estimate before build_step consumes conjuncts from `used`.
-        let (est_fetched, est_rows, _) = estimate_access(
-            db,
-            select,
-            outer,
-            table,
-            &tref.alias,
-            &conjuncts,
-            &used,
-            &bound,
-            opts.stats,
-        );
-        let mut step = build_step(
-            db,
-            select,
-            outer,
-            table,
-            &tref.table,
-            &tref.alias,
-            &mut conjuncts,
-            &mut used,
-            &bound,
-            est_outer,
-            opts,
-        );
-        step.est_fetched = est_fetched;
-        step.est_rows = est_rows;
-        est_outer = (est_outer * est_rows).max(1.0);
+        let choice = ctx.choose_access(table, alias, &conjuncts, &used, &bound, est_outer);
+        let (access, consumed) = choice.access(table);
+        // Range scans over composite indexes can over-approximate (the scan
+        // bound is widened to cover key suffixes), so their driving conjuncts
+        // are re-checked as residuals. Equality probes are exact.
+        let mut residuals = Vec::new();
+        if matches!(
+            access,
+            Access::IndexRange { .. } | Access::MergeRange { .. }
+        ) {
+            residuals.extend(consumed.iter().map(|&i| conjuncts[i].clone()));
+        }
+        for &i in &consumed {
+            used[i] = true;
+        }
         bound.push(tref.alias.clone());
-        steps.push(step);
+        // All other conjuncts that become evaluable at this step are
+        // residuals: those involving this step's alias, and constants or
+        // subqueries that just became fully evaluable (their alias list
+        // may be empty). Conjuncts with unqualified columns wait for the
+        // full environment (they fall to the late filters, which attach to
+        // the last step).
+        for (i, c) in conjuncts.iter().enumerate() {
+            if used[i] || has_unqualified(c) {
+                continue;
+            }
+            let r = refs(c);
+            if r.iter().all(|a| bound.contains(a))
+                && (r.iter().any(|a| a == alias) || r.is_empty() || has_subquery(c))
+            {
+                residuals.push(c.clone());
+                used[i] = true;
+            }
+        }
+        est_outer = (est_outer * choice.card).max(1.0);
+        steps.push(Step {
+            alias: std::sync::Arc::from(alias),
+            table: tref.table.clone(),
+            access,
+            residuals,
+            est_fetched: choice.fetched,
+            est_rows: choice.card,
+        });
     }
 
     // Whatever conjuncts remain (those referencing no step alias at all,
@@ -352,9 +336,10 @@ pub fn plan_select_with(
     })
 }
 
-/// Coarse type classes for hash-join compatibility: Int and Float unify
+/// Coarse type classes for probe compatibility: Int and Float unify
 /// (the total order already equates 2 and 2.0); Str does not unify with
-/// numbers (SQL would implicitly convert, which a hash lookup cannot).
+/// numbers (SQL would implicitly convert, which an index or hash lookup
+/// cannot).
 #[derive(PartialEq, Eq, Clone, Copy, Debug)]
 enum TypeClass {
     Numeric,
@@ -369,44 +354,6 @@ fn type_class(ty: relstore::ColType) -> TypeClass {
         relstore::ColType::Str => TypeClass::Text,
         relstore::ColType::Bytes => TypeClass::Binary,
         relstore::ColType::Bool => TypeClass::Boolean,
-    }
-}
-
-/// Type class of a probe expression, when statically known: literals, and
-/// columns of aliases bound in this FROM list or in an outer query.
-fn probe_type_class(
-    db: &Database,
-    select: &Select,
-    outer: &[(String, String)],
-    e: &Expr,
-) -> Option<TypeClass> {
-    match e {
-        Expr::Literal(v) => v.col_type().map(type_class),
-        Expr::Column {
-            qualifier: Some(q),
-            name,
-        } => {
-            let table_name = select
-                .from
-                .iter()
-                .find(|t| &t.alias == q)
-                .map(|t| t.table.as_str())
-                .or_else(|| outer.iter().find(|(a, _)| a == q).map(|(_, t)| t.as_str()))?;
-            let table = db.table(table_name)?;
-            let ci = table.schema.col(name)?;
-            Some(type_class(table.schema.columns[ci].ty))
-        }
-        // `a || b`: binary concat stays binary, text concat stays text.
-        Expr::Concat(a, b) => {
-            let ca = probe_type_class(db, select, outer, a)?;
-            let cb = probe_type_class(db, select, outer, b)?;
-            if ca == cb {
-                Some(ca)
-            } else {
-                None
-            }
-        }
-        _ => None,
     }
 }
 
@@ -472,16 +419,16 @@ fn col_of<'e>(e: &'e Expr, alias: &str) -> Option<&'e str> {
 
 /// Decompose a conjunct as `alias.col <op> probe` where `probe` does not
 /// reference `alias` (flipping the comparison if needed).
-fn as_probe<'e>(e: &'e Expr, alias: &str) -> Option<(&'e str, CmpOp, Expr)> {
+fn as_probe<'e>(e: &'e Expr, alias: &str) -> Option<(&'e str, CmpOp, &'e Expr)> {
     if let Expr::Cmp { op, lhs, rhs } = e {
         if let Some(col) = col_of(lhs, alias) {
             if !refs(rhs).iter().any(|a| a == alias) {
-                return Some((col, *op, (**rhs).clone()));
+                return Some((col, *op, rhs));
             }
         }
         if let Some(col) = col_of(rhs, alias) {
             if !refs(lhs).iter().any(|a| a == alias) {
-                return Some((col, op.flip(), (**lhs).clone()));
+                return Some((col, op.flip(), lhs));
             }
         }
     }
@@ -490,7 +437,7 @@ fn as_probe<'e>(e: &'e Expr, alias: &str) -> Option<(&'e str, CmpOp, Expr)> {
 
 /// Decompose `alias.col BETWEEN lo AND hi` (non-negated) with foreign
 /// bounds.
-fn as_between<'e>(e: &'e Expr, alias: &str) -> Option<(&'e str, Expr, Expr)> {
+fn as_between<'e>(e: &'e Expr, alias: &str) -> Option<(&'e str, &'e Expr, &'e Expr)> {
     if let Expr::Between {
         expr,
         lo,
@@ -501,129 +448,11 @@ fn as_between<'e>(e: &'e Expr, alias: &str) -> Option<(&'e str, Expr, Expr)> {
         if let Some(col) = col_of(expr, alias) {
             let foreign = |x: &Expr| !refs(x).iter().any(|a| a == alias);
             if foreign(lo) && foreign(hi) {
-                return Some((col, (**lo).clone(), (**hi).clone()));
+                return Some((col, lo, hi));
             }
         }
     }
     None
-}
-
-/// Join-order selection. For n ≤ `EXHAUSTIVE_LIMIT` aliases, enumerate
-/// every left-deep order and minimize Σ_k Π_{j≤k} card_j (the classic
-/// cumulative-intermediate-size cost); otherwise greedy by next-step
-/// cardinality. The estimates are join-aware: a table probed through a
-/// two-sided Dewey range or an indexed equality becomes cheap once its
-/// driving alias is bound.
-fn choose_order(
-    db: &Database,
-    select: &Select,
-    conjuncts: &[Expr],
-    outer: &[(String, String)],
-    stats: bool,
-) -> Vec<usize> {
-    const EXHAUSTIVE_LIMIT: usize = 6;
-    let n = select.from.len();
-    let used = vec![false; conjuncts.len()];
-    let est = |idx: usize, bound: &[String]| -> (f64, f64) {
-        let tref = &select.from[idx];
-        let table = db.table(&tref.table).expect("validated by caller");
-        let (fetched, card, regexes) = estimate_access(
-            db,
-            select,
-            outer,
-            table,
-            &tref.alias,
-            conjuncts,
-            &used,
-            bound,
-            stats,
-        );
-        // Regular-expression filters are much costlier per row than
-        // comparisons; charge them into the fetch cost so orders that
-        // evaluate regexes over fewer rows win.
-        (fetched * (1.0 + 2.0 * regexes as f64), card)
-    };
-
-    if n <= EXHAUSTIVE_LIMIT {
-        let mut best: Option<(f64, Vec<usize>)> = None;
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        let mut remaining: Vec<usize> = (0..n).collect();
-        /// `(fetched, cardinality)` estimate for placing table `idx`
-        /// after the already-bound aliases.
-        type EstFn<'a> = dyn Fn(usize, &[String]) -> (f64, f64) + 'a;
-        #[allow(clippy::too_many_arguments)]
-        fn recurse(
-            est: &EstFn<'_>,
-            select: &Select,
-            order: &mut Vec<usize>,
-            remaining: &mut Vec<usize>,
-            bound: &mut Vec<String>,
-            product: f64,
-            cost: f64,
-            best: &mut Option<(f64, Vec<usize>)>,
-        ) {
-            if let Some((b, _)) = best {
-                if cost >= *b {
-                    return; // prune
-                }
-            }
-            if remaining.is_empty() {
-                if best.as_ref().map(|(b, _)| cost < *b).unwrap_or(true) {
-                    *best = Some((cost, order.clone()));
-                }
-                return;
-            }
-            for i in 0..remaining.len() {
-                let idx = remaining.remove(i);
-                // Cost pays for the rows the access path fetches at this
-                // nesting depth; downstream fan-out uses the post-filter
-                // cardinality.
-                let (fetched, card) = est(idx, bound);
-                let cost2 = cost + product * fetched;
-                let product2 = product * card;
-                order.push(idx);
-                bound.push(select.from[idx].alias.clone());
-                recurse(est, select, order, remaining, bound, product2, cost2, best);
-                bound.pop();
-                order.pop();
-                remaining.insert(i, idx);
-            }
-        }
-        let outer_aliases: Vec<String> = outer.iter().map(|(a, _)| a.clone()).collect();
-        let mut bound: Vec<String> = outer_aliases.clone();
-        recurse(
-            &est,
-            select,
-            &mut order,
-            &mut remaining,
-            &mut bound,
-            1.0,
-            0.0,
-            &mut best,
-        );
-        return best.expect("n ≥ 1 orders enumerated").1;
-    }
-
-    // Greedy fallback for wide FROM lists.
-    let mut bound: Vec<String> = outer.iter().map(|(a, _)| a.clone()).collect();
-    let mut remaining: Vec<usize> = (0..n).collect();
-    let mut out = Vec::with_capacity(n);
-    while !remaining.is_empty() {
-        let (pos, &idx) = remaining
-            .iter()
-            .enumerate()
-            .min_by(|(_, &a), (_, &b)| {
-                est(a, &bound)
-                    .0
-                    .partial_cmp(&est(b, &bound).0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("non-empty");
-        out.push(idx);
-        bound.push(select.from[idx].alias.clone());
-        remaining.remove(pos);
-    }
-    out
 }
 
 /// `expr` is a plain literal value?
@@ -634,500 +463,591 @@ fn literal_of(e: &Expr) -> Option<&Value> {
     }
 }
 
-/// One column's accumulated range bounds during estimation.
-struct RangeEst {
+/// The alias a correlated (non-literal) bound is driven by.
+fn driver_of(e: &Expr) -> Option<String> {
+    if literal_of(e).is_some() {
+        None
+    } else {
+        refs(e).into_iter().next()
+    }
+}
+
+/// What every step of one SELECT block is planned against.
+struct Ctx<'a> {
+    db: &'a Database,
+    select: &'a Select,
+    /// Aliases bound by enclosing queries, with their tables (those an
+    /// inner FROM alias shadows already removed).
+    outer: &'a [(String, String)],
+    opts: &'a ExecOptions,
+}
+
+/// `alias.col = probe`, one of a step's conjuncts.
+struct EqConj<'e> {
+    col: usize,
+    conj: usize,
+    probe: &'e Expr,
+    /// Fraction of the table one probe returns.
+    fraction: f64,
+    /// The probe provably shares the column's type class, so an index or
+    /// hash lookup finds exactly the rows SQL's comparison keeps.
+    exact: bool,
+}
+
+/// Every bound a step's conjuncts put on one column.
+#[derive(Default)]
+struct RangeConj<'e> {
     col: usize,
     lo: bool,
     hi: bool,
-    lo_lit: Option<Value>,
-    hi_lit: Option<Value>,
+    lo_lit: Option<&'e Value>,
+    hi_lit: Option<&'e Value>,
     /// Alias a correlated (non-literal) bound references — the table
     /// driving a Dewey window probe.
     driver: Option<String>,
-    indexed: bool,
+    /// Fraction of the table inside all the bounds.
+    fraction: f64,
+    /// The bounds an index scan can use, all of the column's type class:
+    /// the first `BETWEEN` (conjunct, lo, hi), else the first lower and
+    /// the first upper bound (conjunct, bound, inclusive).
+    between: Option<(usize, &'e Expr, &'e Expr)>,
+    scan_lo: Option<(usize, &'e Expr, bool)>,
+    scan_hi: Option<(usize, &'e Expr, bool)>,
 }
 
-/// Cost estimate for scanning `alias` next: `fetched` approximates the
-/// rows the chosen access path materializes (mirroring `build_step`'s
-/// priority: full-prefix index equality, then an indexed range, then a
-/// full scan), `card` the rows surviving all residual filters.
-///
-/// When statistics exist for the table's current contents (and `stats`
-/// holds), selectivities come from equi-depth
-/// histograms: literal equality probes read the containing bucket's
-/// rows-per-distinct, correlated probes use the column-wide average
-/// depth, literal range/BETWEEN bounds interpolate cumulative bucket
-/// mass, correlated two-sided windows on byte columns use the measured
-/// Dewey prefix fanout, and regex filters use survivor ratios learned
-/// from prior scans. Otherwise every selectivity falls back to the
-/// fixed `sel::*` constants — the pre-statistics planner.
-#[allow(clippy::too_many_arguments)]
-fn estimate_access(
-    db: &Database,
-    select: &Select,
-    outer: &[(String, String)],
-    table: &Table,
-    alias: &str,
-    conjuncts: &[Expr],
-    used: &[bool],
-    bound: &[String],
-    use_stats: bool,
-) -> (f64, f64, usize) {
-    let rows = table.len().max(1) as f64;
-    let stats = if use_stats {
-        relstore::stats::lookup(table)
-    } else {
-        None
-    };
-    let col_stats = |ci: usize| {
-        stats
-            .as_ref()
-            .and_then(|s| s.columns.get(ci).map(|c| (c, s.rows)))
-    };
-    // Resolve an alias (FROM list first, then the outer context) to its
-    // table — for sizing the driving side of a correlated window probe.
-    let table_of_alias = |a: &str| -> Option<&Table> {
-        let name = select
+impl<'e> RangeConj<'e> {
+    /// The entry for column `col`, added unbounded if it has none yet.
+    fn on<'r>(ranges: &'r mut Vec<RangeConj<'e>>, col: usize) -> &'r mut RangeConj<'e> {
+        let at = ranges.iter().position(|r| r.col == col).unwrap_or_else(|| {
+            ranges.push(RangeConj {
+                col,
+                ..RangeConj::default()
+            });
+            ranges.len() - 1
+        });
+        &mut ranges[at]
+    }
+
+    fn scannable(&self) -> bool {
+        self.between.is_some() || self.scan_lo.is_some() || self.scan_hi.is_some()
+    }
+
+    fn two_sided_scan(&self) -> bool {
+        self.between.is_some() || (self.scan_lo.is_some() && self.scan_hi.is_some())
+    }
+}
+
+/// One access candidate, before its probe expressions are cloned into an
+/// [`Access`].
+#[derive(Clone, Copy, Debug)]
+enum Choice {
+    FullScan,
+    /// Equality on every key column of index `index`.
+    IndexEq {
+        index: usize,
+    },
+    /// A hash probe through `eqs[eq]`.
+    HashEq {
+        eq: usize,
+    },
+    /// A scan of index `index`, whose lead column `ranges[range]` bounds.
+    Range {
+        index: usize,
+        range: usize,
+        merge: bool,
+    },
+}
+
+/// The planner's decision for one step: the cheapest access candidate,
+/// the rows it fetches per invocation, and the rows surviving every
+/// conjunct evaluable at the step.
+struct StepChoice<'e> {
+    choice: Choice,
+    fetched: f64,
+    card: f64,
+    /// `REGEXP_LIKE` filters among the step's conjuncts.
+    regexes: usize,
+    eqs: Vec<EqConj<'e>>,
+    ranges: Vec<RangeConj<'e>>,
+}
+
+impl StepChoice<'_> {
+    /// The chosen access, and the conjuncts it consumes as drivers.
+    fn access(&self, table: &Table) -> (Access, Vec<usize>) {
+        let exact_eq = |col: usize| {
+            self.eqs
+                .iter()
+                .find(|e| e.exact && e.col == col)
+                .expect("an enumerated index's key columns are covered")
+        };
+        match self.choice {
+            Choice::FullScan => (Access::FullScan, Vec::new()),
+            Choice::IndexEq { index } => {
+                let key_cols = &table.indexes()[index].key_cols;
+                let keys = key_cols
+                    .iter()
+                    .map(|&c| exact_eq(c).probe.clone())
+                    .collect();
+                let consumed = key_cols.iter().map(|&c| exact_eq(c).conj).collect();
+                (Access::IndexEq { index, keys }, consumed)
+            }
+            Choice::HashEq { eq } => {
+                let e = &self.eqs[eq];
+                let access = Access::HashEq {
+                    column: e.col,
+                    key: e.probe.clone(),
+                };
+                (access, vec![e.conj])
+            }
+            Choice::Range {
+                index,
+                range,
+                merge,
+            } => {
+                let r = &self.ranges[range];
+                let mut consumed = Vec::new();
+                let (lo, hi) = match r.between {
+                    Some((conj, lo, hi)) => {
+                        consumed.push(conj);
+                        (Some((lo.clone(), true)), Some((hi.clone(), true)))
+                    }
+                    None => {
+                        let mut bound = |b: Option<(usize, &Expr, bool)>| {
+                            b.map(|(conj, e, inclusive)| {
+                                consumed.push(conj);
+                                (e.clone(), inclusive)
+                            })
+                        };
+                        (bound(r.scan_lo), bound(r.scan_hi))
+                    }
+                };
+                let access = if merge {
+                    Access::MergeRange { index, lo, hi }
+                } else {
+                    Access::IndexRange { index, lo, hi }
+                };
+                (access, consumed)
+            }
+        }
+    }
+}
+
+impl<'a> Ctx<'a> {
+    /// The table an alias names: this FROM list first, then the outer
+    /// context.
+    fn table_of(&self, alias: &str) -> Option<&'a Table> {
+        let name = self
+            .select
             .from
             .iter()
-            .find(|t| t.alias == a)
+            .find(|t| t.alias == alias)
             .map(|t| t.table.as_str())
             .or_else(|| {
-                outer
+                self.outer
                     .iter()
-                    .find(|(al, _)| al == a)
+                    .find(|(a, _)| a == alias)
                     .map(|(_, t)| t.as_str())
             })?;
-        db.table(name)
-    };
-    // The alias a correlated bound expression is driven by.
-    let driver_of = |e: &Expr| -> Option<String> {
-        if literal_of(e).is_some() {
-            None
-        } else {
-            refs(e).into_iter().next()
-        }
-    };
-    // A near-zero (not exact-zero) floor for stats-derived fractions: an
-    // out-of-domain literal may honestly estimate empty, but keep cost
-    // products totally ordered. A twentieth of a row — matching the
-    // final `card.max(0.05)` — so sub-row expectations (e.g. mostly-empty
-    // descendant windows) stay visible to the join-order search. The
-    // constant fallbacks stay unfloored so disabling stats reproduces
-    // the legacy planner bit-for-bit.
-    let floor = 0.05 / rows;
-    let mut card = rows;
-    let mut regex_filters = 0usize;
-    // (column index, selectivity) of equality probes; range bounds per column.
-    let mut eq_sels: Vec<(usize, f64)> = Vec::new();
-    let mut ranges: Vec<RangeEst> = Vec::new();
+        self.db.table(name)
+    }
 
-    for (i, c) in conjuncts.iter().enumerate() {
-        if used[i] || !evaluable(c, alias, bound) {
-            continue;
-        }
-        if !refs(c).iter().any(|a| a == alias) {
-            continue;
-        }
-        if let Some((col, op, probe)) = as_probe(c, alias) {
-            let ci = table.schema.col(col);
-            match op {
-                CmpOp::Eq => {
-                    let f = match ci {
-                        Some(ci) => match col_stats(ci) {
-                            Some((cs, trows)) => {
-                                cs.eq_fraction(literal_of(&probe), trows).clamp(floor, 1.0)
-                            }
-                            None => {
-                                if let Some(ix) = table.index_on(&[ci]) {
-                                    let d = ix.distinct_keys().max(1) as f64;
-                                    (1.0 / d).max(1.0 / rows)
-                                } else {
-                                    sel::EQ_UNINDEXED
-                                }
-                            }
-                        },
-                        None => sel::EQ_UNINDEXED,
-                    };
-                    if let Some(ci) = ci {
-                        eq_sels.push((ci, f));
-                    }
-                    card *= f;
-                }
-                CmpOp::Ne => {
-                    let f = match ci.and_then(&col_stats) {
-                        Some((cs, trows)) => {
-                            (1.0 - cs.eq_fraction(literal_of(&probe), trows)).clamp(floor, 1.0)
-                        }
-                        None => sel::OTHER,
-                    };
-                    card *= f;
-                }
-                CmpOp::Gt | CmpOp::Ge | CmpOp::Lt | CmpOp::Le => match ci {
-                    Some(ci) => {
-                        let indexed = table.index_on(&[ci]).is_some();
-                        let is_lo = matches!(op, CmpOp::Gt | CmpOp::Ge);
-                        let lit = literal_of(&probe).cloned();
-                        let drv = driver_of(&probe);
-                        match ranges.iter_mut().find(|r| r.col == ci) {
-                            Some(r) => {
-                                if is_lo {
-                                    r.lo = true;
-                                    r.lo_lit = r.lo_lit.take().or(lit);
-                                } else {
-                                    r.hi = true;
-                                    r.hi_lit = r.hi_lit.take().or(lit);
-                                }
-                                if r.driver.is_none() {
-                                    r.driver = drv;
-                                }
-                            }
-                            None => ranges.push(RangeEst {
-                                col: ci,
-                                lo: is_lo,
-                                hi: !is_lo,
-                                lo_lit: if is_lo { lit.clone() } else { None },
-                                hi_lit: if is_lo { None } else { lit },
-                                driver: drv,
-                                indexed,
-                            }),
-                        }
-                    }
-                    None => card *= sel::OTHER,
-                },
+    /// Type class of a probe expression, when statically known: literals,
+    /// and columns of aliases bound in this FROM list or in an outer query.
+    fn probe_class(&self, e: &Expr) -> Option<TypeClass> {
+        match e {
+            Expr::Literal(v) => v.col_type().map(type_class),
+            Expr::Column {
+                qualifier: Some(q),
+                name,
+            } => {
+                let table = self.table_of(q)?;
+                let ci = table.schema.col(name)?;
+                Some(type_class(table.schema.columns[ci].ty))
             }
-        } else if let Some((col, lo, hi)) = as_between(c, alias) {
-            match table.schema.col(col) {
-                Some(ci) => ranges.push(RangeEst {
-                    col: ci,
-                    lo: true,
-                    hi: true,
-                    lo_lit: literal_of(&lo).cloned(),
-                    hi_lit: literal_of(&hi).cloned(),
-                    driver: driver_of(&lo).or_else(|| driver_of(&hi)),
-                    indexed: table.index_on(&[ci]).is_some(),
-                }),
-                None => card *= sel::RANGE_TWO_SIDED,
+            // `a || b`: binary concat stays binary, text concat stays text.
+            Expr::Concat(a, b) => {
+                let ca = self.probe_class(a)?;
+                (self.probe_class(b)? == ca).then_some(ca)
             }
-        } else if let Expr::RegexpLike { subject, pattern } = c {
-            // Histograms cannot see into a regex; the survivor set of a
-            // scan the executor already ran over this table can.
-            let learned = || {
-                let ci = table.schema.col(col_of(subject, alias)?)?;
-                let kept = table.filter_memo_get(ci, pattern)?.len();
-                Some((kept as f64 / rows).clamp(1e-4, 1.0))
-            };
-            let f = if use_stats {
-                learned().unwrap_or(sel::REGEX)
-            } else {
-                sel::REGEX
-            };
-            card *= f;
-            regex_filters += 1;
-        } else if let Expr::IsNull { expr, negated } = c {
-            let f = match col_of(expr, alias)
-                .and_then(|n| table.schema.col(n))
-                .and_then(col_stats)
-            {
-                Some((cs, trows)) => {
-                    let nf = cs.nulls as f64 / trows.max(1) as f64;
-                    if *negated { 1.0 - nf } else { nf }.clamp(floor, 1.0)
-                }
-                None => sel::OTHER,
-            };
-            card *= f;
-        } else {
-            card *= sel::OTHER;
+            _ => None,
         }
     }
 
-    let mut best_range: Option<f64> = None;
-    for r in &ranges {
-        let f = match col_stats(r.col) {
-            Some((cs, trows)) => {
-                if r.lo_lit.is_some() || r.hi_lit.is_some() {
-                    cs.range_fraction(r.lo_lit.as_ref(), r.hi_lit.as_ref(), trows)
-                        .max(floor)
-                } else if r.lo && r.hi {
-                    // Correlated two-sided window — the Dewey descendant
-                    // probe `d BETWEEN a.pos AND a.pos || 0xFF`. Driven
-                    // by a *different* table, containment says each probe
-                    // matches ~rows/driver_rows of this table (fraction
-                    // 1/driver_rows). A self-window's expected size is
-                    // the table's own measured Dewey prefix fanout.
-                    let driver = r.driver.as_deref().and_then(table_of_alias);
-                    match driver {
-                        Some(dt) if !std::ptr::eq(dt, table) => {
-                            (1.0 / dt.len().max(1) as f64).clamp(floor, 1.0)
-                        }
-                        _ => match cs.prefix_fanout {
-                            Some(fan) => ((fan + 1.0) / rows).clamp(floor, 1.0),
-                            None => sel::RANGE_TWO_SIDED,
-                        },
+    /// Join-order selection. For n ≤ `EXHAUSTIVE_LIMIT` aliases, enumerate
+    /// every left-deep order and minimize Σ_k Π_{j<k} card_j × fetched_k
+    /// (the rows each step's chosen access fetches at its nesting depth);
+    /// otherwise greedy by next-step fetched rows. Each placement is priced
+    /// by [`Ctx::choose_access`], so a table probed through a Dewey window
+    /// or an equality becomes cheap once its driving alias is bound.
+    fn choose_order(&self, conjuncts: &[Expr]) -> Vec<usize> {
+        const EXHAUSTIVE_LIMIT: usize = 6;
+        let n = self.select.from.len();
+        let used = vec![false; conjuncts.len()];
+        let est = |idx: usize, bound: &[String], est_outer: f64| -> (f64, f64) {
+            let tref = &self.select.from[idx];
+            let table = self.db.table(&tref.table).expect("validated by caller");
+            let c = self.choose_access(table, &tref.alias, conjuncts, &used, bound, est_outer);
+            // Regular-expression filters are much costlier per row than
+            // comparisons; charge them into the fetch cost so orders that
+            // evaluate regexes over fewer rows win.
+            (c.fetched * (1.0 + 2.0 * c.regexes as f64), c.card)
+        };
+
+        if n <= EXHAUSTIVE_LIMIT {
+            let mut best: Option<(f64, Vec<usize>)> = None;
+            let mut order: Vec<usize> = Vec::with_capacity(n);
+            let mut remaining: Vec<usize> = (0..n).collect();
+            /// `(fetched, cardinality)` estimate for placing table `idx`
+            /// after the already-bound aliases, driven by `est_outer` rows.
+            type EstFn<'a> = dyn Fn(usize, &[String], f64) -> (f64, f64) + 'a;
+            #[allow(clippy::too_many_arguments)]
+            fn recurse(
+                est: &EstFn<'_>,
+                select: &Select,
+                order: &mut Vec<usize>,
+                remaining: &mut Vec<usize>,
+                bound: &mut Vec<String>,
+                product: f64,
+                cost: f64,
+                best: &mut Option<(f64, Vec<usize>)>,
+            ) {
+                if let Some((b, _)) = best {
+                    if cost >= *b {
+                        return; // prune
                     }
-                } else {
-                    sel::RANGE_ONE_SIDED
+                }
+                if remaining.is_empty() {
+                    if best.as_ref().map(|(b, _)| cost < *b).unwrap_or(true) {
+                        *best = Some((cost, order.clone()));
+                    }
+                    return;
+                }
+                for i in 0..remaining.len() {
+                    let idx = remaining.remove(i);
+                    // Cost pays for the rows the access path fetches at this
+                    // nesting depth; downstream fan-out uses the post-filter
+                    // cardinality.
+                    let (fetched, card) = est(idx, bound, product.max(1.0));
+                    let cost2 = cost + product * fetched;
+                    let product2 = product * card;
+                    order.push(idx);
+                    bound.push(select.from[idx].alias.clone());
+                    recurse(est, select, order, remaining, bound, product2, cost2, best);
+                    bound.pop();
+                    order.pop();
+                    remaining.insert(i, idx);
                 }
             }
-            None => {
-                if r.lo && r.hi {
-                    sel::RANGE_TWO_SIDED
-                } else {
-                    sel::RANGE_ONE_SIDED
+            let mut bound: Vec<String> = self.outer.iter().map(|(a, _)| a.clone()).collect();
+            recurse(
+                &est,
+                self.select,
+                &mut order,
+                &mut remaining,
+                &mut bound,
+                1.0,
+                0.0,
+                &mut best,
+            );
+            return best.expect("n ≥ 1 orders enumerated").1;
+        }
+
+        // Greedy fallback for wide FROM lists.
+        let mut bound: Vec<String> = self.outer.iter().map(|(a, _)| a.clone()).collect();
+        let mut remaining: Vec<usize> = (0..n).collect();
+        let mut out = Vec::with_capacity(n);
+        let mut product = 1.0f64;
+        while !remaining.is_empty() {
+            let (pos, (_, card)) = remaining
+                .iter()
+                .map(|&idx| est(idx, &bound, product))
+                .enumerate()
+                .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0))
+                .expect("non-empty");
+            let idx = remaining.remove(pos);
+            out.push(idx);
+            bound.push(self.select.from[idx].alias.clone());
+            product = (product * card).max(1.0);
+        }
+        out
+    }
+
+    /// Choose how step `alias` reads `table` once the aliases in `bound`
+    /// are bound, with `est_outer` rows expected to drive it: the
+    /// planner's one access-path decision.
+    ///
+    /// It classifies the step's evaluable conjuncts once, multiplying
+    /// their fractions into the step's cardinality, and then enumerates
+    /// every access they allow, in the order of the fixed ladder the
+    /// planner once climbed: an `IndexEq` per index whose key columns the
+    /// equalities cover, a `HashEq` per equality, an `IndexRange` and a
+    /// `MergeRange` per index whose lead column is bounded, and a
+    /// `FullScan`. Only probes of the column's type class drive an
+    /// access. Each candidate costs its fetched rows plus its probe units
+    /// ([`ROW_COST`], [`PROBE_COST`]): an index or hash probe descends
+    /// `log₂ n + 1` levels, a merge cursor pays `n / est_outer` for
+    /// flattening the index plus one advance, and a full scan tests every
+    /// row. A later candidate replaces an earlier one only when strictly
+    /// cheaper, so ties keep the ladder's choice. `MergeMode::ForceOff`
+    /// and `ForceOn` remove the merge or the index range of a two-sided
+    /// range from the list.
+    ///
+    /// Fractions come from the table's statistics when `opts.stats` holds
+    /// and they exist: literal equality reads the containing bucket's
+    /// rows-per-distinct, a correlated equality the column-wide average
+    /// depth, literal range and BETWEEN bounds interpolate cumulative
+    /// bucket mass, a correlated two-sided window on a byte column is
+    /// `1/driver_rows` of the table when another table drives it and the
+    /// measured Dewey prefix fanout when its own table does, and a regex
+    /// filter uses the survivor ratio of a scan that already ran over the
+    /// table. Otherwise they are the `sel::*` constants, and an indexed
+    /// equality uses the index's distinct key count.
+    fn choose_access<'e>(
+        &self,
+        table: &Table,
+        alias: &str,
+        conjuncts: &'e [Expr],
+        used: &[bool],
+        bound: &[String],
+        est_outer: f64,
+    ) -> StepChoice<'e> {
+        let rows = table.len().max(1) as f64;
+        let stats = if self.opts.stats {
+            relstore::stats::lookup(table)
+        } else {
+            None
+        };
+        let col_stats = |ci: usize| {
+            stats
+                .as_ref()
+                .and_then(|s| s.columns.get(ci).map(|c| (c, s.rows)))
+        };
+        // A near-zero (not exact-zero) floor for stats-derived fractions: an
+        // out-of-domain literal may honestly estimate empty, but keep cost
+        // products totally ordered. A twentieth of a row — matching the
+        // final `card.max(0.05)` — so sub-row expectations (e.g. mostly-empty
+        // descendant windows) stay visible to the join-order search. The
+        // constant fallbacks stay unfloored.
+        let floor = 0.05 / rows;
+        let mut card = rows;
+        let mut regexes = 0usize;
+        let mut eqs: Vec<EqConj> = Vec::new();
+        let mut ranges: Vec<RangeConj> = Vec::new();
+
+        for (i, c) in conjuncts.iter().enumerate() {
+            if used[i]
+                || has_unqualified(c)
+                || !evaluable(c, alias, bound)
+                || !refs(c).iter().any(|a| a == alias)
+            {
+                continue;
+            }
+            if let Some((col, op, probe)) = as_probe(c, alias) {
+                let Some(ci) = table.schema.col(col) else {
+                    card *= if op == CmpOp::Eq {
+                        sel::EQ_UNINDEXED
+                    } else {
+                        sel::OTHER
+                    };
+                    continue;
+                };
+                // An index or hash probe compares with the total order,
+                // which does not perform SQL's implicit text↔number
+                // conversion: only a provably same-class probe is exact.
+                let exact =
+                    self.probe_class(probe) == Some(type_class(table.schema.columns[ci].ty));
+                match op {
+                    CmpOp::Eq => {
+                        let fraction = match col_stats(ci) {
+                            Some((cs, trows)) => {
+                                cs.eq_fraction(literal_of(probe), trows).clamp(floor, 1.0)
+                            }
+                            None => match table.index_on(&[ci]) {
+                                Some(ix) => {
+                                    (1.0 / ix.distinct_keys().max(1) as f64).max(1.0 / rows)
+                                }
+                                None => sel::EQ_UNINDEXED,
+                            },
+                        };
+                        card *= fraction;
+                        eqs.push(EqConj {
+                            col: ci,
+                            conj: i,
+                            probe,
+                            fraction,
+                            exact,
+                        });
+                    }
+                    CmpOp::Ne => {
+                        card *= match col_stats(ci) {
+                            Some((cs, trows)) => {
+                                (1.0 - cs.eq_fraction(literal_of(probe), trows)).clamp(floor, 1.0)
+                            }
+                            None => sel::OTHER,
+                        };
+                    }
+                    CmpOp::Gt | CmpOp::Ge | CmpOp::Lt | CmpOp::Le => {
+                        let r = RangeConj::on(&mut ranges, ci);
+                        let inclusive = matches!(op, CmpOp::Ge | CmpOp::Le);
+                        if matches!(op, CmpOp::Gt | CmpOp::Ge) {
+                            r.lo = true;
+                            r.lo_lit = r.lo_lit.or(literal_of(probe));
+                            if exact && r.scan_lo.is_none() {
+                                r.scan_lo = Some((i, probe, inclusive));
+                            }
+                        } else {
+                            r.hi = true;
+                            r.hi_lit = r.hi_lit.or(literal_of(probe));
+                            if exact && r.scan_hi.is_none() {
+                                r.scan_hi = Some((i, probe, inclusive));
+                            }
+                        }
+                        if r.driver.is_none() {
+                            r.driver = driver_of(probe);
+                        }
+                    }
                 }
+            } else if let Some((col, lo, hi)) = as_between(c, alias) {
+                let Some(ci) = table.schema.col(col) else {
+                    card *= sel::RANGE_TWO_SIDED;
+                    continue;
+                };
+                let class = Some(type_class(table.schema.columns[ci].ty));
+                let exact = self.probe_class(lo) == class && self.probe_class(hi) == class;
+                let r = RangeConj::on(&mut ranges, ci);
+                r.lo = true;
+                r.hi = true;
+                r.lo_lit = r.lo_lit.or(literal_of(lo));
+                r.hi_lit = r.hi_lit.or(literal_of(hi));
+                if r.driver.is_none() {
+                    r.driver = driver_of(lo).or_else(|| driver_of(hi));
+                }
+                if exact && r.between.is_none() {
+                    r.between = Some((i, lo, hi));
+                }
+            } else if let Expr::RegexpLike { subject, pattern } = c {
+                // Histograms cannot see into a regex; the survivor set of a
+                // scan the executor already ran over this table can.
+                let learned = || {
+                    let ci = table.schema.col(col_of(subject, alias)?)?;
+                    let kept = table.filter_memo_get(ci, pattern)?.len();
+                    Some((kept as f64 / rows).clamp(1e-4, 1.0))
+                };
+                card *= if self.opts.stats {
+                    learned().unwrap_or(sel::REGEX)
+                } else {
+                    sel::REGEX
+                };
+                regexes += 1;
+            } else if let Expr::IsNull { expr, negated } = c {
+                card *= match col_of(expr, alias)
+                    .and_then(|n| table.schema.col(n))
+                    .and_then(col_stats)
+                {
+                    Some((cs, trows)) => {
+                        let nf = cs.nulls as f64 / trows.max(1) as f64;
+                        if *negated { 1.0 - nf } else { nf }.clamp(floor, 1.0)
+                    }
+                    None => sel::OTHER,
+                };
+            } else {
+                card *= sel::OTHER;
+            }
+        }
+
+        for r in &mut ranges {
+            r.fraction = match col_stats(r.col) {
+                Some((cs, trows)) => {
+                    if r.lo_lit.is_some() || r.hi_lit.is_some() {
+                        cs.range_fraction(r.lo_lit, r.hi_lit, trows).max(floor)
+                    } else if r.lo && r.hi {
+                        // Correlated two-sided window — the Dewey descendant
+                        // probe `d BETWEEN a.pos AND a.pos || 0xFF`. Driven
+                        // by a *different* table, containment says each probe
+                        // matches ~rows/driver_rows of this table (fraction
+                        // 1/driver_rows). A self-window's expected size is
+                        // the table's own measured Dewey prefix fanout.
+                        match r.driver.as_deref().and_then(|a| self.table_of(a)) {
+                            Some(dt) if !std::ptr::eq(dt, table) => {
+                                (1.0 / dt.len().max(1) as f64).clamp(floor, 1.0)
+                            }
+                            _ => match cs.prefix_fanout {
+                                Some(fan) => ((fan + 1.0) / rows).clamp(floor, 1.0),
+                                None => sel::RANGE_TWO_SIDED,
+                            },
+                        }
+                    } else {
+                        sel::RANGE_ONE_SIDED
+                    }
+                }
+                None if r.lo && r.hi => sel::RANGE_TWO_SIDED,
+                None => sel::RANGE_ONE_SIDED,
+            };
+            card *= r.fraction;
+        }
+
+        // The candidates, in ladder order.
+        let descent = rows.log2() + 1.0;
+        let mut best: Option<(Choice, f64, f64)> = None;
+        let mut offer = |choice: Choice, fraction: f64, probe_units: f64| {
+            let fetched = rows * fraction;
+            let cost = ROW_COST * fetched + PROBE_COST * probe_units;
+            if best.is_none_or(|(_, _, b)| cost < b) {
+                best = Some((choice, fetched, cost));
             }
         };
-        card *= f;
-        if r.indexed {
-            best_range = Some(best_range.map_or(f, |b: f64| b.min(f)));
-        }
-    }
-    // Best indexed equality access (build_step prefers these).
-    let mut eq_best: Option<f64> = None;
-    for &(ci, f) in &eq_sels {
-        if table.index_on(&[ci]).is_some() {
-            eq_best = Some(eq_best.map_or(f, |b: f64| b.min(f)));
-        }
-    }
-    let fetched = if let Some(f) = eq_best {
-        rows * f
-    } else if let Some(f) = best_range {
-        rows * f
-    } else if !eq_sels.is_empty() {
-        // hash join on an unindexed equality: the build is amortized, the
-        // probe returns ~rows × selectivity.
-        let f = eq_sels
-            .iter()
-            .map(|&(_, f)| f)
-            .fold(f64::INFINITY, f64::min);
-        rows * f
-    } else {
-        rows
-    };
-    (
-        fetched.max(0.5),
-        card.max(0.05).min(fetched.max(0.5)),
-        regex_filters,
-    )
-}
-
-/// Choose the access path for `alias` and attach every now-evaluable
-/// conjunct as driver or residual.
-#[allow(clippy::too_many_arguments)]
-fn build_step(
-    db: &Database,
-    select: &Select,
-    outer: &[(String, String)],
-    table: &Table,
-    table_name: &str,
-    alias: &str,
-    conjuncts: &mut [Expr],
-    used: &mut [bool],
-    bound: &[String],
-    est_outer: f64,
-    opts: &ExecOptions,
-) -> Step {
-    // Candidate equality probes: col -> (conjunct idx, probe expr).
-    let mut eq_probes: Vec<(usize, usize, Expr)> = Vec::new(); // (col_idx, conj_idx, expr)
-    let mut range_probes: Vec<(usize, usize, CmpOp, Expr)> = Vec::new();
-    let mut between_probes: Vec<(usize, usize, Expr, Expr)> = Vec::new();
-
-    for (i, c) in conjuncts.iter().enumerate() {
-        if used[i] || !evaluable(c, alias, bound) || has_unqualified(c) {
-            continue;
-        }
-        if let Some((col, op, probe)) = as_probe(c, alias) {
-            if let Some(ci) = table.schema.col(col) {
-                // A B-tree probe compares with the total order, which does
-                // not perform SQL's implicit text↔number conversion — only
-                // provably same-class probes are exact.
-                let compatible = probe_type_class(db, select, outer, &probe)
-                    == Some(type_class(table.schema.columns[ci].ty));
-                match op {
-                    CmpOp::Eq if compatible => eq_probes.push((ci, i, probe)),
-                    CmpOp::Eq => {}
-                    CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge if compatible => {
-                        range_probes.push((ci, i, op, probe))
-                    }
-                    _ => {}
-                }
-            }
-        } else if let Some((col, lo, hi)) = as_between(c, alias) {
-            if let Some(ci) = table.schema.col(col) {
-                let cls = Some(type_class(table.schema.columns[ci].ty));
-                if probe_type_class(db, select, outer, &lo) == cls
-                    && probe_type_class(db, select, outer, &hi) == cls
-                {
-                    between_probes.push((ci, i, lo, hi));
-                }
+        for (index, ix) in table.indexes().iter().enumerate() {
+            let covered: Option<f64> = ix
+                .key_cols
+                .iter()
+                .map(|&kc| {
+                    eqs.iter()
+                        .find(|e| e.exact && e.col == kc)
+                        .map(|e| e.fraction)
+                })
+                .product();
+            if let (Some(fraction), false) = (covered, ix.key_cols.is_empty()) {
+                offer(Choice::IndexEq { index }, fraction, descent);
             }
         }
-    }
-
-    // 1. Best composite equality index: the index (over eq-probe columns)
-    //    with the longest satisfied prefix.
-    let mut access: Option<(Access, Vec<usize>)> = None; // (access, consumed conjuncts)
-    let mut best_prefix = 0usize;
-    for (ix_pos, ix) in table.indexes().iter().enumerate() {
-        let mut keys = Vec::new();
-        let mut consumed = Vec::new();
-        for &kc in &ix.key_cols {
-            if let Some((_, ci_conj, probe)) = eq_probes.iter().find(|(c, _, _)| *c == kc) {
-                keys.push(probe.clone());
-                consumed.push(*ci_conj);
-            } else {
-                break;
+        for (eq, e) in eqs.iter().enumerate() {
+            if e.exact {
+                offer(Choice::HashEq { eq }, e.fraction, descent);
             }
         }
-        if keys.len() == ix.key_cols.len() && keys.len() > best_prefix {
-            best_prefix = keys.len();
-            access = Some((
-                Access::IndexEq {
-                    index: ix_pos,
-                    keys,
-                },
-                consumed,
-            ));
-        }
-    }
-
-    // 2. Equality on an unindexed column → hash join (build side = this
-    //    table, built once per table contents and kept on the table). Only
-    //    sound when both sides provably share a type class: SQL's implicit
-    //    text↔number conversion cannot be hashed.
-    if access.is_none() {
-        for (ci, conj, probe) in &eq_probes {
-            let build_class = type_class(table.schema.columns[*ci].ty);
-            if Some(build_class) == probe_type_class(db, select, outer, probe) {
-                access = Some((
-                    Access::HashEq {
-                        column: *ci,
-                        key: probe.clone(),
-                    },
-                    vec![*conj],
-                ));
-                break;
+        for (index, ix) in table.indexes().iter().enumerate() {
+            let lead = ix.key_cols.first();
+            let Some(range) = ranges
+                .iter()
+                .position(|r| Some(&r.col) == lead && r.scannable())
+            else {
+                continue;
+            };
+            let (fraction, two_sided) = (ranges[range].fraction, ranges[range].two_sided_scan());
+            let scan = |merge| Choice::Range {
+                index,
+                range,
+                merge,
+            };
+            if !(two_sided && self.opts.merge == MergeMode::ForceOn) {
+                offer(scan(false), fraction, descent);
+            }
+            if two_sided && self.opts.merge != MergeMode::ForceOff {
+                offer(scan(true), fraction, rows / est_outer.max(1.0) + 1.0);
             }
         }
-    }
+        offer(Choice::FullScan, 1.0, rows);
 
-    // 3. Range access on an index's first column, from BETWEEN or a pair /
-    //    single bound of inequalities.
-    if access.is_none() {
-        for (ix_pos, ix) in table.indexes().iter().enumerate() {
-            let lead = ix.key_cols[0];
-            if let Some((_, ci, lo, hi)) = between_probes.iter().find(|(c, ..)| *c == lead) {
-                let mk = if want_merge(table, true, est_outer, opts) {
-                    Access::MergeRange {
-                        index: ix_pos,
-                        lo: Some((lo.clone(), true)),
-                        hi: Some((hi.clone(), true)),
-                    }
-                } else {
-                    Access::IndexRange {
-                        index: ix_pos,
-                        lo: Some((lo.clone(), true)),
-                        hi: Some((hi.clone(), true)),
-                    }
-                };
-                access = Some((mk, vec![*ci]));
-                break;
-            }
-            let mut lo: Option<(Expr, bool, usize)> = None;
-            let mut hi: Option<(Expr, bool, usize)> = None;
-            for (c, i, op, probe) in &range_probes {
-                if *c != lead {
-                    continue;
-                }
-                match op {
-                    CmpOp::Gt => lo = lo.or(Some((probe.clone(), false, *i))),
-                    CmpOp::Ge => lo = lo.or(Some((probe.clone(), true, *i))),
-                    CmpOp::Lt => hi = hi.or(Some((probe.clone(), false, *i))),
-                    CmpOp::Le => hi = hi.or(Some((probe.clone(), true, *i))),
-                    _ => {}
-                }
-            }
-            if lo.is_some() || hi.is_some() {
-                let mut consumed = Vec::new();
-                let two_sided = lo.is_some() && hi.is_some();
-                let lo = lo.map(|(e, inc, i)| {
-                    consumed.push(i);
-                    (e, inc)
-                });
-                let hi = hi.map(|(e, inc, i)| {
-                    consumed.push(i);
-                    (e, inc)
-                });
-                let mk = if want_merge(table, two_sided, est_outer, opts) {
-                    Access::MergeRange {
-                        index: ix_pos,
-                        lo,
-                        hi,
-                    }
-                } else {
-                    Access::IndexRange {
-                        index: ix_pos,
-                        lo,
-                        hi,
-                    }
-                };
-                access = Some((mk, consumed));
-                break;
-            }
+        let (choice, fetched, _) = best.expect("a full scan is always a candidate");
+        let fetched = fetched.max(0.5);
+        StepChoice {
+            choice,
+            fetched,
+            card: card.max(0.05).min(fetched),
+            regexes,
+            eqs,
+            ranges,
         }
-    }
-
-    let (access, consumed) = access.unwrap_or((Access::FullScan, Vec::new()));
-    // Range scans over composite indexes can over-approximate (the scan
-    // bound is widened to cover key suffixes), so their driving conjuncts
-    // are re-checked as residuals. Equality probes are exact.
-    let mut residuals = Vec::new();
-    if matches!(
-        access,
-        Access::IndexRange { .. } | Access::MergeRange { .. }
-    ) {
-        for &i in &consumed {
-            residuals.push(conjuncts[i].clone());
-        }
-    }
-    for i in &consumed {
-        used[*i] = true;
-    }
-
-    // All other conjuncts that become evaluable at this step are residuals.
-    let bound_plus: Vec<String> = bound
-        .iter()
-        .cloned()
-        .chain(std::iter::once(alias.to_string()))
-        .collect();
-    for (i, c) in conjuncts.iter().enumerate() {
-        if used[i] {
-            continue;
-        }
-        let r = refs(c);
-        let all_bound = r.iter().all(|a| bound_plus.iter().any(|b| b == a));
-        // Attach here only if this step's alias is involved, or the
-        // predicate involves a subquery/constant that just became fully
-        // evaluable (r may be empty for constants). Conjuncts with
-        // unqualified columns wait for the full environment (they fall to
-        // the late filters, which attach to the last step).
-        if all_bound
-            && !has_unqualified(c)
-            && (r.iter().any(|a| a == alias) || r.is_empty() || has_subquery(c))
-        {
-            residuals.push(c.clone());
-            used[i] = true;
-        }
-    }
-
-    Step {
-        alias: std::sync::Arc::from(alias),
-        table: table_name.to_string(),
-        access,
-        residuals,
-        // Filled in by `plan_select` from `estimate_access`.
-        est_fetched: 0.0,
-        est_rows: 0.0,
     }
 }
 
@@ -1268,9 +1188,18 @@ mod tests {
         }
         let used = vec![false; conjuncts.len()];
         let table = db.table(&sel.from[0].table).expect("table");
-        let alias = sel.from[0].alias.clone();
-        let (f, c, _) = estimate_access(db, sel, &[], table, &alias, &conjuncts, &used, &[], stats);
-        (f, c)
+        let opts = ExecOptions {
+            stats,
+            ..ExecOptions::default()
+        };
+        let ctx = Ctx {
+            db,
+            select: sel,
+            outer: &[],
+            opts: &opts,
+        };
+        let c = ctx.choose_access(table, &sel.from[0].alias, &conjuncts, &used, &[], 1.0);
+        (c.fetched, c.card)
     }
 
     #[test]
@@ -1357,6 +1286,75 @@ mod tests {
             (card - sel::EQ_UNINDEXED * 1000.0).abs() < 1e-9,
             "card: {card}"
         );
+    }
+
+    /// A Dewey window driven by `D` and a hashable equality on `T.text`
+    /// (unindexed) both apply to `T`. `D` has `n` rows; `T` has two
+    /// children inside each of their windows, and its `text` takes
+    /// `domain` values. The hash probe returns `rows / domain` rows, the
+    /// window `rows / n`: the cheaper must run, and `est_fetched` must be
+    /// what it fetches.
+    fn window_or_hash(n: usize, domain: usize) -> Step {
+        let mut db = Database::new();
+        for name in ["D", "T"] {
+            db.create_table(TableSchema::new(
+                name,
+                &[
+                    ("id", ColType::Int),
+                    ("dewey_pos", ColType::Bytes),
+                    ("text", ColType::Str),
+                ],
+            ))
+            .expect("create");
+        }
+        for i in 0..n {
+            let key = (i as u16).to_be_bytes();
+            let d = db.table_mut("D").expect("D");
+            d.insert(vec![
+                Value::Int(i as i64),
+                Value::Bytes(vec![0, key[0], key[1]]),
+                Value::from(format!("t{}", i % domain)),
+            ])
+            .expect("row");
+            for j in 0..2 {
+                let t = db.table_mut("T").expect("T");
+                t.insert(vec![
+                    Value::Int((2 * i + j) as i64),
+                    Value::Bytes(vec![0, key[0], key[1], 0, j as u8]),
+                    Value::from(format!("t{}", (2 * i + j) % domain)),
+                ])
+                .expect("row");
+            }
+        }
+        db.table_mut("T")
+            .expect("T")
+            .create_index("t_dewey", &["dewey_pos"])
+            .expect("idx");
+        relstore::stats::analyze_db(&db);
+        let stmt = parse_sql(
+            "select T.id from T where T.text = D.text \
+             and T.dewey_pos between D.dewey_pos and D.dewey_pos || x'FF'",
+        )
+        .expect("parse");
+        let outer = [("D".to_string(), "D".to_string())];
+        let mut plan = plan_select(&db, &stmt.branches[0], &outer).expect("plan");
+        plan.steps.remove(0)
+    }
+
+    #[test]
+    fn window_or_hash_is_priced_not_ranked() {
+        // 8 rows, 8 texts: the hash returns 1 row, the window 2.
+        let small = window_or_hash(4, 8);
+        assert!(matches!(small.access, Access::HashEq { .. }), "{small:?}");
+        assert!((small.est_fetched - 1.0).abs() < 1e-9, "{small:?}");
+        // 800 rows, 20 texts: the hash returns 40 rows, the window 2.
+        let large = window_or_hash(400, 20);
+        assert!(
+            matches!(large.access, Access::IndexRange { .. }),
+            "{large:?}"
+        );
+        assert!((large.est_fetched - 2.0).abs() < 1e-9, "{large:?}");
+        assert_eq!(large.residuals.len(), 2, "the bound and the equality");
     }
 
     #[test]

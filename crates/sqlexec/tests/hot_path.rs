@@ -179,8 +179,9 @@ fn planner_renders_merge_access_path_when_forced() {
 
 #[test]
 fn auto_mode_uses_merge_only_past_the_cardinality_thresholds() {
-    // dewey_db's F table has 320 rows (>= 256) and the A side feeds 40
-    // outer rows (>= 32): Auto picks the merge strategy.
+    // dewey_db's F table has 320 rows and the A side feeds 40 outer
+    // rows: 40 × (log₂ 320 + 1) > 320 + 40, so the merge cursor is the
+    // cheaper candidate.
     let db = dewey_db();
     let (_, stats) = ids(&db, DEWEY_JOIN);
     assert!(stats.merge_probes > 0, "{stats:?}");

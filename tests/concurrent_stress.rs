@@ -2,9 +2,11 @@
 //! with the Figure-4 XMark query mix while a control thread snapshots the
 //! process-wide metrics registry mid-flight. Every concurrent answer must
 //! equal the serial baseline, counters must only grow, and the workers'
-//! queries must actually overlap. A second test starts the workers on
+//! queries must actually overlap. Two more tests start the workers on
 //! engines whose query caches are empty, so their first runs race to
-//! plan the same blocks of the same cached statements.
+//! translate, cache and plan the same statements: they must agree with
+//! the serial answers, and they must all run the one statement the
+//! cache keeps.
 //!
 //! Lives in its own integration-test binary: it reads process-wide
 //! registry counters.
@@ -176,6 +178,47 @@ fn cold_queries_racing_to_plan_agree_with_serial() {
             .collect();
         for h in workers {
             h.join().unwrap();
+        }
+    }
+}
+
+#[test]
+fn concurrent_cold_runs_share_one_statement() {
+    let doc = generate_xmark(XMarkConfig {
+        scale: 0.03,
+        seed: 42,
+    });
+    let queries = xmark_queries();
+    for round in 0..ROUNDS {
+        let engine = SharedEngine::new(fresh_xmark(&doc));
+        let start = Barrier::new(WORKERS);
+        // Each worker's statement for each query, from its first run.
+        let cold: Vec<Vec<_>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..WORKERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        queries
+                            .iter()
+                            .map(|(name, q)| engine.query(q).expect(name).stmt)
+                            .collect()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (i, (name, q)) in queries.iter().enumerate() {
+            let warm = engine.query(q).expect(name).stmt;
+            for (w, stmts) in cold.iter().enumerate() {
+                let same = match (&stmts[i], &warm) {
+                    (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                    (a, b) => a.is_none() && b.is_none(),
+                };
+                assert!(
+                    same,
+                    "round {round} worker {w}: the first run of {name} ran a statement the cache did not keep"
+                );
+            }
         }
     }
 }
