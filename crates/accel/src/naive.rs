@@ -56,6 +56,7 @@ pub fn translate_naive(schema: &Schema, expr: &XExpr) -> Result<SelectStmt, Naiv
             expr: Sql::Column {
                 qualifier: None,
                 name: "id".to_string(),
+                slot: None,
             },
             desc: false,
         }],

@@ -72,6 +72,7 @@ pub fn translate_accel(expr: &XExpr) -> Result<SelectStmt, AccelError> {
             expr: Sql::Column {
                 qualifier: None,
                 name: "pre".to_string(),
+                slot: None,
             },
             desc: false,
         }],

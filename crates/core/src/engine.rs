@@ -465,21 +465,8 @@ mod shape {
                     s.clone_from(&literals[slot]);
                 }
             }
-            Sql::Literal(_) | Sql::Column { .. } | Sql::CountStar => {}
-            Sql::And(xs) | Sql::Or(xs) => xs.iter_mut().for_each(|x| bind_expr(x, literals)),
-            Sql::Not(x) | Sql::IsNull { expr: x, .. } | Sql::RegexpLike { subject: x, .. } => {
-                bind_expr(x, literals)
-            }
-            Sql::Cmp { lhs, rhs, .. } | Sql::Arith { lhs, rhs, .. } | Sql::Concat(lhs, rhs) => {
-                bind_expr(lhs, literals);
-                bind_expr(rhs, literals);
-            }
-            Sql::Between { expr, lo, hi, .. } => {
-                bind_expr(expr, literals);
-                bind_expr(lo, literals);
-                bind_expr(hi, literals);
-            }
             Sql::Exists(s) | Sql::ScalarSubquery(s) => bind_select(s, literals),
+            other => other.operands_mut().for_each(|x| bind_expr(x, literals)),
         }
     }
 }
@@ -725,18 +712,11 @@ impl EdgeDb {
 /// `REGEXP_LIKE` occurrences in an expression tree (path filters).
 fn filters_in_expr(e: &Sql) -> u64 {
     match e {
-        Sql::RegexpLike { subject, .. } => 1 + filters_in_expr(subject),
-        Sql::And(xs) | Sql::Or(xs) => xs.iter().map(filters_in_expr).sum(),
-        Sql::Not(x) | Sql::IsNull { expr: x, .. } => filters_in_expr(x),
-        Sql::Cmp { lhs, rhs, .. } | Sql::Arith { lhs, rhs, .. } => {
-            filters_in_expr(lhs) + filters_in_expr(rhs)
-        }
-        Sql::Between { expr, lo, hi, .. } => {
-            filters_in_expr(expr) + filters_in_expr(lo) + filters_in_expr(hi)
-        }
-        Sql::Concat(a, b) => filters_in_expr(a) + filters_in_expr(b),
         Sql::Exists(s) | Sql::ScalarSubquery(s) => filters_in_select(s),
-        Sql::Literal(_) | Sql::Column { .. } | Sql::CountStar => 0,
+        other => {
+            u64::from(matches!(other, Sql::RegexpLike { .. }))
+                + other.operands().map(filters_in_expr).sum::<u64>()
+        }
     }
 }
 
@@ -848,15 +828,17 @@ fn run_query_inner(
         Some(prepared) => {
             if engine.plan_cache_hits == 0 {
                 let t0 = std::time::Instant::now();
-                for branch in &prepared.stmt().branches {
-                    let plan = sqlexec::plan::plan_select_with(db, branch, &[], &opts)
-                        .map_err(QueryError::from)?;
-                    engine.plan_steps += plan.steps.len() as u64;
-                    prepared
-                        .set_plan(branch.ordinal, Arc::new(plan))
-                        .map_err(QueryError::from)?;
-                }
+                prepared
+                    .plan_branches(db, &opts)
+                    .map_err(QueryError::from)?;
                 engine.plan_ns = t0.elapsed().as_nanos() as u64;
+                engine.plan_steps = prepared
+                    .stmt()
+                    .branches
+                    .iter()
+                    .filter_map(|b| prepared.plan(b.ordinal))
+                    .map(|plan| plan.steps.len() as u64)
+                    .sum();
             }
 
             let exec = Executor::with_options(db, opts);

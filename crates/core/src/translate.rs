@@ -179,6 +179,7 @@ pub fn translate(
             expr: Sql::Column {
                 qualifier: None,
                 name: "id".to_string(),
+                slot: None,
             },
             desc: false,
         }],

@@ -118,20 +118,7 @@ fn visit_select(sel: &mut Select, f: &mut impl FnMut(&mut Select)) {
 fn visit_expr(e: &mut Expr, f: &mut impl FnMut(&mut Select)) {
     match e {
         Expr::Exists(sel) | Expr::ScalarSubquery(sel) => visit_select(sel, f),
-        Expr::Column { .. } | Expr::Literal(_) | Expr::CountStar => {}
-        Expr::Cmp { lhs, rhs, .. } | Expr::Arith { lhs, rhs, .. } | Expr::Concat(lhs, rhs) => {
-            visit_expr(lhs, f);
-            visit_expr(rhs, f);
-        }
-        Expr::Between { expr, lo, hi, .. } => {
-            visit_expr(expr, f);
-            visit_expr(lo, f);
-            visit_expr(hi, f);
-        }
-        Expr::And(xs) | Expr::Or(xs) => xs.iter_mut().for_each(|x| visit_expr(x, f)),
-        Expr::Not(x) | Expr::IsNull { expr: x, .. } | Expr::RegexpLike { subject: x, .. } => {
-            visit_expr(x, f)
-        }
+        other => other.operands_mut().for_each(|x| visit_expr(x, f)),
     }
 }
 
@@ -254,14 +241,26 @@ impl ArithOp {
     }
 }
 
+/// Where a resolved column is read while its expression runs: column
+/// `column` of the row bound at position `binding` of the executor's
+/// binding stack (outermost first).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnSlot {
+    pub binding: usize,
+    pub column: usize,
+}
+
 /// A scalar SQL expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// `alias.column` (qualifier optional only in hand-written SQL; the
-    /// translator always qualifies).
+    /// translator always qualifies). `slot` is `None` in a statement; the
+    /// planner fills it in its plan's copies, and the executor reads a
+    /// column through its slot alone.
     Column {
         qualifier: Option<String>,
         name: String,
+        slot: Option<ColumnSlot>,
     },
     Literal(Value),
     Cmp {
@@ -310,7 +309,41 @@ impl Expr {
         Expr::Column {
             qualifier: Some(qualifier.to_string()),
             name: name.to_string(),
+            slot: None,
         }
+    }
+
+    /// The operands `self` applies to directly. A subquery's block holds
+    /// no operand of the expression around it.
+    pub fn operands(&self) -> impl Iterator<Item = &Expr> {
+        let (list, fixed): (&[Expr], [Option<&Expr>; 3]) = match self {
+            Expr::And(xs) | Expr::Or(xs) => (xs, [None; 3]),
+            Expr::Cmp { lhs, rhs, .. } | Expr::Arith { lhs, rhs, .. } | Expr::Concat(lhs, rhs) => {
+                (&[], [Some(lhs), Some(rhs), None])
+            }
+            Expr::Between { expr, lo, hi, .. } => (&[], [Some(expr), Some(lo), Some(hi)]),
+            Expr::Not(x) | Expr::IsNull { expr: x, .. } | Expr::RegexpLike { subject: x, .. } => {
+                (&[], [Some(x), None, None])
+            }
+            _ => (&[], [None; 3]),
+        };
+        list.iter().chain(fixed.into_iter().flatten())
+    }
+
+    /// [`Expr::operands`], mutably.
+    pub fn operands_mut(&mut self) -> impl Iterator<Item = &mut Expr> {
+        let (list, fixed): (&mut [Expr], [Option<&mut Expr>; 3]) = match self {
+            Expr::And(xs) | Expr::Or(xs) => (xs, [None, None, None]),
+            Expr::Cmp { lhs, rhs, .. } | Expr::Arith { lhs, rhs, .. } | Expr::Concat(lhs, rhs) => {
+                (&mut [], [Some(lhs), Some(rhs), None])
+            }
+            Expr::Between { expr, lo, hi, .. } => (&mut [], [Some(expr), Some(lo), Some(hi)]),
+            Expr::Not(x) | Expr::IsNull { expr: x, .. } | Expr::RegexpLike { subject: x, .. } => {
+                (&mut [], [Some(x), None, None])
+            }
+            _ => (&mut [], [None, None, None]),
+        };
+        list.iter_mut().chain(fixed.into_iter().flatten())
     }
 
     pub fn int(v: i64) -> Expr {
@@ -334,14 +367,6 @@ impl Expr {
             op,
             lhs: Box::new(lhs),
             rhs: Box::new(rhs),
-        }
-    }
-
-    /// Conjoin two optional predicates.
-    pub fn and_opt(a: Option<Expr>, b: Option<Expr>) -> Option<Expr> {
-        match (a, b) {
-            (None, x) | (x, None) => x,
-            (Some(a), Some(b)) => Some(a.and(b)),
         }
     }
 
@@ -382,42 +407,22 @@ impl Expr {
                     }
                 }
             }
-            Expr::Literal(_) | Expr::CountStar => {}
-            Expr::Cmp { lhs, rhs, .. } | Expr::Arith { lhs, rhs, .. } => {
-                lhs.free_aliases(out);
-                rhs.free_aliases(out);
-            }
-            Expr::Between { expr, lo, hi, .. } => {
-                expr.free_aliases(out);
-                lo.free_aliases(out);
-                hi.free_aliases(out);
-            }
-            Expr::And(xs) | Expr::Or(xs) => {
-                for x in xs {
-                    x.free_aliases(out);
-                }
-            }
-            Expr::Not(x) | Expr::IsNull { expr: x, .. } => x.free_aliases(out),
-            Expr::Concat(a, b) => {
-                a.free_aliases(out);
-                b.free_aliases(out);
-            }
-            Expr::RegexpLike { subject, .. } => subject.free_aliases(out),
             Expr::Exists(sel) | Expr::ScalarSubquery(sel) => {
-                let bound: Vec<&str> = sel.from.iter().map(|t| t.alias.as_str()).collect();
                 let mut inner = Vec::new();
-                if let Some(w) = &sel.where_clause {
-                    w.free_aliases(&mut inner);
-                }
-                for p in &sel.projections {
-                    p.expr.free_aliases(&mut inner);
+                for e in sel
+                    .where_clause
+                    .iter()
+                    .chain(sel.projections.iter().map(|p| &p.expr))
+                {
+                    e.free_aliases(&mut inner);
                 }
                 for q in inner {
-                    if !bound.contains(&q.as_str()) && !out.contains(&q) {
+                    if !sel.from.iter().any(|t| t.alias == q) && !out.contains(&q) {
                         out.push(q);
                     }
                 }
             }
+            other => other.operands().for_each(|x| x.free_aliases(out)),
         }
     }
 }

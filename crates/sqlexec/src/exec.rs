@@ -14,15 +14,15 @@ use std::time::{Duration, Instant};
 use regexlite::MatchCounts;
 use relstore::{Database, RowId, Table, Value};
 
-use crate::ast::{ArithOp, CmpOp, Expr, RegexPattern, Select, SelectStmt};
-use crate::plan::{plan_select_with, Access, ExecError, MergeMode, SelectPlan, Step};
+use crate::ast::{ArithOp, CmpOp, ColumnSlot, Expr, RegexPattern, Select, SelectStmt};
+use crate::plan::{Access, ExecError, MergeMode, SelectPlan, SortKey, Step};
 use crate::prepared::Prepared;
 
 mod naive;
 mod tail;
 pub use naive::naive_select;
+use tail::Collected;
 pub use tail::Rows;
-use tail::{Collected, KeyKind, Slots};
 
 /// A query result: named columns and rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,15 +95,15 @@ impl OpStats {
     }
 }
 
-/// A flattened index: every (key, rows) pair in key order, for the
-/// sort-merge cursor. Borrows the B-tree's own keys — building one costs a
-/// single traversal and `len` pointer pairs, no key copies.
-type MergeEntries<'db> = Arc<Vec<(&'db [Value], &'db [RowId])>>;
-
-/// Flattened indexes keyed by (table address, index position): the
-/// database borrow is immutable for `'db`, so an address names one
-/// table, and a probe builds its key without allocating.
-type MergeArrays<'db> = HashMap<(usize, usize), MergeEntries<'db>>;
+/// One merge step's state for a run: its index flattened into every
+/// (key, rows) pair in key order, on the step's first probe, and the
+/// cursor where the last probe's window began. The entries borrow the
+/// B-tree's own keys — a single traversal and `len` pointer pairs, no
+/// key copies.
+struct Merge<'db> {
+    entries: Vec<(&'db [Value], &'db [RowId])>,
+    cursor: usize,
+}
 
 /// Drop the path-filter memo (which rows of a column survive a pattern —
 /// see [`Table::filter_memo_get`]) and the hash-join build sides (see
@@ -240,10 +240,10 @@ impl Default for ExecOptions {
 type EmitFn<'a, 'db> =
     dyn FnMut(&Executor<'db>, &mut Vec<Binding<'db>>) -> Result<bool, ExecError> + 'a;
 
-/// One bound alias during execution.
-#[derive(Clone)]
+/// One bound row during execution. A plan's expressions read it by its
+/// position in the binding stack ([`ColumnSlot::binding`]).
+#[derive(Clone, Copy)]
 struct Binding<'db> {
-    alias: Arc<str>,
     table: &'db Table,
     rid: RowId,
 }
@@ -251,10 +251,10 @@ struct Binding<'db> {
 /// The SQL executor. Borrow a database, run statements.
 pub struct Executor<'db> {
     db: &'db Database,
-    pub(crate) opts: ExecOptions,
+    opts: ExecOptions,
     stats: RefCell<ExecStats>,
-    /// The statement being run, or last run: its blocks' plans are where
-    /// `plan_for` reads and fills them.
+    /// The statement being run, or last run: a subquery's plan is read
+    /// from its block's slot there.
     prepared: RefCell<Option<Arc<Prepared>>>,
     /// Top-level plans for the next [`Executor::run`], keyed by the
     /// address of the branch they were made from (the
@@ -263,12 +263,9 @@ pub struct Executor<'db> {
     /// Slot holding the current `COUNT(*)` aggregate while its projection
     /// is evaluated.
     count_result: std::cell::Cell<Option<i64>>,
-    /// Flattened indexes for the sort-merge cursor. Valid for this
-    /// executor's lifetime — the database borrow is immutable.
-    merge_arrays: RefCell<MergeArrays<'db>>,
-    /// Sort-merge cursor positions by block ordinal and step depth;
-    /// cleared per run.
-    merge_cursors: RefCell<Vec<Vec<usize>>>,
+    /// Sort-merge state by block ordinal and step depth; cleared per
+    /// run.
+    merges: RefCell<Vec<Vec<Option<Merge<'db>>>>>,
     /// Pool of probe-row buffers (one live per nested-loop depth);
     /// acquiring past the pool counts into `ExecStats::probe_allocs`.
     row_buf_pool: RefCell<Vec<Vec<RowId>>>,
@@ -307,8 +304,7 @@ impl<'db> Executor<'db> {
             prepared: RefCell::new(None),
             seeded: RefCell::new(HashMap::new()),
             count_result: std::cell::Cell::new(None),
-            merge_arrays: RefCell::new(HashMap::new()),
-            merge_cursors: RefCell::new(Vec::new()),
+            merges: RefCell::new(Vec::new()),
             row_buf_pool: RefCell::new(Vec::new()),
             key_scratch: RefCell::new(Vec::new()),
             step_stats: RefCell::new(Vec::new()),
@@ -414,13 +410,9 @@ impl<'db> Executor<'db> {
             .extend(snapshot.iter().map(|(k, v)| (*k, v.clone())));
     }
 
-    /// Counters accumulated since construction (or the last reset).
+    /// Counters accumulated since construction.
     pub fn stats(&self) -> ExecStats {
         *self.stats.borrow()
-    }
-
-    pub fn reset_stats(&self) {
-        *self.stats.borrow_mut() = ExecStats::default();
     }
 
     /// Parse and run a SQL string.
@@ -440,16 +432,17 @@ impl<'db> Executor<'db> {
         if seed {
             for branch in &stmt.branches {
                 if let Some(plan) = seeded.get(&(branch as *const Select as usize)) {
-                    prepared.set_plan(branch.ordinal, plan.clone())?;
+                    prepared.set_plan(plan.clone())?;
                 }
             }
         }
         self.run_prepared(&Arc::new(prepared))
     }
 
-    /// Run a prepared statement, planning each block it reaches whose
-    /// slot is still empty. Limit and cancellation aborts are counted
-    /// into [`ExecStats`] here, on the way out.
+    /// Run a prepared statement, first planning each top-level branch
+    /// whose slot is still empty ([`Prepared::plan_branches`]). Limit
+    /// and cancellation aborts are counted into [`ExecStats`] here, on
+    /// the way out.
     pub fn run_prepared(&self, prepared: &Arc<Prepared>) -> Result<ResultSet, ExecError> {
         self.rows_charged.set(0);
         self.limit_tick.set(0);
@@ -459,7 +452,8 @@ impl<'db> Executor<'db> {
         // reach an in-loop check.
         let result = self
             .check_limits_now()
-            .and_then(|()| self.run_inner(prepared.stmt()));
+            .and_then(|()| prepared.plan_branches(self.db, &self.opts))
+            .and_then(|()| self.run_inner(prepared));
         match &result {
             Ok(_) => self.record_plan_qerror(),
             Err(e) => {
@@ -477,7 +471,7 @@ impl<'db> Executor<'db> {
     /// Make `prepared` the running statement, with fresh per-run state.
     fn begin(&self, prepared: &Arc<Prepared>) {
         *self.prepared.borrow_mut() = Some(prepared.clone());
-        self.merge_cursors.borrow_mut().clear();
+        self.merges.borrow_mut().clear();
         let mut step_stats = self.step_stats.borrow_mut();
         step_stats.clear();
         step_stats.resize_with(prepared.blocks(), Vec::new);
@@ -503,67 +497,41 @@ impl<'db> Executor<'db> {
         });
     }
 
-    fn run_inner(&self, stmt: &SelectStmt) -> Result<ResultSet, ExecError> {
+    fn run_inner(&self, prepared: &Prepared) -> Result<ResultSet, ExecError> {
+        let stmt = prepared.stmt();
         if stmt.branches.is_empty() {
             return Err(ExecError::exec("statement has no SELECT branch"));
         }
         let multi = stmt.branches.len() > 1;
         // UNION branches must agree on arity, or dedup/sort would index
         // out of bounds across rows of different widths.
-        let arity = stmt.branches[0].projections.len();
+        let first = &stmt.branches[0];
+        let arity = first.projections.len();
         if stmt.branches.iter().any(|b| b.projections.len() != arity) {
             return Err(ExecError::exec(
                 "UNION branches project different numbers of columns",
             ));
         }
 
-        // Resolve ORDER BY keys. Keys naming an output column sort on the
-        // projected value (required for UNION); otherwise the key expression
-        // is evaluated against the FROM bindings of the (single) branch.
-        let first = &stmt.branches[0];
-        let mut keys: Vec<(KeyKind, bool)> = Vec::new();
-        for k in &stmt.order_by {
-            let kind = match &k.expr {
-                Expr::Column {
-                    qualifier: None,
-                    name,
-                } => {
-                    let pos = first.projections.iter().position(|p| {
-                        p.alias.as_deref() == Some(name.as_str())
-                            || matches!(&p.expr, Expr::Column { name: n, .. } if n == name)
-                    });
-                    match pos {
-                        Some(i) => KeyKind::Output(i),
-                        None => KeyKind::Computed(&k.expr),
-                    }
-                }
-                other => KeyKind::Computed(other),
-            };
-            if multi && matches!(kind, KeyKind::Computed(_)) {
-                return Err(ExecError::exec(
-                    "ORDER BY over UNION must reference an output column",
-                ));
-            }
-            keys.push((kind, k.desc));
-        }
-
         // Each surviving binding appends its cells, borrowed from the
         // tables where it can; the tail copies only the survivors out.
-        let mut collected = Collected::new(arity, &keys);
-        for sel in &stmt.branches {
-            let mut env: Vec<Binding> = Vec::new();
-            let mut slots: Option<Slots> = None;
-            self.select_rows(sel, &mut env, &mut |exec, env| {
-                if slots.is_none() {
-                    slots = Some(Slots::resolve(sel, &keys, env)?);
-                }
-                let slots = slots.as_ref().expect("resolved above");
-                collected.push(exec, slots.as_slice(), env)?;
+        let keys = prepared.sort_keys()?;
+        let width = arity + keys.iter().filter(|(k, _)| *k == SortKey::Computed).count();
+        let mut collected = Collected::new(arity, width);
+        for branch in &stmt.branches {
+            let plan = prepared
+                .plan(branch.ordinal)
+                .filter(|plan| plan.projections.len() == width)
+                .ok_or_else(|| {
+                    ExecError::plan("no branch plan with the statement's ORDER BY keys")
+                })?;
+            self.select_rows(plan, &mut Vec::new(), &mut |exec, env| {
+                collected.push(exec, &plan.projections, env)?;
                 Ok(true)
             })?;
         }
         let dedup = multi || stmt.branches.iter().any(|b| b.distinct);
-        let rows = collected.finish(dedup, &keys);
+        let rows = collected.finish(dedup, keys);
 
         let columns = first
             .projections
@@ -580,113 +548,117 @@ impl<'db> Executor<'db> {
         Ok(ResultSet { columns, rows })
     }
 
-    /// Run one select block, calling `emit` per surviving binding (or once
-    /// with the aggregate when the projection is `COUNT(*)`).
+    /// Run one planned block, calling `emit` per surviving binding (or
+    /// once with the aggregate when the projection is `COUNT(*)`).
     /// `emit` returns `false` to stop early (EXISTS).
-    fn select_rows<'e>(
-        &'e self,
-        sel: &'e Select,
+    fn select_rows(
+        &self,
+        plan: &SelectPlan,
         env: &mut Vec<Binding<'db>>,
         emit: &mut EmitFn<'_, 'db>,
-    ) -> Result<(), ExecError>
-    where
-        'db: 'e,
-    {
-        let is_count = sel
-            .projections
-            .iter()
-            .any(|p| matches!(p.expr, Expr::CountStar));
-        if is_count && sel.projections.len() != 1 {
-            return Err(ExecError::exec("COUNT(*) must be the only projection"));
+    ) -> Result<(), ExecError> {
+        match plan.projections.as_slice() {
+            [Expr::CountStar] => {
+                let mut count: i64 = 0;
+                self.exec_steps(plan, 0, env, &mut |_, _| {
+                    count += 1;
+                    Ok(true)
+                })?;
+                // Deliver the count through a one-off binding-free emit: the
+                // caller reads it via `eval(CountStar)` — we stash it.
+                self.count_result.set(Some(count));
+                emit(self, env)?;
+                self.count_result.set(None);
+            }
+            ps if ps.iter().any(|p| matches!(p, Expr::CountStar)) => {
+                return Err(ExecError::exec("COUNT(*) must be the only projection"));
+            }
+            _ => {
+                self.exec_steps(plan, 0, env, emit)?;
+            }
         }
-
-        let plan = self.plan_for(sel, env)?;
-        if is_count {
-            let mut count: i64 = 0;
-            self.exec_steps(&plan, 0, sel, env, &mut |_, _| {
-                count += 1;
-                Ok(true)
-            })?;
-            // Deliver the count through a one-off binding-free emit: the
-            // caller reads it via `eval(CountStar)` — we stash it.
-            self.count_result.set(Some(count));
-            emit(self, env)?;
-            self.count_result.set(None);
-            return Ok(());
-        }
-        self.exec_steps(&plan, 0, sel, env, emit)?;
         Ok(())
     }
 
-    /// `sel`'s plan from its slot in the running statement, planned into
-    /// the slot on first use.
-    fn plan_for(&self, sel: &Select, env: &[Binding<'db>]) -> Result<Arc<SelectPlan>, ExecError> {
+    /// The plan of block `ordinal` of the running statement, from its
+    /// slot: a branch's was stored before the run began, a subquery's
+    /// with the plan that holds it.
+    fn plan_of(&self, ordinal: usize) -> Result<Arc<SelectPlan>, ExecError> {
         let prepared = self.prepared.borrow();
-        let prepared = prepared
+        prepared
             .as_deref()
-            .ok_or_else(|| ExecError::exec("no statement is running"))?;
-        if let Some(plan) = prepared.plan(sel.ordinal) {
-            return Ok(plan.clone());
-        }
-        let outer: Vec<(String, String)> = env
-            .iter()
-            .map(|b| (b.alias.to_string(), b.table.schema.name.clone()))
-            .collect();
-        let plan = plan_select_with(self.db, sel, &outer, &self.opts)?;
-        prepared.set_plan(sel.ordinal, Arc::new(plan)).cloned()
+            .and_then(|p| p.plan(ordinal))
+            .cloned()
+            .ok_or_else(|| ExecError::plan(format!("SELECT block {ordinal} has no plan")))
     }
 
-    /// Wrapper around [`Self::exec_steps_inner`] that flushes this step's
-    /// counters into `step_stats` and the global `ExecStats` on *every*
-    /// exit path — including errors, which previously dropped the counts
-    /// accumulated before the failure (the EXISTS/scalar-subquery
+    /// Run the pipeline from step `depth` of `plan` on: fetch the step's
+    /// candidate rows, bind each one that passes its residuals and run
+    /// the rest below it, calling `emit` once every step is bound. The
+    /// step's counters go into `step_stats` and the global `ExecStats` on
+    /// *every* exit path — including errors, which once dropped the
+    /// counts accumulated before the failure (the EXISTS/scalar-subquery
     /// undercount).
-    fn exec_steps<'e>(
-        &'e self,
+    fn exec_steps(
+        &self,
         plan: &SelectPlan,
         depth: usize,
-        sel: &'e Select,
         env: &mut Vec<Binding<'db>>,
         emit: &mut EmitFn<'_, 'db>,
     ) -> Result<bool, ExecError> {
-        if depth == plan.steps.len() {
+        let Some(step) = plan.steps.get(depth) else {
             if !plan.late_filters.is_empty() {
                 let mut evals = 0u64;
-                let mut pass = true;
-                for f in &plan.late_filters {
-                    evals += 1;
-                    match self.eval_truth(f, env) {
-                        Ok(Some(true)) => {}
-                        Ok(_) => {
-                            pass = false;
-                            break;
-                        }
-                        Err(e) => {
-                            self.stats.borrow_mut().predicate_evals += evals;
-                            return Err(e);
-                        }
-                    }
-                }
+                let pass = self.holds_all(&plan.late_filters, None, env, &mut evals);
                 self.stats.borrow_mut().predicate_evals += evals;
-                if !pass {
+                if !pass? {
                     return Ok(true);
                 }
             }
             return emit(self, env);
-        }
+        };
 
         let t0 = self.profiling.get().then(std::time::Instant::now);
         let mut local = OpStats {
             invocations: 1,
             ..OpStats::default()
         };
-        let result = self.exec_steps_inner(plan, depth, sel, env, emit, &mut local);
+        // Candidate row ids go into a pooled buffer, returned to the pool
+        // on every exit path.
+        let mut probe_rows = self.take_row_buf();
+        let result = self
+            .db
+            .table(&step.table)
+            .ok_or_else(|| ExecError::exec(format!("no such table `{}`", step.table)))
+            .and_then(|table| {
+                let memo_skip =
+                    self.fill_probe_rows(plan, depth, table, env, &mut local, &mut probe_rows)?;
+                for &rid in &probe_rows {
+                    local.rows_in += 1;
+                    env.push(Binding { table, rid });
+                    // The residual the path-filter memo answered is skipped.
+                    let row = self.charge_rows(1).and_then(|()| {
+                        let residuals = &step.residuals;
+                        if !self.holds_all(residuals, memo_skip, env, &mut local.predicate_evals)? {
+                            return Ok(true);
+                        }
+                        local.rows_out += 1;
+                        self.exec_steps(plan, depth + 1, env, emit)
+                    });
+                    env.pop();
+                    if row != Ok(true) {
+                        return row;
+                    }
+                }
+                Ok(true)
+            });
+        self.put_row_buf(probe_rows);
         if let Some(t0) = t0 {
             local.elapsed_ns = t0.elapsed().as_nanos() as u64;
         }
         {
             let mut step_stats = self.step_stats.borrow_mut();
-            let slots = &mut step_stats[sel.ordinal];
+            let slots = &mut step_stats[plan.ordinal];
             if slots.is_empty() {
                 slots.resize(plan.steps.len(), OpStats::default());
             }
@@ -701,102 +673,20 @@ impl<'db> Executor<'db> {
         result
     }
 
-    fn exec_steps_inner<'e>(
-        &'e self,
-        plan: &SelectPlan,
-        depth: usize,
-        sel: &'e Select,
-        env: &mut Vec<Binding<'db>>,
-        emit: &mut EmitFn<'_, 'db>,
-        local: &mut OpStats,
-    ) -> Result<bool, ExecError> {
-        let step = &plan.steps[depth];
-        let table = self
-            .db
-            .table(&step.table)
-            .ok_or_else(|| ExecError::exec(format!("no such table `{}`", step.table)))?;
-
-        // Materialize candidate row ids from the access path into a
-        // pooled buffer (returned to the pool on every exit path below).
-        let mut probe_rows = self.take_row_buf();
-        let memo_skip =
-            match self.fill_probe_rows(step, table, sel, depth, env, local, &mut probe_rows) {
-                Ok(skip) => skip,
-                Err(e) => {
-                    self.put_row_buf(probe_rows);
-                    return Err(e);
-                }
-            };
-
-        // The nested-loop row loop over the candidates.
-        let mut outcome = Ok(true);
-        'rows: for &rid in &probe_rows {
-            local.rows_in += 1;
-            if let Err(e) = self.charge_rows(1) {
-                outcome = Err(e);
-                break 'rows;
-            }
-            env.push(Binding {
-                alias: step.alias.clone(),
-                table,
-                rid,
-            });
-            let mut pass = true;
-            for (ri, r) in step.residuals.iter().enumerate() {
-                if memo_skip == Some(ri) {
-                    continue; // already answered by the path-filter memo
-                }
-                local.predicate_evals += 1;
-                match self.eval_truth(r, env) {
-                    Ok(Some(true)) => {}
-                    Ok(_) => {
-                        pass = false;
-                        break;
-                    }
-                    Err(e) => {
-                        env.pop();
-                        outcome = Err(e);
-                        break 'rows;
-                    }
-                }
-            }
-            let keep_going = if pass {
-                local.rows_out += 1;
-                match self.exec_steps(plan, depth + 1, sel, env, emit) {
-                    Ok(k) => k,
-                    Err(e) => {
-                        env.pop();
-                        outcome = Err(e);
-                        break 'rows;
-                    }
-                }
-            } else {
-                true
-            };
-            env.pop();
-            if !keep_going {
-                outcome = Ok(false);
-                break 'rows;
-            }
-        }
-        self.put_row_buf(probe_rows);
-        outcome
-    }
-
-    /// Materialize the candidate rows for one step invocation. Returns
-    /// the index of a residual already answered by the path-filter memo
-    /// (so the row loop skips it), if any.
-    #[allow(clippy::too_many_arguments)]
+    /// Materialize the candidate rows for one invocation of step `depth`
+    /// of `plan`, over `table`. Returns the index of a residual already
+    /// answered by the path-filter memo (so the row loop skips it), if
+    /// any.
     fn fill_probe_rows(
         &self,
-        step: &Step,
-        table: &'db Table,
-        sel: &Select,
+        plan: &SelectPlan,
         depth: usize,
+        table: &'db Table,
         env: &mut Vec<Binding<'db>>,
         local: &mut OpStats,
         probe_rows: &mut Vec<RowId>,
     ) -> Result<Option<usize>, ExecError> {
+        let step = &plan.steps[depth];
         match &step.access {
             Access::FullScan => {
                 if let Some(skip) = self.probe_path_memo(step, table, local, probe_rows)? {
@@ -830,34 +720,29 @@ impl<'db> Executor<'db> {
                     return Ok(None);
                 }
                 // A composite key is probed through the reusable scratch
-                // key buffer instead of a fresh Vec<Value> per probe.
+                // key buffer instead of a fresh Vec<Value> per probe; a
+                // NULL component matches nothing.
                 let mut key_vals = self.key_scratch.take();
-                key_vals.clear();
                 if key_vals.capacity() < keys.len() {
                     self.stats.borrow_mut().probe_allocs += 1;
                 }
-                let mut any_null = false;
+                let mut complete = Ok(true);
                 for k in keys {
-                    let v = match self.eval(k, env) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            key_vals.clear();
-                            self.key_scratch.replace(key_vals);
-                            return Err(e);
+                    match self.eval(k, env) {
+                        Ok(v) if !v.is_null() => key_vals.push(v),
+                        other => {
+                            complete = other.map(|_| false);
+                            break;
                         }
-                    };
-                    if v.is_null() {
-                        any_null = true;
-                        break;
                     }
-                    key_vals.push(v);
                 }
-                if !any_null {
+                if complete == Ok(true) {
                     local.index_probes += 1;
                     probe_rows.extend_from_slice(ix.get(&key_vals));
                 }
                 key_vals.clear();
                 self.key_scratch.replace(key_vals);
+                complete?;
             }
             Access::IndexRange { index, lo, hi } => {
                 let ix = &table.indexes()[*index];
@@ -875,20 +760,20 @@ impl<'db> Executor<'db> {
                 {
                     local.index_probes += 1;
                     self.stats.borrow_mut().merge_probes += 1;
-                    let entries = self.merge_entries(table, *index);
-                    let start = {
-                        let mut cursors = self.merge_cursors.borrow_mut();
-                        if cursors.len() <= sel.ordinal {
-                            cursors.resize_with(sel.ordinal + 1, Vec::new);
-                        }
-                        let block = &mut cursors[sel.ordinal];
-                        if block.len() <= depth {
-                            block.resize(depth + 1, 0);
-                        }
-                        block[depth] = seek_first(&entries, block[depth], &lo_v);
-                        block[depth]
-                    };
-                    for (k, rids) in &entries[start..] {
+                    let mut merges = self.merges.borrow_mut();
+                    if merges.len() <= plan.ordinal {
+                        merges.resize_with(plan.ordinal + 1, Vec::new);
+                    }
+                    let block = &mut merges[plan.ordinal];
+                    if block.len() <= depth {
+                        block.resize_with(depth + 1, || None);
+                    }
+                    let merge = block[depth].get_or_insert_with(|| Merge {
+                        entries: ix.entries().collect(),
+                        cursor: 0,
+                    });
+                    merge.cursor = seek_first(&merge.entries, merge.cursor, &lo_v);
+                    for (k, rids) in &merge.entries[merge.cursor..] {
                         if !within_hi(k, &hi_v) {
                             break;
                         }
@@ -919,25 +804,19 @@ impl<'db> Executor<'db> {
     where
         'db: 'e,
     {
-        let lo_v: RangeEnd = match lo {
+        // `None` for a NULL bound: a comparison with NULL selects nothing.
+        let mut end = |bound: &'e Option<(Expr, bool)>| match bound {
             Some((e, inc)) => {
                 let v = self.operand(e, env)?;
-                if v.is_null() {
-                    return Ok(None); // comparison with NULL selects nothing
-                }
-                Some((v, *inc))
+                Ok((!v.is_null()).then_some(Some((v, *inc))))
             }
-            None => None,
+            None => Ok(Some(None)),
         };
-        let hi_v: RangeEnd = match hi {
-            Some((e, inc)) => {
-                let v = self.operand(e, env)?;
-                if v.is_null() {
-                    return Ok(None);
-                }
-                Some((v, *inc))
-            }
-            None => None,
+        let Some(lo_v) = end(lo)? else {
+            return Ok(None);
+        };
+        let Some(hi_v) = end(hi)? else {
+            return Ok(None);
         };
         if let (Some((l, l_inc)), Some((h, h_inc))) = (&lo_v, &hi_v) {
             match l.cmp_total(h) {
@@ -953,25 +832,14 @@ impl<'db> Executor<'db> {
         Ok(Some((lo_v, hi_v)))
     }
 
-    /// Flatten (and cache) an index as a sorted array for merge probing.
-    fn merge_entries(&self, table: &'db Table, index: usize) -> MergeEntries<'db> {
-        let key = (table as *const Table as usize, index);
-        if let Some(e) = self.merge_arrays.borrow().get(&key) {
-            return e.clone();
-        }
-        let entries: Vec<_> = table.indexes()[index].entries().collect();
-        let rc = Arc::new(entries);
-        self.merge_arrays.borrow_mut().insert(key, rc.clone());
-        rc
-    }
-
-    /// Try to answer a full scan whose residuals include
-    /// `REGEXP_LIKE(<this step's text column>, pattern)` from the
-    /// path-filter memo. On a hit `probe_rows` receives the surviving
-    /// rows without touching the table; on a miss the filtering scan runs
-    /// here (once) and populates the memo. Either way the matched
+    /// Answer a full scan from the path-filter memo when the plan says
+    /// one of its residuals is `REGEXP_LIKE(<this step's text column>,
+    /// pattern)` ([`Step::memo`]). On a hit `probe_rows` receives the
+    /// surviving rows without touching the table; on a miss the filtering
+    /// scan runs here (once) and populates the memo. Either way the
     /// residual's index is returned so the row loop skips re-evaluating
-    /// it. `None` when no residual qualifies — the plain full scan runs.
+    /// it. `None` when the step has no such residual — the plain full
+    /// scan runs.
     fn probe_path_memo(
         &self,
         step: &Step,
@@ -979,30 +847,10 @@ impl<'db> Executor<'db> {
         local: &mut OpStats,
         probe_rows: &mut Vec<RowId>,
     ) -> Result<Option<usize>, ExecError> {
-        let mut found: Option<(usize, usize, &RegexPattern)> = None;
-        for (ri, r) in step.residuals.iter().enumerate() {
-            if let Expr::RegexpLike { subject, pattern } = r {
-                if let Expr::Column { qualifier, name } = &**subject {
-                    // The subject must resolve to this step's binding: an
-                    // explicit alias match, or unqualified (the innermost
-                    // binding wins at lookup time).
-                    let aliased = match qualifier {
-                        Some(q) => *q == *step.alias,
-                        None => true,
-                    };
-                    if !aliased {
-                        continue;
-                    }
-                    if let Some(ci) = table.schema.col(name) {
-                        if table.schema.columns[ci].ty == relstore::ColType::Str {
-                            found = Some((ri, ci, pattern));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        let Some((ri, ci, pattern)) = found else {
+        let Some((ri, ci)) = step.memo else {
+            return Ok(None);
+        };
+        let Expr::RegexpLike { pattern, .. } = &step.residuals[ri] else {
             return Ok(None);
         };
         if let Some(rows) = table.filter_memo_get(ci, pattern) {
@@ -1071,6 +919,27 @@ impl<'db> Executor<'db> {
 
     // ----- expression evaluation -----
 
+    /// Whether every filter but the one at `skip` holds on `env`,
+    /// stopping at the first that does not; each one evaluated counts
+    /// into `evals`.
+    fn holds_all(
+        &self,
+        filters: &[Expr],
+        skip: Option<usize>,
+        env: &mut Vec<Binding<'db>>,
+        evals: &mut u64,
+    ) -> Result<bool, ExecError> {
+        for (i, f) in filters.iter().enumerate() {
+            if skip != Some(i) {
+                *evals += 1;
+                if self.eval_truth(f, env)? != Some(true) {
+                    return Ok(false);
+                }
+            }
+        }
+        Ok(true)
+    }
+
     fn eval_truth(&self, e: &Expr, env: &mut Vec<Binding<'db>>) -> Result<Option<bool>, ExecError> {
         let v = self.eval(e, env)?;
         match v {
@@ -1085,9 +954,7 @@ impl<'db> Executor<'db> {
     fn eval(&self, e: &Expr, env: &mut Vec<Binding<'db>>) -> Result<Value, ExecError> {
         match e {
             Expr::Literal(v) => Ok(v.clone()),
-            Expr::Column { qualifier, name } => {
-                self.lookup(qualifier.as_deref(), name, env).cloned()
-            }
+            Expr::Column { name, slot, .. } => cell(*slot, name, env).cloned(),
             Expr::Cmp { op, lhs, rhs } => {
                 let a = self.operand(lhs, env)?;
                 self.compare_with(*op, &a, rhs, env)
@@ -1134,7 +1001,7 @@ impl<'db> Executor<'db> {
             Expr::Exists(sub) => {
                 self.stats.borrow_mut().subqueries += 1;
                 let mut found = false;
-                self.select_rows(sub, env, &mut |_, _| {
+                self.select_rows(&*self.plan_of(sub.ordinal)?, env, &mut |_, _| {
                     found = true;
                     Ok(false) // stop at first row
                 })?;
@@ -1142,15 +1009,15 @@ impl<'db> Executor<'db> {
             }
             Expr::ScalarSubquery(sub) => {
                 self.stats.borrow_mut().subqueries += 1;
-                if sub.projections.len() != 1 {
+                let plan = self.plan_of(sub.ordinal)?;
+                let [proj] = plan.projections.as_slice() else {
                     return Err(ExecError::exec(
                         "scalar subquery must project exactly one column",
                     ));
-                }
+                };
                 let mut result: Option<Value> = None;
-                let proj = &sub.projections[0].expr;
                 let mut count = 0usize;
-                self.select_rows(sub, env, &mut |exec, env2| {
+                self.select_rows(&plan, env, &mut |exec, env2| {
                     count += 1;
                     if count > 1 {
                         return Err(ExecError::exec(
@@ -1206,9 +1073,7 @@ impl<'db> Executor<'db> {
     {
         match e {
             Expr::Literal(v) => Ok(Cow::Borrowed(v)),
-            Expr::Column { qualifier, name } => self
-                .lookup(qualifier.as_deref(), name, env)
-                .map(Cow::Borrowed),
+            Expr::Column { name, slot, .. } => cell(*slot, name, env).map(Cow::Borrowed),
             other => self.eval(other, env).map(Cow::Owned),
         }
     }
@@ -1231,45 +1096,20 @@ impl<'db> Executor<'db> {
             _ => Ok(compare(op, x, &*self.operand(rhs, env)?)),
         }
     }
-
-    fn lookup(
-        &self,
-        qualifier: Option<&str>,
-        name: &str,
-        env: &[Binding<'db>],
-    ) -> Result<&'db Value, ExecError> {
-        let (pos, ci) = resolve_column(qualifier, name, env)?;
-        let b = &env[pos];
-        Ok(&b.table.row(b.rid)[ci])
-    }
 }
 
-/// The binding position in `env` and the column index `qualifier.name`
-/// names. Inner bindings shadow outer ones, so the scan runs from the end.
-fn resolve_column(
-    qualifier: Option<&str>,
+/// The cell a column reads through its planner-given slot. A column the
+/// planner did not resolve is never looked up by name.
+fn cell<'db>(
+    slot: Option<ColumnSlot>,
     name: &str,
-    env: &[Binding<'_>],
-) -> Result<(usize, usize), ExecError> {
-    for (pos, b) in env.iter().enumerate().rev() {
-        match qualifier {
-            Some(q) if q != &*b.alias => continue,
-            _ => {}
-        }
-        if let Some(ci) = b.table.schema.col(name) {
-            return Ok((pos, ci));
-        }
-        if qualifier.is_some() {
-            return Err(ExecError::exec(format!(
-                "alias `{}` has no column `{name}`",
-                b.alias
-            )));
-        }
-    }
-    Err(ExecError::exec(match qualifier {
-        Some(q) => format!("unknown column `{q}.{name}`"),
-        None => format!("unknown column `{name}`"),
-    }))
+    env: &[Binding<'db>],
+) -> Result<&'db Value, ExecError> {
+    slot.and_then(|ColumnSlot { binding, column }| {
+        let b = env.get(binding)?;
+        b.table.row(b.rid).get(column)
+    })
+    .ok_or_else(|| ExecError::plan(format!("column `{name}` has no slot in the running plan")))
 }
 
 // ----- helpers -----

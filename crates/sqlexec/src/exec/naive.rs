@@ -4,14 +4,16 @@
 //! expressions evaluated here. It shares only the value semantics
 //! (comparison, concatenation, arithmetic, three-valued logic) with the
 //! executor; no planner, plan slot, index, memo or counter takes part, so
-//! a fault in any of them cannot corrupt the reference as well.
+//! a fault in any of them cannot corrupt the reference as well. It
+//! resolves each column by name when it reads it, so a fault in the
+//! planner's name resolution shows as a divergence.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use relstore::{Database, Value};
+use relstore::{Database, RowId, Table, Value};
 
-use super::{and3, arith, compare, concat, not3, or3, resolve_column, to_bool, truth, Binding};
+use super::{and3, arith, compare, concat, not3, or3, to_bool, truth};
 use crate::ast::{CmpOp, Expr, Select};
 use crate::plan::ExecError;
 
@@ -42,6 +44,40 @@ type Emit<'f, 'db> = dyn FnMut(&Naive<'db>, &mut Vec<Binding<'db>>) -> Result<bo
 
 struct Naive<'db> {
     db: &'db Database,
+}
+
+/// One bound alias of the cross product.
+struct Binding<'db> {
+    alias: Arc<str>,
+    table: &'db Table,
+    rid: RowId,
+}
+
+/// The cell `qualifier.name` names in `env`. Inner bindings shadow
+/// outer ones, so the scan runs from the end.
+fn resolve_column<'db>(
+    qualifier: Option<&str>,
+    name: &str,
+    env: &[Binding<'db>],
+) -> Result<&'db Value, ExecError> {
+    for b in env.iter().rev() {
+        if qualifier.is_some_and(|q| q != &*b.alias) {
+            continue;
+        }
+        if let Some(ci) = b.table.schema.col(name) {
+            return Ok(&b.table.row(b.rid)[ci]);
+        }
+        if qualifier.is_some() {
+            return Err(ExecError::exec(format!(
+                "alias `{}` has no column `{name}`",
+                b.alias
+            )));
+        }
+    }
+    Err(ExecError::exec(match qualifier {
+        Some(q) => format!("unknown column `{q}.{name}`"),
+        None => format!("unknown column `{name}`"),
+    }))
 }
 
 impl<'db> Naive<'db> {
@@ -97,10 +133,9 @@ impl<'db> Naive<'db> {
     fn eval(&self, e: &Expr, env: &mut Vec<Binding<'db>>) -> Result<Value, ExecError> {
         Ok(match e {
             Expr::Literal(v) => v.clone(),
-            Expr::Column { qualifier, name } => {
-                let (pos, col) = resolve_column(qualifier.as_deref(), name, env)?;
-                env[pos].table.row(env[pos].rid)[col].clone()
-            }
+            Expr::Column {
+                qualifier, name, ..
+            } => resolve_column(qualifier.as_deref(), name, env)?.clone(),
             Expr::Cmp { op, lhs, rhs } => {
                 compare(*op, &self.eval(lhs, env)?, &self.eval(rhs, env)?)
             }

@@ -9,9 +9,9 @@ use std::ops::{Index, Range};
 
 use relstore::Value;
 
-use super::{resolve_column, Binding, Executor};
-use crate::ast::{Expr, Select};
-use crate::plan::ExecError;
+use super::{Binding, Executor};
+use crate::ast::Expr;
+use crate::plan::{ExecError, SortKey};
 
 /// Result rows, stored flat: `len` rows of `arity` cells each, row-major
 /// in one vector. The row count is kept apart from the cells, so a
@@ -63,126 +63,48 @@ impl PartialEq<Vec<Vec<Value>>> for Rows {
     }
 }
 
-/// A resolved ORDER BY key: a projected output column by position, or an
-/// expression computed against the branch's own bindings.
-pub(super) enum KeyKind<'s> {
-    Output(usize),
-    Computed(&'s Expr),
-}
-
-/// Where one projected cell, or one computed ORDER BY key, of a branch
-/// comes from.
-#[derive(Clone, Copy)]
-pub(super) enum Slot<'s> {
-    /// Column `col` of the row bound at `env[binding]`, read in place.
-    Cell { binding: usize, col: usize },
-    /// Anything else (`COUNT(*)`, a literal, arithmetic), evaluated per
-    /// row.
-    Eval(&'s Expr),
-}
-
-/// Slots a branch keeps without a heap allocation; translated statements
-/// project two columns.
-const INLINE_SLOTS: usize = 4;
-
-/// One branch's slots: its projections, then the statement's computed
-/// ORDER BY keys. Every row a branch emits binds the same aliases at the
-/// same positions, so a column is resolved by name once, on the first row,
-/// instead of by string compares on every row.
-pub(super) enum Slots<'s> {
-    Inline(usize, [Slot<'s>; INLINE_SLOTS]),
-    Heap(Vec<Slot<'s>>),
-}
-
-impl<'s> Slots<'s> {
-    pub(super) fn resolve(
-        sel: &'s Select,
-        keys: &[(KeyKind<'s>, bool)],
-        env: &[Binding<'_>],
-    ) -> Result<Slots<'s>, ExecError> {
-        let computed = keys.iter().filter_map(|(k, _)| match k {
-            KeyKind::Computed(e) => Some(*e),
-            KeyKind::Output(_) => None,
-        });
-        let exprs = sel.projections.iter().map(|p| &p.expr).chain(computed);
-        let slot = |e: &'s Expr| match e {
-            Expr::Column { qualifier, name } => resolve_column(qualifier.as_deref(), name, env)
-                .map(|(binding, col)| Slot::Cell { binding, col }),
-            other => Ok(Slot::Eval(other)),
-        };
-        let n = exprs.clone().count();
-        if n > INLINE_SLOTS {
-            return exprs.map(slot).collect::<Result<_, _>>().map(Slots::Heap);
-        }
-        let mut inline = [Slot::Cell { binding: 0, col: 0 }; INLINE_SLOTS];
-        for (at, e) in inline.iter_mut().zip(exprs) {
-            *at = slot(e)?;
-        }
-        Ok(Slots::Inline(n, inline))
-    }
-
-    pub(super) fn as_slice(&self) -> &[Slot<'s>] {
-        match self {
-            Slots::Inline(n, slots) => &slots[..*n],
-            Slots::Heap(slots) => slots,
-        }
-    }
-}
-
 /// Every row a statement's branches produce, in branch order, before the
-/// tail: `len` rows of `arity` projected cells, and beside them `len` rows
-/// of the computed ORDER BY keys. A column cell borrows from its table;
+/// tail: `len` rows of `width` cells, the `arity` projected ones and then
+/// the computed ORDER BY keys. A column cell borrows from its table;
 /// only evaluated cells are owned. The tail permutes row numbers and
-/// copies each surviving value once, into [`Rows`].
+/// copies each surviving row's projected values once, into [`Rows`].
 pub(super) struct Collected<'a> {
     arity: usize,
-    n_computed: usize,
+    width: usize,
     len: usize,
     cells: Vec<Cow<'a, Value>>,
-    computed: Vec<Cow<'a, Value>>,
 }
 
 impl<'a> Collected<'a> {
-    pub(super) fn new(arity: usize, keys: &[(KeyKind, bool)]) -> Collected<'a> {
+    pub(super) fn new(arity: usize, width: usize) -> Collected<'a> {
         Collected {
             arity,
-            n_computed: keys
-                .iter()
-                .filter(|(k, _)| matches!(k, KeyKind::Computed(_)))
-                .count(),
+            width,
             len: 0,
             cells: Vec::new(),
-            computed: Vec::new(),
         }
     }
 
-    /// Append one surviving binding's cells, read through its branch's
-    /// slots.
+    /// Append one surviving binding's cells, its branch plan's
+    /// projections: a column or literal borrowed, anything else
+    /// evaluated.
     pub(super) fn push<'db: 'a>(
         &mut self,
         exec: &Executor<'db>,
-        slots: &[Slot<'a>],
+        projections: &'a [Expr],
         env: &mut Vec<Binding<'db>>,
     ) -> Result<(), ExecError> {
-        let (projected, keys) = slots.split_at(self.arity);
-        for (out, slots) in [(&mut self.cells, projected), (&mut self.computed, keys)] {
-            for slot in slots {
-                out.push(match *slot {
-                    Slot::Cell { binding, col } => {
-                        let b = &env[binding];
-                        Cow::Borrowed(&b.table.row(b.rid)[col])
-                    }
-                    Slot::Eval(e) => exec.operand(e, env)?,
-                });
-            }
+        for e in projections {
+            self.cells.push(exec.operand(e, env)?);
         }
         self.len += 1;
         Ok(())
     }
 
+    /// Row `r`'s projected cells.
     fn row(&self, r: u32) -> &[Cow<'a, Value>] {
-        let r = r as usize;
-        &self.cells[r * self.arity..(r + 1) * self.arity]
+        let at = r as usize * self.width;
+        &self.cells[at..at + self.arity]
     }
 
     /// Rows compare cell by cell under `cmp_total`, so `Int(1)` and
@@ -197,15 +119,15 @@ impl<'a> Collected<'a> {
     }
 
     /// Compare two rows under the ORDER BY keys: output keys on the
-    /// projected cells, computed keys positionally on their own cells,
-    /// DESC by reversal.
-    fn cmp_keys(&self, keys: &[(KeyKind, bool)], a: u32, b: u32) -> Ordering {
+    /// projected cells, computed keys positionally on the cells after
+    /// them, DESC by reversal.
+    fn cmp_keys(&self, keys: &[(SortKey, bool)], a: u32, b: u32) -> Ordering {
         let mut ci = 0;
         for (kind, desc) in keys {
             let (x, y) = match kind {
-                KeyKind::Output(i) => (&self.row(a)[*i], &self.row(b)[*i]),
-                KeyKind::Computed(_) => {
-                    let at = |r: u32| &self.computed[r as usize * self.n_computed + ci];
+                SortKey::Output(i) => (&self.row(a)[*i], &self.row(b)[*i]),
+                SortKey::Computed => {
+                    let at = |r: u32| &self.cells[r as usize * self.width + self.arity + ci];
                     let pair = (at(a), at(b));
                     ci += 1;
                     pair
@@ -225,7 +147,7 @@ impl<'a> Collected<'a> {
     /// BY. A UNION has set semantics, so it takes one pass over the
     /// concatenated arms; that pass keeps the first occurrence of each
     /// row, as per-branch DISTINCT passes before it would have.
-    pub(super) fn finish(self, dedup: bool, keys: &[(KeyKind, bool)]) -> Rows {
+    pub(super) fn finish(self, dedup: bool, keys: &[(SortKey, bool)]) -> Rows {
         let n = u32::try_from(self.len).expect("2^32 result rows would not fit in memory");
         if n <= 1 || (!dedup && keys.is_empty()) {
             return self.materialise(0..n);
@@ -237,7 +159,7 @@ impl<'a> Collected<'a> {
                 order.sort_by(by_keys);
             }
         };
-        let output_keys = keys.iter().all(|(k, _)| matches!(k, KeyKind::Output(_)));
+        let output_keys = keys.iter().all(|(k, _)| matches!(k, SortKey::Output(_)));
         if output_keys && !keys.is_empty() {
             sort(&mut order);
             if dedup {
@@ -258,7 +180,7 @@ impl<'a> Collected<'a> {
     /// of equal keys that holds its first copy, and stability keeps that
     /// copy first: deduplicating within each run keeps first occurrences.
     /// A run of one row costs the one key comparison that ends it.
-    fn dedup_runs(&self, keys: &[(KeyKind, bool)], order: &mut Vec<u32>) {
+    fn dedup_runs(&self, keys: &[(SortKey, bool)], order: &mut Vec<u32>) {
         let mut kept = 0;
         let mut start = 0;
         while start < order.len() {
@@ -323,20 +245,19 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use relstore::Value;
 
-    use super::{Collected, KeyKind};
-    use crate::ast::Expr;
+    use super::{Collected, SortKey};
 
     /// A produced row: its computed sort keys and its projected cells.
     type KeyedRow = (Vec<Value>, Vec<Value>);
 
     /// Compare two keyed rows under the ORDER BY keys, as the tail did
     /// before it sorted row numbers.
-    fn cmp_keyed(keys: &[(KeyKind, bool)], a: &KeyedRow, b: &KeyedRow) -> Ordering {
+    fn cmp_keyed(keys: &[(SortKey, bool)], a: &KeyedRow, b: &KeyedRow) -> Ordering {
         let mut ci = 0;
         for (kind, desc) in keys {
             let ord = match kind {
-                KeyKind::Output(i) => a.1[*i].cmp_total(&b.1[*i]),
-                KeyKind::Computed(_) => {
+                SortKey::Output(i) => a.1[*i].cmp_total(&b.1[*i]),
+                SortKey::Computed => {
                     let ord = a.0[ci].cmp_total(&b.0[ci]);
                     ci += 1;
                     ord
@@ -355,7 +276,7 @@ mod tests {
     /// a stable sort.
     fn reference_tail(
         branches: &[(bool, Vec<KeyedRow>)],
-        keys: &[(KeyKind, bool)],
+        keys: &[(SortKey, bool)],
     ) -> Vec<KeyedRow> {
         fn dedup(rows: &mut Vec<KeyedRow>) {
             let mut seen = std::collections::BTreeSet::new();
@@ -398,7 +319,6 @@ mod tests {
     /// cannot tell those copies apart.
     #[test]
     fn tail_matches_set_reference() {
-        let computed_key = Expr::int(0);
         let mut rng = StdRng::seed_from_u64(0x5EED);
         let mut run_dedups = 0;
         for case in 0..600 {
@@ -410,12 +330,12 @@ mod tests {
             } else {
                 0
             };
-            let mut keys: Vec<(KeyKind, bool)> = (0..rng.gen_range(0..=2usize))
-                .map(|_| (KeyKind::Output(rng.gen_range(0..arity)), rng.gen_bool(0.5)))
+            let mut keys: Vec<(SortKey, bool)> = (0..rng.gen_range(0..=2usize))
+                .map(|_| (SortKey::Output(rng.gen_range(0..arity)), rng.gen_bool(0.5)))
                 .collect();
             for _ in 0..n_computed {
                 let at = rng.gen_range(0..=keys.len());
-                keys.insert(at, (KeyKind::Computed(&computed_key), rng.gen_bool(0.5)));
+                keys.insert(at, (SortKey::Computed, rng.gen_bool(0.5)));
             }
             let branches: Vec<(bool, Vec<KeyedRow>)> = (0..n_branches)
                 .map(|_| {
@@ -431,16 +351,17 @@ mod tests {
                 .collect();
             let want = reference_tail(&branches, &keys);
 
-            let mut collected = Collected::new(arity, &keys);
+            let mut collected = Collected::new(arity, arity + n_computed);
             for (key, row) in branches.iter().flat_map(|(_, rows)| rows) {
-                collected.cells.extend(row.iter().map(Cow::Borrowed));
-                collected.computed.extend(key.iter().map(Cow::Borrowed));
+                collected
+                    .cells
+                    .extend(row.iter().chain(key).map(Cow::Borrowed));
                 collected.len += 1;
             }
             let dedup = n_branches > 1 || branches.iter().any(|(distinct, _)| *distinct);
             // With only output keys, every dropped duplicate was dropped
             // inside a run of equal keys.
-            let output_keys = keys.iter().all(|(k, _)| matches!(k, KeyKind::Output(_)));
+            let output_keys = keys.iter().all(|(k, _)| matches!(k, SortKey::Output(_)));
             run_dedups +=
                 usize::from(!keys.is_empty() && output_keys && want.len() < collected.len);
             let got = collected.finish(dedup, &keys);
@@ -460,7 +381,7 @@ mod tests {
     /// A zero-column result still counts its rows.
     #[test]
     fn zero_column_rows_count() {
-        let mut collected = Collected::new(0, &[]);
+        let mut collected = Collected::new(0, 0);
         collected.len = 3;
         let rows = collected.finish(false, &[]);
         assert_eq!(rows.len(), 3);

@@ -5,21 +5,19 @@
 
 use std::sync::Arc;
 
-use crate::ast::{Expr, Select, SelectStmt};
+use crate::ast::{Expr, SelectStmt};
 use crate::exec::{ExecOptions, Executor, QueryLimits};
-use crate::plan::{plan_select_with, Access, ExecError};
+use crate::plan::{Access, ExecError, SelectPlan};
 use crate::prepared::Prepared;
 use crate::render::render_expr;
 use relstore::Database;
 
-/// A profiled run to annotate the plan with: the executor, which holds
-/// the per-step counters, and the prepared statement, whose slots hold
-/// the plans its blocks ran.
-type Ran<'a, 'db> = (&'a Executor<'db>, &'a Prepared);
-
-/// Render the physical plan for every branch of a statement.
+/// Render the physical plan for every branch of a statement: the plans a
+/// run of it would make before it began.
 pub fn explain_stmt(db: &Database, stmt: &SelectStmt) -> Result<String, ExecError> {
-    render_stmt_plan(db, stmt, None)
+    let prepared = Prepared::new(stmt.clone());
+    prepared.plan_branches(db, &ExecOptions::default())?;
+    render_stmt_plan(db, &prepared, None)
 }
 
 /// Execute the statement with per-step profiling enabled, then render the
@@ -52,7 +50,7 @@ pub fn explain_analyze_with_limits(
     let t0 = std::time::Instant::now();
     let result = exec.run_prepared(&prepared)?;
     let elapsed = t0.elapsed();
-    let mut out = render_stmt_plan(db, prepared.stmt(), Some((&exec, &prepared)))?;
+    let mut out = render_stmt_plan(db, &prepared, Some(&exec))?;
     let stats = exec.stats();
     out.push_str(&format!(
         "actual: {} row(s) in {:.3} ms; rows_scanned={} index_probes={} predicate_evals={} subqueries={} limit_aborts={} cancelled={}\n",
@@ -68,17 +66,23 @@ pub fn explain_analyze_with_limits(
     Ok(out)
 }
 
+/// Render the plans in `prepared`'s slots, annotated with the per-step
+/// counters of `ran`, the executor that ran them, if any.
 fn render_stmt_plan(
     db: &Database,
-    stmt: &SelectStmt,
-    ran: Option<Ran>,
+    prepared: &Prepared,
+    ran: Option<&Executor>,
 ) -> Result<String, ExecError> {
+    let stmt = prepared.stmt();
     let mut out = String::new();
     for (i, branch) in stmt.branches.iter().enumerate() {
         if stmt.branches.len() > 1 {
             out.push_str(&format!("-- branch {} of {}\n", i + 1, stmt.branches.len()));
         }
-        explain_select(db, branch, &[], 0, &mut out, ran)?;
+        let plan = prepared
+            .plan(branch.ordinal)
+            .ok_or_else(|| ExecError::plan(format!("branch {} was not planned", i + 1)))?;
+        explain_select(db, plan, 0, &mut out, ran)?;
     }
     if !stmt.order_by.is_empty() {
         out.push_str("sort: ");
@@ -96,35 +100,16 @@ fn render_stmt_plan(
     Ok(out)
 }
 
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("    ");
-    }
-}
-
 fn explain_select(
     db: &Database,
-    sel: &Select,
-    outer: &[(String, String)],
+    plan: &SelectPlan,
     depth: usize,
     out: &mut String,
-    ran: Option<Ran>,
+    ran: Option<&Executor>,
 ) -> Result<(), ExecError> {
-    // Prefer the plan the executor actually ran, from the block's slot
-    // in the statement. Fall back to fresh planning, under the
-    // executor's options, for blocks that never ran; a subquery inside
-    // either plan keeps its ordinal, so it finds its own slot and
-    // counters the same way.
-    let plan = match ran.and_then(|(_, prepared)| prepared.plan(sel.ordinal)) {
-        Some(p) => p.clone(),
-        None => {
-            let opts = ran.map_or_else(ExecOptions::default, |(exec, _)| exec.opts);
-            Arc::new(plan_select_with(db, sel, outer, &opts)?)
-        }
-    };
-    let actuals = ran.map(|(exec, _)| exec.step_stats(sel.ordinal));
+    let actuals = ran.map(|exec| exec.step_stats(plan.ordinal));
     for (i, step) in plan.steps.iter().enumerate() {
-        indent(out, depth);
+        out.push_str(&"    ".repeat(depth));
         let table = db
             .require(&step.table)
             .map_err(|e| ExecError::exec(e.to_string()))?;
@@ -219,61 +204,45 @@ fn explain_select(
             }
         }
         out.push('\n');
-        // Recurse into subqueries referenced by the residual filters,
-        // with this select's aliases visible as their outer context (the
-        // executor plans them the same way).
-        let mut inner_outer: Vec<(String, String)> = outer.to_vec();
-        for t in &sel.from {
-            inner_outer.push((t.alias.clone(), t.table.clone()));
-        }
         for r in &step.residuals {
-            explain_subqueries(db, r, &inner_outer, depth + 1, out, ran)?;
+            explain_subqueries(db, plan, r, depth + 1, out, ran)?;
         }
-    }
-    let mut inner_outer: Vec<(String, String)> = outer.to_vec();
-    for t in &sel.from {
-        inner_outer.push((t.alias.clone(), t.table.clone()));
     }
     for f in &plan.late_filters {
-        indent(out, depth);
+        out.push_str(&"    ".repeat(depth));
         out.push_str("late filter\n");
-        explain_subqueries(db, f, &inner_outer, depth + 1, out, ran)?;
+        explain_subqueries(db, plan, f, depth + 1, out, ran)?;
     }
     Ok(())
 }
 
+/// Render the plan of each subquery in `e`, one of `plan`'s expressions,
+/// from `plan`'s subquery plans.
 fn explain_subqueries(
     db: &Database,
+    plan: &SelectPlan,
     e: &Expr,
-    outer: &[(String, String)],
     depth: usize,
     out: &mut String,
-    ran: Option<Ran>,
+    ran: Option<&Executor>,
 ) -> Result<(), ExecError> {
-    match e {
-        Expr::Exists(sel) => {
-            indent(out, depth);
-            out.push_str("exists subquery:\n");
-            explain_select(db, sel, outer, depth + 1, out, ran)
+    let (label, sel) = match e {
+        Expr::Exists(sel) => ("exists", sel),
+        Expr::ScalarSubquery(sel) => ("scalar", sel),
+        other => {
+            return other
+                .operands()
+                .try_for_each(|x| explain_subqueries(db, plan, x, depth, out, ran))
         }
-        Expr::ScalarSubquery(sel) => {
-            indent(out, depth);
-            out.push_str("scalar subquery:\n");
-            explain_select(db, sel, outer, depth + 1, out, ran)
-        }
-        Expr::And(xs) | Expr::Or(xs) => {
-            for x in xs {
-                explain_subqueries(db, x, outer, depth, out, ran)?;
-            }
-            Ok(())
-        }
-        Expr::Not(x) => explain_subqueries(db, x, outer, depth, out, ran),
-        Expr::Cmp { lhs, rhs, .. } => {
-            explain_subqueries(db, lhs, outer, depth, out, ran)?;
-            explain_subqueries(db, rhs, outer, depth, out, ran)
-        }
-        _ => Ok(()),
-    }
+    };
+    let sub = plan
+        .subplans
+        .iter()
+        .find(|p| p.ordinal == sel.ordinal)
+        .ok_or_else(|| ExecError::plan(format!("SELECT block {} has no plan", sel.ordinal)))?;
+    out.push_str(&"    ".repeat(depth));
+    out.push_str(&format!("{label} subquery:\n"));
+    explain_select(db, sub, depth + 1, out, ran)
 }
 
 #[cfg(test)]

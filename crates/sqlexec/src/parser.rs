@@ -467,11 +467,13 @@ impl Parser {
                     Ok(Expr::Column {
                         qualifier: Some(id),
                         name,
+                        slot: None,
                     })
                 } else {
                     Ok(Expr::Column {
                         qualifier: None,
                         name: id,
+                        slot: None,
                     })
                 }
             }

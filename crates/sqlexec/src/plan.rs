@@ -14,10 +14,11 @@
 //! creates (§3.1).
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use crate::ast::{CmpOp, Expr, Select};
+use crate::ast::{CmpOp, ColumnSlot, Expr, Select, SelectStmt};
 use crate::exec::ExecOptions;
-use relstore::{Database, Table, Value};
+use relstore::{ColType, Database, Table, Value};
 
 /// Planner/executor error, classified by lifecycle phase so callers (the
 /// engine, the shell, a future network front end) can distinguish "your
@@ -27,9 +28,9 @@ use relstore::{Database, Table, Value};
 pub enum ExecError {
     /// The SQL text failed to parse ([`crate::Executor::query`] only).
     Parse(String),
-    /// Planning failed: unknown table, duplicate alias, malformed shape.
+    /// Planning failed: unknown table or column, duplicate alias, bad shape.
     Plan(String),
-    /// Runtime evaluation failed: bad types, unknown column, overflow.
+    /// Runtime evaluation failed: bad types, overflow.
     Exec(String),
     /// A resource budget was exceeded (deadline, row budget).
     Limit(String),
@@ -136,18 +137,35 @@ pub enum Access {
     },
 }
 
+impl Access {
+    /// The probe keys and bounds the access evaluates per invocation.
+    fn exprs_mut(&mut self) -> impl Iterator<Item = &mut Expr> {
+        let (keys, lo, hi) = match self {
+            Access::FullScan => (&mut [][..], None, None),
+            Access::IndexEq { keys, .. } => (&mut keys[..], None, None),
+            Access::HashEq { key, .. } => (std::slice::from_mut(key), None, None),
+            Access::IndexRange { lo, hi, .. } | Access::MergeRange { lo, hi, .. } => {
+                (&mut [][..], lo.as_mut(), hi.as_mut())
+            }
+        };
+        let bounds = lo.into_iter().chain(hi).map(|(e, _)| e);
+        keys.iter_mut().chain(bounds)
+    }
+}
+
 /// One pipeline step: bind `alias` by scanning `table` via `access`, then
-/// keep rows passing all `residuals`.
-///
-/// `Arc` rather than `Rc` so a whole [`SelectPlan`] is `Send + Sync`:
-/// the engine's query cache hands one plan to every thread that runs
-/// the same query.
+/// keep rows passing all `residuals`. Every column its expressions read
+/// carries its slot.
 #[derive(Debug, Clone)]
 pub struct Step {
-    pub alias: std::sync::Arc<str>,
+    pub alias: String,
     pub table: String,
     pub access: Access,
     pub residuals: Vec<Expr>,
+    /// For a full scan, the residual `REGEXP_LIKE(<text column of this
+    /// step's row>, pattern)` the table's path-filter memo answers, as
+    /// (residual index, column index).
+    pub memo: Option<(usize, usize)>,
     /// Planner's guess at rows the access path fetches per invocation
     /// (compare with `OpStats::rows_in / invocations`).
     pub est_fetched: f64,
@@ -156,13 +174,40 @@ pub struct Step {
     pub est_rows: f64,
 }
 
-/// A compiled plan for one `SELECT` block.
+/// A compiled plan for one `SELECT` block, its names resolved: each
+/// expression it owns reads its columns by [`ColumnSlot`], and each
+/// subquery in them has its plan among `subplans`.
+///
+/// `Arc`s rather than `Rc`s so a whole plan is `Send + Sync`: the
+/// engine's query cache hands one plan to every thread that runs the
+/// same query.
 #[derive(Debug, Clone)]
 pub struct SelectPlan {
+    /// The block's [`Select::ordinal`].
+    pub ordinal: usize,
     pub steps: Vec<Step>,
     /// Predicates that could not be attached to any step (e.g. referencing
     /// only outer aliases); evaluated once per full binding.
     pub late_filters: Vec<Expr>,
+    /// The block's projections, then, when the block is the single branch
+    /// of a statement, the statement's computed ORDER BY keys in key
+    /// order.
+    pub projections: Vec<Expr>,
+    /// The plans of the subqueries the expressions above hold, each made
+    /// where its expression runs, with the bindings there as its outer
+    /// context.
+    pub subplans: Vec<Arc<SelectPlan>>,
+}
+
+/// What one ORDER BY key of a statement sorts on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SortKey {
+    /// Output column `i`, which the key names by its alias or column
+    /// name (required under a UNION).
+    Output(usize),
+    /// An expression over the single branch's bindings, evaluated after
+    /// its plan's projections.
+    Computed,
 }
 
 /// Fallback selectivity guesses, used when table statistics are absent
@@ -218,14 +263,63 @@ pub fn plan_select(
     plan_select_with(db, select, outer, &ExecOptions::default())
 }
 
-/// Plan a select given the aliases already bound by outer queries
-/// (`outer` pairs each alias with its table so probe expressions can be
-/// type-checked). Inner FROM aliases shadow same-named outer aliases.
-/// Of `opts`, the planner reads `merge` and `stats`.
+/// Plan a select given the aliases already bound by outer queries, as
+/// (alias, table) pairs in the order the executor binds them, outermost
+/// first. Inner FROM aliases shadow same-named outer aliases. Of `opts`,
+/// the planner reads `merge` and `stats`.
 pub fn plan_select_with(
     db: &Database,
     select: &Select,
     outer: &[(String, String)],
+    opts: &ExecOptions,
+) -> Result<SelectPlan, ExecError> {
+    let mut bindings = Vec::with_capacity(outer.len());
+    for (alias, table) in outer {
+        let table = db
+            .require(table)
+            .map_err(|e| ExecError::plan(e.to_string()))?;
+        bindings.push((alias.as_str(), table));
+    }
+    plan_block(db, select, &bindings, &[], opts)
+}
+
+/// What each of `stmt`'s ORDER BY keys sorts on, with its DESC flag. A
+/// bare name that is an output column's alias or column name sorts on
+/// that column; any other key is computed, which only a statement of one
+/// branch may have.
+pub(crate) fn sort_keys(stmt: &SelectStmt) -> Result<Vec<(SortKey, bool)>, ExecError> {
+    let projections = stmt.branches.first().map_or(&[][..], |b| &b.projections);
+    let output = |e: &Expr| match e {
+        Expr::Column {
+            qualifier: None,
+            name,
+            ..
+        } => projections.iter().position(|p| {
+            p.alias.as_deref() == Some(name.as_str())
+                || matches!(&p.expr, Expr::Column { name: n, .. } if n == name)
+        }),
+        _ => None,
+    };
+    stmt.order_by
+        .iter()
+        .map(|key| match output(&key.expr) {
+            Some(i) => Ok((SortKey::Output(i), key.desc)),
+            None if stmt.branches.len() > 1 => Err(ExecError::plan(
+                "ORDER BY over UNION must reference an output column",
+            )),
+            None => Ok((SortKey::Computed, key.desc)),
+        })
+        .collect()
+}
+
+/// Plan one block against `outer`, the bindings enclosing queries hold
+/// where it runs (outermost first), with `order_keys` resolved after its
+/// projections.
+pub(crate) fn plan_block(
+    db: &Database,
+    select: &Select,
+    outer: &[(&str, &Table)],
+    order_keys: &[&Expr],
     opts: &ExecOptions,
 ) -> Result<SelectPlan, ExecError> {
     for tref in &select.from {
@@ -241,17 +335,10 @@ pub fn plan_select_with(
             }
         }
     }
-    // An inner FROM alias shadows an outer binding: the outer one must not
-    // count as pre-bound in this scope.
-    let outer: Vec<(String, String)> = outer
-        .iter()
-        .filter(|(a, _)| !select.from.iter().any(|t| &t.alias == a))
-        .cloned()
-        .collect();
     let ctx = Ctx {
         db,
         select,
-        outer: &outer,
+        outer,
         opts,
     };
 
@@ -263,7 +350,10 @@ pub fn plan_select_with(
 
     let order = ctx.choose_order(&conjuncts);
 
-    let mut bound: Vec<String> = outer.iter().map(|(a, _)| a.clone()).collect();
+    let mut bound = ctx.visible_outer();
+    // The executor's bindings as each step runs: the outer ones, then
+    // one per step in plan order.
+    let mut scope = outer.to_vec();
     let mut steps: Vec<Step> = Vec::new();
     // Running estimate of the rows driving each step: the product of the
     // preceding steps' cardinalities.
@@ -288,6 +378,7 @@ pub fn plan_select_with(
             used[i] = true;
         }
         bound.push(tref.alias.clone());
+        scope.push((alias, table));
         // All other conjuncts that become evaluable at this step are
         // residuals: those involving this step's alias, and constants or
         // subqueries that just became fully evaluable (their alias list
@@ -308,12 +399,13 @@ pub fn plan_select_with(
         }
         est_outer = (est_outer * choice.card).max(1.0);
         steps.push(Step {
-            alias: std::sync::Arc::from(alias),
+            alias: tref.alias.clone(),
             table: tref.table.clone(),
             access,
             residuals,
             est_fetched: choice.fetched,
             est_rows: choice.card,
+            memo: None,
         });
     }
 
@@ -330,9 +422,86 @@ pub fn plan_select_with(
     if let (Some(last), false) = (steps.last_mut(), late.is_empty()) {
         last.residuals.append(&mut late);
     }
+
+    // Resolve every name over the bindings held where it runs: a step's
+    // access before its own row is bound, its residuals after, and the
+    // late filters, projections and ORDER BY keys over all of them.
+    let mut subplans = Vec::new();
+    for (depth, step) in steps.iter_mut().enumerate() {
+        let at = outer.len() + depth;
+        for e in step.access.exprs_mut() {
+            ctx.resolve(e, &scope[..at], &mut subplans)?;
+        }
+        for r in &mut step.residuals {
+            ctx.resolve(r, &scope[..=at], &mut subplans)?;
+        }
+        if matches!(step.access, Access::FullScan) {
+            step.memo = path_memo(&step.residuals, at, scope[at].1);
+        }
+    }
+    for f in &mut late {
+        ctx.resolve(f, &scope, &mut subplans)?;
+    }
+    let projections = select
+        .projections
+        .iter()
+        .map(|p| &p.expr)
+        .chain(order_keys.iter().copied())
+        .map(|e| {
+            let mut e = e.clone();
+            ctx.resolve(&mut e, &scope, &mut subplans).map(|()| e)
+        })
+        .collect::<Result<_, _>>()?;
     Ok(SelectPlan {
+        ordinal: select.ordinal,
         steps,
         late_filters: late,
+        projections,
+        subplans,
+    })
+}
+
+/// Where the executor reads `qualifier.name` among the bindings `scope`
+/// holds, outermost first: in the innermost binding the qualifier names,
+/// or, unqualified, the innermost whose table has the column.
+fn slot_of(
+    qualifier: Option<&str>,
+    name: &str,
+    scope: &[(&str, &Table)],
+) -> Result<ColumnSlot, ExecError> {
+    for (binding, (alias, table)) in scope.iter().enumerate().rev() {
+        if qualifier.is_some_and(|q| q != *alias) {
+            continue;
+        }
+        match table.schema.col(name) {
+            Some(column) => return Ok(ColumnSlot { binding, column }),
+            None if qualifier.is_some() => {
+                return Err(ExecError::plan(format!(
+                    "alias `{alias}` has no column `{name}`"
+                )))
+            }
+            None => {}
+        }
+    }
+    Err(ExecError::plan(match qualifier {
+        Some(q) => format!("unknown column `{q}.{name}`"),
+        None => format!("unknown column `{name}`"),
+    }))
+}
+
+/// The residual a full scan's path-filter memo answers, as (residual,
+/// column): the first `REGEXP_LIKE` over a text column of the row bound
+/// at `at`, the step's own.
+fn path_memo(residuals: &[Expr], at: usize, table: &Table) -> Option<(usize, usize)> {
+    residuals.iter().enumerate().find_map(|(ri, r)| {
+        let Expr::RegexpLike { subject, .. } = r else {
+            return None;
+        };
+        let Expr::Column { slot: Some(s), .. } = **subject else {
+            return None;
+        };
+        let text = table.schema.columns[s.column].ty == ColType::Str;
+        (s.binding == at && text).then_some((ri, s.column))
     })
 }
 
@@ -357,27 +526,20 @@ fn type_class(ty: relstore::ColType) -> TypeClass {
     }
 }
 
-/// Does the expression contain an unqualified column reference? Those are
-/// invisible to alias tracking, so conjuncts containing them must only run
-/// once every table is bound.
+/// Does the expression contain an unqualified column reference, here or
+/// inside a subquery? Alias tracking cannot see which binding one names,
+/// so a conjunct holding one runs once every table is bound, as it would
+/// in SQL, where a name binds over the whole FROM list.
 fn has_unqualified(e: &Expr) -> bool {
     match e {
-        Expr::Column {
-            qualifier: None, ..
-        } => true,
-        Expr::Column { .. } | Expr::Literal(_) | Expr::CountStar => false,
-        Expr::Cmp { lhs, rhs, .. } | Expr::Arith { lhs, rhs, .. } => {
-            has_unqualified(lhs) || has_unqualified(rhs)
-        }
-        Expr::Between { expr, lo, hi, .. } => {
-            has_unqualified(expr) || has_unqualified(lo) || has_unqualified(hi)
-        }
-        Expr::And(xs) | Expr::Or(xs) => xs.iter().any(has_unqualified),
-        Expr::Not(x) | Expr::IsNull { expr: x, .. } => has_unqualified(x),
-        Expr::Concat(a, b) => has_unqualified(a) || has_unqualified(b),
-        Expr::RegexpLike { subject, .. } => has_unqualified(subject),
-        // Subqueries resolve their own columns at execution time.
-        Expr::Exists(_) | Expr::ScalarSubquery(_) => false,
+        Expr::Column { qualifier, .. } => qualifier.is_none(),
+        Expr::Exists(sel) | Expr::ScalarSubquery(sel) => sel
+            .projections
+            .iter()
+            .map(|p| &p.expr)
+            .chain(&sel.where_clause)
+            .any(has_unqualified),
+        other => other.operands().any(has_unqualified),
     }
 }
 
@@ -412,6 +574,7 @@ fn col_of<'e>(e: &'e Expr, alias: &str) -> Option<&'e str> {
         Expr::Column {
             qualifier: Some(q),
             name,
+            ..
         } if q == alias => Some(name),
         _ => None,
     }
@@ -476,9 +639,9 @@ fn driver_of(e: &Expr) -> Option<String> {
 struct Ctx<'a> {
     db: &'a Database,
     select: &'a Select,
-    /// Aliases bound by enclosing queries, with their tables (those an
-    /// inner FROM alias shadows already removed).
-    outer: &'a [(String, String)],
+    /// The bindings of enclosing queries with their tables, outermost
+    /// first.
+    outer: &'a [(&'a str, &'a Table)],
     opts: &'a ExecOptions,
 }
 
@@ -633,22 +796,56 @@ impl StepChoice<'_> {
 }
 
 impl<'a> Ctx<'a> {
-    /// The table an alias names: this FROM list first, then the outer
-    /// context.
+    /// The table an alias names: this FROM list first, then the innermost
+    /// outer binding.
     fn table_of(&self, alias: &str) -> Option<&'a Table> {
-        let name = self
-            .select
-            .from
+        match self.select.from.iter().find(|t| t.alias == alias) {
+            Some(t) => self.db.table(&t.table),
+            None => self
+                .outer
+                .iter()
+                .rev()
+                .find(|(a, _)| *a == alias)
+                .map(|(_, t)| *t),
+        }
+    }
+
+    /// The outer aliases no alias of this FROM list shadows: those bound
+    /// before the block's first step.
+    fn visible_outer(&self) -> Vec<String> {
+        self.outer
             .iter()
-            .find(|t| t.alias == alias)
-            .map(|t| t.table.as_str())
-            .or_else(|| {
-                self.outer
-                    .iter()
-                    .find(|(a, _)| a == alias)
-                    .map(|(_, t)| t.as_str())
-            })?;
-        self.db.table(name)
+            .filter(|(a, _)| !self.select.from.iter().any(|t| t.alias == *a))
+            .map(|(a, _)| a.to_string())
+            .collect()
+    }
+
+    /// Give every column of `e` its slot among `scope`, the bindings the
+    /// executor holds where `e` runs, and plan every subquery in `e`
+    /// with `scope` as its outer context, into `subplans`.
+    fn resolve(
+        &self,
+        e: &mut Expr,
+        scope: &[(&str, &Table)],
+        subplans: &mut Vec<Arc<SelectPlan>>,
+    ) -> Result<(), ExecError> {
+        match e {
+            Expr::Column {
+                qualifier,
+                name,
+                slot,
+            } => {
+                *slot = Some(slot_of(qualifier.as_deref(), name, scope)?);
+                Ok(())
+            }
+            Expr::Exists(sel) | Expr::ScalarSubquery(sel) => {
+                subplans.push(Arc::new(plan_block(self.db, sel, scope, &[], self.opts)?));
+                Ok(())
+            }
+            other => other
+                .operands_mut()
+                .try_for_each(|x| self.resolve(x, scope, subplans)),
+        }
     }
 
     /// Type class of a probe expression, when statically known: literals,
@@ -659,6 +856,7 @@ impl<'a> Ctx<'a> {
             Expr::Column {
                 qualifier: Some(q),
                 name,
+                ..
             } => {
                 let table = self.table_of(q)?;
                 let ci = table.schema.col(name)?;
@@ -738,7 +936,7 @@ impl<'a> Ctx<'a> {
                     remaining.insert(i, idx);
                 }
             }
-            let mut bound: Vec<String> = self.outer.iter().map(|(a, _)| a.clone()).collect();
+            let mut bound = self.visible_outer();
             recurse(
                 &est,
                 self.select,
@@ -753,7 +951,7 @@ impl<'a> Ctx<'a> {
         }
 
         // Greedy fallback for wide FROM lists.
-        let mut bound: Vec<String> = self.outer.iter().map(|(a, _)| a.clone()).collect();
+        let mut bound = self.visible_outer();
         let mut remaining: Vec<usize> = (0..n).collect();
         let mut out = Vec::with_capacity(n);
         let mut product = 1.0f64;
@@ -1054,17 +1252,7 @@ impl<'a> Ctx<'a> {
 fn has_subquery(e: &Expr) -> bool {
     match e {
         Expr::Exists(_) | Expr::ScalarSubquery(_) => true,
-        Expr::Cmp { lhs, rhs, .. } | Expr::Arith { lhs, rhs, .. } => {
-            has_subquery(lhs) || has_subquery(rhs)
-        }
-        Expr::Between { expr, lo, hi, .. } => {
-            has_subquery(expr) || has_subquery(lo) || has_subquery(hi)
-        }
-        Expr::And(xs) | Expr::Or(xs) => xs.iter().any(has_subquery),
-        Expr::Not(x) | Expr::IsNull { expr: x, .. } => has_subquery(x),
-        Expr::Concat(a, b) => has_subquery(a) || has_subquery(b),
-        Expr::RegexpLike { subject, .. } => has_subquery(subject),
-        _ => false,
+        other => other.operands().any(has_subquery),
     }
 }
 

@@ -3,17 +3,20 @@
 //!
 //! [`Prepared::new`] numbers the statement's blocks in one preorder pass
 //! ([`SelectStmt::number_blocks`]) and keeps one plan slot per block.
-//! An executor plans a block the first time it runs it and leaves the
-//! plan in the block's slot; every later run of the same `Prepared`, on
-//! any thread, reads it from there. A slot is set once and read without
-//! a lock. A subquery is found by its ordinal whether the executor holds
-//! the statement's own `Select` or the clone of it inside its parent's
-//! plan, so no plan is keyed by where a `Select` lives in memory.
+//! The first run plans every top-level branch into its slot; a branch's
+//! plan holds the plans of its subqueries, and storing it fills their
+//! slots too. Every later run of the same `Prepared`, on any thread,
+//! reads the plans from there. A slot is set once and read without a
+//! lock. A subquery is found by its ordinal, so no plan is keyed by
+//! where a `Select` lives in memory.
 
 use std::sync::{Arc, OnceLock};
 
-use crate::ast::SelectStmt;
-use crate::plan::{ExecError, SelectPlan};
+use relstore::Database;
+
+use crate::ast::{Expr, SelectStmt};
+use crate::exec::ExecOptions;
+use crate::plan::{plan_block, sort_keys, ExecError, SelectPlan, SortKey};
 
 /// One statement and one plan slot per `SELECT` block, indexed by the
 /// block's [`Select::ordinal`](crate::Select::ordinal).
@@ -25,6 +28,9 @@ use crate::plan::{ExecError, SelectPlan};
 #[derive(Debug)]
 pub struct Prepared {
     stmt: SelectStmt,
+    /// What each ORDER BY key sorts on ([`sort_keys`]), or why the
+    /// statement cannot be sorted.
+    sort: Result<Vec<(SortKey, bool)>, ExecError>,
     plans: Box<[OnceLock<Arc<SelectPlan>>]>,
 }
 
@@ -33,9 +39,15 @@ impl Prepared {
     pub fn new(mut stmt: SelectStmt) -> Prepared {
         let blocks = stmt.number_blocks();
         Prepared {
+            sort: sort_keys(&stmt),
             stmt,
             plans: (0..blocks).map(|_| OnceLock::new()).collect(),
         }
+    }
+
+    /// What each ORDER BY key sorts on, with its DESC flag.
+    pub(crate) fn sort_keys(&self) -> Result<&[(SortKey, bool)], ExecError> {
+        self.sort.as_deref().map_err(Clone::clone)
     }
 
     /// The numbered statement.
@@ -48,21 +60,62 @@ impl Prepared {
         self.plans.get(ordinal)?.get()
     }
 
-    /// Put `plan` in block `ordinal`'s slot unless it already holds one,
-    /// and return the plan the slot holds. When two runs plan a block at
-    /// once, the first to finish fills the slot and both use its plan.
-    pub fn set_plan(
-        &self,
-        ordinal: usize,
-        plan: Arc<SelectPlan>,
-    ) -> Result<&Arc<SelectPlan>, ExecError> {
-        let slot = self.plans.get(ordinal).ok_or_else(|| {
-            ExecError::exec(format!(
-                "SELECT block {ordinal} is not part of this statement ({} blocks)",
+    /// Put `plan` in its block's slot unless that already holds one, its
+    /// subquery plans in theirs first. When two runs plan a block at once,
+    /// the first to finish fills the slot and its subqueries' slots, and
+    /// both use its plans.
+    pub fn set_plan(&self, plan: Arc<SelectPlan>) -> Result<(), ExecError> {
+        if !self.fits(&plan) {
+            return Err(ExecError::exec(format!(
+                "a plan of SELECT block {} does not fit this statement ({} blocks)",
+                plan.ordinal,
                 self.plans.len()
-            ))
-        })?;
-        Ok(slot.get_or_init(|| plan))
+            )));
+        }
+        self.fill(&plan);
+        Ok(())
+    }
+
+    /// Whether `plan` and every subquery plan under it name blocks of
+    /// this statement, each subquery after its parent in preorder, so
+    /// filling them visits no slot twice on one path.
+    fn fits(&self, plan: &SelectPlan) -> bool {
+        plan.ordinal < self.plans.len()
+            && plan
+                .subplans
+                .iter()
+                .all(|sub| sub.ordinal > plan.ordinal && self.fits(sub))
+    }
+
+    fn fill(&self, plan: &Arc<SelectPlan>) {
+        self.plans[plan.ordinal].get_or_init(|| {
+            for sub in &plan.subplans {
+                self.fill(sub);
+            }
+            plan.clone()
+        });
+    }
+
+    /// Plan every top-level branch whose slot is empty, under `opts`,
+    /// with the statement's computed ORDER BY keys ([`sort_keys`])
+    /// resolved after its projections; that fills its subqueries' slots
+    /// as well.
+    pub fn plan_branches(&self, db: &Database, opts: &ExecOptions) -> Result<(), ExecError> {
+        let computed: Vec<&Expr> = self
+            .stmt
+            .order_by
+            .iter()
+            .zip(self.sort_keys()?)
+            .filter(|(_, (kind, _))| *kind == SortKey::Computed)
+            .map(|(key, _)| &key.expr)
+            .collect();
+        for branch in &self.stmt.branches {
+            if self.plan(branch.ordinal).is_none() {
+                let plan = plan_block(db, branch, &[], &computed, opts)?;
+                self.set_plan(Arc::new(plan))?;
+            }
+        }
+        Ok(())
     }
 
     /// How many `SELECT` blocks the statement has.

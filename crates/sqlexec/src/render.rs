@@ -96,7 +96,9 @@ fn render_child(child: &Expr, parent_prec: u8, out: &mut String) {
 /// Render an expression.
 pub fn render_expr(e: &Expr, out: &mut String) {
     match e {
-        Expr::Column { qualifier, name } => {
+        Expr::Column {
+            qualifier, name, ..
+        } => {
             if let Some(q) = qualifier {
                 out.push_str(q);
                 out.push('.');

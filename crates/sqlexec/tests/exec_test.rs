@@ -417,3 +417,76 @@ fn seeded_branch_plans_apply_only_to_numbered_statements() {
         assert_eq!(ran_seed, seeds_used);
     }
 }
+
+/// `outer_t(id, x, y)`, `pair(id, z)` and `inner_t(id, x)`: `inner_t`
+/// shares `x` with `outer_t` but has no `y`, and only `pair` has `z`.
+/// Each `x` and `y` differs between the tables' rows of one id, so a name
+/// bound to the wrong table selects other rows.
+fn scoped_names_db() -> Database {
+    let mut db = Database::new();
+    let int = |name| (name, ColType::Int);
+    for (name, cols) in [
+        ("outer_t", vec![int("id"), int("x"), int("y")]),
+        ("pair", vec![int("id"), int("z")]),
+        ("inner_t", vec![int("id"), int("x")]),
+    ] {
+        db.create_table(TableSchema::new(name, &cols)).unwrap();
+    }
+    let rows: [(&str, &[[i64; 3]]); 3] = [
+        ("outer_t", &[[1, 10, 1], [2, 20, 2], [3, 30, 3]]),
+        ("pair", &[[1, 5, 0], [2, 6, 0], [3, 5, 0]]),
+        ("inner_t", &[[1, 1, 0], [2, 20, 0], [3, 3, 0]]),
+    ];
+    for (name, rows) in rows {
+        let table = db.table_mut(name).unwrap();
+        let width = table.schema.columns.len();
+        for row in rows {
+            table
+                .insert(row[..width].iter().map(|&v| Value::Int(v)).collect())
+                .unwrap();
+        }
+    }
+    db
+}
+
+/// The planner resolves each name to the binding the executor holds
+/// where its expression runs, innermost first, as SQL scopes names; the
+/// reference executor resolves them by name as it reads them, so each
+/// case is checked against it as well as against the expected rows.
+#[test]
+fn names_resolve_to_the_innermost_binding_that_has_them() {
+    let db = scoped_names_db();
+    for (what, sql, ids) in [
+        (
+            "an unqualified column binds to the subquery's table when it has it",
+            "select o.id from outer_t o \
+             where exists (select null from inner_t i where i.id = o.id and x = 1)",
+            vec![1],
+        ),
+        (
+            "an unqualified column the subquery's table lacks binds to the outer alias",
+            "select o.id from outer_t o \
+             where exists (select null from inner_t i where i.id = o.id and y = 2)",
+            vec![2],
+        ),
+        (
+            "the outer binding may be any alias of the outer FROM list",
+            "select o.id from outer_t o, pair p where p.id = o.id \
+             and exists (select null from inner_t i where i.id = o.id and z = 5)",
+            vec![1, 3],
+        ),
+        (
+            "an inner alias shadows an outer alias of the same name",
+            "select t.id from outer_t t \
+             where exists (select null from inner_t t where t.x = y)",
+            vec![1, 3],
+        ),
+    ] {
+        let stmt = parse_sql(&format!("{sql} order by id")).unwrap();
+        let mut expected = naive_select(&db, &stmt.branches[0]).unwrap();
+        expected.sort_by(|a, b| a[0].cmp_total(&b[0]));
+        let want: Vec<Vec<Value>> = ids.into_iter().map(|i| vec![Value::Int(i)]).collect();
+        assert_eq!(expected, want, "reference: {what}");
+        assert_eq!(Executor::new(&db).run(&stmt).unwrap().rows, want, "{what}");
+    }
+}

@@ -57,14 +57,29 @@ fn deep_nesting_is_a_parse_error() {
     assert!(err.message().contains("nested too deeply"), "{err}");
 }
 
+/// A name resolves when the statement is planned, so whether it fails
+/// does not depend on the data: an unknown column is a plan error over
+/// an empty table, and inside an `EXISTS` that never runs.
 #[test]
 fn unknown_names_are_plan_errors() {
-    let db = db();
+    let mut db = db();
+    db.create_table(TableSchema::new("e", &[("id", ColType::Int)]))
+        .expect("table");
     let exec = Executor::new(&db);
-    let err = exec
-        .query("select m.id from missing_table m")
-        .expect_err("unknown table");
-    assert!(matches!(err, ExecError::Plan(_)), "{err:?}");
+    for sql in [
+        "select m.id from missing_table m",
+        "select t.id from t where t.nope = 1",
+        // `e` is empty, so no row ever reads `e.nope`.
+        "select e.id from e where e.nope = 1",
+        // No row of `e` reaches the EXISTS.
+        "select e.id from e where exists (select null from t u where u.nope = e.id)",
+    ] {
+        let err = exec.query(sql).expect_err(sql);
+        assert!(
+            matches!(err, ExecError::Plan(_)),
+            "{sql:?} should be Plan, got {err:?}"
+        );
+    }
 }
 
 #[test]
@@ -76,8 +91,6 @@ fn runtime_failures_are_exec_errors() {
         "select t.id from t where t.id + t.s = 1",
         // Non-boolean predicate.
         "select t.id from t where t.id + 1",
-        // Unknown column resolves during evaluation.
-        "select t.id from t where t.nope = 1",
     ] {
         let err = exec.query(sql).expect_err(sql);
         assert!(

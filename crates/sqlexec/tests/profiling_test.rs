@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use relstore::{ColType, Database, TableSchema, Value};
-use sqlexec::{explain_analyze, parse_sql, ExecStats, Executor, Prepared};
+use sqlexec::{explain_analyze, explain_stmt, parse_sql, ExecStats, Executor, Prepared};
 
 fn two_table_db(rows: i64) -> Database {
     let mut db = Database::new();
@@ -264,4 +264,40 @@ fn explain_analyze_marks_never_executed_subqueries() {
     .unwrap();
     let out = explain_analyze(&db, &stmt).unwrap();
     assert!(out.contains("[actual: never executed]"), "{out}");
+}
+
+/// Plain EXPLAIN prints the plans EXPLAIN ANALYZE runs. Both arms filter
+/// `paths` by one pattern, and the first arm's scan teaches the table
+/// that pattern's selectivity (half the rows, not the fallback 5 %). Every
+/// branch is planned before the statement runs, so the second arm's
+/// estimate is the unlearned one in both outputs.
+#[test]
+fn explain_prints_the_plans_explain_analyze_runs() {
+    let mut db = Database::new();
+    db.create_table(TableSchema::new(
+        "paths",
+        &[("id", ColType::Int), ("path", ColType::Str)],
+    ))
+    .unwrap();
+    let paths = db.table_mut("paths").unwrap();
+    for i in 0..20 {
+        let dir = if i % 2 == 0 { "a" } else { "b" };
+        paths
+            .insert(vec![Value::Int(i), Value::from(format!("/{dir}/{i}"))])
+            .unwrap();
+    }
+    let stmt = parse_sql(
+        "select p.id from paths p where regexp_like(p.path, '^/a/') \
+         union select p.id from paths p where regexp_like(p.path, '^/a/') and p.id > 3 \
+         order by id",
+    )
+    .unwrap();
+    let plain = explain_stmt(&db, &stmt).unwrap();
+    let analyzed = explain_analyze(&db, &stmt).unwrap();
+    let stripped: String = analyzed
+        .lines()
+        .filter(|l| !l.starts_with("actual: "))
+        .map(|l| format!("{}\n", l.split(" [actual: ").next().unwrap()))
+        .collect();
+    assert_eq!(plain, stripped);
 }

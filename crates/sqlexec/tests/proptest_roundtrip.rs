@@ -125,6 +125,7 @@ fn arb_stmt() -> impl Strategy<Value = SelectStmt> {
                     expr: Expr::Column {
                         qualifier: None,
                         name: "dewey_pos".to_string(),
+                        slot: None,
                     },
                     desc,
                 }],

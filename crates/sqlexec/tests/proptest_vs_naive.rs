@@ -220,7 +220,7 @@ proptest! {
             order_by: keys
                 .iter()
                 .map(|&(i, desc)| OrderKey {
-                    expr: Expr::Column { qualifier: None, name: TAIL_COLUMNS[i].2.to_string() },
+                    expr: Expr::Column { qualifier: None, name: TAIL_COLUMNS[i].2.to_string(), slot: None },
                     desc,
                 })
                 .collect(),
