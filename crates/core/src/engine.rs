@@ -132,9 +132,13 @@ pub struct EngineStats {
     /// `REGEXP_LIKE` path filters in the generated statement (after the
     /// §4.5 marking removed the redundant ones).
     pub path_filters: u64,
-    /// Rows of the `Paths` table fetched as path-filter candidates.
+    /// Path-filter candidates: rows of the `Paths` table fetched by a
+    /// step that reads it, plus rows tested against a key set the
+    /// planner folded from elided `Paths` joins.
     pub path_candidates: u64,
-    /// `Paths` rows surviving their step's filters (regex included).
+    /// Candidates passing their path filter: `Paths` rows surviving
+    /// their step's filters (regex included), plus rows whose `path_id`
+    /// is in such a set.
     pub path_survivors: u64,
     /// Rows entering join steps (every non-leading plan step: structural
     /// Dewey joins, FK joins, and `Paths` lookups alike).
@@ -826,11 +830,10 @@ fn run_query_inner(
     let mut result = match &entry.prepared {
         None => empty_result(entry.output),
         Some(prepared) => {
+            let exec = Executor::with_options(db, opts);
             if engine.plan_cache_hits == 0 {
                 let t0 = std::time::Instant::now();
-                prepared
-                    .plan_branches(db, &opts)
-                    .map_err(QueryError::from)?;
+                exec.plan(prepared).map_err(QueryError::from)?;
                 engine.plan_ns = t0.elapsed().as_nanos() as u64;
                 engine.plan_steps = prepared
                     .stmt()
@@ -841,7 +844,6 @@ fn run_query_inner(
                     .sum();
             }
 
-            let exec = Executor::with_options(db, opts);
             exec.set_limits(limits.clone());
             let t0 = std::time::Instant::now();
             // Contain any panic that escapes the executor: one bad query
@@ -866,6 +868,11 @@ fn run_query_inner(
                     if step.table == shred::naming::PATHS_TABLE {
                         engine.path_candidates += op.rows_in;
                         engine.path_survivors += op.rows_out;
+                    }
+                    let paths_set = step.set.as_ref().map(|s| s.keys.table.as_str());
+                    if paths_set == Some(shred::naming::PATHS_TABLE) {
+                        engine.path_candidates += op.set_tested;
+                        engine.path_survivors += op.set_passed;
                     }
                     if i > 0 {
                         engine.join_rows_in += op.rows_in;

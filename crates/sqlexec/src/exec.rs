@@ -77,8 +77,13 @@ pub struct OpStats {
     /// Index / hash probes actually performed (NULL-key probes are skipped
     /// by the executor and not counted).
     pub index_probes: u64,
-    /// Residual predicate evaluations (short-circuited ANDs count what ran).
+    /// Residual predicate evaluations (short-circuited ANDs count what
+    /// ran), each set test included.
     pub predicate_evals: u64,
+    /// Rows tested against the step's key set ([`Step::set`]), and rows
+    /// passing that test.
+    pub set_tested: u64,
+    pub set_passed: u64,
     /// Inclusive wall time — this step and everything nested below it.
     /// Accumulated only while profiling is enabled (`set_profiling`).
     pub elapsed_ns: u64,
@@ -91,6 +96,8 @@ impl OpStats {
         self.rows_out += other.rows_out;
         self.index_probes += other.index_probes;
         self.predicate_evals += other.predicate_evals;
+        self.set_tested += other.set_tested;
+        self.set_passed += other.set_passed;
         self.elapsed_ns += other.elapsed_ns;
     }
 }
@@ -103,6 +110,16 @@ impl OpStats {
 struct Merge<'db> {
     entries: Vec<(&'db [Value], &'db [RowId])>,
     cursor: usize,
+}
+
+/// One block's state for one run, both empty until the block first
+/// runs: its steps' counters, and per step the table it reads (looked up
+/// by name then) with its merge state, if it probes through a merge
+/// cursor.
+#[derive(Default)]
+struct BlockRun<'db> {
+    stats: Vec<OpStats>,
+    steps: Vec<(&'db Table, Option<Merge<'db>>)>,
 }
 
 /// Drop the path-filter memo (which rows of a column survive a pattern —
@@ -263,18 +280,14 @@ pub struct Executor<'db> {
     /// Slot holding the current `COUNT(*)` aggregate while its projection
     /// is evaluated.
     count_result: std::cell::Cell<Option<i64>>,
-    /// Sort-merge state by block ordinal and step depth; cleared per
-    /// run.
-    merges: RefCell<Vec<Vec<Option<Merge<'db>>>>>,
+    /// Per-run state by block ordinal; cleared per run.
+    runs: RefCell<Vec<BlockRun<'db>>>,
     /// Pool of probe-row buffers (one live per nested-loop depth);
     /// acquiring past the pool counts into `ExecStats::probe_allocs`.
     row_buf_pool: RefCell<Vec<Vec<RowId>>>,
     /// Scratch composite-key buffer for `IndexEq` probes, reused across
     /// probes instead of a fresh `Vec<Value>` each.
     key_scratch: RefCell<Vec<Value>>,
-    /// Per-step counters by block ordinal, one slot per plan step (empty
-    /// for a block that has not run); cleared per run.
-    step_stats: RefCell<Vec<Vec<OpStats>>>,
     /// When true, `OpStats::elapsed_ns` is measured (two `Instant` reads
     /// per step invocation); counters are maintained regardless.
     profiling: std::cell::Cell<bool>,
@@ -304,10 +317,9 @@ impl<'db> Executor<'db> {
             prepared: RefCell::new(None),
             seeded: RefCell::new(HashMap::new()),
             count_result: std::cell::Cell::new(None),
-            merges: RefCell::new(Vec::new()),
+            runs: RefCell::new(Vec::new()),
             row_buf_pool: RefCell::new(Vec::new()),
             key_scratch: RefCell::new(Vec::new()),
-            step_stats: RefCell::new(Vec::new()),
             profiling: std::cell::Cell::new(false),
             limits: RefCell::new(QueryLimits::none()),
             limits_active: Cell::new(false),
@@ -372,11 +384,11 @@ impl<'db> Executor<'db> {
     /// (`None` if the block never ran — e.g. a short-circuited subquery).
     /// Slots align with the plan's steps in execution order.
     pub fn step_stats(&self, ordinal: usize) -> Option<Vec<OpStats>> {
-        self.step_stats
+        self.runs
             .borrow()
             .get(ordinal)
-            .filter(|ops| !ops.is_empty())
-            .cloned()
+            .filter(|run| !run.stats.is_empty())
+            .map(|run| run.stats.clone())
     }
 
     /// Visit every (plan, per-step counters) pair the last statement run
@@ -390,9 +402,9 @@ impl<'db> Executor<'db> {
         let Some(prepared) = prepared.as_deref() else {
             return;
         };
-        for (ordinal, ops) in self.step_stats.borrow().iter().enumerate() {
-            if let Some(plan) = prepared.plan(ordinal).filter(|_| !ops.is_empty()) {
-                f(plan, ops);
+        for (ordinal, run) in self.runs.borrow().iter().enumerate() {
+            if let Some(plan) = prepared.plan(ordinal).filter(|_| !run.stats.is_empty()) {
+                f(plan, &run.stats);
             }
         }
     }
@@ -439,10 +451,24 @@ impl<'db> Executor<'db> {
         self.run_prepared(&Arc::new(prepared))
     }
 
+    /// Plan each top-level branch of `prepared` whose slot is still
+    /// empty ([`Prepared::plan_branches`]) under this executor's options,
+    /// counting the work of building the plans' key sets into its
+    /// [`ExecStats`].
+    pub fn plan(&self, prepared: &Prepared) -> Result<(), ExecError> {
+        let mut work = ExecStats::default();
+        let planned = prepared.plan_branches(self.db, &self.opts, &mut work);
+        let mut stats = self.stats.borrow_mut();
+        stats.regex += work.regex;
+        stats.path_memo_hits += work.path_memo_hits;
+        stats.path_memo_misses += work.path_memo_misses;
+        planned
+    }
+
     /// Run a prepared statement, first planning each top-level branch
-    /// whose slot is still empty ([`Prepared::plan_branches`]). Limit
-    /// and cancellation aborts are counted into [`ExecStats`] here, on
-    /// the way out.
+    /// whose slot is still empty ([`Executor::plan`]). Limit and
+    /// cancellation aborts are counted into [`ExecStats`] here, on the
+    /// way out.
     pub fn run_prepared(&self, prepared: &Arc<Prepared>) -> Result<ResultSet, ExecError> {
         self.rows_charged.set(0);
         self.limit_tick.set(0);
@@ -452,7 +478,7 @@ impl<'db> Executor<'db> {
         // reach an in-loop check.
         let result = self
             .check_limits_now()
-            .and_then(|()| prepared.plan_branches(self.db, &self.opts))
+            .and_then(|()| self.plan(prepared))
             .and_then(|()| self.run_inner(prepared));
         match &result {
             Ok(_) => self.record_plan_qerror(),
@@ -471,10 +497,9 @@ impl<'db> Executor<'db> {
     /// Make `prepared` the running statement, with fresh per-run state.
     fn begin(&self, prepared: &Arc<Prepared>) {
         *self.prepared.borrow_mut() = Some(prepared.clone());
-        self.merges.borrow_mut().clear();
-        let mut step_stats = self.step_stats.borrow_mut();
-        step_stats.clear();
-        step_stats.resize_with(prepared.blocks(), Vec::new);
+        let mut runs = self.runs.borrow_mut();
+        runs.clear();
+        runs.resize_with(prepared.blocks(), BlockRun::default);
     }
 
     /// Feed per-step estimation quality into the global registry
@@ -618,6 +643,7 @@ impl<'db> Executor<'db> {
             return emit(self, env);
         };
 
+        let table = self.step_table(plan, depth)?;
         let t0 = self.profiling.get().then(std::time::Instant::now);
         let mut local = OpStats {
             invocations: 1,
@@ -627,12 +653,8 @@ impl<'db> Executor<'db> {
         // on every exit path.
         let mut probe_rows = self.take_row_buf();
         let result = self
-            .db
-            .table(&step.table)
-            .ok_or_else(|| ExecError::exec(format!("no such table `{}`", step.table)))
-            .and_then(|table| {
-                let memo_skip =
-                    self.fill_probe_rows(plan, depth, table, env, &mut local, &mut probe_rows)?;
+            .fill_probe_rows(plan, depth, table, env, &mut local, &mut probe_rows)
+            .and_then(|memo_skip| {
                 for &rid in &probe_rows {
                     local.rows_in += 1;
                     env.push(Binding { table, rid });
@@ -641,6 +663,14 @@ impl<'db> Executor<'db> {
                         let residuals = &step.residuals;
                         if !self.holds_all(residuals, memo_skip, env, &mut local.predicate_evals)? {
                             return Ok(true);
+                        }
+                        if let Some(test) = &step.set {
+                            local.set_tested += 1;
+                            local.predicate_evals += 1;
+                            if !test.keys.contains(&table.row(rid)[test.column]) {
+                                return Ok(true);
+                            }
+                            local.set_passed += 1;
                         }
                         local.rows_out += 1;
                         self.exec_steps(plan, depth + 1, env, emit)
@@ -656,14 +686,7 @@ impl<'db> Executor<'db> {
         if let Some(t0) = t0 {
             local.elapsed_ns = t0.elapsed().as_nanos() as u64;
         }
-        {
-            let mut step_stats = self.step_stats.borrow_mut();
-            let slots = &mut step_stats[plan.ordinal];
-            if slots.is_empty() {
-                slots.resize(plan.steps.len(), OpStats::default());
-            }
-            slots[depth].absorb(&local);
-        }
+        self.runs.borrow_mut()[plan.ordinal].stats[depth].absorb(&local);
         {
             let mut stats = self.stats.borrow_mut();
             stats.rows_scanned += local.rows_in;
@@ -671,6 +694,26 @@ impl<'db> Executor<'db> {
             stats.predicate_evals += local.predicate_evals;
         }
         result
+    }
+
+    /// The table step `depth` of `plan` reads. A block's tables are
+    /// looked up by name once per run, when it first runs, with its
+    /// counters' slots.
+    fn step_table(&self, plan: &SelectPlan, depth: usize) -> Result<&'db Table, ExecError> {
+        let mut runs = self.runs.borrow_mut();
+        let run = &mut runs[plan.ordinal];
+        if run.steps.is_empty() {
+            run.steps = plan
+                .steps
+                .iter()
+                .map(|s| match self.db.table(&s.table) {
+                    Some(table) => Ok((table, None)),
+                    None => Err(ExecError::exec(format!("no such table `{}`", s.table))),
+                })
+                .collect::<Result<_, _>>()?;
+            run.stats = vec![OpStats::default(); plan.steps.len()];
+        }
+        Ok(run.steps[depth].0)
     }
 
     /// Materialize the candidate rows for one invocation of step `depth`
@@ -760,18 +803,13 @@ impl<'db> Executor<'db> {
                 {
                     local.index_probes += 1;
                     self.stats.borrow_mut().merge_probes += 1;
-                    let mut merges = self.merges.borrow_mut();
-                    if merges.len() <= plan.ordinal {
-                        merges.resize_with(plan.ordinal + 1, Vec::new);
-                    }
-                    let block = &mut merges[plan.ordinal];
-                    if block.len() <= depth {
-                        block.resize_with(depth + 1, || None);
-                    }
-                    let merge = block[depth].get_or_insert_with(|| Merge {
-                        entries: ix.entries().collect(),
-                        cursor: 0,
-                    });
+                    let mut runs = self.runs.borrow_mut();
+                    let merge = runs[plan.ordinal].steps[depth]
+                        .1
+                        .get_or_insert_with(|| Merge {
+                            entries: ix.entries().collect(),
+                            cursor: 0,
+                        });
                     merge.cursor = seek_first(&merge.entries, merge.cursor, &lo_v);
                     for (k, rids) in &merge.entries[merge.cursor..] {
                         if !within_hi(k, &hi_v) {
@@ -882,19 +920,10 @@ impl<'db> Executor<'db> {
         ci: usize,
         pattern: &RegexPattern,
     ) -> Result<Vec<RowId>, ExecError> {
-        let mut out = Vec::new();
         let mut counts = MatchCounts::default();
-        for (rid, row) in table.rows() {
-            self.charge_rows(1)?;
-            // NULLs never match (three-valued logic rejects the row).
-            if let Value::Str(s) = &row[ci] {
-                if pattern.is_match_counted(s, &mut counts) {
-                    out.push(rid);
-                }
-            }
-        }
+        let out = filter_rows(table, ci, pattern, &mut counts, || self.charge_rows(1));
         self.stats.borrow_mut().regex += counts;
-        Ok(out)
+        out
     }
 
     fn take_row_buf(&self) -> Vec<RowId> {
@@ -1113,6 +1142,29 @@ fn cell<'db>(
 }
 
 // ----- helpers -----
+
+/// The rows of `table` whose text column `ci` matches `pattern`, in row
+/// order, the matches' work counted into `counts`. `each_row` runs before
+/// each row is tested, and its error stops the scan.
+pub(crate) fn filter_rows(
+    table: &Table,
+    ci: usize,
+    pattern: &RegexPattern,
+    counts: &mut MatchCounts,
+    mut each_row: impl FnMut() -> Result<(), ExecError>,
+) -> Result<Vec<RowId>, ExecError> {
+    let mut out = Vec::new();
+    for (rid, row) in table.rows() {
+        each_row()?;
+        // NULLs never match (three-valued logic rejects the row).
+        if let Value::Str(s) = &row[ci] {
+            if pattern.is_match_counted(s, counts) {
+                out.push(rid);
+            }
+        }
+    }
+    Ok(out)
+}
 
 /// Whether every block of `stmt` carries the ordinal
 /// [`SelectStmt::number_blocks`] would give it (the walk is the mutable

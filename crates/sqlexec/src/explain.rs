@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use crate::ast::{Expr, SelectStmt};
-use crate::exec::{ExecOptions, Executor, QueryLimits};
+use crate::exec::{ExecOptions, ExecStats, Executor, QueryLimits};
 use crate::plan::{Access, ExecError, SelectPlan};
 use crate::prepared::Prepared;
 use crate::render::render_expr;
@@ -16,7 +16,7 @@ use relstore::Database;
 /// run of it would make before it began.
 pub fn explain_stmt(db: &Database, stmt: &SelectStmt) -> Result<String, ExecError> {
     let prepared = Prepared::new(stmt.clone());
-    prepared.plan_branches(db, &ExecOptions::default())?;
+    prepared.plan_branches(db, &ExecOptions::default(), &mut ExecStats::default())?;
     render_stmt_plan(db, &prepared, None)
 }
 
@@ -164,6 +164,14 @@ fn explain_select(
                 }
                 out.push(']');
             }
+        }
+        if let Some(test) = &step.set {
+            out.push_str(&format!(
+                " + {} in {} ({} keys)",
+                table.schema.columns[test.column].name,
+                test.keys,
+                test.keys.len()
+            ));
         }
         if !step.residuals.is_empty() {
             out.push_str(&format!(" + {} filter(s)", step.residuals.len()));

@@ -9,16 +9,21 @@
 //! where all of its referenced aliases are bound.
 //!
 //! This mirrors what a commercial optimizer does for the paper's queries:
-//! all the structural joins (`par_id = id`, `path_id = id`, `dewey_pos
-//! BETWEEN …`) become index probes on the join-column indexes the loader
-//! creates (§3.1).
+//! the structural joins (`par_id = id`, `dewey_pos BETWEEN …`) become
+//! index probes on the join-column indexes the loader creates (§3.1).
+//!
+//! A join that only filters, such as `X.path_id = P.id and
+//! REGEXP_LIKE(P.path, …)` against the tiny `Paths` summary, is not run
+//! as a join at all: once the join order is fixed, the planner elides
+//! the probed alias and folds its filters into the set of keys they keep
+//! ([`KeySet`]), which `X`'s step tests on its own row ([`SetTest`]).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use crate::ast::{CmpOp, ColumnSlot, Expr, Select, SelectStmt};
-use crate::exec::ExecOptions;
-use relstore::{ColType, Database, Table, Value};
+use crate::ast::{CmpOp, ColumnSlot, Expr, RegexPattern, Select, SelectStmt};
+use crate::exec::{filter_rows, ExecOptions, ExecStats};
+use relstore::{ColType, Database, RowId, Table, Value};
 
 /// Planner/executor error, classified by lifecycle phase so callers (the
 /// engine, the shell, a future network front end) can distinguish "your
@@ -139,6 +144,19 @@ pub enum Access {
 
 impl Access {
     /// The probe keys and bounds the access evaluates per invocation.
+    fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        let (keys, lo, hi) = match self {
+            Access::FullScan => (&[][..], None, None),
+            Access::IndexEq { keys, .. } => (&keys[..], None, None),
+            Access::HashEq { key, .. } => (std::slice::from_ref(key), None, None),
+            Access::IndexRange { lo, hi, .. } | Access::MergeRange { lo, hi, .. } => {
+                (&[][..], lo.as_ref(), hi.as_ref())
+            }
+        };
+        keys.iter().chain(lo.into_iter().chain(hi).map(|(e, _)| e))
+    }
+
+    /// [`Access::exprs`], mutably.
     fn exprs_mut(&mut self) -> impl Iterator<Item = &mut Expr> {
         let (keys, lo, hi) = match self {
             Access::FullScan => (&mut [][..], None, None),
@@ -154,13 +172,18 @@ impl Access {
 }
 
 /// One pipeline step: bind `alias` by scanning `table` via `access`, then
-/// keep rows passing all `residuals`. Every column its expressions read
-/// carries its slot.
+/// keep rows passing all `residuals` and its `set` test. Every column its
+/// expressions read carries its slot.
 #[derive(Debug, Clone)]
 pub struct Step {
     pub alias: String,
     pub table: String,
     pub access: Access,
+    /// The joins elided onto this step, as one test of its row's key
+    /// column against the keys they would have kept. It runs on the rows
+    /// the residuals keep, where the elided probes ran, so it never does
+    /// more work than they did.
+    pub set: Option<SetTest>,
     pub residuals: Vec<Expr>,
     /// For a full scan, the residual `REGEXP_LIKE(<text column of this
     /// step's row>, pattern)` the table's path-filter memo answers, as
@@ -172,6 +195,99 @@ pub struct Step {
     /// Planner's guess at rows surviving the residuals per invocation
     /// (compare with `OpStats::rows_out / invocations`).
     pub est_rows: f64,
+}
+
+/// A step's test of its own row against an elided join: the row's
+/// `column` must hold one of `keys`.
+#[derive(Debug, Clone)]
+pub struct SetTest {
+    /// The key column, by position in the step's table.
+    pub column: usize,
+    pub keys: Arc<KeySet>,
+}
+
+/// The integer keys of a dimension table's rows that pass the filters of
+/// the joins elided onto one column: exactly the keys a probe of the
+/// table's unique key would have found and kept. A bitset over
+/// `base..base + 64 × bits.len()`.
+#[derive(Debug)]
+pub struct KeySet {
+    /// The dimension table.
+    pub table: String,
+    /// The folded filters, rendered over the table's own column names.
+    filter: String,
+    base: i64,
+    bits: Vec<u64>,
+    len: usize,
+}
+
+impl KeySet {
+    /// Whether `key` is in the set. NULL and non-integers are not.
+    pub fn contains(&self, key: &Value) -> bool {
+        let Value::Int(k) = *key else {
+            return false;
+        };
+        let Some(offset) = k
+            .checked_sub(self.base)
+            .and_then(|d| usize::try_from(d).ok())
+        else {
+            return false;
+        };
+        self.bits
+            .get(offset / 64)
+            .is_some_and(|word| word >> (offset % 64) & 1 == 1)
+    }
+
+    /// How many keys the set holds.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The keys of `table`'s rows that `rows` marks, read from integer
+    /// column `key`; `None` when they are too sparse for a bitset of at
+    /// most one word per table row.
+    fn build(table: &Table, key: usize, rows: &[bool], filter: String) -> Option<KeySet> {
+        let keys: Vec<i64> = rows
+            .iter()
+            .enumerate()
+            .filter(|(_, kept)| **kept)
+            .filter_map(|(rid, _)| match table.row(rid)[key] {
+                Value::Int(k) => Some(k),
+                _ => None,
+            })
+            .collect();
+        let (base, max) = match (keys.iter().min(), keys.iter().max()) {
+            (Some(&lo), Some(&hi)) => (lo, hi),
+            _ => (0, -1),
+        };
+        let span = usize::try_from(max.checked_sub(base)? + 1).ok()?;
+        if span / 64 > table.len() {
+            return None;
+        }
+        let mut bits = vec![0u64; span.div_ceil(64)];
+        for k in &keys {
+            let offset = (k - base) as usize;
+            bits[offset / 64] |= 1 << (offset % 64);
+        }
+        Some(KeySet {
+            table: table.name().to_string(),
+            filter,
+            base,
+            bits,
+            len: keys.len(),
+        })
+    }
+}
+
+impl std::fmt::Display for KeySet {
+    /// `Table{filter}`, as EXPLAIN prints it.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}{{{}}}", self.table, self.filter)
+    }
 }
 
 /// A compiled plan for one `SELECT` block, its names resolved: each
@@ -280,7 +396,7 @@ pub fn plan_select_with(
             .map_err(|e| ExecError::plan(e.to_string()))?;
         bindings.push((alias.as_str(), table));
     }
-    plan_block(db, select, &bindings, &[], opts)
+    plan_block(db, select, &bindings, &[], opts, &mut ExecStats::default())
 }
 
 /// What each of `stmt`'s ORDER BY keys sorts on, with its DESC flag. A
@@ -314,13 +430,15 @@ pub(crate) fn sort_keys(stmt: &SelectStmt) -> Result<Vec<(SortKey, bool)>, ExecE
 
 /// Plan one block against `outer`, the bindings enclosing queries hold
 /// where it runs (outermost first), with `order_keys` resolved after its
-/// projections.
+/// projections. The filter scans that building key sets runs, and the
+/// filter-memo lookups that spare them, count into `work`.
 pub(crate) fn plan_block(
     db: &Database,
     select: &Select,
     outer: &[(&str, &Table)],
     order_keys: &[&Expr],
     opts: &ExecOptions,
+    work: &mut ExecStats,
 ) -> Result<SelectPlan, ExecError> {
     for tref in &select.from {
         db.require(&tref.table)
@@ -402,6 +520,7 @@ pub(crate) fn plan_block(
             alias: tref.alias.clone(),
             table: tref.table.clone(),
             access,
+            set: None,
             residuals,
             est_fetched: choice.fetched,
             est_rows: choice.card,
@@ -423,6 +542,19 @@ pub(crate) fn plan_block(
         last.residuals.append(&mut late);
     }
 
+    let outputs = select
+        .projections
+        .iter()
+        .map(|p| &p.expr)
+        .chain(order_keys.iter().copied());
+    if elide_key_joins(db, &mut steps, outputs.clone(), work) {
+        let kept: Vec<_> = scope
+            .drain(outer.len()..)
+            .filter(|(alias, _)| steps.iter().any(|s| s.alias == *alias))
+            .collect();
+        scope.extend(kept);
+    }
+
     // Resolve every name over the bindings held where it runs: a step's
     // access before its own row is bound, its residuals after, and the
     // late filters, projections and ORDER BY keys over all of them.
@@ -430,26 +562,22 @@ pub(crate) fn plan_block(
     for (depth, step) in steps.iter_mut().enumerate() {
         let at = outer.len() + depth;
         for e in step.access.exprs_mut() {
-            ctx.resolve(e, &scope[..at], &mut subplans)?;
+            ctx.resolve(e, &scope[..at], &mut subplans, work)?;
         }
         for r in &mut step.residuals {
-            ctx.resolve(r, &scope[..=at], &mut subplans)?;
+            ctx.resolve(r, &scope[..=at], &mut subplans, work)?;
         }
         if matches!(step.access, Access::FullScan) {
             step.memo = path_memo(&step.residuals, at, scope[at].1);
         }
     }
     for f in &mut late {
-        ctx.resolve(f, &scope, &mut subplans)?;
+        ctx.resolve(f, &scope, &mut subplans, work)?;
     }
-    let projections = select
-        .projections
-        .iter()
-        .map(|p| &p.expr)
-        .chain(order_keys.iter().copied())
+    let projections = outputs
         .map(|e| {
             let mut e = e.clone();
-            ctx.resolve(&mut e, &scope, &mut subplans).map(|()| e)
+            ctx.resolve(&mut e, &scope, &mut subplans, work).map(|()| e)
         })
         .collect::<Result<_, _>>()?;
     Ok(SelectPlan {
@@ -503,6 +631,283 @@ fn path_memo(residuals: &[Expr], at: usize, table: &Table) -> Option<(usize, usi
         let text = table.schema.columns[s.column].ty == ColType::Str;
         (s.binding == at && text).then_some((ri, s.column))
     })
+}
+
+/// Elide the joins of `steps` that only filter, each group onto the step
+/// whose column probes them. A step `A` is elided onto the column `X.c`
+/// of an earlier step `X` when
+/// - it probes a one-column index whose keys are unique in the data (so
+///   one row or none joins each `X` row) with `A.k = X.c`, both integer
+///   columns;
+/// - every other expression naming `A` is a residual naming only aliases
+///   elided onto the same `X.c` of the same table, built from
+///   `REGEXP_LIKE(A.text, pattern)` and `A.col = literal` atoms with AND
+///   and OR ([`Pred`]), and there is at least one such residual;
+/// - no expression of the block holds a bare column name, which could
+///   bind to `A`'s row.
+///
+/// The group's residuals fold into one [`KeySet`] of the keys of the
+/// rows they keep, tested on `X`'s row. `X`'s estimate shrinks by the
+/// share of its rows holding such a key, counted on its index on `c`
+/// when it has one, else taken as the set's share of the keys. A group
+/// that fails a check stays a join. Returns whether any step was elided.
+fn elide_key_joins<'e>(
+    db: &Database,
+    steps: &mut Vec<Step>,
+    outputs: impl Iterator<Item = &'e Expr> + Clone,
+    work: &mut ExecStats,
+) -> bool {
+    let unqualified = outputs.clone().any(has_unqualified)
+        || steps.iter().flat_map(|s| &s.residuals).any(has_unqualified);
+    if unqualified {
+        return false;
+    }
+    // Each candidate's probe, grouped by equal probes.
+    let probe_of = |i: usize| -> Option<KeyProbe> {
+        let step = &steps[i];
+        let Access::IndexEq { index, keys } = &step.access else {
+            return None;
+        };
+        let [Expr::Column {
+            qualifier: Some(q),
+            name,
+            ..
+        }] = keys.as_slice()
+        else {
+            return None;
+        };
+        let table = db.table(&step.table)?;
+        let ix = &table.indexes()[*index];
+        let &[key] = ix.key_cols.as_slice() else {
+            return None;
+        };
+        let x = steps[..i].iter().position(|s| s.alias == *q)?;
+        let x_table = db.table(&steps[x].table)?;
+        let c = x_table.schema.col(name)?;
+        let ints = table.schema.columns[key].ty == ColType::Int
+            && x_table.schema.columns[c].ty == ColType::Int;
+        let probe = KeyProbe {
+            x,
+            column: c,
+            table,
+            key,
+        };
+        (ints && ix.distinct_keys() == table.len()).then_some(probe)
+    };
+    let mut groups: Vec<(KeyProbe, Vec<usize>)> = Vec::new();
+    for i in 0..steps.len() {
+        let Some(probe) = probe_of(i) else { continue };
+        match groups.iter_mut().find(|(p, _)| *p == probe) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((probe, vec![i])),
+        }
+    }
+
+    let mut elided = Vec::new();
+    for (probe, members) in groups {
+        let KeyProbe {
+            x,
+            column,
+            table,
+            key,
+        } = probe;
+        let aliases: Vec<&str> = members.iter().map(|&m| steps[m].alias.as_str()).collect();
+        let names_member = |e: &Expr| refs(e).iter().any(|a| aliases.contains(&a.as_str()));
+        let mut others = steps
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !members.contains(i))
+            .flat_map(|(_, s)| &s.residuals);
+        if outputs.clone().any(names_member)
+            || others.any(names_member)
+            || steps.iter().any(|s| s.access.exprs().any(names_member))
+        {
+            continue;
+        }
+        let filters: Vec<&Expr> = members.iter().flat_map(|&m| &steps[m].residuals).collect();
+        let within = |e: &Expr| {
+            let r = refs(e);
+            !r.is_empty() && r.iter().all(|a| aliases.contains(&a.as_str()))
+        };
+        let preds: Option<Vec<Pred>> = filters
+            .iter()
+            .map(|e| Pred::of(e, &aliases, table).filter(|_| within(e)))
+            .collect();
+        let Some(preds) = preds.filter(|p| !p.is_empty()) else {
+            continue;
+        };
+        if steps[x].set.is_some() {
+            continue;
+        }
+        let mut rows = vec![true; table.len()];
+        for p in &preds {
+            for (kept, pass) in rows.iter_mut().zip(p.rows(table, work)) {
+                *kept &= pass;
+            }
+        }
+        let Some(keys) = KeySet::build(table, key, &rows, render_filter(&filters)) else {
+            continue;
+        };
+        let x_table = db.table(&steps[x].table).expect("a step's table exists");
+        let share = match x_table.indexes().iter().find(|ix| ix.key_cols == [column]) {
+            Some(ix) => {
+                let rows: usize = ix
+                    .entries()
+                    .filter(|(k, _)| keys.contains(&k[0]))
+                    .map(|(_, rids)| rids.len())
+                    .sum();
+                rows as f64 / x_table.len().max(1) as f64
+            }
+            None => keys.len() as f64 / table.len().max(1) as f64,
+        };
+        let target = &mut steps[x];
+        target.est_rows = (target.est_rows * share).max(0.05);
+        target.set = Some(SetTest {
+            column,
+            keys: Arc::new(keys),
+        });
+        elided.extend(members);
+    }
+    let mut i = 0;
+    steps.retain(|_| {
+        i += 1;
+        !elided.contains(&(i - 1))
+    });
+    !elided.is_empty()
+}
+
+/// A step's probe `table.key = X.column` of a unique integer key, `X`
+/// being the block's step `x`.
+#[derive(Clone, Copy)]
+struct KeyProbe<'t> {
+    x: usize,
+    column: usize,
+    table: &'t Table,
+    key: usize,
+}
+
+impl PartialEq for KeyProbe<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.x, self.column, self.key) == (other.x, other.column, other.key)
+            && std::ptr::eq(self.table, other.table)
+    }
+}
+
+/// `filters`, joined by AND, over their table's own column names: what
+/// EXPLAIN prints inside `Table{…}`.
+fn render_filter(filters: &[&Expr]) -> String {
+    fn strip(e: &mut Expr) {
+        match e {
+            Expr::Column { qualifier, .. } => *qualifier = None,
+            other => other.operands_mut().for_each(strip),
+        }
+    }
+    let mut parts: Vec<Expr> = filters.iter().map(|&e| e.clone()).collect();
+    parts.iter_mut().for_each(strip);
+    let whole = match parts.len() {
+        1 => parts.pop().expect("one filter"),
+        _ => Expr::And(parts),
+    };
+    let mut out = String::new();
+    crate::render::render_expr(&whole, &mut out);
+    out
+}
+
+/// A filter over one row of an elided table that its cached state
+/// answers without a join.
+enum Pred<'e> {
+    /// `REGEXP_LIKE(text column, pattern)`: the table's filter memo.
+    Regex(usize, &'e RegexPattern),
+    /// `column = literal` of the column's type class: its hash side.
+    Eq(usize, &'e Value),
+    And(Vec<Pred<'e>>),
+    Or(Vec<Pred<'e>>),
+}
+
+impl<'e> Pred<'e> {
+    /// `e` as a filter on columns of `aliases`, all bound to one row of
+    /// `table`, if it has one of the forms above.
+    fn of(e: &'e Expr, aliases: &[&str], table: &Table) -> Option<Pred<'e>> {
+        let column = |e: &Expr| match e {
+            Expr::Column {
+                qualifier: Some(q),
+                name,
+                ..
+            } if aliases.contains(&q.as_str()) => table.schema.col(name),
+            _ => None,
+        };
+        match e {
+            Expr::RegexpLike { subject, pattern } => {
+                let c = column(subject)?;
+                (table.schema.columns[c].ty == ColType::Str).then_some(Pred::Regex(c, pattern))
+            }
+            Expr::Cmp {
+                op: CmpOp::Eq,
+                lhs,
+                rhs,
+            } => {
+                let (c, v) = match (&**lhs, &**rhs) {
+                    (col, Expr::Literal(v)) | (Expr::Literal(v), col) => (column(col)?, v),
+                    _ => return None,
+                };
+                let class = v.col_type().map(type_class);
+                (class == Some(type_class(table.schema.columns[c].ty))).then_some(Pred::Eq(c, v))
+            }
+            Expr::And(xs) => xs
+                .iter()
+                .map(|x| Pred::of(x, aliases, table))
+                .collect::<Option<_>>()
+                .map(Pred::And),
+            Expr::Or(xs) => xs
+                .iter()
+                .map(|x| Pred::of(x, aliases, table))
+                .collect::<Option<_>>()
+                .map(Pred::Or),
+            _ => None,
+        }
+    }
+
+    /// Which of `table`'s rows the filter holds on. A pattern's rows come
+    /// from the filter memo, or from one counted scan that fills it.
+    fn rows(&self, table: &Table, work: &mut ExecStats) -> Vec<bool> {
+        let mark = |rids: &[RowId]| {
+            let mut rows = vec![false; table.len()];
+            for &rid in rids {
+                rows[rid] = true;
+            }
+            rows
+        };
+        match self {
+            Pred::Regex(c, pattern) => {
+                let rids = match table.filter_memo_get(*c, pattern) {
+                    Some(rids) => {
+                        work.path_memo_hits += 1;
+                        rids
+                    }
+                    None => {
+                        work.path_memo_misses += 1;
+                        let rids = filter_rows(table, *c, pattern, &mut work.regex, || Ok(()))
+                            .map(Arc::new)
+                            .expect("an unlimited scan cannot fail");
+                        table.filter_memo_insert(*c, pattern, rids.clone());
+                        rids
+                    }
+                };
+                mark(&rids)
+            }
+            Pred::Eq(c, v) => mark(table.hash_side(*c).get(*v).map_or(&[], |r| &r[..])),
+            Pred::And(xs) | Pred::Or(xs) => {
+                let and = matches!(self, Pred::And(_));
+                let mut rows = vec![and; table.len()];
+                for x in xs {
+                    for (kept, pass) in rows.iter_mut().zip(x.rows(table, work)) {
+                        *kept = if and { *kept && pass } else { *kept || pass };
+                    }
+                }
+                rows
+            }
+        }
+    }
 }
 
 /// Coarse type classes for probe compatibility: Int and Float unify
@@ -828,6 +1233,7 @@ impl<'a> Ctx<'a> {
         e: &mut Expr,
         scope: &[(&str, &Table)],
         subplans: &mut Vec<Arc<SelectPlan>>,
+        work: &mut ExecStats,
     ) -> Result<(), ExecError> {
         match e {
             Expr::Column {
@@ -839,12 +1245,13 @@ impl<'a> Ctx<'a> {
                 Ok(())
             }
             Expr::Exists(sel) | Expr::ScalarSubquery(sel) => {
-                subplans.push(Arc::new(plan_block(self.db, sel, scope, &[], self.opts)?));
+                let plan = plan_block(self.db, sel, scope, &[], self.opts, work)?;
+                subplans.push(Arc::new(plan));
                 Ok(())
             }
             other => other
                 .operands_mut()
-                .try_for_each(|x| self.resolve(x, scope, subplans)),
+                .try_for_each(|x| self.resolve(x, scope, subplans, work)),
         }
     }
 

@@ -15,7 +15,7 @@ use std::sync::{Arc, OnceLock};
 use relstore::Database;
 
 use crate::ast::{Expr, SelectStmt};
-use crate::exec::ExecOptions;
+use crate::exec::{ExecOptions, ExecStats};
 use crate::plan::{plan_block, sort_keys, ExecError, SelectPlan, SortKey};
 
 /// One statement and one plan slot per `SELECT` block, indexed by the
@@ -99,8 +99,14 @@ impl Prepared {
     /// Plan every top-level branch whose slot is empty, under `opts`,
     /// with the statement's computed ORDER BY keys ([`sort_keys`])
     /// resolved after its projections; that fills its subqueries' slots
-    /// as well.
-    pub fn plan_branches(&self, db: &Database, opts: &ExecOptions) -> Result<(), ExecError> {
+    /// as well. The regex work and filter-memo lookups of building the
+    /// plans' key sets count into `work`.
+    pub fn plan_branches(
+        &self,
+        db: &Database,
+        opts: &ExecOptions,
+        work: &mut ExecStats,
+    ) -> Result<(), ExecError> {
         let computed: Vec<&Expr> = self
             .stmt
             .order_by
@@ -111,7 +117,7 @@ impl Prepared {
             .collect();
         for branch in &self.stmt.branches {
             if self.plan(branch.ordinal).is_none() {
-                let plan = plan_block(db, branch, &[], &computed, opts)?;
+                let plan = plan_block(db, branch, &[], &computed, opts, work)?;
                 self.set_plan(Arc::new(plan))?;
             }
         }

@@ -490,3 +490,166 @@ fn names_resolve_to_the_innermost_binding_that_has_them() {
         assert_eq!(Executor::new(&db).run(&stmt).unwrap().rows, want, "{what}");
     }
 }
+
+/// `X(id, path_id)` over the keys of `D(id, path)`, a 64-row dimension
+/// with a unique key whose row 7 has a NULL path: twenty rows over keys
+/// 1–10, one whose `path_id` is NULL and one whose key `D` lacks. `Dup`
+/// is `D` with key 2 held twice.
+fn keyed_db() -> Database {
+    let mut db = Database::new();
+    for (name, cols) in [
+        ("X", [("id", ColType::Int), ("path_id", ColType::Int)]),
+        ("D", [("id", ColType::Int), ("path", ColType::Str)]),
+        ("Dup", [("id", ColType::Int), ("path", ColType::Str)]),
+    ] {
+        db.create_table(TableSchema::new(name, &cols)).unwrap();
+    }
+    let path = |i: i64| match i {
+        7 => Value::Null,
+        _ => Value::from(format!("/r/{}/{i}", ["even", "odd"][i as usize % 2])),
+    };
+    let x = db.table_mut("X").unwrap();
+    for j in 0..20 {
+        x.insert(vec![Value::Int(100 + j), Value::Int(j % 10 + 1)])
+            .unwrap();
+    }
+    x.insert(vec![Value::Int(200), Value::Null]).unwrap();
+    x.insert(vec![Value::Int(201), Value::Int(99)]).unwrap();
+    let d = db.table_mut("D").unwrap();
+    for i in 1..=64 {
+        d.insert(vec![Value::Int(i), path(i)]).unwrap();
+    }
+    d.create_index("d_id", &["id"]).unwrap();
+    let dup = db.table_mut("Dup").unwrap();
+    for i in (1..=64).chain([2]) {
+        dup.insert(vec![Value::Int(i), path(i)]).unwrap();
+    }
+    dup.create_index("dup_id", &["id"]).unwrap();
+    db
+}
+
+/// Run `sql` through the planner and against the reference executor,
+/// assert both return the same rows, and return the rows and the plan
+/// EXPLAIN prints.
+fn planned_and_naive(db: &Database, sql: &str) -> (Vec<Vec<Value>>, String) {
+    let stmt = parse_sql(sql).unwrap();
+    let mut expected = naive_select(db, &stmt.branches[0]).unwrap();
+    expected.sort_by(|a, b| a[0].cmp_total(&b[0]));
+    let got = Executor::new(db).run(&stmt).unwrap().rows;
+    assert_eq!(got, expected, "{sql}");
+    (expected, sqlexec::explain_stmt(db, &stmt).unwrap())
+}
+
+fn ids(rows: &[Vec<Value>]) -> Vec<i64> {
+    rows.iter().map(|r| r[0].as_int().unwrap()).collect()
+}
+
+#[test]
+fn an_or_across_two_aliases_elided_onto_one_key_folds_into_one_set() {
+    let db = keyed_db();
+    let (rows, plan) = planned_and_naive(
+        &db,
+        "select X.id from X, D d1, D d2 \
+         where X.path_id = d1.id and X.path_id = d2.id \
+         and (REGEXP_LIKE(d1.path, 'even') or d2.path = '/r/odd/3') order by X.id",
+    );
+    assert!(!plan.contains("join D"), "{plan}");
+    assert!(
+        plan.contains("+ path_id in D{REGEXP_LIKE(path, 'even') or path = '/r/odd/3'} (33 keys)"),
+        "{plan}"
+    );
+    assert_eq!(
+        ids(&rows),
+        [101, 102, 103, 105, 107, 109, 111, 112, 113, 115, 117, 119]
+    );
+}
+
+#[test]
+fn a_dimension_with_a_duplicated_key_stays_a_join() {
+    let db = keyed_db();
+    let (rows, plan) = planned_and_naive(
+        &db,
+        "select X.id from X, Dup where X.path_id = Dup.id \
+         and REGEXP_LIKE(Dup.path, 'even') order by X.id",
+    );
+    assert!(plan.contains("join Dup"), "{plan}");
+    // Key 2 joins two rows, so its X rows come back twice.
+    assert_eq!(ids(&rows).iter().filter(|&&id| id == 101).count(), 2);
+}
+
+#[test]
+fn an_alias_read_outside_its_filters_stays_a_join() {
+    let db = keyed_db();
+    for (what, sql) in [
+        (
+            "projected",
+            "select X.id, D.path from X, D where X.path_id = D.id \
+             and REGEXP_LIKE(D.path, 'even') order by X.id",
+        ),
+        (
+            "read by a correlated EXISTS",
+            "select X.id from X, D where X.path_id = D.id and REGEXP_LIKE(D.path, 'even') \
+             and exists (select null from Dup where Dup.path = D.path and Dup.id > 3) \
+             order by X.id",
+        ),
+    ] {
+        let (rows, plan) = planned_and_naive(&db, sql);
+        assert!(plan.contains("join D as D"), "{what}: {plan}");
+        assert!(!rows.is_empty(), "{what}");
+    }
+}
+
+#[test]
+fn a_null_or_absent_key_drops_the_row_as_the_join_did() {
+    let db = keyed_db();
+    let (rows, plan) = planned_and_naive(
+        &db,
+        "select X.id from X, D where X.path_id = D.id \
+         and REGEXP_LIKE(D.path, '^/r/') order by X.id",
+    );
+    // Every key but 7, whose path is NULL.
+    assert!(plan.contains("(63 keys)"), "{plan}");
+    let got = ids(&rows);
+    assert_eq!(got.len(), 18, "{got:?}");
+    assert!(
+        !got.iter().any(|id| [106, 116, 200, 201].contains(id)),
+        "{got:?}"
+    );
+}
+
+#[test]
+fn a_cold_plan_and_a_memo_warm_replan_build_the_same_set() {
+    let db = keyed_db();
+    sqlexec::clear_filter_caches(&db);
+    let sql = "select X.id from X, D where X.path_id = D.id \
+               and (REGEXP_LIKE(D.path, 'odd') or D.path = '/r/even/2') order by X.id";
+    let stmt = parse_sql(sql).unwrap();
+    let plan = |expect_hit: bool| {
+        let prepared = Arc::new(Prepared::new(stmt.clone()));
+        let exec = Executor::new(&db);
+        exec.plan(&prepared).unwrap();
+        let stats = exec.stats();
+        // The cold plan scans D's 63 paths once and fills the memo; the
+        // replan reads the memo.
+        assert_eq!(stats.path_memo_hits, u64::from(expect_hit));
+        assert_eq!(stats.path_memo_misses, u64::from(!expect_hit));
+        let matched = stats.regex.match_calls;
+        assert_eq!(matched, if expect_hit { 0 } else { 63 });
+        let plan = prepared.plan(0).unwrap().clone();
+        let set = plan.steps[0].set.clone().expect("D elided onto X.path_id");
+        let members: Vec<i64> = (-1..70)
+            .filter(|&k| set.keys.contains(&Value::Int(k)))
+            .collect();
+        (
+            set.keys.to_string(),
+            members,
+            exec.run_prepared(&prepared).unwrap().rows,
+        )
+    };
+    let cold = plan(false);
+    let warm = plan(true);
+    assert_eq!(cold, warm);
+    assert_eq!(cold.1.len(), 32);
+    let (expected, _) = planned_and_naive(&db, sql);
+    assert_eq!(cold.2, expected);
+}
