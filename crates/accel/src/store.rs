@@ -153,7 +153,7 @@ impl AccelStore {
         })
     }
 
-    /// B-tree indexes: `pre` (PK), `par_pre`, `(name, pre)` and `post`.
+    /// Ordered indexes: `pre` (PK), `par_pre`, `(name, pre)` and `post`.
     pub fn create_indexes(&mut self) -> Result<(), ShredError> {
         if self.indexed {
             return Ok(());

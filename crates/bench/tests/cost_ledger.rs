@@ -2,7 +2,7 @@
 //! against the committed `COSTS.json` at the repository root.
 //!
 //! Counts repeat exactly where wall time does not, so this is the gate on
-//! the work a plan does: rows scanned, index and merge probes, predicate
+//! the work a plan does: rows scanned, index probes, predicate
 //! evaluations, path-filter candidates and survivors, regex work, heap
 //! allocations, the plan's shape and how well the planner estimated the
 //! rows each step fetches and keeps.
@@ -37,12 +37,9 @@ static GLOBAL: obs::alloc::Counting = obs::alloc::Counting;
 
 const COSTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../COSTS.json");
 
-/// The default options with statistics set to `stats`.
+/// The options with statistics set to `stats`.
 fn with_stats(stats: bool) -> ExecOptions {
-    ExecOptions {
-        stats,
-        ..ExecOptions::default()
-    }
+    ExecOptions { stats }
 }
 
 /// What a suite's checks read besides its ledger entries.
@@ -82,7 +79,6 @@ fn run_suite(
             ("dfa_fallbacks", cold.stats.regex.dfa_fallbacks),
             ("dfa_matches", cold.stats.regex.dfa_matches),
             ("index_probes", cold.stats.index_probes),
-            ("merge_probes", cold.stats.merge_probes),
             ("path_candidates", cold.engine.path_candidates),
             ("path_survivors", cold.engine.path_survivors),
             ("predicate_evals", cold.stats.predicate_evals),

@@ -259,7 +259,6 @@ impl QueryResult {
                 ("vm_steps", s.regex.vm_steps),
                 ("dfa_matches", s.regex.dfa_matches),
                 ("path_memo_hits", s.path_memo_hits),
-                ("merge_probes", s.merge_probes),
             ],
         );
         trace
@@ -914,7 +913,6 @@ fn run_query_inner(
     reg.incr("engine.dfa_matches", result.stats.regex.dfa_matches);
     reg.incr("engine.dfa_fallbacks", result.stats.regex.dfa_fallbacks);
     reg.incr("engine.path_memo_hits", result.stats.path_memo_hits);
-    reg.incr("engine.merge_probes", result.stats.merge_probes);
     mirror_poison_counters(reg);
 
     Ok(result)

@@ -97,7 +97,6 @@ fn expected_counters(r: &QueryResult) -> Vec<(&'static str, &'static str, u64)> 
         ("execute", "vm_steps", s.regex.vm_steps),
         ("execute", "dfa_matches", s.regex.dfa_matches),
         ("execute", "path_memo_hits", s.path_memo_hits),
-        ("execute", "merge_probes", s.merge_probes),
     ]
 }
 

@@ -10,7 +10,7 @@ use xmldom::{Document, TreeBuilder};
 use xpath::{evaluate, parse_xpath, Item};
 
 use ppf_core::{EdgeDb, ExecOptions, XmlDb};
-use sqlexec::MergeMode;
+use sqlexec::plan::{Access, Step};
 
 /// Test schema: lib → shelf* ; shelf → book* | box* ; box → box? book*
 /// (recursive); book has @id, @lang, title, author*, year.
@@ -145,24 +145,31 @@ fn native_ids(doc: &Document, loaded: &shred::LoadedDoc, q: &str) -> Vec<i64> {
         .collect()
 }
 
-/// Whether a plan of the statement `result` ran holds a key set: a
-/// `Paths` join the planner elided onto the step it filters.
-fn ran_an_elided_plan(result: &ppf_core::QueryResult) -> bool {
+/// Whether a plan of the statement `result` ran has a step that `holds`.
+fn ran_a_step(result: &ppf_core::QueryResult, holds: impl Fn(&Step) -> bool) -> bool {
     result.stmt.as_ref().is_some_and(|prepared| {
         (0..prepared.blocks())
             .filter_map(|ordinal| prepared.plan(ordinal))
-            .any(|plan| plan.steps.iter().any(|step| step.set.is_some()))
+            .any(|plan| plan.steps.iter().any(&holds))
     })
 }
 
-/// Every plan choice the options offer: statistics on and off, each with
-/// the cost model choosing between B-tree range and merge cursor, and
-/// with either forced.
+/// A step that holds a key set: a `Paths` join the planner elided onto
+/// the step it filters.
+fn elided(step: &Step) -> bool {
+    step.set.is_some()
+}
+
+/// A step that probes an index range through its run's cursor.
+fn ranged(step: &Step) -> bool {
+    matches!(step.access, Access::IndexRange { .. })
+}
+
+/// Every plan choice the options offer: statistics on and off.
 fn option_matrix() -> Vec<ExecOptions> {
-    let merges = [MergeMode::Auto, MergeMode::ForceOff, MergeMode::ForceOn];
     [true, false]
         .into_iter()
-        .flat_map(|stats| merges.map(|merge| ExecOptions { stats, merge }))
+        .map(|stats| ExecOptions { stats })
         .collect()
 }
 
@@ -199,7 +206,7 @@ proptest! {
             .iter()
             .map(|q| (native_ids(&doc, &sa_loaded, q), native_ids(&doc, &ed_loaded, q)))
             .collect();
-        let mut elided_runs = 0;
+        let (mut elided_runs, mut ranged_runs) = (0, 0);
         for opts in option_matrix() {
             sa.set_exec_options(opts);
             ed.set_exec_options(opts);
@@ -207,7 +214,8 @@ proptest! {
                 let got_sa = sa.query(q).map_err(|e| {
                     TestCaseError::fail(format!("schema-aware {q} under {opts:?}: {e}"))
                 })?;
-                elided_runs += usize::from(ran_an_elided_plan(&got_sa));
+                elided_runs += usize::from(ran_a_step(&got_sa, elided));
+                ranged_runs += usize::from(ran_a_step(&got_sa, ranged));
                 let got_sa = got_sa.ids();
                 prop_assert_eq!(&got_sa, expected_sa,
                     "schema-aware mismatch for {} (seed {}) under {:?}\nsql: {:?}",
@@ -216,14 +224,17 @@ proptest! {
                 let got_ed = ed.query(q).map_err(|e| {
                     TestCaseError::fail(format!("edge {q} under {opts:?}: {e}"))
                 })?;
-                elided_runs += usize::from(ran_an_elided_plan(&got_ed));
+                elided_runs += usize::from(ran_a_step(&got_ed, elided));
+                ranged_runs += usize::from(ran_a_step(&got_ed, ranged));
                 let got_ed = got_ed.ids();
                 prop_assert_eq!(&got_ed, expected_ed,
                     "edge mismatch for {} (seed {}) under {:?}\nsql: {:?}",
                     q, seed, opts, ed.sql_for(q).ok().flatten());
             }
         }
-        // The equivalence covers the key-set test, not only joins.
+        // The equivalence covers the key-set test and the range cursor,
+        // not only equality joins.
         prop_assert!(elided_runs > 0, "no query ran an elided plan (seed {})", seed);
+        prop_assert!(ranged_runs > 0, "no query ran a range probe (seed {})", seed);
     }
 }

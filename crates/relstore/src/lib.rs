@@ -1,9 +1,10 @@
 //! `relstore` — the in-memory relational storage engine.
 //!
 //! Stands in for Oracle 10g's storage layer in the paper's setup: heap
-//! tables with typed, nullable columns and B-tree indexes (single-column
-//! and composite, supporting equality probes, range scans and prefix
-//! scans). The SQL planner/executor lives in the `sqlexec` crate.
+//! tables with typed, nullable columns and ordered indexes (single-column
+//! and composite, each one sorted array of keys, supporting equality
+//! probes and range probes that seek from a position and walk forward).
+//! The SQL planner/executor lives in the `sqlexec` crate.
 //!
 //! Binary `dewey_pos` values are [`Value::Bytes`] and compare
 //! lexicographically, which is exactly the property the paper's Dewey

@@ -1,7 +1,7 @@
-//! Tables: schemas, rows, and secondary B-tree indexes.
+//! Tables: schemas, rows, and secondary ordered indexes.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -45,19 +45,22 @@ impl TableSchema {
     }
 }
 
-/// A B-tree index over one or more columns. Maps composite keys to the
-/// rows holding them. Rows with a NULL in any key column are excluded
-/// (matching how RDBMS B-trees are used for equality/range lookups).
+/// An ordered index over one or more columns: every distinct composite
+/// key with the rows holding it, in one array sorted by key (composite
+/// keys compare lexicographically). Rows with a NULL in any key column
+/// are excluded (matching how RDBMS indexes are used for equality/range
+/// lookups). An equality probe is a binary search; a range probe seeks
+/// its lower bound from a position and walks forward to its upper bound.
 #[derive(Debug, Clone)]
 pub struct Index {
     pub name: String,
     pub key_cols: Vec<usize>,
-    map: BTreeMap<Box<[Value]>, Postings>,
+    entries: Vec<(Box<[Value]>, Postings)>,
 }
 
 /// The rows holding one key, ascending. Most keys of a shredded document
 /// (Dewey positions, node ids) name exactly one row, so that row is kept
-/// inline in the B-tree node rather than in a heap block of its own.
+/// inline in the array rather than in a heap block of its own.
 #[derive(Debug, Clone)]
 enum Postings {
     One(RowId),
@@ -81,57 +84,143 @@ impl Postings {
 }
 
 impl Index {
+    /// Index the rows of `table` on `key_cols` with one sort of their
+    /// ids, copying each distinct key once. The sort is stable, so each
+    /// key's rows stay ascending.
+    fn build(name: String, key_cols: Vec<usize>, table: &Table) -> Index {
+        let mut rids = Vec::with_capacity(table.len());
+        rids.extend(
+            table
+                .rows()
+                .filter(|(_, row)| !key_cols.iter().any(|&c| row[c].is_null()))
+                .map(|(rid, _)| rid),
+        );
+        let cmp = |a: RowId, b: RowId| {
+            let (a, b) = (table.row(a), table.row(b));
+            key_cols
+                .iter()
+                .map(|&c| a[c].cmp(&b[c]))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        };
+        rids.sort_by(|&a, &b| cmp(a, b));
+        let groups = || rids.chunk_by(|&a, &b| cmp(a, b).is_eq());
+        // Sized exactly: the array is most of an index's memory.
+        let mut entries = Vec::with_capacity(groups().count());
+        entries.extend(groups().map(|group| {
+            let rows = match group {
+                [rid] => Postings::One(*rid),
+                _ => Postings::Many(group.to_vec()),
+            };
+            (key_of(&key_cols, table.row(group[0])), rows)
+        }));
+        Index {
+            name,
+            key_cols,
+            entries,
+        }
+    }
+
+    /// Add row `rid`. A later document's keys sort after the earlier
+    /// ones', so the search usually lands at the end and this appends.
     fn insert_row(&mut self, rid: RowId, row: &[Value]) {
         if self.key_cols.iter().any(|&c| row[c].is_null()) {
             return;
         }
-        let key: Box<[Value]> = self.key_cols.iter().map(|&c| row[c].clone()).collect();
-        match self.map.entry(key) {
-            Entry::Vacant(e) => {
-                e.insert(Postings::One(rid));
-            }
-            Entry::Occupied(mut e) => e.get_mut().push(rid),
+        let key = key_of(&self.key_cols, row);
+        let at = self.entries.partition_point(|(k, _)| *k < key);
+        match self.entries.get_mut(at) {
+            Some((k, rids)) if *k == key => rids.push(rid),
+            _ => self.entries.insert(at, (key, Postings::One(rid))),
         }
     }
 
     /// Rows whose full key equals `key`.
     pub fn get(&self, key: &[Value]) -> &[RowId] {
-        self.map.get(key).map(Postings::as_slice).unwrap_or(&[])
+        match self.entries.binary_search_by(|(k, _)| (**k).cmp(key)) {
+            Ok(at) => self.entries[at].1.as_slice(),
+            Err(_) => &[],
+        }
     }
 
-    /// Rows whose key is within the given bounds (composite keys compare
-    /// lexicographically). Used for `BETWEEN` on `dewey_pos`. Bounds are
-    /// borrowed straight through to the B-tree — no per-probe key copies.
-    pub fn range(
-        &self,
-        lo: Bound<&[Value]>,
-        hi: Bound<&[Value]>,
-    ) -> impl Iterator<Item = RowId> + '_ {
-        self.map
-            .range::<[Value], _>((lo, hi))
-            .flat_map(|(_, rids)| rids.as_slice().iter().copied())
+    /// The position of the first key at or above `lo`, a bound on the
+    /// leading column, found by galloping from position `from`. When
+    /// successive probes arrive in key order (the staircase case of Dewey
+    /// structural joins) `from` is the previous probe's answer and the
+    /// seek costs O(1) plus the distance moved; any other `from` still
+    /// gives the right position, in O(log n).
+    pub fn seek(&self, lo: Bound<&Value>, from: usize) -> usize {
+        let entries = &self.entries;
+        let len = entries.len();
+        let pos = from.min(len);
+        let (lo_i, hi_i) = if pos < len && !above_lo(&entries[pos].0, lo) {
+            // The window starts right of `from`: gallop to bracket it.
+            let mut width = 1usize;
+            let mut prev = pos;
+            loop {
+                let next = (prev + width).min(len);
+                if next == len || above_lo(&entries[next].0, lo) {
+                    break (prev + 1, next);
+                }
+                prev = next;
+                width *= 2;
+            }
+        } else {
+            // `from` is already inside the window; if its predecessor is
+            // below the bound, `from` is exactly the window start.
+            if pos == 0 || !above_lo(&entries[pos - 1].0, lo) {
+                return pos;
+            }
+            (0, pos)
+        };
+        lo_i + entries[lo_i..hi_i].partition_point(|(k, _)| !above_lo(k, lo))
     }
 
-    /// Rows whose key starts with `prefix` (for composite indexes probed on
-    /// a leading-column equality). The prefix is borrowed for the life of
-    /// the iterator — no per-probe key copies.
-    pub fn prefix<'a>(&'a self, prefix: &'a [Value]) -> impl Iterator<Item = RowId> + 'a {
-        self.map
-            .range::<[Value], _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(move |(k, _)| k.starts_with(prefix))
-            .flat_map(|(_, rids)| rids.as_slice().iter().copied())
+    /// The rows of each key from position `at` on, in key order, up to
+    /// `hi`, a bound on the leading column.
+    pub fn walk<'a>(
+        &'a self,
+        at: usize,
+        hi: Bound<&'a Value>,
+    ) -> impl Iterator<Item = &'a [RowId]> + 'a {
+        self.entries[at.min(self.entries.len())..]
+            .iter()
+            .take_while(move |(k, _)| within_hi(k, hi))
+            .map(|(_, rids)| rids.as_slice())
     }
 
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
-    /// All (key, rows) entries in key order. The sort-merge structural
-    /// join materializes this once into a flat array and then advances a
-    /// monotonic cursor over it instead of re-probing the B-tree.
+    /// All (key, rows) entries in key order.
     pub fn entries(&self) -> impl Iterator<Item = (&[Value], &[RowId])> {
-        self.map.iter().map(|(k, rids)| (&**k, rids.as_slice()))
+        self.entries.iter().map(|(k, rids)| (&**k, rids.as_slice()))
+    }
+}
+
+/// A copy of the key `row` holds on `key_cols`.
+fn key_of(key_cols: &[usize], row: &[Value]) -> Box<[Value]> {
+    key_cols.iter().map(|&c| row[c].clone()).collect()
+}
+
+/// Does `key` satisfy the lower bound? A bound on the leading column
+/// compares as a one-value key, so a key extending it sorts after it.
+fn above_lo(key: &[Value], lo: Bound<&Value>) -> bool {
+    match lo {
+        Bound::Unbounded => true,
+        Bound::Included(v) => key >= std::slice::from_ref(v),
+        Bound::Excluded(v) => key > std::slice::from_ref(v),
+    }
+}
+
+/// Does `key` satisfy the upper bound (compared as in [`above_lo`])?
+fn within_hi(key: &[Value], hi: Bound<&Value>) -> bool {
+    match hi {
+        Bound::Unbounded => true,
+        Bound::Included(v) => key <= std::slice::from_ref(v),
+        Bound::Excluded(v) => key < std::slice::from_ref(v),
     }
 }
 
@@ -142,10 +231,6 @@ const FILTER_MEMO_CAP: usize = 512;
 /// Memoized filter scans, one map per column (allocated on first
 /// insert): predicate text → the rows that survive it, in row order.
 type FilterMemo = Vec<HashMap<String, Arc<Vec<RowId>>>>;
-
-/// A hash-join build side over one column: every non-NULL value → the
-/// rows holding it, row ids ascending.
-pub type HashSide = BTreeMap<Value, Vec<RowId>>;
 
 /// A heap table plus its indexes — and everything derived from its
 /// contents: the planner statistics ([`crate::stats`]), the memo of
@@ -170,7 +255,7 @@ pub struct Table {
     stats: RwLock<Option<Arc<TableStats>>>,
     filter_memo: RwLock<FilterMemo>,
     /// One slot per column, allocated on the first build.
-    hash_sides: RwLock<Vec<Option<Arc<HashSide>>>>,
+    hash_sides: RwLock<Vec<Option<Arc<Index>>>>,
 }
 
 impl Clone for Table {
@@ -275,7 +360,7 @@ impl Table {
         Ok(rid)
     }
 
-    /// Create a B-tree index over the named columns (builds eagerly).
+    /// Create an index over the named columns (builds eagerly).
     pub fn create_index(&mut self, name: &str, cols: &[&str]) -> Result<(), StoreError> {
         let key_cols: Vec<usize> = cols
             .iter()
@@ -285,14 +370,7 @@ impl Table {
                 })
             })
             .collect::<Result<_, _>>()?;
-        let mut idx = Index {
-            name: name.to_string(),
-            key_cols,
-            map: BTreeMap::new(),
-        };
-        for (rid, row) in self.rows() {
-            idx.insert_row(rid, row);
-        }
+        let idx = Index::build(name.to_string(), key_cols, self);
         self.indexes.push(idx);
         self.drop_derived();
         Ok(())
@@ -373,11 +451,12 @@ impl Table {
     }
 
     /// The hash-join build side of column `col` for the current
-    /// contents, built on the first call. A hit is one shared read and
-    /// one `Arc` clone. A miss builds serially under the write lock,
-    /// after checking the slot again, so concurrent callers build each
-    /// side exactly once and wait for it rather than racing.
-    pub fn hash_side(&self, col: usize) -> Arc<HashSide> {
+    /// contents: a one-column [`Index`] over it, built on the first call.
+    /// A hit is one shared read and one `Arc` clone. A miss builds
+    /// serially under the write lock, after checking the slot again, so
+    /// concurrent callers build each side exactly once and wait for it
+    /// rather than racing.
+    pub fn hash_side(&self, col: usize) -> Arc<Index> {
         let built = self
             .hash_sides
             .read()
@@ -397,21 +476,8 @@ impl Table {
         }
         sides[col]
             .get_or_insert_with(|| {
-                let mut side = HashSide::new();
-                for (rid, row) in self.rows() {
-                    let v = &row[col];
-                    if v.is_null() {
-                        continue;
-                    }
-                    // One clone per distinct value, not one per row.
-                    match side.get_mut(v) {
-                        Some(rids) => rids.push(rid),
-                        None => {
-                            side.insert(v.clone(), vec![rid]);
-                        }
-                    }
-                }
-                Arc::new(side)
+                let name = self.schema.columns[col].name.clone();
+                Arc::new(Index::build(name, vec![col], self))
             })
             .clone()
     }
@@ -502,27 +568,41 @@ mod tests {
         assert_eq!(idx.get(&[Value::Int(99)]), &[] as &[RowId]);
     }
 
+    /// The rows of every key of `idx` within `lo ..= hi`, sought from
+    /// position 0.
+    fn window(idx: &Index, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<RowId> {
+        let at = idx.seek(lo, 0);
+        idx.walk(at, hi).flatten().copied().collect()
+    }
+
     #[test]
     fn index_range_scan() {
         let mut t = people();
         t.create_index("people_age", &["age"]).expect("index");
         let idx = &t.indexes()[0];
-        let got: Vec<RowId> = idx
-            .range(
-                Bound::Included(&[Value::Int(26)][..]),
-                Bound::Included(&[Value::Int(40)][..]),
-            )
-            .collect();
+        let got = window(
+            idx,
+            Bound::Included(&Value::Int(26)),
+            Bound::Included(&Value::Int(40)),
+        );
         assert_eq!(got, vec![0, 2]);
+        let above = window(idx, Bound::Excluded(&Value::Int(30)), Bound::Unbounded);
+        assert_eq!(above, vec![3]);
     }
 
     #[test]
-    fn composite_index_prefix() {
+    fn composite_index_leading_column_window() {
         let mut t = people();
         t.create_index("people_age_name", &["age", "name"])
             .expect("index");
         let idx = &t.indexes()[0];
-        let got: Vec<RowId> = idx.prefix(&[Value::Int(30)]).collect();
+        // A composite key extends its leading value, so it sorts after a
+        // bound on that value: the window ends before the next value.
+        let got = window(
+            idx,
+            Bound::Included(&Value::Int(30)),
+            Bound::Excluded(&Value::Int(31)),
+        );
         assert_eq!(got, vec![0, 2]);
         // index_on with the leading column only still finds it
         assert!(t.index_on(&[2]).is_some());
@@ -537,7 +617,7 @@ mod tests {
         t.create_index("people_age", &["age"]).expect("index");
         let idx = &t.indexes()[0];
         let total: usize = t.rows().filter(|(_, r)| !r[2].is_null()).count();
-        let indexed: usize = idx.range(Bound::Unbounded, Bound::Unbounded).count();
+        let indexed = window(idx, Bound::Unbounded, Bound::Unbounded).len();
         assert_eq!(indexed, total);
     }
 
@@ -579,8 +659,8 @@ mod tests {
         assert!(t.filter_memo_get(1, "^a").is_none(), "insert drops memo");
         assert_eq!(t.hash_sides_len(), 0, "insert drops hash sides");
         assert_eq!(
-            t.hash_side(2).get(&Value::Int(30)),
-            Some(&vec![0, 2, 4]),
+            t.hash_side(2).get(&[Value::Int(30)]),
+            &[0, 2, 4],
             "a rebuilt side sees the new row"
         );
 
@@ -621,11 +701,12 @@ mod tests {
         t.insert(vec![Value::Int(5), Value::Null, Value::Int(30)])
             .expect("insert");
         let ages = t.hash_side(2);
-        assert_eq!(ages.get(&Value::Int(30)), Some(&vec![0, 2, 4]));
-        assert_eq!(ages.get(&Value::Int(41)), Some(&vec![3]));
-        assert_eq!(ages.values().map(Vec::len).sum::<usize>(), t.len());
+        assert_eq!(ages.get(&[Value::Int(30)]), &[0, 2, 4]);
+        assert_eq!(ages.get(&[Value::Int(41)]), &[3]);
+        let indexed: usize = ages.entries().map(|(_, rids)| rids.len()).sum();
+        assert_eq!(indexed, t.len());
         let names = t.hash_side(1);
-        assert_eq!(names.len(), 4, "the NULL name is not a key");
+        assert_eq!(names.distinct_keys(), 4, "the NULL name is not a key");
         assert_eq!(t.hash_sides_len(), 2);
         t.clear_hash_sides();
         assert_eq!(t.hash_sides_len(), 0);
@@ -635,7 +716,7 @@ mod tests {
     fn concurrent_callers_share_one_build() {
         let t = people();
         let start = std::sync::Barrier::new(4);
-        let sides: Vec<Arc<HashSide>> = std::thread::scope(|s| {
+        let sides: Vec<Arc<Index>> = std::thread::scope(|s| {
             let workers: Vec<_> = (0..4)
                 .map(|_| {
                     s.spawn(|| {
@@ -676,17 +757,27 @@ mod tests {
         assert_eq!(t.filter_memo_len(), 0);
     }
 
-    /// The same rows indexed the obvious way: one key copy and one
-    /// row-id vector per distinct key.
-    fn reference_index(t: &Table, cols: &[usize]) -> BTreeMap<Vec<Value>, Vec<RowId>> {
-        let mut map: BTreeMap<Vec<Value>, Vec<RowId>> = BTreeMap::new();
-        for (rid, row) in t.rows() {
-            let key: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
-            if !key.iter().any(Value::is_null) {
-                map.entry(key).or_default().push(rid);
-            }
-        }
-        map
+    /// The same rows indexed the obvious way: every non-NULL key with
+    /// the rows holding it, in key order, found by a scan per key.
+    fn reference_index(t: &Table, cols: &[usize]) -> Vec<(Vec<Value>, Vec<RowId>)> {
+        let key = |row: &[Value]| -> Vec<Value> { cols.iter().map(|&c| row[c].clone()).collect() };
+        let mut keys: Vec<Vec<Value>> = t
+            .rows()
+            .map(|(_, row)| key(row))
+            .filter(|k| !k.iter().any(Value::is_null))
+            .collect();
+        keys.sort();
+        keys.dedup();
+        keys.into_iter()
+            .map(|k| {
+                let rids = t
+                    .rows()
+                    .filter(|(_, row)| key(row) == k)
+                    .map(|(rid, _)| rid);
+                let rids = rids.collect();
+                (k, rids)
+            })
+            .collect()
     }
 
     #[test]
@@ -712,25 +803,21 @@ mod tests {
                 .entries()
                 .map(|(k, rids)| (k.to_vec(), rids.to_vec()))
                 .collect();
-            assert_eq!(got, want.clone().into_iter().collect::<Vec<_>>());
+            assert_eq!(got, want);
             assert_eq!(ix.distinct_keys(), want.len());
             for (key, rids) in &want {
                 assert_eq!(ix.get(key), rids.as_slice());
-                let ranged: Vec<RowId> = ix
-                    .range(Bound::Included(key), Bound::Included(key))
-                    .collect();
-                assert_eq!(&ranged, rids);
-                let lead = &key[..1];
-                let prefixed: Vec<RowId> = ix.prefix(lead).collect();
-                let want_prefixed: Vec<RowId> = want
+                let lead = &key[0];
+                let from_lead = window(ix, Bound::Included(lead), Bound::Unbounded);
+                let want_from_lead: Vec<RowId> = want
                     .iter()
-                    .filter(|(k, _)| k.starts_with(lead))
+                    .filter(|(k, _)| k[0] >= *lead)
                     .flat_map(|(_, r)| r.iter().copied())
                     .collect();
-                assert_eq!(prefixed, want_prefixed);
+                assert_eq!(from_lead, want_from_lead);
             }
-            let all: Vec<RowId> = ix.range(Bound::Unbounded, Bound::Unbounded).collect();
-            let want_all: Vec<RowId> = want.values().flatten().copied().collect();
+            let all = window(ix, Bound::Unbounded, Bound::Unbounded);
+            let want_all: Vec<RowId> = want.iter().flat_map(|(_, r)| r).copied().collect();
             assert_eq!(all, want_all);
         }
     }

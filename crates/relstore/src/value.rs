@@ -64,7 +64,7 @@ impl Value {
         }
     }
 
-    /// Total order over all values, used by B-tree index keys and `ORDER
+    /// Total order over all values, used by index keys and `ORDER
     /// BY`. Cross-type order: Null < Bool < numeric (Int/Float unified) <
     /// Str < Bytes. Floats use IEEE total ordering so NaN is well placed.
     pub fn cmp_total(&self, other: &Value) -> Ordering {
@@ -92,7 +92,7 @@ impl Value {
     }
 }
 
-// Equality/ordering delegate to the total order so `Value` can be a B-tree
+// Equality/ordering delegate to the total order so `Value` can be an index
 // key. SQL's 3-valued comparison semantics live in the executor, not here.
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {

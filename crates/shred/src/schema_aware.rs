@@ -8,7 +8,7 @@
 //! `doc_id`.
 //!
 //! Indexes per §3.1: the `id` primary key, the parent foreign key, and a
-//! composite `(dewey_pos, path_id)` index, all as B-trees.
+//! composite `(dewey_pos, path_id)` index, each an ordered index.
 
 use std::collections::HashMap;
 

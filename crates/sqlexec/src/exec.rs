@@ -15,7 +15,7 @@ use regexlite::MatchCounts;
 use relstore::{Database, RowId, Table, Value};
 
 use crate::ast::{ArithOp, CmpOp, ColumnSlot, Expr, RegexPattern, Select, SelectStmt};
-use crate::plan::{Access, ExecError, MergeMode, SelectPlan, SortKey, Step};
+use crate::plan::{Access, ExecError, SelectPlan, SortKey, Step};
 use crate::prepared::Prepared;
 
 mod naive;
@@ -43,9 +43,6 @@ pub struct ExecStats {
     pub subqueries: u64,
     /// Residual and late-filter predicate evaluations.
     pub predicate_evals: u64,
-    /// Probes answered by the sort-merge cursor instead of a B-tree
-    /// descent (subset of `index_probes`).
-    pub merge_probes: u64,
     /// Path-filter scans answered from the table's memo (column × pattern
     /// → surviving rows) without touching its rows.
     pub path_memo_hits: u64,
@@ -102,24 +99,15 @@ impl OpStats {
     }
 }
 
-/// One merge step's state for a run: its index flattened into every
-/// (key, rows) pair in key order, on the step's first probe, and the
-/// cursor where the last probe's window began. The entries borrow the
-/// B-tree's own keys — a single traversal and `len` pointer pairs, no
-/// key copies.
-struct Merge<'db> {
-    entries: Vec<(&'db [Value], &'db [RowId])>,
-    cursor: usize,
-}
-
 /// One block's state for one run, both empty until the block first
 /// runs: its steps' counters, and per step the table it reads (looked up
-/// by name then) with its merge state, if it probes through a merge
-/// cursor.
+/// by name then) with its range cursor, the index position where the
+/// step's last range probe began. Outer rows arriving in key order make
+/// each probe's seek a short step forward from there.
 #[derive(Default)]
 struct BlockRun<'db> {
     stats: Vec<OpStats>,
-    steps: Vec<(&'db Table, Option<Merge<'db>>)>,
+    steps: Vec<(&'db Table, usize)>,
 }
 
 /// Drop the path-filter memo (which rows of a column survive a pattern —
@@ -235,8 +223,6 @@ const LIMIT_CHECK_INTERVAL: u64 = 256;
 /// behaviour; tests and benches build the variants they compare.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecOptions {
-    /// Merge cursor vs index nested-loop for two-sided ranges.
-    pub merge: MergeMode,
     /// Whether the planner reads table statistics. Off, every fraction
     /// falls back to fixed selectivity constants in the same cost model
     /// (kept so the cost ledger can show what statistics buy).
@@ -245,10 +231,7 @@ pub struct ExecOptions {
 
 impl Default for ExecOptions {
     fn default() -> ExecOptions {
-        ExecOptions {
-            merge: MergeMode::Auto,
-            stats: true,
-        }
+        ExecOptions { stats: true }
     }
 }
 
@@ -707,7 +690,7 @@ impl<'db> Executor<'db> {
                 .steps
                 .iter()
                 .map(|s| match self.db.table(&s.table) {
-                    Some(table) => Ok((table, None)),
+                    Some(table) => Ok((table, 0)),
                     None => Err(ExecError::exec(format!("no such table `{}`", s.table))),
                 })
                 .collect::<Result<_, _>>()?;
@@ -745,9 +728,7 @@ impl<'db> Executor<'db> {
                 // A NULL key matches nothing; no probe is performed.
                 if !k.is_null() {
                     local.index_probes += 1;
-                    if let Some(rids) = side.get(&*k) {
-                        probe_rows.extend_from_slice(rids);
-                    }
+                    probe_rows.extend_from_slice(side.get(std::slice::from_ref(&*k)));
                 }
             }
             Access::IndexEq { index, keys } => {
@@ -793,28 +774,10 @@ impl<'db> Executor<'db> {
                     self.prepare_bounds(lo, hi, ix.key_cols.len() > 1, env)?
                 {
                     local.index_probes += 1;
-                    probe_rows.extend(ix.range(bound_of(&lo_v), bound_of(&hi_v)));
-                }
-            }
-            Access::MergeRange { index, lo, hi } => {
-                let ix = &table.indexes()[*index];
-                if let Some((lo_v, hi_v)) =
-                    self.prepare_bounds(lo, hi, ix.key_cols.len() > 1, env)?
-                {
-                    local.index_probes += 1;
-                    self.stats.borrow_mut().merge_probes += 1;
                     let mut runs = self.runs.borrow_mut();
-                    let merge = runs[plan.ordinal].steps[depth]
-                        .1
-                        .get_or_insert_with(|| Merge {
-                            entries: ix.entries().collect(),
-                            cursor: 0,
-                        });
-                    merge.cursor = seek_first(&merge.entries, merge.cursor, &lo_v);
-                    for (k, rids) in &merge.entries[merge.cursor..] {
-                        if !within_hi(k, &hi_v) {
-                            break;
-                        }
+                    let cursor = &mut runs[plan.ordinal].steps[depth].1;
+                    *cursor = ix.seek(bound_of(&lo_v), *cursor);
+                    for rids in ix.walk(*cursor, bound_of(&hi_v)) {
                         probe_rows.extend_from_slice(rids);
                     }
                 }
@@ -826,12 +789,11 @@ impl<'db> Executor<'db> {
     /// Evaluate range endpoint expressions against the current bindings.
     /// A column or literal endpoint is borrowed, not copied. Returns
     /// `None` when the probe selects nothing (a NULL bound, or an
-    /// inverted interval — which `BTreeMap::range` would panic on). For
-    /// composite indexes an inclusive upper bound on the leading column
-    /// is widened to cover key suffixes: scan up to (but excluding) the
-    /// successor of the bound value; if no successor exists, fall back to
-    /// unbounded — the driving conjuncts are re-checked as residuals, so
-    /// a superset is always safe.
+    /// inverted interval). For composite indexes an inclusive upper bound
+    /// on the leading column is widened to cover key suffixes: scan up to
+    /// (but excluding) the successor of the bound value; if no successor
+    /// exists, fall back to unbounded — the driving conjuncts are
+    /// re-checked as residuals, so a superset is always safe.
     fn prepare_bounds<'e>(
         &self,
         lo: &'e Option<(Expr, bool)>,
@@ -1184,79 +1146,13 @@ fn is_numbered(stmt: &mut SelectStmt) -> bool {
 /// means unbounded on that side.
 type RangeEnd<'a> = Option<(Cow<'a, Value>, bool)>;
 
-/// Borrow a range endpoint as a one-column `BTreeMap` bound — no key copy.
-fn bound_of<'a>(end: &'a RangeEnd<'_>) -> Bound<&'a [Value]> {
+/// Borrow a range endpoint as an index bound — no key copy.
+fn bound_of<'a>(end: &'a RangeEnd<'_>) -> Bound<&'a Value> {
     match end {
         None => Bound::Unbounded,
-        Some((v, true)) => Bound::Included(std::slice::from_ref(&**v)),
-        Some((v, false)) => Bound::Excluded(std::slice::from_ref(&**v)),
+        Some((v, true)) => Bound::Included(&**v),
+        Some((v, false)) => Bound::Excluded(&**v),
     }
-}
-
-/// Lexicographic comparison of a composite key against a (possibly
-/// shorter) bound slice, matching the B-tree's `Vec<Value>` ordering: a
-/// key extending the bound by extra columns compares greater.
-fn cmp_key_bound(key: &[Value], bound: &[Value]) -> std::cmp::Ordering {
-    for (k, b) in key.iter().zip(bound) {
-        match k.cmp_total(b) {
-            std::cmp::Ordering::Equal => {}
-            other => return other,
-        }
-    }
-    key.len().cmp(&bound.len())
-}
-
-/// Does `key` satisfy the lower endpoint?
-fn above_lo(key: &[Value], lo: &RangeEnd<'_>) -> bool {
-    match lo {
-        None => true,
-        Some((v, inc)) => {
-            let ord = cmp_key_bound(key, std::slice::from_ref(v));
-            ord == std::cmp::Ordering::Greater || (*inc && ord == std::cmp::Ordering::Equal)
-        }
-    }
-}
-
-/// Does `key` satisfy the upper endpoint?
-fn within_hi(key: &[Value], hi: &RangeEnd<'_>) -> bool {
-    match hi {
-        None => true,
-        Some((v, inc)) => {
-            let ord = cmp_key_bound(key, std::slice::from_ref(v));
-            ord == std::cmp::Ordering::Less || (*inc && ord == std::cmp::Ordering::Equal)
-        }
-    }
-}
-
-/// First entry index satisfying the lower endpoint, using the previous
-/// probe's position as a hint. When successive probes arrive in document
-/// order (the staircase case of Dewey structural joins) the hint is exact
-/// and the seek is O(1); otherwise it gallops from the hint and finishes
-/// with a binary search, so an out-of-order probe costs O(log n).
-fn seek_first(entries: &[(&[Value], &[RowId])], hint: usize, lo: &RangeEnd<'_>) -> usize {
-    let len = entries.len();
-    let pos = hint.min(len);
-    let (lo_i, hi_i) = if pos < len && !above_lo(entries[pos].0, lo) {
-        // The window starts right of the hint: gallop to bracket it.
-        let mut width = 1usize;
-        let mut prev = pos;
-        loop {
-            let next = (prev + width).min(len);
-            if next == len || above_lo(entries[next].0, lo) {
-                break (prev + 1, next);
-            }
-            prev = next;
-            width *= 2;
-        }
-    } else {
-        // The hint is already inside the window; if its predecessor is
-        // below the bound, the hint is exactly the window start.
-        if pos == 0 || !above_lo(entries[pos - 1].0, lo) {
-            return pos;
-        }
-        (0, pos)
-    };
-    lo_i + entries[lo_i..hi_i].partition_point(|(k, _)| !above_lo(k, lo))
 }
 
 fn truth(v: &Value) -> Option<bool> {

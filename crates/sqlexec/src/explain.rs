@@ -139,14 +139,9 @@ fn explain_select(
                 }
                 out.push(')');
             }
-            Access::IndexRange { index, lo, hi } | Access::MergeRange { index, lo, hi } => {
+            Access::IndexRange { index, lo, hi } => {
                 let ix = &table.indexes()[*index];
-                let kind = if matches!(step.access, Access::MergeRange { .. }) {
-                    "merge"
-                } else {
-                    "range"
-                };
-                out.push_str(&format!("index {} {kind}[", ix.name));
+                out.push_str(&format!("index {} range[", ix.name));
                 match lo {
                     Some((e, inc)) => {
                         render_expr(e, out);

@@ -10,7 +10,7 @@
 //! * a **renderer** ([`render`]) producing the textual SQL of the paper's
 //!   Tables 3–6, and a **parser** ([`parser`]) accepting it back;
 //! * a **planner** ([`plan`]) that picks join order by estimated
-//!   cardinality and turns structural-join predicates into B-tree index
+//!   cardinality and turns structural-join predicates into ordered index
 //!   probes (equality and `BETWEEN` ranges on `dewey_pos`);
 //! * an **executor** ([`exec`]) implementing an index-nested-loop pipeline
 //!   with early-exit `EXISTS`, plus `DISTINCT`/`UNION`/`ORDER BY`;
@@ -49,6 +49,6 @@ pub use exec::{
 };
 pub use explain::{explain_analyze, explain_analyze_with_limits, explain_stmt};
 pub use parser::parse_sql;
-pub use plan::{qerror, ExecError, MergeMode, SelectPlan};
+pub use plan::{qerror, ExecError, SelectPlan};
 pub use prepared::Prepared;
 pub use render::render_stmt;

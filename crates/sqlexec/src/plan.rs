@@ -1,8 +1,8 @@
 //! Query planning: join ordering, index selection, predicate placement.
 //!
 //! The planner turns one [`Select`] into a left-deep pipeline of
-//! [`Step`]s. Each step scans one `FROM` alias, either fully or through a
-//! B-tree access path whose probe values may reference the aliases bound by
+//! [`Step`]s. Each step scans one `FROM` alias, either fully or through an
+//! index access path whose probe values may reference the aliases bound by
 //! earlier steps (index nested-loop join) or by an outer query
 //! (correlated `EXISTS`). Every `WHERE` conjunct is consumed exactly once:
 //! as an access-path driver or as a residual filter at the earliest step
@@ -108,14 +108,19 @@ impl std::error::Error for ExecError {}
 pub enum Access {
     /// Scan every row.
     FullScan,
-    /// Probe a B-tree index with equality on its leading columns. The key
+    /// Probe an index with equality on its leading columns. The key
     /// expressions may reference previously bound / outer aliases.
     IndexEq {
         /// Index position within `Table::indexes()`.
         index: usize,
         keys: Vec<Expr>,
     },
-    /// Range-scan a B-tree index on its first column.
+    /// Range-scan an index on its first column: seek the lower bound
+    /// from where the step's previous probe in this run began, and walk
+    /// the sorted keys up to the upper bound. Outer rows arriving in
+    /// document order (the Dewey descendant/ancestor windows of the
+    /// paper's structural joins) make the whole join one staircase-style
+    /// forward pass over the index.
     IndexRange {
         index: usize,
         lo: Option<(Expr, bool)>,
@@ -123,23 +128,10 @@ pub enum Access {
     },
     /// Hash join on an unindexed column (build side = this table),
     /// probed with the key expression per outer row. The build side is
-    /// the table's own derived state (`Table::hash_side`): built on the
-    /// first probe of that column and shared by every later query until
-    /// the table mutates.
+    /// the table's own derived state (`Table::hash_side`, a one-column
+    /// index): built on the first probe of that column and shared by
+    /// every later query until the table mutates.
     HashEq { column: usize, key: Expr },
-    /// Sort-merge range probe over a flattened B-tree index: the executor
-    /// materializes the index once as a sorted array and advances a
-    /// monotonic cursor across outer invocations instead of descending
-    /// the B-tree per probe. Offered for two-sided ranges (the Dewey
-    /// descendant/ancestor windows of the paper's structural joins); it
-    /// wins when enough outer rows drive it to pay for the flattening —
-    /// outer rows arriving in document order turn the whole join into one
-    /// staircase-style forward pass.
-    MergeRange {
-        index: usize,
-        lo: Option<(Expr, bool)>,
-        hi: Option<(Expr, bool)>,
-    },
 }
 
 impl Access {
@@ -149,9 +141,7 @@ impl Access {
             Access::FullScan => (&[][..], None, None),
             Access::IndexEq { keys, .. } => (&keys[..], None, None),
             Access::HashEq { key, .. } => (std::slice::from_ref(key), None, None),
-            Access::IndexRange { lo, hi, .. } | Access::MergeRange { lo, hi, .. } => {
-                (&[][..], lo.as_ref(), hi.as_ref())
-            }
+            Access::IndexRange { lo, hi, .. } => (&[][..], lo.as_ref(), hi.as_ref()),
         };
         keys.iter().chain(lo.into_iter().chain(hi).map(|(e, _)| e))
     }
@@ -162,9 +152,7 @@ impl Access {
             Access::FullScan => (&mut [][..], None, None),
             Access::IndexEq { keys, .. } => (&mut keys[..], None, None),
             Access::HashEq { key, .. } => (std::slice::from_mut(key), None, None),
-            Access::IndexRange { lo, hi, .. } | Access::MergeRange { lo, hi, .. } => {
-                (&mut [][..], lo.as_mut(), hi.as_mut())
-            }
+            Access::IndexRange { lo, hi, .. } => (&mut [][..], lo.as_mut(), hi.as_mut()),
         };
         let bounds = lo.into_iter().chain(hi).map(|(e, _)| e);
         keys.iter_mut().chain(bounds)
@@ -343,9 +331,9 @@ mod sel {
 
 /// The cost model's per-unit prices. One invocation of a step's access
 /// costs `ROW_COST × rows fetched + PROBE_COST × probe units`. A probe
-/// unit is one B-tree level descended, one index entry flattened for a
-/// merge cursor, one cursor advance, or one row a full scan tests
-/// against the conditions an index would have looked up.
+/// unit is one step of a binary search or of a range cursor's gallop, or
+/// one row a full scan tests against the conditions an index would have
+/// looked up.
 const ROW_COST: f64 = 1.0;
 const PROBE_COST: f64 = 1.0;
 
@@ -356,18 +344,6 @@ pub fn qerror(est: f64, act: f64) -> f64 {
     let e = est.max(0.5);
     let a = act.max(0.5);
     (e / a).max(a / e)
-}
-
-/// Which of the B-tree range probe and the sort-merge cursor a
-/// two-sided range may use. `Auto` offers both to the cost model; the
-/// forced modes remove the other one from the candidates, for
-/// equivalence tests and A/B benchmarks (`ExecOptions::merge`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MergeMode {
-    #[default]
-    Auto,
-    ForceOff,
-    ForceOn,
 }
 
 /// [`plan_select_with`] under the default options.
@@ -381,8 +357,7 @@ pub fn plan_select(
 
 /// Plan a select given the aliases already bound by outer queries, as
 /// (alias, table) pairs in the order the executor binds them, outermost
-/// first. Inner FROM aliases shadow same-named outer aliases. Of `opts`,
-/// the planner reads `merge` and `stats`.
+/// first. Inner FROM aliases shadow same-named outer aliases.
 pub fn plan_select_with(
     db: &Database,
     select: &Select,
@@ -486,10 +461,7 @@ pub(crate) fn plan_block(
         // bound is widened to cover key suffixes), so their driving conjuncts
         // are re-checked as residuals. Equality probes are exact.
         let mut residuals = Vec::new();
-        if matches!(
-            access,
-            Access::IndexRange { .. } | Access::MergeRange { .. }
-        ) {
+        if matches!(access, Access::IndexRange { .. }) {
             residuals.extend(consumed.iter().map(|&i| conjuncts[i].clone()));
         }
         for &i in &consumed {
@@ -895,7 +867,7 @@ impl<'e> Pred<'e> {
                 };
                 mark(&rids)
             }
-            Pred::Eq(c, v) => mark(table.hash_side(*c).get(*v).map_or(&[], |r| &r[..])),
+            Pred::Eq(c, v) => mark(table.hash_side(*c).get(std::slice::from_ref(*v))),
             Pred::And(xs) | Pred::Or(xs) => {
                 let and = matches!(self, Pred::And(_));
                 let mut rows = vec![and; table.len()];
@@ -1099,10 +1071,6 @@ impl<'e> RangeConj<'e> {
     fn scannable(&self) -> bool {
         self.between.is_some() || self.scan_lo.is_some() || self.scan_hi.is_some()
     }
-
-    fn two_sided_scan(&self) -> bool {
-        self.between.is_some() || (self.scan_lo.is_some() && self.scan_hi.is_some())
-    }
 }
 
 /// One access candidate, before its probe expressions are cloned into an
@@ -1122,7 +1090,6 @@ enum Choice {
     Range {
         index: usize,
         range: usize,
-        merge: bool,
     },
 }
 
@@ -1167,11 +1134,7 @@ impl StepChoice<'_> {
                 };
                 (access, vec![e.conj])
             }
-            Choice::Range {
-                index,
-                range,
-                merge,
-            } => {
+            Choice::Range { index, range } => {
                 let r = &self.ranges[range];
                 let mut consumed = Vec::new();
                 let (lo, hi) = match r.between {
@@ -1189,12 +1152,7 @@ impl StepChoice<'_> {
                         (bound(r.scan_lo), bound(r.scan_hi))
                     }
                 };
-                let access = if merge {
-                    Access::MergeRange { index, lo, hi }
-                } else {
-                    Access::IndexRange { index, lo, hi }
-                };
-                (access, consumed)
+                (Access::IndexRange { index, lo, hi }, consumed)
             }
         }
     }
@@ -1385,17 +1343,17 @@ impl<'a> Ctx<'a> {
     /// their fractions into the step's cardinality, and then enumerates
     /// every access they allow, in the order of the fixed ladder the
     /// planner once climbed: an `IndexEq` per index whose key columns the
-    /// equalities cover, a `HashEq` per equality, an `IndexRange` and a
-    /// `MergeRange` per index whose lead column is bounded, and a
-    /// `FullScan`. Only probes of the column's type class drive an
-    /// access. Each candidate costs its fetched rows plus its probe units
-    /// ([`ROW_COST`], [`PROBE_COST`]): an index or hash probe descends
-    /// `log₂ n + 1` levels, a merge cursor pays `n / est_outer` for
-    /// flattening the index plus one advance, and a full scan tests every
-    /// row. A later candidate replaces an earlier one only when strictly
-    /// cheaper, so ties keep the ladder's choice. `MergeMode::ForceOff`
-    /// and `ForceOn` remove the merge or the index range of a two-sided
-    /// range from the list.
+    /// equalities cover, a `HashEq` per equality, an `IndexRange` per
+    /// index whose lead column is bounded, and a `FullScan`. Only probes
+    /// of the column's type class drive an access. Each candidate costs
+    /// its fetched rows plus its probe units ([`ROW_COST`],
+    /// [`PROBE_COST`]): an equality or hash probe binary-searches in
+    /// `log₂ n + 1` steps; a range probe gallops from the step's last
+    /// position, and `est_outer` probes spread over `n` keys move about
+    /// `n / est_outer` keys each, so it pays `log₂(n / est_outer) + 1`,
+    /// never more than a binary search; a full scan tests every row. A
+    /// later candidate replaces an earlier one only when strictly
+    /// cheaper, so ties keep the ladder's choice.
     ///
     /// Fractions come from the table's statistics when `opts.stats` holds
     /// and they exist: literal equality reads the containing bucket's
@@ -1593,6 +1551,7 @@ impl<'a> Ctx<'a> {
 
         // The candidates, in ladder order.
         let descent = rows.log2() + 1.0;
+        let gallop = (rows / est_outer.max(1.0)).max(1.0).log2() + 1.0;
         let mut best: Option<(Choice, f64, f64)> = None;
         let mut offer = |choice: Choice, fraction: f64, probe_units: f64| {
             let fetched = rows * fraction;
@@ -1628,18 +1587,11 @@ impl<'a> Ctx<'a> {
             else {
                 continue;
             };
-            let (fraction, two_sided) = (ranges[range].fraction, ranges[range].two_sided_scan());
-            let scan = |merge| Choice::Range {
-                index,
-                range,
-                merge,
-            };
-            if !(two_sided && self.opts.merge == MergeMode::ForceOn) {
-                offer(scan(false), fraction, descent);
-            }
-            if two_sided && self.opts.merge != MergeMode::ForceOff {
-                offer(scan(true), fraction, rows / est_outer.max(1.0) + 1.0);
-            }
+            offer(
+                Choice::Range { index, range },
+                ranges[range].fraction,
+                gallop,
+            );
         }
         offer(Choice::FullScan, 1.0, rows);
 
@@ -1736,7 +1688,7 @@ mod tests {
                         Access::FullScan => 0,
                         Access::IndexEq { keys, .. } => keys.len(),
                         Access::HashEq { .. } => 1,
-                        Access::IndexRange { lo, hi, .. } | Access::MergeRange { lo, hi, .. } => {
+                        Access::IndexRange { lo, hi, .. } => {
                             lo.is_some() as usize + hi.is_some() as usize
                         }
                     }
@@ -1783,10 +1735,7 @@ mod tests {
         }
         let used = vec![false; conjuncts.len()];
         let table = db.table(&sel.from[0].table).expect("table");
-        let opts = ExecOptions {
-            stats,
-            ..ExecOptions::default()
-        };
+        let opts = ExecOptions { stats };
         let ctx = Ctx {
             db,
             select: sel,

@@ -179,16 +179,15 @@ fn hash_join_probes_the_tables_build_side() {
     assert!(allocs < 64, "{allocs} allocations for one hash probe");
 }
 
-/// A Dewey descendant window over an indexed table plans as a merge
-/// join: one merge probe per outer row. Its lower bound `A.dewey` is
-/// borrowed from the outer row, so a probe allocates only the
-/// `A.dewey || x'FF'` upper bound, built once at its final size. At the
-/// parent, which cloned both `A.dewey` operands and the `x'FF'` literal
-/// and grew the concatenation in place, this measured 952 allocations
-/// for 200 merge probes (4.76 each); borrowed bounds measured 352 (1.76
-/// each).
+/// A Dewey descendant window over an indexed table plans as an index
+/// range join: one range probe per outer row. Its lower bound `A.dewey`
+/// is borrowed from the outer row, so a probe allocates only the
+/// `A.dewey || x'FF'` upper bound, built once at its final size. Cloning
+/// both `A.dewey` operands and the `x'FF'` literal and growing the
+/// concatenation in place measured 952 allocations for 200 probes (4.76
+/// each); borrowed bounds measured 352 (1.76 each).
 #[test]
-fn merge_probe_key_allocates_nothing() {
+fn range_probe_key_allocates_nothing() {
     const OUTER: u8 = 200;
     let mut db = Database::new();
     for name in ["A", "D"] {
@@ -213,12 +212,12 @@ fn merge_probe_key_allocates_nothing() {
          where D.dewey between A.dewey and A.dewey || x'FF'",
     );
     assert_eq!(rs.rows, vec![vec![Value::Int(4 * i64::from(OUTER))]]);
-    assert_eq!(stats.merge_probes, u64::from(OUTER), "{stats:?}");
+    assert_eq!(stats.index_probes, u64::from(OUTER), "{stats:?}");
     // One per probe for the upper bound; the constant covers planning.
     assert!(
-        allocs <= stats.merge_probes + 200,
-        "{allocs} allocations for {} merge probes",
-        stats.merge_probes
+        allocs <= stats.index_probes + 200,
+        "{allocs} allocations for {} range probes",
+        stats.index_probes
     );
 }
 

@@ -1,14 +1,14 @@
 //! Hot-path cache behaviour: the path-filter memo, which its table owns,
 //! must be dropped when the table mutates and must not carry over to a
-//! cloned database; the sort-merge structural join must return exactly
-//! what the index nested-loop join returns; warm index probes must not
-//! fall back to the heap.
+//! cloned database; the Dewey window join must return exactly what the
+//! brute-force reference returns; warm index probes must not fall back
+//! to the heap.
 //!
 //! Every test builds its own database and passes its options to its own
 //! executor, so they are safe to run in parallel with each other.
 
 use relstore::{ColType, Database, TableSchema, Value};
-use sqlexec::{parse_sql, ExecOptions, Executor, MergeMode};
+use sqlexec::{parse_sql, ExecOptions, Executor};
 
 fn paths_db() -> Database {
     let mut db = Database::new();
@@ -92,24 +92,26 @@ fn path_memo_does_not_alias_across_cloned_databases() {
     assert_eq!(cs.path_memo_hits, 0);
 }
 
-/// Shredded-style tables big enough to exercise the merge cursor: one
-/// outer table of "context" Dewey keys and one inner table of element
-/// rows, joined by the paper's `BETWEEN` containment condition.
-fn dewey_db() -> Database {
+/// Shredded-style tables: one outer table of 40 "context" Dewey keys,
+/// inserted in document order or in reverse, and one inner table of 8
+/// element rows under each, joined by the paper's `BETWEEN` containment
+/// condition.
+fn dewey_db(reverse: bool) -> Database {
     let mut db = Database::new();
-    db.create_table(TableSchema::new(
-        "A",
-        &[("id", ColType::Int), ("dewey_pos", ColType::Bytes)],
-    ))
-    .unwrap();
-    db.create_table(TableSchema::new(
-        "F",
-        &[("id", ColType::Int), ("dewey_pos", ColType::Bytes)],
-    ))
-    .unwrap();
+    for name in ["A", "F"] {
+        db.create_table(TableSchema::new(
+            name,
+            &[("id", ColType::Int), ("dewey_pos", ColType::Bytes)],
+        ))
+        .unwrap();
+    }
     {
         let a = db.table_mut("A").unwrap();
-        for i in 0..40i64 {
+        let mut contexts: Vec<i64> = (0..40).collect();
+        if reverse {
+            contexts.reverse();
+        }
+        for i in contexts {
             // Dewey prefix [0,0,i] — 40 ordered context nodes.
             a.insert(vec![Value::Int(i), Value::Bytes(vec![0, 0, i as u8])])
                 .unwrap();
@@ -135,86 +137,34 @@ fn dewey_db() -> Database {
     db
 }
 
-const DEWEY_JOIN: &str = "select F.id from A, F \
-     where F.dewey_pos between A.dewey_pos and A.dewey_pos || x'FF' \
-     order by F.dewey_pos, F.id";
-
-fn merge(merge: MergeMode) -> ExecOptions {
-    ExecOptions {
-        merge,
-        ..ExecOptions::default()
-    }
-}
-
+/// The Dewey window join probes `F`'s index once per outer row, seeking
+/// each window from where the last one began: forward when the outer
+/// rows arrive in document order, backward when they arrive in reverse.
+/// Either way it returns exactly the brute-force cross product's rows,
+/// in its order.
 #[test]
-fn merge_join_matches_index_nested_loop_results() {
-    let db = dewey_db();
-
-    let (nl_ids, nl_stats) = ids_with(&db, DEWEY_JOIN, merge(MergeMode::ForceOff));
-    let (merge_ids, merge_stats) = ids_with(&db, DEWEY_JOIN, merge(MergeMode::ForceOn));
-
-    assert_eq!(nl_ids.len(), 40 * 8);
-    assert_eq!(merge_ids, nl_ids, "merge join must be result-identical");
-    assert_eq!(nl_stats.merge_probes, 0);
-    assert!(
-        merge_stats.merge_probes >= 40,
-        "every outer row probes the merge cursor: {merge_stats:?}"
-    );
-}
-
-#[test]
-fn planner_renders_merge_access_path_when_forced() {
-    let db = dewey_db();
-    let stmt = parse_sql(DEWEY_JOIN).unwrap();
-
-    let plan = |mode| {
-        let limits = sqlexec::QueryLimits::none();
-        sqlexec::explain_analyze_with_limits(&db, &stmt, limits, merge(mode)).unwrap()
-    };
-    let forced = plan(MergeMode::ForceOn);
-    assert!(forced.contains("merge["), "{forced}");
-    let off = plan(MergeMode::ForceOff);
-    assert!(!off.contains("merge["), "{off}");
-}
-
-#[test]
-fn auto_mode_uses_merge_only_past_the_cardinality_thresholds() {
-    // dewey_db's F table has 320 rows and the A side feeds 40 outer
-    // rows: 40 × (log₂ 320 + 1) > 320 + 40, so the merge cursor is the
-    // cheaper candidate.
-    let db = dewey_db();
-    let (_, stats) = ids(&db, DEWEY_JOIN);
-    assert!(stats.merge_probes > 0, "{stats:?}");
-
-    // A tiny table stays on the B-tree range probe.
-    let mut small = Database::new();
-    small
-        .create_table(TableSchema::new(
-            "A",
-            &[("id", ColType::Int), ("dewey_pos", ColType::Bytes)],
-        ))
+fn window_join_matches_the_reference_in_either_outer_order() {
+    const WINDOW_JOIN: &str = "select A.id, F.id from A, F \
+         where F.dewey_pos between A.dewey_pos and A.dewey_pos || x'FF'";
+    let stmt = parse_sql(WINDOW_JOIN).unwrap();
+    for reverse in [false, true] {
+        let db = dewey_db(reverse);
+        let exec = Executor::new(&db);
+        let rs = exec.run(&stmt).unwrap();
+        let want = sqlexec::naive_select(&db, &stmt.branches[0]).unwrap();
+        let got: Vec<Vec<Value>> = rs.rows.iter().map(|r| r.to_vec()).collect();
+        assert_eq!(got.len(), 40 * 8);
+        assert_eq!(got, want, "reverse = {reverse}");
+        assert_eq!(exec.stats().index_probes, 40, "{:?}", exec.stats());
+        let plan = sqlexec::explain_analyze_with_limits(
+            &db,
+            &stmt,
+            Default::default(),
+            Default::default(),
+        )
         .unwrap();
-    small
-        .create_table(TableSchema::new(
-            "F",
-            &[("id", ColType::Int), ("dewey_pos", ColType::Bytes)],
-        ))
-        .unwrap();
-    {
-        let a = small.table_mut("A").unwrap();
-        a.insert(vec![Value::Int(1), Value::Bytes(vec![0, 0, 1])])
-            .unwrap();
-        a.create_index("a_dewey", &["dewey_pos"]).unwrap();
+        assert!(plan.contains("via index f_dewey range["), "{plan}");
     }
-    {
-        let f = small.table_mut("F").unwrap();
-        f.insert(vec![Value::Int(2), Value::Bytes(vec![0, 0, 1, 0, 0, 1])])
-            .unwrap();
-        f.create_index("f_dewey", &["dewey_pos"]).unwrap();
-    }
-    let (small_ids, small_stats) = ids(&small, DEWEY_JOIN);
-    assert_eq!(small_ids, vec![2]);
-    assert_eq!(small_stats.merge_probes, 0, "{small_stats:?}");
 }
 
 /// Index probes reuse the executor's key scratch and row-buffer pool:

@@ -51,7 +51,7 @@ fn union_arity_mismatch_is_an_error_not_a_panic() {
 #[test]
 fn coercible_equality_on_indexed_column_still_matches() {
     // `id = '3'` must implicitly convert (Oracle-style), even though the
-    // column is indexed — the planner must not probe the B-tree with a
+    // column is indexed — the planner must not probe the index with a
     // type-incompatible key.
     let d = db();
     let exec = Executor::new(&d);

@@ -38,51 +38,6 @@ fn dblp_pipeline_all_systems_agree() {
     }
 }
 
-/// Run every workload query with the sort-merge structural join forced
-/// off, then forced on, on one build, and require identical element ids
-/// (document order included). Switching options drops the cached plans,
-/// so the second pass plans afresh, which the merge-probe count checks.
-fn assert_merge_equivalence(mut data: ppf_bench::BenchData, queries: &[(&str, &str)]) {
-    let merge = |merge| ppf_core::ExecOptions {
-        merge,
-        ..ppf_core::ExecOptions::default()
-    };
-    data.ppf
-        .set_exec_options(merge(sqlexec::MergeMode::ForceOff));
-    let nl: Vec<Vec<i64>> = queries
-        .iter()
-        .map(|(name, q)| {
-            data.ppf
-                .query(q)
-                .unwrap_or_else(|e| panic!("{name}: {e}"))
-                .ids()
-        })
-        .collect();
-
-    data.ppf
-        .set_exec_options(merge(sqlexec::MergeMode::ForceOn));
-    let mut merge_probes = 0u64;
-    for ((name, q), expected) in queries.iter().zip(&nl) {
-        let r = data.ppf.query(q).unwrap_or_else(|e| panic!("{name}: {e}"));
-        merge_probes += r.stats.merge_probes;
-        assert_eq!(&r.ids(), expected, "{name}: merge join changed the result");
-    }
-    assert!(
-        merge_probes > 0,
-        "forcing merge must exercise the merge cursor at least once"
-    );
-}
-
-#[test]
-fn xmark_merge_join_matches_index_nested_loop() {
-    assert_merge_equivalence(build_xmark(0.03, 7), &xmark_queries());
-}
-
-#[test]
-fn dblp_merge_join_matches_index_nested_loop() {
-    assert_merge_equivalence(build_dblp(0.05, 7), &dblp_queries());
-}
-
 #[test]
 fn naive_baseline_covers_the_paper_subset() {
     // The commercial-RDBMS proxy supports Q23/Q24/QA (like the paper) and
